@@ -24,6 +24,7 @@ from .fdfgd import (build_base, puncture, extend, pair_split, check_prop16,
 from .signalset import SignalSet, PairQAM, RealPoints, BlockValues
 from .diversity import (generator_matrix, cubic_shaping_check,
                         rotation_search, full_diversity_check,
+                        difference_classes, DiversityCapError,
                         grow_constellation, grow_with_pam_prefix)
 from .simulate import (STBCInstance, SimConfig, SimResult, channel_step,
                        ml_oracle, ml_structured, hard_limit_pam, simulate)

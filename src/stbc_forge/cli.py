@@ -188,7 +188,9 @@ def cmd_build_fd(args):
     return 0
 
 
-def _bundle_from_meta(d, meta):
+def _bundle_from_meta(d, meta, M=4):
+    """STBC instance of a design file; M is the QAM size for catalog
+    files that carry no meta.M."""
     from . import fdfgd
     fam = meta.get("family")
     if fam is None:
@@ -196,7 +198,7 @@ def _bundle_from_meta(d, meta):
         # canonical signal set and plan
         from . import bundles
         name = meta.get("name")
-        M = int(meta.get("M", 4))
+        M = int(meta.get("M", M))
         if name == "alamouti":
             return bundles.alamouti_stbc(M)
         if name == "qod4":
@@ -230,6 +232,10 @@ INFEASIBLE = 3
 
 
 def cmd_verify(args):
+    from .signalset import qam_side
+    if args.M < 1:
+        raise ValueError("--M must be a positive perfect square")
+    qam_side(args.M)
     d, meta, _names = _read_design(args.infile, validate=False)
     suites = ([args.suite] if args.suite != "all"
               else ["partition", "shaping", "prop5", "diversity"])
@@ -254,19 +260,22 @@ def cmd_verify(args):
             note = ""
         else:  # diversity
             try:
-                stbc = _bundle_from_meta(d, meta)
+                stbc = _bundle_from_meta(d, meta, args.M)
             except ValueError:
                 print("diversity: INFEASIBLE (no signal set in file)")
                 infeasible = True
                 continue
-            from .diversity import full_diversity_check, DET_TOL, PAIR_CAP
-            if stbc.count > PAIR_CAP:
-                print("diversity: INFEASIBLE (codebook too large)")
+            from .diversity import (full_diversity_check, difference_classes,
+                                    DiversityCapError, DET_TOL)
+            try:
+                mn = full_diversity_check(stbc)
+            except DiversityCapError as exc:
+                print("diversity: INFEASIBLE (%s)" % exc)
                 infeasible = True
                 continue
-            mn = full_diversity_check(stbc)
             ok = mn > DET_TOL
-            note = " min_det=%.6g" % mn
+            note = " min_det=%.6g classes=%d" % (
+                mn, difference_classes(stbc.signals))
         print("%s: %s%s" % (suite, "PASS" if ok else "FAIL", note))
         failed = failed or not ok
     return 1 if failed else (INFEASIBLE if infeasible else 0)
@@ -323,7 +332,8 @@ def build_parser():
     c.add_argument("--suite", default="all",
                    choices=["partition", "shaping", "diversity", "prop5",
                             "all"])
-    c.add_argument("--M", type=int, default=4)
+    c.add_argument("--M", type=int, default=4,
+                   help="QAM size for catalog files without meta.M")
     c.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("simulate", help="Monte Carlo CER run on a bundle")

@@ -139,6 +139,52 @@ def test_build_fd_rate1_no_prediction(capsys):
     assert "plan=4·M^0.5" in out
 
 
+def test_build_fd_auto_angles_pinned(tmp_path, capsys):
+    p = tmp_path / "fd.txt"
+    code, _out, _err = run(capsys, "build-fd", "--m", "2", "--rate", "5/4",
+                           "--angles", "auto", "--M", "4", "--out", str(p))
+    assert code == 0
+    _d, meta, _names = parse_design(p.read_text())
+    # smallest of the tied grid angles: 3pi/40 on four pairs, pi/5 last
+    assert meta["angles"] == ",".join(["0.235619449019"] * 4
+                                      + ["0.628318530718"])
+    code, out, _err = run(capsys, "verify", "--in", str(p),
+                          "--suite", "diversity")
+    assert code == 0
+    assert "diversity: PASS min_det=0.0840693 classes=29524" in out
+
+
+def test_verify_diversity_cap_infeasible(tmp_path, capsys):
+    # 65,536 codewords, 9^8 differences: over the 10^7-class cap
+    p = tmp_path / "r2.txt"
+    run(capsys, "build-fd", "--m", "2", "--rate", "2",
+        "--angles", ",".join(["0.5"] * 8), "--out", str(p))
+    code, out, _err = run(capsys, "verify", "--in", str(p),
+                          "--suite", "diversity")
+    assert code == INFEASIBLE
+    assert ("diversity: INFEASIBLE (21523360 difference classes exceed "
+            "the cap of 10000000)") in out
+
+
+def test_verify_M_sets_catalog_signal_set(tmp_path, capsys):
+    p = tmp_path / "ala.txt"
+    run(capsys, "catalog", "show", "alamouti", "--out", str(p))
+    code, out, _err = run(capsys, "verify", "--in", str(p),
+                          "--suite", "diversity")
+    assert code == 0 and "classes=40" in out  # 4-QAM: 9 differences
+    code, out, _err = run(capsys, "verify", "--in", str(p),
+                          "--suite", "diversity", "--M", "16")
+    assert code == 0 and "classes=1200" in out  # 16-QAM: 49 differences
+    # the file's own meta.M wins over --M
+    text = p.read_text().replace("m=1\n", "m=1\nmeta.M=16\n")
+    p.write_text(text)
+    code, out, _err = run(capsys, "verify", "--in", str(p),
+                          "--suite", "diversity", "--M", "4")
+    assert code == 0 and "classes=1200" in out
+    code, _out, err = run(capsys, "verify", "--in", str(p), "--M", "5")
+    assert code == 1 and "perfect square" in err
+
+
 def test_verify_alamouti_all(tmp_path, capsys):
     p = tmp_path / "ala.txt"
     run(capsys, "catalog", "show", "alamouti", "--out", str(p))
