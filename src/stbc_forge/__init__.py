@@ -19,8 +19,8 @@ from .design import (Design, finest_partition, validate_partition, rate,
 from .constructions import (construct_A, construct_B, construct_C,
                             apply_sigma, designs_equivalent, catalog,
                             catalog_names, XI_ORDERS)
-from .fdfgd import (build_base, puncture, extend, pair_split, check_prop16,
-                    assemble_stbc, predicted_complexity, silver_stbc)
+from .fdfgd import (build_base, puncture, extend, family, pair_split,
+                    check_prop16, predicted_complexity)
 from .signalset import SignalSet, PairQAM, RealPoints, BlockValues
 from .diversity import (generator_matrix, cubic_shaping_check,
                         rotation_search, full_diversity_check,
@@ -28,5 +28,6 @@ from .diversity import (generator_matrix, cubic_shaping_check,
                         grow_constellation, grow_with_pam_prefix)
 from .simulate import (STBCInstance, SimConfig, SimResult, channel_step,
                        ml_oracle, ml_structured, hard_limit_pam, simulate)
+from .bundles import assemble_stbc, silver_stbc
 
 __version__ = "0.1.0"

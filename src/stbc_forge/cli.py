@@ -14,7 +14,14 @@ from fractions import Fraction
 
 from .f4 import parse_vec, format_vec, O, I, W, W2
 from .design import (Design, rate, finest_partition, validate_partition,
-                     plan_complexity, to_linear_design, format_term)
+                     plan_complexity, to_linear_design)
+from .diversity import (generator_matrix, cubic_shaping_check,
+                        full_diversity_check, difference_classes,
+                        DiversityCapError, DET_TOL)
+from .pauli import anticommute_parity, hr_orthogonal_numeric, phi_inv
+from .signalset import qam_side
+from .simulate import SimConfig, simulate
+from . import bundles, fdfgd
 from . import constructions as cons
 
 DESIGN_HEADER = "stbc-design v1"
@@ -102,11 +109,9 @@ def cmd_catalog(args):
     print("name=%s m=%d K=%d rate=%s groups=%d"
           % (entry.name, d.m, d.K, rate(d), rep.g))
     if args.name == "fgd_ren":
-        from .bundles import fgd_ren_stbc
-        print("complexity=%s" % plan_complexity(fgd_ren_stbc().plan))
+        print("complexity=%s" % plan_complexity(bundles.fgd_ren_stbc().plan))
     if args.name == "silver":
-        from .fdfgd import silver_stbc
-        print("complexity=%s" % plan_complexity(silver_stbc(4).plan))
+        print("complexity=%s" % plan_complexity(bundles.silver_stbc(4).plan))
     text = format_design(d, meta={"name": entry.name})
     if args.out:
         _write(args.out, text)
@@ -145,35 +150,28 @@ def cmd_construct(args):
 
 
 def cmd_build_fd(args):
-    from . import fdfgd
     R = Fraction(args.rate)
     m = args.m
     if m == 1:
-        stbc = fdfgd.silver_stbc(args.M, R)
+        stbc = bundles.silver_stbc(args.M, R)
         print("predicted=%s" % fdfgd.predicted_complexity(m, R))
         meta = {"family": "silver-punctured", "rate": str(R),
                 "M": str(args.M)}
         d = Design(1, tuple(e.vector for e in stbc.linear.entries))
         text = format_design(d, meta=meta)
     else:
-        base = fdfgd.build_base(m, xi2=W2 if args.xi2 == "w2" else I)
-        if R < Fraction(5, 4):
-            fd = fdfgd.puncture(base, R)
-        elif R > Fraction(5, 4):
-            fd = fdfgd.extend(base, R)
-        else:
-            fd = base
+        fd = fdfgd.family(m, R, xi2=W2 if args.xi2 == "w2" else I)
         if R > 1:
             print("predicted=%s" % fdfgd.predicted_complexity(m, R))
         if args.angles == "auto":
-            stbc = fdfgd.assemble_stbc(fd, "auto", args.M)
+            stbc = bundles.assemble_stbc(fd, "auto", args.M)
             thetas = [u.theta for u in stbc.signals.units]
         elif args.angles:
             thetas = [float(t) for t in args.angles.split(",")]
-            stbc = fdfgd.assemble_stbc(fd, thetas, args.M)
+            stbc = bundles.assemble_stbc(fd, thetas, args.M)
         else:
             thetas = [0.0] * (fd.K // 2)
-            stbc = fdfgd.assemble_stbc(fd, thetas, args.M)
+            stbc = bundles.assemble_stbc(fd, thetas, args.M)
         print("plan=%s" % plan_complexity(stbc.plan))
         meta = {"family": "fgd-family", "rate": str(R), "xi2": args.xi2,
                 "M": str(args.M),
@@ -189,14 +187,13 @@ def cmd_build_fd(args):
 
 
 def _bundle_from_meta(d, meta, M=4):
-    """STBC instance of a design file; M is the QAM size for catalog
-    files that carry no meta.M."""
-    from . import fdfgd
+    """STBC instance of a design file, or None when the file carries no
+    signal set; M is the QAM size for catalog files that carry no meta.M.
+    Malformed bundle metadata raises ValueError."""
     fam = meta.get("family")
     if fam is None:
         # catalog files carry only a name; the common ones have a
         # canonical signal set and plan
-        from . import bundles
         name = meta.get("name")
         M = int(meta.get("M", M))
         if name == "alamouti":
@@ -206,25 +203,19 @@ def _bundle_from_meta(d, meta, M=4):
         if name == "fgd_ren":
             return bundles.fgd_ren_stbc()
         if name == "silver":
-            return fdfgd.silver_stbc(M)
-        raise ValueError("file is not a simulation bundle (no signal set)")
+            return bundles.silver_stbc(M)
+        return None
     if "M" not in meta:
         raise ValueError("bundle metadata is missing M")
     M = int(meta["M"])
     R = Fraction(meta["rate"])
     if fam == "silver-punctured":
-        return fdfgd.silver_stbc(M, R)
+        return bundles.silver_stbc(M, R)
     if fam == "fgd-family":
-        base = fdfgd.build_base(d.m, xi2=W2 if meta.get("xi2", "w2") == "w2"
-                                else I)
-        if R < Fraction(5, 4):
-            fd = fdfgd.puncture(base, R)
-        elif R > Fraction(5, 4):
-            fd = fdfgd.extend(base, R)
-        else:
-            fd = base
+        fd = fdfgd.family(d.m, R, xi2=W2 if meta.get("xi2", "w2") == "w2"
+                          else I)
         thetas = [float(t) for t in meta["angles"].split(",")]
-        return fdfgd.assemble_stbc(fd, thetas, M)
+        return bundles.assemble_stbc(fd, thetas, M)
     raise ValueError("unknown bundle family %r" % fam)
 
 
@@ -232,7 +223,6 @@ INFEASIBLE = 3
 
 
 def cmd_verify(args):
-    from .signalset import qam_side
     if args.M < 1:
         raise ValueError("--M must be a positive perfect square")
     qam_side(args.M)
@@ -246,27 +236,21 @@ def cmd_verify(args):
             ok = rep.valid
             note = "" if ok else " witness=%r" % (rep.witness,)
         elif suite == "shaping":
-            from .diversity import generator_matrix, cubic_shaping_check
             gm = generator_matrix(to_linear_design(d))
             ok = cubic_shaping_check(gm, tol=1e-9)
             note = ""
         elif suite == "prop5":
-            from .pauli import (anticommute_parity, hr_orthogonal_numeric,
-                                phi_inv)
             mats = [phi_inv(v) for v in d.vectors]
             ok = all(anticommute_parity(d.vectors[i], d.vectors[j])
                      == hr_orthogonal_numeric(mats[i], mats[j])
                      for i in range(d.K) for j in range(i + 1, d.K))
             note = ""
         else:  # diversity
-            try:
-                stbc = _bundle_from_meta(d, meta, args.M)
-            except ValueError:
+            stbc = _bundle_from_meta(d, meta, args.M)
+            if stbc is None:
                 print("diversity: INFEASIBLE (no signal set in file)")
                 infeasible = True
                 continue
-            from .diversity import (full_diversity_check, difference_classes,
-                                    DiversityCapError, DET_TOL)
             try:
                 mn = full_diversity_check(stbc)
             except DiversityCapError as exc:
@@ -282,9 +266,10 @@ def cmd_verify(args):
 
 
 def cmd_simulate(args):
-    from .simulate import SimConfig, simulate
     d, meta, _names = _read_design(args.infile, validate=False)
     stbc = _bundle_from_meta(d, meta)
+    if stbc is None:
+        raise ValueError("file is not a simulation bundle (no signal set)")
     cfg = SimConfig(n_rx=args.n_rx,
                     snr_db=tuple(float(s) for s in args.snr.split(",")),
                     trials=args.trials, seed=args.seed,

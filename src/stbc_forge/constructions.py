@@ -19,10 +19,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .f4 import O, I, W, W2, F4Vec, weight, f4_pow_w, zero, delta
+from .f4 import (O, I, W, W2, F4Vec, weight, f4_pow_w, zero, delta,
+                 enumerate_all)
 from .design import (Design, LinearDesign, LDEntry, finest_partition,
-                     validate_partition, rate, to_linear_design)
-from .pauli import I2, X, Z, ZX, phi_inv, phi_signed
+                     validate_partition, to_linear_design)
+from .pauli import I2, X, Z, ZX, phi_signed
 
 
 def _groups_of(d):
@@ -289,7 +290,6 @@ def _ggroup(g, a):
 
 def _fgd_ren():
     """Rate 17/8 fast-group-decodable design: zero vector plus all odd weights."""
-    from .f4 import enumerate_all
     odd = [v for v in enumerate_all(2) if weight(v) % 2 == 1]
     vs = (zero(2),) + tuple(odd)
     d = Design(2, vs, ((0,), tuple(range(1, 17))))

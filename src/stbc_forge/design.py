@@ -19,13 +19,13 @@ every child term by M^c.  The term list is exact; the dominant term is
 what the complexity tables quote.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
-from .f4 import F4Vec, weight, format_vec
+from .f4 import F4Vec, weight
 from .pauli import phi_inv
 
 
@@ -225,21 +225,17 @@ def _terms(node):
     return out
 
 
-def plan_complexity(plan, M=None):
+def plan_complexity(plan):
     """Exact term list of the plan; dominant term first.
 
-    M is accepted for signature symmetry with evaluate() but the report is
-    symbolic; use .evaluate(M) for the integer count.
+    The report is symbolic; use .evaluate(M) for the integer count.
     """
     merged = {}
     for coef, a in _terms(plan):
         merged[a] = merged.get(a, 0) + coef
     terms = tuple(sorted(((c, a) for a, c in merged.items()),
                          key=lambda t: t[1], reverse=True))
-    rep = ComplexityReport(terms=terms)
-    if M is not None:
-        rep.evaluate(M)  # validates M
-    return rep
+    return ComplexityReport(terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +284,3 @@ def matrix_form(ld, symbols):
     for x, e in zip(symbols, ld.entries):
         X = X + x * e.matrix
     return X
-
-
-def describe(d):
-    """Short text summary used by the CLI."""
-    lines = ["m=%d K=%d rate=%s" % (d.m, d.K, rate(d))]
-    rep = (validate_partition(d, d.partition) if d.partition
-           else finest_partition(d))
-    lines.append("groups=%d valid=%s" % (rep.g, rep.valid))
-    for gi, grp in enumerate(rep.groups, 1):
-        lines.append("  S%d: %s" % (gi, " ".join(format_vec(d.vectors[i]) for i in grp)))
-    return "\n".join(lines)

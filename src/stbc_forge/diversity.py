@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signalset import pam_points, qam_side
+
 DET_TOL = 1e-8
 # most +- classes of distinct codeword differences one check evaluates
 DIFF_CAP = 10 ** 7
@@ -215,7 +217,6 @@ def _check_growth_cap(sizes):
 
 def _qam_diffs(M):
     """Nonzero differences of the unrotated unit-distance M-QAM."""
-    from .signalset import pam_points, qam_side
     pam = pam_points(qam_side(M))
     d = sorted({round(a - b, 9) for a in pam for b in pam})
     out = [complex(x, y) for x in d for y in d if (x, y) != (0.0, 0.0)]
@@ -309,29 +310,23 @@ def rotation_search(C_prior, A1, A2, M, grid_size=720):
                      "(best min |det| = %.3g)" % best_min)
 
 
-def grow_constellation(ld, sizes, seed=0, retries=200):
-    """Greedy per-real point growth keeping the code full diversity.
-
-    Requires every weight matrix to be full rank; each accepted point is
-    certified by an exhaustive difference-determinant check, so the
-    returned point lists always produce a full-diversity code.
-    """
-    A = ld.matrices()
-    for k, a in enumerate(A):
+def _check_full_rank(A, start=0):
+    for k, a in enumerate(A[start:], start=start):
         sv = np.linalg.svd(a, compute_uv=False)
         if sv[-1] <= DET_TOL:
             raise ValueError("weight matrix %d is singular" % k)
-    K = ld.K
-    if len(sizes) != K:
-        raise ValueError("need one size per real symbol")
-    _check_growth_cap(sizes)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    points = [[] for _ in range(K)]
-    for k in range(K):
-        points[k].append(float(rng.uniform(-10, 10)))
-    for k in range(K):
+
+
+def _grow(A, points, sizes, start, rng, retries):
+    """Grow points[k] to sizes[k - start] points for every k >= start.
+
+    Candidates are drawn uniformly from [-10, 10); each is kept only if
+    the enlarged code still passes the exhaustive check, and each symbol
+    may reject `retries` candidates.  Returns sorted point tuples.
+    """
+    for k in range(start, len(points)):
         budget = retries
-        while len(points[k]) < sizes[k]:
+        while len(points[k]) < sizes[k - start]:
             cand = float(rng.uniform(-10, 10))
             if any(abs(cand - p) < 1e-9 for p in points[k]):
                 continue
@@ -345,6 +340,24 @@ def grow_constellation(ld, sizes, seed=0, retries=200):
                     raise RuntimeError(
                         "growth retry budget exhausted at symbol %d" % k)
     return tuple(tuple(sorted(p)) for p in points)
+
+
+def grow_constellation(ld, sizes, seed=0, retries=200):
+    """Greedy per-real point growth keeping the code full diversity.
+
+    Requires every weight matrix to be full rank; each accepted point is
+    certified by an exhaustive difference-determinant check, so the
+    returned point lists always produce a full-diversity code.
+    """
+    A = ld.matrices()
+    _check_full_rank(A)
+    K = ld.K
+    if len(sizes) != K:
+        raise ValueError("need one size per real symbol")
+    _check_growth_cap(sizes)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    points = [[float(rng.uniform(-10, 10))] for _ in range(K)]
+    return _grow(A, points, sizes, 0, rng, retries)
 
 
 def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0, retries=200):
@@ -371,33 +384,11 @@ def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0, retries=200):
         sizes = (2,) * (K - L)
     if len(sizes) != K - L:
         raise ValueError("need one target size per grown symbol")
-    for k, a in enumerate(A[L:], start=L):
-        sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] <= DET_TOL:
-            raise ValueError("weight matrix %d is singular" % k)
+    _check_full_rank(A, L)
     _check_growth_cap([len(p) for p in pam_sets] + list(sizes))
-    points = [sorted(map(float, p)) for p in pam_sets] + \
-        [[] for _ in range(K - L)]
     rng = np.random.default_rng(np.random.SeedSequence([seed, L]))
-    if L < K:
-        for k in range(L, K):
-            points[k].append(float(rng.uniform(-10, 10)))
-    mn = _min_det_from_points(A, points)
-    if mn <= DET_TOL:
+    points = [sorted(map(float, p)) for p in pam_sets] + \
+        [[float(rng.uniform(-10, 10))] for _ in range(L, K)]
+    if _min_det_from_points(A, points) <= DET_TOL:
         raise RuntimeError("initial configuration failed certification")
-    for k in range(L, K):
-        budget = retries
-        while len(points[k]) < sizes[k - L]:
-            cand = float(rng.uniform(-10, 10))
-            if any(abs(cand - p) < 1e-9 for p in points[k]):
-                continue
-            trial = [list(p) for p in points]
-            trial[k].append(cand)
-            if _min_det_from_points(A, trial) > DET_TOL:
-                points[k].append(cand)
-            else:
-                budget -= 1
-                if budget == 0:
-                    raise RuntimeError(
-                        "growth retry budget exhausted at symbol %d" % k)
-    return tuple(tuple(sorted(p)) for p in points)
+    return _grow(A, points, sizes, L, rng, retries)

@@ -46,10 +46,6 @@ def f4_pow_w(l):
     return _EXP[l % 3]
 
 
-def f4_name(a):
-    return _NAMES[a]
-
-
 @dataclass(frozen=True, order=True)
 class F4Vec:
     """Element of F2 + F4^m: F2 component lam, F4 coordinates xs.

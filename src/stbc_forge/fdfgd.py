@@ -22,6 +22,9 @@ t-closed choice works.
 
 For 2 antennas (m = 1) the family is the Silver code punctured pairwise,
 with decoding complexity M^{2(R-1)}.
+
+This module is pure algebra; bundles.assemble_stbc and bundles.silver_stbc
+attach signal sets and decode plans to its designs.
 """
 
 from dataclasses import dataclass
@@ -30,8 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .f4 import O as F0, I as F1, W, W2, F4Vec, weight, enumerate_all, delta
-from .design import (Design, Leaf, Cond, ComplexityReport, plan_complexity,
-                     JOINT, HARD_LAST, HARD_ALL)
+from .design import Design, Leaf, Cond, ComplexityReport, HARD_LAST
 from .pauli import phi_inv
 
 SUBSET_ORDER = ("S_A", "S_B", "S_C", "S_D", "S_E", "O")
@@ -163,6 +165,18 @@ def extend(base, R):
                         subsets=subsets)
 
 
+def family(m, R, xi2=W2):
+    """Family member of rate R: the base design at R = 5/4, punctured
+    below and extended above."""
+    R = Fraction(R)
+    base = build_base(m, xi2=xi2)
+    if R < Fraction(5, 4):
+        return puncture(base, R)
+    if R > Fraction(5, 4):
+        return extend(base, R)
+    return base
+
+
 def pair_split(d):
     """(S_I, S_Q) with S_I the lex-smaller of each {y, y+t} pair."""
     vectors = d.vectors if hasattr(d, "vectors") else tuple(d)
@@ -223,88 +237,3 @@ def family_plan(fd):
 def family_pairs(fd):
     """(i_I, i_Q) index pairs in vector order; partners are adjacent."""
     return tuple((i, i + 1) for i in range(0, fd.K, 2))
-
-
-# ---------------------------------------------------------------------------
-# 2 antennas: the punctured Silver code path
-
-def silver_stbc(M, R=Fraction(2), thetas=None):
-    """Silver-code STBC, optionally punctured pairwise to R in {1, 3/2, 2}.
-
-    Symbols s1, s2 are QAM pairs; (s3, s4) are jointly precoded QAM.
-    Decoding conditions on the precoded block and hard-limits the four
-    remaining reals, costing exactly M^{2(R-1)} metric evaluations.
-    """
-    from .constructions import catalog, SILVER_U
-    from .design import LinearDesign
-    from .signalset import SignalSet, PairQAM, BlockValues, pam_points, qam_side
-    from .simulate import STBCInstance
-
-    R = Fraction(R)
-    if R not in (Fraction(1), Fraction(3, 2), Fraction(2)):
-        raise ValueError("pairwise puncturing allows R in {1, 3/2, 2}")
-    entry = catalog("silver")
-    keep = int(4 * R)  # real symbol count after puncturing s4 (and s3)
-    linear = LinearDesign(m=1, entries=entry.linear.entries[:keep])
-    th = list(thetas) if thetas is not None else [0.0, 0.0]
-    units = [PairQAM((0, 1), M, th[0]), PairQAM((2, 3), M, th[1])]
-    hard = Leaf((0, 1, 2, 3), HARD_ALL)
-    if R == 2:
-        pam = pam_points(qam_side(M))
-        rows = []
-        for z3r in pam:
-            for z3i in pam:
-                for z4r in pam:
-                    for z4i in pam:
-                        s3, s4 = SILVER_U @ np.array([z3r + 1j * z3i,
-                                                      z4r + 1j * z4i])
-                        rows.append((s3.real, s3.imag, s4.real, s4.imag))
-        units.append(BlockValues((4, 5, 6, 7), tuple(rows)))
-        plan = Cond(conditioning=(4, 5, 6, 7), children=(hard,))
-    elif R == Fraction(3, 2):
-        units.append(PairQAM((4, 5), M, 0.0))
-        plan = Cond(conditioning=(4, 5), children=(hard,))
-    else:
-        plan = hard
-    return STBCInstance(linear=linear, signals=SignalSet(units=tuple(units)),
-                        plan=plan)
-
-
-def assemble_stbc(fd, angles, M):
-    """STBC of the family design: paired rotated QAM plus the family plan.
-
-    angles: one theta per pair (in family_pairs order), or "auto" to run
-    the rotation search pair by pair against the zero-codeword prior.
-    """
-    from .signalset import qam_signal_set
-    from .simulate import STBCInstance
-
-    pairs = family_pairs(fd)
-    entries = []
-    from .design import LDEntry, LinearDesign
-    for i, v in enumerate(fd.vectors):
-        entries.append(LDEntry(label="x%d" % (i + 1), matrix=phi_inv(v),
-                               vector=v, sign=1))
-    linear = LinearDesign(m=fd.m, entries=tuple(entries))
-    if isinstance(angles, str) and angles == "auto":
-        # angle per pair against the code built so far, so the final
-        # code is full diversity, not just each pair in isolation
-        from .diversity import rotation_search
-        from .signalset import pam_points, qam_side
-        pam = pam_points(qam_side(M))
-        prior = [np.zeros((2 ** fd.m, 2 ** fd.m), complex)]
-        thetas = []
-        for iI, iQ in pairs:
-            A1, A2 = entries[iI].matrix, entries[iQ].matrix
-            th = rotation_search(prior, A1, A2, M, 720)
-            thetas.append(th)
-            z = np.exp(1j * th) * np.array([a + 1j * b
-                                            for a in pam for b in pam])
-            prior = [C + zz.real * A1 + zz.imag * A2
-                     for C in prior for zz in z]
-    else:
-        thetas = list(angles)
-        if len(thetas) != len(pairs):
-            raise ValueError("need %d angles, got %d" % (len(pairs), len(thetas)))
-    signals = qam_signal_set(pairs, M, thetas)
-    return STBCInstance(linear=linear, signals=signals, plan=family_plan(fd))

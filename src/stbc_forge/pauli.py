@@ -19,7 +19,7 @@ facts used throughout:
 
 import numpy as np
 
-from .f4 import O, I, W, W2, F4Vec, weight, enumerate_all
+from .f4 import O, I, W, W2, F4Vec, weight
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,6 +29,8 @@ ZX = Z @ X  # [[0,1],[-1,0]]
 _PSI_INV = {O: I2, I: 1j * X, W: 1j * Z, W2: ZX}
 
 TOL = 1e-9
+# the scalars a 1x1 realization may carry: (value, lam, sign)
+_SCALARS = ((1, 0, 1), (1j, 1, 1), (-1, 0, -1), (-1j, 1, -1))
 
 
 class NotInLambdaError(ValueError):
@@ -51,14 +53,16 @@ def phi_inv(v):
 
 
 def _extract(A):
-    """Recursive per-factor identification; returns (lam, coords) or None."""
+    """Recursive per-factor identification of A = sign * phi_inv(v).
+
+    Returns (lam, coords, sign) with sign in {+1, -1}, or None.
+    """
     n = A.shape[0]
     if n == 1:
         s = A[0, 0]
-        if abs(s - 1) < TOL:
-            return 0, ()
-        if abs(s - 1j) < TOL:
-            return 1, ()
+        for value, lam, sign in _SCALARS:
+            if abs(s - value) < TOL:
+                return lam, (), sign
         return None
     h = n // 2
     b00, b01 = A[:h, :h], A[:h, h:]
@@ -83,34 +87,33 @@ def _extract(A):
     inner = _extract(sub)
     if inner is None:
         return None
-    lam, rest = inner
-    return lam, (factor,) + rest
-
-
-def phi(A):
-    """Inverse of phi_inv; raises NotInLambdaError when no vector matches."""
-    n = A.shape[0]
-    m = int(round(np.log2(n)))
-    if 2 ** m != n or A.shape != (n, n):
-        raise NotInLambdaError("shape %r is not 2^m square" % (A.shape,))
-    got = _extract(np.asarray(A, dtype=complex))
-    if got is not None:
-        v = F4Vec(got[0], got[1])
-        if np.abs(phi_inv(v) - A).max() < TOL:
-            return v
-    # fallback exhaustive match
-    for v in enumerate_all(m):
-        if np.abs(phi_inv(v) - A).max() < TOL:
-            return v
-    raise NotInLambdaError("matrix matches no realization at m=%d" % m)
+    lam, rest, sign = inner
+    return lam, (factor,) + rest, sign
 
 
 def phi_signed(A):
     """(vector, sign) with A == sign * phi_inv(vector), sign in {+1,-1}."""
-    try:
-        return phi(A), 1
-    except NotInLambdaError:
-        return phi(-np.asarray(A)), -1
+    A = np.asarray(A, dtype=complex)
+    n = A.shape[0]
+    if n < 1 or A.shape != (n, n) or n & (n - 1):
+        raise NotInLambdaError("shape %r is not 2^m square" % (A.shape,))
+    got = _extract(A)
+    if got is not None:
+        lam, xs, sign = got
+        v = F4Vec(lam, xs)
+        if np.abs(sign * phi_inv(v) - A).max() < TOL:
+            return v, sign
+    raise NotInLambdaError("matrix matches no realization at m=%d"
+                           % (n.bit_length() - 1))
+
+
+def phi(A):
+    """Inverse of phi_inv; raises NotInLambdaError when no vector matches
+    (a negated realization included)."""
+    v, sign = phi_signed(A)
+    if sign < 0:
+        raise NotInLambdaError("matrix is a negated realization")
+    return v
 
 
 def is_hermitian_parity(v):
@@ -134,22 +137,3 @@ def trace_inner(A, B):
     if A.shape != B.shape:
         raise ValueError("dimension mismatch")
     return float(np.real(np.trace(A.conj().T @ B)))
-
-
-def is_unitary(A, tol=TOL):
-    n = A.shape[0]
-    return np.linalg.norm(A.conj().T @ A - np.eye(n)) < tol
-
-
-def matrix_to_text(A):
-    """One row per line, entries re+imj separated by commas."""
-    rows = []
-    for row in np.asarray(A):
-        rows.append(",".join("%.12g%+.12gj" % (z.real, z.imag) for z in row))
-    return "\n".join(rows)
-
-
-def matrix_from_text(text):
-    rows = [[complex(tok) for tok in line.split(",")]
-            for line in text.strip().splitlines()]
-    return np.array(rows, dtype=complex)

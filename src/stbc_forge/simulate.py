@@ -25,13 +25,15 @@ Trial randomness is keyed by (seed, snr index, trial index), so results
 are independent of execution order and worker count.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .design import Leaf, Cond, JOINT, HARD_LAST, HARD_ALL, check_plan
-from .signalset import PairQAM, RealPoints, BlockValues
+from .design import (Leaf, Cond, JOINT, HARD_LAST, HARD_ALL, check_plan,
+                     plan_indices)
+from .signalset import PairQAM, RealPoints, BlockValues, pam_points, qam_side
 from .pauli import hr_orthogonal_numeric
 
 _BIG = np.iinfo(np.int64).max
@@ -147,7 +149,7 @@ class STBCInstance:
                                     "(%d,%d) are not" % (idx[a], idx[bI]))
                 return
             self._units_for(node.conditioning)
-            owned = [sorted(i for i in _node_indices(c)) for c in node.children]
+            owned = [sorted(i for i in plan_indices(c)) for c in node.children]
             for a in range(len(owned)):
                 for bI in range(a + 1, len(owned)):
                     for i in owned[a]:
@@ -160,15 +162,6 @@ class STBCInstance:
                 walk(c)
 
         walk(self.plan)
-
-
-def _node_indices(node):
-    if isinstance(node, Leaf):
-        return list(node.indices)
-    out = list(node.conditioning)
-    for c in node.children:
-        out.extend(_node_indices(c))
-    return out
 
 
 def _enumerate_units(units, weights):
@@ -279,7 +272,6 @@ class _PlanDecoder:
                 np.ix_(pcols, pcols)] @ xp
             b_eff = B[:, lcols] - (Glp @ xp)[None, :]
             if isinstance(last, PairQAM):
-                from .signalset import pam_points, qam_side
                 r = qam_side(last.M)
                 pam = np.asarray(pam_points(r))
                 c, s = np.cos(last.theta), np.sin(last.theta)
@@ -316,7 +308,6 @@ class _PlanDecoder:
         Exact when the Gram is diagonal in unit-local coordinates, which
         the per-call check below enforces.
         """
-        from .signalset import pam_points, qam_side
         n_hyp = B.shape[0]
         cols = [i for u in units for i in u.indices]
         scale = float(np.abs(self.G).max())
@@ -362,7 +353,7 @@ class _PlanDecoder:
         n_hyp = B.shape[0]
         q = -2.0 * (B[:, ccols] @ Vc.T) + self._quad(Vc, ccols)[None, :] \
             if ccols else np.zeros((n_hyp, n_c))
-        desc = sorted(i for c in node.children for i in _node_indices(c))
+        desc = sorted(i for c in node.children for i in plan_indices(c))
         # fold every hypothesis of every parent row into one batch
         Bd = np.repeat(B, n_c, axis=0)
         if ccols:
@@ -398,6 +389,13 @@ class SimConfig:
     def __post_init__(self):
         if self.decoder not in ("oracle", "structured", "both"):
             raise ValueError("decoder must be oracle, structured or both")
+        for name in ("n_rx", "trials", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, got %d"
+                                 % (name, getattr(self, name)))
+        if len(self.snr_db) == 0 or not all(map(math.isfinite, self.snr_db)):
+            raise ValueError("snr_db must be a non-empty list of finite "
+                             "values, got %r" % (self.snr_db,))
 
 
 @dataclass(frozen=True)

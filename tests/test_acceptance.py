@@ -23,8 +23,7 @@ from stbc_forge.design import (Design, validate_partition, finest_partition,
 from stbc_forge.constructions import (catalog, construct_A, construct_B,
                                       construct_C, XI_ORDERS)
 from stbc_forge.fdfgd import (build_base, puncture, extend, check_prop16,
-                              predicted_complexity, assemble_stbc,
-                              silver_stbc)
+                              predicted_complexity)
 from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   full_diversity_check, grow_constellation,
                                   grow_with_pam_prefix, DET_TOL,
@@ -32,7 +31,8 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
 from stbc_forge.signalset import pam_points, qam_signal_set
 from stbc_forge.simulate import (STBCInstance, SimConfig, simulate,
                                  channel_step, ml_oracle, ml_structured)
-from stbc_forge.bundles import alamouti_stbc, qod4_stbc
+from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
+                                silver_stbc)
 
 
 def _vt(*texts):

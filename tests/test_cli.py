@@ -5,6 +5,7 @@ import pytest
 from stbc_forge.cli import (main, format_design, parse_design, DESIGN_HEADER,
                             INFEASIBLE)
 from stbc_forge.constructions import catalog
+from stbc_forge.simulate import SimConfig
 
 
 def run(capsys, *argv):
@@ -223,6 +224,20 @@ def test_verify_diversity_infeasible_without_bundle(tmp_path, capsys):
     assert "INFEASIBLE" in stdout
 
 
+def test_verify_malformed_bundle_is_an_error(tmp_path, capsys):
+    p = tmp_path / "fd.txt"
+    run(capsys, "build-fd", "--m", "2", "--rate", "5/4",
+        "--angles", ",".join(["0.5"] * 5), "--out", str(p))
+    lines = [("meta.angles=0.5,0.5" if ln.startswith("meta.angles=")
+              else ln) for ln in p.read_text().splitlines()]
+    p.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", "--in", str(p),
+                         "--suite", "diversity")
+    assert code == 1
+    assert "error: need 5 angles, got 2" in err
+    assert "INFEASIBLE" not in out
+
+
 def test_simulate_determinism(tmp_path, capsys):
     src = tmp_path / "ala.txt"
     run(capsys, "catalog", "show", "alamouti", "--out", str(src))
@@ -261,6 +276,31 @@ def test_simulate_missing_signal_set(tmp_path, capsys):
                           "--snr", "10", "--trials", "5")
     assert code == 1
     assert "signal set" in err
+
+
+@pytest.mark.parametrize("field, value, flag, message", [
+    ("trials", 0, ("--trials", "0"), "trials must be at least 1, got 0"),
+    ("n_rx", 0, ("--n-rx", "0"), "n_rx must be at least 1, got 0"),
+    ("workers", 0, ("--workers", "0"), "workers must be at least 1, got 0"),
+    ("snr_db", (), None, "snr_db must be a non-empty list of finite values"),
+    ("snr_db", (float("nan"),), ("--snr", "nan"), "finite values"),
+    ("snr_db", (10.0, float("inf")), ("--snr", "10,inf"), "finite values"),
+])
+def test_simulate_rejects_bad_config(tmp_path, capsys, field, value, flag,
+                                     message):
+    cfg = dict(n_rx=2, snr_db=(10.0,), trials=5, seed=0)
+    cfg[field] = value
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**cfg)
+    if flag is None:
+        return
+    src = tmp_path / "ala.txt"
+    run(capsys, "catalog", "show", "alamouti", "--out", str(src))
+    # the last occurrence of a flag wins
+    code, out, err = run(capsys, "simulate", "--in", str(src), "--snr", "10",
+                         "--trials", "5", *flag)
+    assert code == 1
+    assert message in err and not out
 
 
 def test_simulate_build_fd_bundle(tmp_path, capsys):

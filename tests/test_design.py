@@ -9,7 +9,7 @@ from stbc_forge.design import (Design, finest_partition, validate_partition,
                                rate, conditional_partition, Leaf, Cond,
                                JOINT, HARD_LAST, HARD_ALL, check_plan,
                                plan_complexity, format_term, to_linear_design,
-                               matrix_form, describe)
+                               matrix_form)
 from stbc_forge.constructions import catalog
 
 
@@ -158,9 +158,3 @@ def test_linear_design_and_matrix_form():
     assert np.allclose(X, want)
     with pytest.raises(ValueError):
         matrix_form(ld, [1.0])
-
-
-def test_describe():
-    text = describe(catalog("alamouti").design)
-    assert "m=1 K=4 rate=1" in text
-    assert "groups=4 valid=True" in text

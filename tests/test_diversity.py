@@ -15,13 +15,13 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   DET_TOL, DIFF_CAP, TIE_RTOL,
                                   _prior_differences, _qam_diffs,
                                   _laurent_coefficients, _pair_dets)
-from stbc_forge.fdfgd import (build_base, puncture, extend, family_pairs,
-                              assemble_stbc, silver_stbc)
+from stbc_forge.fdfgd import build_base, puncture, extend, family_pairs
 from stbc_forge.pauli import phi_inv
 from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
                                   BlockValues)
 from stbc_forge.simulate import STBCInstance
-from stbc_forge.bundles import alamouti_stbc, qod4_stbc
+from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
+                                silver_stbc)
 
 
 E11 = np.diag([1.0, 0.0]).astype(complex)

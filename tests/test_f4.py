@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from stbc_forge.f4 import (O, I, W, W2, f4_add, f4_mul, f4_pow_w, f4_name,
-                           F4Vec, add, weight, zero, delta, enumerate_all,
+from stbc_forge.f4 import (O, I, W, W2, f4_add, f4_mul, f4_pow_w, F4Vec,
+                           add, weight, zero, delta, enumerate_all,
                            format_vec, parse_vec)
 
 ELEMS = (O, I, W, W2)
@@ -44,10 +44,6 @@ def test_pow_w():
     assert f4_pow_w(1) == W
     assert f4_pow_w(2) == W2
     assert f4_pow_w(3) == I
-
-
-def test_names():
-    assert [f4_name(e) for e in ELEMS] == ["0", "1", "w", "w2"]
 
 
 def test_vector_add_and_weight():

@@ -10,8 +10,8 @@ from stbc_forge.design import (Design, validate_partition, finest_partition,
                                rate, plan_complexity)
 from stbc_forge.fdfgd import (t_vector, build_base, puncture, extend,
                               pair_split, check_prop16, predicted_complexity,
-                              family_plan, family_pairs, silver_stbc,
-                              assemble_stbc, SUBSET_ORDER)
+                              family_plan, family_pairs, SUBSET_ORDER)
+from stbc_forge.bundles import silver_stbc, assemble_stbc
 
 
 def _vecs(*texts):

@@ -6,8 +6,7 @@ import pytest
 from stbc_forge.f4 import O, I, W, W2, F4Vec, zero, delta, enumerate_all
 from stbc_forge.pauli import (I2, X, Z, ZX, psi_inv, phi_inv, phi, phi_signed,
                               is_hermitian_parity, anticommute_parity,
-                              hr_orthogonal_numeric, trace_inner, is_unitary,
-                              matrix_to_text, matrix_from_text,
+                              hr_orthogonal_numeric, trace_inner,
                               NotInLambdaError)
 
 
@@ -31,7 +30,10 @@ def test_phi_inv_fixtures():
 def test_phi_round_trip_exhaustive():
     for m in (1, 2, 3):
         for v in enumerate_all(m):
-            assert phi(phi_inv(v)) == v
+            A = phi_inv(v)
+            assert phi(A) == v
+            assert phi_signed(A) == (v, 1)
+            assert phi_signed(-A) == (v, -1)
 
 
 def test_phi_rejects_negatives():
@@ -93,9 +95,5 @@ def test_trace_inner_orthonormal_basis():
 
 def test_unitarity():
     for v in enumerate_all(2):
-        assert is_unitary(phi_inv(v))
-
-
-def test_matrix_text_round_trip():
-    A = phi_inv(F4Vec(1, (W, W2)))
-    assert np.allclose(matrix_from_text(matrix_to_text(A)), A)
+        A = phi_inv(v)
+        assert np.allclose(A.conj().T @ A, np.eye(4))

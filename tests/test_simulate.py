@@ -15,8 +15,7 @@ from stbc_forge.simulate import (STBCInstance, SimConfig, SimResult,
                                  hard_limit_pam, simulate, PlanError)
 from stbc_forge.constructions import catalog
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, group_stbc,
-                                fgd_ren_stbc)
-from stbc_forge.fdfgd import silver_stbc
+                                fgd_ren_stbc, silver_stbc)
 
 
 # ---------------------------------------------------------------------------
