@@ -7,7 +7,6 @@ fails loudly otherwise.
 
 import time
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 

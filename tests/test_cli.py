@@ -303,6 +303,22 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, field, value, flag,
     assert message in err and not out
 
 
+def test_simulate_oracle_cap_points_to_structured(tmp_path, capsys):
+    src = tmp_path / "fgd.txt"
+    run(capsys, "catalog", "show", "fgd_ren", "--out", str(src))
+    code, out, err = run(capsys, "simulate", "--in", str(src),
+                         "--snr", "10", "--trials", "3")
+    assert code == 1 and not out
+    for part in ("131072 codewords", "cap of 100000",
+                 "--decoder structured"):
+        assert part in err
+    code, out, _err = run(capsys, "simulate", "--in", str(src),
+                          "--snr", "10", "--trials", "3",
+                          "--decoder", "structured")
+    assert code == 0
+    assert "codebook=131072" in out
+
+
 def test_simulate_build_fd_bundle(tmp_path, capsys):
     p = tmp_path / "fd.txt"
     run(capsys, "build-fd", "--m", "2", "--rate", "1",

@@ -1,21 +1,29 @@
 """Signal sets, exact ML decoders, and the seeded Monte Carlo driver."""
 
+import importlib
+import re
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stbc_forge.design import (Leaf, Cond, JOINT, HARD_LAST, HARD_ALL,
                                plan_complexity, to_linear_design)
 from stbc_forge.signalset import (pam_points, qam_side, PairQAM, RealPoints,
                                   BlockValues, SignalSet, qam_signal_set,
                                   pam_signal_set)
-from stbc_forge.simulate import (STBCInstance, SimConfig, SimResult,
+from stbc_forge.simulate import (STBCInstance, SimConfig,
                                  channel_step, ml_oracle, ml_structured,
                                  hard_limit_pam, simulate, PlanError)
 from stbc_forge.constructions import catalog
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, group_stbc,
-                                fgd_ren_stbc, silver_stbc)
+                                fgd_ren_stbc, silver_stbc, assemble_stbc)
+from stbc_forge.fdfgd import build_base, puncture
+
+# the module itself; the package exports the simulate() function by name
+sim = importlib.import_module("stbc_forge.simulate")
 
 
 # ---------------------------------------------------------------------------
@@ -309,3 +317,135 @@ def test_simulate_high_snr_zero_errors():
     res = simulate(cfg, stbc)
     assert res.errors == (0,)
     assert res.cer(0) == 0.0
+
+
+def test_simulate_disagreement_names_the_case(monkeypatch):
+    stbc = qod4_stbc(Q=2)
+    V = stbc.symbol_table
+    real = sim._oracle
+    seen = []
+
+    def flipped(V, b, G):
+        # second call = second SNR; move trial 4 to the next codeword
+        idx, m = real(V, b, G)
+        seen.append((b, G))
+        if len(seen) == 2:
+            idx, m = idx.copy(), m.copy()
+            idx[4] = (idx[4] + 1) % len(V)
+            x = V[idx[4]]
+            m[4] = -2.0 * x @ b[4] + x @ G[4] @ x
+        return idx, m
+
+    monkeypatch.setattr(sim, "_oracle", flipped)
+    cfg = SimConfig(n_rx=2, snr_db=(0.0, 7.5), trials=6, seed=3)
+    with pytest.raises(AssertionError) as exc:
+        simulate(cfg, stbc)
+    got = re.search(r"snr (\S+) dB \(snr index (\d+)\), trial (\d+): "
+                    r"oracle codeword (\d+) metric (\S+), structured "
+                    r"codeword (\d+) metric (\S+)$", str(exc.value))
+    assert got, str(exc.value)
+    snr, k, trial, io, mo, is_, ms = got.groups()
+    assert (float(snr), int(k), int(trial)) == (7.5, 1, 4)
+    b, G = seen[1][0][4], seen[1][1][4]
+    want_s, _m = real(V, b[None], G[None])
+    assert int(is_) == want_s[0]
+    assert int(io) == (want_s[0] + 1) % len(V)
+    for i, m in ((int(io), float(mo)), (int(is_), float(ms))):
+        x = V[i]
+        assert m == pytest.approx(-2.0 * x @ b + x @ G @ x, rel=1e-12)
+
+
+# bundles whose plans cover every node kind; (builder, M)
+BATCH_BUNDLES = {
+    "alamouti": lambda: alamouti_stbc(4),
+    "qod4": lambda: qod4_stbc(Q=2),
+    "silver": lambda: silver_stbc(4),
+    "family R=1": lambda: assemble_stbc(puncture(build_base(2), 1),
+                                        [0.5] * 4, 4),
+    "family R=5/4": lambda: assemble_stbc(build_base(2), [0.5] * 5, 4),
+}
+
+
+def _chunked_text(monkeypatch, stbc, cfg, chunk):
+    """to_text() with the byte budget set to exactly `chunk` trials."""
+    monkeypatch.setattr(sim, "_CHUNK_BYTES",
+                        8 * chunk * sim._trial_words(stbc, cfg))
+    real, sizes = sim._draw, []
+
+    def draw(stbc, cfg, sigma, snr_idx, trials):
+        sizes.append(len(trials))
+        return real(stbc, cfg, sigma, snr_idx, trials)
+
+    monkeypatch.setattr(sim, "_draw", draw)
+    text = simulate(cfg, stbc).to_text()
+    monkeypatch.setattr(sim, "_draw", real)
+    assert max(sizes) == min(chunk, cfg.trials)
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_BUNDLES))
+def test_simulate_batch_invariance(name, monkeypatch):
+    stbc = BATCH_BUNDLES[name]()
+    cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=20, seed=5)
+    want = simulate(cfg, stbc).to_text()
+    for chunk in (1, 7, cfg.trials + 3):
+        assert _chunked_text(monkeypatch, stbc, cfg, chunk) == want
+
+
+def test_simulate_batch_invariance_fgd_ren(monkeypatch):
+    # the 2,048-hypothesis Cond, decoded over several chunks
+    stbc = fgd_ren_stbc(Q=2)
+    cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=9, seed=4,
+                    decoder="structured")
+    want = simulate(cfg, stbc).to_text()
+    assert "structured_evals=%d" % plan_complexity(stbc.plan).evaluate(4) \
+        in want
+    for chunk in (1, 7, cfg.trials):
+        assert _chunked_text(monkeypatch, stbc, cfg, chunk) == want
+
+
+def test_oracle_blocks_keep_lowest_index_ties(monkeypatch):
+    # +-1/2 symbols against integer b and G keep every metric exact, so
+    # symbols 0 and 1 with equal rows of G tie exactly in any summation
+    # order; the lowest index must win across codebook blocks too
+    V = pam_signal_set(4, 2).symbol_table()
+    rng = np.random.default_rng(8)
+    tied = 0
+    for _ in range(20):
+        L = rng.integers(-3, 4, size=(4, 4))
+        L[:, 1] = L[:, 0]
+        G = (L.T @ L).astype(float)
+        b = rng.integers(-6, 7, size=4).astype(float)
+        b[1] = b[0]
+        m = [-2 * Fraction(x @ b) + Fraction(x @ G @ x) for x in V]
+        want = min(range(len(V)), key=lambda i: (m[i], i))
+        tied += m.count(m[want]) > 1
+        for step in (1, 5, len(V)):
+            monkeypatch.setattr(sim, "_CHUNK_BYTES", 8 * (4 + 2) * step)
+            assert sim._oracle(V, b[None], G[None])[0].tolist() == [want]
+    assert tied
+
+
+@lru_cache(maxsize=None)
+def _fuzz_bundle(name):
+    return BATCH_BUNDLES[name]()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BATCH_BUNDLES)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       snr_db=st.floats(-10.0, 60.0),
+       batch=st.integers(1, 12))
+def test_structured_equals_oracle_fuzz(name, seed, snr_db, batch):
+    stbc = _fuzz_bundle(name)
+    cfg = SimConfig(n_rx=2, snr_db=(snr_db,), trials=batch, seed=seed)
+    sigma = np.sqrt(stbc.average_energy / (stbc.N * 10 ** (snr_db / 10.0)))
+    _sent, Y, H = sim._draw(stbc, cfg, sigma, 0, range(batch))
+    b, G = sim._metric_terms(stbc, Y, H)
+    got_o, _mo = sim._oracle(stbc.symbol_table, b, G)
+    got_s, _ms, count = sim._structured(stbc, b, G)
+    assert got_s.tolist() == got_o.tolist()
+    assert count == plan_complexity(stbc.plan).evaluate(4)
+    # the one-trial API is the same decode
+    assert ml_structured(Y[0], H[0], stbc) == (got_s[0], count)
+    assert ml_oracle(Y[0], H[0], stbc) == (got_o[0], stbc.count)
