@@ -17,7 +17,7 @@ import numpy as np
 from .constructions import catalog, SILVER_U
 from .design import (Design, LinearDesign, Leaf, Cond, JOINT, HARD_LAST,
                      HARD_ALL, finest_partition, to_linear_design)
-from .diversity import rotation_search
+from .diversity import rotation_search, check_class_cap, difference_classes
 from .fdfgd import family_pairs, family_plan
 from .signalset import (SignalSet, PairQAM, RealPoints, BlockValues,
                         pam_points, qam_side, qam_signal_set)
@@ -118,24 +118,22 @@ def assemble_stbc(fd, angles, M):
     """STBC of the family design: paired rotated QAM plus the family plan.
 
     angles: one theta per pair (in family_pairs order), or "auto" to run
-    the rotation search pair by pair against the zero-codeword prior.
+    the rotation search pair by pair, each against the units of the pairs
+    searched before it.  "auto" first checks the finished code's
+    difference classes against DIFF_CAP and raises DiversityCapError
+    when its certification would be refused, before any search.
     """
     pairs = family_pairs(fd)
     linear = to_linear_design(fd.design())
     if isinstance(angles, str) and angles == "auto":
+        check_class_cap(difference_classes(qam_signal_set(pairs, M)))
         # angle per pair against the code built so far, so the final
         # code is full diversity, not just each pair in isolation
-        pam = pam_points(qam_side(M))
-        prior = [np.zeros((linear.N, linear.N), complex)]
-        thetas = []
-        for iI, iQ in pairs:
-            A1, A2 = linear.entries[iI].matrix, linear.entries[iQ].matrix
-            th = rotation_search(prior, A1, A2, M, 720)
-            thetas.append(th)
-            z = np.exp(1j * th) * np.array([a + 1j * b
-                                            for a in pam for b in pam])
-            prior = [C + zz.real * A1 + zz.imag * A2
-                     for C in prior for zz in z]
+        A = linear.matrices()
+        units, thetas = [], []
+        for pair in pairs:
+            thetas.append(rotation_search(A, units, pair, M, 720))
+            units.append((pair, PairQAM(pair, M, thetas[-1]).values()))
     else:
         thetas = list(angles)
         if len(thetas) != len(pairs):

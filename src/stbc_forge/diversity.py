@@ -9,18 +9,19 @@ For weight matrices realizing F2 + F4^m vectors this Gram is always
 Full diversity of a finite code means every nonzero codeword difference
 has nonzero determinant.  Every codebook here is the Cartesian product
 of its signal-set units, so its difference set is the product of the
-per-unit difference sets, and |det| is the same for D and -D.
-Certification therefore takes one determinant per +- class of distinct
-differences, (prod_u |D_u| - 1) / 2 of them, instead of one per codeword
-pair.  That class count, known from the per-unit difference counts
-before anything is allocated, is the single cap (DIFF_CAP) shared by
-certification, `verify` and constellation growth.
+per-unit difference sets, and |det| is the same for D and -D.  One
+enumerator over (weight matrices, units) yields a representative of
+each +- class of distinct differences, (prod_u |D_u| - 1) / 2 of them,
+in blocks.  Their count, known from the per-unit counts before anything
+is allocated, is the single cap (DIFF_CAP) of certification, `verify`,
+constellation growth and the rotation search.
 
 Rotating each QAM pair by a suitable angle achieves full diversity when
-the pair matrices combine to a full-rank matrix.  For a prior difference
-D and a QAM difference w, det(D + e^{it} w B+ + e^{-it} w* B-) is a
-Laurent polynomial of degree <= N in e^{it}: 2N+1 samples and one FFT
-give its coefficients exactly, and one matrix product evaluates it on
+the pair matrices combine to a full-rank matrix.  The prior code is
+given as units; for each of its classes D (and zero) and each QAM
+difference w, det(D + e^{it} w B+ + e^{-it} w* B-) is a Laurent
+polynomial of degree <= N in e^{it}: 2N+1 samples and one FFT give its
+coefficients exactly, and one matrix product evaluates it on
 the whole angle grid.  The square-QAM difference set is invariant under
 multiplication by i, so the minimum |det| has period pi/2 and only grid
 angles in (0, pi/2] are evaluated.  The search returns the smallest grid
@@ -99,39 +100,24 @@ def _det_batch(A):
 
 
 # ---------------------------------------------------------------------------
-# exact distinct differences
-
-def _keys(rows):
-    """Integer keys of real rows on the 1e-9 grid; -0.0 keys as 0."""
-    return np.rint(np.asarray(rows) * 1e9).astype(np.int64)
-
-
-def _distinct(keys):
-    """Index of the first row with each distinct key, in key order."""
-    order = np.lexsort(keys.T[::-1])
-    k = keys[order]
-    new = np.ones(len(k), bool)
-    new[1:] = (k[1:] != k[:-1]).any(axis=1)
-    return order[new]
-
-
-def _positive(keys):
-    """Rows whose first nonzero key is positive: one of each +- pair."""
-    return keys[np.arange(len(keys)), (keys != 0).argmax(axis=1)] > 0
-
+# +- classes of distinct differences
 
 def _unit_differences(V):
-    """Distinct differences of one unit's value rows, and a mask picking
-    one of each +- pair.  Zero is picked as well when two rows coincide on
-    the 1e-9 grid, so repeated codewords certify as det 0."""
+    """Distinct differences of one unit's value rows (keyed on the 1e-9
+    grid, -0.0 as 0), and a mask picking one of each +- pair.  Zero is
+    picked as well when two rows coincide, so repeated codewords certify
+    as det 0."""
     V = np.asarray(V, dtype=float)
     d = (V[:, None] - V[None, :]).reshape(-1, V.shape[1])
-    keys = _keys(d)
+    keys = np.rint(d * 1e9).astype(np.int64)
     repeated = np.count_nonzero(~keys.any(axis=1)) > len(V)
-    idx = _distinct(keys)
-    keys = keys[idx]
-    pick = _positive(keys) | (repeated & ~keys.any(axis=1))
-    return d[idx], pick
+    order = np.lexsort(keys.T[::-1])
+    keys, d = keys[order], d[order]
+    new = np.ones(len(keys), bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    keys, d = keys[new], d[new]
+    first = keys[np.arange(len(keys)), (keys != 0).argmax(axis=1)]
+    return d, (first > 0) | (repeated & ~keys.any(axis=1))
 
 
 def _class_count(diffs):
@@ -156,24 +142,36 @@ def _sum_blocks(tables, step):
         yield sum(head, tail)
 
 
-def _min_abs_det_product(A, units):
-    """Exact min |det| over the nonzero differences of the code
-    sum_k x_k A_k with x drawn from the product of (indices, values) units."""
-    diffs = [_unit_differences(V) for _idx, V in units]
-    n = _class_count(diffs)
+def check_class_cap(n):
+    """Raise DiversityCapError when n +- classes exceed DIFF_CAP."""
     if n > DIFF_CAP:
         raise DiversityCapError("%d difference classes exceed the cap of %d"
                                 % (n, DIFF_CAP))
+
+
+def _class_blocks(A, units, rows=None):
+    """One representative of each +- class of nonzero differences of the
+    code sum_k x_k A_k, x drawn from the product of (indices, values)
+    units, as (n, N, N) stacks of at most max(rows, last unit's difference
+    count) matrices, 16 MiB by default.  The class count is checked
+    against DIFF_CAP before any class is allocated."""
+    diffs = [_unit_differences(V) for _idx, V in units]
+    check_class_cap(_class_count(diffs))
     N = A.shape[-1]
     mats = [(d @ A[list(idx)].reshape(len(idx), -1)).reshape(-1, N, N)
             for (idx, _V), (d, _pick) in zip(units, diffs)]
-    step = max(1, _BLOCK // (N * N))
-    best = np.inf
+    rows = rows or max(1, _BLOCK // (N * N))
     for p, (_d, pick) in enumerate(diffs):
-        if not pick.any():
-            continue
-        for block in _sum_blocks([mats[p][pick]] + mats[p + 1:], step):
-            best = min(best, float(np.abs(_det_batch(block)).min()))
+        if pick.any():
+            yield from _sum_blocks([mats[p][pick]] + mats[p + 1:], rows)
+
+
+def _min_abs_det_product(A, units):
+    """Exact min |det| over the nonzero differences of the code; inf for
+    a single codeword."""
+    best = np.inf
+    for block in _class_blocks(A, units):
+        best = min(best, float(np.abs(_det_batch(block)).min()))
     return best
 
 
@@ -223,17 +221,6 @@ def _qam_diffs(M):
     return np.asarray(out)
 
 
-def _prior_differences(C):
-    """Zero, then one of each +- pair of distinct nonzero differences of
-    the codewords C."""
-    d = (C[:, None] - C[None, :]).reshape(len(C) ** 2, -1)
-    keys = _keys(np.concatenate([d.real, d.imag], axis=1))
-    idx = _distinct(keys)
-    keep = idx[_positive(keys[idx])]
-    zero = np.zeros((1,) + C.shape[1:], complex)
-    return np.concatenate([zero, d[keep].reshape(-1, *C.shape[1:])])
-
-
 def _pair_dets(D, dz, Bp, Bm):
     """det(D_i + dz_j Bp + conj(dz_j) Bm) as a (len(D), len(dz)) array."""
     P = dz[:, None, None] * Bp + np.conj(dz)[:, None, None] * Bm
@@ -265,45 +252,52 @@ def _grid_min(coeffs, thetas):
     return out
 
 
-def rotation_search(C_prior, A1, A2, M, grid_size=720):
-    """Angle making C_prior extended by an e^{i theta} QAM pair full diversity.
+def rotation_search(A, units, pair, M, grid_size=720):
+    """Angle making the prior code extended by an e^{i theta} QAM pair
+    full diversity.
 
-    Maximizes the minimum |det| over all nonzero codeword differences of
-    the extended code on the grid theta_k = 2 pi k / grid_size.  Each
-    distinct prior difference (one of each +- pair) plus a rotated QAM
-    difference has a determinant that is a Laurent polynomial of degree
-    <= N in e^{i theta}; its coefficients come from 2N+1 samples and one
-    FFT, and one matrix product evaluates the grid.  The minimum has
-    period pi/2, so for grid sizes divisible by 4 only (0, pi/2] is
-    evaluated.  The result is the smallest grid angle within a relative
-    TIE_RTOL of the best minimum, accepted once direct determinants at
-    that angle clear DET_TOL; otherwise the grid is refined 4x, up to
-    three times, before giving up.
+    The prior is the code over the (indices, values) units, the zero
+    codeword when there are none; pair = (i_I, i_Q) names the weight
+    matrices of the rotated M-QAM symbol.  Maximizes the minimum |det|
+    over the extended code's differences (zero or a prior class from the
+    certification enumerator, in blocks and under DIFF_CAP, plus a QAM
+    difference) on the grid theta_k = 2 pi k / grid_size, evaluated on
+    (0, pi/2] only when grid_size is divisible by 4.  Returns the
+    smallest grid angle within a relative TIE_RTOL of the best minimum
+    once direct determinants there clear DET_TOL; otherwise refines the
+    grid 4x, up to three times, before giving up.
     """
-    A1 = np.asarray(A1, complex)
-    A2 = np.asarray(A2, complex)
+    A = np.asarray(A, complex)
+    A1, A2 = A[pair[0]], A[pair[1]]
     sv = np.linalg.svd(A1 + 1j * A2, compute_uv=False)
     if sv[-1] <= DET_TOL:
         raise ValueError("A1 + i*A2 is rank deficient; no angle can work")
-    D = _prior_differences(np.asarray(list(C_prior), complex))
-    base_min = (float(np.abs(_det_batch(D[1:])).min()) if len(D) > 1
-                else np.inf)
-    best_min = base_min
+    base_min = best_min = _min_abs_det_product(A, units)
     w = _qam_diffs(M)
     # half of A1 -+ i A2: x_I A1 + x_Q A2 = z*Bp + conj(z)*Bm
     Bp = (A1 - 1j * A2) / 2.0
     Bm = (A1 + 1j * A2) / 2.0
-    coeffs = _laurent_coefficients(D, w, Bp, Bm)
+    N = A.shape[-1]
+    rows = max(1, _BLOCK // (len(w) * (2 * N + 1)))
+
+    def prior():
+        return itertools.chain([np.zeros((1, N, N), complex)],
+                               _class_blocks(A, units, rows))
+
     # a prior that is not full diversity cannot be rescued by any angle
     for _ in range(4 if base_min > DET_TOL else 0):
         n = grid_size // 4 if grid_size % 4 == 0 else grid_size
         thetas = 2 * np.pi * np.arange(1, n + 1) / grid_size
-        mins = np.minimum(_grid_min(coeffs, thetas), base_min)
+        mins = np.full(n, base_min)
+        for D in prior():
+            np.minimum(mins, _grid_min(_laurent_coefficients(D, w, Bp, Bm),
+                                       thetas), out=mins)
         best_min = float(mins.max())
         theta = float(thetas[np.argmax(mins >= best_min * (1 - TIE_RTOL))])
         if best_min > DET_TOL:
-            direct = np.abs(_pair_dets(D, np.exp(1j * theta) * w, Bp, Bm))
-            if float(direct.min()) > DET_TOL:
+            z = np.exp(1j * theta) * w
+            if all(np.abs(_pair_dets(D, z, Bp, Bm)).min() > DET_TOL
+                   for D in prior()):
                 return theta
         grid_size *= 4
     raise ValueError("no grid angle certifies full diversity "

@@ -1,7 +1,7 @@
 """Rate-5/4 fast-group-decodable family and its punctured/extended codes.
 
-For 2^m antennas, m >= 2, start from S_xi1 = {[0|z1..zm] : zi in {0, xi1}}
-with xi1 = w.  Split by weight parity into S_A (even) and S_B, then
+For 2^m antennas, m >= 2, start from S_w = {[0|z1..zm] : zi in {0, w}}.
+Split by weight parity into S_A (even) and S_B, then
 
     S_C = nu + S_A,   S_D = nu + S_B,   S_E = dlt + S_A,
 
@@ -36,8 +36,6 @@ from .f4 import O as F0, I as F1, W, W2, F4Vec, weight, enumerate_all, delta
 from .design import Design, Leaf, Cond, ComplexityReport, HARD_LAST
 from .pauli import phi_inv
 
-SUBSET_ORDER = ("S_A", "S_B", "S_C", "S_D", "S_E", "O")
-
 
 def t_vector(m):
     if m < 2:
@@ -48,10 +46,9 @@ def t_vector(m):
 @dataclass(frozen=True)
 class FamilyDesign:
     m: int
-    xi1: int
     xi2: int
     R: Fraction
-    subsets: tuple  # ((name, (vectors...)), ...) in SUBSET_ORDER
+    subsets: tuple  # ((name, (vectors...)), ...): S_A, S_B, S_C, S_D, S_E, O
 
     @property
     def t(self):
@@ -97,18 +94,16 @@ def _ordered(vectors, t):
     return tuple(v for pair in _sorted_pairs(vectors, t) for v in pair)
 
 
-def build_base(m, xi1=W, xi2=W2):
+def build_base(m, xi2=W2):
     if m < 2:
         raise ValueError("base family needs m >= 2 (m = 1 is the Silver code)")
-    if xi1 != W:
-        raise ValueError("xi1 is fixed to w")
     if xi2 not in (F1, W2):
         raise ValueError("xi2 must be 1 or w2")
     t = t_vector(m)
-    s_xi1 = [v for v in enumerate_all(m)
-             if v.lam == 0 and all(x in (F0, xi1) for x in v.xs)]
-    s_a = [v for v in s_xi1 if weight(v) % 2 == 0]
-    s_b = [v for v in s_xi1 if weight(v) % 2 == 1]
+    s_w = [v for v in enumerate_all(m)
+           if v.lam == 0 and all(x in (F0, W) for x in v.xs)]
+    s_a = [v for v in s_w if weight(v) % 2 == 0]
+    s_b = [v for v in s_w if weight(v) % 2 == 1]
     nu = F4Vec(1 if m % 2 == 0 else 0, (xi2,) * m)
     dlt = delta(m)
     subsets = (("S_A", _ordered(s_a, t)),
@@ -117,7 +112,7 @@ def build_base(m, xi1=W, xi2=W2):
                ("S_D", _ordered([nu + v for v in s_b], t)),
                ("S_E", _ordered([dlt + v for v in s_a], t)),
                ("O", ()))
-    return FamilyDesign(m=m, xi1=xi1, xi2=xi2, R=Fraction(5, 4),
+    return FamilyDesign(m=m, xi2=xi2, R=Fraction(5, 4),
                         subsets=subsets)
 
 
@@ -140,7 +135,7 @@ def puncture(base, R):
     kept = pairs[:target // 2]
     subsets = tuple((n, tuple(v for p in kept for v in p)) if n == "S_E"
                     else (n, vs) for n, vs in base.subsets)
-    return FamilyDesign(m=base.m, xi1=base.xi1, xi2=base.xi2, R=R,
+    return FamilyDesign(m=base.m, xi2=base.xi2, R=R,
                         subsets=subsets)
 
 
@@ -161,7 +156,7 @@ def extend(base, R):
     chosen = pairs[:size // 2]
     subsets = tuple((n, tuple(v for p in chosen for v in p)) if n == "O"
                     else (n, vs) for n, vs in base.subsets)
-    return FamilyDesign(m=base.m, xi1=base.xi1, xi2=base.xi2, R=R,
+    return FamilyDesign(m=base.m, xi2=base.xi2, R=R,
                         subsets=subsets)
 
 

@@ -10,14 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from stbc_forge.f4 import (O, I, W, W2, F4Vec, weight, zero, delta,
+from stbc_forge.f4 import (I, W2, F4Vec, weight, zero, delta,
                            enumerate_all, parse_vec, f4_pow_w)
 from stbc_forge.pauli import (phi_inv, is_hermitian_parity,
                               anticommute_parity, hr_orthogonal_numeric,
                               I2, X, Z, ZX)
-from stbc_forge.design import (Design, validate_partition, finest_partition,
-                               rate, Leaf, Cond, JOINT, HARD_LAST,
-                               plan_complexity, to_linear_design,
+from stbc_forge.design import (Design, validate_partition, rate, Leaf,
+                               Cond, JOINT, HARD_LAST, plan_complexity,
+                               to_linear_design,
                                LinearDesign, LDEntry)
 from stbc_forge.constructions import (catalog, construct_A, construct_B,
                                       construct_C, XI_ORDERS)

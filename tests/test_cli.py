@@ -4,7 +4,6 @@ import pytest
 
 from stbc_forge.cli import (main, format_design, parse_design, DESIGN_HEADER,
                             INFEASIBLE)
-from stbc_forge.constructions import catalog
 from stbc_forge.simulate import SimConfig
 
 
@@ -141,25 +140,46 @@ def test_build_fd_rate1_no_prediction(capsys):
 
 
 def test_build_fd_auto_angles_pinned(tmp_path, capsys):
-    p = tmp_path / "fd.txt"
-    code, _out, _err = run(capsys, "build-fd", "--m", "2", "--rate", "5/4",
-                           "--angles", "auto", "--M", "4", "--out", str(p))
-    assert code == 0
-    _d, meta, _names = parse_design(p.read_text())
-    # smallest of the tied grid angles: 3pi/40 on four pairs, pi/5 last
-    assert meta["angles"] == ",".join(["0.235619449019"] * 4
-                                      + ["0.628318530718"])
-    code, out, _err = run(capsys, "verify", "--in", str(p),
-                          "--suite", "diversity")
-    assert code == 0
-    assert "diversity: PASS min_det=0.0840693 classes=29524" in out
+    # smallest of the tied grid angles: 3pi/40 on every pair, at R = 5/4
+    # pi/5 on the last
+    cases = (("5/4", ["0.235619449019"] * 4 + ["0.628318530718"],
+              "min_det=0.0840693 classes=29524"),
+             ("1", ["0.235619449019"] * 4, "min_det=0.793893 classes=3280"))
+    for rate, angles, certified in cases:
+        p = tmp_path / "fd.txt"
+        code, _out, _err = run(capsys, "build-fd", "--m", "2", "--rate",
+                               rate, "--angles", "auto", "--M", "4",
+                               "--out", str(p))
+        assert code == 0
+        _d, meta, _names = parse_design(p.read_text())
+        assert meta["angles"] == ",".join(angles)
+        code, out, _err = run(capsys, "verify", "--in", str(p),
+                              "--suite", "diversity")
+        assert code == 0
+        assert "diversity: PASS %s" % certified in out
+
+
+@pytest.mark.parametrize("m,rate,classes", [
+    ("2", "2", 21523360), ("3", "5/4", 1743392200)])
+def test_build_fd_auto_refused_over_the_cap(m, rate, classes, capsys,
+                                            monkeypatch):
+    # the finished code could never be certified, so no pair is searched
+    def no_search(*_args):
+        raise AssertionError("rotation search ran above the cap")
+    monkeypatch.setattr("stbc_forge.bundles.rotation_search", no_search)
+    code, _out, err = run(capsys, "build-fd", "--m", m, "--rate", rate,
+                          "--angles", "auto", "--M", "4")
+    assert code == 1
+    assert ("%d difference classes exceed the cap of 10000000" % classes
+            in err)
 
 
 def test_verify_diversity_cap_infeasible(tmp_path, capsys):
     # 65,536 codewords, 9^8 differences: over the 10^7-class cap
     p = tmp_path / "r2.txt"
-    run(capsys, "build-fd", "--m", "2", "--rate", "2",
-        "--angles", ",".join(["0.5"] * 8), "--out", str(p))
+    code, _out, _err = run(capsys, "build-fd", "--m", "2", "--rate", "2",
+                           "--angles", ",".join(["0.5"] * 8), "--out", str(p))
+    assert code == 0  # explicit angles build any rate
     code, out, _err = run(capsys, "verify", "--in", str(p),
                           "--suite", "diversity")
     assert code == INFEASIBLE

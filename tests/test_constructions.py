@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from stbc_forge.f4 import O, I, W, W2, F4Vec, zero, delta, weight, parse_vec
-from stbc_forge.design import (Design, finest_partition, validate_partition,
-                               rate)
+from stbc_forge.design import Design, validate_partition, rate
 from stbc_forge.constructions import (construct_A, construct_B, construct_C,
                                       apply_sigma, shift_front,
                                       designs_equivalent, catalog,

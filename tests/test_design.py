@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stbc_forge.f4 import O, I, W, W2, F4Vec, zero, delta
+from stbc_forge.f4 import W, F4Vec, zero, delta
 from stbc_forge.design import (Design, finest_partition, validate_partition,
                                rate, conditional_partition, Leaf, Cond,
                                JOINT, HARD_LAST, HARD_ALL, check_plan,

@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stbc_forge.design import LinearDesign, LDEntry, to_linear_design
-from stbc_forge.constructions import catalog, construct_A, XI_ORDERS
+from stbc_forge.constructions import catalog, construct_A
 from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   rotation_search, full_diversity_check,
                                   grow_constellation, grow_with_pam_prefix,
                                   difference_classes, DiversityCapError,
                                   DET_TOL, DIFF_CAP, TIE_RTOL,
-                                  _prior_differences, _qam_diffs,
+                                  _class_blocks, _qam_diffs,
                                   _laurent_coefficients, _pair_dets)
 from stbc_forge.fdfgd import build_base, puncture, extend, family_pairs
 from stbc_forge.pauli import phi_inv
 from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
-                                  BlockValues)
+                                  BlockValues, PairQAM)
 from stbc_forge.simulate import STBCInstance
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
                                 silver_stbc)
@@ -83,6 +83,10 @@ def _ciod_pairs():
     return ((E11, E22), (1j * E11, 1j * E22))
 
 
+def _ciod_matrices():
+    return np.stack([A for pair in _ciod_pairs() for A in pair])
+
+
 def test_unrotated_diagonal_design_not_full_diversity():
     (A1, A2), (A3, A4) = _ciod_pairs()
     entries = tuple(LDEntry(label="x%d" % (k + 1), matrix=A)
@@ -93,16 +97,16 @@ def test_unrotated_diagonal_design_not_full_diversity():
     assert full_diversity_check(stbc) < DET_TOL  # zero diagonal difference
 
 
+def _pair_unit(pair, M, theta):
+    return (pair, PairQAM(pair, M, theta).values())
+
+
 def test_rotation_search_fixes_diagonal_design():
-    (A1, A2), (A3, A4) = _ciod_pairs()
-    prior = [np.zeros((2, 2), complex)]
-    th1 = rotation_search(prior, A1, A2, 4)
-    pam = pam_points(2)
-    z1 = np.exp(1j * th1) * np.array([a + 1j * b for a in pam for b in pam])
-    prior = [z.real * A1 + z.imag * A2 for z in z1]
-    th2 = rotation_search(prior, A3, A4, 4)
-    entries = tuple(LDEntry(label="x%d" % (k + 1), matrix=A)
-                    for k, A in enumerate((A1, A2, A3, A4)))
+    A = _ciod_matrices()
+    th1 = rotation_search(A, [], (0, 1), 4)
+    th2 = rotation_search(A, [_pair_unit((0, 1), 4, th1)], (2, 3), 4)
+    entries = tuple(LDEntry(label="x%d" % (k + 1), matrix=a)
+                    for k, a in enumerate(A))
     lin = LinearDesign(m=1, entries=entries)
     stbc = STBCInstance(linear=lin,
                         signals=qam_signal_set(((0, 1), (2, 3)), 4,
@@ -136,58 +140,105 @@ def _brute_force_angle(prior, A1, A2, M, grid_size=720):
     return float(thetas[np.argmax(mins >= mins.max() * (1 - TIE_RTOL))])
 
 
-def _family_pairs_matrices(fd):
-    A = [phi_inv(v) for v in fd.vectors]
-    return [(A[i], A[j]) for i, j in family_pairs(fd)]
+def _search_against_brute_force(A, pairs, M=4):
+    """rotation_search on units, pair by pair, equals the codeword-pair
+    reference on the same prior as a codeword list."""
+    N = A.shape[-1]
+    prior, units = [np.zeros((N, N), complex)], []
+    for pair in pairs:
+        A1, A2 = A[pair[0]], A[pair[1]]
+        th = rotation_search(A, units, pair, M)
+        assert th == _brute_force_angle(prior, A1, A2, M)
+        assert 0 < th <= np.pi / 2
+        prior = _extend(prior, A1, A2, M, th)
+        units.append(_pair_unit(pair, M, th))
+
+
+def _family_matrices(fd):
+    return np.stack([phi_inv(v) for v in fd.vectors])
 
 
 def test_rotation_search_matches_brute_force_family():
     # priors of 1, 4 and 16 codewords
-    prior = [np.zeros((4, 4), complex)]
-    for A1, A2 in _family_pairs_matrices(build_base(2))[:3]:
-        th = rotation_search(prior, A1, A2, 4)
-        assert th == _brute_force_angle(prior, A1, A2, 4)
-        assert 0 < th <= np.pi / 2
-        prior = _extend(prior, A1, A2, 4, th)
+    fd = build_base(2)
+    _search_against_brute_force(_family_matrices(fd), family_pairs(fd)[:3])
 
 
 def test_rotation_search_matches_brute_force_ciod():
-    prior = [np.zeros((2, 2), complex)]
-    for A1, A2 in _ciod_pairs():
-        th = rotation_search(prior, A1, A2, 4)
-        assert th == _brute_force_angle(prior, A1, A2, 4)
-        prior = _extend(prior, A1, A2, 4, th)
+    _search_against_brute_force(_ciod_matrices(), ((0, 1), (2, 3)))
 
 
 def test_rotation_search_grid_not_divisible_by_four():
     # no pi/2 shortcut on such a grid; the answer is still the reference's
     (A1, A2), _second = _ciod_pairs()
     prior = [np.zeros((2, 2), complex)]
-    assert rotation_search(prior, A1, A2, 4, 90) == \
+    assert rotation_search(_ciod_matrices(), [], (0, 1), 4, 90) == \
         _brute_force_angle(prior, A1, A2, 4, 90)
 
 
 def test_rotation_search_rejects_failing_prior():
-    # the prior's own difference diag(1, 0) is singular at every angle
-    (A1, A2), _second = _ciod_pairs()
-    prior = [np.zeros((2, 2), complex), np.diag([1.0, 0.0]) + 0j]
+    # the prior {0, diag(1, 0)} has the difference diag(1, 0), singular at
+    # every angle
+    A = np.concatenate([_ciod_matrices()[:2], [E11]])
     with pytest.raises(ValueError, match="no grid angle"):
-        rotation_search(prior, A1, A2, 4)
+        rotation_search(A, [((2,), np.array([[0.0], [1.0]]))], (0, 1), 4)
+
+
+def test_rotation_search_prior_under_the_cap(monkeypatch):
+    # two family pairs have (9^2 - 1) / 2 = 40 classes
+    fd = build_base(2)
+    A, pairs = _family_matrices(fd), family_pairs(fd)
+    units = [_pair_unit(p, 4, 0.5) for p in pairs[:2]]
+    monkeypatch.setattr("stbc_forge.diversity.DIFF_CAP", 39)
+    with pytest.raises(DiversityCapError, match="40 difference classes"):
+        rotation_search(A, units, pairs[2], 4)
+
+
+def _class_keys(D):
+    """Sign-canonical integer keys of difference matrices."""
+    rows = np.concatenate([D.real, D.imag], axis=1).reshape(len(D), -1)
+    keys = np.rint(rows * 1e9).astype(np.int64)
+    first = keys[np.arange(len(keys)), (keys != 0).argmax(axis=1)]
+    return {tuple(k) for k in np.where(first[:, None] < 0, -keys, keys)}
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_class_blocks_are_codeword_difference_classes(rows):
+    # three family pairs: 64 codewords, (9^3 - 1) / 2 = 364 classes
+    fd = build_base(2)
+    A, pairs = _family_matrices(fd), family_pairs(fd)
+    thetas = (0.5, 0.25, 1.0)
+    C = [np.zeros((4, 4), complex)]
+    for pair, th in zip(pairs, thetas):
+        C = _extend(C, A[pair[0]], A[pair[1]], 4, th)
+    C = np.asarray(C)
+    i, j = np.triu_indices(len(C), 1)
+    want = _class_keys(C[i] - C[j])
+    units = [_pair_unit(p, 4, th) for p, th in zip(pairs, thetas)]
+    blocks = list(_class_blocks(A, units, rows))
+    if rows:
+        assert max(len(b) for b in blocks) <= max(rows, 9)
+    D = np.concatenate(blocks)
+    assert len(D) == len(want) == (9 ** 3 - 1) // 2
+    assert _class_keys(D) == want
 
 
 def _interpolation_case(which):
     """(D, w, Bp, Bm) of a family pair over a prior of 1/4/16 codewords,
-    or of the second diagonal pair over a 4-codeword prior."""
+    or of the second diagonal pair over a 4-codeword prior; D is zero
+    followed by the prior's classes."""
     if which < 3:
-        pairs = _family_pairs_matrices(build_base(2))
-        prior = [np.zeros((4, 4), complex)]
-        for A1, A2 in pairs[:which]:
-            prior = _extend(prior, A1, A2, 4, 0.5)
-        A1, A2 = pairs[which]
+        fd = build_base(2)
+        A, pairs = _family_matrices(fd), family_pairs(fd)
+        units = [_pair_unit(p, 4, 0.5) for p in pairs[:which]]
+        pair = pairs[which]
     else:
-        (B1, B2), (A1, A2) = _ciod_pairs()
-        prior = _extend([np.zeros((2, 2), complex)], B1, B2, 4, 0.5)
-    D = _prior_differences(np.asarray(prior))
+        A = _ciod_matrices()
+        units, pair = [_pair_unit((0, 1), 4, 0.5)], (2, 3)
+    N = A.shape[-1]
+    D = np.concatenate([np.zeros((1, N, N), complex),
+                        *_class_blocks(A, units)])
+    A1, A2 = A[pair[0]], A[pair[1]]
     return D, _qam_diffs(4), (A1 - 1j * A2) / 2, (A1 + 1j * A2) / 2
 
 
@@ -211,7 +262,7 @@ def test_interpolated_det_equals_direct(which, theta):
 
 def test_rotation_search_rank_deficient_pair():
     with pytest.raises(ValueError, match="rank deficient"):
-        rotation_search([np.zeros((2, 2), complex)], E11, 1j * E11, 4)
+        rotation_search(np.stack([E11, 1j * E11]), [], (0, 1), 4)
 
 
 def test_full_diversity_alamouti():

@@ -2,15 +2,14 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from stbc_forge.f4 import O, I, W, W2, F4Vec, weight, parse_vec, delta
+from stbc_forge.f4 import O, I, W, W2, F4Vec, weight, parse_vec
 from stbc_forge.design import (Design, validate_partition, finest_partition,
                                rate, plan_complexity)
 from stbc_forge.fdfgd import (t_vector, build_base, puncture, extend,
                               pair_split, check_prop16, predicted_complexity,
-                              family_plan, family_pairs, SUBSET_ORDER)
+                              family_plan, family_pairs)
 from stbc_forge.bundles import silver_stbc, assemble_stbc
 
 
@@ -100,8 +99,6 @@ def test_t_closure_of_subsets(m, xi2):
 def test_build_base_errors():
     with pytest.raises(ValueError):
         build_base(1)
-    with pytest.raises(ValueError):
-        build_base(2, xi1=I)
     with pytest.raises(ValueError):
         build_base(2, xi2=W)
 

@@ -46,3 +46,27 @@ def test_imports_follow_layers():
             if RANK[dep] >= RANK[mod]:
                 bad.append("%s.py:%d imports %s" % (mod, line, dep))
     assert not bad, bad
+
+
+def _unused_imports(tree):
+    """Names bound by an import in tree and never read, as (name, line)."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.extend(((a.asname or a.name).split(".")[0], node.lineno)
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend((a.asname or a.name, node.lineno)
+                         for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in bound if name not in read]
+
+
+def test_no_unused_imports():
+    # a package __init__ imports only to re-export
+    tests = Path(__file__).parent
+    paths = sorted(SRC.glob("*.py")) + sorted(tests.glob("*.py"))
+    bad = ["%s:%d %s" % (p.relative_to(p.parents[1]), line, name)
+           for p in paths if p.name != "__init__.py"
+           for name, line in _unused_imports(ast.parse(p.read_text()))]
+    assert not bad, bad
