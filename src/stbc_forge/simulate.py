@@ -34,7 +34,13 @@ simulate draws each trial from its own generator keyed by (seed, snr
 index, trial index) and decodes the trials in chunks whose working set
 stays within _CHUNK_BYTES; the oracle also scans the codebook in blocks
 within that budget.  Results are therefore independent of the chunk
-size.  SimConfig.workers is accepted and validated for compatibility
+size.  A chunk is drawn with one loop over its trials that seeds each
+generator from a reused uint32 key, draws the sent index and then all
+of the trial's standard normals in one call; the codewords and the
+channel outputs Y = XH + W of the whole chunk then take a fixed number
+of numpy calls.  The draws are bit-identical to seeding each trial with
+SeedSequence([seed, snr index, trial]) and making four standard_normal
+calls.  SimConfig.workers is accepted and validated for compatibility
 only: it does not change how a run executes.
 """
 
@@ -51,6 +57,7 @@ _BIG = np.iinfo(np.int64).max
 
 ORACLE_CAP = 10 ** 5    # largest codebook the exhaustive decoder scans
 _CHUNK_BYTES = 1 << 20  # working-set budget of one decode batch (1 MiB)
+MAX_TRIALS = 2 ** 32    # trial indexes fill one uint32 word of the RNG key
 
 
 def hard_limit_pam(v, points):
@@ -134,57 +141,64 @@ class STBCInstance:
 # compiled decode plan
 
 def _compile(stbc):
-    """Check the plan against the instance and build its decode tables."""
-    A, K = stbc.matrices, stbc.linear.K
-    weight = dict(zip(stbc.signals.units, stbc.unit_weights))
+    """Check the plan against the instance and build its decode tables.
+
+    The helpers are module functions, not closures over the instance, so
+    compiling leaves no reference cycle that would keep a dropped
+    instance and its cached tables alive until the cyclic collector runs.
+    """
+    A, units = stbc.matrices, stbc.signals.units
     # orth[i, j]: A_i^H A_j + A_j^H A_i vanishes (HR-orthogonal pair)
     P = np.einsum("iab,jac->ijbc", A.conj(), A)
     orth = np.linalg.norm(P + P.transpose(1, 0, 2, 3), axis=(2, 3)) < 1e-9
+    weight = dict(zip(units, stbc.unit_weights))
+    return _compile_node(stbc.plan, 1, units, weight, orth, stbc.linear.K)
 
-    def units_for(indices):
-        """Units (in signal-set order) exactly covering the index set."""
-        want = set(indices)
-        picked = []
-        for u in stbc.signals.units:
-            us = set(u.indices)
-            if us <= want:
-                picked.append(u)
-            elif us & want:
-                raise PlanError("plan node splits unit %r" % (u,))
-        if set(i for u in picked for i in u.indices) != want:
-            raise PlanError("no unit covering some of %r" % (sorted(want),))
-        return tuple(picked)
 
-    def check_orthogonal(groups, what):
-        for a in range(len(groups)):
-            for bI in range(a + 1, len(groups)):
-                for i in groups[a]:
-                    for j in groups[bI]:
-                        if not orth[i, j]:
-                            raise PlanError("%s; (%d,%d) are not"
-                                            % (what, i, j))
+def _units_for(units, indices):
+    """Units (in signal-set order) exactly covering the index set."""
+    want = set(indices)
+    picked = []
+    for u in units:
+        us = set(u.indices)
+        if us <= want:
+            picked.append(u)
+        elif us & want:
+            raise PlanError("plan node splits unit %r" % (u,))
+    if set(i for u in picked for i in u.indices) != want:
+        raise PlanError("no unit covering some of %r" % (sorted(want),))
+    return tuple(picked)
 
-    def walk(node, hyps):
-        if isinstance(node, Leaf):
-            units = units_for(node.indices)
-            if node.kind == JOINT:
-                return _Joint(_enumerate_units(units, weight), hyps)
-            if node.kind == HARD_LAST:
-                if isinstance(units[-1], BlockValues):
-                    raise PlanError("cannot hard-limit a value block")
-                return _HardLast(units, weight, hyps)
-            check_orthogonal([[i] for u in units for i in u.indices],
-                             "hard_all needs HR-orthogonal reals")
-            return _HardAll(units, weight, hyps)
-        tables = _enumerate_units(units_for(node.conditioning), weight)
-        check_orthogonal([sorted(plan_indices(c)) for c in node.children],
-                         "Cond children must be HR-orthogonal")
-        desc = sorted(i for c in node.children for i in plan_indices(c))
-        n_c = len(tables[2])
-        return _Cond(tables, desc, tuple(walk(c, hyps * n_c)
-                                         for c in node.children), hyps, K)
 
-    return walk(stbc.plan, 1)
+def _check_orthogonal(orth, groups, what):
+    for a in range(len(groups)):
+        for bI in range(a + 1, len(groups)):
+            for i in groups[a]:
+                for j in groups[bI]:
+                    if not orth[i, j]:
+                        raise PlanError("%s; (%d,%d) are not" % (what, i, j))
+
+
+def _compile_node(node, hyps, units, weight, orth, K):
+    if isinstance(node, Leaf):
+        picked = _units_for(units, node.indices)
+        if node.kind == JOINT:
+            return _Joint(_enumerate_units(picked, weight), hyps)
+        if node.kind == HARD_LAST:
+            if isinstance(picked[-1], BlockValues):
+                raise PlanError("cannot hard-limit a value block")
+            return _HardLast(picked, weight, hyps)
+        _check_orthogonal(orth, [[i] for u in picked for i in u.indices],
+                          "hard_all needs HR-orthogonal reals")
+        return _HardAll(picked, weight, hyps)
+    tables = _enumerate_units(_units_for(units, node.conditioning), weight)
+    _check_orthogonal(orth, [sorted(plan_indices(c)) for c in node.children],
+                      "Cond children must be HR-orthogonal")
+    desc = sorted(i for c in node.children for i in plan_indices(c))
+    n_c = len(tables[2])
+    return _Cond(tables, desc,
+                 tuple(_compile_node(c, hyps * n_c, units, weight, orth, K)
+                       for c in node.children), hyps, K)
 
 
 def _enumerate_units(units, weight):
@@ -400,14 +414,18 @@ class _Cond:
 # ---------------------------------------------------------------------------
 # metric terms and decoders
 
+def _channel(X, Z, noise_std):
+    """Y = XH + W for codewords X (..., N, N) from standard normals
+    Z (..., 4, N, n_rx): the real and imaginary parts of the unit-variance
+    CSCG channel H, then those of the noise W before scaling."""
+    H = (Z[..., 0, :, :] + 1j * Z[..., 1, :, :]) / np.sqrt(2)
+    W = noise_std * (Z[..., 2, :, :] + 1j * Z[..., 3, :, :]) / np.sqrt(2)
+    return X @ H + W, H
+
+
 def channel_step(X, rng, n_rx, noise_std):
     """Y = XH + W with unit-variance CSCG H and given noise deviation."""
-    N = X.shape[0]
-    H = (rng.standard_normal((N, n_rx)) +
-         1j * rng.standard_normal((N, n_rx))) / np.sqrt(2)
-    W = noise_std * (rng.standard_normal((N, n_rx)) +
-                     1j * rng.standard_normal((N, n_rx))) / np.sqrt(2)
-    return X @ H + W, H
+    return _channel(X, rng.standard_normal((4, X.shape[0], n_rx)), noise_std)
 
 
 def _metric_terms(stbc, Y, H):
@@ -493,6 +511,11 @@ class SimConfig:
             if getattr(self, name) < 1:
                 raise ValueError("%s must be at least 1, got %d"
                                  % (name, getattr(self, name)))
+        if self.trials > MAX_TRIALS:
+            raise ValueError("trials must be at most %d, got %d"
+                             % (MAX_TRIALS, self.trials))
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative, got %d" % self.seed)
         if len(self.snr_db) == 0 or not all(map(math.isfinite, self.snr_db)):
             raise ValueError("snr_db must be a non-empty list of finite "
                              "values, got %r" % (self.snr_db,))
@@ -543,19 +566,36 @@ def _trial_words(stbc, cfg):
     return words
 
 
+def _words(n):
+    """Little-endian 32-bit words of an int >= 0, one zero word for 0: how
+    SeedSequence reads each int of an entropy list."""
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 def _draw(stbc, cfg, sigma, snr_idx, trials):
-    """Sent indexes and stacked Y, H of the given trials."""
-    n = stbc.count
+    """Sent indexes and stacked Y, H of the given trials.
+
+    Trial t draws from its own generator, seeded by SeedSequence over the
+    words of (seed, snr_idx, t) held in one uint32 key, exactly as from
+    the list [seed, snr_idx, t]: the sent index, then one block of
+    standard normals for H and the noise.  Codewords and channel outputs
+    are then formed for the whole block at once.
+    """
+    key = np.array(_words(cfg.seed) + _words(snr_idx) + [0], dtype=np.uint32)
     sent = np.empty(len(trials), dtype=np.int64)
-    Ys, Hs = [], []
+    Z = np.empty((len(trials), 4, stbc.N, cfg.n_rx))
     for k, t in enumerate(trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, snr_idx, t]))
-        sent[k] = rng.integers(n)
-        Y, H = channel_step(stbc.codeword(sent[k]), rng, cfg.n_rx, sigma)
-        Ys.append(Y)
-        Hs.append(H)
-    return sent, np.stack(Ys), np.stack(Hs)
+        key[-1] = t
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+        sent[k] = rng.integers(stbc.count)
+        rng.standard_normal(out=Z[k])
+    X = np.tensordot(stbc.symbol_table[sent], stbc.matrices, axes=(1, 0))
+    Y, H = _channel(X, Z, sigma)
+    return sent, Y, H
 
 
 def simulate(cfg, stbc):

@@ -305,6 +305,9 @@ def test_simulate_missing_signal_set(tmp_path, capsys):
     ("snr_db", (), None, "snr_db must be a non-empty list of finite values"),
     ("snr_db", (float("nan"),), ("--snr", "nan"), "finite values"),
     ("snr_db", (10.0, float("inf")), ("--snr", "10,inf"), "finite values"),
+    ("seed", -1, ("--seed", "-1"), "seed must be non-negative, got -1"),
+    ("trials", 2 ** 32 + 1, ("--trials", str(2 ** 32 + 1)),
+     "trials must be at most 4294967296, got 4294967297"),
 ])
 def test_simulate_rejects_bad_config(tmp_path, capsys, field, value, flag,
                                      message):

@@ -13,8 +13,9 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   grow_constellation, grow_with_pam_prefix,
                                   difference_classes, DiversityCapError,
                                   DET_TOL, DIFF_CAP, TIE_RTOL,
-                                  _class_blocks, _qam_diffs,
-                                  _laurent_coefficients, _pair_dets)
+                                  _class_blocks, _qam_diffs, _grid_min,
+                                  _laurent_coefficients, _pair_dets,
+                                  _min_abs_det_product)
 from stbc_forge.fdfgd import build_base, puncture, extend, family_pairs
 from stbc_forge.pauli import phi_inv
 from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
@@ -182,6 +183,28 @@ def test_rotation_search_rejects_failing_prior():
     A = np.concatenate([_ciod_matrices()[:2], [E11]])
     with pytest.raises(ValueError, match="no grid angle"):
         rotation_search(A, [((2,), np.array([[0.0], [1.0]]))], (0, 1), 4)
+
+
+def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
+    # both pairs write conj(z) I, so the pair searched at the prior's own
+    # angle cancels it: e^{it} w = -e^{ia} d for w = -d.  With the grid
+    # seeing the zero block only, every angle ties and the first grid
+    # angle, the prior's, wins; only the direct determinants over the
+    # prior's classes can reject it
+    A = np.stack([np.eye(2), -1j * np.eye(2)] * 2)
+    a = 2 * np.pi / 720
+    units = [_pair_unit((2, 3), 4, a)]
+    assert _min_abs_det_product(A, units + [_pair_unit((0, 1), 4, a)]) \
+        < DET_TOL
+    n_zero = len(_qam_diffs(4))  # coefficient rows of the zero block
+    monkeypatch.setattr(
+        "stbc_forge.diversity._grid_min",
+        lambda c, th: _grid_min(c, th) if len(c) == n_zero else np.full_like(
+            th, np.inf))
+    th = rotation_search(A, units, (0, 1), 4)
+    assert th != a
+    assert _min_abs_det_product(A, units + [_pair_unit((0, 1), 4, th)]) \
+        > DET_TOL
 
 
 def test_rotation_search_prior_under_the_cap(monkeypatch):

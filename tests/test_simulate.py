@@ -1,7 +1,9 @@
 """Signal sets, exact ML decoders, and the seeded Monte Carlo driver."""
 
+import gc
 import importlib
 import re
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +22,7 @@ from stbc_forge.simulate import (STBCInstance, SimConfig,
 from stbc_forge.constructions import catalog
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, group_stbc,
                                 fgd_ren_stbc, silver_stbc, assemble_stbc)
-from stbc_forge.fdfgd import build_base, puncture
+from stbc_forge.fdfgd import build_base, puncture, family
 
 # the module itself; the package exports the simulate() function by name
 sim = importlib.import_module("stbc_forge.simulate")
@@ -154,6 +156,28 @@ def test_hard_last_rejects_block_unit():
         STBCInstance(linear=stbc.linear, signals=stbc.signals, plan=bad)
 
 
+def _family_r2():
+    return assemble_stbc(family(2, 2), [0.5] * 8, 4)
+
+
+@pytest.mark.parametrize("build", [lambda: alamouti_stbc(4), _family_r2],
+                         ids=["alamouti", "family R=2"])
+def test_dropped_instance_needs_no_cycle_collector(build):
+    # the compiled plan must not tie the instance (and its cached symbol
+    # table, 8.4 MB at R=2) into a reference cycle
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        stbc = build()
+        assert stbc.symbol_table.shape[0] == stbc.count
+        ref = weakref.ref(stbc)
+        del stbc
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_average_energy_alamouti():
     stbc = alamouti_stbc(4)
     # E||X||^2 = sum_i E[x_i^2] * ||A_i||^2 = 4 * (5/4)/2... direct:
@@ -277,6 +301,95 @@ def test_structured_requires_plan():
 
 # ---------------------------------------------------------------------------
 # Monte Carlo driver
+
+def _four_call_channel(X, rng, n_rx, noise_std):
+    """The channel as one standard_normal call per real block."""
+    N = X.shape[0]
+    H = (rng.standard_normal((N, n_rx)) +
+         1j * rng.standard_normal((N, n_rx))) / np.sqrt(2)
+    W = noise_std * (rng.standard_normal((N, n_rx)) +
+                     1j * rng.standard_normal((N, n_rx))) / np.sqrt(2)
+    return X @ H + W, H
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def test_channel_step_is_the_four_call_form():
+    X = qod4_stbc(Q=2).codeword(77)
+    for n_rx, sigma in ((1, 0.0), (2, 0.3), (3, 1.7)):
+        got = channel_step(X, np.random.default_rng(21), n_rx, sigma)
+        want = _four_call_channel(X, np.random.default_rng(21), n_rx, sigma)
+        assert all(map(_same_bits, got, want))
+
+
+@lru_cache(maxsize=None)
+def _draw_bundle(name):
+    return _family_r2() if name == "family R=2" else BATCH_BUNDLES[name]()
+
+
+@pytest.mark.parametrize("name", ["alamouti", "qod4", "silver", "family R=1",
+                                  "family R=5/4", "family R=2"])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32, 2 ** 64 + 5])
+def test_draw_matches_per_trial_generators(name, seed):
+    # each trial from default_rng(SeedSequence([seed, snr_idx, t])): the
+    # sent index, four standard_normal blocks and codeword(sent)
+    stbc = _draw_bundle(name)
+    cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=7, seed=seed)
+    trials = [0, 1, 2, 3, 4, 1000, 2 ** 32 - 1]
+    for snr_idx, sigma in enumerate((0.9, 0.1)):
+        sent, Y, H = sim._draw(stbc, cfg, sigma, snr_idx, trials)
+        for k, t in enumerate(trials):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed, snr_idx, t]))
+            want = rng.integers(stbc.count)
+            assert sent[k] == want
+            want_Y, want_H = _four_call_channel(stbc.codeword(want), rng, 2,
+                                                sigma)
+            assert _same_bits(Y[k], want_Y) and _same_bits(H[k], want_H)
+
+
+def test_first_trials_do_not_depend_on_the_trial_count(monkeypatch):
+    stbc = BATCH_BUNDLES["family R=5/4"]()
+    real = {n: getattr(sim, n) for n in ("_draw", "_oracle", "_structured")}
+
+    def run(trials):
+        """({(snr index, trial): (sent, oracle, structured codeword)},
+        largest block drawn)"""
+        log = []
+
+        def draw(stbc, cfg, sigma, snr_idx, ts):
+            out = real["_draw"](stbc, cfg, sigma, snr_idx, ts)
+            log.append([snr_idx, ts, out[0]])
+            return out
+
+        def decoder(name):
+            def decode(*args):
+                out = real[name](*args)
+                log[-1].append(out[0])
+                return out
+            return decode
+
+        monkeypatch.setattr(sim, "_draw", draw)
+        for name in ("_oracle", "_structured"):
+            monkeypatch.setattr(sim, name, decoder(name))
+        simulate(SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=trials,
+                           seed=11), stbc)
+        assert all(len(entry) == 5 for entry in log)
+        return ({(k, t): tuple(int(a[i]) for a in arrays)
+                 for k, ts, *arrays in log for i, t in enumerate(ts)},
+                max(len(entry[1]) for entry in log))
+
+    k = 5
+    short, _chunk = run(k)
+    long, chunk = run(k + 300)
+    assert chunk > k  # the long run draws the first trials in a larger block
+    assert len(short) == 2 * k
+    assert short == {key: long[key] for key in short}
+
 
 def test_simulate_text_and_agreement():
     stbc = alamouti_stbc(4)
