@@ -9,12 +9,12 @@ constant ||Y||^2, the metric of a symbol vector x is
 The oracle enumerates the whole codebook.  The structured decoder
 follows the instance's DecodePlan, compiled once when the STBCInstance
 is built.  Compiling checks the plan against the design and the signal
-set (raising PlanError) and turns every node into static tables: column
-index arrays, the enumerated conditioning and prefix values with their
-mixed-radix partial indexes, and the last unit's PAM points, rotation
-and offsets.  A Cond node enumerates its conditioning symbols and, since
-G vanishes between HR-orthogonal groups, decodes each child separately
-after folding the hypothesis into the linear term; leaves either scan
+set (raising PlanError) and turns every node into static tables: the
+enumerated conditioning and prefix values and the last unit's axes as
+rows spread over all K reals, with their mixed-radix partial indexes.
+A Cond node enumerates its conditioning symbols and, since G vanishes
+between HR-orthogonal groups, decodes each child separately after
+folding the hypothesis into the linear term; leaves either scan
 jointly, scan all but the last unit and hard-limit the final real (an
 exact 1-D quadratic minimization, so no orthogonality is needed inside
 the last pair), or hard-limit every real in one shot when the Gram is
@@ -24,6 +24,29 @@ lowest codeword index, so their outputs are comparable by equality.
 Both decoders take a batch of T trials per call: linear terms of shape
 (T, hypotheses, K) against Grams of shape (T, K, K).  ml_oracle and
 ml_structured are the T = 1 case of the same code.
+
+The structured decoder's node kernels cost a few numpy calls per plan
+level, each on one large array:
+
+  - Candidates ahead of hypotheses.  A node lays out its candidates
+    (joint values, prefix and outer PAM value, Cond hypotheses) on an
+    axis before the hypotheses and picks with min over that axis, then
+    the lowest codeword index among the exact ties, so the pick does
+    not depend on the candidates' order.
+  - Sibling groups.  At compile time a Cond fuses its leaf children of
+    one kind (joint or hard_last) whose tables share a shape, and for
+    hard_last the last unit's type and points, into one node with a
+    leaf axis; each leaf keeps its own rows and index offsets, and the
+    node returns the sums over its leaves.  A lone leaf is a group of
+    one; hard_all leaves stay single.
+  - No quotient in a metric.  hard_last divides only to pick the inner
+    PAM value; the metric is then formed from products and sums of the
+    picked point, the linear terms and the Gram, so integer channels
+    give exact metrics and exact ties, as in the oracle.
+  - Batch-invariant bits.  Linear terms are (rows, K) @ (K, hypotheses)
+    products per trial and Gram terms _quad forms, whose BLAS shapes do
+    not depend on T; everything else is elementwise.  A metric's bits
+    are the same whether its trial is decoded alone or in a batch.
 
 Metric-evaluation counts match the plan's complexity terms exactly: a
 joint leaf costs its candidate count, a hard-limited last pair costs
@@ -50,7 +73,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import Leaf, JOINT, HARD_LAST, check_plan, plan_indices
+from .design import (Leaf, JOINT, HARD_LAST, HARD_ALL, check_plan,
+                     plan_indices)
 from .signalset import PairQAM, RealPoints, BlockValues, pam_points, qam_side
 
 _BIG = np.iinfo(np.int64).max
@@ -73,7 +97,13 @@ def _midpoints(points):
 
 
 def _nearest(mids, v):
-    return np.searchsorted(mids, v, side="left")
+    """The number of midpoints below v: the nearest point's index, ties
+    going to the lower point.  mids (..., n) broadcasts against v."""
+    i = np.zeros(np.broadcast_shapes(np.shape(v), mids.shape[:-1]),
+                 dtype=np.intp)
+    for k in range(mids.shape[-1]):
+        i += v > mids[..., k]
+    return i
 
 
 class PlanError(ValueError):
@@ -181,24 +211,55 @@ def _check_orthogonal(orth, groups, what):
 
 def _compile_node(node, hyps, units, weight, orth, K):
     if isinstance(node, Leaf):
-        picked = _units_for(units, node.indices)
-        if node.kind == JOINT:
-            return _Joint(_enumerate_units(picked, weight), hyps)
-        if node.kind == HARD_LAST:
-            if isinstance(picked[-1], BlockValues):
-                raise PlanError("cannot hard-limit a value block")
-            return _HardLast(picked, weight, hyps)
-        _check_orthogonal(orth, [[i] for u in picked for i in u.indices],
-                          "hard_all needs HR-orthogonal reals")
-        return _HardAll(picked, weight, hyps)
+        return _compile_leaves([node], hyps, units, weight, orth, K)[0]
     tables = _enumerate_units(_units_for(units, node.conditioning), weight)
     _check_orthogonal(orth, [sorted(plan_indices(c)) for c in node.children],
                       "Cond children must be HR-orthogonal")
-    desc = sorted(i for c in node.children for i in plan_indices(c))
     n_c = len(tables[2])
-    return _Cond(tables, desc,
-                 tuple(_compile_node(c, hyps * n_c, units, weight, orth, K)
-                       for c in node.children), hyps, K)
+    leaves = [c for c in node.children if isinstance(c, Leaf)]
+    children = _compile_leaves(leaves, hyps * n_c, units, weight, orth, K) + [
+        _compile_node(c, hyps * n_c, units, weight, orth, K)
+        for c in node.children if not isinstance(c, Leaf)]
+    return _Cond(tables, tuple(children), hyps, K)
+
+
+def _compile_leaves(leaves, hyps, units, weight, orth, K):
+    """Kernel nodes of sibling leaves.  Leaves of one kind whose tables
+    have one signature (table shape, and for hard_last the last unit's
+    type and points) share one node with a leaf axis; hard_all leaves
+    stay single."""
+    groups = {}
+    for leaf in leaves:
+        picked = _units_for(units, leaf.indices)
+        if leaf.kind == HARD_ALL:
+            _check_orthogonal(orth, [[i] for u in picked for i in u.indices],
+                              "hard_all needs HR-orthogonal reals")
+            key = (HARD_ALL, leaf)
+        elif leaf.kind == HARD_LAST:
+            last = picked[-1]
+            if isinstance(last, BlockValues):
+                raise PlanError("cannot hard-limit a value block")
+            key = (HARD_LAST, _table_shape(picked[:-1]), type(last),
+                   _last_points(last))
+        else:
+            key = (JOINT, _table_shape(picked))
+        groups.setdefault(key, []).append(picked)
+    kernel = {JOINT: _Joint, HARD_LAST: _HardLast, HARD_ALL: _HardAll}
+    return [kernel[key[0]](members, weight, hyps, K)
+            for key, members in groups.items()]
+
+
+def _table_shape(units):
+    """Shape of the enumerated value table of a unit list."""
+    return (math.prod(u.size for u in units),
+            sum(len(u.indices) for u in units))
+
+
+def _last_points(unit):
+    """The hard-limited real's points: PAM for a QAM pair."""
+    if isinstance(unit, PairQAM):
+        return pam_points(qam_side(unit.M))
+    return tuple(unit.points)
 
 
 def _enumerate_units(units, weight):
@@ -220,164 +281,245 @@ def _enumerate_units(units, weight):
     return vals, np.array(cols, dtype=np.intp), idxs
 
 
+def _leaf_tables(members, weight, K):
+    """(values (L, n, K) placed at their columns among all K reals,
+    partial indexes (L, n)) of the unit lists of L leaves with one table
+    shape."""
+    tables = [_enumerate_units(units, weight) for units in members]
+    V = np.zeros((len(tables), len(tables[0][2]), K))
+    for rows, (vals, cols, _idx) in zip(V, tables):
+        rows[:, cols] = vals
+    return V, np.array([idx for _vals, _cols, idx in tables])
+
+
 def _block(rows, cols):
     """Index of the (T, rows, cols) sub-block of a stack of Grams."""
     return (slice(None), rows[:, None], cols[None, :])
 
 
-def _quad(X, G):
-    """x.G.x for every row x of X ((n, k) or (T, n, k)); G (T, k, k)."""
+def _quad(X, G, Y=None):
+    """x.G.y for every row x of X and matching row y of Y (default X);
+    X, Y (n, k) or (T, n, k), G (T, k, k)."""
     XG = X @ G
-    XG *= X
+    XG *= X if Y is None else Y
     return XG @ np.ones(X.shape[-1])
+
+
+def _pick(m, idx, axis):
+    """Minimum of m over the candidate axis and the lowest index among
+    its exact ties, whatever order the candidates come in."""
+    best = m.min(axis=axis)
+    tied = m == np.expand_dims(best, axis)
+    return best, np.where(tied, idx, _BIG).min(axis=axis)
+
+
+def _leaf_sum(m, idx):
+    """Totals over the leaf axis 1, added leaf by leaf in a fixed order."""
+    total = m[:, 0]
+    for k in range(1, m.shape[1]):
+        total = total + m[:, k]
+    return total, idx.sum(axis=1)
 
 
 # Each node decodes B: (T, n_hyp, K) adjusted linear terms against
 # G: (T, K, K), returning (metrics (T, n_hyp), codeword indexes (T, n_hyp),
-# metric evaluations per hypothesis).  `width` estimates the float64
+# metric evaluations per hypothesis); a leaf node holds L sibling leaves
+# and returns the sums over them.  `width` estimates the float64
 # elements one trial of the node and its subtree holds at once.
 
 class _Joint:
-    """Scan every joint value of the leaf's units."""
+    """Scan every joint value of each leaf's units."""
 
-    def __init__(self, tables, hyps):
-        self.V, self.cols, self.idx = tables
-        self.sub = _block(self.cols, self.cols)
-        self.count = self.V.shape[0]
-        self.width = (2 * hyps + self.V.shape[1]) * self.count
+    def __init__(self, members, weight, hyps, K):
+        V, idx = _leaf_tables(members, weight, K)
+        self.leaves, n = idx.shape
+        self.V = V.reshape(self.leaves * n, K)
+        self.idx = idx[..., None]                          # (L, n, 1)
+        self.count = self.leaves * n
+        self.width = (5 * hyps + K) * self.count
 
     def decode(self, B, G):
-        m = (-2.0 * (B[..., self.cols] @ self.V.T)
-             + _quad(self.V, G[self.sub])[:, None, :])
-        arg = np.argmin(m, axis=-1)  # first minimum: lowest codeword index
-        return (np.take_along_axis(m, arg[..., None], -1)[..., 0],
-                self.idx[arg], self.count)
+        T, H = B.shape[:2]
+        L, n = self.idx.shape[:2]
+        m = (_quad(self.V, G)[..., None]
+             - 2.0 * (self.V @ B.swapaxes(1, 2))).reshape(T, L, n, H)
+        return _leaf_sum(*_pick(m, self.idx, 2)) + (self.count,)
 
 
 class _HardLast:
     """Scan all units but the last; for each prefix and each outer PAM
-    value of the last unit, hard-limit its final real exactly."""
+    value o of the last unit, hard-limit its final real p exactly.
 
-    def __init__(self, units, weight, hyps):
-        last = units[-1]
-        self.Vp, self.pcols, pidx = _enumerate_units(units[:-1], weight)
-        self.lcols = np.array(last.indices, dtype=np.intp)
-        if isinstance(last, PairQAM):
-            r = qam_side(last.M)
-            self.points = np.asarray(pam_points(r))
-            c, s = np.cos(last.theta), np.sin(last.theta)
-            self.d = np.array([-s, c])                # direction of b
-            self.ca = np.outer(self.points, [c, s])   # (c a, s a) per a
-            aoff = np.arange(r, dtype=np.int64) * r
-        else:  # RealPoints: the last real is the whole unit
-            self.points = np.asarray(last.points)
-            self.d = np.ones(1)
-            self.ca = np.zeros((1, 1))
-            aoff = np.zeros(1, dtype=np.int64)
+    The last unit's point is x = o e + p d, with e = (c, s) and
+    d = (-s, c) for a QAM pair rotated by theta, and o = 0, d = (1) for a
+    real.  With b the linear term folded by the prefix v, w = b.e,
+    u = b.d and the Gram's g_ee, g_ed and g_dd, the metric is
+
+        pre(v) - 2 (o w + p u) + o^2 g_ee + 2 o p g_ed + p^2 g_dd
+          = pre(v) + o^2 g_ee - 2 o w + p (p g_dd - 2 t),
+        2 t = 2 u - 2 o g_ed.
+
+    The quotient t / g_dd only picks p; no quotient enters a metric, so
+    integer channels give exact metrics and exact ties.  The rows 2d and
+    2o e, spread over all K columns, give 2u and 2o w of every hypothesis
+    in one product.
+    """
+
+    def __init__(self, members, weight, hyps, K):
+        Vp, pidx = _leaf_tables([u[:-1] for u in members], weight, K)
+        lasts = [u[-1] for u in members]
+        L, P = pidx.shape
+        self.leaves = L
+        self.points = np.asarray(_last_points(lasts[0]))
         self.mids = _midpoints(self.points)
-        self.w_last = weight[last]
-        # codeword index of (prefix p, outer value a) at inner digit 0
-        self.offsets = pidx[:, None] + aoff[None, :] * self.w_last
-        self.ll = _block(self.lcols, self.lcols)
-        self.lp = _block(self.lcols, self.pcols)
-        self.pp = _block(self.pcols, self.pcols)
-        self.count = self.offsets.size
-        self.width = hyps * self.count * (3 * len(self.lcols) + 6)
+        self.pair = isinstance(lasts[0], PairQAM)
+        # each leaf's axes d = (-s, c) and e = (c, s), or d = (1) for a real
+        d, e = np.zeros((L, 1, K)), np.zeros((L, 1, K))
+        for k, u in enumerate(lasts):
+            if self.pair:
+                c, s = np.cos(u.theta), np.sin(u.theta)
+                d[k, 0, list(u.indices)] = -s, c
+                e[k, 0, list(u.indices)] = c, s
+            else:
+                d[k, 0, u.index] = 1.0
+        if self.pair:
+            n_o = len(self.points)
+            oe = self.points[:, None] * e                        # (L, n_o, K)
+            R = np.stack([np.repeat(2.0 * d, n_o, 1), 2.0 * oe], 1)
+            # quadratic rows: g_dd, then 2o g_ed and o^2 g_ee per o
+            self.gx = np.concatenate([d, 2.0 * oe, oe], 1).reshape(-1, K)
+            self.gy = np.concatenate([d, np.repeat(d, n_o, 1), oe],
+                                     1).reshape(-1, K)
+            aoff = np.arange(n_o, dtype=np.int64) * n_o
+        else:  # RealPoints: the last real is the whole unit
+            R = 2.0 * d[:, None]
+            self.gx = self.gy = d[:, 0]
+            aoff = np.zeros(1, dtype=np.int64)
+        self.R = R.reshape(-1, K)                    # rows (leaf, 2d | 2oe, o)
+        self.Vp = None
+        if len(members[0]) > 1:
+            self.Vp = Vp.reshape(L * P, K)
+            # the fold v.G.r of each (prefix, row) pair of one leaf
+            rows = R.shape[1] * R.shape[2]
+            self.Vp_R = np.repeat(Vp, rows, axis=1).reshape(-1, K)
+            self.R_P = np.tile(R.reshape(L, rows, K), (1, P, 1)).reshape(-1, K)
+        self.w_last = np.array([weight[u] for u in lasts],
+                               dtype=np.int64)[:, None, None, None]
+        # codeword index of (leaf, prefix, outer value) at inner digit 0
+        self.offsets = pidx[:, :, None, None] + aoff[:, None] * self.w_last
+        self.count = L * P * len(aoff)
+        self.width = hyps * (8 * self.count + len(self.R) + L * P)
 
     def decode(self, B, G):
         T, H = B.shape[:2]
-        Gll = G[self.ll]
-        b_eff = B[..., None, self.lcols]                       # (T, H, 1, l)
-        if self.pcols.size:
-            pre = (-2.0 * (B[..., self.pcols] @ self.Vp.T)
-                   + _quad(self.Vp, G[self.pp])[:, None, :])   # (T, H, P)
-            b_eff = b_eff - (self.Vp @ G[self.lp].swapaxes(1, 2))[:, None]
-        else:
-            pre = np.zeros((T, H, 1))
-        Gd = Gll @ self.d                                      # (T, l)
-        caGd = (Gd @ self.ca.T)[:, None, None]                 # (T, 1, 1, a)
-        t_star = (((b_eff @ self.d)[..., None] - caGd)
-                  / (Gd @ self.d)[:, None, None, None])        # (T, H, P, a)
-        bi = _nearest(self.mids, t_star)
-        x = self.ca + self.points[bi][..., None] * self.d      # (..., a, l)
-        quad = _quad(x.reshape(T, -1, len(self.lcols)), Gll)
-        m = (pre[..., None] - 2.0 * np.sum(b_eff[..., None, :] * x, axis=-1)
-             + quad.reshape(bi.shape))
-        # candidates run in increasing codeword index along the last
-        # axis, so the first minimum is the lowest-index one
-        m = m.reshape(T, H, -1)
-        arg = np.argmin(m, axis=-1)[..., None]
-        idx = (self.offsets + bi * self.w_last).reshape(T, H, -1)
-        return (np.take_along_axis(m, arg, -1)[..., 0],
-                np.take_along_axis(idx, arg, -1)[..., 0], self.count)
+        L, P, n_o = self.offsets.shape[:3]
+        Bt = B.swapaxes(1, 2)                                  # (T, K, H)
+        X = (self.R @ Bt).reshape(T, L, -1, n_o, H)            # 2u | 2o w
+        g = _quad(self.gx, G, self.gy).reshape(T, L, 1, -1, 1)
+        g_dd = g[:, :, :, :1]
+        ed = ee = 0.0        # 2o g_ed and o^2 g_ee, plus the prefix's fold
+        if self.pair:
+            ed, ee = g[:, :, :, 1:1 + n_o], g[:, :, :, 1 + n_o:]
+        if self.Vp is not None:
+            pre = (_quad(self.Vp, G)[..., None]
+                   - 2.0 * (self.Vp @ Bt)).reshape(T, L, P, 1, H)
+            # the prefix folds into u and w once per (trial, prefix)
+            fold = _quad(self.Vp_R, G, self.R_P).reshape(T, L, P, -1, n_o, 1)
+            ed = ed + fold[:, :, :, 0]
+            if self.pair:
+                ee = ee + fold[:, :, :, 1]
+        t2 = X[:, :, :1] - ed                                  # (T, L, P, n_o, H)
+        pi = _nearest(self.mids, t2 / (2.0 * g_dd))
+        p = self.points[pi]
+        m = p * g_dd
+        m -= t2
+        m *= p
+        if self.pair:
+            m += ee - X[:, :, 1:]
+        if self.Vp is not None:
+            m += pre
+        idx = self.offsets + pi * self.w_last
+        best = _pick(m.reshape(T, L, P * n_o, H),
+                     idx.reshape(T, L, P * n_o, H), 2)
+        return _leaf_sum(*best) + (self.count,)
 
 
 class _HardAll:
     """One metric evaluation: every real hard-limited independently.
 
-    Exact when the Gram is diagonal in unit-local coordinates, which
-    decode checks for every channel.
+    Exact when the Gram is diagonal in unit-local coordinates (a real, or
+    a QAM pair's rotated axes (c, s) and (-s, c)), which decode checks
+    for every channel.  Each axis, spread over all K columns, projects
+    the linear terms in one product; the axes' point sets are padded to
+    one length so that every axis is limited at once.
     """
 
-    def __init__(self, units, weight, hyps):
+    def __init__(self, members, weight, hyps, K):
+        (units,) = members                  # hard_all leaves stay single
         self.cols = np.array([i for u in units for i in u.indices],
                              dtype=np.intp)
         self.sub = _block(self.cols, self.cols)
-        self.reals, self.pairs = [], []
-        at = 0
+        self.E = np.zeros((len(self.cols), K))             # unit axes
+        points, digit, pairs = [], [], []
         for u in units:
+            at, cols = len(points), list(u.indices)
             if isinstance(u, RealPoints):
-                pts = np.asarray(u.points)
-                self.reals.append((u.index, at, pts, _midpoints(pts),
-                                   weight[u]))
+                self.E[at, cols] = 1.0
+                points.append(u.points)
+                digit.append(weight[u])
             elif isinstance(u, PairQAM):
-                pam = np.asarray(pam_points(qam_side(u.M)))
+                pam = pam_points(qam_side(u.M))
                 c, s = np.cos(u.theta), np.sin(u.theta)
-                pair = np.array(u.indices, dtype=np.intp)
-                self.pairs.append((_block(pair, pair), pair, at, pam,
-                                   _midpoints(pam), weight[u], c, s))
+                pairs.append(at)
+                self.E[at, cols] = c, s
+                self.E[at + 1, cols] = -s, c
+                points += [pam, pam]
+                digit += [len(pam) * weight[u], weight[u]]
             else:
                 raise PlanError("hard_all cannot limit a value block")
-            at += len(u.indices)
+        self.E_cols = self.E[:, self.cols]
+        # each pair's axes must stay uncoupled by the channel
+        self.e1, self.e2 = self.E[pairs], self.E[[a + 1 for a in pairs]]
+        n = max(map(len, points))
+        self.points = np.array([tuple(p) + (0.0,) * (n - len(p))
+                                for p in points])
+        self.mids = np.array([tuple(_midpoints(np.asarray(p)))
+                              + (np.inf,) * (n - len(p)) for p in points]
+                             )[:, None, :]                 # (k, 1, n - 1)
+        self.axis = np.arange(len(points))[:, None]
+        self.digit = np.array(digit, dtype=np.int64)[:, None]
         self.count = 1
-        self.width = 4 * hyps * len(self.cols)
+        self.width = 6 * hyps * len(points)
 
     def decode(self, B, G):
-        x = np.zeros(B.shape[:2] + (len(self.cols),))
-        idxs = np.zeros(B.shape[:2], dtype=np.int64)
-        for i, at, pts, mids, w in self.reals:
-            bi = _nearest(mids, B[..., i] / G[:, i, i][:, None])
-            x[..., at] = pts[bi]
-            idxs += bi * w
-        if self.pairs:
+        Z = self.E @ B.swapaxes(1, 2)                      # (T, k, H)
+        if len(self.e1):
+            cross = _quad(self.e1, G, self.e2)
             scale = np.maximum(np.abs(G).max(axis=(1, 2)), 1e-30)
-        for sub, pair, at, pam, mids, w, c, s in self.pairs:
-            e1, e2 = np.array([c, s]), np.array([-s, c])
-            e1G, e2G = e1 @ G[sub], e2 @ G[sub]                # (T, 2)
-            if np.any(np.abs(e1G @ e2) > 1e-6 * scale):
+            if np.any(np.abs(cross) > 1e-6 * scale[:, None]):
                 raise PlanError("hard_all pair is not separable")
-            Bu = B[..., pair]
-            ai = _nearest(mids, (Bu @ e1) / (e1G @ e1)[:, None])
-            bi = _nearest(mids, (Bu @ e2) / (e2G @ e2)[:, None])
-            x[..., at] = c * pam[ai] - s * pam[bi]
-            x[..., at + 1] = s * pam[ai] + c * pam[bi]
-            idxs += (ai * len(pam) + bi) * w
+        i = _nearest(self.mids, Z / _quad(self.E, G)[..., None])
+        x = self.points[self.axis, i].swapaxes(1, 2) @ self.E_cols
         m = (-2.0 * np.sum(B[..., self.cols] * x, axis=-1)
              + _quad(x, G[self.sub]))
-        return m, idxs, 1
+        return m, (i * self.digit).sum(axis=1), 1
 
 
 class _Cond:
     """Enumerate the conditioning values and decode the children for each
-    hypothesis, folded into the linear terms along the batch's axis 1."""
+    hypothesis, folded into the linear terms.  Hypothesis c of parent row
+    h becomes row c * H + h, so the conditioning values are the leading
+    candidate axis of the totals."""
 
-    def __init__(self, tables, desc, children, hyps, K):
-        self.Vc, self.ccols, self.cidx = tables
-        self.desc = np.array(desc, dtype=np.intp)
-        self.cc = _block(self.ccols, self.ccols)
-        self.cd = _block(self.ccols, self.desc)
+    def __init__(self, tables, children, hyps, K):
+        Vc, ccols, cidx = tables
+        self.Vc = None
+        if ccols.size:
+            self.Vc = np.zeros((len(Vc), K))
+            self.Vc[:, ccols] = Vc
+        self.cidx = cidx[:, None]                          # (n_c, 1)
         self.children = children
-        n_c = len(self.cidx)
+        n_c = len(cidx)
         self.count = n_c * sum(c.count for c in children)
         # Bd and the running totals stay live while the children decode
         self.width = (hyps * n_c * (K + 4)
@@ -386,29 +528,23 @@ class _Cond:
     def decode(self, B, G):
         T, H, K = B.shape
         n_c = len(self.cidx)
-        if self.ccols.size:
-            q = (-2.0 * (B[..., self.ccols] @ self.Vc.T)
-                 + _quad(self.Vc, G[self.cc])[:, None, :])    # (T, H, n_c)
-            # hypothesis c of parent row h becomes row h * n_c + c
-            Bd = np.repeat(B, n_c, axis=1)
-            Bd.reshape(T, H, n_c, K)[..., self.desc] -= (
-                self.Vc @ G[self.cd])[:, None]
-        else:
-            q = np.zeros((T, H, n_c))
-            Bd = B
-        total_m = q.reshape(T, H * n_c)
-        total_i = np.tile(self.cidx, (T, H))
+        total_m, total_i, Bd = None, self.cidx, B
+        if self.Vc is not None:
+            VG = self.Vc @ G              # (T, n_c, K): _quad's product, the fold
+            total_m = (((VG * self.Vc) @ np.ones(K))[..., None]
+                       - 2.0 * (self.Vc @ B.swapaxes(1, 2)))   # (T, n_c, H)
+            # every column is folded; each child reads only its own
+            Bd = (B[:, None] - VG[:, :, None]).reshape(T, n_c * H, K)
         count = 0
         for child in self.children:
             cm, ci, cc = child.decode(Bd, G)
-            total_m = total_m + cm
-            total_i = total_i + ci
+            cm = cm.reshape(T, n_c, H)
+            total_m = cm if total_m is None else total_m + cm
+            total_i = total_i + ci.reshape(T, n_c, H)
             count += cc
-        total_m = total_m.reshape(T, H, n_c)
-        total_i = total_i.reshape(T, H, n_c)
-        best = np.min(total_m, axis=-1, keepdims=True)
-        cand = np.where(total_m == best, total_i, _BIG)
-        return best[..., 0], np.min(cand, axis=-1), n_c * count
+        if n_c == 1:
+            return total_m[:, 0], total_i[:, 0], count
+        return _pick(total_m, total_i, 1) + (n_c * count,)
 
 
 # ---------------------------------------------------------------------------

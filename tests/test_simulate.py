@@ -3,6 +3,7 @@
 import gc
 import importlib
 import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stbc_forge.design import (Leaf, Cond, JOINT, HARD_LAST, HARD_ALL,
-                               plan_complexity)
+                               plan_complexity, to_linear_design)
 from stbc_forge.signalset import (pam_points, qam_side, PairQAM, RealPoints,
                                   BlockValues, SignalSet, qam_signal_set,
                                   pam_signal_set)
@@ -22,7 +23,8 @@ from stbc_forge.simulate import (STBCInstance, SimConfig,
 from stbc_forge.constructions import catalog
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, group_stbc,
                                 fgd_ren_stbc, silver_stbc, assemble_stbc)
-from stbc_forge.fdfgd import build_base, puncture, family
+from stbc_forge.fdfgd import (build_base, puncture, family,
+                              family_pairs, family_plan)
 
 # the module itself; the package exports the simulate() function by name
 sim = importlib.import_module("stbc_forge.simulate")
@@ -158,6 +160,16 @@ def test_hard_last_rejects_block_unit():
 
 def _family_r2():
     return assemble_stbc(family(2, 2), [0.5] * 8, 4)
+
+
+def _mixed_siblings():
+    """Family m=2 R=1 with 16-QAM on two pairs and 4-QAM on the other
+    two, each pair at its own angle: sibling leaves that differ."""
+    fd = puncture(build_base(2), 1)
+    units = tuple(PairQAM(p, M, theta) for p, M, theta in
+                  zip(family_pairs(fd), (16, 16, 4, 4), (0.3, 0.4, 0.5, 0.6)))
+    return STBCInstance(linear=to_linear_design(fd.design()),
+                        signals=SignalSet(units=units), plan=family_plan(fd))
 
 
 @pytest.mark.parametrize("build", [lambda: alamouti_stbc(4), _family_r2],
@@ -327,8 +339,8 @@ def test_channel_step_is_the_four_call_form():
 
 
 @lru_cache(maxsize=None)
-def _draw_bundle(name):
-    return _family_r2() if name == "family R=2" else BATCH_BUNDLES[name]()
+def _bundle(name):
+    return ALL_BUNDLES[name]()
 
 
 @pytest.mark.parametrize("name", ["alamouti", "qod4", "silver", "family R=1",
@@ -337,7 +349,7 @@ def _draw_bundle(name):
 def test_draw_matches_per_trial_generators(name, seed):
     # each trial from default_rng(SeedSequence([seed, snr_idx, t])): the
     # sent index, four standard_normal blocks and codeword(sent)
-    stbc = _draw_bundle(name)
+    stbc = _bundle(name)
     cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=7, seed=seed)
     trials = [0, 1, 2, 3, 4, 1000, 2 ** 32 - 1]
     for snr_idx, sigma in enumerate((0.9, 0.1)):
@@ -477,6 +489,11 @@ BATCH_BUNDLES = {
                                         [0.5] * 4, 4),
     "family R=5/4": lambda: assemble_stbc(build_base(2), [0.5] * 5, 4),
 }
+# the batch bundles, the 1,664-evaluation family R=2 and sibling leaves
+# that differ in points and angle
+MIXED = "mixed siblings"
+ALL_BUNDLES = dict(BATCH_BUNDLES, **{"family R=2": _family_r2,
+                                     MIXED: _mixed_siblings})
 
 
 def _chunked_text(monkeypatch, stbc, cfg, chunk):
@@ -496,9 +513,9 @@ def _chunked_text(monkeypatch, stbc, cfg, chunk):
     return text
 
 
-@pytest.mark.parametrize("name", sorted(BATCH_BUNDLES))
+@pytest.mark.parametrize("name", sorted(BATCH_BUNDLES) + [MIXED])
 def test_simulate_batch_invariance(name, monkeypatch):
-    stbc = BATCH_BUNDLES[name]()
+    stbc = _bundle(name)
     cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=20, seed=5)
     want = simulate(cfg, stbc).to_text()
     for chunk in (1, 7, cfg.trials + 3):
@@ -539,18 +556,13 @@ def test_oracle_blocks_keep_lowest_index_ties(monkeypatch):
     assert tied
 
 
-@lru_cache(maxsize=None)
-def _fuzz_bundle(name):
-    return BATCH_BUNDLES[name]()
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(sorted(BATCH_BUNDLES)),
+@settings(max_examples=180, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BATCH_BUNDLES) + [MIXED]),
        seed=st.integers(0, 2 ** 32 - 1),
        snr_db=st.floats(-10.0, 60.0),
        batch=st.integers(1, 12))
 def test_structured_equals_oracle_fuzz(name, seed, snr_db, batch):
-    stbc = _fuzz_bundle(name)
+    stbc = _bundle(name)
     cfg = SimConfig(n_rx=2, snr_db=(snr_db,), trials=batch, seed=seed)
     sigma = np.sqrt(stbc.average_energy / (stbc.N * 10 ** (snr_db / 10.0)))
     _sent, Y, H = sim._draw(stbc, cfg, sigma, 0, range(batch))
@@ -558,7 +570,153 @@ def test_structured_equals_oracle_fuzz(name, seed, snr_db, batch):
     got_o, _mo = sim._oracle(stbc.symbol_table, b, G)
     got_s, _ms, count = sim._structured(stbc, b, G)
     assert got_s.tolist() == got_o.tolist()
-    assert count == plan_complexity(stbc.plan).evaluate(4)
+    # the mixed siblings hard-limit sqrt(M) values per pair
+    assert count == (4 + 4 + 2 + 2 if name == MIXED else
+                     plan_complexity(stbc.plan).evaluate(4))
     # the one-trial API is the same decode
     assert ml_structured(Y[0], H[0], stbc) == (got_s[0], count)
     assert ml_oracle(Y[0], H[0], stbc) == (got_o[0], stbc.count)
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels: sibling groups, exact ties, batch-invariant bits
+
+def _leaf_groups(node):
+    """(kernel class name, sibling leaves) of each child of a compiled
+    Cond."""
+    return [(type(c).__name__, getattr(c, "leaves", None))
+            for c in node.children]
+
+
+def test_sibling_leaves_share_one_kernel_node():
+    assert _leaf_groups(alamouti_stbc(4).compiled) == [("_HardLast", 4)]
+    assert _leaf_groups(qod4_stbc(Q=2).compiled) == [("_Joint", 4)]
+    root = _family_r2().compiled
+    assert _leaf_groups(root) == [("_HardLast", 1), ("_Cond", None)]
+    assert _leaf_groups(root.children[1]) == [("_HardLast", 3)]
+    # leaves with other points or another kind do not join a group
+    mixed = _mixed_siblings()
+    assert mixed.count == 4096
+    groups = mixed.compiled.children
+    assert _leaf_groups(mixed.compiled) == [("_HardLast", 2)] * 2
+    assert [len(g.points) for g in groups] == [4, 2]
+    fgd = fgd_ren_stbc(Q=2).compiled
+    assert _leaf_groups(fgd) == [("_Joint", 1), ("_Cond", None)]
+    assert _leaf_groups(fgd.children[1]) == [("_Joint", 5)]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BUNDLES))
+def test_structured_metric_bits_do_not_depend_on_the_batch(name):
+    stbc = _bundle(name)
+    T = 24
+    for seed, snr_db in ((1, 0.0), (2, 12.0)):
+        cfg = SimConfig(n_rx=2, snr_db=(snr_db,), trials=T, seed=seed)
+        sigma = np.sqrt(stbc.average_energy
+                        / (stbc.N * 10 ** (snr_db / 10.0)))
+        _sent, Y, H = sim._draw(stbc, cfg, sigma, 0, range(T))
+        b, G = sim._metric_terms(stbc, Y, H)
+        idx, m, _count = sim._structured(stbc, b, G)
+        for t in range(T):
+            one_i, one_m, _c = sim._structured(stbc, b[t:t + 1].copy(),
+                                               G[t:t + 1].copy())
+            assert one_i[0] == idx[t]
+            assert _same_bits(one_m, m[t:t + 1]), (seed, t)
+
+
+def _integer_terms(stbc, Y, H):
+    """b and G of Gaussian-integer Y, H (n, N, n_rx) in int64, for weight
+    matrices with entries in {0, +-1, +-i}."""
+    A = stbc.matrices
+    Ar, Ai = np.rint(A.real).astype(np.int64), np.rint(A.imag).astype(np.int64)
+    assert np.array_equal(Ar + 1j * Ai, A)
+    Yr, Yi = Y.real.astype(np.int64), Y.imag.astype(np.int64)
+    Hr, Hi = H.real.astype(np.int64), H.imag.astype(np.int64)
+    AHr = (np.einsum("iab,nbc->niac", Ar, Hr)
+           - np.einsum("iab,nbc->niac", Ai, Hi))
+    AHi = (np.einsum("iab,nbc->niac", Ar, Hi)
+           + np.einsum("iab,nbc->niac", Ai, Hr))
+    b = (np.einsum("nac,niac->ni", Yr, AHr)
+         + np.einsum("nac,niac->ni", Yi, AHi))
+    G = (np.einsum("niac,njac->nij", AHr, AHr)
+         + np.einsum("niac,njac->nij", AHi, AHi))
+    return b, G
+
+
+TIE_BUNDLES = {
+    "alamouti": lambda: alamouti_stbc(4),
+    "qod4": lambda: qod4_stbc(Q=2),
+    "qod4 hard_last": lambda: qod4_stbc(Q=2, kind=HARD_LAST),
+    "family R=1": lambda: assemble_stbc(puncture(build_base(2), 1),
+                                        [0.0] * 4, 4),
+    "family R=5/4": lambda: assemble_stbc(build_base(2), [0.0] * 5, 4),
+    "family R=2": lambda: assemble_stbc(family(2, 2), [0.0] * 8, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_BUNDLES))
+def test_decoders_keep_exact_ties_on_integer_channels(name):
+    # weight matrices in {0, +-1, +-i}, points +-1/2 and Gaussian-integer
+    # Y and H make b, G and every metric exact, so many channels tie at
+    # the minimum; both decoders must return the lowest tied index
+    stbc = TIE_BUNDLES[name]()
+    n, N = 300, stbc.N
+    rng = np.random.default_rng(31)
+    H = rng.integers(-1, 2, (n, N, 2)) + 1j * rng.integers(-1, 2, (n, N, 2))
+    H[~H.any(axis=(1, 2))] = 1  # H != 0
+    Y = rng.integers(-2, 3, (n, N, 2)) + 1j * rng.integers(-2, 3, (n, N, 2))
+    b_int, G_int = _integer_terms(stbc, Y, H)
+    b, G = sim._metric_terms(stbc, Y, H)
+    assert np.array_equal(b, b_int) and np.array_equal(G, G_int)
+    # 4 f(x) for z = 2x: every partial sum is an integer far below 2**53,
+    # so float64 products are exact; the minimum is taken in int64
+    Z = 2.0 * stbc.symbol_table
+    assert np.array_equal(Z, np.rint(Z))
+    want, ties = np.empty(n, dtype=np.int64), 0
+    for k in range(n):
+        m4 = (-4.0 * (Z @ b[k]) + ((Z @ G[k]) * Z).sum(axis=1))
+        m4 = m4.astype(np.int64)
+        want[k] = np.argmin(m4)
+        ties += np.count_nonzero(m4 == m4[want[k]]) > 1
+    assert ties >= n // 5
+    got_o, _mo = sim._oracle(stbc.symbol_table, b, G)
+    got_s = np.concatenate([sim._structured(stbc, b[k:k + 50], G[k:k + 50])[0]
+                            for k in range(0, n, 50)])
+    assert got_o.tolist() == want.tolist()
+    assert got_s.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_BUNDLES) + ["family R=2"])
+def test_decode_working_set_stays_within_the_chunk_budget(name):
+    stbc = _bundle(name)
+    cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=3,
+                    decoder="structured")
+    chunk = max(1, sim._CHUNK_BYTES // (8 * sim._trial_words(stbc, cfg)))
+    _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(chunk))
+    tracemalloc.start()
+    try:
+        b, G = sim._metric_terms(stbc, Y, H)
+        sim._structured(stbc, b, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sim._CHUNK_BYTES
+
+
+def test_hard_all_limits_units_of_every_kind():
+    # alamouti's four reals are pairwise HR-orthogonal, so one hard_all
+    # leaf decodes them whatever units carry them; point sets of
+    # different sizes are limited in one pass
+    lin = catalog("alamouti").linear
+    signals = SignalSet(units=(RealPoints(0, pam_points(2)),
+                               RealPoints(1, pam_points(4)),
+                               PairQAM((2, 3), 16, 0.3)))
+    stbc = STBCInstance(linear=lin, signals=signals,
+                        plan=Leaf((0, 1, 2, 3), HARD_ALL))
+    cfg = SimConfig(n_rx=2, snr_db=(0.0, 20.0), trials=40, seed=6)
+    for snr_idx, sigma in enumerate((1.0, 0.1)):
+        _sent, Y, H = sim._draw(stbc, cfg, sigma, snr_idx, range(40))
+        b, G = sim._metric_terms(stbc, Y, H)
+        got_s, m_s, count = sim._structured(stbc, b, G)
+        got_o, m_o = sim._oracle(stbc.symbol_table, b, G)
+        assert got_s.tolist() == got_o.tolist() and count == 1
+        assert np.allclose(m_s, m_o, rtol=1e-12, atol=1e-12)
