@@ -82,7 +82,7 @@ def fgd_ren_stbc(Q=2, rate=Fraction(17, 8)):
     return _pam_instance(lin, Q, plan)
 
 
-def silver_stbc(M, R=Fraction(2), thetas=None):
+def silver_stbc(M, R=Fraction(2)):
     """Silver-code STBC, optionally punctured pairwise to R in {1, 3/2, 2}.
 
     Symbols s1, s2 are QAM pairs; (s3, s4) are jointly precoded QAM.
@@ -95,8 +95,7 @@ def silver_stbc(M, R=Fraction(2), thetas=None):
     entry = catalog("silver")
     keep = int(4 * R)  # real symbol count after puncturing s4 (and s3)
     linear = LinearDesign(m=1, entries=entry.linear.entries[:keep])
-    th = list(thetas) if thetas is not None else [0.0, 0.0]
-    units = [PairQAM((0, 1), M, th[0]), PairQAM((2, 3), M, th[1])]
+    units = [PairQAM((0, 1), M), PairQAM((2, 3), M)]
     hard = Leaf((0, 1, 2, 3), HARD_ALL)
     if R == 2:
         rows = []

@@ -153,6 +153,9 @@ def cmd_build_fd(args):
     R = Fraction(args.rate)
     m = args.m
     if m == 1:
+        if args.angles:
+            raise ValueError("--angles applies to m >= 2; the m = 1 Silver "
+                             "code has no rotation angles")
         stbc = bundles.silver_stbc(args.M, R)
         print("predicted=%s" % fdfgd.predicted_complexity(m, R))
         meta = {"family": "silver-punctured", "rate": str(R),
@@ -205,8 +208,9 @@ def _bundle_from_meta(d, meta, M=4):
         if name == "silver":
             return bundles.silver_stbc(M)
         return None
-    if "M" not in meta:
-        raise ValueError("bundle metadata is missing M")
+    for key in ("M", "rate") + (("angles",) if fam == "fgd-family" else ()):
+        if key not in meta:
+            raise ValueError("bundle metadata is missing %s" % key)
     M = int(meta["M"])
     R = Fraction(meta["rate"])
     if fam == "silver-punctured":

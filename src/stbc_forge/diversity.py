@@ -12,8 +12,9 @@ of its signal-set units, so its difference set is the product of the
 per-unit difference sets, and |det| is the same for D and -D.  One
 enumerator over (weight matrices, units) yields a representative of
 each +- class of distinct differences, (prod_u |D_u| - 1) / 2 of them,
-in blocks.  Their count, known from the per-unit counts before anything
-is allocated, is the single cap (DIFF_CAP) of certification, `verify`,
+in blocks summed in the codebook order by signalset.product_sums.
+Their count, known from the per-unit counts before anything is
+allocated, is the single cap (DIFF_CAP) of certification, `verify`,
 constellation growth and the rotation search.
 
 Rotating each QAM pair by a suitable angle achieves full diversity when
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signalset import pam_points, qam_side
+from .signalset import pam_points, product_sums, qam_side
 
 DET_TOL = 1e-8
 # most +- classes of distinct codeword differences one check evaluates
@@ -130,18 +131,6 @@ def _class_count(diffs):
     return total
 
 
-def _sum_blocks(tables, step):
-    """Every sum tables[0][i0] + ... + tables[-1][ir], first table slowest,
-    in blocks of at most max(step, len(tables[-1])) matrices."""
-    s = len(tables) - 1
-    tail = tables[s]
-    while s > 0 and len(tables[s - 1]) * len(tail) <= step:
-        s -= 1
-        tail = (tables[s][:, None] + tail[None]).reshape(-1, *tail.shape[1:])
-    for head in itertools.product(*tables[:s]):
-        yield sum(head, tail)
-
-
 def check_class_cap(n):
     """Raise DiversityCapError when n +- classes exceed DIFF_CAP."""
     if n > DIFF_CAP:
@@ -163,7 +152,7 @@ def _class_blocks(A, units, rows=None):
     rows = rows or max(1, _BLOCK // (N * N))
     for p, (_d, pick) in enumerate(diffs):
         if pick.any():
-            yield from _sum_blocks([mats[p][pick]] + mats[p + 1:], rows)
+            yield from product_sums([mats[p][pick]] + mats[p + 1:], rows)
 
 
 def _min_abs_det_product(A, units):
@@ -204,10 +193,7 @@ def _check_growth_cap(sizes):
     total = 1
     for q in sizes:
         total *= q * (q - 1) + 1
-    if (total - 1) // 2 > DIFF_CAP:
-        raise DiversityCapError(
-            "requested codebook may have %d difference classes, over the "
-            "cap of %d" % ((total - 1) // 2, DIFF_CAP))
+    check_class_cap((total - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,19 @@ real-symbol indices:
               (used e.g. for unitarily precoded symbol pairs)
 
 QAM constellations are zero mean with unit minimum distance; PAM is the
-projection of such a QAM onto one axis.  Codeword enumeration order is
-the mixed-radix product over units in unit order, first unit slowest;
-within a PairQAM the PAM index of a is the outer digit.  This fixed
-order is what makes lowest-index tie-breaking well defined.
+projection of such a QAM onto one axis.  This module owns the codebook
+order: the mixed-radix product over units in unit order, first unit
+slowest; within a PairQAM the PAM index of a is the outer digit.  This
+fixed order is what makes lowest-index tie-breaking well defined.
+SignalSet.weights, SignalSet.table and product_sums are its one
+enumerator, behind the symbol table, the decoder's tables and the
+difference classes of certification.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
-from math import isqrt
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +35,7 @@ def pam_points(Q):
 
 
 def qam_side(M):
-    r = isqrt(M)
+    r = math.isqrt(M)
     if r * r != M:
         raise ValueError("QAM size must be a perfect square")
     return r
@@ -122,26 +127,48 @@ class SignalSet:
 
     @property
     def count(self):
-        n = 1
-        for u in self.units:
-            n *= u.size
-        return n
+        return math.prod(u.size for u in self.units)
+
+    @cached_property
+    def weights(self):
+        """Each unit's digit weight in the codeword index, the product of
+        the later units' sizes, keyed by unit in unit order."""
+        sizes = [u.size for u in self.units]
+        return {u: math.prod(sizes[k + 1:]) for k, u in enumerate(self.units)}
+
+    def table(self, units):
+        """(rows (n, K), indexes (n,)): every joint value of the given
+        units of this set, in the order they are given, first unit
+        slowest, each row placed among all K reals (zero elsewhere), and
+        the sum of the codeword-index digits that row sets.  No units
+        give the one zero row at index 0."""
+        digits = [np.arange(u.size, dtype=np.int64) * self.weights[u]
+                  for u in units] or [np.zeros(1, dtype=np.int64)]
+        return self._rows(units), next(product_sums(digits, math.inf))
 
     def symbol_table(self):
         """(count, K) array of all real-symbol vectors in enumeration order."""
-        K = self.K
-        vals = [u.values() for u in self.units]
-        n = self.count
-        out = np.empty((n, K))
-        rep = n
-        for u, V in zip(self.units, vals):
-            rep //= u.size
-            tile = n // (rep * u.size)
-            block = np.repeat(V, rep, axis=0)
-            block = np.tile(block, (tile, 1))
-            for col, i in enumerate(u.indices):
-                out[:, i] = block[:, col]
-        return out
+        return self._rows(self.units)
+
+    def _rows(self, units):
+        """The rows of table(units)."""
+        rows = ([np.zeros((u.size, self.K)) for u in units]
+                or [np.zeros((1, self.K))])
+        for R, u in zip(rows, units):
+            R[:, list(u.indices)] = u.values()
+        return next(product_sums(rows, math.inf))
+
+
+def product_sums(tables, step):
+    """Every sum tables[0][i0] + ... + tables[-1][ir], first table slowest,
+    in blocks of at most max(step, len(tables[-1])) entries."""
+    s = len(tables) - 1
+    tail = tables[s]
+    while s > 0 and len(tables[s - 1]) * len(tail) <= step:
+        s -= 1
+        tail = (tables[s][:, None] + tail[None]).reshape(-1, *tail.shape[1:])
+    for head in itertools.product(*tables[:s]):
+        yield sum(head, tail)
 
 
 def qam_signal_set(pairs, M, thetas=None):

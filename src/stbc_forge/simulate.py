@@ -9,9 +9,10 @@ constant ||Y||^2, the metric of a symbol vector x is
 The oracle enumerates the whole codebook.  The structured decoder
 follows the instance's DecodePlan, compiled once when the STBCInstance
 is built.  Compiling checks the plan against the design and the signal
-set (raising PlanError) and turns every node into static tables: the
-enumerated conditioning and prefix values and the last unit's axes as
-rows spread over all K reals, with their mixed-radix partial indexes.
+set (raising PlanError) and turns every node into static tables from
+the SignalSet, which owns the codebook order: its conditioning and
+prefix values (SignalSet.table) and the last unit's axes and digit
+weight (SignalSet.weights).
 A Cond node enumerates its conditioning symbols and, since G vanishes
 between HR-orthogonal groups, decodes each child separately after
 folding the hypothesis into the linear term; leaves either scan
@@ -64,7 +65,9 @@ channel outputs Y = XH + W of the whole chunk then take a fixed number
 of numpy calls.  The draws are bit-identical to seeding each trial with
 SeedSequence([seed, snr index, trial]) and making four standard_normal
 calls.  SimConfig.workers is accepted and validated for compatibility
-only: it does not change how a run executes.
+only: it does not change how a run executes.  An SNR must give a finite
+positive noise deviation, at unit energy in SimConfig and at the
+instance's energy before simulate draws any trial.
 """
 
 import math
@@ -141,16 +144,6 @@ class STBCInstance:
     def symbol_table(self):
         return self.signals.symbol_table()
 
-    @cached_property
-    def unit_weights(self):
-        """Mixed-radix digit weight of each unit (first unit slowest)."""
-        sizes = [u.size for u in self.signals.units]
-        w, out = 1, [0] * len(sizes)
-        for k in range(len(sizes) - 1, -1, -1):
-            out[k] = w
-            w *= sizes[k]
-        return tuple(out)
-
     def codeword(self, index):
         x = self.symbol_table[index]
         return np.tensordot(x, self.matrices, axes=(0, 0))
@@ -177,12 +170,11 @@ def _compile(stbc):
     compiling leaves no reference cycle that would keep a dropped
     instance and its cached tables alive until the cyclic collector runs.
     """
-    A, units = stbc.matrices, stbc.signals.units
+    A = stbc.matrices
     # orth[i, j]: A_i^H A_j + A_j^H A_i vanishes (HR-orthogonal pair)
     P = np.einsum("iab,jac->ijbc", A.conj(), A)
     orth = np.linalg.norm(P + P.transpose(1, 0, 2, 3), axis=(2, 3)) < 1e-9
-    weight = dict(zip(units, stbc.unit_weights))
-    return _compile_node(stbc.plan, 1, units, weight, orth, stbc.linear.K)
+    return _compile_node(stbc.plan, 1, stbc.signals, orth)
 
 
 def _units_for(units, indices):
@@ -209,28 +201,28 @@ def _check_orthogonal(orth, groups, what):
                         raise PlanError("%s; (%d,%d) are not" % (what, i, j))
 
 
-def _compile_node(node, hyps, units, weight, orth, K):
+def _compile_node(node, hyps, signals, orth):
     if isinstance(node, Leaf):
-        return _compile_leaves([node], hyps, units, weight, orth, K)[0]
-    tables = _enumerate_units(_units_for(units, node.conditioning), weight)
+        return _compile_leaves([node], hyps, signals, orth)[0]
+    cond = _units_for(signals.units, node.conditioning)
     _check_orthogonal(orth, [sorted(plan_indices(c)) for c in node.children],
                       "Cond children must be HR-orthogonal")
-    n_c = len(tables[2])
+    n_c = math.prod(u.size for u in cond)
     leaves = [c for c in node.children if isinstance(c, Leaf)]
-    children = _compile_leaves(leaves, hyps * n_c, units, weight, orth, K) + [
-        _compile_node(c, hyps * n_c, units, weight, orth, K)
+    children = _compile_leaves(leaves, hyps * n_c, signals, orth) + [
+        _compile_node(c, hyps * n_c, signals, orth)
         for c in node.children if not isinstance(c, Leaf)]
-    return _Cond(tables, tuple(children), hyps, K)
+    return _Cond(cond, tuple(children), signals, hyps)
 
 
-def _compile_leaves(leaves, hyps, units, weight, orth, K):
+def _compile_leaves(leaves, hyps, signals, orth):
     """Kernel nodes of sibling leaves.  Leaves of one kind whose tables
     have one signature (table shape, and for hard_last the last unit's
     type and points) share one node with a leaf axis; hard_all leaves
     stay single."""
     groups = {}
     for leaf in leaves:
-        picked = _units_for(units, leaf.indices)
+        picked = _units_for(signals.units, leaf.indices)
         if leaf.kind == HARD_ALL:
             _check_orthogonal(orth, [[i] for u in picked for i in u.indices],
                               "hard_all needs HR-orthogonal reals")
@@ -245,7 +237,7 @@ def _compile_leaves(leaves, hyps, units, weight, orth, K):
             key = (JOINT, _table_shape(picked))
         groups.setdefault(key, []).append(picked)
     kernel = {JOINT: _Joint, HARD_LAST: _HardLast, HARD_ALL: _HardAll}
-    return [kernel[key[0]](members, weight, hyps, K)
+    return [kernel[key[0]](members, signals, hyps)
             for key, members in groups.items()]
 
 
@@ -262,34 +254,11 @@ def _last_points(unit):
     return tuple(unit.points)
 
 
-def _enumerate_units(units, weight):
-    """(values (n, k), columns (k,), partial indexes (n,)) for a unit list,
-    in increasing index order."""
-    cols = []
-    vals = np.zeros((1, 0))
-    idxs = np.zeros(1, dtype=np.int64)
-    for u in units:
-        V = u.values()
-        n = V.shape[0]
-        vals = np.concatenate(
-            [np.repeat(vals, n, axis=0), np.tile(V, (vals.shape[0], 1))],
-            axis=1)
-        idxs = (np.repeat(idxs, n) +
-                np.tile(np.arange(n, dtype=np.int64) * weight[u],
-                        idxs.shape[0]))
-        cols.extend(u.indices)
-    return vals, np.array(cols, dtype=np.intp), idxs
-
-
-def _leaf_tables(members, weight, K):
-    """(values (L, n, K) placed at their columns among all K reals,
-    partial indexes (L, n)) of the unit lists of L leaves with one table
-    shape."""
-    tables = [_enumerate_units(units, weight) for units in members]
-    V = np.zeros((len(tables), len(tables[0][2]), K))
-    for rows, (vals, cols, _idx) in zip(V, tables):
-        rows[:, cols] = vals
-    return V, np.array([idx for _vals, _cols, idx in tables])
+def _leaf_tables(members, signals):
+    """(rows (L, n, K), partial indexes (L, n)): the SignalSet tables of
+    the unit lists of L leaves with one table shape."""
+    V, idx = zip(*(signals.table(units) for units in members))
+    return np.stack(V), np.stack(idx)
 
 
 def _block(rows, cols):
@@ -321,18 +290,19 @@ def _leaf_sum(m, idx):
     return total, idx.sum(axis=1)
 
 
-# Each node decodes B: (T, n_hyp, K) adjusted linear terms against
-# G: (T, K, K), returning (metrics (T, n_hyp), codeword indexes (T, n_hyp),
-# metric evaluations per hypothesis); a leaf node holds L sibling leaves
-# and returns the sums over them.  `width` estimates the float64
+# Each node is built from its units and the SignalSet, and decodes
+# B: (T, n_hyp, K) adjusted linear terms against G: (T, K, K), returning
+# (metrics (T, n_hyp), codeword indexes (T, n_hyp)); a leaf node holds L
+# sibling leaves and returns the sums over them.  `count` is the node's
+# metric evaluations per hypothesis and `width` estimates the float64
 # elements one trial of the node and its subtree holds at once.
 
 class _Joint:
     """Scan every joint value of each leaf's units."""
 
-    def __init__(self, members, weight, hyps, K):
-        V, idx = _leaf_tables(members, weight, K)
-        self.leaves, n = idx.shape
+    def __init__(self, members, signals, hyps):
+        V, idx = _leaf_tables(members, signals)
+        self.leaves, n, K = V.shape
         self.V = V.reshape(self.leaves * n, K)
         self.idx = idx[..., None]                          # (L, n, 1)
         self.count = self.leaves * n
@@ -343,7 +313,7 @@ class _Joint:
         L, n = self.idx.shape[:2]
         m = (_quad(self.V, G)[..., None]
              - 2.0 * (self.V @ B.swapaxes(1, 2))).reshape(T, L, n, H)
-        return _leaf_sum(*_pick(m, self.idx, 2)) + (self.count,)
+        return _leaf_sum(*_pick(m, self.idx, 2))
 
 
 class _HardLast:
@@ -365,10 +335,10 @@ class _HardLast:
     in one product.
     """
 
-    def __init__(self, members, weight, hyps, K):
-        Vp, pidx = _leaf_tables([u[:-1] for u in members], weight, K)
+    def __init__(self, members, signals, hyps):
+        Vp, pidx = _leaf_tables([u[:-1] for u in members], signals)
         lasts = [u[-1] for u in members]
-        L, P = pidx.shape
+        L, P, K = Vp.shape
         self.leaves = L
         self.points = np.asarray(_last_points(lasts[0]))
         self.mids = _midpoints(self.points)
@@ -403,7 +373,7 @@ class _HardLast:
             rows = R.shape[1] * R.shape[2]
             self.Vp_R = np.repeat(Vp, rows, axis=1).reshape(-1, K)
             self.R_P = np.tile(R.reshape(L, rows, K), (1, P, 1)).reshape(-1, K)
-        self.w_last = np.array([weight[u] for u in lasts],
+        self.w_last = np.array([signals.weights[u] for u in lasts],
                                dtype=np.int64)[:, None, None, None]
         # codeword index of (leaf, prefix, outer value) at inner digit 0
         self.offsets = pidx[:, :, None, None] + aoff[:, None] * self.w_last
@@ -441,7 +411,7 @@ class _HardLast:
         idx = self.offsets + pi * self.w_last
         best = _pick(m.reshape(T, L, P * n_o, H),
                      idx.reshape(T, L, P * n_o, H), 2)
-        return _leaf_sum(*best) + (self.count,)
+        return _leaf_sum(*best)
 
 
 class _HardAll:
@@ -454,19 +424,19 @@ class _HardAll:
     one length so that every axis is limited at once.
     """
 
-    def __init__(self, members, weight, hyps, K):
+    def __init__(self, members, signals, hyps):
         (units,) = members                  # hard_all leaves stay single
         self.cols = np.array([i for u in units for i in u.indices],
                              dtype=np.intp)
         self.sub = _block(self.cols, self.cols)
-        self.E = np.zeros((len(self.cols), K))             # unit axes
+        self.E = np.zeros((len(self.cols), signals.K))     # unit axes
         points, digit, pairs = [], [], []
         for u in units:
-            at, cols = len(points), list(u.indices)
+            at, cols, w = len(points), list(u.indices), signals.weights[u]
             if isinstance(u, RealPoints):
                 self.E[at, cols] = 1.0
                 points.append(u.points)
-                digit.append(weight[u])
+                digit.append(w)
             elif isinstance(u, PairQAM):
                 pam = pam_points(qam_side(u.M))
                 c, s = np.cos(u.theta), np.sin(u.theta)
@@ -474,7 +444,7 @@ class _HardAll:
                 self.E[at, cols] = c, s
                 self.E[at + 1, cols] = -s, c
                 points += [pam, pam]
-                digit += [len(pam) * weight[u], weight[u]]
+                digit += [len(pam) * w, w]
             else:
                 raise PlanError("hard_all cannot limit a value block")
         self.E_cols = self.E[:, self.cols]
@@ -502,7 +472,7 @@ class _HardAll:
         x = self.points[self.axis, i].swapaxes(1, 2) @ self.E_cols
         m = (-2.0 * np.sum(B[..., self.cols] * x, axis=-1)
              + _quad(x, G[self.sub]))
-        return m, (i * self.digit).sum(axis=1), 1
+        return m, (i * self.digit).sum(axis=1)
 
 
 class _Cond:
@@ -511,18 +481,15 @@ class _Cond:
     h becomes row c * H + h, so the conditioning values are the leading
     candidate axis of the totals."""
 
-    def __init__(self, tables, children, hyps, K):
-        Vc, ccols, cidx = tables
-        self.Vc = None
-        if ccols.size:
-            self.Vc = np.zeros((len(Vc), K))
-            self.Vc[:, ccols] = Vc
+    def __init__(self, units, children, signals, hyps):
+        Vc, cidx = signals.table(units)
+        self.Vc = Vc if units else None   # no conditioning: nothing to fold
         self.cidx = cidx[:, None]                          # (n_c, 1)
         self.children = children
         n_c = len(cidx)
         self.count = n_c * sum(c.count for c in children)
         # Bd and the running totals stay live while the children decode
-        self.width = (hyps * n_c * (K + 4)
+        self.width = (hyps * n_c * (signals.K + 4)
                       + max(c.width for c in children))
 
     def decode(self, B, G):
@@ -535,16 +502,14 @@ class _Cond:
                        - 2.0 * (self.Vc @ B.swapaxes(1, 2)))   # (T, n_c, H)
             # every column is folded; each child reads only its own
             Bd = (B[:, None] - VG[:, :, None]).reshape(T, n_c * H, K)
-        count = 0
         for child in self.children:
-            cm, ci, cc = child.decode(Bd, G)
+            cm, ci = child.decode(Bd, G)
             cm = cm.reshape(T, n_c, H)
             total_m = cm if total_m is None else total_m + cm
             total_i = total_i + ci.reshape(T, n_c, H)
-            count += cc
         if n_c == 1:
-            return total_m[:, 0], total_i[:, 0], count
-        return _pick(total_m, total_i, 1) + (n_c * count,)
+            return total_m[:, 0], total_i[:, 0]
+        return _pick(total_m, total_i, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +572,8 @@ def _oracle(V, b, G):
 
 def _structured(stbc, b, G):
     """Plan decode of b: (T, K), G: (T, K, K); (indexes, metrics, count)."""
-    m, idx, count = stbc.compiled.decode(b[:, None, :], G)
-    return idx[:, 0], m[:, 0], count
+    m, idx = stbc.compiled.decode(b[:, None, :], G)
+    return idx[:, 0], m[:, 0], stbc.compiled.count
 
 
 def ml_oracle(Y, H, stbc):
@@ -655,6 +620,21 @@ class SimConfig:
         if len(self.snr_db) == 0 or not all(map(math.isfinite, self.snr_db)):
             raise ValueError("snr_db must be a non-empty list of finite "
                              "values, got %r" % (self.snr_db,))
+        for snr in self.snr_db:  # at unit energy per transmit antenna
+            _noise_std(1.0, 1, snr)
+
+
+def _noise_std(energy, n_tx, snr_db):
+    """Noise deviation at snr_db for average codeword energy `energy` over
+    n_tx transmit antennas; ValueError unless it is finite and positive."""
+    try:
+        sigma = np.sqrt(energy / (n_tx * 10 ** (snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr/10) out of range
+        sigma = 0.0
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("snr_db %.12g gives no finite positive noise "
+                         "deviation" % snr_db)
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -724,10 +704,11 @@ def _draw(stbc, cfg, sigma, snr_idx, trials):
     key = np.array(_words(cfg.seed) + _words(snr_idx) + [0], dtype=np.uint32)
     sent = np.empty(len(trials), dtype=np.int64)
     Z = np.empty((len(trials), 4, stbc.N, cfg.n_rx))
+    count = stbc.count
     for k, t in enumerate(trials):
         key[-1] = t
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
-        sent[k] = rng.integers(stbc.count)
+        sent[k] = rng.integers(count)
         rng.standard_normal(out=Z[k])
     X = np.tensordot(stbc.symbol_table[sent], stbc.matrices, axes=(1, 0))
     Y, H = _channel(X, Z, sigma)
@@ -744,11 +725,10 @@ def simulate(cfg, stbc):
         raise ValueError("instance has no decode plan")
     N = stbc.N
     es_avg = stbc.average_energy
+    sigmas = [_noise_std(es_avg, N, snr) for snr in cfg.snr_db]
     chunk = max(1, _CHUNK_BYTES // (8 * _trial_words(stbc, cfg)))
     errors = []
-    es = 0
-    for snr_idx, snr in enumerate(cfg.snr_db):
-        sigma = np.sqrt(es_avg / (N * 10 ** (snr / 10.0)))
+    for snr_idx, (snr, sigma) in enumerate(zip(cfg.snr_db, sigmas)):
         wrong = 0
         for t0 in range(0, cfg.trials, chunk):
             trials = range(t0, min(t0 + chunk, cfg.trials))
@@ -757,7 +737,7 @@ def simulate(cfg, stbc):
             if use_o:
                 got, m_o = _oracle(stbc.symbol_table, b, G)
             if use_s:
-                got_s, m_s, es = _structured(stbc, b, G)
+                got_s, m_s, _count = _structured(stbc, b, G)
             if use_o and use_s:
                 _check_agreement(snr, snr_idx, trials, got, m_o, got_s, m_s)
             elif use_s:
@@ -768,7 +748,8 @@ def simulate(cfg, stbc):
                      energy=es_avg, errors=tuple(errors),
                      agreements=(cfg.trials,) * len(cfg.snr_db),
                      oracle_evals=float(stbc.count if use_o else 0),
-                     structured_evals=float(es))
+                     structured_evals=float(stbc.compiled.count if use_s
+                                            else 0))
 
 
 def _check_agreement(snr, snr_idx, trials, got_o, m_o, got_s, m_s):

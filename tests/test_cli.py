@@ -132,6 +132,15 @@ def test_build_fd_silver_path(capsys):
     assert "predicted=M^1" in out
 
 
+@pytest.mark.parametrize("angles", ["auto", "0.5,0.5"])
+def test_build_fd_silver_rejects_angles(angles, capsys):
+    # the m = 1 Silver code has no rotation angles to search or set
+    code, out, err = run(capsys, "build-fd", "--m", "1", "--rate", "2",
+                         "--angles", angles)
+    assert code == 1 and not out
+    assert "--angles applies to m >= 2" in err
+
+
 def test_build_fd_rate1_no_prediction(capsys):
     code, out, _err = run(capsys, "build-fd", "--m", "2", "--rate", "1")
     assert code == 0
@@ -258,6 +267,23 @@ def test_verify_malformed_bundle_is_an_error(tmp_path, capsys):
     assert "INFEASIBLE" not in out
 
 
+@pytest.mark.parametrize("key", ["M", "rate", "angles"])
+def test_bundle_metadata_names_missing_key(key, tmp_path, capsys):
+    p = tmp_path / "fd.txt"
+    run(capsys, "build-fd", "--m", "2", "--rate", "5/4",
+        "--angles", ",".join(["0.5"] * 5), "--out", str(p))
+    lines = [ln for ln in p.read_text().splitlines()
+             if not ln.startswith("meta.%s=" % key)]
+    p.write_text("\n".join(lines) + "\n")
+    for argv in (("verify", "--in", str(p), "--suite", "diversity"),
+                 ("simulate", "--in", str(p), "--snr", "10",
+                  "--trials", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "error: bundle metadata is missing %s" % key in err
+        assert "INFEASIBLE" not in out
+
+
 def test_simulate_determinism(tmp_path, capsys):
     src = tmp_path / "ala.txt"
     run(capsys, "catalog", "show", "alamouti", "--out", str(src))
@@ -308,6 +334,11 @@ def test_simulate_missing_signal_set(tmp_path, capsys):
     ("seed", -1, ("--seed", "-1"), "seed must be non-negative, got -1"),
     ("trials", 2 ** 32 + 1, ("--trials", str(2 ** 32 + 1)),
      "trials must be at most 4294967296, got 4294967297"),
+    # 10^(snr/10) overflows, or underflows to 0: no usable noise level
+    ("snr_db", (4000.0,), ("--snr", "4000"),
+     "snr_db 4000 gives no finite positive noise deviation"),
+    ("snr_db", (10.0, -4000.0), ("--snr", "10,-4000"),
+     "snr_db -4000 gives no finite positive noise deviation"),
 ])
 def test_simulate_rejects_bad_config(tmp_path, capsys, field, value, flag,
                                      message):

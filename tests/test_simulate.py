@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import itertools
 import re
 import tracemalloc
 import weakref
@@ -88,6 +89,28 @@ def test_symbol_table_order():
     # first unit is the slowest digit
     assert np.allclose(T, [[-1, -2], [-1, 2], [1, -2], [1, 2]])
     assert sig.count == 4
+    assert list(sig.weights.values()) == [2, 1]
+    mixed = SignalSet(units=(PairQAM((0, 3), 4, 0.3),
+                             RealPoints(1, (-1.0, 0.5, 2.0)),
+                             PairQAM((2, 5), 16),
+                             RealPoints(4, (0.0, 1.0))))
+    assert list(mixed.weights.values()) == [96, 32, 2, 1]
+    # every subset of units, the empty one too, as used by the decoder's
+    # tables: its rows are the symbol-table rows at the returned indexes
+    # on the subset's reals and zero elsewhere, first unit slowest; those
+    # symbol-table rows hold the other units at their first value
+    for sig in (mixed, silver_stbc(4).signals):
+        T = sig.symbol_table()
+        for r in range(len(sig.units) + 1):
+            for units in itertools.combinations(sig.units, r):
+                V, idx = sig.table(units)
+                cols = [i for u in units for i in u.indices]
+                rest = [i for i in range(sig.K) if i not in cols]
+                assert V.shape == (np.prod([u.size for u in units]), sig.K)
+                assert np.all(np.diff(idx) > 0) and idx[0] == 0
+                assert V[:, cols].tobytes() == T[idx][:, cols].tobytes()
+                assert not V[:, rest].any()
+                assert (T[idx][:, rest] == T[0, rest]).all()
 
 
 def test_qam_signal_set_pairs_noncontiguous():
@@ -442,6 +465,15 @@ def test_simulate_high_snr_zero_errors():
     res = simulate(cfg, stbc)
     assert res.errors == (0,)
     assert res.cer(0) == 0.0
+
+
+def test_simulate_checks_noise_at_the_instance_energy():
+    # -3080 dB leaves unit energy per antenna a finite noise deviation,
+    # but not qod4's energy of 8 over 4 antennas
+    cfg = SimConfig(n_rx=2, snr_db=(10.0, -3080.0), trials=3, seed=1)
+    with pytest.raises(ValueError, match="snr_db -3080 gives no finite "
+                                         "positive noise deviation"):
+        simulate(cfg, qod4_stbc(Q=2))
 
 
 def test_simulate_disagreement_names_the_case(monkeypatch):
