@@ -17,7 +17,7 @@ import numpy as np
 from .constructions import catalog, SILVER_U
 from .design import (Design, LinearDesign, Leaf, Cond, JOINT, HARD_LAST,
                      HARD_ALL, finest_partition, to_linear_design)
-from .diversity import rotation_search, check_class_cap, difference_classes
+from .diversity import rotation_search, check_class_cap, group_classes
 from .fdfgd import family_pairs, family_plan
 from .signalset import (SignalSet, PairQAM, RealPoints, BlockValues,
                         pam_points, qam_side, qam_signal_set)
@@ -118,17 +118,19 @@ def assemble_stbc(fd, angles, M):
 
     angles: one theta per pair (in family_pairs order), or "auto" to run
     the rotation search pair by pair, each against the units of the pairs
-    searched before it.  "auto" first checks the finished code's
-    difference classes against DIFF_CAP and raises DiversityCapError
-    when its certification would be refused, before any search.
+    searched before it.  "auto" first checks the class count of each
+    HR-orthogonal group of the finished code against DIFF_CAP and raises
+    DiversityCapError when its certification would be refused, before
+    any search.
     """
     pairs = family_pairs(fd)
     linear = to_linear_design(fd.design())
     if isinstance(angles, str) and angles == "auto":
-        check_class_cap(difference_classes(qam_signal_set(pairs, M)))
+        A = linear.matrices()
+        for n in group_classes(A, qam_signal_set(pairs, M)):
+            check_class_cap(n)
         # angle per pair against the code built so far, so the final
         # code is full diversity, not just each pair in isolation
-        A = linear.matrices()
         units, thetas = [], []
         for pair in pairs:
             thetas.append(rotation_search(A, units, pair, M, 720))

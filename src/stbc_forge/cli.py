@@ -17,7 +17,8 @@ from .design import (Design, rate, finest_partition, validate_partition,
                      plan_complexity, to_linear_design)
 from .diversity import (generator_matrix, cubic_shaping_check,
                         full_diversity_check, difference_classes,
-                        DiversityCapError, DET_TOL)
+                        group_classes, DiversityCapError,
+                        DiversityFloorError, DET_TOL)
 from .pauli import anticommute_parity, hr_orthogonal_numeric, phi_inv
 from .signalset import qam_side
 from .simulate import SimConfig, simulate
@@ -156,6 +157,9 @@ def cmd_build_fd(args):
         if args.angles:
             raise ValueError("--angles applies to m >= 2; the m = 1 Silver "
                              "code has no rotation angles")
+        if args.xi2 is not None:
+            raise ValueError("--xi2 applies to m >= 2; the m = 1 Silver "
+                             "code has no xi2 coordinate")
         stbc = bundles.silver_stbc(args.M, R)
         print("predicted=%s" % fdfgd.predicted_complexity(m, R))
         meta = {"family": "silver-punctured", "rate": str(R),
@@ -163,7 +167,8 @@ def cmd_build_fd(args):
         d = Design(1, tuple(e.vector for e in stbc.linear.entries))
         text = format_design(d, meta=meta)
     else:
-        fd = fdfgd.family(m, R, xi2=W2 if args.xi2 == "w2" else I)
+        xi2 = args.xi2 or "w2"
+        fd = fdfgd.family(m, R, xi2=W2 if xi2 == "w2" else I)
         if R > 1:
             print("predicted=%s" % fdfgd.predicted_complexity(m, R))
         if args.angles == "auto":
@@ -176,7 +181,7 @@ def cmd_build_fd(args):
             thetas = [0.0] * (fd.K // 2)
             stbc = bundles.assemble_stbc(fd, thetas, args.M)
         print("plan=%s" % plan_complexity(stbc.plan))
-        meta = {"family": "fgd-family", "rate": str(R), "xi2": args.xi2,
+        meta = {"family": "fgd-family", "rate": str(R), "xi2": xi2,
                 "M": str(args.M),
                 "angles": ",".join("%.12f" % t for t in thetas)}
         text = format_design(fd.design(), meta=meta,
@@ -257,13 +262,14 @@ def cmd_verify(args):
                 continue
             try:
                 mn = full_diversity_check(stbc)
-            except DiversityCapError as exc:
+            except (DiversityCapError, DiversityFloorError) as exc:
                 print("diversity: INFEASIBLE (%s)" % exc)
                 infeasible = True
                 continue
             ok = mn > DET_TOL
-            note = " min_det=%.6g classes=%d" % (
-                mn, difference_classes(stbc.signals))
+            note = " min_det=%.6g classes=%d checked=%d" % (
+                mn, difference_classes(stbc.signals),
+                sum(group_classes(stbc.matrices, stbc.signals)))
         print("%s: %s%s" % (suite, "PASS" if ok else "FAIL", note))
         failed = failed or not ok
     return 1 if failed else (INFEASIBLE if infeasible else 0)
@@ -310,7 +316,8 @@ def build_parser():
     c = sub.add_parser("build-fd", help="build a family design / bundle")
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--rate", required=True)
-    c.add_argument("--xi2", choices=["1", "w2"], default="w2")
+    c.add_argument("--xi2", choices=["1", "w2"],
+                   help="xi2 coordinate of the family (default w2); m >= 2")
     c.add_argument("--angles", default="")
     c.add_argument("--M", type=int, default=4)
     c.add_argument("--out")

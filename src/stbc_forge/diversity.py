@@ -13,24 +13,48 @@ per-unit difference sets, and |det| is the same for D and -D.  One
 enumerator over (weight matrices, units) yields a representative of
 each +- class of distinct differences, (prod_u |D_u| - 1) / 2 of them,
 in blocks summed in the codebook order by signalset.product_sums.
-Their count, known from the per-unit counts before anything is
-allocated, is the single cap (DIFF_CAP) of certification, `verify`,
-constellation growth and the rotation search.
+
+Certification works one HR-orthogonal group at a time.  The units split
+into groups whose weight matrices are pairwise HR-orthogonal across
+groups (A_i^H A_j + A_j^H A_i = 0, checked numerically; for family codes
+these are design.finest_partition's groups).  A difference D = sum_g D_g
+with parts in such groups has D^H D = sum_g D_g^H D_g, and Minkowski's
+determinant inequality gives |det D|^{2/N} >= sum_g |det D_g|^{2/N}.
+So the minimum |det| over the code is the smallest of the groups'
+minima, attained by a difference inside one group, and certification
+takes sum_g classes(g) determinants instead of their product.  The
+single cap DIFF_CAP applies to each group's class count, checked from
+the per-unit counts before any class is allocated; it governs
+certification, `verify`, the rotation search and the finished code of
+an auto-angle build.  Constellation growth bounds the whole grown code
+by q(q-1)+1 differences per q-point real before it starts.
+
+A minimum is compared with DET_TOL, absolute, at N <= 4.  At N >= 8 a
+computed determinant's LU backward error grows like N eps ||D||_2^N, so
+a group's minimum also has to clear the floor N eps beta^N, where
+beta = sum_k max|dx_k| ||A_k||_2 over the group's reals bounds ||D||_2
+(||A_k||_2 = 1 for family codes).  A group at or below its floor raises
+DiversityFloorError: its minimum certifies neither way, and `verify`
+reports the suite infeasible.  m=3 R=1 (floor ~1e-9, minimum 0.037)
+certifies; m=4 R=1 (floors of order 1 against minima near 1e-6) does
+not.
 
 Rotating each QAM pair by a suitable angle achieves full diversity when
 the pair matrices combine to a full-rank matrix.  The prior code is
-given as units; for each of its classes D (and zero) and each QAM
-difference w, det(D + e^{it} w B+ + e^{-it} w* B-) is a Laurent
-polynomial of degree <= N in e^{it}: 2N+1 samples and one FFT give its
-coefficients exactly, and one matrix product evaluates it on
-the whole angle grid.  The square-QAM difference set is invariant under
-multiplication by i, so the minimum |det| has period pi/2 and only grid
-angles in (0, pi/2] are evaluated.  The search returns the smallest grid
-angle whose minimum |det| is within a relative TIE_RTOL of the best,
-re-certified by direct determinants, and refines the grid when no angle
-clears DET_TOL.  Arbitrary per-real point sets achieving full diversity
-are grown greedily, accepting each sampled point only if the enlarged
-code still passes the exhaustive check.
+given as units.  Only the prior units in the pair's own group combine
+with it; every other group enters through the prior's minimum.  For
+each class D of the own-group prior (and zero) and each QAM difference
+w, det(D + e^{it} w B+ + e^{-it} w* B-) is a Laurent polynomial of
+degree <= N in e^{it}: 2N+1 samples and one FFT give its coefficients
+exactly, and one matrix product evaluates it on the whole angle grid.
+The square-QAM difference set is invariant under multiplication by i,
+so the minimum |det| has period pi/2 and only grid angles in (0, pi/2]
+are evaluated.  The search returns the smallest grid angle whose
+minimum |det| is within a relative TIE_RTOL of the best, re-certified
+by direct determinants, and refines the grid when no angle clears
+DET_TOL.  Arbitrary per-real point sets achieving full diversity are
+grown greedily, accepting each sampled point only if the enlarged code
+still passes the exhaustive check.
 """
 
 import itertools
@@ -38,6 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pauli import hr_orthogonal_table
 from .signalset import pam_points, product_sums, qam_side
 
 DET_TOL = 1e-8
@@ -50,7 +75,12 @@ _BLOCK = 2 ** 20
 
 
 class DiversityCapError(ValueError):
-    """The difference set has more than DIFF_CAP +- classes."""
+    """A group's difference set has more than DIFF_CAP +- classes."""
+
+
+class DiversityFloorError(ValueError):
+    """At N >= 8, a group's min |det| does not clear its LU error floor,
+    so the computed value can certify neither way."""
 
 
 @dataclass(frozen=True)
@@ -143,9 +173,13 @@ def _class_blocks(A, units, rows=None):
     code sum_k x_k A_k, x drawn from the product of (indices, values)
     units, as (n, N, N) stacks of at most max(rows, last unit's difference
     count) matrices, 16 MiB by default.  The class count is checked
-    against DIFF_CAP before any class is allocated."""
+    against DIFF_CAP on the call, before any class is allocated."""
     diffs = [_unit_differences(V) for _idx, V in units]
     check_class_cap(_class_count(diffs))
+    return _blocks(A, units, diffs, rows)
+
+
+def _blocks(A, units, diffs, rows):
     N = A.shape[-1]
     mats = [(d @ A[list(idx)].reshape(len(idx), -1)).reshape(-1, N, N)
             for (idx, _V), (d, _pick) in zip(units, diffs)]
@@ -155,12 +189,61 @@ def _class_blocks(A, units, rows=None):
             yield from product_sums([mats[p][pick]] + mats[p + 1:], rows)
 
 
+def _unit_groups(A, indices):
+    """Positions of the units owning the given index tuples, split into
+    mutually HR-orthogonal groups: the connected components of units
+    joined by a pair of weight matrices that is not HR-orthogonal.  Each
+    group is ascending; groups are ordered by their first unit."""
+    if not indices:
+        return []
+    U = np.zeros((len(indices), len(A)), np.int64)
+    for u, idx in enumerate(indices):
+        U[u, list(idx)] = 1
+    reach = U @ ~hr_orthogonal_table(A) @ U.T > 0
+    for _ in range(len(indices).bit_length()):
+        reach = reach.astype(np.int64) @ reach > 0
+    first = reach.argmax(axis=1)
+    return [np.flatnonzero(first == f) for f in np.unique(first)]
+
+
+def _groups(A, units):
+    """The (indices, values) units in their HR-orthogonal groups."""
+    return [[units[u] for u in g]
+            for g in _unit_groups(A, [idx for idx, _V in units])]
+
+
+def _check_floor(A, units, mn):
+    """At N >= 8 a group's minimum certifies only above the LU
+    backward-error floor N eps beta^N, beta = sum_k max|dx_k| ||A_k||_2
+    over the group's reals, a bound on ||D||_2 and so on |det D|^{1/N};
+    raises DiversityFloorError at or below it.  N <= 4 keeps DET_TOL
+    alone."""
+    N = A.shape[-1]
+    if N < 8:
+        return
+    idx = [i for ix, _V in units for i in ix]
+    spread = np.concatenate([np.ptp(V, axis=0) for _ix, V in units])
+    beta = float(spread @ np.linalg.norm(A[idx], ord=2, axis=(1, 2)))
+    floor = N * np.finfo(float).eps * beta ** N
+    if mn <= floor:
+        raise DiversityFloorError(
+            "min |det| %.3g of a group of %d reals does not clear its LU "
+            "error floor %.3g at N=%d" % (mn, len(idx), floor, N))
+
+
 def _min_abs_det_product(A, units):
     """Exact min |det| over the nonzero differences of the code; inf for
-    a single codeword."""
+    a single codeword.  By Minkowski's inequality it is the smallest of
+    the HR-orthogonal groups' minima; every group's class count is
+    checked against DIFF_CAP before any class is allocated."""
+    parts = _groups(A, units)
+    blocks = [_class_blocks(A, part) for part in parts]
     best = np.inf
-    for block in _class_blocks(A, units):
-        best = min(best, float(np.abs(_det_batch(block)).min()))
+    for part, group in zip(parts, blocks):
+        mn = min((float(np.abs(_det_batch(b)).min()) for b in group),
+                 default=np.inf)
+        _check_floor(A, part, mn)
+        best = min(best, mn)
     return best
 
 
@@ -170,12 +253,23 @@ def difference_classes(signals):
                          for u in signals.units])
 
 
+def group_classes(A, signals):
+    """+- class count of each HR-orthogonal group of the code over the
+    signal set with weight matrices A; their sum is the number of
+    determinants full_diversity_check takes."""
+    units = [(u.indices, u.values()) for u in signals.units]
+    return [_class_count([_unit_differences(V) for _idx, V in part])
+            for part in _groups(A, units)]
+
+
 def full_diversity_check(stbc):
     """Minimum |det| over all nonzero codeword differences.
 
-    Takes one determinant per +- class of distinct differences, built
-    from the units' value differences; raises DiversityCapError, before
-    allocating any class, when there are more than DIFF_CAP.
+    Takes one determinant per +- class of distinct differences inside
+    each HR-orthogonal group, built from the units' value differences;
+    raises DiversityCapError, before allocating any class, when a group
+    has more than DIFF_CAP, and DiversityFloorError when at N >= 8 a
+    group's minimum does not clear its LU error floor.
     """
     units = [(u.indices, u.values()) for u in stbc.signals.units]
     return _min_abs_det_product(stbc.matrices, units)
@@ -245,13 +339,17 @@ def rotation_search(A, units, pair, M, grid_size=720):
     The prior is the code over the (indices, values) units, the zero
     codeword when there are none; pair = (i_I, i_Q) names the weight
     matrices of the rotated M-QAM symbol.  Maximizes the minimum |det|
-    over the extended code's differences (zero or a prior class from the
-    certification enumerator, in blocks and under DIFF_CAP, plus a QAM
-    difference) on the grid theta_k = 2 pi k / grid_size, evaluated on
-    (0, pi/2] only when grid_size is divisible by 4.  Returns the
-    smallest grid angle within a relative TIE_RTOL of the best minimum
-    once direct determinants there clear DET_TOL; otherwise refines the
-    grid 4x, up to three times, before giving up.
+    over the extended code's differences on the grid
+    theta_k = 2 pi k / grid_size, evaluated on (0, pi/2] only when
+    grid_size is divisible by 4: min(c, own(theta)), where c is the
+    prior's minimum and own(theta) the minimum over zero or a class of
+    the prior units in the pair's HR-orthogonal group (from the
+    certification enumerator, in blocks and under DIFF_CAP) plus a QAM
+    difference.  By Minkowski's inequality a difference with a part in
+    another group is no smaller than that part, so c covers it.
+    Returns the smallest grid angle within a relative TIE_RTOL of the
+    best minimum once direct determinants there clear DET_TOL; otherwise
+    refines the grid 4x, up to three times, before giving up.
     """
     A = np.asarray(A, complex)
     A1, A2 = A[pair[0]], A[pair[1]]
@@ -259,6 +357,10 @@ def rotation_search(A, units, pair, M, grid_size=720):
     if sv[-1] <= DET_TOL:
         raise ValueError("A1 + i*A2 is rank deficient; no angle can work")
     base_min = best_min = _min_abs_det_product(A, units)
+    # the prior units in the pair's group: the one ending in the pair
+    groups = _unit_groups(A, [idx for idx, _V in units] + [pair])
+    own = next(g for g in groups if g[-1] == len(units))[:-1]
+    own = [units[u] for u in own]
     w = _qam_diffs(M)
     # half of A1 -+ i A2: x_I A1 + x_Q A2 = z*Bp + conj(z)*Bm
     Bp = (A1 - 1j * A2) / 2.0
@@ -268,7 +370,7 @@ def rotation_search(A, units, pair, M, grid_size=720):
 
     def prior():
         return itertools.chain([np.zeros((1, N, N), complex)],
-                               _class_blocks(A, units, rows))
+                               _class_blocks(A, own, rows))
 
     # a prior that is not full diversity cannot be rescued by any angle
     for _ in range(4 if base_min > DET_TOL else 0):

@@ -132,6 +132,14 @@ def hr_orthogonal_numeric(A, B, tol=TOL):
     return np.linalg.norm(A.conj().T @ B + B.conj().T @ A) < tol
 
 
+def hr_orthogonal_table(A, tol=TOL):
+    """(K, K) bool table of a (K, N, N) stack: entry (i, j) is True when
+    A_i^H A_j + A_j^H A_i vanishes (an HR-orthogonal pair)."""
+    A = np.asarray(A, dtype=complex)
+    P = np.einsum("iab,jac->ijbc", A.conj(), A)
+    return np.linalg.norm(P + P.transpose(1, 0, 2, 3), axis=(2, 3)) < tol
+
+
 def trace_inner(A, B):
     """Re Tr(A^H B); equals 2^m * 1{A == B} on realizations."""
     if A.shape != B.shape:

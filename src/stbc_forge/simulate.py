@@ -76,6 +76,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .pauli import hr_orthogonal_table
 from .design import (Leaf, JOINT, HARD_LAST, HARD_ALL, check_plan,
                      plan_indices)
 from .signalset import PairQAM, RealPoints, BlockValues, pam_points, qam_side
@@ -170,10 +171,7 @@ def _compile(stbc):
     compiling leaves no reference cycle that would keep a dropped
     instance and its cached tables alive until the cyclic collector runs.
     """
-    A = stbc.matrices
-    # orth[i, j]: A_i^H A_j + A_j^H A_i vanishes (HR-orthogonal pair)
-    P = np.einsum("iab,jac->ijbc", A.conj(), A)
-    orth = np.linalg.norm(P + P.transpose(1, 0, 2, 3), axis=(2, 3)) < 1e-9
+    orth = hr_orthogonal_table(stbc.matrices)
     return _compile_node(stbc.plan, 1, stbc.signals, orth)
 
 

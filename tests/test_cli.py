@@ -150,10 +150,15 @@ def test_build_fd_rate1_no_prediction(capsys):
 
 def test_build_fd_auto_angles_pinned(tmp_path, capsys):
     # smallest of the tied grid angles: 3pi/40 on every pair, at R = 5/4
-    # pi/5 on the last
+    # pi/5 on the last, at R = 3/2 pi/5 and 23pi/90 on the last two;
+    # checked= counts the determinants of the HR-orthogonal groups
     cases = (("5/4", ["0.235619449019"] * 4 + ["0.628318530718"],
-              "min_det=0.0840693 classes=29524"),
-             ("1", ["0.235619449019"] * 4, "min_det=0.793893 classes=3280"))
+              "min_det=0.0840693 classes=29524 checked=3284"),
+             ("1", ["0.235619449019"] * 4,
+              "min_det=0.793893 classes=3280 checked=16"),
+             ("3/2", ["0.235619449019"] * 4 + ["0.628318530718",
+                                               "0.401425727959"],
+              "min_det=0.0385526 classes=265720 checked=265720"))
     for rate, angles, certified in cases:
         p = tmp_path / "fd.txt"
         code, _out, _err = run(capsys, "build-fd", "--m", "2", "--rate",
@@ -169,10 +174,11 @@ def test_build_fd_auto_angles_pinned(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("m,rate,classes", [
-    ("2", "2", 21523360), ("3", "5/4", 1743392200)])
+    ("2", "2", 21523360), ("3", "5/4", 21523360)])
 def test_build_fd_auto_refused_over_the_cap(m, rate, classes, capsys,
                                             monkeypatch):
-    # the finished code could never be certified, so no pair is searched
+    # the finished code could never be certified, so no pair is searched:
+    # m=2 R=2 is one group, m=3 R=5/4 has groups of 40 and 21523360 classes
     def no_search(*_args):
         raise AssertionError("rotation search ran above the cap")
     monkeypatch.setattr("stbc_forge.bundles.rotation_search", no_search)
@@ -181,6 +187,51 @@ def test_build_fd_auto_refused_over_the_cap(m, rate, classes, capsys,
     assert code == 1
     assert ("%d difference classes exceed the cap of 10000000" % classes
             in err)
+
+
+def test_build_fd_auto_m3_rate1_certifies(tmp_path, capsys):
+    # 21523360 classes in all, but four groups of 40: under the cap
+    p = tmp_path / "m3.txt"
+    code, _out, _err = run(capsys, "build-fd", "--m", "3", "--rate", "1",
+                           "--angles", "auto", "--out", str(p))
+    assert code == 0
+    code, out, _err = run(capsys, "verify", "--in", str(p))
+    assert code == 0
+    assert ("diversity: PASS min_det=0.036929 classes=21523360 checked=160"
+            in out)
+
+
+def test_verify_n16_under_the_error_floor_infeasible(tmp_path, capsys):
+    # N = 16: a group's computed |det|s are not trusted below
+    # 16 eps beta^16, far above any minimum of m=4 R=1
+    p = tmp_path / "m4.txt"
+    code, _out, _err = run(capsys, "build-fd", "--m", "4", "--rate", "1",
+                           "--angles", ",".join(["0.5"] * 16),
+                           "--out", str(p))
+    assert code == 0
+    code, out, _err = run(capsys, "verify", "--in", str(p),
+                          "--suite", "diversity")
+    assert code == INFEASIBLE
+    assert "diversity: INFEASIBLE (min |det| " in out
+    assert "does not clear its LU error floor" in out and "N=16)" in out
+
+
+def test_build_fd_xi2_only_for_families(capsys):
+    # the m = 1 Silver code has no xi2 coordinate to set
+    code, out, err = run(capsys, "build-fd", "--m", "1", "--rate", "2",
+                         "--xi2", "1")
+    assert code == 1 and not out
+    assert "--xi2 applies to m >= 2" in err
+    texts = []
+    for xi2 in ((), ("--xi2", "w2")):
+        code, out, _err = run(capsys, "build-fd", "--m", "2", "--rate", "1",
+                              *xi2)
+        assert code == 0 and "meta.xi2=w2" in out
+        texts.append(out)
+    assert texts[0] == texts[1]
+    code, out, _err = run(capsys, "build-fd", "--m", "2", "--rate", "1",
+                          "--xi2", "1")
+    assert code == 0 and "meta.xi2=1" in out
 
 
 def test_verify_diversity_cap_infeasible(tmp_path, capsys):

@@ -6,23 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stbc_forge.design import LinearDesign, LDEntry, to_linear_design
+from stbc_forge.design import (LinearDesign, LDEntry, to_linear_design,
+                               finest_partition)
 from stbc_forge.constructions import catalog, construct_A
 from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   rotation_search, full_diversity_check,
                                   grow_constellation, grow_with_pam_prefix,
-                                  difference_classes, DiversityCapError,
+                                  difference_classes, group_classes,
+                                  DiversityCapError, DiversityFloorError,
                                   DET_TOL, DIFF_CAP, TIE_RTOL,
                                   _class_blocks, _qam_diffs, _grid_min,
                                   _laurent_coefficients, _pair_dets,
-                                  _min_abs_det_product)
-from stbc_forge.fdfgd import build_base, puncture, extend, family_pairs
+                                  _min_abs_det_product, _det_batch,
+                                  _unit_groups)
+from stbc_forge.fdfgd import (build_base, puncture, extend, family,
+                              family_pairs)
 from stbc_forge.pauli import phi_inv
 from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
                                   BlockValues, PairQAM)
 from stbc_forge.simulate import STBCInstance
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
-                                silver_stbc)
+                                silver_stbc, group_stbc)
 
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -208,13 +212,14 @@ def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
 
 
 def test_rotation_search_prior_under_the_cap(monkeypatch):
-    # two family pairs have (9^2 - 1) / 2 = 40 classes
+    # pairs 1 and 2 are HR-orthogonal, but the last pair joins them into
+    # one group, so its search reads their (9^2 - 1) / 2 = 40 classes
     fd = build_base(2)
     A, pairs = _family_matrices(fd), family_pairs(fd)
-    units = [_pair_unit(p, 4, 0.5) for p in pairs[:2]]
+    units = [_pair_unit(p, 4, 0.5) for p in pairs[1:3]]
     monkeypatch.setattr("stbc_forge.diversity.DIFF_CAP", 39)
     with pytest.raises(DiversityCapError, match="40 difference classes"):
-        rotation_search(A, units, pairs[2], 4)
+        rotation_search(A, units, pairs[4], 4)
 
 
 def _class_keys(D):
@@ -317,6 +322,100 @@ def test_full_diversity_equals_pairwise(make):
     sizes = [len({tuple(np.round(a - b, 9)) for a in u.values()
                   for b in u.values()}) for u in stbc.signals.units]
     assert difference_classes(stbc.signals) == (np.prod(sizes) - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# certification one HR-orthogonal group at a time
+
+def _whole_min(A, units):
+    """min |det| over the classes of the whole product, the reference."""
+    return min((float(np.abs(_det_batch(b)).min())
+                for b in _class_blocks(A, units)), default=np.inf)
+
+
+def _units(stbc):
+    return [(u.indices, u.values()) for u in stbc.signals.units]
+
+
+def _family_auto(R):
+    """Family m=2 bundle at its auto angles: 2 pi k / 720 per pair."""
+    k = {Fraction(1): (27,) * 4, Fraction(5, 4): (27,) * 4 + (72,),
+         Fraction(3, 2): (27,) * 4 + (72, 46)}[Fraction(R)]
+    return assemble_stbc(family(2, R), [2 * np.pi * x / 720 for x in k], 4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: alamouti_stbc(4), qod4_stbc, lambda: silver_stbc(4),
+    lambda: group_stbc(catalog("ggroup", g=2, a=1)),
+    lambda: _family_auto(1), lambda: _family_auto(Fraction(5, 4)),
+    lambda: _family_auto(Fraction(3, 2)),
+], ids=["alamouti4", "qod4", "silver", "ggroup21", "family-r1",
+        "family-r5_4", "family-r3_2"])
+def test_grouped_min_equals_whole_product(make):
+    # Minkowski: the minimum is a single group's, and a group's classes
+    # sum the same unit differences as the whole product's, bit for bit
+    stbc = make()
+    assert full_diversity_check(stbc) == \
+        _whole_min(stbc.matrices, _units(stbc))
+
+
+def test_group_classes_of_the_family():
+    # 4-QAM pairs: (9^n - 1) / 2 classes for a group of n pairs
+    counts = {Fraction(1): [4] * 4, Fraction(5, 4): [4, 3280],
+              Fraction(3, 2): [265720]}
+    for R, want in counts.items():
+        stbc = _family_auto(R)
+        assert group_classes(stbc.matrices, stbc.signals) == want
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_unit_groups_are_the_finest_partition(m):
+    for k in range(4, 4 * 2 ** m + 1):
+        R = Fraction(k, 2 ** (m + 1))
+        try:
+            fd = family(m, R)
+        except ValueError:  # not a rate of the family
+            continue
+        pairs = family_pairs(fd)
+        groups = _unit_groups(_family_matrices(fd), pairs)
+        got = {tuple(i for u in g for i in pairs[u]) for g in groups}
+        assert got == set(finest_partition(fd.design()).groups), R
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_growth_matches_the_whole_product(seed, monkeypatch):
+    ala = to_linear_design(catalog("alamouti").design)
+    entry = catalog("ggroup", g=2, a=1)
+    e = entry.linear.entries
+    gg = LinearDesign(m=entry.design.m, entries=(e[0], e[2], e[1], e[3]))
+    pam = pam_points(2)
+
+    def grow():
+        return (grow_constellation(ala, (2, 2, 2, 2), seed=seed),
+                grow_with_pam_prefix(gg, 2, (pam, pam), seed=seed))
+    got = grow()
+    monkeypatch.setattr("stbc_forge.diversity._min_abs_det_product",
+                        _whole_min)
+    assert got == grow()
+
+
+def test_floor_refuses_a_group_under_the_lu_error():
+    # one unrotated 4-QAM pair has a singular difference, |det| 0: at
+    # N = 4 that is a failing minimum, at N = 8 it does not clear the
+    # floor 8 eps beta^8 (beta = 2: spread 1 per real, unit norms);
+    # rotated by 3 pi / 40 the pair certifies at both sizes
+    for m, want in ((2, 0.7938926261466158), (3, 0.6302655018499703)):
+        fd = family(m, 1)
+        A, pair = _family_matrices(fd), family_pairs(fd)[0]
+        rotated = [_pair_unit(pair, 4, 2 * np.pi * 27 / 720)]
+        assert _min_abs_det_product(A, rotated) == pytest.approx(want)
+        unrotated = [_pair_unit(pair, 4, 0.0)]
+        if m == 2:
+            assert _min_abs_det_product(A, unrotated) == 0.0
+        else:
+            with pytest.raises(DiversityFloorError,
+                               match="floor 4.55e-13 at N=8"):
+                _min_abs_det_product(A, unrotated)
 
 
 def test_full_diversity_repeated_codeword_is_zero():
