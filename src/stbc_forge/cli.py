@@ -355,7 +355,7 @@ def main(argv=None):
         return 2
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

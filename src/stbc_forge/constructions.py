@@ -21,8 +21,8 @@ import numpy as np
 
 from .f4 import (O, I, W, W2, F4Vec, weight, f4_pow_w, zero, delta,
                  enumerate_all)
-from .design import (Design, LinearDesign, LDEntry, finest_partition,
-                     validate_partition, to_linear_design)
+from .design import (Design, LinearDesign, LDEntry, _even_table,
+                     finest_partition, validate_partition, to_linear_design)
 from .pauli import I2, X, Z, ZX, phi_signed
 
 
@@ -39,13 +39,13 @@ def _groups_of(d):
 
 
 def _intra_even_check(d, groups):
+    even = _even_table(d)
     for grp in groups:
-        for a in range(len(grp)):
-            for b in range(a + 1, len(grp)):
-                i, j = grp[a], grp[b]
-                if weight(d.vectors[i] + d.vectors[j]) % 2 == 1:
-                    raise ValueError(
-                        "intra-group pair (%d,%d) sums to odd weight" % (i, j))
+        odd = np.triu(~even[np.ix_(grp, grp)], 1)
+        if odd.any():
+            a, b = divmod(int(odd.argmax()), len(grp))
+            raise ValueError("intra-group pair (%d,%d) sums to odd weight"
+                             % (grp[a], grp[b]))
 
 
 def _append(y, xi):

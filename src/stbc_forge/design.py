@@ -6,6 +6,18 @@ groups exactly when their vectors sum to odd weight, so the finest valid
 decoding partition is the set of connected components of the graph with
 an edge between vectors summing to even weight.
 
+That parity is a bilinear form on the packed codes of f4: writing hi and
+lo for the two bits of each coordinate,
+
+    wt(a + b) = wt(a) + wt(b) + <a, b>  (mod 2),
+    <a, b>    = sum_k hi_k(a) lo_k(b) + lo_k(a) hi_k(b),
+
+where <a, b> is the symplectic (trace) form of GF(4) codes (Calderbank,
+Rains, Shor and Sloane, 1998).  So the parity of all K^2 pairs is one
+small matrix product, and partition search and validation read that
+table.  components() finds the connected components of any boolean
+adjacency table; diversity groups weight matrices with it as well.
+
 A DecodePlan is a tree: Cond nodes enumerate a conditioning set of
 symbols and decode their children independently for each hypothesis
 (fast decoding); Leaf nodes scan candidates directly.  Leaf kinds:
@@ -25,7 +37,7 @@ from math import isqrt
 
 import numpy as np
 
-from .f4 import F4Vec, weight
+from .f4 import F4Vec, code
 from .pauli import phi_inv
 
 
@@ -69,50 +81,64 @@ class PartitionReport:
         return len(self.groups)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _even_table(d):
+    """(K, K) bool table: vectors i and j sum to even weight, by the
+    bilinear form above (one float32 product, exact: entries are <= 2m)."""
+    m = d.m
+    c = np.array([code(v) for v in d.vectors], np.int64)
+    digits = c[:, None] >> 2 * np.arange(m - 1, -1, -1) & 3
+    hi, lo = (digits >> 1).astype(np.float32), (digits & 1).astype(np.float32)
+    odd = ((c >> 2 * m) + np.count_nonzero(digits, axis=1) & 1).astype(np.uint8)
+    form = (np.hstack([hi, lo]) @ np.hstack([lo, hi]).T).astype(np.uint8)
+    return (odd[:, None] ^ odd[None, :] ^ form) & 1 == 0
 
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
 
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+def components(adj):
+    """Connected components of the undirected graph with (n, n) bool
+    adjacency adj, as an (n,) label array: each vertex is labelled with the
+    smallest vertex of its component.
+
+    Min-label propagation with hooking (a vertex's old label also takes
+    its new label) and pointer jumping.  A label is always a vertex of the
+    same component and never grows, so the labels settle on each
+    component's smallest vertex."""
+    adj = np.asarray(adj, bool)
+    n = len(adj)
+    label = np.arange(n)
+    while True:
+        new = np.minimum(label, np.where(adj, label, n).min(axis=1, initial=n))
+        np.minimum.at(new, label, new)
+        while True:
+            hop = new[new]
+            if (hop == new).all():
+                break
+            new = hop
+        if (new == label).all():
+            return label
+        label = new
 
 
 def finest_partition(d):
     """Connected components over even-sum pairs; always a valid partition."""
-    K = d.K
-    uf = _UnionFind(K)
-    for i in range(K):
-        for j in range(i + 1, K):
-            if weight(d.vectors[i] + d.vectors[j]) % 2 == 0:
-                uf.union(i, j)
-    comps = {}
-    for i in range(K):
-        comps.setdefault(uf.find(i), []).append(i)
-    groups = tuple(tuple(comps[r]) for r in sorted(comps))
+    label = components(_even_table(d))
+    groups = tuple(tuple(np.flatnonzero(label == r).tolist())
+                   for r in np.flatnonzero(label == np.arange(d.K)))
     return PartitionReport(groups=groups, valid=True)
 
 
 def validate_partition(d, partition):
-    """Valid iff every cross-group pair sums to odd weight."""
+    """Valid iff every cross-group pair sums to odd weight; the witness of
+    an invalid partition is its first even cross pair (i < j) in row-major
+    order."""
     partition = tuple(tuple(g) for g in partition)
     _check_cover(partition, d.K)
-    group_of = {}
+    group_of = np.empty(d.K, np.intp)
     for gi, grp in enumerate(partition):
-        for i in grp:
-            group_of[i] = gi
-    for i in range(d.K):
-        for j in range(i + 1, d.K):
-            if group_of[i] != group_of[j]:
-                if weight(d.vectors[i] + d.vectors[j]) % 2 == 0:
-                    return PartitionReport(partition, False, witness=(i, j))
+        group_of[list(grp)] = gi
+    bad = np.triu(_even_table(d) & (group_of[:, None] != group_of), 1)
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), d.K)
+        return PartitionReport(partition, False, witness=(i, j))
     return PartitionReport(partition, True)
 
 

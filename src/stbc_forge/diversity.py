@@ -26,8 +26,8 @@ takes sum_g classes(g) determinants instead of their product.  The
 single cap DIFF_CAP applies to each group's class count, checked from
 the per-unit counts before any class is allocated; it governs
 certification, `verify`, the rotation search and the finished code of
-an auto-angle build.  Constellation growth bounds the whole grown code
-by q(q-1)+1 differences per q-point real before it starts.
+an auto-angle build.  Constellation growth bounds each group of the
+grown code by q(q-1)+1 differences per q-point real before it starts.
 
 A minimum is compared with DET_TOL, absolute, at N <= 4.  At N >= 8 a
 computed determinant's LU backward error grows like N eps ||D||_2^N, so
@@ -62,6 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import components
 from .pauli import hr_orthogonal_table
 from .signalset import pam_points, product_sums, qam_side
 
@@ -199,11 +200,9 @@ def _unit_groups(A, indices):
     U = np.zeros((len(indices), len(A)), np.int64)
     for u, idx in enumerate(indices):
         U[u, list(idx)] = 1
-    reach = U @ ~hr_orthogonal_table(A) @ U.T > 0
-    for _ in range(len(indices).bit_length()):
-        reach = reach.astype(np.int64) @ reach > 0
-    first = reach.argmax(axis=1)
-    return [np.flatnonzero(first == f) for f in np.unique(first)]
+    label = components(U @ ~hr_orthogonal_table(A) @ U.T > 0)
+    return [np.flatnonzero(label == r)
+            for r in np.flatnonzero(label == np.arange(len(label)))]
 
 
 def _groups(A, units):
@@ -281,13 +280,15 @@ def _min_det_from_points(matrices, point_lists):
     return _min_abs_det_product(np.asarray(matrices), units)
 
 
-def _check_growth_cap(sizes):
-    """Refuse point-set targets whose code could exceed DIFF_CAP classes;
-    q points have at most q(q-1)+1 distinct differences."""
-    total = 1
-    for q in sizes:
-        total *= q * (q - 1) + 1
-    check_class_cap((total - 1) // 2)
+def _check_growth_cap(A, sizes):
+    """Refuse point-set targets, one per real, under which an
+    HR-orthogonal group of the code could exceed DIFF_CAP classes; q
+    points have at most q(q-1)+1 distinct differences."""
+    for g in _unit_groups(A, [(k,) for k in range(len(sizes))]):
+        total = 1
+        for k in g:
+            total *= sizes[k] * (sizes[k] - 1) + 1
+        check_class_cap((total - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,7 @@ def grow_constellation(ld, sizes, seed=0, retries=200):
     K = ld.K
     if len(sizes) != K:
         raise ValueError("need one size per real symbol")
-    _check_growth_cap(sizes)
+    _check_growth_cap(A, sizes)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     points = [[float(rng.uniform(-10, 10))] for _ in range(K)]
     return _grow(A, points, sizes, 0, rng, retries)
@@ -467,7 +468,7 @@ def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0, retries=200):
     if len(sizes) != K - L:
         raise ValueError("need one target size per grown symbol")
     _check_full_rank(A, L)
-    _check_growth_cap([len(p) for p in pam_sets] + list(sizes))
+    _check_growth_cap(A, [len(p) for p in pam_sets] + list(sizes))
     rng = np.random.default_rng(np.random.SeedSequence([seed, L]))
     points = [sorted(map(float, p)) for p in pam_sets] + \
         [[float(rng.uniform(-10, 10))] for _ in range(L, K)]

@@ -13,9 +13,19 @@ A vector [lam | x1,...,xm] has a single F2 component lam followed by m
 F4 coordinates.  Its weight counts all nonzero components including lam.
 The canonical text form is "lam|x1,...,xm" over the alphabet {0,1,w,w2},
 e.g. "1|w,w2".
+
+The packed code of a vector is one integer: lam as its top bit, then the
+coordinates as two-bit digits, x1 most significant,
+
+    code([lam | x1,...,xm]) = lam * 4^m + sum_k x_k * 4^(m-k).
+
+Integer order of codes is then F4Vec order (lam first, then the
+coordinates lexicographically), vector addition is XOR of codes, and
+range(2 * 4^m) is enumerate_all(m) in order.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 # element constants
@@ -100,6 +110,28 @@ def enumerate_all(m):
     return [F4Vec(lam, xs)
             for lam in (0, 1)
             for xs in product((O, I, W, W2), repeat=m)]
+
+
+def code(v):
+    """Packed integer code of v: lam as the top bit, then the coordinates
+    as two-bit digits, x1 most significant."""
+    c = v.lam
+    for x in v.xs:
+        c = c << 2 | x
+    return c
+
+
+@cache
+def _coordinates(m):
+    """Every coordinate tuple of F4^m, indexed by its packed code."""
+    return tuple(product((O, I, W, W2), repeat=m))
+
+
+def from_code(c, m):
+    """The vector of F2 + F4^m whose packed code is c."""
+    if not 0 <= c < 2 << 2 * m:
+        raise ValueError("code %d out of range for m=%d" % (c, m))
+    return F4Vec(c >> 2 * m, _coordinates(m)[c & (1 << 2 * m) - 1])
 
 
 def format_vec(v):

@@ -18,7 +18,9 @@ sufficient condition for rotation angles achieving full diversity.
 
 Pair selection for puncturing (lexicographically largest first) and for
 O (lexicographically smallest first) is a deterministic choice; any
-t-closed choice works.
+t-closed choice works.  Pairs are found on packed codes (f4.code), where
++t is XOR with code(t) and integer order is lex order; only the chosen
+pairs become F4Vecs.
 
 For 2 antennas (m = 1) the family is the Silver code punctured pairwise,
 with decoding complexity M^{2(R-1)}.
@@ -29,10 +31,11 @@ attach signal sets and decode plans to its designs.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
-from .f4 import O as F0, I as F1, W, W2, F4Vec, weight, enumerate_all, delta
+from .f4 import O as F0, I as F1, W, W2, F4Vec, code, from_code, delta
 from .design import Design, Leaf, Cond, ComplexityReport, HARD_LAST
 from .pauli import phi_inv
 
@@ -78,20 +81,29 @@ class FamilyDesign:
         return Design(self.m, vs, partition)
 
 
-def _sorted_pairs(vectors, t):
-    """Pairs {y, y+t} ordered by (and vectors within a pair by) lex order."""
-    vs = set(vectors)
-    if {v + t for v in vs} != vs:
-        missing = next(v for v in sorted(vs) if v + t not in vs)
+def _sorted_pairs(codes, m):
+    """Pairs {y, y+t} of a set of packed codes closed under +t (XOR with
+    code(t)), as the ascending list of their lower codes: the pairs in
+    lex order, each led by its lex-smaller vector."""
+    codes = set(codes)
+    tc = code(t_vector(m))
+    unpaired = [c for c in codes if c ^ tc not in codes]
+    if unpaired:
         raise ValueError("set not closed under +t (partner of %r missing)"
-                         % (missing,))
-    pairs = sorted({tuple(sorted((v, v + t))) for v in vs})
-    return pairs
+                         % (from_code(min(unpaired), m),))
+    return sorted(c for c in codes if c < c ^ tc)
 
 
-def _ordered(vectors, t):
+def _pair_vectors(lower, m):
+    """Vectors of the pairs with these lower codes, each y_I immediately
+    followed by y_I + t."""
+    tc = code(t_vector(m))
+    return tuple(from_code(c, m) for lo in lower for c in (lo, lo ^ tc))
+
+
+def _ordered(codes, m):
     """Flatten pairs so each y_I is immediately followed by y_I + t."""
-    return tuple(v for pair in _sorted_pairs(vectors, t) for v in pair)
+    return _pair_vectors(_sorted_pairs(codes, m), m)
 
 
 def build_base(m, xi2=W2):
@@ -99,18 +111,16 @@ def build_base(m, xi2=W2):
         raise ValueError("base family needs m >= 2 (m = 1 is the Silver code)")
     if xi2 not in (F1, W2):
         raise ValueError("xi2 must be 1 or w2")
-    t = t_vector(m)
-    s_w = [v for v in enumerate_all(m)
-           if v.lam == 0 and all(x in (F0, W) for x in v.xs)]
-    s_a = [v for v in s_w if weight(v) % 2 == 0]
-    s_b = [v for v in s_w if weight(v) % 2 == 1]
-    nu = F4Vec(1 if m % 2 == 0 else 0, (xi2,) * m)
-    dlt = delta(m)
-    subsets = (("S_A", _ordered(s_a, t)),
-               ("S_B", _ordered(s_b, t)),
-               ("S_C", _ordered([nu + v for v in s_a], t)),
-               ("S_D", _ordered([nu + v for v in s_b], t)),
-               ("S_E", _ordered([dlt + v for v in s_a], t)),
+    s_a, s_b = [], []  # S_w over the digits {0, w}, split by weight parity
+    for xs in product((F0, W), repeat=m):
+        (s_b if xs.count(W) % 2 else s_a).append(code(F4Vec(0, xs)))
+    nu = code(F4Vec(1 if m % 2 == 0 else 0, (xi2,) * m))
+    dlt = code(delta(m))
+    subsets = (("S_A", _ordered(s_a, m)),
+               ("S_B", _ordered(s_b, m)),
+               ("S_C", _ordered([nu ^ c for c in s_a], m)),
+               ("S_D", _ordered([nu ^ c for c in s_b], m)),
+               ("S_E", _ordered([dlt ^ c for c in s_a], m)),
                ("O", ()))
     return FamilyDesign(m=m, xi2=xi2, R=Fraction(5, 4),
                         subsets=subsets)
@@ -131,9 +141,9 @@ def puncture(base, R):
     if (len(s_e) - target) % 2 != 0:
         raise ValueError("rate %s needs an odd number of removals; "
                          "puncturing works in pairs" % R)
-    pairs = _sorted_pairs(s_e, base.t)
-    kept = pairs[:target // 2]
-    subsets = tuple((n, tuple(v for p in kept for v in p)) if n == "S_E"
+    pairs = _sorted_pairs(map(code, s_e), base.m)
+    kept = _pair_vectors(pairs[:target // 2], base.m)
+    subsets = tuple((n, kept) if n == "S_E"
                     else (n, vs) for n, vs in base.subsets)
     return FamilyDesign(m=base.m, xi2=base.xi2, R=R,
                         subsets=subsets)
@@ -148,13 +158,12 @@ def extend(base, R):
     if size.denominator != 1 or int(size) % 2 != 0:
         raise ValueError("|O| = 2^(m-1)(4R-5) = %s is not an even integer" % size)
     size = int(size)
-    used = set(base.vectors)
-    comp = [v for v in enumerate_all(base.m) if v not in used]
-    pairs = _sorted_pairs(comp, base.t)
+    comp = set(range(2 << 2 * base.m)) - set(map(code, base.vectors))
+    pairs = _sorted_pairs(comp, base.m)
     if size // 2 > len(pairs):
         raise ValueError("rate %s exceeds the ambient space" % R)
-    chosen = pairs[:size // 2]
-    subsets = tuple((n, tuple(v for p in chosen for v in p)) if n == "O"
+    chosen = _pair_vectors(pairs[:size // 2], base.m)
+    subsets = tuple((n, chosen) if n == "O"
                     else (n, vs) for n, vs in base.subsets)
     return FamilyDesign(m=base.m, xi2=base.xi2, R=R,
                         subsets=subsets)
@@ -176,10 +185,10 @@ def pair_split(d):
     """(S_I, S_Q) with S_I the lex-smaller of each {y, y+t} pair."""
     vectors = d.vectors if hasattr(d, "vectors") else tuple(d)
     m = vectors[0].m
-    t = t_vector(m)
-    pairs = _sorted_pairs(vectors, t)
-    s_i = tuple(p[0] for p in pairs)
-    return s_i, tuple(t + v for v in s_i)
+    lower = _sorted_pairs(map(code, vectors), m)
+    tc = code(t_vector(m))
+    return (tuple(from_code(c, m) for c in lower),
+            tuple(from_code(c ^ tc, m) for c in lower))
 
 
 def check_prop16(y):

@@ -14,7 +14,12 @@ facts used throughout:
 
   * phi_inv(v) is Hermitian  iff  weight(v) is even,
   * A^H B + B^H A = 0        iff  weight(phi(A) + phi(B)) is odd,
-  * Re Tr(A^H B) = 2^m * 1{A == B}.
+  * Re Tr(A^H B) = 2^m * 1{A == B},
+  * weight(a + b) = weight(a) + weight(b) + <a, b>  (mod 2), where
+    <a, b> = sum_k hi_k(a) lo_k(b) + lo_k(a) hi_k(b) over the two bits
+    (hi, lo) of each coordinate is the symplectic (trace) form of GF(4)
+    codes; it makes the HR-orthogonality parity of all pairs of a design
+    one matrix product (design._even_table).
 """
 
 import numpy as np

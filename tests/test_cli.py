@@ -52,6 +52,19 @@ def test_catalog_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify",),
+    ("simulate", "--snr", "10", "--trials", "4"),
+    ("construct", "--op", "A"),
+], ids=["verify", "simulate", "construct"])
+def test_missing_input_file_exits_1(argv, tmp_path, capsys):
+    missing = tmp_path / "nosuch.txt"
+    code, out, err = run(capsys, *argv, "--in", str(missing))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "nosuch.txt" in err
+    assert "Traceback" not in err
+
+
 def test_design_file_round_trip(tmp_path, capsys):
     p = tmp_path / "qod4.txt"
     run(capsys, "catalog", "show", "qod4", "--out", str(p))

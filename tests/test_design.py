@@ -2,15 +2,18 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stbc_forge.f4 import W, F4Vec, zero, delta
+from stbc_forge.f4 import O, I, W, W2, F4Vec, zero, delta, weight
 from stbc_forge.design import (Design, finest_partition, validate_partition,
                                rate, conditional_partition, Leaf, Cond,
                                JOINT, HARD_LAST, HARD_ALL, check_plan,
                                plan_complexity, format_term, to_linear_design,
-                               matrix_form)
+                               matrix_form, components, _even_table)
 from stbc_forge.constructions import catalog
+from stbc_forge.fdfgd import family
 
 
 def _v(lam, *xs):
@@ -54,6 +57,87 @@ def test_validate_partition_witness():
         bad = validate_partition(d, bad_part)
         assert not bad.valid
         assert bad.witness == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the parity table against pairwise weights
+
+def _even(d, i, j):
+    return weight(d.vectors[i] + d.vectors[j]) % 2 == 0
+
+
+def _union_find_partition(d):
+    """Components over even-sum pairs by union-find, groups ordered by
+    their smallest member."""
+    parent = list(range(d.K))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+    for i in range(d.K):
+        for j in range(i + 1, d.K):
+            if _even(d, i, j):
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(d.K):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(groups[r]) for r in sorted(groups))
+
+
+# multi-group designs, whose sub-designs have several components
+_STRUCTURED = [catalog(name).design for name in ("qod4", "fgd_ren")] + \
+    [family(m, R).design() for m in (2, 3, 4)
+     for R in (1, Fraction(5, 4), Fraction(3, 2))]
+
+
+@st.composite
+def _designs_and_labels(draw):
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 6))
+        vec = st.builds(F4Vec, st.integers(0, 1),
+                        st.tuples(*[st.sampled_from((O, I, W, W2))] * m))
+        vs = draw(st.lists(vec, min_size=1, max_size=48, unique=True))
+    else:
+        d = draw(st.sampled_from(_STRUCTURED))
+        m = d.m
+        order = draw(st.permutations(range(d.K)))
+        n = draw(st.integers(1, min(d.K, 48)))
+        vs = [d.vectors[i] for i in order[:n]]
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(vs),
+                           max_size=len(vs)))
+    return Design(m, tuple(vs)), labels
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_designs_and_labels())
+def test_parity_table_partition_and_witness(case):
+    d, labels = case
+    even = _even_table(d)
+    assert even.shape == (d.K, d.K) and even.dtype == bool
+    assert [[bool(e) for e in row] for row in even] == \
+        [[_even(d, i, j) for j in range(d.K)] for i in range(d.K)]
+    assert finest_partition(d).groups == _union_find_partition(d)
+    part = [tuple(i for i in range(d.K) if labels[i] == g) for g in range(4)]
+    part = [g for g in part if g]
+    want = next(((i, j) for i in range(d.K) for j in range(i + 1, d.K)
+                 if labels[i] != labels[j] and _even(d, i, j)), None)
+    rep = validate_partition(d, part)
+    assert rep.valid == (want is None)
+    assert rep.witness == want
+
+
+def test_components_labels_by_smallest_member():
+    # a path through 0..11 in scrambled order, which one round of
+    # min-labels cannot settle, the path 15-13-14-12 and the isolated 16
+    adj = [[False] * 17 for _ in range(17)]
+    for path in ((9, 3, 8, 4, 7, 5, 6, 0, 11, 1, 10, 2), (15, 13, 14, 12)):
+        for i, j in zip(path, path[1:]):
+            adj[i][j] = adj[j][i] = True
+    assert components(adj).tolist() == [0] * 12 + [12] * 4 + [16]
+    assert components([[False]]).tolist() == [0]
+    assert components(np.zeros((0, 0), bool)).tolist() == []
 
 
 def test_rate():
@@ -149,7 +233,6 @@ def test_format_term():
 
 
 def test_linear_design_and_matrix_form():
-    import numpy as np
     d = catalog("alamouti").design
     ld = to_linear_design(d)
     assert ld.K == 4 and ld.N == 2

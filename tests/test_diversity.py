@@ -469,8 +469,17 @@ def test_grow_constellation_size_checks():
     ld = to_linear_design(catalog("alamouti").design)
     with pytest.raises(ValueError):
         grow_constellation(ld, (2, 2))
-    with pytest.raises(DiversityCapError):
-        grow_constellation(ld, (100, 100, 100, 100))
+    # the cap bounds each HR-orthogonal group: alamouti's four reals are
+    # four groups, and 4,473 points on one real give 10,001,628 classes
+    with pytest.raises(DiversityCapError, match="10001628"):
+        grow_constellation(ld, (4473, 2, 2, 2))
+    # qod4's groups are pairs of reals: (100*99+1)^2 differences
+    with pytest.raises(DiversityCapError, match="49014900"):
+        grow_constellation(catalog("qod4").linear, (100,) * 8)
+    # 4,950 classes per group, far under the cap though the whole code
+    # would have ~4.8e15
+    points = grow_constellation(ld, (100, 100, 100, 100))
+    assert [len(p) for p in points] == [100] * 4
 
 
 def test_grow_with_pam_prefix_ggroup21():

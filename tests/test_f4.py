@@ -6,7 +6,7 @@ import pytest
 
 from stbc_forge.f4 import (O, I, W, W2, f4_add, f4_mul, f4_pow_w, F4Vec,
                            add, weight, zero, delta, enumerate_all,
-                           format_vec, parse_vec)
+                           format_vec, parse_vec, code, from_code)
 
 ELEMS = (O, I, W, W2)
 
@@ -104,3 +104,32 @@ def test_parse_errors():
     for bad in ("1", "2|w", "1|", "0|q", "0|w;w"):
         with pytest.raises(ValueError):
             parse_vec(bad)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_packed_code_round_trip_and_order(m):
+    vs = enumerate_all(m)
+    codes = [code(v) for v in vs]
+    # lam is the top bit, then two-bit digits with x1 most significant
+    assert code(vs[-1]) == 2 * 4 ** m - 1
+    assert code(F4Vec(1, (O,) * m)) == 4 ** m
+    assert code(F4Vec(0, (I,) + (O,) * (m - 1))) == 4 ** (m - 1)
+    assert all(from_code(c, m) == v for c, v in zip(codes, vs))
+    # integer order is F4Vec order: enumerate_all is sorted, so the codes
+    # of its vectors must count up
+    assert vs == sorted(vs)
+    assert codes == list(range(2 * 4 ** m))
+    # vector addition is XOR of codes (every pair for m <= 3, a stride of
+    # the pairs for m = 4)
+    step = 1 if m <= 3 else 7
+    for a in vs:
+        for b in vs[::step]:
+            assert code(a + b) == code(a) ^ code(b)
+
+
+def test_from_code_range():
+    with pytest.raises(ValueError):
+        from_code(-1, 2)
+    with pytest.raises(ValueError):
+        from_code(32, 2)
+    assert from_code(31, 2) == F4Vec(1, (W2, W2))

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from stbc_forge.f4 import O, I, W, W2, F4Vec, weight, parse_vec
+from stbc_forge.f4 import O, I, W, W2, F4Vec, weight, parse_vec, enumerate_all
 from stbc_forge.design import (Design, validate_partition, finest_partition,
                                rate, plan_complexity)
-from stbc_forge.fdfgd import (t_vector, build_base, puncture, extend,
+from stbc_forge.fdfgd import (t_vector, build_base, puncture, extend, family,
                               pair_split, check_prop16, predicted_complexity,
                               family_plan, family_pairs)
 from stbc_forge.bundles import silver_stbc, assemble_stbc
@@ -200,9 +200,72 @@ def test_pair_split_not_closed():
         pair_split(build_base(2).subset("S_A")[:1])
 
 
+def _reference_pairs(vectors, t):
+    """Pairs {y, y+t} by set and sort on F4Vec: each pair ascending, the
+    pairs in lex order."""
+    vs = set(vectors)
+    assert {v + t for v in vs} == vs
+    return sorted({tuple(sorted((v, v + t))) for v in vs})
+
+
+def _reference_members(m, xi2):
+    """{R: (subsets, pairs)} of every family member, built on F4Vec sets
+    with the rules in the fdfgd docstring (S_E punctured by dropping its
+    largest pairs, O the smallest complement pairs); pairs are the
+    member's sorted pairs {y, y+t}."""
+    every = enumerate_all(m)
+    t = t_vector(m)
+    s_w = [v for v in every if v.lam == 0 and set(v.xs) <= {O, W}]
+    s_a = [v for v in s_w if weight(v) % 2 == 0]
+    s_b = [v for v in s_w if weight(v) % 2 == 1]
+    nu = F4Vec(1 - m % 2, (xi2,) * m)
+    dlt = F4Vec(1, (O,) * m)
+    names = ("S_A", "S_B", "S_C", "S_D")
+    fixed = [_reference_pairs(vs, t) for vs in
+             (s_a, s_b, [nu + v for v in s_a], [nu + v for v in s_b])]
+    s_e = _reference_pairs([dlt + v for v in s_a], t)
+    used = {v for pairs in fixed + [s_e] for p in pairs for v in p}
+    comp = _reference_pairs([v for v in every if v not in used], t)
+
+    def member(kept, o):
+        subsets = tuple((n, tuple(v for p in pairs for v in p))
+                        for n, pairs in zip(names + ("S_E", "O"),
+                                            fixed + [kept, o]))
+        return subsets, sorted(sum(fixed, []) + kept + o)
+    out = {}
+    for n in range(len(s_e) + 1):  # 2n of the 2^(m-1) S_E vectors kept
+        out[1 + Fraction(2 * n, 2 ** (m + 1))] = member(s_e[:n], [])
+    for n in range(1, len(comp) + 1):  # |O| = 2^(m-1)(4R-5) = 2n
+        out[Fraction(5, 4) + Fraction(2 * n, 2 ** (m + 1))] = \
+            member(s_e, comp[:n])
+    return out
+
+
+@pytest.mark.parametrize("xi2", (I, W2))
+@pytest.mark.parametrize("m", (2, 3, 4, 5))
+def test_family_members_match_the_set_and_sort_reference(m, xi2):
+    want = _reference_members(m, xi2)
+    # every rate step k / 2^(m+1) of 1 <= R <= 2^m; of m = 5's 993
+    # members, every one up to R = 2 and a stride of 15 steps above, with
+    # the top rate (all of them take ~9 s per xi2)
+    top = 2 ** (2 * m + 1)
+    for k in range(2 ** (m + 1), top + 1):
+        R = Fraction(k, 2 ** (m + 1))
+        if m == 5 and R > 2 and k % 15 and k != top:
+            continue
+        if R not in want:
+            with pytest.raises(ValueError):
+                family(m, R, xi2)
+            continue
+        subsets, pairs = want[R]
+        fd = family(m, R, xi2)
+        assert fd.subsets == subsets, R
+        assert pair_split(fd) == (tuple(p[0] for p in pairs),
+                                  tuple(p[1] for p in pairs)), R
+
+
 @pytest.mark.parametrize("m", (2, 3))
 def test_check_prop16_spot(m):
-    from stbc_forge.f4 import enumerate_all
     for v in enumerate_all(m):
         assert check_prop16(v)
 
