@@ -1,5 +1,8 @@
 """Ready-to-simulate STBC bundles for the catalog and family designs.
 
+family_bundle is the one dispatcher over the family's m >= 1 and rate,
+and writes the metadata of a design file; bundle_from_meta reads it back.
+
 Each builder fixes the signal set and decode plan that make the design's
 advertised decoding complexity concrete: orthogonal designs hard-limit
 every real, multigroup designs scan each group (optionally hard-limiting
@@ -9,6 +12,7 @@ precoded block, and the rate-R family pairs its symbols into rotated QAM
 and follows fdfgd.family_plan.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +22,8 @@ from .constructions import catalog, SILVER_U
 from .design import (Design, LinearDesign, Leaf, Cond, JOINT, HARD_LAST,
                      HARD_ALL, finest_partition, to_linear_design)
 from .diversity import rotation_search, check_class_cap, group_classes
-from .fdfgd import family_pairs, family_plan
+from .f4 import I, W2
+from .fdfgd import family, family_pairs, family_plan, predicted_complexity
 from .signalset import (SignalSet, PairQAM, RealPoints, BlockValues,
                         pam_points, qam_side, qam_signal_set)
 from .simulate import STBCInstance
@@ -30,28 +35,22 @@ def _pam_instance(linear, Q, plan):
     return STBCInstance(linear=linear, signals=sig, plan=plan)
 
 
-def alamouti_stbc(M):
-    """Four independently hard-limited reals: 4 metric evaluations total."""
-    lin = catalog("alamouti").linear
-    plan = Cond(conditioning=(),
-                children=tuple(Leaf((i,), HARD_LAST) for i in range(4)))
-    return _pam_instance(lin, qam_side(M), plan)
-
-
-def qod4_stbc(Q=2, kind=JOINT):
-    """Four 2-real groups scanned jointly (or with the last hard-limited)."""
-    entry = catalog("qod4")
-    plan = Cond(conditioning=(),
-                children=tuple(Leaf(g, kind) for g in entry.design.partition))
-    return _pam_instance(entry.linear, Q, plan)
-
-
 def group_stbc(entry, Q=2, kind=JOINT):
     """Generic per-group plan for any validly partitioned catalog design."""
     d = entry.design
     part = d.partition or finest_partition(d).groups
     plan = Cond(conditioning=(), children=tuple(Leaf(g, kind) for g in part))
     return _pam_instance(entry.linear, Q, plan)
+
+
+def alamouti_stbc(M):
+    """Four independently hard-limited reals: 4 metric evaluations total."""
+    return group_stbc(catalog("alamouti"), qam_side(M), HARD_LAST)
+
+
+def qod4_stbc(Q=2, kind=JOINT):
+    """Four 2-real groups scanned jointly (or with the last hard-limited)."""
+    return group_stbc(catalog("qod4"), Q, kind)
 
 
 def fgd_ren_stbc(Q=2, rate=Fraction(17, 8)):
@@ -141,3 +140,82 @@ def assemble_stbc(fd, angles, M):
             raise ValueError("need %d angles, got %d" % (len(pairs), len(thetas)))
     signals = qam_signal_set(pairs, M, thetas)
     return STBCInstance(linear=linear, signals=signals, plan=family_plan(fd))
+
+
+Bundle = namedtuple("Bundle", "stbc design meta predicted")
+
+
+def _family_name(m):
+    return "silver-punctured" if m == 1 else "fgd-family"
+
+
+def family_bundle(m, R, M, angles, xi2):
+    """Bundle of the rate-R family member for 2^m antennas, m >= 1: the
+    instance, the design and meta a design file stores, and the
+    predicted complexity (None for m >= 2 at R = 1).
+
+    m = 1 is the punctured Silver code, which has no angles and no xi2.
+    For m >= 2, angles is "" (all 0), "auto" (rotation search) or one
+    comma-separated radian per QAM pair, and xi2 is "1", "w2" or None.
+    """
+    R = Fraction(R)
+    meta = {"family": _family_name(m), "rate": str(R), "M": str(M)}
+    if m == 1:
+        if angles:
+            raise ValueError("--angles applies to m >= 2; the m = 1 Silver "
+                             "code has no rotation angles")
+        if xi2 is not None:
+            raise ValueError("--xi2 applies to m >= 2; the m = 1 Silver "
+                             "code has no xi2 coordinate")
+        stbc = silver_stbc(M, R)
+        design = Design(1, tuple(e.vector for e in stbc.linear.entries))
+        return Bundle(stbc, design, meta, predicted_complexity(m, R))
+    meta["xi2"] = xi2 = xi2 or "w2"
+    fd = family(m, R, xi2=W2 if xi2 == "w2" else I)
+    if angles != "auto":
+        angles = ([float(t) for t in angles.split(",")] if angles
+                  else [0.0] * (fd.K // 2))
+    stbc = assemble_stbc(fd, angles, M)
+    meta["angles"] = ",".join("%.12f" % u.theta for u in stbc.signals.units)
+    return Bundle(stbc, fd.design(), meta,
+                  predicted_complexity(m, R) if R > 1 else None)
+
+
+def _fgd_ren_stbc(M):
+    if M != 4:
+        raise ValueError("the fgd_ren bundle supports M=4 only, got M=%d: "
+                         "its plan conditions on 11 reals" % M)
+    return fgd_ren_stbc()
+
+
+# catalog designs with a canonical signal set and plan, by QAM size M
+_CATALOG_BUNDLES = {
+    "alamouti": alamouti_stbc,
+    "qod4": lambda M: qod4_stbc(qam_side(M)),
+    "fgd_ren": _fgd_ren_stbc,
+    "silver": silver_stbc,
+}
+
+
+def bundle_from_meta(m, meta, M=4):
+    """Instance of a design file from its m and meta, or None when it
+    carries no signal set: a family file through family_bundle, a
+    catalog file by meta.name at its meta.M or else M.  Malformed bundle
+    metadata raises ValueError."""
+    fam = meta.get("family")
+    if fam is None:
+        build = _CATALOG_BUNDLES.get(meta.get("name"))
+        return None if build is None else build(int(meta.get("M", M)))
+    for key in ("M", "rate") + (("angles",) if fam == _family_name(2)
+                                else ()):
+        if key not in meta:
+            raise ValueError("bundle metadata is missing %s" % key)
+    M, R = int(meta["M"]), Fraction(meta["rate"])
+    if fam not in (_family_name(1), _family_name(2)):
+        raise ValueError("unknown bundle family %r" % fam)
+    if fam != _family_name(m):
+        raise ValueError("bundle family %s does not apply to m=%d" % (fam, m))
+    if meta.get("angles") in ("", "auto"):  # a file stores the angles used
+        raise ValueError("bundle metadata needs explicit angles")
+    return family_bundle(m, R, M, meta.get("angles", ""),
+                         meta.get("xi2")).stbc

@@ -5,12 +5,15 @@ meta.* lines, then one line per group listing vectors in the canonical
 "lam|x1,...,xm" form.  Writing, reading and re-writing a file is
 byte-identical.  Simulation results use the "stbc-simresult v1" record
 of key=value lines plus a per-SNR table.
+
+Bundle meta.* lines are written by bundles.family_bundle (build-fd, any
+m >= 1) and read by bundles.bundle_from_meta (catalog show, verify and
+simulate).
 """
 
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .f4 import parse_vec, format_vec, O, I, W, W2
 from .design import (Design, rate, finest_partition, validate_partition,
@@ -22,7 +25,7 @@ from .diversity import (generator_matrix, cubic_shaping_check,
 from .pauli import anticommute_parity, hr_orthogonal_numeric, phi_inv
 from .signalset import qam_side
 from .simulate import SimConfig, simulate
-from . import bundles, fdfgd
+from . import bundles
 from . import constructions as cons
 
 DESIGN_HEADER = "stbc-design v1"
@@ -84,9 +87,13 @@ def _read_design(path, validate=True):
         return parse_design(fh.read(), validate=validate)
 
 
-def _write(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
+def _emit(path, text):
+    """Write text to the --out file, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _default_seed():
@@ -109,15 +116,11 @@ def cmd_catalog(args):
            else finest_partition(d))
     print("name=%s m=%d K=%d rate=%s groups=%d"
           % (entry.name, d.m, d.K, rate(d), rep.g))
-    if args.name == "fgd_ren":
-        print("complexity=%s" % plan_complexity(bundles.fgd_ren_stbc().plan))
-    if args.name == "silver":
-        print("complexity=%s" % plan_complexity(bundles.silver_stbc(4).plan))
-    text = format_design(d, meta={"name": entry.name})
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    meta = {"name": entry.name}
+    stbc = bundles.bundle_from_meta(d.m, meta)
+    if stbc is not None:
+        print("complexity=%s" % plan_complexity(stbc.plan))
+    _emit(args.out, format_design(d, meta=meta))
     return 0
 
 
@@ -142,90 +145,18 @@ def cmd_construct(args):
         sigma = tuple(int(t) for t in args.sigma.split(","))
         out = cons.apply_sigma(out, sigma)
     print("out: rate=%s groups=%d" % (rate(out), len(out.partition)))
-    text = format_design(out, meta={"op": args.op})
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, format_design(out, meta={"op": args.op}))
     return 0
 
 
 def cmd_build_fd(args):
-    R = Fraction(args.rate)
-    m = args.m
-    if m == 1:
-        if args.angles:
-            raise ValueError("--angles applies to m >= 2; the m = 1 Silver "
-                             "code has no rotation angles")
-        if args.xi2 is not None:
-            raise ValueError("--xi2 applies to m >= 2; the m = 1 Silver "
-                             "code has no xi2 coordinate")
-        stbc = bundles.silver_stbc(args.M, R)
-        print("predicted=%s" % fdfgd.predicted_complexity(m, R))
-        meta = {"family": "silver-punctured", "rate": str(R),
-                "M": str(args.M)}
-        d = Design(1, tuple(e.vector for e in stbc.linear.entries))
-        text = format_design(d, meta=meta)
-    else:
-        xi2 = args.xi2 or "w2"
-        fd = fdfgd.family(m, R, xi2=W2 if xi2 == "w2" else I)
-        if R > 1:
-            print("predicted=%s" % fdfgd.predicted_complexity(m, R))
-        if args.angles == "auto":
-            stbc = bundles.assemble_stbc(fd, "auto", args.M)
-            thetas = [u.theta for u in stbc.signals.units]
-        elif args.angles:
-            thetas = [float(t) for t in args.angles.split(",")]
-            stbc = bundles.assemble_stbc(fd, thetas, args.M)
-        else:
-            thetas = [0.0] * (fd.K // 2)
-            stbc = bundles.assemble_stbc(fd, thetas, args.M)
-        print("plan=%s" % plan_complexity(stbc.plan))
-        meta = {"family": "fgd-family", "rate": str(R), "xi2": xi2,
-                "M": str(args.M),
-                "angles": ",".join("%.12f" % t for t in thetas)}
-        text = format_design(fd.design(), meta=meta,
-                             group_names=("S1", "S2") if not fd.subset("O")
-                             else None)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    b = bundles.family_bundle(args.m, args.rate, args.M, args.angles,
+                              args.xi2)
+    if b.predicted is not None:
+        print("predicted=%s" % b.predicted)
+    print("plan=%s" % plan_complexity(b.stbc.plan))
+    _emit(args.out, format_design(b.design, meta=b.meta))
     return 0
-
-
-def _bundle_from_meta(d, meta, M=4):
-    """STBC instance of a design file, or None when the file carries no
-    signal set; M is the QAM size for catalog files that carry no meta.M.
-    Malformed bundle metadata raises ValueError."""
-    fam = meta.get("family")
-    if fam is None:
-        # catalog files carry only a name; the common ones have a
-        # canonical signal set and plan
-        name = meta.get("name")
-        M = int(meta.get("M", M))
-        if name == "alamouti":
-            return bundles.alamouti_stbc(M)
-        if name == "qod4":
-            return bundles.qod4_stbc()
-        if name == "fgd_ren":
-            return bundles.fgd_ren_stbc()
-        if name == "silver":
-            return bundles.silver_stbc(M)
-        return None
-    for key in ("M", "rate") + (("angles",) if fam == "fgd-family" else ()):
-        if key not in meta:
-            raise ValueError("bundle metadata is missing %s" % key)
-    M = int(meta["M"])
-    R = Fraction(meta["rate"])
-    if fam == "silver-punctured":
-        return bundles.silver_stbc(M, R)
-    if fam == "fgd-family":
-        fd = fdfgd.family(d.m, R, xi2=W2 if meta.get("xi2", "w2") == "w2"
-                          else I)
-        thetas = [float(t) for t in meta["angles"].split(",")]
-        return bundles.assemble_stbc(fd, thetas, M)
-    raise ValueError("unknown bundle family %r" % fam)
 
 
 INFEASIBLE = 3
@@ -255,7 +186,7 @@ def cmd_verify(args):
                      for i in range(d.K) for j in range(i + 1, d.K))
             note = ""
         else:  # diversity
-            stbc = _bundle_from_meta(d, meta, args.M)
+            stbc = bundles.bundle_from_meta(d.m, meta, args.M)
             if stbc is None:
                 print("diversity: INFEASIBLE (no signal set in file)")
                 infeasible = True
@@ -277,19 +208,14 @@ def cmd_verify(args):
 
 def cmd_simulate(args):
     d, meta, _names = _read_design(args.infile, validate=False)
-    stbc = _bundle_from_meta(d, meta)
+    stbc = bundles.bundle_from_meta(d.m, meta)
     if stbc is None:
         raise ValueError("file is not a simulation bundle (no signal set)")
     cfg = SimConfig(n_rx=args.n_rx,
                     snr_db=tuple(float(s) for s in args.snr.split(",")),
                     trials=args.trials, seed=args.seed,
                     decoder=args.decoder, workers=args.workers)
-    res = simulate(cfg, stbc)
-    text = res.to_text()
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, simulate(cfg, stbc).to_text())
     return 0
 
 

@@ -25,8 +25,8 @@ pairs become F4Vecs.
 For 2 antennas (m = 1) the family is the Silver code punctured pairwise,
 with decoding complexity M^{2(R-1)}.
 
-This module is pure algebra; bundles.assemble_stbc and bundles.silver_stbc
-attach signal sets and decode plans to its designs.
+This module is pure algebra; bundles.family_bundle turns its members,
+and the m = 1 Silver code, into bundles with signal sets and plans.
 """
 
 from dataclasses import dataclass

@@ -55,19 +55,20 @@ sqrt(M) per prefix, hard_all costs one, and a Cond multiplies by its
 hypothesis count.
 
 simulate draws each trial from its own generator keyed by (seed, snr
-index, trial index) and decodes the trials in chunks whose working set
-stays within _CHUNK_BYTES; the oracle also scans the codebook in blocks
-within that budget.  Results are therefore independent of the chunk
-size.  A chunk is drawn with one loop over its trials that seeds each
-generator from a reused uint32 key, draws the sent index and then all
-of the trial's standard normals in one call; the codewords and the
-channel outputs Y = XH + W of the whole chunk then take a fixed number
-of numpy calls.  The draws are bit-identical to seeding each trial with
-SeedSequence([seed, snr index, trial]) and making four standard_normal
-calls.  SimConfig.workers is accepted and validated for compatibility
-only: it does not change how a run executes.  An SNR must give a finite
-positive noise deviation, at unit energy in SimConfig and at the
-instance's energy before simulate draws any trial.
+index, trial index) and decodes the trials in chunks whose draw, metric
+terms and structured-decoder tables stay within _CHUNK_BYTES; the oracle
+scans the codebook in blocks of that budget on its own.  Results are
+therefore independent of the chunk size.  A chunk is drawn with one loop
+over its trials that seeds each generator from a reused uint32 key,
+draws the sent index and then all of the trial's standard normals in one
+call; the codewords and the channel outputs Y = XH + W of the whole
+chunk then take a fixed number of numpy calls.  The draws are
+bit-identical to seeding each trial with SeedSequence([seed, snr index,
+trial]) and making four standard_normal calls.  SimConfig.workers is
+accepted and validated for compatibility only: it does not change how a
+run executes.  An SNR must give a finite positive noise deviation, at
+unit energy in SimConfig and at the instance's energy before simulate
+draws any trial.
 """
 
 import math
@@ -86,14 +87,6 @@ _BIG = np.iinfo(np.int64).max
 ORACLE_CAP = 10 ** 5    # largest codebook the exhaustive decoder scans
 _CHUNK_BYTES = 1 << 20  # working-set budget of one decode batch (1 MiB)
 MAX_TRIALS = 2 ** 32    # trial indexes fill one uint32 word of the RNG key
-
-
-def hard_limit_pam(v, points):
-    """Index of the nearest point, ties to the lower point; v array-like."""
-    points = np.asarray(points)
-    if points.size == 0:
-        raise ValueError("empty point set")
-    return _nearest(_midpoints(points), np.asarray(v))
 
 
 def _midpoints(points):
@@ -124,6 +117,9 @@ class STBCInstance:
         if self.signals.K != self.linear.K:
             raise ValueError("signal set covers %d reals, design has %d"
                              % (self.signals.K, self.linear.K))
+        if self.count > _BIG:
+            raise ValueError("codebook of %d codewords exceeds the int64 "
+                             "range of codeword indexes" % self.count)
         self.compiled = None
         if self.plan is not None:
             check_plan(self.plan, self.linear.K)
@@ -670,11 +666,10 @@ class SimResult:
 
 
 def _trial_words(stbc, cfg):
-    """Float64 words one trial of a decode batch holds at most."""
+    """Float64 words one trial of a decode batch holds at most; the
+    oracle scans the codebook in blocks within _CHUNK_BYTES on its own."""
     K = stbc.linear.K
     words = K * (K + 1) + 4 * K * stbc.N * cfg.n_rx  # b, G and A_i H
-    if cfg.decoder != "structured":
-        words += (K + 2) * stbc.count
     if cfg.decoder != "oracle":
         words += stbc.compiled.width
     return words

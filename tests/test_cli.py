@@ -1,5 +1,9 @@
 """Command line surface: file formats, exit codes, determinism."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from stbc_forge.cli import (main, format_design, parse_design, DESIGN_HEADER,
@@ -38,11 +42,14 @@ def test_catalog_show_with_params(capsys, tmp_path):
 
 
 def test_catalog_complexity_lines(capsys):
-    code, out, _err = run(capsys, "catalog", "show", "fgd_ren")
-    assert code == 0
-    assert "complexity=5·M^6" in out
-    code, out, _err = run(capsys, "catalog", "show", "silver")
-    assert "complexity=M^2" in out
+    # every catalog design with a bundle reports its plan's complexity
+    for name, complexity in (("fgd_ren", "5·M^6"), ("silver", "M^2"),
+                             ("alamouti", "4·M^0"), ("qod4", "4·M^1")):
+        code, out, _err = run(capsys, "catalog", "show", name)
+        assert code == 0
+        assert out.splitlines()[1] == "complexity=%s" % complexity
+    code, out, _err = run(capsys, "catalog", "show", "scod", "m=2")
+    assert code == 0 and "complexity=" not in out
 
 
 def test_catalog_errors(capsys):
@@ -130,6 +137,42 @@ def test_build_fd_m2_rate2(tmp_path, capsys):
     d, meta, _names = parse_design(p.read_text(), validate=False)
     assert meta["family"] == "fgd-family" and meta["rate"] == "2"
     assert d.K == 16
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+def test_golden_build_fd_and_simulate_outputs(tmp_path, capsys):
+    # design files, stdout and simulate results pinned from the CLI
+    # before build-fd took its bundles from bundles.family_bundle; the
+    # one change is that m = 1 now also prints plan=, equal to predicted=
+    files = {}
+    for name, case in GOLDEN["build-fd"].items():
+        argv = case["args"].split()
+        files[name] = tmp_path / (name + ".txt")
+        code, out, _err = run(capsys, "build-fd", *argv,
+                              "--out", str(files[name]))
+        want = case["stdout"]
+        if argv[:2] == ["--m", "1"]:
+            want += want.replace("predicted=", "plan=")
+        assert code == 0 and out == want, name
+        assert files[name].read_text() == case["file"], name
+    files["qod4"] = tmp_path / "qod4.txt"
+    run(capsys, "catalog", "show", "qod4", "--out", str(files["qod4"]))
+    for name, text in GOLDEN["simulate"].items():
+        code, out, _err = run(capsys, "simulate", "--in", str(files[name]),
+                              "--snr", "6,12", "--trials", "20", "--seed",
+                              "1", "--decoder", "structured")
+        assert code == 0 and out == text, name
+
+
+def test_build_fd_codebook_beyond_int64_is_an_error(capsys):
+    # m=3 R=8: 64 4-QAM pairs, 4^64 codewords; indexes are int64
+    code, out, err = run(capsys, "build-fd", "--m", "3", "--rate", "8",
+                         "--angles", ",".join(["0.5"] * 64))
+    assert code == 1 and "plan=" not in out
+    assert err == ("error: codebook of %d codewords exceeds the int64 range "
+                   "of codeword indexes\n" % 4 ** 64)
 
 
 def test_build_fd_granularity_error(capsys):
@@ -277,6 +320,20 @@ def test_verify_M_sets_catalog_signal_set(tmp_path, capsys):
     assert code == 0 and "classes=1200" in out
     code, _out, err = run(capsys, "verify", "--in", str(p), "--M", "5")
     assert code == 1 and "perfect square" in err
+    # qod4 takes sqrt(M)-PAM on each real: 3 or 7 differences per real
+    q = tmp_path / "qod4.txt"
+    run(capsys, "catalog", "show", "qod4", "--out", str(q))
+    for M, classes in (("4", "classes=3280 "), ("16", "classes=2882400 ")):
+        code, out, _err = run(capsys, "verify", "--in", str(q),
+                              "--suite", "diversity", "--M", M)
+        assert classes in out  # qod4 is not full diversity on PAM: FAIL
+    # fgd_ren's plan conditions on 11 reals: only M = 4 is bundled
+    f = tmp_path / "fgd.txt"
+    run(capsys, "catalog", "show", "fgd_ren", "--out", str(f))
+    code, out, err = run(capsys, "verify", "--in", str(f),
+                         "--suite", "diversity", "--M", "16")
+    assert code == 1 and not out
+    assert ("error: the fgd_ren bundle supports M=4 only, got M=16" in err)
 
 
 def test_verify_alamouti_all(tmp_path, capsys):
@@ -346,6 +403,28 @@ def test_bundle_metadata_names_missing_key(key, tmp_path, capsys):
         assert code == 1
         assert "error: bundle metadata is missing %s" % key in err
         assert "INFEASIBLE" not in out
+
+
+@pytest.mark.parametrize("argv, edit, message", [
+    (("--m", "1", "--rate", "2"),
+     ("family=silver-punctured", "angles=0.5\nmeta.family=fgd-family"),
+     "bundle family fgd-family does not apply to m=1"),
+    (("--m", "2", "--rate", "1"), ("fgd-family", "silver-punctured"),
+     "bundle family silver-punctured does not apply to m=2"),
+    (("--m", "2", "--rate", "1"), ("fgd-family", "bogus"),
+     "unknown bundle family 'bogus'"),
+    (("--m", "2", "--rate", "1"), ("angles=.*", "angles=auto"),
+     "bundle metadata needs explicit angles"),
+])
+def test_bundle_metadata_must_match_the_family(argv, edit, message,
+                                               tmp_path, capsys):
+    p = tmp_path / "fd.txt"
+    run(capsys, "build-fd", *argv, "--out", str(p))
+    p.write_text(re.sub(*edit, p.read_text()))
+    code, out, err = run(capsys, "verify", "--in", str(p),
+                         "--suite", "diversity")
+    assert code == 1 and not out
+    assert err == "error: %s\n" % message
 
 
 def test_simulate_determinism(tmp_path, capsys):

@@ -20,7 +20,7 @@ from stbc_forge.signalset import (pam_points, qam_side, PairQAM, RealPoints,
                                   pam_signal_set)
 from stbc_forge.simulate import (STBCInstance, SimConfig,
                                  channel_step, ml_oracle, ml_structured,
-                                 hard_limit_pam, simulate, PlanError)
+                                 simulate, PlanError)
 from stbc_forge.constructions import catalog
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, group_stbc,
                                 fgd_ren_stbc, silver_stbc, assemble_stbc)
@@ -118,23 +118,6 @@ def test_qam_signal_set_pairs_noncontiguous():
     T = sig.symbol_table()
     assert T.shape == (16, 4)
     assert sig.K == 4
-
-
-# ---------------------------------------------------------------------------
-# hard limiting
-
-def test_hard_limit_pam():
-    pts = (-1.5, -0.5, 0.5, 1.5)
-    assert hard_limit_pam(-9.0, pts) == 0
-    assert hard_limit_pam(9.0, pts) == 3
-    assert hard_limit_pam(0.3, pts) == 2
-    # exact midpoint goes to the lower point
-    assert hard_limit_pam(0.0, pts) == 1
-    assert hard_limit_pam(-1.0, pts) == 0
-    assert list(hard_limit_pam([-1.0, 1.0], pts)) == [0, 2]
-    assert list(hard_limit_pam([-2.0, 1.4], pts)) == [0, 3]
-    with pytest.raises(ValueError):
-        hard_limit_pam(0.0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +715,44 @@ def test_decode_working_set_stays_within_the_chunk_budget(name):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * sim._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("name", ["alamouti", "silver", "family R=2"])
+def test_oracle_working_set_stays_within_twice_the_chunk_budget(name):
+    # a decode batch is sized by its metric terms; the oracle's codebook
+    # blocks are sized to the same budget on top of them
+    stbc = _bundle(name)
+    cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=3,
+                    decoder="oracle")
+    chunk = max(1, sim._CHUNK_BYTES // (8 * sim._trial_words(stbc, cfg)))
+    _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(chunk))
+    V = stbc.symbol_table
+    tracemalloc.start()
+    try:
+        b, G = sim._metric_terms(stbc, Y, H)
+        sim._oracle(V, b, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sim._CHUNK_BYTES
+
+
+def test_oracle_decodes_several_trials_per_call(monkeypatch):
+    # the oracle's working set is its own codebook blocks, so a batch of
+    # the 65,536-codeword family R=2 holds more than one trial
+    stbc = _family_r2()
+    real, sizes = sim._oracle, []
+
+    def oracle(V, b, G):
+        sizes.append(b.shape[0])
+        return real(V, b, G)
+
+    monkeypatch.setattr(sim, "_oracle", oracle)
+    for decoder in ("oracle", "both"):
+        cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=4, seed=1,
+                        decoder=decoder)
+        simulate(cfg, stbc)
+    assert sizes == [4, 4]
 
 
 def test_hard_all_limits_units_of_every_kind():
