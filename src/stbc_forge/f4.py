@@ -30,6 +30,7 @@ from itertools import product
 
 # element constants
 O, I, W, W2 = 0, 1, 2, 3
+_ELEMENTS = frozenset((O, I, W, W2))
 
 _NAMES = {O: "0", I: "1", W: "w", W2: "w2"}
 _VALUES = {v: k for k, v in _NAMES.items()}
@@ -71,7 +72,7 @@ class F4Vec:
     def __post_init__(self):
         if self.lam not in (0, 1):
             raise ValueError("lam must be 0 or 1")
-        if any(x not in (O, I, W, W2) for x in self.xs):
+        if not _ELEMENTS.issuperset(self.xs):
             raise ValueError("coordinates must be GF(4) elements")
 
     @property

@@ -8,6 +8,16 @@ and a vector v = [lam | x1,...,xm] maps to
 
     phi_inv(v) = i^lam * psi_inv(x1) (x) ... (x) psi_inv(xm).
 
+Each image is Z^hi X^lo up to a power of i (the binary symplectic
+picture of GF(4) codes).  With bit m-1-k for coordinate k (x1 most
+significant, as in f4.code), lo has the bit set when x_k in {1, w2} and
+hi when x_k in {w, w2}, and row r has one nonzero entry,
+
+    phi_inv(v)[r, r ^ lo] = i^(lam + #{k : x_k in {1, w}}) * (-1)^popcount(r & hi).
+
+phi_signed(A) reads lo, hi, lam and a sign back from rows 0 and 2^s and
+returns (v, sign) when A is within TOL of sign * phi_inv(v) entrywise.
+
 The 2*4^m images form a real-linear basis of the 2^m x 2^m matrices;
 together with their negatives they exhaust the Pauli group.  Key parity
 facts used throughout:
@@ -22,6 +32,8 @@ facts used throughout:
     one matrix product (design._even_table).
 """
 
+from functools import cache
+
 import numpy as np
 
 from .f4 import O, I, W, W2, F4Vec, weight
@@ -34,8 +46,9 @@ ZX = Z @ X  # [[0,1],[-1,0]]
 _PSI_INV = {O: I2, I: 1j * X, W: 1j * Z, W2: ZX}
 
 TOL = 1e-9
-# the scalars a 1x1 realization may carry: (value, lam, sign)
-_SCALARS = ((1, 0, 1), (1j, 1, 1), (-1, 0, -1), (-1j, 1, -1))
+# i^k for k = 0..3, and the (lam, sign) with sign * i^lam == i^k
+_POWERS = np.array([1, 1j, -1, -1j])
+_LAM_SIGN = ((0, 1), (1, 1), (0, -1), (1, -1))
 
 
 class NotInLambdaError(ValueError):
@@ -47,69 +60,52 @@ def psi_inv(e):
     return _PSI_INV[e].copy()
 
 
+@cache
+def _rows(m):
+    """Row indices r < 2^m and 2 * popcount(r), the exponent of i in
+    (-1)^popcount(r)."""
+    r = range(1 << m)
+    return np.array(r), 2 * np.array([k.bit_count() for k in r])
+
+
 def phi_inv(v):
-    """i^lam scaled Kronecker product of the coordinate realizations."""
+    """i^lam scaled Kronecker product of the coordinate realizations, as
+    one scatter of row r's entry into column r ^ lo."""
     if v.m > 8:
         raise ValueError("m > 8 unsupported")
-    A = np.array([[1j ** v.lam]])
-    for x in v.xs:
-        A = np.kron(A, _PSI_INV[x])
+    lo = hi = 0
+    for x in map(int, v.xs):
+        lo = lo << 1 | x & 1
+        hi = hi << 1 | x >> 1
+    r, twice_popcount = _rows(v.m)
+    A = np.zeros((r.size, r.size), dtype=complex)
+    A[r, r ^ lo] = _POWERS[(v.lam + (lo ^ hi).bit_count()
+                            + twice_popcount[r & hi]) % 4]
     return A
 
 
-def _extract(A):
-    """Recursive per-factor identification of A = sign * phi_inv(v).
-
-    Returns (lam, coords, sign) with sign in {+1, -1}, or None.
-    """
-    n = A.shape[0]
-    if n == 1:
-        s = A[0, 0]
-        for value, lam, sign in _SCALARS:
-            if abs(s - value) < TOL:
-                return lam, (), sign
-        return None
-    h = n // 2
-    b00, b01 = A[:h, :h], A[:h, h:]
-    b10, b11 = A[h:, :h], A[h:, h:]
-    off = max(np.abs(b01).max(), np.abs(b10).max())
-    if off < TOL:
-        # diagonal factor: I2 (blocks equal) or iZ (blocks negated, i folded)
-        if np.abs(b00 - b11).max() < TOL:
-            sub, factor = b00, O
-        elif np.abs(b00 + b11).max() < TOL:
-            sub, factor = -1j * b00, W
-        else:
-            return None
-    else:
-        # antidiagonal factor: iX (blocks equal) or ZX (blocks negated)
-        if np.abs(b01 - b10).max() < TOL:
-            sub, factor = -1j * b01, I
-        elif np.abs(b01 + b10).max() < TOL:
-            sub, factor = b01, W2
-        else:
-            return None
-    inner = _extract(sub)
-    if inner is None:
-        return None
-    lam, rest, sign = inner
-    return lam, (factor,) + rest, sign
-
-
 def phi_signed(A):
-    """(vector, sign) with A == sign * phi_inv(vector), sign in {+1,-1}."""
+    """(vector, sign) with A within TOL of sign * phi_inv(vector), sign in
+    {+1,-1}."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     if n < 1 or A.shape != (n, n) or n & (n - 1):
         raise NotInLambdaError("shape %r is not 2^m square" % (A.shape,))
-    got = _extract(A)
-    if got is not None:
-        lam, xs, sign = got
-        v = F4Vec(lam, xs)
-        if np.abs(sign * phi_inv(v) - A).max() < TOL:
-            return v, sign
-    raise NotInLambdaError("matrix matches no realization at m=%d"
-                           % (n.bit_length() - 1))
+    m = n.bit_length() - 1
+    if m > 8:
+        raise NotInLambdaError("shape %r is m=%d; realizations stop at m <= 8"
+                               % (A.shape, m))
+    lo = int(np.abs(A[0]).argmax())
+    a0 = A[0, lo]
+    hi = sum(r for r in (1 << s for s in range(m))
+             if (A[r, r ^ lo] * a0.conjugate()).real < 0)
+    k = int(np.abs(_POWERS - a0).argmin()) - (lo ^ hi).bit_count()
+    lam, sign = _LAM_SIGN[k % 4]
+    v = F4Vec(lam, tuple((hi >> s & 1) << 1 | lo >> s & 1
+                         for s in range(m - 1, -1, -1)))
+    if np.abs(sign * phi_inv(v) - A).max() < TOL:
+        return v, sign
+    raise NotInLambdaError("matrix matches no realization at m=%d" % m)
 
 
 def phi(A):

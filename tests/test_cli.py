@@ -1,7 +1,10 @@
 """Command line surface: file formats, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,17 @@ def test_catalog_list(capsys):
     assert code == 0
     names = out.split()
     assert "alamouti" in names and "silver" in names
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "stbc_forge", "catalog",
+                           "list"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "qod4" in done.stdout.split()
 
 
 def test_catalog_show(capsys):
@@ -334,6 +348,18 @@ def test_verify_M_sets_catalog_signal_set(tmp_path, capsys):
                          "--suite", "diversity", "--M", "16")
     assert code == 1 and not out
     assert ("error: the fgd_ren bundle supports M=4 only, got M=16" in err)
+
+
+def test_verify_catalog_qod4_is_not_full_diversity(tmp_path, capsys):
+    # qod4_stbc puts plain, unrotated PAM on every real; a quasi-orthogonal
+    # design reaches full diversity only with rotated constellations
+    q = tmp_path / "qod4.txt"
+    run(capsys, "catalog", "show", "qod4", "--out", str(q))
+    code, out, _err = run(capsys, "verify", "--in", str(q),
+                          "--suite", "diversity")
+    assert code == 1
+    assert "diversity: FAIL min_det=0 classes=3280 checked=16" in (
+        out.splitlines())
 
 
 def test_verify_alamouti_all(tmp_path, capsys):

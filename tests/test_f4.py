@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from stbc_forge.f4 import (O, I, W, W2, f4_add, f4_mul, f4_pow_w, F4Vec,
@@ -73,6 +74,20 @@ def test_vector_validation():
         F4Vec(2, (O,))
     with pytest.raises(ValueError):
         F4Vec(0, (4,))
+
+
+def test_vector_validation_messages_and_accepted_types():
+    for lam in (2, -1, 0.5, None):
+        with pytest.raises(ValueError, match="^lam must be 0 or 1$"):
+            F4Vec(lam, (O,))
+    for xs in ((4,), (O, -1), (I, 2.5), ("w",), (None,), (O, W, 7)):
+        with pytest.raises(ValueError,
+                           match="^coordinates must be GF\\(4\\) elements$"):
+            F4Vec(0, xs)
+    # ints, True and numpy integers are GF(4) elements
+    v = F4Vec(True, (True, np.int64(W), np.uint8(W2), O))
+    assert v == F4Vec(1, (I, W, W2, O))
+    assert F4Vec(0, ()).m == 0
 
 
 def test_enumerate_all():

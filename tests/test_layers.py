@@ -8,9 +8,11 @@ import stbc_forge
 PACKAGE = "stbc_forge"
 SRC = Path(stbc_forge.__file__).parent
 
-# lowest first; modules sharing a layer may not import each other
+# lowest first; modules sharing a layer may not import each other;
+# __main__ (python -m stbc_forge) runs the cli
 LAYERS = (("f4",), ("pauli",), ("design",), ("constructions", "fdfgd"),
-          ("signalset",), ("simulate", "diversity"), ("bundles",), ("cli",))
+          ("signalset",), ("simulate", "diversity"), ("bundles",), ("cli",),
+          ("__main__",))
 RANK = {mod: r for r, layer in enumerate(LAYERS) for mod in layer}
 
 

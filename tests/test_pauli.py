@@ -1,13 +1,29 @@
 """Matrix realization of F2 + F4^m vectors and its parity shortcuts."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from stbc_forge.f4 import O, I, W, W2, F4Vec, zero, delta, enumerate_all
-from stbc_forge.pauli import (I2, X, Z, ZX, psi_inv, phi_inv, phi, phi_signed,
-                              is_hermitian_parity, anticommute_parity,
-                              hr_orthogonal_numeric, trace_inner,
-                              NotInLambdaError)
+from stbc_forge.pauli import (I2, X, Z, ZX, TOL, psi_inv, phi_inv, phi,
+                              phi_signed, is_hermitian_parity,
+                              anticommute_parity, hr_orthogonal_numeric,
+                              trace_inner, NotInLambdaError)
+
+
+def kron_reference(v):
+    """i^lam * psi_inv(x1) (x) ... (x) psi_inv(xm), factor by factor."""
+    A = np.array([[1j ** v.lam]])
+    for x in v.xs:
+        A = np.kron(A, psi_inv(x))
+    return A
+
+
+def all_vectors(m):
+    """Every vector of F2 + F4^m, m = 0 included."""
+    return [F4Vec(lam, xs) for lam in (0, 1)
+            for xs in itertools.product((O, I, W, W2), repeat=m)]
 
 
 def test_generators():
@@ -28,8 +44,8 @@ def test_phi_inv_fixtures():
 
 
 def test_phi_round_trip_exhaustive():
-    for m in (1, 2, 3):
-        for v in enumerate_all(m):
+    for m in range(5):
+        for v in all_vectors(m):
             A = phi_inv(v)
             assert phi(A) == v
             assert phi_signed(A) == (v, 1)
@@ -97,3 +113,76 @@ def test_unitarity():
     for v in enumerate_all(2):
         A = phi_inv(v)
         assert np.allclose(A.conj().T @ A, np.eye(4))
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_phi_inv_equals_the_kronecker_product(m):
+    for v in all_vectors(m):
+        assert np.array_equal(phi_inv(v), kron_reference(v))
+
+
+def test_phi_inv_equals_the_kronecker_product_at_m8():
+    for v in (zero(8), delta(8), F4Vec(1, (I, W, W2, O) * 2),
+              F4Vec(0, (W2,) * 8), F4Vec(1, (W, I, I, W2, O, W, W2, I)),
+              F4Vec(1, tuple(np.int8(x) for x in (I,) * 7 + (W2,)))):
+        assert np.array_equal(phi_inv(v), kron_reference(v))
+    with pytest.raises(ValueError, match="m > 8 unsupported"):
+        phi_inv(zero(9))
+
+
+def test_phi_signed_accepts_noise_below_tol():
+    rng = np.random.default_rng(12)
+    for v in all_vectors(3):
+        A = phi_inv(v)
+        noise = 0.4 * TOL * np.exp(2j * np.pi * rng.random(A.shape))
+        assert phi_signed(A + noise) == (v, 1)
+        assert phi_signed(-A + noise) == (v, -1)
+
+
+def test_phi_signed_rejects_an_entry_moved_by_twice_tol():
+    for v in all_vectors(2)[::5]:
+        A = phi_inv(v)
+        for r, c in itertools.product(range(4), repeat=2):
+            for step in (2 * TOL, 2j * TOL):
+                B = A.copy()
+                B[r, c] += step
+                with pytest.raises(NotInLambdaError):
+                    phi_signed(B)
+
+
+def test_phi_signed_rejects_a_cyclic_shift():
+    # a permutation matrix, but r -> r + 1 mod 4 is no r -> r ^ lo
+    for shift in (1, 3):
+        with pytest.raises(NotInLambdaError):
+            phi_signed(np.roll(np.eye(4), shift, axis=1))
+
+
+def test_phi_signed_on_diagonal_signs_accepts_only_characters():
+    # diag(s_r) is +-phi_inv(v) iff s_r = +-(-1)^popcount(r & hi) for some hi
+    characters = {tuple((-1) ** bin(r & hi).count("1") for r in range(4))
+                  for hi in range(4)}
+    for signs in itertools.product((1, -1), repeat=4):
+        D = np.diag(np.array(signs, dtype=complex))
+        if signs in characters or tuple(-s for s in signs) in characters:
+            v, sign = phi_signed(D)
+            assert np.array_equal(sign * phi_inv(v), D)
+        else:
+            with pytest.raises(NotInLambdaError):
+                phi_signed(D)
+
+
+def test_phi_signed_rejects_nan():
+    for v in all_vectors(2)[::7]:
+        for r, c in ((0, 0), (1, 2), (3, 3)):
+            A = phi_inv(v)
+            A[r, c] = np.nan
+            with pytest.raises(NotInLambdaError):
+                phi_signed(A)
+
+
+def test_phi_signed_rejects_bad_shapes_and_m_above_8():
+    for shape in ((2, 3), (3, 3)):
+        with pytest.raises(NotInLambdaError, match="is not 2\\^m square"):
+            phi_signed(np.ones(shape, dtype=complex))
+    with pytest.raises(NotInLambdaError, match="m=9.*m <= 8"):
+        phi_signed(np.eye(512))
