@@ -115,11 +115,15 @@ def enumerate_all(m):
 
 def code(v):
     """Packed integer code of v: lam as the top bit, then the coordinates
-    as two-bit digits, x1 most significant."""
+    as two-bit digits, x1 most significant.  A Python int whatever
+    integer types v holds."""
     c = v.lam
     for x in v.xs:
         c = c << 2 | x
-    return c
+    if type(c) is int:
+        return c
+    # numpy integers wrap at their fixed width: pack Python ints instead
+    return code(F4Vec(int(v.lam), tuple(map(int, v.xs))))
 
 
 @cache

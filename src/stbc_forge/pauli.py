@@ -88,7 +88,7 @@ def phi_signed(A):
     """(vector, sign) with A within TOL of sign * phi_inv(vector), sign in
     {+1,-1}."""
     A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
+    n = A.shape[0] if A.ndim else 0
     if n < 1 or A.shape != (n, n) or n & (n - 1):
         raise NotInLambdaError("shape %r is not 2^m square" % (A.shape,))
     m = n.bit_length() - 1

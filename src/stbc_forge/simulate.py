@@ -54,10 +54,30 @@ joint leaf costs its candidate count, a hard-limited last pair costs
 sqrt(M) per prefix, hard_all costs one, and a Cond multiplies by its
 hypothesis count.
 
+The oracle needs neither the plan nor the HR-orthogonality table, nor
+the symbol table.  It splits the signal set's units, in codebook order,
+into a head and a tail whose counts n_A and n_B are closest (family R=2
+at M=4: 256 x 256; a single unit: an empty head, n_A = 1), and reads
+the codebook as the row-major (n_A, n_B) grid of head row a next to
+tail row b; the head units are the slow digits, so grid order is
+codebook order.  With x = (x_A, x_B) split the same way,
+
+    f(x) = f_A(x_A) + f_B(x_B) + 2 x_A.G_AB.x_B,
+
+f_A and f_B each half's own linear and quadratic terms.  Per trial the
+whole grid is one product of the head rows [2 x_A G_AB, 1, f_A]
+against the tail columns [x_B, f_B, 1], taken in blocks of head rows
+whose grid block fits _CHUNK_BYTES, and trials in blocks whose grid
+blocks and half tables fit it too.  Each block's argmin takes the first
+of its minima and a later block wins only with a strictly smaller
+metric, so ties go to the lowest codeword index.  Every product has a
+per-trial shape that does not depend on T, so the oracle's metric bits
+do not depend on the batch either.
+
 simulate draws each trial from its own generator keyed by (seed, snr
 index, trial index) and decodes the trials in chunks whose draw, metric
 terms and structured-decoder tables stay within _CHUNK_BYTES; the oracle
-scans the codebook in blocks of that budget on its own.  Results are
+scans its grid in blocks of that budget on its own.  Results are
 therefore independent of the chunk size.  A chunk is drawn with one loop
 over its trials that seeds each generator from a reused uint32 key,
 draws the sent index and then all of the trial's standard normals in one
@@ -132,6 +152,12 @@ class STBCInstance:
     @property
     def count(self):
         return self.signals.count
+
+    @cached_property
+    def grid(self):
+        """The exhaustive decoder's head x tail grid (_grid), built on
+        first use."""
+        return _grid(self.signals)
 
     @cached_property
     def matrices(self):
@@ -540,27 +566,73 @@ def _check_oracle_cap(stbc):
             % (stbc.count, ORACLE_CAP))
 
 
-def _oracle(V, b, G):
-    """Exhaustive argmin over the rows of V for b: (T, K), G: (T, K, K).
+def _grid(signals):
+    """The codebook as the exhaustive decoder's head x tail grid.
 
-    Returns (codeword indexes (T,), metrics (T,)); the codebook is scanned
-    in blocks within _CHUNK_BYTES, ties going to the lowest index.
+    The units split, in codebook order, at the boundary that makes the
+    head's count n_A and the tail's count n_B closest, the smaller head
+    on a tie; one unit gives an empty head, n_A = 1.  The head units are
+    the slow digits, so codeword a * n_B + b is head row a next to tail
+    row b and row-major grid order is codebook order.  Returns the head
+    and the tail, each as (its reals, its SignalSet.table rows on them).
     """
+    units, sizes = signals.units, [u.size for u in signals.units]
+    s = min(range(len(units)), key=lambda s: max(math.prod(sizes[:s]),
+                                                 math.prod(sizes[s:])))
+    halves = []
+    for part in (units[:s], units[s:]):
+        cols = np.array([i for u in part for i in u.indices], dtype=np.intp)
+        halves.append((cols, signals.table(part)[0][:, cols]))
+    return tuple(halves)
+
+
+def _half_metric(X, cols, b, G):
+    """x.G.x - 2 x.b over one half's reals for every row x of X (n, k):
+    (T, n) for b (T, K), G (T, K, K), summed as _quad sums."""
+    XG = X @ G[_block(cols, cols)]
+    XG -= 2.0 * b[:, None, cols]
+    XG *= X
+    return XG @ np.ones(len(cols))
+
+
+def _oracle(stbc, b, G):
+    """Exhaustive argmin over the codebook for b: (T, K), G: (T, K, K).
+
+    Returns (codeword indexes (T,), metrics (T,)), ties going to the
+    lowest index.  Codeword (a, b) of the instance's head x tail grid
+    scores f_A[a] + f_B[b] + 2 x_A[a].G_AB.x_B[b], each half's own terms
+    plus the cross term, as one product per trial of the head rows
+    [2 x_A G_AB, 1, f_A] against the tail columns [x_B, f_B, 1].  The
+    grid is scanned in blocks of head rows within _CHUNK_BYTES per
+    trial, and trials in blocks within the same budget.
+    """
+    (cA, XA), (cB, XB) = stbc.grid
     T, K = b.shape
-    step = max(1, _CHUNK_BYTES // (8 * (K + 2) * T))
-    rows = np.arange(T)
-    best_i = best_m = None
-    for at in range(0, V.shape[0], step):
-        Vb = V[at:at + step]
-        m = -2.0 * (b @ Vb.T) + _quad(Vb, G)
-        arg = np.argmin(m, axis=1)
-        m = m[rows, arg]
-        if best_i is None:
-            best_i, best_m = arg, m
-        else:  # a later block wins only with a strictly smaller metric
-            upd = m < best_m
-            best_i = np.where(upd, arg + at, best_i)
-            best_m = np.where(upd, m, best_m)
+    n_A, (n_B, k_B) = len(XA), XB.shape
+    rows = min(n_A, max(1, _CHUNK_BYTES // (8 * n_B)))
+    per = max(1, _CHUNK_BYTES // (8 * (rows * n_B + (n_A + n_B) * (K + 2))))
+    best_i, best_m = np.empty(T, dtype=np.int64), np.empty(T)
+    for t0 in range(0, T, per):
+        bt, Gt = b[t0:t0 + per], G[t0:t0 + per]
+        L = np.empty((len(bt), n_A, k_B + 2))
+        L[..., :k_B] = 2.0 * (XA @ Gt[_block(cA, cB)])
+        L[..., k_B] = 1.0
+        L[..., k_B + 1] = _half_metric(XA, cA, bt, Gt)
+        R = np.empty((len(bt), k_B + 2, n_B))
+        R[:, :k_B] = XB.T
+        R[:, k_B] = _half_metric(XB, cB, bt, Gt)
+        R[:, k_B + 1] = 1.0
+        t = np.arange(len(bt))
+        for a0 in range(0, n_A, rows):
+            m = (L[:, a0:a0 + rows] @ R).reshape(len(bt), -1)
+            arg = np.argmin(m, axis=1)
+            m, i = m[t, arg], arg + a0 * n_B
+            if a0 == 0:
+                bi, bm = i, m
+            else:  # a later block wins only with a strictly smaller metric
+                upd = m < bm
+                bi, bm = np.where(upd, i, bi), np.where(upd, m, bm)
+        best_i[t0:t0 + per], best_m[t0:t0 + per] = bi, bm
     return best_i, best_m
 
 
@@ -574,7 +646,7 @@ def ml_oracle(Y, H, stbc):
     """Full-enumeration argmin; ties to the lowest codeword index."""
     _check_oracle_cap(stbc)
     b, G = _metric_terms(stbc, Y[None], H[None])
-    index, _metric = _oracle(stbc.symbol_table, b, G)
+    index, _metric = _oracle(stbc, b, G)
     return int(index[0]), stbc.count
 
 
@@ -667,7 +739,7 @@ class SimResult:
 
 def _trial_words(stbc, cfg):
     """Float64 words one trial of a decode batch holds at most; the
-    oracle scans the codebook in blocks within _CHUNK_BYTES on its own."""
+    oracle scans its grid in blocks within _CHUNK_BYTES on its own."""
     K = stbc.linear.K
     words = K * (K + 1) + 4 * K * stbc.N * cfg.n_rx  # b, G and A_i H
     if cfg.decoder != "oracle":
@@ -728,7 +800,7 @@ def simulate(cfg, stbc):
             sent, Y, H = _draw(stbc, cfg, sigma, snr_idx, trials)
             b, G = _metric_terms(stbc, Y, H)
             if use_o:
-                got, m_o = _oracle(stbc.symbol_table, b, G)
+                got, m_o = _oracle(stbc, b, G)
             if use_s:
                 got_s, m_s, _count = _structured(stbc, b, G)
             if use_o and use_s:

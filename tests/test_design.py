@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stbc_forge.f4 import O, I, W, W2, F4Vec, zero, delta, weight
+from stbc_forge.f4 import O, I, W, W2, F4Vec, zero, delta, weight, code
 from stbc_forge.design import (Design, finest_partition, validate_partition,
                                rate, conditional_partition, Leaf, Cond,
                                JOINT, HARD_LAST, HARD_ALL, check_plan,
@@ -126,6 +126,20 @@ def test_parity_table_partition_and_witness(case):
     rep = validate_partition(d, part)
     assert rep.valid == (want is None)
     assert rep.witness == want
+
+
+def test_code_and_parity_table_read_numpy_integer_coordinates():
+    # F4Vec accepts numpy integers; packing must not wrap at their fixed
+    # width, so codes and the parity table match the int vectors'
+    assert code(F4Vec(0, (np.int8(W2),) * 4)) == 255
+    d = family(4, 1).design()
+    for dtype in (np.int8, np.uint8, np.int64):
+        vs = tuple(F4Vec(dtype(v.lam), tuple(map(dtype, v.xs)))
+                   for v in d.vectors)
+        codes = [code(v) for v in vs]
+        assert codes == [code(v) for v in d.vectors]
+        assert all(type(c) is int for c in codes)
+        assert np.array_equal(_even_table(Design(d.m, vs)), _even_table(d))
 
 
 def test_components_labels_by_smallest_member():

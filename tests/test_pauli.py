@@ -181,7 +181,7 @@ def test_phi_signed_rejects_nan():
 
 
 def test_phi_signed_rejects_bad_shapes_and_m_above_8():
-    for shape in ((2, 3), (3, 3)):
+    for shape in ((), (2, 3), (3, 3)):
         with pytest.raises(NotInLambdaError, match="is not 2\\^m square"):
             phi_signed(np.ones(shape, dtype=complex))
     with pytest.raises(NotInLambdaError, match="m=9.*m <= 8"):

@@ -465,9 +465,9 @@ def test_simulate_disagreement_names_the_case(monkeypatch):
     real = sim._oracle
     seen = []
 
-    def flipped(V, b, G):
+    def flipped(stbc, b, G):
         # second call = second SNR; move trial 4 to the next codeword
-        idx, m = real(V, b, G)
+        idx, m = real(stbc, b, G)
         seen.append((b, G))
         if len(seen) == 2:
             idx, m = idx.copy(), m.copy()
@@ -487,7 +487,7 @@ def test_simulate_disagreement_names_the_case(monkeypatch):
     snr, k, trial, io, mo, is_, ms = got.groups()
     assert (float(snr), int(k), int(trial)) == (7.5, 1, 4)
     b, G = seen[1][0][4], seen[1][1][4]
-    want_s, _m = real(V, b[None], G[None])
+    want_s, _m = real(stbc, b[None], G[None])
     assert int(is_) == want_s[0]
     assert int(io) == (want_s[0] + 1) % len(V)
     for i, m in ((int(io), float(mo)), (int(is_), float(ms))):
@@ -552,10 +552,14 @@ def test_simulate_batch_invariance_fgd_ren(monkeypatch):
 def test_oracle_blocks_keep_lowest_index_ties(monkeypatch):
     # +-1/2 symbols against integer b and G keep every metric exact, so
     # symbols 0 and 1 with equal rows of G tie exactly in any summation
-    # order; the lowest index must win across codebook blocks too
-    V = pam_signal_set(4, 2).symbol_table()
+    # order; the lowest index must win across blocks of head rows too
+    # (reals 0 and 1 are the head's, so such ties span head rows)
+    stbc = STBCInstance(linear=catalog("alamouti").linear,
+                        signals=pam_signal_set(4, 2))
+    assert [len(X) for _c, X in stbc.grid] == [4, 4]
+    V = stbc.symbol_table
     rng = np.random.default_rng(8)
-    tied = 0
+    tied, cases = 0, []
     for _ in range(20):
         L = rng.integers(-3, 4, size=(4, 4))
         L[:, 1] = L[:, 0]
@@ -565,10 +569,23 @@ def test_oracle_blocks_keep_lowest_index_ties(monkeypatch):
         m = [-2 * Fraction(x @ b) + Fraction(x @ G @ x) for x in V]
         want = min(range(len(V)), key=lambda i: (m[i], i))
         tied += m.count(m[want]) > 1
-        for step in (1, 5, len(V)):
-            monkeypatch.setattr(sim, "_CHUNK_BYTES", 8 * (4 + 2) * step)
-            assert sim._oracle(V, b[None], G[None])[0].tolist() == [want]
+        for rows in (1, 3, 4):  # head rows per block, 4 tail rows each
+            monkeypatch.setattr(sim, "_CHUNK_BYTES", 8 * 4 * rows)
+            assert sim._oracle(stbc, b[None], G[None])[0].tolist() == [want]
+        cases.append((b, G, want))
     assert tied
+    # one head row and one trial per block
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 8 * 4)
+    b, G, want = map(np.array, zip(*cases))
+    assert sim._oracle(stbc, b, G)[0].tolist() == want.tolist()
+
+
+def _table_argmin(stbc, b, G):
+    """The naive reference: -2 x.b + x.G.x for every row x of the
+    instance's symbol table, per trial, ties to the lowest index."""
+    V = stbc.symbol_table
+    return np.array([np.argmin(((V @ G_t) * V).sum(axis=1) - 2.0 * (V @ b_t))
+                     for b_t, G_t in zip(b, G)])
 
 
 @settings(max_examples=180, deadline=None, derandomize=True, database=None)
@@ -582,9 +599,10 @@ def test_structured_equals_oracle_fuzz(name, seed, snr_db, batch):
     sigma = np.sqrt(stbc.average_energy / (stbc.N * 10 ** (snr_db / 10.0)))
     _sent, Y, H = sim._draw(stbc, cfg, sigma, 0, range(batch))
     b, G = sim._metric_terms(stbc, Y, H)
-    got_o, _mo = sim._oracle(stbc.symbol_table, b, G)
+    got_o, _mo = sim._oracle(stbc, b, G)
     got_s, _ms, count = sim._structured(stbc, b, G)
     assert got_s.tolist() == got_o.tolist()
+    assert got_o.tolist() == _table_argmin(stbc, b, G).tolist()
     # the mixed siblings hard-limit sqrt(M) values per pair
     assert count == (4 + 4 + 2 + 2 if name == MIXED else
                      plan_complexity(stbc.plan).evaluate(4))
@@ -636,6 +654,60 @@ def test_structured_metric_bits_do_not_depend_on_the_batch(name):
                                                G[t:t + 1].copy())
             assert one_i[0] == idx[t]
             assert _same_bits(one_m, m[t:t + 1]), (seed, t)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BUNDLES))
+def test_oracle_metric_bits_do_not_depend_on_the_batch(name):
+    stbc = _bundle(name)
+    T = 40
+    for seed, snr_db in ((1, 0.0), (2, 12.0)):
+        cfg = SimConfig(n_rx=2, snr_db=(snr_db,), trials=T, seed=seed)
+        sigma = np.sqrt(stbc.average_energy
+                        / (stbc.N * 10 ** (snr_db / 10.0)))
+        _sent, Y, H = sim._draw(stbc, cfg, sigma, 0, range(T))
+        b, G = sim._metric_terms(stbc, Y, H)
+        idx, m = sim._oracle(stbc, b, G)
+        for t in range(T):
+            one_i, one_m = sim._oracle(stbc, b[t:t + 1].copy(),
+                                       G[t:t + 1].copy())
+            assert one_i[0] == idx[t]
+            assert _same_bits(one_m, m[t:t + 1]), (seed, t)
+
+
+def _one_unit():
+    """Alamouti's four reals drawn jointly from 16 fixed random rows: a
+    signal set of a single unit, so the oracle's grid has no head."""
+    rows = np.random.default_rng(41).standard_normal((16, 4))
+    unit = BlockValues((0, 1, 2, 3), tuple(map(tuple, rows)))
+    return STBCInstance(linear=catalog("alamouti").linear,
+                        signals=SignalSet(units=(unit,)))
+
+
+@pytest.mark.parametrize("build, shape", [
+    (_one_unit, (1, 16)),
+    (BATCH_BUNDLES["family R=5/4"], (16, 64)),
+    (_mixed_siblings, (16, 256))], ids=["one unit", "family R=5/4", MIXED])
+def test_oracle_grid_split_matches_the_symbol_table(build, shape, monkeypatch):
+    # the head x tail grid splits at the unit boundary closest to an even
+    # split (the smaller head on a tie); the oracle scores it without the
+    # symbol table and picks what the table scan picks
+    stbc = build()
+    T, ((cA, XA), (cB, XB)) = 24, stbc.grid
+    assert (len(XA), len(XB)) == shape
+    assert sorted(cA.tolist() + cB.tolist()) == list(range(stbc.linear.K))
+    cfg = SimConfig(n_rx=2, snr_db=(0.0, 20.0), trials=T, seed=12)
+    ref = build()
+    for snr_idx, sigma in enumerate((1.0, 0.1)):
+        _sent, Y, H = sim._draw(ref, cfg, sigma, snr_idx, range(T))
+        b, G = sim._metric_terms(ref, Y, H)
+        with monkeypatch.context() as mp:
+            mp.setattr(SignalSet, "symbol_table", None)
+            got, m = sim._oracle(stbc, b, G)
+        assert "symbol_table" not in vars(stbc)
+        assert got.tolist() == _table_argmin(ref, b, G).tolist()
+        V = ref.symbol_table[got]
+        want_m = np.einsum("ti,tij,tj->t", V, G, V) - 2.0 * np.sum(V * b, 1)
+        assert np.allclose(m, want_m, rtol=1e-12, atol=1e-12)
 
 
 def _integer_terms(stbc, Y, H):
@@ -693,11 +765,12 @@ def test_decoders_keep_exact_ties_on_integer_channels(name):
         want[k] = np.argmin(m4)
         ties += np.count_nonzero(m4 == m4[want[k]]) > 1
     assert ties >= n // 5
-    got_o, _mo = sim._oracle(stbc.symbol_table, b, G)
+    got_o, _mo = sim._oracle(stbc, b, G)
     got_s = np.concatenate([sim._structured(stbc, b[k:k + 50], G[k:k + 50])[0]
                             for k in range(0, n, 50)])
     assert got_o.tolist() == want.tolist()
     assert got_s.tolist() == want.tolist()
+    assert _table_argmin(stbc, b, G).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_BUNDLES) + ["family R=2"])
@@ -719,18 +792,18 @@ def test_decode_working_set_stays_within_the_chunk_budget(name):
 
 @pytest.mark.parametrize("name", ["alamouti", "silver", "family R=2"])
 def test_oracle_working_set_stays_within_twice_the_chunk_budget(name):
-    # a decode batch is sized by its metric terms; the oracle's codebook
+    # a decode batch is sized by its metric terms; the oracle's grid
     # blocks are sized to the same budget on top of them
     stbc = _bundle(name)
     cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=3,
                     decoder="oracle")
     chunk = max(1, sim._CHUNK_BYTES // (8 * sim._trial_words(stbc, cfg)))
     _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(chunk))
-    V = stbc.symbol_table
+    stbc.grid  # the instance's cached tables, built once
     tracemalloc.start()
     try:
         b, G = sim._metric_terms(stbc, Y, H)
-        sim._oracle(V, b, G)
+        sim._oracle(stbc, b, G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -738,14 +811,14 @@ def test_oracle_working_set_stays_within_twice_the_chunk_budget(name):
 
 
 def test_oracle_decodes_several_trials_per_call(monkeypatch):
-    # the oracle's working set is its own codebook blocks, so a batch of
+    # the oracle's working set is its own grid blocks, so a batch of
     # the 65,536-codeword family R=2 holds more than one trial
     stbc = _family_r2()
     real, sizes = sim._oracle, []
 
-    def oracle(V, b, G):
+    def oracle(stbc, b, G):
         sizes.append(b.shape[0])
-        return real(V, b, G)
+        return real(stbc, b, G)
 
     monkeypatch.setattr(sim, "_oracle", oracle)
     for decoder in ("oracle", "both"):
@@ -770,6 +843,6 @@ def test_hard_all_limits_units_of_every_kind():
         _sent, Y, H = sim._draw(stbc, cfg, sigma, snr_idx, range(40))
         b, G = sim._metric_terms(stbc, Y, H)
         got_s, m_s, count = sim._structured(stbc, b, G)
-        got_o, m_o = sim._oracle(stbc.symbol_table, b, G)
+        got_o, m_o = sim._oracle(stbc, b, G)
         assert got_s.tolist() == got_o.tolist() and count == 1
         assert np.allclose(m_s, m_o, rtol=1e-12, atol=1e-12)
