@@ -22,17 +22,25 @@ the last pair), or hard-limit every real in one shot when the Gram is
 diagonal in unit-local coordinates.  Both decoders break metric ties by
 lowest codeword index, so their outputs are comparable by equality.
 
-Both decoders take a batch of T trials per call: linear terms of shape
-(T, hypotheses, K) against Grams of shape (T, K, K).  ml_oracle and
-ml_structured are the T = 1 case of the same code.
+Both decoders take a batch of T trials per call: linear terms b of shape
+(T, K) against Grams of shape (T, K, K).  ml_oracle and ml_structured
+are the T = 1 case of the same code.
 
-The structured decoder's node kernels cost a few numpy calls per plan
-level, each on one large array:
+The structured decoder works in projected coordinates.  Every compiled
+node keeps `rows`, the linear-term rows its kernel reads: a joint leaf
+its values, a hard_last leaf its 2d and 2o e rows and its prefix values,
+a hard_all leaf its axes, and a Cond its conditioning values followed by
+its children's rows.  The decoder forms rows @ b once, at the root, and
+no node ever sees the K columns of b again.  A Cond folds hypothesis v
+into a child's projections as P_child - rows_child.G.v, one
+(rows, hypotheses) product per trial broadcast over the parent's
+hypotheses, so each node's arrays are as wide as its own rows.  The node
+kernels cost a few numpy calls per plan level, each on one large array:
 
   - Candidates ahead of hypotheses.  A node lays out its candidates
     (joint values, prefix and outer PAM value, Cond hypotheses) on an
     axis before the hypotheses and picks with min over that axis, then
-    the lowest codeword index among the exact ties, so the pick does
+    the lowest codeword index among the exact ties, so its pick does
     not depend on the candidates' order.
   - Sibling groups.  At compile time a Cond fuses its leaf children of
     one kind (joint or hard_last) whose tables share a shape, and for
@@ -42,12 +50,15 @@ level, each on one large array:
     one; hard_all leaves stay single.
   - No quotient in a metric.  hard_last divides only to pick the inner
     PAM value; the metric is then formed from products and sums of the
-    picked point, the linear terms and the Gram, so integer channels
+    picked point, the projections and the Gram, so integer channels
     give exact metrics and exact ties, as in the oracle.
-  - Batch-invariant bits.  Linear terms are (rows, K) @ (K, hypotheses)
+  - Batch-invariant bits.  Projections and folds are (rows, K) @ (K, n)
     products per trial and Gram terms _quad forms, whose BLAS shapes do
     not depend on T; everything else is elementwise.  A metric's bits
     are the same whether its trial is decoded alone or in a batch.
+  - Few live temporaries.  hard_last forms its metrics and indexes in
+    place, and each node's `width` bounds the float64 elements one trial
+    of its subtree holds at once.
 
 Metric-evaluation counts match the plan's complexity terms exactly: a
 joint leaf costs its candidate count, a hard-limited last pair costs
@@ -66,23 +77,28 @@ codebook order.  With x = (x_A, x_B) split the same way,
 
 f_A and f_B each half's own linear and quadratic terms.  Per trial the
 whole grid is one product of the head rows [2 x_A G_AB, 1, f_A]
-against the tail columns [x_B, f_B, 1], taken in blocks of head rows
-whose grid block fits _CHUNK_BYTES, and trials in blocks whose grid
-blocks and half tables fit it too.  Each block's argmin takes the first
-of its minima and a later block wins only with a strictly smaller
-metric, so ties go to the lowest codeword index.  Every product has a
-per-trial shape that does not depend on T, so the oracle's metric bits
-do not depend on the batch either.
+against the tail columns [x_B, f_B, 1].  The tail is taken in blocks of
+rows whose columns and f_B's product fit _CHUNK_BYTES, each against
+blocks of head rows whose grid block fits it, and trials in blocks whose
+grid blocks and half tables fit it too.  Each block's argmin takes the
+first of its minima, which is its lowest index, and a block wins over
+the best so far with a strictly smaller metric, or with an equal metric
+at a lower index, so ties go to the lowest codeword index in any block
+order.  Every product has a per-trial shape that does not depend on T,
+so the oracle's metric bits do not depend on the batch either.
 
-simulate draws each trial from its own generator keyed by (seed, snr
-index, trial index) and decodes the trials in chunks whose draw, metric
-terms and structured-decoder tables stay within _CHUNK_BYTES; the oracle
-scans its grid in blocks of that budget on its own.  Results are
-therefore independent of the chunk size.  A chunk is drawn with one loop
-over its trials that seeds each generator from a reused uint32 key,
-draws the sent index and then all of the trial's standard normals in one
-call; the codewords and the channel outputs Y = XH + W of the whole
-chunk then take a fixed number of numpy calls.  The draws are
+simulate walks one stream of (snr index, trial) keys, SNR by SNR, and
+decodes it in chunks whose metric terms, root projections and
+structured-decoder widths stay within _CHUNK_BYTES; the oracle scans its
+grid in blocks of that budget on its own.  A chunk may span SNRs: each
+SNR's segment of it is drawn on its own and the segments are stacked,
+so the draws are those of the per-SNR keys, errors are counted per SNR,
+and a decoder disagreement names the trial's own SNR and index.  Results
+are therefore independent of the chunk size.  A segment is drawn with
+one loop over its trials that seeds each generator from a reused uint32
+key, draws the sent index and then all of the trial's standard normals
+in one call; the codewords and the channel outputs Y = XH + W of the
+whole segment then take a fixed number of numpy calls.  The draws are
 bit-identical to seeding each trial with SeedSequence([seed, snr index,
 trial]) and making four standard_normal calls.  SimConfig.workers is
 accepted and validated for compatibility only: it does not change how a
@@ -297,9 +313,9 @@ def _quad(X, G, Y=None):
 def _pick(m, idx, axis):
     """Minimum of m over the candidate axis and the lowest index among
     its exact ties, whatever order the candidates come in."""
-    best = m.min(axis=axis)
-    tied = m == np.expand_dims(best, axis)
-    return best, np.where(tied, idx, _BIG).min(axis=axis)
+    best = m.min(axis=axis, keepdims=True)
+    tied = m == best
+    return best.squeeze(axis), np.where(tied, idx, _BIG).min(axis=axis)
 
 
 def _leaf_sum(m, idx):
@@ -310,12 +326,14 @@ def _leaf_sum(m, idx):
     return total, idx.sum(axis=1)
 
 
-# Each node is built from its units and the SignalSet, and decodes
-# B: (T, n_hyp, K) adjusted linear terms against G: (T, K, K), returning
-# (metrics (T, n_hyp), codeword indexes (T, n_hyp)); a leaf node holds L
-# sibling leaves and returns the sums over them.  `count` is the node's
-# metric evaluations per hypothesis and `width` estimates the float64
-# elements one trial of the node and its subtree holds at once.
+# Each node is built from its units and the SignalSet.  It keeps `rows`,
+# the linear-term rows (r, K) its kernel reads, and decodes
+# P: (T, r, n_hyp), those rows applied to the folded linear terms of
+# every hypothesis, against G: (T, K, K), returning (metrics (T, n_hyp),
+# codeword indexes (T, n_hyp)); a leaf node holds L sibling leaves and
+# returns the sums over them.  `count` is the node's metric evaluations
+# per hypothesis and `width` bounds the float64 elements one trial of
+# the node and its subtree holds at once.
 
 class _Joint:
     """Scan every joint value of each leaf's units."""
@@ -323,17 +341,18 @@ class _Joint:
     def __init__(self, members, signals, hyps):
         V, idx = _leaf_tables(members, signals)
         self.leaves, n, K = V.shape
-        self.V = V.reshape(self.leaves * n, K)
+        self.rows = V.reshape(self.leaves * n, K)
         self.idx = idx[..., None]                          # (L, n, 1)
         self.count = self.leaves * n
-        self.width = (5 * hyps + K) * self.count
+        # the Gram product, then the metrics, ties and picked indexes
+        self.width = (K + 3 * hyps) * self.count
 
-    def decode(self, B, G):
-        T, H = B.shape[:2]
+    def decode(self, P, G):
+        T, _r, H = P.shape
         L, n = self.idx.shape[:2]
-        m = (_quad(self.V, G)[..., None]
-             - 2.0 * (self.V @ B.swapaxes(1, 2))).reshape(T, L, n, H)
-        return _leaf_sum(*_pick(m, self.idx, 2))
+        m = -2.0 * P
+        m += _quad(self.rows, G)[..., None]
+        return _leaf_sum(*_pick(m.reshape(T, L, n, H), self.idx, 2))
 
 
 class _HardLast:
@@ -350,9 +369,10 @@ class _HardLast:
         2 t = 2 u - 2 o g_ed.
 
     The quotient t / g_dd only picks p; no quotient enters a metric, so
-    integer channels give exact metrics and exact ties.  The rows 2d and
-    2o e, spread over all K columns, give 2u and 2o w of every hypothesis
-    in one product.
+    integer channels give exact metrics and exact ties.  The rows are
+    each leaf's 2d, read once and broadcast over the outer values, and
+    its 2o e for every o, then the prefix values: one projection gives
+    2u, 2o w and v.b of every hypothesis.
     """
 
     def __init__(self, members, signals, hyps):
@@ -375,63 +395,69 @@ class _HardLast:
         if self.pair:
             n_o = len(self.points)
             oe = self.points[:, None] * e                        # (L, n_o, K)
-            R = np.stack([np.repeat(2.0 * d, n_o, 1), 2.0 * oe], 1)
+            R = np.concatenate([2.0 * d, 2.0 * oe], 1)     # (L, 1 + n_o, K)
             # quadratic rows: g_dd, then 2o g_ed and o^2 g_ee per o
             self.gx = np.concatenate([d, 2.0 * oe, oe], 1).reshape(-1, K)
             self.gy = np.concatenate([d, np.repeat(d, n_o, 1), oe],
                                      1).reshape(-1, K)
             aoff = np.arange(n_o, dtype=np.int64) * n_o
         else:  # RealPoints: the last real is the whole unit
-            R = 2.0 * d[:, None]
+            R = 2.0 * d
             self.gx = self.gy = d[:, 0]
             aoff = np.zeros(1, dtype=np.int64)
-        self.R = R.reshape(-1, K)                    # rows (leaf, 2d | 2oe, o)
-        self.Vp = None
-        if len(members[0]) > 1:
+        self.n_R = L * R.shape[1]
+        self.rows = R.reshape(-1, K)                 # (leaf, 2d | 2oe per o)
+        self.prefix = len(members[0]) > 1
+        if self.prefix:
             self.Vp = Vp.reshape(L * P, K)
+            self.rows = np.concatenate([self.rows, self.Vp])
             # the fold v.G.r of each (prefix, row) pair of one leaf
-            rows = R.shape[1] * R.shape[2]
-            self.Vp_R = np.repeat(Vp, rows, axis=1).reshape(-1, K)
-            self.R_P = np.tile(R.reshape(L, rows, K), (1, P, 1)).reshape(-1, K)
+            self.Vp_R = np.repeat(Vp, R.shape[1], axis=1).reshape(-1, K)
+            self.R_P = np.tile(R, (1, P, 1)).reshape(-1, K)
         self.w_last = np.array([signals.weights[u] for u in lasts],
                                dtype=np.int64)[:, None, None, None]
         # codeword index of (leaf, prefix, outer value) at inner digit 0
         self.offsets = pidx[:, :, None, None] + aoff[:, None] * self.w_last
         self.count = L * P * len(aoff)
-        self.width = hyps * (8 * self.count + len(self.R) + L * P)
+        # t2, the quotient (then p), the inner indexes and the metrics,
+        # the prefix metrics and the Gram products
+        products = len(self.gx) + (len(self.Vp_R) if self.prefix else 0)
+        self.width = hyps * (4 * self.count + L * P) + K * products
 
-    def decode(self, B, G):
-        T, H = B.shape[:2]
-        L, P, n_o = self.offsets.shape[:3]
-        Bt = B.swapaxes(1, 2)                                  # (T, K, H)
-        X = (self.R @ Bt).reshape(T, L, -1, n_o, H)            # 2u | 2o w
+    def decode(self, P, G):
+        T, _r, H = P.shape
+        L, n_p, n_o = self.offsets.shape[:3]
+        X = P[:, :self.n_R].reshape(T, L, 1, -1, H)           # 2u | 2o w
         g = _quad(self.gx, G, self.gy).reshape(T, L, 1, -1, 1)
         g_dd = g[:, :, :, :1]
         ed = ee = 0.0        # 2o g_ed and o^2 g_ee, plus the prefix's fold
         if self.pair:
             ed, ee = g[:, :, :, 1:1 + n_o], g[:, :, :, 1 + n_o:]
-        if self.Vp is not None:
-            pre = (_quad(self.Vp, G)[..., None]
-                   - 2.0 * (self.Vp @ Bt)).reshape(T, L, P, 1, H)
+        if self.prefix:
+            pre = -2.0 * P[:, self.n_R:].reshape(T, L, n_p, 1, H)
+            pre += _quad(self.Vp, G).reshape(T, L, n_p, 1, 1)
             # the prefix folds into u and w once per (trial, prefix)
-            fold = _quad(self.Vp_R, G, self.R_P).reshape(T, L, P, -1, n_o, 1)
-            ed = ed + fold[:, :, :, 0]
+            fold = _quad(self.Vp_R, G, self.R_P).reshape(T, L, n_p, -1, 1)
+            ed = ed + fold[:, :, :, :1]
             if self.pair:
-                ee = ee + fold[:, :, :, 1]
-        t2 = X[:, :, :1] - ed                                  # (T, L, P, n_o, H)
-        pi = _nearest(self.mids, t2 / (2.0 * g_dd))
-        p = self.points[pi]
+                ee = ee + fold[:, :, :, 1:]
+        t2 = X[:, :, :, :1] - ed                         # (T, L, P, n_o, H)
+        p = t2 / (2.0 * g_dd)
+        pi = _nearest(self.mids, p)
+        np.take(self.points, pi, out=p, mode="clip")
         m = p * g_dd
         m -= t2
         m *= p
+        del t2, p
         if self.pair:
-            m += ee - X[:, :, 1:]
-        if self.Vp is not None:
+            m += ee
+            m -= X[:, :, :, 1:]
+        if self.prefix:
             m += pre
-        idx = self.offsets + pi * self.w_last
-        best = _pick(m.reshape(T, L, P * n_o, H),
-                     idx.reshape(T, L, P * n_o, H), 2)
-        return _leaf_sum(*best)
+        pi *= self.w_last
+        pi += self.offsets
+        shape = (T, L, n_p * n_o, H)
+        return _leaf_sum(*_pick(m.reshape(shape), pi.reshape(shape), 2))
 
 
 class _HardAll:
@@ -439,9 +465,9 @@ class _HardAll:
 
     Exact when the Gram is diagonal in unit-local coordinates (a real, or
     a QAM pair's rotated axes (c, s) and (-s, c)), which decode checks
-    for every channel.  Each axis, spread over all K columns, projects
-    the linear terms in one product; the axes' point sets are padded to
-    one length so that every axis is limited at once.
+    for every channel.  The rows are the axes, so the projected linear
+    terms are each axis's own; the axes' point sets are padded to one
+    length so that every axis is limited at once.
     """
 
     def __init__(self, members, signals, hyps):
@@ -449,27 +475,28 @@ class _HardAll:
         self.cols = np.array([i for u in units for i in u.indices],
                              dtype=np.intp)
         self.sub = _block(self.cols, self.cols)
-        self.E = np.zeros((len(self.cols), signals.K))     # unit axes
+        self.rows = np.zeros((len(self.cols), signals.K))  # unit axes
         points, digit, pairs = [], [], []
         for u in units:
             at, cols, w = len(points), list(u.indices), signals.weights[u]
             if isinstance(u, RealPoints):
-                self.E[at, cols] = 1.0
+                self.rows[at, cols] = 1.0
                 points.append(u.points)
                 digit.append(w)
             elif isinstance(u, PairQAM):
                 pam = pam_points(qam_side(u.M))
                 c, s = np.cos(u.theta), np.sin(u.theta)
                 pairs.append(at)
-                self.E[at, cols] = c, s
-                self.E[at + 1, cols] = -s, c
+                self.rows[at, cols] = c, s
+                self.rows[at + 1, cols] = -s, c
                 points += [pam, pam]
                 digit += [len(pam) * w, w]
             else:
                 raise PlanError("hard_all cannot limit a value block")
-        self.E_cols = self.E[:, self.cols]
+        self.E_cols = self.rows[:, self.cols]
         # each pair's axes must stay uncoupled by the channel
-        self.e1, self.e2 = self.E[pairs], self.E[[a + 1 for a in pairs]]
+        self.e1 = self.rows[pairs]
+        self.e2 = self.rows[[a + 1 for a in pairs]]
         n = max(map(len, points))
         self.points = np.array([tuple(p) + (0.0,) * (n - len(p))
                                 for p in points])
@@ -481,25 +508,33 @@ class _HardAll:
         self.count = 1
         self.width = 6 * hyps * len(points)
 
-    def decode(self, B, G):
-        Z = self.E @ B.swapaxes(1, 2)                      # (T, k, H)
+    def decode(self, P, G):
         if len(self.e1):
             cross = _quad(self.e1, G, self.e2)
             scale = np.maximum(np.abs(G).max(axis=(1, 2)), 1e-30)
             if np.any(np.abs(cross) > 1e-6 * scale[:, None]):
                 raise PlanError("hard_all pair is not separable")
-        i = _nearest(self.mids, Z / _quad(self.E, G)[..., None])
-        x = self.points[self.axis, i].swapaxes(1, 2) @ self.E_cols
-        m = (-2.0 * np.sum(B[..., self.cols] * x, axis=-1)
-             + _quad(x, G[self.sub]))
-        return m, (i * self.digit).sum(axis=1)
+        i = _nearest(self.mids, P / _quad(self.rows, G)[..., None])
+        p = self.points[self.axis, i].swapaxes(1, 2)         # (T, H, k)
+        # x.G.x - 2 x.b, with x.b the sum of each axis's p times its term
+        x = p @ self.E_cols
+        m = x @ G[self.sub]
+        m *= x
+        p *= P.swapaxes(1, 2)
+        p *= 2.0
+        m -= p
+        return m @ np.ones(m.shape[-1]), (i * self.digit).sum(axis=1)
 
 
 class _Cond:
     """Enumerate the conditioning values and decode the children for each
-    hypothesis, folded into the linear terms.  Hypothesis c of parent row
-    h becomes row c * H + h, so the conditioning values are the leading
-    candidate axis of the totals."""
+    hypothesis.  The rows are the conditioning values Vc, then the
+    children's rows.  Hypothesis v folds into the children's linear
+    terms b as b - G v, that is into their projections as
+    P_child - rows_child.G.v: one product per trial, broadcast over the
+    parent's hypotheses.  Hypothesis c of parent row h becomes row
+    c * H + h, so the conditioning values are the leading candidate axis
+    of the totals."""
 
     def __init__(self, units, children, signals, hyps):
         Vc, cidx = signals.table(units)
@@ -507,26 +542,39 @@ class _Cond:
         self.cidx = cidx[:, None]                          # (n_c, 1)
         self.children = children
         n_c = len(cidx)
+        sizes = [len(c.rows) for c in children]
+        ends = np.cumsum(sizes)
+        self.slices = [slice(e - r, e) for e, r in zip(ends, sizes)]
+        self.child_rows = np.concatenate([c.rows for c in children])
+        self.rows = (self.child_rows if self.Vc is None else
+                     np.concatenate([self.Vc, self.child_rows]))
         self.count = n_c * sum(c.count for c in children)
-        # Bd and the running totals stay live while the children decode
-        self.width = (hyps * n_c * (signals.K + 4)
-                      + max(c.width for c in children))
+        # the folded projections and the running totals stay live while
+        # the children decode; the fold's products only before
+        r_c, K = self.child_rows.shape
+        own = hyps * n_c * (4 + (r_c if self.Vc is not None else 0))
+        self.width = own + max([n_c * (K + r_c)]
+                               + [c.width for c in children])
 
-    def decode(self, B, G):
-        T, H, K = B.shape
+    def decode(self, P, G):
+        T, _r, H = P.shape
         n_c = len(self.cidx)
-        total_m, total_i, Bd = None, self.cidx, B
+        total_m, total_i, Pc = None, self.cidx, P
         if self.Vc is not None:
             VG = self.Vc @ G              # (T, n_c, K): _quad's product, the fold
-            total_m = (((VG * self.Vc) @ np.ones(K))[..., None]
-                       - 2.0 * (self.Vc @ B.swapaxes(1, 2)))   # (T, n_c, H)
-            # every column is folded; each child reads only its own
-            Bd = (B[:, None] - VG[:, :, None]).reshape(T, n_c * H, K)
-        for child in self.children:
-            cm, ci = child.decode(Bd, G)
-            cm = cm.reshape(T, n_c, H)
-            total_m = cm if total_m is None else total_m + cm
-            total_i = total_i + ci.reshape(T, n_c, H)
+            total_m = -2.0 * P[:, :n_c]                        # (T, n_c, H)
+            total_m += ((VG * self.Vc) @ np.ones(VG.shape[-1]))[..., None]
+            F = self.child_rows @ VG.swapaxes(1, 2)          # (T, r_c, n_c)
+            Pc = (P[:, n_c:, None] - F[..., None]).reshape(T, -1, n_c * H)
+            del VG, F
+        for child, rows in zip(self.children, self.slices):
+            cm, ci = child.decode(Pc[:, rows], G)
+            cm, ci = cm.reshape(T, n_c, H), ci.reshape(T, n_c, H)
+            if total_m is None:
+                total_m = cm
+            else:
+                total_m += cm
+            total_i = total_i + ci
         if n_c == 1:
             return total_m[:, 0], total_i[:, 0]
         return _pick(total_m, total_i, 1)
@@ -603,14 +651,16 @@ def _oracle(stbc, b, G):
     scores f_A[a] + f_B[b] + 2 x_A[a].G_AB.x_B[b], each half's own terms
     plus the cross term, as one product per trial of the head rows
     [2 x_A G_AB, 1, f_A] against the tail columns [x_B, f_B, 1].  The
-    grid is scanned in blocks of head rows within _CHUNK_BYTES per
-    trial, and trials in blocks within the same budget.
+    tail is taken in blocks of rows whose columns, and f_B's product,
+    fit _CHUNK_BYTES per trial, each against blocks of head rows whose
+    grid block fits it, and trials in blocks within the same budget.
     """
     (cA, XA), (cB, XB) = stbc.grid
     T, K = b.shape
     n_A, (n_B, k_B) = len(XA), XB.shape
-    rows = min(n_A, max(1, _CHUNK_BYTES // (8 * n_B)))
-    per = max(1, _CHUNK_BYTES // (8 * (rows * n_B + (n_A + n_B) * (K + 2))))
+    cols = min(n_B, max(1, _CHUNK_BYTES // (8 * (2 * k_B + 2))))
+    rows = min(n_A, max(1, _CHUNK_BYTES // (8 * cols)))
+    per = max(1, _CHUNK_BYTES // (8 * (rows * cols + (n_A + cols) * (K + 2))))
     best_i, best_m = np.empty(T, dtype=np.int64), np.empty(T)
     for t0 in range(0, T, per):
         bt, Gt = b[t0:t0 + per], G[t0:t0 + per]
@@ -618,28 +668,33 @@ def _oracle(stbc, b, G):
         L[..., :k_B] = 2.0 * (XA @ Gt[_block(cA, cB)])
         L[..., k_B] = 1.0
         L[..., k_B + 1] = _half_metric(XA, cA, bt, Gt)
-        R = np.empty((len(bt), k_B + 2, n_B))
-        R[:, :k_B] = XB.T
-        R[:, k_B] = _half_metric(XB, cB, bt, Gt)
-        R[:, k_B + 1] = 1.0
-        t = np.arange(len(bt))
-        for a0 in range(0, n_A, rows):
-            m = (L[:, a0:a0 + rows] @ R).reshape(len(bt), -1)
-            arg = np.argmin(m, axis=1)
-            m, i = m[t, arg], arg + a0 * n_B
-            if a0 == 0:
-                bi, bm = i, m
-            else:  # a later block wins only with a strictly smaller metric
-                upd = m < bm
-                bi, bm = np.where(upd, i, bi), np.where(upd, m, bm)
+        t, bi = np.arange(len(bt)), None
+        for b0 in range(0, n_B, cols):
+            XBb = XB[b0:b0 + cols]
+            R = np.empty((len(bt), k_B + 2, len(XBb)))
+            R[:, :k_B] = XBb.T
+            R[:, k_B] = _half_metric(XBb, cB, bt, Gt)
+            R[:, k_B + 1] = 1.0
+            for a0 in range(0, n_A, rows):
+                m = (L[:, a0:a0 + rows] @ R).reshape(len(bt), -1)
+                arg = np.argmin(m, axis=1)
+                m, i = m[t, arg], arg + (a0 * n_B + b0)
+                if len(XBb) < n_B:  # grid row arg // len(XBb) of the block
+                    i += arg // len(XBb) * (n_B - len(XBb))
+                if bi is None:
+                    bi, bm = i, m
+                else:  # a strictly smaller metric, or a tie at a lower index
+                    upd = (m < bm) | ((m == bm) & (i < bi))
+                    bi, bm = np.where(upd, i, bi), np.where(upd, m, bm)
         best_i[t0:t0 + per], best_m[t0:t0 + per] = bi, bm
     return best_i, best_m
 
 
 def _structured(stbc, b, G):
     """Plan decode of b: (T, K), G: (T, K, K); (indexes, metrics, count)."""
-    m, idx = stbc.compiled.decode(b[:, None, :], G)
-    return idx[:, 0], m[:, 0], stbc.compiled.count
+    root = stbc.compiled
+    m, idx = root.decode(root.rows @ b[..., None], G)
+    return idx[:, 0], m[:, 0], root.count
 
 
 def ml_oracle(Y, H, stbc):
@@ -738,12 +793,14 @@ class SimResult:
 
 
 def _trial_words(stbc, cfg):
-    """Float64 words one trial of a decode batch holds at most; the
-    oracle scans its grid in blocks within _CHUNK_BYTES on its own."""
+    """Float64 words one trial of a decode batch holds at most: b, G,
+    A_i H and, for the structured decoder, the root's projections and
+    the compiled nodes' widths; the oracle scans its grid in blocks
+    within _CHUNK_BYTES on its own."""
     K = stbc.linear.K
-    words = K * (K + 1) + 4 * K * stbc.N * cfg.n_rx  # b, G and A_i H
+    words = K * (K + 1) + 4 * K * stbc.N * cfg.n_rx
     if cfg.decoder != "oracle":
-        words += stbc.compiled.width
+        words += len(stbc.compiled.rows) + stbc.compiled.width
     return words
 
 
@@ -792,37 +849,45 @@ def simulate(cfg, stbc):
     es_avg = stbc.average_energy
     sigmas = [_noise_std(es_avg, N, snr) for snr in cfg.snr_db]
     chunk = max(1, _CHUNK_BYTES // (8 * _trial_words(stbc, cfg)))
-    errors = []
-    for snr_idx, (snr, sigma) in enumerate(zip(cfg.snr_db, sigmas)):
-        wrong = 0
-        for t0 in range(0, cfg.trials, chunk):
-            trials = range(t0, min(t0 + chunk, cfg.trials))
-            sent, Y, H = _draw(stbc, cfg, sigma, snr_idx, trials)
-            b, G = _metric_terms(stbc, Y, H)
-            if use_o:
-                got, m_o = _oracle(stbc, b, G)
-            if use_s:
-                got_s, m_s, _count = _structured(stbc, b, G)
-            if use_o and use_s:
-                _check_agreement(snr, snr_idx, trials, got, m_o, got_s, m_s)
-            elif use_s:
-                got = got_s
-            wrong += int(np.count_nonzero(got != sent))
-        errors.append(wrong)
+    n = cfg.trials
+    errors = np.zeros(len(sigmas), dtype=np.int64)
+    # one stream of (snr index, trial) keys, key k * trials + t, cut into
+    # chunks that may span SNRs; each SNR's segment is drawn on its own
+    for s0 in range(0, len(sigmas) * n, chunk):
+        s1 = min(s0 + chunk, len(sigmas) * n)
+        snr_idx, trial = np.divmod(np.arange(s0, s1), n)
+        parts = [_draw(stbc, cfg, sigmas[k], k,
+                       range(max(s0 - k * n, 0), min(s1 - k * n, n)))
+                 for k in range(s0 // n, (s1 - 1) // n + 1)]
+        sent, Y, H = (np.concatenate(a) if len(a) > 1 else a[0]
+                      for a in zip(*parts))
+        b, G = _metric_terms(stbc, Y, H)
+        if use_o:
+            got, m_o = _oracle(stbc, b, G)
+        if use_s:
+            got_s, m_s, _count = _structured(stbc, b, G)
+        if use_o and use_s:
+            _check_agreement(cfg.snr_db, snr_idx, trial, got, m_o, got_s,
+                             m_s)
+        elif use_s:
+            got = got_s
+        errors += np.bincount(snr_idx[got != sent], minlength=len(sigmas))
     return SimResult(config=cfg, n_tx=N, codebook=stbc.count,
-                     energy=es_avg, errors=tuple(errors),
+                     energy=es_avg, errors=tuple(map(int, errors)),
                      agreements=(cfg.trials,) * len(cfg.snr_db),
                      oracle_evals=float(stbc.count if use_o else 0),
                      structured_evals=float(stbc.compiled.count if use_s
                                             else 0))
 
 
-def _check_agreement(snr, snr_idx, trials, got_o, m_o, got_s, m_s):
+def _check_agreement(snr_db, snr_idx, trial, got_o, m_o, got_s, m_s):
+    """Raise on the first trial of a batch where the decoders disagree,
+    naming its own SNR, SNR index and trial index."""
     bad = np.flatnonzero(got_o != got_s)
     if bad.size:
         k = bad[0]
         raise AssertionError(
             "decoder disagreement at snr %.12g dB (snr index %d), trial %d: "
             "oracle codeword %d metric %.17g, structured codeword %d metric "
-            "%.17g" % (snr, snr_idx, trials[k], got_o[k], m_o[k], got_s[k],
-                       m_s[k]))
+            "%.17g" % (snr_db[snr_idx[k]], snr_idx[k], trial[k], got_o[k],
+                       m_o[k], got_s[k], m_s[k]))

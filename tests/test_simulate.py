@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stbc_forge.design import (Leaf, Cond, JOINT, HARD_LAST, HARD_ALL,
-                               plan_complexity, to_linear_design)
+                               plan_complexity, plan_indices,
+                               to_linear_design)
 from stbc_forge.signalset import (pam_points, qam_side, PairQAM, RealPoints,
                                   BlockValues, SignalSet, qam_signal_set,
                                   pam_signal_set)
@@ -376,18 +377,18 @@ def test_first_trials_do_not_depend_on_the_trial_count(monkeypatch):
 
     def run(trials):
         """({(snr index, trial): (sent, oracle, structured codeword)},
-        largest block drawn)"""
-        log = []
+        largest decode batch)"""
+        log = {name: [] for name in real}
 
         def draw(stbc, cfg, sigma, snr_idx, ts):
             out = real["_draw"](stbc, cfg, sigma, snr_idx, ts)
-            log.append([snr_idx, ts, out[0]])
+            log["_draw"].append(([(snr_idx, t) for t in ts], out[0]))
             return out
 
         def decoder(name):
             def decode(*args):
                 out = real[name](*args)
-                log[-1].append(out[0])
+                log[name].append(out[0])
                 return out
             return decode
 
@@ -396,15 +397,20 @@ def test_first_trials_do_not_depend_on_the_trial_count(monkeypatch):
             monkeypatch.setattr(sim, name, decoder(name))
         simulate(SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=trials,
                            seed=11), stbc)
-        assert all(len(entry) == 5 for entry in log)
-        return ({(k, t): tuple(int(a[i]) for a in arrays)
-                 for k, ts, *arrays in log for i, t in enumerate(ts)},
-                max(len(entry[1]) for entry in log))
+        # the decode batches hold the drawn keys in stream order
+        keys = [key for drawn, _sent in log["_draw"] for key in drawn]
+        columns = [np.concatenate([sent for _keys, sent in log["_draw"]])]
+        columns += [np.concatenate(log[n]) for n in ("_oracle", "_structured")]
+        assert all(len(c) == len(keys) for c in columns)
+        return ({key: tuple(int(c[i]) for c in columns)
+                 for i, key in enumerate(keys)},
+                max(map(len, log["_structured"])))
 
     k = 5
-    short, _chunk = run(k)
-    long, chunk = run(k + 300)
-    assert chunk > k  # the long run draws the first trials in a larger block
+    short, batch = run(k)
+    long, long_batch = run(k + 300)
+    assert batch == 2 * k  # the short run decodes both SNRs in one batch
+    assert long_batch > 2 * k  # the long run, the first trials in a larger one
     assert len(short) == 2 * k
     assert short == {key: long[key] for key in short}
 
@@ -463,30 +469,31 @@ def test_simulate_disagreement_names_the_case(monkeypatch):
     stbc = qod4_stbc(Q=2)
     V = stbc.symbol_table
     real = sim._oracle
+    cfg = SimConfig(n_rx=2, snr_db=(0.0, 7.5), trials=6, seed=3)
+    r = cfg.trials + 4  # the batch spans both SNRs: snr index 1, trial 4
     seen = []
 
     def flipped(stbc, b, G):
-        # second call = second SNR; move trial 4 to the next codeword
+        # move snr index 1, trial 4 to the next codeword
         idx, m = real(stbc, b, G)
         seen.append((b, G))
-        if len(seen) == 2:
-            idx, m = idx.copy(), m.copy()
-            idx[4] = (idx[4] + 1) % len(V)
-            x = V[idx[4]]
-            m[4] = -2.0 * x @ b[4] + x @ G[4] @ x
+        idx, m = idx.copy(), m.copy()
+        idx[r] = (idx[r] + 1) % len(V)
+        x = V[idx[r]]
+        m[r] = -2.0 * x @ b[r] + x @ G[r] @ x
         return idx, m
 
     monkeypatch.setattr(sim, "_oracle", flipped)
-    cfg = SimConfig(n_rx=2, snr_db=(0.0, 7.5), trials=6, seed=3)
     with pytest.raises(AssertionError) as exc:
         simulate(cfg, stbc)
+    assert len(seen) == 1 and len(seen[0][0]) == 2 * cfg.trials
     got = re.search(r"snr (\S+) dB \(snr index (\d+)\), trial (\d+): "
                     r"oracle codeword (\d+) metric (\S+), structured "
                     r"codeword (\d+) metric (\S+)$", str(exc.value))
     assert got, str(exc.value)
     snr, k, trial, io, mo, is_, ms = got.groups()
     assert (float(snr), int(k), int(trial)) == (7.5, 1, 4)
-    b, G = seen[1][0][4], seen[1][1][4]
+    b, G = seen[0][0][r], seen[0][1][r]
     want_s, _m = real(stbc, b[None], G[None])
     assert int(is_) == want_s[0]
     assert int(io) == (want_s[0] + 1) % len(V)
@@ -549,35 +556,59 @@ def test_simulate_batch_invariance_fgd_ren(monkeypatch):
         assert _chunked_text(monkeypatch, stbc, cfg, chunk) == want
 
 
+def _head_twins(rng):
+    """Integer b and G that swapping reals 0 and 1 leaves unchanged:
+    equal rows of G and equal b."""
+    L = rng.integers(-3, 4, size=(4, 4))
+    L[:, 1] = L[:, 0]
+    b = rng.integers(-6, 7, size=4).astype(float)
+    b[1] = b[0]
+    return b, (L.T @ L).astype(float)
+
+
+def _pair_swap(rng):
+    """Integer b and G that swapping reals 0 <-> 1 and 2 <-> 3 at once
+    leaves unchanged, and neither swap alone in general."""
+    L, b, s = rng.integers(-3, 4, (4, 4)), rng.integers(-6, 7, 4), [1, 0, 3, 2]
+    G = L.T @ L + L[:, s].T @ L[:, s]
+    return (b + b[s]).astype(float), G.astype(float)
+
+
 def test_oracle_blocks_keep_lowest_index_ties(monkeypatch):
     # +-1/2 symbols against integer b and G keep every metric exact, so
-    # symbols 0 and 1 with equal rows of G tie exactly in any summation
-    # order; the lowest index must win across blocks of head rows too
-    # (reals 0 and 1 are the head's, so such ties span head rows)
+    # codewords that a symmetry of b and G swaps tie exactly in any
+    # summation order; the lowest index must win across blocks of head
+    # rows and of tail columns too.  Reals 0 and 1 are the head's and 2
+    # and 3 the tail's: the head twins tie across head rows, and the pair
+    # swap also across tail columns, where a later block of columns can
+    # hold the lower index of a tie
     stbc = STBCInstance(linear=catalog("alamouti").linear,
                         signals=pam_signal_set(4, 2))
     assert [len(X) for _c, X in stbc.grid] == [4, 4]
     V = stbc.symbol_table
     rng = np.random.default_rng(8)
-    tied, cases = 0, []
-    for _ in range(20):
-        L = rng.integers(-3, 4, size=(4, 4))
-        L[:, 1] = L[:, 0]
-        G = (L.T @ L).astype(float)
-        b = rng.integers(-6, 7, size=4).astype(float)
-        b[1] = b[0]
-        m = [-2 * Fraction(x @ b) + Fraction(x @ G @ x) for x in V]
-        want = min(range(len(V)), key=lambda i: (m[i], i))
-        tied += m.count(m[want]) > 1
-        for rows in (1, 3, 4):  # head rows per block, 4 tail rows each
-            monkeypatch.setattr(sim, "_CHUNK_BYTES", 8 * 4 * rows)
-            assert sim._oracle(stbc, b[None], G[None])[0].tolist() == [want]
-        cases.append((b, G, want))
-    assert tied
-    # one head row and one trial per block
-    monkeypatch.setattr(sim, "_CHUNK_BYTES", 8 * 4)
-    b, G, want = map(np.array, zip(*cases))
-    assert sim._oracle(stbc, b, G)[0].tolist() == want.tolist()
+    for symmetric in (_head_twins, _pair_swap):
+        tied = crossed = 0
+        cases = []
+        for _ in range(20):
+            b, G = symmetric(rng)
+            m = [-2 * Fraction(x @ b) + Fraction(x @ G @ x) for x in V]
+            want = min(range(len(V)), key=lambda i: (m[i], i))
+            ties = [i for i in range(len(V)) if m[i] == m[want]]
+            tied += len(ties) > 1
+            crossed += any(i % 4 < want % 4 for i in ties)
+            # blocks of (head rows x tail columns): 1 x 1, 3 x 1, 4 x 1,
+            # 4 x 2 and the whole grid
+            for budget in (8, 24, 48, 96, 192):
+                monkeypatch.setattr(sim, "_CHUNK_BYTES", budget)
+                got = sim._oracle(stbc, b[None], G[None])[0]
+                assert got.tolist() == [want]
+            cases.append((b, G, want))
+        assert tied and (crossed or symmetric is _head_twins)
+        # one grid entry and one trial per block
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", 8)
+        b, G, want = map(np.array, zip(*cases))
+        assert sim._oracle(stbc, b, G)[0].tolist() == want.tolist()
 
 
 def _table_argmin(stbc, b, G):
@@ -636,6 +667,45 @@ def test_sibling_leaves_share_one_kernel_node():
     fgd = fgd_ren_stbc(Q=2).compiled
     assert _leaf_groups(fgd) == [("_Joint", 1), ("_Cond", None)]
     assert _leaf_groups(fgd.children[1]) == [("_Joint", 5)]
+
+
+def _support(row):
+    return set(np.flatnonzero(row).tolist())
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BUNDLES) + ["fgd_ren"])
+def test_node_rows_stay_within_their_subtree(name):
+    # every compiled node reads the linear terms only through its rows,
+    # which must vanish outside the reals of its own subtree; a Cond's
+    # rows are its conditioning values, then its children's rows, and
+    # each row of a fused leaf group reads the reals of one of its leaves
+    stbc = fgd_ren_stbc(Q=2) if name == "fgd_ren" else _bundle(name)
+
+    def check(plan, node):
+        outside = sorted(set(range(stbc.linear.K)) - set(plan_indices(plan)))
+        assert not node.rows[:, outside].any()
+        if isinstance(plan, Leaf):
+            return
+        parts = [c.rows for c in node.children]
+        if node.Vc is not None:
+            assert _support(node.Vc.any(axis=0)) == set(plan.conditioning)
+            parts.insert(0, node.Vc)
+        assert _same_bits(node.rows, np.concatenate(parts))
+        leaves = [c for c in plan.children if isinstance(c, Leaf)]
+        conds = [c for c in plan.children if not isinstance(c, Leaf)]
+        n_groups = len(node.children) - len(conds)
+        for c, n in zip(conds, node.children[n_groups:]):
+            check(c, n)
+        for group in node.children[:n_groups]:
+            owners = set()
+            for row in group.rows:
+                own = [k for k, leaf in enumerate(leaves)
+                       if _support(row) <= set(leaf.indices)]
+                assert own
+                owners.add(own[0])
+            assert len(owners) == getattr(group, "leaves", 1)
+
+    check(stbc.plan, stbc.compiled)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_BUNDLES))
@@ -808,6 +878,58 @@ def test_oracle_working_set_stays_within_twice_the_chunk_budget(name):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * sim._CHUNK_BYTES
+
+
+def test_oracle_bounds_the_tail_tables_of_one_large_unit():
+    # one 60,000-row unit makes a 1 x 60,000 grid: only blocks of tail
+    # columns keep its tail tables within the budget
+    rows = np.random.default_rng(43).standard_normal((60000, 4))
+    unit = BlockValues((0, 1, 2, 3), tuple(map(tuple, rows)))
+    stbc = STBCInstance(linear=catalog("alamouti").linear,
+                        signals=SignalSet(units=(unit,)))
+    (_cA, XA), (_cB, XB) = stbc.grid
+    assert (len(XA), len(XB)) == (1, 60000)
+    cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=3,
+                    decoder="oracle")
+    chunk = max(1, sim._CHUNK_BYTES // (8 * sim._trial_words(stbc, cfg)))
+    _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(chunk))
+    tracemalloc.start()
+    try:
+        b, G = sim._metric_terms(stbc, Y, H)
+        got, _m = sim._oracle(stbc, b, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sim._CHUNK_BYTES
+    assert got[:8].tolist() == _table_argmin(stbc, b[:8], G[:8]).tolist()
+
+
+def test_family_r2_decodes_both_snrs_in_one_batch(monkeypatch):
+    # the decode stream crosses the SNR boundary, and the narrower
+    # projected kernels fit 8 family R=2 trials in one batch
+    stbc = _bundle("family R=2")
+    real_terms, real_decode = sim._metric_terms, sim._structured
+    sizes, peaks = [], []
+
+    def terms(*args):
+        tracemalloc.start()
+        return real_terms(*args)
+
+    def structured(stbc, b, G):
+        try:
+            out = real_decode(stbc, b, G)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(len(b))
+        return out
+
+    monkeypatch.setattr(sim, "_metric_terms", terms)
+    monkeypatch.setattr(sim, "_structured", structured)
+    simulate(SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=4, seed=5,
+                       decoder="structured"), stbc)
+    assert sizes == [8]
+    assert peaks[0] <= sim._CHUNK_BYTES
 
 
 def test_oracle_decodes_several_trials_per_call(monkeypatch):
