@@ -97,7 +97,13 @@ def _emit(path, text):
 
 
 def _default_seed():
-    return int(os.environ.get("STBC_FORGE_SEED", "0"))
+    """STBC_FORGE_SEED, or 0 when it is unset; ValueError unless it is a
+    non-negative integer."""
+    text = os.environ.get("STBC_FORGE_SEED", "0")
+    if not text.strip().isdecimal():
+        raise ValueError("STBC_FORGE_SEED must be a non-negative integer, "
+                         "got %r" % text)
+    return int(text)
 
 
 _CATALOG_PARAMS = {"l": int, "m": int, "n": int, "g": int, "a": int}
@@ -274,12 +280,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     if args.cmd == "catalog" and args.action == "show" and not args.name:
         print("catalog show requires a design name", file=sys.stderr)
         return 2
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

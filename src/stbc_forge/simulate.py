@@ -90,21 +90,23 @@ so the oracle's metric bits do not depend on the batch either.
 simulate walks one stream of (snr index, trial) keys, SNR by SNR, and
 decodes it in chunks whose metric terms, root projections and
 structured-decoder widths stay within _CHUNK_BYTES; the oracle scans its
-grid in blocks of that budget on its own.  A chunk may span SNRs: each
-SNR's segment of it is drawn on its own and the segments are stacked,
-so the draws are those of the per-SNR keys, errors are counted per SNR,
-and a decoder disagreement names the trial's own SNR and index.  Results
-are therefore independent of the chunk size.  A segment is drawn with
-one loop over its trials that seeds each generator from a reused uint32
-key, draws the sent index and then all of the trial's standard normals
-in one call; the codewords and the channel outputs Y = XH + W of the
-whole segment then take a fixed number of numpy calls.  The draws are
-bit-identical to seeding each trial with SeedSequence([seed, snr index,
-trial]) and making four standard_normal calls.  SimConfig.workers is
-accepted and validated for compatibility only: it does not change how a
-run executes.  An SNR must give a finite positive noise deviation, at
-unit energy in SimConfig and at the instance's energy before simulate
-draws any trial.
+grid in blocks of that budget on its own.  A chunk may span SNRs: it is
+drawn in one call over per-key SNR indexes, noise deviations and trial
+indexes, errors are counted per SNR, and a decoder disagreement names
+the trial's own SNR and index.  Results are therefore independent of the
+chunk size.  Key (k, t) draws from its own PCG64 generator, bit-identical
+to seeding it with SeedSequence([seed, k, t]) and making four
+standard_normal calls.  numpy's SeedSequence mixes each key's uint32
+words into its pool; the pool's output hash, which numpy would run
+word by word on scalars, runs for the whole chunk as a few uint32 array
+operations, and each PCG64 is seeded from its precomputed words.  One
+loop over the keys then draws the sent index and all of the trial's
+standard normals in one call; the codewords and the channel outputs
+Y = XH + W of the whole chunk take a fixed number of numpy calls.
+SimConfig.workers is accepted and validated for compatibility only: it
+does not change how a run executes.  An SNR must give a finite positive
+noise deviation, at unit energy in SimConfig and at the instance's
+energy before simulate draws any trial.
 """
 
 import math
@@ -586,7 +588,8 @@ class _Cond:
 def _channel(X, Z, noise_std):
     """Y = XH + W for codewords X (..., N, N) from standard normals
     Z (..., 4, N, n_rx): the real and imaginary parts of the unit-variance
-    CSCG channel H, then those of the noise W before scaling."""
+    CSCG channel H, then those of the noise W before scaling by noise_std,
+    a scalar or one deviation per codeword (T, 1, 1)."""
     H = (Z[..., 0, :, :] + 1j * Z[..., 1, :, :]) / np.sqrt(2)
     W = noise_std * (Z[..., 2, :, :] + 1j * Z[..., 3, :, :]) / np.sqrt(2)
     return X @ H + W, H
@@ -814,26 +817,75 @@ def _words(n):
     return words
 
 
+def _hash_constants(n_words):
+    """SeedSequence.generate_state's per-word constants: word i is xored
+    with INIT_B * MULT_B^i and multiplied by INIT_B * MULT_B^(i + 1)."""
+    init_b, mult_b = 0x8b51f9dd, 0x58f38ded
+    consts = [init_b]
+    for _ in range(n_words):
+        consts.append(consts[-1] * mult_b & 0xFFFFFFFF)
+    return (np.array(consts[:-1], dtype=np.uint32),
+            np.array(consts[1:], dtype=np.uint32))
+
+
+_HASH_XOR, _HASH_MULT = _hash_constants(8)  # PCG64 reads 4 uint64 words
+
+
+def _pcg64_words(pools):
+    """The 4 uint64 words SeedSequence.generate_state(4, np.uint64) gives
+    for each row of pools (T, 4), for all rows at once: the pool cycled
+    to 8 words, each hashed with its constants, then read as
+    little-endian uint64 pairs in native order, as numpy does."""
+    state = np.tile(pools, 2)
+    state ^= _HASH_XOR
+    state *= _HASH_MULT
+    state ^= state >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 its precomputed words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("_Seeded holds 4 uint64 words, asked for %d %s"
+                             % (n_words, np.dtype(dtype)))
+        return self.words
+
+
 def _draw(stbc, cfg, sigma, snr_idx, trials):
     """Sent indexes and stacked Y, H of the given trials.
 
-    Trial t draws from its own generator, seeded by SeedSequence over the
-    words of (seed, snr_idx, t) held in one uint32 key, exactly as from
-    the list [seed, snr_idx, t]: the sent index, then one block of
-    standard normals for H and the noise.  Codewords and channel outputs
-    are then formed for the whole block at once.
+    sigma and snr_idx are scalars or per-key arrays broadcast against
+    trials.  Key k draws from its own generator, seeded exactly as by
+    SeedSequence([seed, snr_idx[k], trials[k]]): numpy mixes each key's
+    words into its pool, the pools' output hash runs for all keys in one
+    array operation, and PCG64 is seeded from the hashed words.  Each
+    generator draws the sent index, then one block of standard normals
+    for H and the noise.  Codewords and channel outputs are then formed
+    for the whole block at once.
     """
-    key = np.array(_words(cfg.seed) + _words(snr_idx) + [0], dtype=np.uint32)
+    snr_idx, trials = np.broadcast_arrays(snr_idx, trials)
+    seed = _words(cfg.seed)
+    keys = np.empty((len(trials), len(seed) + 2), dtype=np.uint32)
+    keys[:, :-2] = seed
+    keys[:, -2] = snr_idx
+    keys[:, -1] = trials
+    seed_seq = np.random.SeedSequence
+    words = _pcg64_words(np.array([seed_seq(key).pool for key in keys]))
     sent = np.empty(len(trials), dtype=np.int64)
     Z = np.empty((len(trials), 4, stbc.N, cfg.n_rx))
     count = stbc.count
-    for k, t in enumerate(trials):
-        key[-1] = t
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    for k, row in enumerate(words):
+        rng = generator(pcg64(_Seeded(row)))
         sent[k] = rng.integers(count)
         rng.standard_normal(out=Z[k])
     X = np.tensordot(stbc.symbol_table[sent], stbc.matrices, axes=(1, 0))
-    Y, H = _channel(X, Z, sigma)
+    Y, H = _channel(X, Z, np.reshape(sigma, (-1, 1, 1)))
     return sent, Y, H
 
 
@@ -847,20 +899,16 @@ def simulate(cfg, stbc):
         raise ValueError("instance has no decode plan")
     N = stbc.N
     es_avg = stbc.average_energy
-    sigmas = [_noise_std(es_avg, N, snr) for snr in cfg.snr_db]
+    sigmas = np.array([_noise_std(es_avg, N, snr) for snr in cfg.snr_db])
     chunk = max(1, _CHUNK_BYTES // (8 * _trial_words(stbc, cfg)))
     n = cfg.trials
     errors = np.zeros(len(sigmas), dtype=np.int64)
     # one stream of (snr index, trial) keys, key k * trials + t, cut into
-    # chunks that may span SNRs; each SNR's segment is drawn on its own
+    # chunks that may span SNRs and drawn one chunk at a time
     for s0 in range(0, len(sigmas) * n, chunk):
-        s1 = min(s0 + chunk, len(sigmas) * n)
-        snr_idx, trial = np.divmod(np.arange(s0, s1), n)
-        parts = [_draw(stbc, cfg, sigmas[k], k,
-                       range(max(s0 - k * n, 0), min(s1 - k * n, n)))
-                 for k in range(s0 // n, (s1 - 1) // n + 1)]
-        sent, Y, H = (np.concatenate(a) if len(a) > 1 else a[0]
-                      for a in zip(*parts))
+        snr_idx, trial = np.divmod(np.arange(s0, min(s0 + chunk,
+                                                     len(sigmas) * n)), n)
+        sent, Y, H = _draw(stbc, cfg, sigmas[snr_idx], snr_idx, trial)
         b, G = _metric_terms(stbc, Y, H)
         if use_o:
             got, m_o = _oracle(stbc, b, G)

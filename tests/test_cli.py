@@ -562,3 +562,19 @@ def test_seed_env_default(tmp_path, capsys, monkeypatch):
                                "--snr", "10", "--trials", "25",
                                "--seed", "5")
     assert out_env == out_arg
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
+def test_bad_seed_env_exits_1(tmp_path, capsys, monkeypatch, value):
+    src = tmp_path / "ala.txt"
+    run(capsys, "catalog", "show", "alamouti", "--out", str(src))
+    monkeypatch.setenv("STBC_FORGE_SEED", value)
+    code, out, err = run(capsys, "simulate", "--in", str(src),
+                         "--snr", "10", "--trials", "3")
+    assert code == 1 and not out
+    assert err == ("error: STBC_FORGE_SEED must be a non-negative integer, "
+                   "got %r\n" % value)
+    # an explicit --seed does not read the variable
+    code, out, _err = run(capsys, "simulate", "--in", str(src),
+                          "--snr", "10", "--trials", "3", "--seed", "2")
+    assert code == 0 and "seed=2" in out

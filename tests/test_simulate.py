@@ -371,6 +371,41 @@ def test_draw_matches_per_trial_generators(name, seed):
             assert _same_bits(Y[k], want_Y) and _same_bits(H[k], want_H)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["alamouti", "qod4", "silver", "family R=1",
+                             "family R=5/4", "family R=2"]),
+       seed=st.integers(0, 2 ** 96 - 1),  # keys of 3 to 5 words
+       n_rx=st.integers(1, 3),
+       keys=st.lists(st.tuples(st.integers(0, 3),
+                               st.integers(0, sim.MAX_TRIALS - 1)),
+                     min_size=1, max_size=8))
+def test_draw_over_mixed_keys_matches_per_trial_generators(name, seed, n_rx,
+                                                           keys):
+    # one _draw over per-key SNR indexes, deviations and trials, against
+    # default_rng(SeedSequence([seed, snr_idx, t])) key by key
+    stbc = _bundle(name)
+    sigmas = np.array([0.9, 0.1, 0.5, 2.0])
+    snr_idx, trials = (np.array(c) for c in zip(*keys))
+    cfg = SimConfig(n_rx=n_rx, snr_db=(0.0,), trials=1, seed=seed)
+    sent, Y, H = sim._draw(stbc, cfg, sigmas[snr_idx], snr_idx, trials)
+    for k, (i, t) in enumerate(keys):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i, t]))
+        want = rng.integers(stbc.count)
+        assert sent[k] == want
+        want_Y, want_H = _four_call_channel(stbc.codeword(want), rng, n_rx,
+                                            sigmas[i])
+        assert _same_bits(Y[k], want_Y) and _same_bits(H[k], want_H)
+
+
+def test_seeded_holds_only_pcg64_words():
+    words = np.arange(4, dtype=np.uint64)
+    seeded = sim._Seeded(words)
+    assert seeded.generate_state(4, np.uint64) is words
+    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError):
+            seeded.generate_state(n_words, dtype)
+
+
 def test_first_trials_do_not_depend_on_the_trial_count(monkeypatch):
     stbc = BATCH_BUNDLES["family R=5/4"]()
     real = {n: getattr(sim, n) for n in ("_draw", "_oracle", "_structured")}
@@ -382,7 +417,9 @@ def test_first_trials_do_not_depend_on_the_trial_count(monkeypatch):
 
         def draw(stbc, cfg, sigma, snr_idx, ts):
             out = real["_draw"](stbc, cfg, sigma, snr_idx, ts)
-            log["_draw"].append(([(snr_idx, t) for t in ts], out[0]))
+            keys = zip(*np.broadcast_arrays(snr_idx, ts))
+            log["_draw"].append(([(int(k), int(t)) for k, t in keys],
+                                 out[0]))
             return out
 
         def decoder(name):
@@ -531,8 +568,39 @@ def _chunked_text(monkeypatch, stbc, cfg, chunk):
     monkeypatch.setattr(sim, "_draw", draw)
     text = simulate(cfg, stbc).to_text()
     monkeypatch.setattr(sim, "_draw", real)
-    assert max(sizes) == min(chunk, cfg.trials)
+    assert max(sizes) == min(chunk, len(cfg.snr_db) * cfg.trials)
     return text
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BUNDLES))
+def test_simulate_draws_once_per_chunk_without_hashing_seeds(name,
+                                                             monkeypatch):
+    hashed = []
+
+    class SpySeedSequence(np.random.SeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            hashed.append(n_words)
+            return super().generate_state(n_words, dtype)
+
+    monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
+    np.random.PCG64(np.random.SeedSequence([1, 0, 0]))
+    assert hashed == [4]  # the spy sees numpy's own seeding
+    hashed.clear()
+    stbc = _bundle(name)
+    cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=4, seed=3,
+                    decoder="structured")
+    monkeypatch.setattr(sim, "_CHUNK_BYTES",
+                        8 * 3 * sim._trial_words(stbc, cfg))
+    calls = {"_draw": 0, "_structured": 0}
+    for fn in calls:
+        def spy(*args, fn=fn, real=getattr(sim, fn)):
+            calls[fn] += 1
+            return real(*args)
+        monkeypatch.setattr(sim, fn, spy)
+    simulate(cfg, stbc)
+    assert not hashed
+    # chunks of 3, 3 and 2 keys; the second spans both SNRs
+    assert calls == {"_draw": 3, "_structured": 3}
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_BUNDLES) + [MIXED])
