@@ -26,8 +26,7 @@ from .diversity import (generator_matrix, cubic_shaping_check,
                         rotation_search, full_diversity_check,
                         difference_classes, DiversityCapError,
                         grow_constellation, grow_with_pam_prefix)
-from .simulate import (STBCInstance, SimConfig, SimResult, channel_step,
-                       ml_oracle, ml_structured, simulate)
+from .simulate import STBCInstance, SimConfig, SimResult, simulate
 from .bundles import assemble_stbc, silver_stbc
 
 __version__ = "0.1.0"

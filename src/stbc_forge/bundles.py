@@ -157,8 +157,12 @@ def family_bundle(m, R, M, angles, xi2):
     m = 1 is the punctured Silver code, which has no angles and no xi2.
     For m >= 2, angles is "" (all 0), "auto" (rotation search) or one
     comma-separated radian per QAM pair, and xi2 is "1", "w2" or None.
+    R is a Fraction or its text, such as a design file's meta.rate.
     """
-    R = Fraction(R)
+    try:
+        R = Fraction(R)
+    except ZeroDivisionError:
+        raise ValueError("rate %s has a zero denominator" % R) from None
     meta = {"family": _family_name(m), "rate": str(R), "M": str(M)}
     if m == 1:
         if angles:
@@ -210,12 +214,12 @@ def bundle_from_meta(m, meta, M=4):
                                 else ()):
         if key not in meta:
             raise ValueError("bundle metadata is missing %s" % key)
-    M, R = int(meta["M"]), Fraction(meta["rate"])
+    M = int(meta["M"])
     if fam not in (_family_name(1), _family_name(2)):
         raise ValueError("unknown bundle family %r" % fam)
     if fam != _family_name(m):
         raise ValueError("bundle family %s does not apply to m=%d" % (fam, m))
     if meta.get("angles") in ("", "auto"):  # a file stores the angles used
         raise ValueError("bundle metadata needs explicit angles")
-    return family_bundle(m, R, M, meta.get("angles", ""),
+    return family_bundle(m, meta["rate"], M, meta.get("angles", ""),
                          meta.get("xi2")).stbc

@@ -17,12 +17,12 @@ import sys
 
 from .f4 import parse_vec, format_vec, O, I, W, W2
 from .design import (Design, rate, finest_partition, validate_partition,
-                     plan_complexity, to_linear_design)
+                     plan_complexity, to_linear_design, _even_table)
 from .diversity import (generator_matrix, cubic_shaping_check,
                         full_diversity_check, difference_classes,
                         group_classes, DiversityCapError,
                         DiversityFloorError, DET_TOL)
-from .pauli import anticommute_parity, hr_orthogonal_numeric, phi_inv
+from .pauli import hr_orthogonal_table, phi_inv
 from .signalset import qam_side
 from .simulate import SimConfig, simulate
 from . import bundles
@@ -106,7 +106,20 @@ def _default_seed():
     return int(text)
 
 
-_CATALOG_PARAMS = {"l": int, "m": int, "n": int, "g": int, "a": int}
+def _catalog_params(name, tokens):
+    """{k: int} of k=v tokens; ValueError naming the first token that is
+    not one of the design's parameters set to an integer."""
+    takes = cons.catalog_params(name)
+    params = {}
+    for tok in tokens:
+        k, _eq, v = tok.partition("=")
+        if k not in takes or not v.strip().lstrip("+-").isdecimal():
+            raise ValueError("bad parameter %r for %s, which takes %s"
+                             % (tok, name, " ".join("%s=<int>" % p
+                                                    for p in takes)
+                                or "no parameters"))
+        params[k] = int(v)
+    return params
 
 
 def cmd_catalog(args):
@@ -114,9 +127,7 @@ def cmd_catalog(args):
         for name in cons.catalog_names():
             print(name)
         return 0
-    params = {k: _CATALOG_PARAMS[k](v) for k, v in
-              (kv.split("=", 1) for kv in args.params)}
-    entry = cons.catalog(args.name, **params)
+    entry = cons.catalog(args.name, **_catalog_params(args.name, args.params))
     d = entry.design
     rep = (validate_partition(d, d.partition) if d.partition
            else finest_partition(d))
@@ -186,10 +197,10 @@ def cmd_verify(args):
             ok = cubic_shaping_check(gm, tol=1e-9)
             note = ""
         elif suite == "prop5":
-            mats = [phi_inv(v) for v in d.vectors]
-            ok = all(anticommute_parity(d.vectors[i], d.vectors[j])
-                     == hr_orthogonal_numeric(mats[i], mats[j])
-                     for i in range(d.K) for j in range(i + 1, d.K))
+            # the numeric HR-orthogonality of the realizations against the
+            # GF(4) parity of each pair's sum: odd weight, orthogonal
+            hr = hr_orthogonal_table([phi_inv(v) for v in d.vectors])
+            ok = bool((hr == ~_even_table(d)).all())
             note = ""
         else:  # diversity
             stbc = bundles.bundle_from_meta(d.m, meta, args.M)

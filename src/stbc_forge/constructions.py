@@ -366,10 +366,15 @@ def catalog_names():
     return sorted(_CATALOG)
 
 
-def catalog(name, **params):
+def catalog_params(name):
+    """The names of a catalog design's integer parameters."""
     if name not in _CATALOG:
         raise KeyError("unknown catalog design %r" % name)
-    fn, argnames = _CATALOG[name]
+    return _CATALOG[name][1]
+
+
+def catalog(name, **params):
+    argnames = catalog_params(name)
     if set(params) != set(argnames):
         raise ValueError("%s takes parameters %r" % (name, argnames))
-    return fn(*[params[k] for k in argnames])
+    return _CATALOG[name][0](*[params[k] for k in argnames])

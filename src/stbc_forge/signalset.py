@@ -51,6 +51,9 @@ class PairQAM:
         if len(self.indices) != 2:
             raise ValueError("PairQAM owns exactly two real indices")
         qam_side(self.M)
+        if not math.isfinite(self.theta):
+            raise ValueError("QAM pair %r: rotation angle %r is not finite"
+                             % (tuple(self.indices), self.theta))
 
     @property
     def size(self):

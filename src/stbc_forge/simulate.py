@@ -23,8 +23,7 @@ diagonal in unit-local coordinates.  Both decoders break metric ties by
 lowest codeword index, so their outputs are comparable by equality.
 
 Both decoders take a batch of T trials per call: linear terms b of shape
-(T, K) against Grams of shape (T, K, K).  ml_oracle and ml_structured
-are the T = 1 case of the same code.
+(T, K) against Grams of shape (T, K, K).
 
 The structured decoder works in projected coordinates.  Every compiled
 node keeps `rows`, the linear-term rows its kernel reads: a joint leaf
@@ -184,10 +183,6 @@ class STBCInstance:
     @cached_property
     def symbol_table(self):
         return self.signals.symbol_table()
-
-    def codeword(self, index):
-        x = self.symbol_table[index]
-        return np.tensordot(x, self.matrices, axes=(0, 0))
 
     @cached_property
     def base_gram(self):
@@ -585,36 +580,12 @@ class _Cond:
 # ---------------------------------------------------------------------------
 # metric terms and decoders
 
-def _channel(X, Z, noise_std):
-    """Y = XH + W for codewords X (..., N, N) from standard normals
-    Z (..., 4, N, n_rx): the real and imaginary parts of the unit-variance
-    CSCG channel H, then those of the noise W before scaling by noise_std,
-    a scalar or one deviation per codeword (T, 1, 1)."""
-    H = (Z[..., 0, :, :] + 1j * Z[..., 1, :, :]) / np.sqrt(2)
-    W = noise_std * (Z[..., 2, :, :] + 1j * Z[..., 3, :, :]) / np.sqrt(2)
-    return X @ H + W, H
-
-
-def channel_step(X, rng, n_rx, noise_std):
-    """Y = XH + W with unit-variance CSCG H and given noise deviation."""
-    return _channel(X, rng.standard_normal((4, X.shape[0], n_rx)), noise_std)
-
-
 def _metric_terms(stbc, Y, H):
-    """b and G of one trial (Y, H: (N, n_rx)) or of a stack of trials
-    (T, N, n_rx)."""
+    """b (T, K) and G (T, K, K) of a stack of trials Y, H: (T, N, n_rx)."""
     AH = np.einsum("iab,...bc->...iac", stbc.matrices, H)
     b = np.real(np.einsum("...ab,...iab->...i", Y.conj(), AH))
     G = np.real(np.einsum("...iab,...jab->...ij", AH.conj(), AH))
     return b, G
-
-
-def _check_oracle_cap(stbc):
-    if stbc.count > ORACLE_CAP:
-        raise ValueError(
-            "codebook of %d codewords is above the exhaustive-decoding cap "
-            "of %d; the structured decoder (--decoder structured) decodes it"
-            % (stbc.count, ORACLE_CAP))
 
 
 def _grid(signals):
@@ -694,27 +665,10 @@ def _oracle(stbc, b, G):
 
 
 def _structured(stbc, b, G):
-    """Plan decode of b: (T, K), G: (T, K, K); (indexes, metrics, count)."""
+    """Plan decode of b: (T, K), G: (T, K, K); (indexes, metrics)."""
     root = stbc.compiled
     m, idx = root.decode(root.rows @ b[..., None], G)
-    return idx[:, 0], m[:, 0], root.count
-
-
-def ml_oracle(Y, H, stbc):
-    """Full-enumeration argmin; ties to the lowest codeword index."""
-    _check_oracle_cap(stbc)
-    b, G = _metric_terms(stbc, Y[None], H[None])
-    index, _metric = _oracle(stbc, b, G)
-    return int(index[0]), stbc.count
-
-
-def ml_structured(Y, H, stbc):
-    """Plan-driven exact ML decode; returns (codeword index, metric count)."""
-    if stbc.plan is None:
-        raise ValueError("instance has no decode plan")
-    b, G = _metric_terms(stbc, Y[None], H[None])
-    index, _metric, count = _structured(stbc, b, G)
-    return int(index[0]), count
+    return idx[:, 0], m[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -885,16 +839,22 @@ def _draw(stbc, cfg, sigma, snr_idx, trials):
         sent[k] = rng.integers(count)
         rng.standard_normal(out=Z[k])
     X = np.tensordot(stbc.symbol_table[sent], stbc.matrices, axes=(1, 0))
-    Y, H = _channel(X, Z, np.reshape(sigma, (-1, 1, 1)))
-    return sent, Y, H
+    # Y = XH + W: Z holds the real and imaginary parts of the unit-variance
+    # CSCG channel H, then those of the noise W before scaling by sigma
+    H = (Z[:, 0] + 1j * Z[:, 1]) / np.sqrt(2)
+    W = np.reshape(sigma, (-1, 1, 1)) * (Z[:, 2] + 1j * Z[:, 3]) / np.sqrt(2)
+    return sent, X @ H + W, H
 
 
 def simulate(cfg, stbc):
     """Seeded CER run; identical output for any worker count or batch size."""
     use_o = cfg.decoder in ("oracle", "both")
     use_s = cfg.decoder in ("structured", "both")
-    if use_o:
-        _check_oracle_cap(stbc)
+    if use_o and stbc.count > ORACLE_CAP:
+        raise ValueError(
+            "codebook of %d codewords is above the exhaustive-decoding cap "
+            "of %d; the structured decoder (--decoder structured) decodes it"
+            % (stbc.count, ORACLE_CAP))
     if use_s and stbc.plan is None:
         raise ValueError("instance has no decode plan")
     N = stbc.N
@@ -913,7 +873,7 @@ def simulate(cfg, stbc):
         if use_o:
             got, m_o = _oracle(stbc, b, G)
         if use_s:
-            got_s, m_s, _count = _structured(stbc, b, G)
+            got_s, m_s = _structured(stbc, b, G)
         if use_o and use_s:
             _check_agreement(cfg.snr_db, snr_idx, trial, got, m_o, got_s,
                              m_s)

@@ -28,8 +28,7 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   grow_with_pam_prefix, DET_TOL,
                                   _min_det_from_points)
 from stbc_forge.signalset import pam_points, qam_signal_set
-from stbc_forge.simulate import (STBCInstance, SimConfig, simulate,
-                                 channel_step, ml_oracle, ml_structured)
+from stbc_forge.simulate import STBCInstance, SimConfig, simulate
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
                                 silver_stbc)
 
@@ -299,21 +298,6 @@ def test_criterion_7_construction_suite():
           "the full parameter grid")
 
 
-def _run_equivalence(stbc, trials, seed):
-    sigma = np.sqrt(stbc.average_energy / (stbc.N * 10 ** (10.0 / 10.0)))
-    counts = set()
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        sent = int(rng.integers(stbc.count))
-        Y, H = channel_step(stbc.codeword(sent), rng, 2, sigma)
-        io, _eo = ml_oracle(Y, H, stbc)
-        is_, es = ml_structured(Y, H, stbc)
-        assert io == is_, "disagreement at trial %d" % t
-        counts.add(es)
-    assert len(counts) == 1
-    return counts.pop()
-
-
 def test_criterion_8_decoder_oracle_equivalence():
     t0 = time.monotonic()
     base = build_base(2)
@@ -328,8 +312,13 @@ def test_criterion_8_decoder_oracle_equivalence():
         ("silver M=4", silver_stbc(4), 4),
     ]
     for k, (label, stbc, M) in enumerate(instances):
-        count = _run_equivalence(stbc, 500, seed=100 + k)
-        assert count == plan_complexity(stbc.plan).evaluate(M), label
+        # decoder="both" raises on the first trial whose structured
+        # codeword index differs from the oracle's
+        cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=500, seed=100 + k,
+                        decoder="both")
+        res = simulate(cfg, stbc)
+        want = plan_complexity(stbc.plan).evaluate(M)
+        assert res.structured_evals == want, label
     dt = time.monotonic() - t0
     print("criterion 8: PASS - 6 instances x 500 trials, structured == "
           "oracle, counts == term sums (%.1f s)" % dt)

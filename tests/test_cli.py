@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from stbc_forge import cli
 from stbc_forge.cli import (main, format_design, parse_design, DESIGN_HEADER,
                             INFEASIBLE)
 from stbc_forge.simulate import SimConfig
@@ -53,6 +54,21 @@ def test_catalog_show_with_params(capsys, tmp_path):
     d, meta, _names = parse_design(p.read_text())
     assert meta["name"] == "ggroup"
     assert len(d.partition) == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("qod4", "foo"), "bad parameter 'foo' for qod4, which takes no "
+                      "parameters"),
+    (("scod", "q=1"), "bad parameter 'q=1' for scod, which takes m=<int>"),
+    (("scod", "m=two"), "bad parameter 'm=two' for scod, which takes "
+                        "m=<int>"),
+    (("ggroup", "g=3", "a"), "bad parameter 'a' for ggroup, which takes "
+                             "g=<int> a=<int>"),
+], ids=["no-parameters", "unknown-key", "not-an-integer", "no-value"])
+def test_catalog_show_names_a_bad_parameter(argv, message, capsys):
+    code, out, err = run(capsys, "catalog", "show", *argv)
+    assert code == 1 and not out
+    assert err == "error: %s\n" % message
 
 
 def test_catalog_complexity_lines(capsys):
@@ -194,6 +210,45 @@ def test_build_fd_granularity_error(capsys):
     assert code == 1
     assert "even integer" in err
     assert "predicted" not in out  # error surfaces before any prediction
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_non_finite_angles_are_errors(angle, tmp_path, capsys):
+    # refused by build-fd, and by verify and simulate in a file
+    p = tmp_path / "fd.txt"
+    code, out, err = run(capsys, "build-fd", "--m", "2", "--rate", "5/4",
+                         "--angles", "0.5,%s,0.5,0.5,0.5" % angle,
+                         "--out", str(p))
+    message = "error: QAM pair (2, 3): rotation angle %s is not finite\n" % (
+        float(angle),)
+    assert code == 1 and not out and err == message
+    assert not p.exists()
+    run(capsys, "build-fd", "--m", "2", "--rate", "5/4",
+        "--angles", ",".join(["0.5"] * 5), "--out", str(p))
+    p.write_text(re.sub("angles=0.500000000000,",
+                        "angles=%s," % angle, p.read_text()))
+    for argv in (("verify", "--in", str(p), "--suite", "diversity"),
+                 ("simulate", "--in", str(p), "--snr", "10",
+                  "--trials", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err == message.replace("(2, 3)", "(0, 1)")
+
+
+@pytest.mark.parametrize("m, rate", [(1, "2"), (2, "5/4")])
+def test_zero_denominator_rate_is_an_error(m, rate, tmp_path, capsys):
+    message = "error: rate 1/0 has a zero denominator\n"
+    code, out, err = run(capsys, "build-fd", "--m", str(m), "--rate", "1/0")
+    assert code == 1 and not out and err == message
+    p = tmp_path / "fd.txt"
+    run(capsys, "build-fd", "--m", str(m), "--rate", rate, "--out", str(p))
+    p.write_text(p.read_text().replace("meta.rate=%s\n" % rate,
+                                       "meta.rate=1/0\n"))
+    for argv in (("verify", "--in", str(p), "--suite", "diversity"),
+                 ("simulate", "--in", str(p), "--snr", "10",
+                  "--trials", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out and err == message
 
 
 def test_build_fd_silver_path(capsys):
@@ -369,6 +424,24 @@ def test_verify_alamouti_all(tmp_path, capsys):
     assert code == 0
     for suite in ("partition", "shaping", "prop5", "diversity"):
         assert "%s: PASS" % suite in out
+
+
+def test_verify_prop5_fails_on_a_mismatch(tmp_path, capsys, monkeypatch):
+    # prop5 compares the realizations' numeric HR-orthogonality table with
+    # the GF(4) parity table; one flipped pair must fail the suite
+    p = tmp_path / "qod4.txt"
+    run(capsys, "catalog", "show", "qod4", "--out", str(p))
+    real = cli.hr_orthogonal_table
+
+    def flipped(mats):
+        table = real(mats)
+        table[0, 1] = table[1, 0] = not table[0, 1]
+        return table
+
+    monkeypatch.setattr(cli, "hr_orthogonal_table", flipped)
+    code, out, _err = run(capsys, "verify", "--in", str(p),
+                          "--suite", "prop5")
+    assert code == 1 and out == "prop5: FAIL\n"
 
 
 def test_verify_duplicate_vector_rejected(tmp_path, capsys):

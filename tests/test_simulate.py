@@ -19,9 +19,7 @@ from stbc_forge.design import (Leaf, Cond, JOINT, HARD_LAST, HARD_ALL,
 from stbc_forge.signalset import (pam_points, qam_side, PairQAM, RealPoints,
                                   BlockValues, SignalSet, qam_signal_set,
                                   pam_signal_set)
-from stbc_forge.simulate import (STBCInstance, SimConfig,
-                                 channel_step, ml_oracle, ml_structured,
-                                 simulate, PlanError)
+from stbc_forge.simulate import STBCInstance, SimConfig, simulate, PlanError
 from stbc_forge.constructions import catalog
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, group_stbc,
                                 fgd_ren_stbc, silver_stbc, assemble_stbc)
@@ -197,10 +195,15 @@ def test_dropped_instance_needs_no_cycle_collector(build):
             gc.enable()
 
 
+def _codeword(stbc, i):
+    """Codeword i: its reals weighting the design's matrices."""
+    return np.tensordot(stbc.symbol_table[i], stbc.matrices, axes=(0, 0))
+
+
 def test_average_energy_alamouti():
     stbc = alamouti_stbc(4)
     # E||X||^2 = sum_i E[x_i^2] * ||A_i||^2 = 4 * (5/4)/2... direct:
-    want = np.mean([np.linalg.norm(stbc.codeword(i)) ** 2
+    want = np.mean([np.linalg.norm(_codeword(stbc, i)) ** 2
                     for i in range(stbc.count)])
     assert abs(stbc.average_energy - want) < 1e-12
 
@@ -209,19 +212,13 @@ def test_average_energy_alamouti():
 # decoders
 
 def _agree(stbc, trials, seed, snr_db=10.0, n_rx=2):
-    rng_master = np.random.default_rng(seed)
-    sigma = np.sqrt(stbc.average_energy / (stbc.N * 10 ** (snr_db / 10.0)))
-    counts = set()
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        sent = int(rng.integers(stbc.count))
-        Y, H = channel_step(stbc.codeword(sent), rng, n_rx, sigma)
-        io, _eo = ml_oracle(Y, H, stbc)
-        is_, es = ml_structured(Y, H, stbc)
-        assert io == is_
-        counts.add(es)
-    assert len(counts) == 1  # deterministic instrumentation
-    return counts.pop()
+    """Structured == oracle on every trial of a decoder="both" run, which
+    raises on the first disagreement; returns the structured count."""
+    cfg = SimConfig(n_rx=n_rx, snr_db=(snr_db,), trials=trials, seed=seed,
+                    decoder="both")
+    res = simulate(cfg, stbc)
+    assert res.oracle_evals == stbc.count
+    return res.structured_evals
 
 
 def test_alamouti_decoder_agreement_and_count():
@@ -248,18 +245,24 @@ def test_group_stbc_scod():
     assert count == plan_complexity(stbc.plan).evaluate(4) == 6 * 2
 
 
+def _clean_terms(stbc, sent, seed):
+    """b and G of the given codewords through drawn channels, no noise."""
+    cfg = SimConfig(n_rx=2, snr_db=(0.0,), trials=len(sent), seed=seed)
+    _drawn, _Y, H = sim._draw(stbc, cfg, 0.0, 0, range(len(sent)))
+    X = np.array([_codeword(stbc, i) for i in sent])
+    return sim._metric_terms(stbc, X @ H, H)
+
+
 def test_fgd_ren_count_and_zero_noise():
     # 2^17 codewords: beyond the oracle cap, so check the structured
     # decoder's instrumentation and exact decoding of clean channels
     stbc = fgd_ren_stbc(Q=2)
     rep = plan_complexity(stbc.plan)
     assert str(rep) == "5·M^6"
-    rng = np.random.default_rng(15)
-    for sent in (0, 31337, stbc.count - 1):
-        Y, H = channel_step(stbc.codeword(sent), rng, 2, 0.0)
-        got, count = ml_structured(Y, H, stbc)
-        assert got == sent
-        assert count == rep.evaluate(4)
+    sent = [0, 31337, stbc.count - 1]
+    b, G = _clean_terms(stbc, sent, seed=15)
+    assert sim._structured(stbc, b, G)[0].tolist() == sent
+    assert stbc.compiled.count == rep.evaluate(4)
 
 
 def test_fgd_ren_rate2():
@@ -287,20 +290,18 @@ def test_counts_at_m16():
 
 def test_zero_noise_decodes_exactly():
     stbc = qod4_stbc(Q=2)
-    rng = np.random.default_rng(3)
-    for sent in (0, 5, 200, 255):
-        Y, H = channel_step(stbc.codeword(sent), rng, 2, 0.0)
-        assert ml_oracle(Y, H, stbc)[0] == sent
-        assert ml_structured(Y, H, stbc)[0] == sent
+    sent = [0, 5, 200, 255]
+    b, G = _clean_terms(stbc, sent, seed=3)
+    assert sim._oracle(stbc, b, G)[0].tolist() == sent
+    assert sim._structured(stbc, b, G)[0].tolist() == sent
 
 
 def test_metric_separation_across_groups():
     # for HR-orthogonal groups the ML metric splits per group
     stbc = alamouti_stbc(4)
-    rng = np.random.default_rng(4)
-    Y, H = channel_step(stbc.codeword(7), rng, 2, 0.3)
-    from stbc_forge.simulate import _metric_terms
-    b, G = _metric_terms(stbc, Y, H)
+    cfg = SimConfig(n_rx=2, snr_db=(0.0,), trials=1, seed=4)
+    _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(1))
+    (b,), (G,) = sim._metric_terms(stbc, Y, H)
     V = stbc.symbol_table
     full = -2.0 * (V @ b) + np.einsum("ni,ij,nj->n", V, G, V)
     split = np.zeros(stbc.count)
@@ -312,10 +313,11 @@ def test_metric_separation_across_groups():
 def test_structured_requires_plan():
     lin = catalog("alamouti").linear
     stbc = STBCInstance(linear=lin, signals=pam_signal_set(4, 2))
-    rng = np.random.default_rng(5)
-    Y, H = channel_step(stbc.codeword(0), rng, 2, 0.1)
-    with pytest.raises(ValueError):
-        ml_structured(Y, H, stbc)
+    for decoder in ("structured", "both"):
+        cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=1, seed=5,
+                        decoder=decoder)
+        with pytest.raises(ValueError, match="no decode plan"):
+            simulate(cfg, stbc)
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +339,6 @@ def _same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
-def test_channel_step_is_the_four_call_form():
-    X = qod4_stbc(Q=2).codeword(77)
-    for n_rx, sigma in ((1, 0.0), (2, 0.3), (3, 1.7)):
-        got = channel_step(X, np.random.default_rng(21), n_rx, sigma)
-        want = _four_call_channel(X, np.random.default_rng(21), n_rx, sigma)
-        assert all(map(_same_bits, got, want))
-
-
 @lru_cache(maxsize=None)
 def _bundle(name):
     return ALL_BUNDLES[name]()
@@ -355,7 +349,7 @@ def _bundle(name):
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 32, 2 ** 64 + 5])
 def test_draw_matches_per_trial_generators(name, seed):
     # each trial from default_rng(SeedSequence([seed, snr_idx, t])): the
-    # sent index, four standard_normal blocks and codeword(sent)
+    # sent index, four standard_normal blocks and _codeword(sent)
     stbc = _bundle(name)
     cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=7, seed=seed)
     trials = [0, 1, 2, 3, 4, 1000, 2 ** 32 - 1]
@@ -366,8 +360,8 @@ def test_draw_matches_per_trial_generators(name, seed):
                 np.random.SeedSequence([seed, snr_idx, t]))
             want = rng.integers(stbc.count)
             assert sent[k] == want
-            want_Y, want_H = _four_call_channel(stbc.codeword(want), rng, 2,
-                                                sigma)
+            want_Y, want_H = _four_call_channel(_codeword(stbc, want), rng,
+                                                2, sigma)
             assert _same_bits(Y[k], want_Y) and _same_bits(H[k], want_H)
 
 
@@ -392,8 +386,8 @@ def test_draw_over_mixed_keys_matches_per_trial_generators(name, seed, n_rx,
         rng = np.random.default_rng(np.random.SeedSequence([seed, i, t]))
         want = rng.integers(stbc.count)
         assert sent[k] == want
-        want_Y, want_H = _four_call_channel(stbc.codeword(want), rng, n_rx,
-                                            sigmas[i])
+        want_Y, want_H = _four_call_channel(_codeword(stbc, want), rng,
+                                            n_rx, sigmas[i])
         assert _same_bits(Y[k], want_Y) and _same_bits(H[k], want_H)
 
 
@@ -698,16 +692,18 @@ def test_structured_equals_oracle_fuzz(name, seed, snr_db, batch):
     sigma = np.sqrt(stbc.average_energy / (stbc.N * 10 ** (snr_db / 10.0)))
     _sent, Y, H = sim._draw(stbc, cfg, sigma, 0, range(batch))
     b, G = sim._metric_terms(stbc, Y, H)
-    got_o, _mo = sim._oracle(stbc, b, G)
-    got_s, _ms, count = sim._structured(stbc, b, G)
+    got_o, m_o = sim._oracle(stbc, b, G)
+    got_s, m_s = sim._structured(stbc, b, G)
     assert got_s.tolist() == got_o.tolist()
     assert got_o.tolist() == _table_argmin(stbc, b, G).tolist()
     # the mixed siblings hard-limit sqrt(M) values per pair
-    assert count == (4 + 4 + 2 + 2 if name == MIXED else
-                     plan_complexity(stbc.plan).evaluate(4))
-    # the one-trial API is the same decode
-    assert ml_structured(Y[0], H[0], stbc) == (got_s[0], count)
-    assert ml_oracle(Y[0], H[0], stbc) == (got_o[0], stbc.count)
+    assert stbc.compiled.count == (4 + 4 + 2 + 2 if name == MIXED else
+                                   plan_complexity(stbc.plan).evaluate(4))
+    # a batch of one trial is the same decode as the batch's first row
+    for decode, got, m in ((sim._structured, got_s, m_s),
+                           (sim._oracle, got_o, m_o)):
+        one_i, one_m = decode(stbc, b[:1], G[:1])
+        assert one_i[0] == got[0] and _same_bits(one_m, m[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -786,10 +782,10 @@ def test_structured_metric_bits_do_not_depend_on_the_batch(name):
                         / (stbc.N * 10 ** (snr_db / 10.0)))
         _sent, Y, H = sim._draw(stbc, cfg, sigma, 0, range(T))
         b, G = sim._metric_terms(stbc, Y, H)
-        idx, m, _count = sim._structured(stbc, b, G)
+        idx, m = sim._structured(stbc, b, G)
         for t in range(T):
-            one_i, one_m, _c = sim._structured(stbc, b[t:t + 1].copy(),
-                                               G[t:t + 1].copy())
+            one_i, one_m = sim._structured(stbc, b[t:t + 1].copy(),
+                                           G[t:t + 1].copy())
             assert one_i[0] == idx[t]
             assert _same_bits(one_m, m[t:t + 1]), (seed, t)
 
@@ -1028,11 +1024,12 @@ def test_hard_all_limits_units_of_every_kind():
                                PairQAM((2, 3), 16, 0.3)))
     stbc = STBCInstance(linear=lin, signals=signals,
                         plan=Leaf((0, 1, 2, 3), HARD_ALL))
+    assert stbc.compiled.count == 1
     cfg = SimConfig(n_rx=2, snr_db=(0.0, 20.0), trials=40, seed=6)
     for snr_idx, sigma in enumerate((1.0, 0.1)):
         _sent, Y, H = sim._draw(stbc, cfg, sigma, snr_idx, range(40))
         b, G = sim._metric_terms(stbc, Y, H)
-        got_s, m_s, count = sim._structured(stbc, b, G)
+        got_s, m_s = sim._structured(stbc, b, G)
         got_o, m_o = sim._oracle(stbc, b, G)
-        assert got_s.tolist() == got_o.tolist() and count == 1
+        assert got_s.tolist() == got_o.tolist()
         assert np.allclose(m_s, m_o, rtol=1e-12, atol=1e-12)
