@@ -180,8 +180,6 @@ INFEASIBLE = 3
 
 
 def cmd_verify(args):
-    if args.M < 1:
-        raise ValueError("--M must be a positive perfect square")
     qam_side(args.M)
     d, meta, _names = _read_design(args.infile, validate=False)
     suites = ([args.suite] if args.suite != "all"
@@ -299,7 +297,9 @@ def main(argv=None):
             args.seed = _default_seed()
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        print("error: %s" % (msg,), file=sys.stderr)
         return 1
 
 

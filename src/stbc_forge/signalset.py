@@ -17,6 +17,11 @@ fixed order is what makes lowest-index tie-breaking well defined.
 SignalSet.weights, SignalSet.table and product_sums are its one
 enumerator, behind the symbol table, the decoder's tables and the
 difference classes of certification.
+
+A unit has indices, size, values() and axes(): (direction on its
+indices, points, digit factor) per independent real, outer first, so
+value row sum_k f_k i_k is sum_k points_k[i_k] direction_k.  A PairQAM
+has e = (c, s) with factor sqrt(M), then d = (-s, c); a BlockValues none.
 """
 
 import itertools
@@ -35,10 +40,11 @@ def pam_points(Q):
 
 
 def qam_side(M):
-    r = math.isqrt(M)
-    if r * r != M:
-        raise ValueError("QAM size must be a perfect square")
-    return r
+    """sqrt(M); every QAM size in the package is checked here."""
+    if M < 4 or math.isqrt(M) ** 2 != M:
+        raise ValueError("QAM size M=%d is not a perfect square of at "
+                         "least 4" % M)
+    return math.isqrt(M)
 
 
 @dataclass(frozen=True)
@@ -59,18 +65,18 @@ class PairQAM:
     def size(self):
         return self.M
 
-    def values(self):
-        """(M, 2) array of (x_I, x_Q); a is the outer enumeration digit."""
+    def axes(self):
+        """The outer axis e = (c, s) carrying a, then the inner axis
+        d = (-s, c) carrying b."""
         pam = pam_points(qam_side(self.M))
         c, s = np.cos(self.theta), np.sin(self.theta)
-        out = np.empty((self.M, 2))
-        k = 0
-        for a in pam:
-            for b in pam:
-                out[k, 0] = c * a - s * b
-                out[k, 1] = s * a + c * b
-                k += 1
-        return out
+        return ((c, s), pam, len(pam)), ((-s, c), pam, 1)
+
+    def values(self):
+        """(M, 2) array of (x_I, x_Q) = a e + b d; a is the outer digit."""
+        (e, pam, _), (d, _, _) = self.axes()
+        return np.array([[a * e[0] + b * d[0], a * e[1] + b * d[1]]
+                         for a in pam for b in pam])
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,9 @@ class RealPoints:
     def size(self):
         return len(self.points)
 
+    def axes(self):
+        return (((1.0,), self.points, 1),)
+
     def values(self):
         return np.asarray(self.points).reshape(-1, 1)
 
@@ -110,6 +119,9 @@ class BlockValues:
     @property
     def size(self):
         return len(self.table)
+
+    def axes(self):  # the table is not a sum of independent reals
+        return ()
 
     def values(self):
         return np.asarray(self.table, dtype=float)

@@ -11,16 +11,18 @@ follows the instance's DecodePlan, compiled once when the STBCInstance
 is built.  Compiling checks the plan against the design and the signal
 set (raising PlanError) and turns every node into static tables from
 the SignalSet, which owns the codebook order: its conditioning and
-prefix values (SignalSet.table) and the last unit's axes and digit
-weight (SignalSet.weights).
+prefix values (SignalSet.table), digit weights (SignalSet.weights) and
+unit axes (unit.axes(), the only view of a unit's geometry).
 A Cond node enumerates its conditioning symbols and, since G vanishes
 between HR-orthogonal groups, decodes each child separately after
 folding the hypothesis into the linear term; leaves either scan
 jointly, scan all but the last unit and hard-limit the final real (an
 exact 1-D quadratic minimization, so no orthogonality is needed inside
-the last pair), or hard-limit every real in one shot when the Gram is
-diagonal in unit-local coordinates.  Both decoders break metric ties by
-lowest codeword index, so their outputs are comparable by equality.
+the last pair; a real is a pair with a zero outer axis), or hard-limit
+every axis in one shot, which is exact when the axes' weight matrices
+are pairwise HR-orthogonal, as compiling checks.  Both decoders break
+metric ties by lowest codeword index, so their outputs are comparable by
+equality.
 
 Both decoders take a batch of T trials per call: linear terms b of shape
 (T, K) against Grams of shape (T, K, K).
@@ -43,8 +45,8 @@ kernels cost a few numpy calls per plan level, each on one large array:
     not depend on the candidates' order.
   - Sibling groups.  At compile time a Cond fuses its leaf children of
     one kind (joint or hard_last) whose tables share a shape, and for
-    hard_last the last unit's type and points, into one node with a
-    leaf axis; each leaf keeps its own rows and index offsets, and the
+    hard_last the last unit's axis points, into one node with a leaf
+    axis; each leaf keeps its own rows and index offsets, and the
     node returns the sums over its leaves.  A lone leaf is a group of
     one; hard_all leaves stay single.
   - No quotient in a metric.  hard_last divides only to pick the inner
@@ -108,6 +110,7 @@ noise deviation, at unit energy in SimConfig and at the instance's
 energy before simulate draws any trial.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,7 +120,6 @@ import numpy as np
 from .pauli import hr_orthogonal_table
 from .design import (Leaf, JOINT, HARD_LAST, HARD_ALL, check_plan,
                      plan_indices)
-from .signalset import PairQAM, RealPoints, BlockValues, pam_points, qam_side
 
 _BIG = np.iinfo(np.int64).max
 
@@ -206,8 +208,8 @@ def _compile(stbc):
     compiling leaves no reference cycle that would keep a dropped
     instance and its cached tables alive until the cyclic collector runs.
     """
-    orth = hr_orthogonal_table(stbc.matrices)
-    return _compile_node(stbc.plan, 1, stbc.signals, orth)
+    A = stbc.matrices
+    return _compile_node(stbc.plan, 1, stbc.signals, A, hr_orthogonal_table(A))
 
 
 def _units_for(units, indices):
@@ -226,65 +228,65 @@ def _units_for(units, indices):
 
 
 def _check_orthogonal(orth, groups, what):
-    for a in range(len(groups)):
-        for bI in range(a + 1, len(groups)):
-            for i in groups[a]:
-                for j in groups[bI]:
-                    if not orth[i, j]:
-                        raise PlanError("%s; (%d,%d) are not" % (what, i, j))
+    """PlanError unless orth holds for every pair from different groups."""
+    for ga, gb in itertools.combinations(groups, 2):
+        for i, j in itertools.product(ga, gb):
+            if not orth[i, j]:
+                raise PlanError("%s; (%d,%d) are not" % (what, i, j))
 
 
-def _compile_node(node, hyps, signals, orth):
+def _compile_node(node, hyps, signals, A, orth):
     if isinstance(node, Leaf):
-        return _compile_leaves([node], hyps, signals, orth)[0]
+        return _compile_leaves([node], hyps, signals, A)[0]
     cond = _units_for(signals.units, node.conditioning)
     _check_orthogonal(orth, [sorted(plan_indices(c)) for c in node.children],
                       "Cond children must be HR-orthogonal")
     n_c = math.prod(u.size for u in cond)
     leaves = [c for c in node.children if isinstance(c, Leaf)]
-    children = _compile_leaves(leaves, hyps * n_c, signals, orth) + [
-        _compile_node(c, hyps * n_c, signals, orth)
+    children = _compile_leaves(leaves, hyps * n_c, signals, A) + [
+        _compile_node(c, hyps * n_c, signals, A, orth)
         for c in node.children if not isinstance(c, Leaf)]
     return _Cond(cond, tuple(children), signals, hyps)
 
 
-def _compile_leaves(leaves, hyps, signals, orth):
+def _compile_leaves(leaves, hyps, signals, A):
     """Kernel nodes of sibling leaves.  Leaves of one kind whose tables
     have one signature (table shape, and for hard_last the last unit's
-    type and points) share one node with a leaf axis; hard_all leaves
-    stay single."""
+    axis points and digit factors) share one node with a leaf axis;
+    hard_all leaves stay single, each checked separable on A."""
     groups = {}
     for leaf in leaves:
         picked = _units_for(signals.units, leaf.indices)
         if leaf.kind == HARD_ALL:
-            _check_orthogonal(orth, [[i] for u in picked for i in u.indices],
-                              "hard_all needs HR-orthogonal reals")
             key = (HARD_ALL, leaf)
         elif leaf.kind == HARD_LAST:
-            last = picked[-1]
-            if isinstance(last, BlockValues):
+            axes = picked[-1].axes()
+            if not axes:
                 raise PlanError("cannot hard-limit a value block")
-            key = (HARD_LAST, _table_shape(picked[:-1]), type(last),
-                   _last_points(last))
+            key = (HARD_LAST, _table_shape(picked[:-1]),
+                   tuple((points, f) for _d, points, f in axes))
         else:
             key = (JOINT, _table_shape(picked))
         groups.setdefault(key, []).append(picked)
     kernel = {JOINT: _Joint, HARD_LAST: _HardLast, HARD_ALL: _HardAll}
-    return [kernel[key[0]](members, signals, hyps)
-            for key, members in groups.items()]
+    nodes = [kernel[key[0]](members, signals, hyps)
+             for key, members in groups.items()]
+    for node in nodes:
+        if isinstance(node, _HardAll):
+            # limiting each axis alone is exact for every channel H when
+            # the axes' weight matrices B = rows.A are pairwise
+            # HR-orthogonal: then ReTr((B_k H)^H B_l H) = 0
+            B = np.tensordot(node.rows, A, axes=1)
+            _check_orthogonal(hr_orthogonal_table(B),
+                              [[k] for k in range(len(B))], "hard_all needs "
+                              "HR-orthogonal axes (in leaf order)")
+    return nodes
 
 
 def _table_shape(units):
     """Shape of the enumerated value table of a unit list."""
     return (math.prod(u.size for u in units),
             sum(len(u.indices) for u in units))
-
-
-def _last_points(unit):
-    """The hard-limited real's points: PAM for a QAM pair."""
-    if isinstance(unit, PairQAM):
-        return pam_points(qam_side(unit.M))
-    return tuple(unit.points)
 
 
 def _leaf_tables(members, signals):
@@ -356,10 +358,11 @@ class _HardLast:
     """Scan all units but the last; for each prefix and each outer PAM
     value o of the last unit, hard-limit its final real p exactly.
 
-    The last unit's point is x = o e + p d, with e = (c, s) and
-    d = (-s, c) for a QAM pair rotated by theta, and o = 0, d = (1) for a
-    real.  With b the linear term folded by the prefix v, w = b.e,
-    u = b.d and the Gram's g_ee, g_ed and g_dd, the metric is
+    The last unit's point is x = o e + p d on its outer and inner axes,
+    e = (c, s) and d = (-s, c) for a QAM pair rotated by theta; a real
+    is a pair with a zero outer axis and the one outer value o = 0.
+    With b the linear term folded by the prefix v, w = b.e, u = b.d and
+    the Gram's g_ee, g_ed and g_dd, the metric is
 
         pre(v) - 2 (o w + p u) + o^2 g_ee + 2 o p g_ed + p^2 g_dd
           = pre(v) + o^2 g_ee - 2 o w + p (p g_dd - 2 t),
@@ -377,31 +380,25 @@ class _HardLast:
         lasts = [u[-1] for u in members]
         L, P, K = Vp.shape
         self.leaves = L
-        self.points = np.asarray(_last_points(lasts[0]))
-        self.mids = _midpoints(self.points)
-        self.pair = isinstance(lasts[0], PairQAM)
-        # each leaf's axes d = (-s, c) and e = (c, s), or d = (1) for a real
-        d, e = np.zeros((L, 1, K)), np.zeros((L, 1, K))
+        # each leaf's axes e and d over all K reals; the leaves share the
+        # axes' points and digit factors.  A real is a pair with a zero
+        # outer axis and the one outer value 0, which adds exact zeros.
+        e, d = np.zeros((L, 1, K)), np.zeros((L, 1, K))
         for k, u in enumerate(lasts):
-            if self.pair:
-                c, s = np.cos(u.theta), np.sin(u.theta)
-                d[k, 0, list(u.indices)] = -s, c
-                e[k, 0, list(u.indices)] = c, s
-            else:
-                d[k, 0, u.index] = 1.0
-        if self.pair:
-            n_o = len(self.points)
-            oe = self.points[:, None] * e                        # (L, n_o, K)
-            R = np.concatenate([2.0 * d, 2.0 * oe], 1)     # (L, 1 + n_o, K)
-            # quadratic rows: g_dd, then 2o g_ed and o^2 g_ee per o
-            self.gx = np.concatenate([d, 2.0 * oe, oe], 1).reshape(-1, K)
-            self.gy = np.concatenate([d, np.repeat(d, n_o, 1), oe],
-                                     1).reshape(-1, K)
-            aoff = np.arange(n_o, dtype=np.int64) * n_o
-        else:  # RealPoints: the last real is the whole unit
-            R = 2.0 * d
-            self.gx = self.gy = d[:, 0]
-            aoff = np.zeros(1, dtype=np.int64)
+            *rest, (d_k, inner, _) = u.axes()
+            e_k, outer, f_o = rest[0] if rest else (0.0, (0.0,), 1)
+            e[k, 0, list(u.indices)] = e_k
+            d[k, 0, list(u.indices)] = d_k
+        self.points = np.asarray(inner)
+        self.mids = _midpoints(self.points)
+        n_o = len(outer)
+        oe = np.asarray(outer)[:, None] * e                      # (L, n_o, K)
+        R = np.concatenate([2.0 * d, 2.0 * oe], 1)         # (L, 1 + n_o, K)
+        # quadratic rows: g_dd, then 2o g_ed and o^2 g_ee per o
+        self.gx = np.concatenate([d, 2.0 * oe, oe], 1).reshape(-1, K)
+        self.gy = np.concatenate([d, np.repeat(d, n_o, 1), oe],
+                                 1).reshape(-1, K)
+        aoff = np.arange(n_o, dtype=np.int64) * f_o
         self.n_R = L * R.shape[1]
         self.rows = R.reshape(-1, K)                 # (leaf, 2d | 2oe per o)
         self.prefix = len(members[0]) > 1
@@ -426,18 +423,16 @@ class _HardLast:
         L, n_p, n_o = self.offsets.shape[:3]
         X = P[:, :self.n_R].reshape(T, L, 1, -1, H)           # 2u | 2o w
         g = _quad(self.gx, G, self.gy).reshape(T, L, 1, -1, 1)
-        g_dd = g[:, :, :, :1]
-        ed = ee = 0.0        # 2o g_ed and o^2 g_ee, plus the prefix's fold
-        if self.pair:
-            ed, ee = g[:, :, :, 1:1 + n_o], g[:, :, :, 1 + n_o:]
+        # g_dd, then 2o g_ed and o^2 g_ee, plus the prefix's fold
+        g_dd, ed, ee = (g[:, :, :, :1], g[:, :, :, 1:1 + n_o],
+                        g[:, :, :, 1 + n_o:])
         if self.prefix:
             pre = -2.0 * P[:, self.n_R:].reshape(T, L, n_p, 1, H)
             pre += _quad(self.Vp, G).reshape(T, L, n_p, 1, 1)
             # the prefix folds into u and w once per (trial, prefix)
             fold = _quad(self.Vp_R, G, self.R_P).reshape(T, L, n_p, -1, 1)
             ed = ed + fold[:, :, :, :1]
-            if self.pair:
-                ee = ee + fold[:, :, :, 1:]
+            ee = ee + fold[:, :, :, 1:]
         t2 = X[:, :, :, :1] - ed                         # (T, L, P, n_o, H)
         p = t2 / (2.0 * g_dd)
         pi = _nearest(self.mids, p)
@@ -446,9 +441,8 @@ class _HardLast:
         m -= t2
         m *= p
         del t2, p
-        if self.pair:
-            m += ee
-            m -= X[:, :, :, 1:]
+        m += ee
+        m -= X[:, :, :, 1:]
         if self.prefix:
             m += pre
         pi *= self.w_last
@@ -458,13 +452,13 @@ class _HardLast:
 
 
 class _HardAll:
-    """One metric evaluation: every real hard-limited independently.
+    """One metric evaluation: every unit axis hard-limited independently.
 
-    Exact when the Gram is diagonal in unit-local coordinates (a real, or
-    a QAM pair's rotated axes (c, s) and (-s, c)), which decode checks
-    for every channel.  The rows are the axes, so the projected linear
-    terms are each axis's own; the axes' point sets are padded to one
-    length so that every axis is limited at once.
+    Exact when the axes' weight matrices are pairwise HR-orthogonal, so
+    that the Gram is diagonal in axis coordinates for every channel,
+    which compiling checks.  The rows are the axes, so the projected
+    linear terms are each axis's own; the axes' point sets are padded to
+    one length so that every axis is limited at once.
     """
 
     def __init__(self, members, signals, hyps):
@@ -473,27 +467,15 @@ class _HardAll:
                              dtype=np.intp)
         self.sub = _block(self.cols, self.cols)
         self.rows = np.zeros((len(self.cols), signals.K))  # unit axes
-        points, digit, pairs = [], [], []
+        points, digit = [], []
         for u in units:
-            at, cols, w = len(points), list(u.indices), signals.weights[u]
-            if isinstance(u, RealPoints):
-                self.rows[at, cols] = 1.0
-                points.append(u.points)
-                digit.append(w)
-            elif isinstance(u, PairQAM):
-                pam = pam_points(qam_side(u.M))
-                c, s = np.cos(u.theta), np.sin(u.theta)
-                pairs.append(at)
-                self.rows[at, cols] = c, s
-                self.rows[at + 1, cols] = -s, c
-                points += [pam, pam]
-                digit += [len(pam) * w, w]
-            else:
+            if not u.axes():
                 raise PlanError("hard_all cannot limit a value block")
+            for direction, pts, f in u.axes():
+                self.rows[len(points), list(u.indices)] = direction
+                points.append(pts)
+                digit.append(f * signals.weights[u])
         self.E_cols = self.rows[:, self.cols]
-        # each pair's axes must stay uncoupled by the channel
-        self.e1 = self.rows[pairs]
-        self.e2 = self.rows[[a + 1 for a in pairs]]
         n = max(map(len, points))
         self.points = np.array([tuple(p) + (0.0,) * (n - len(p))
                                 for p in points])
@@ -506,11 +488,6 @@ class _HardAll:
         self.width = 6 * hyps * len(points)
 
     def decode(self, P, G):
-        if len(self.e1):
-            cross = _quad(self.e1, G, self.e2)
-            scale = np.maximum(np.abs(G).max(axis=(1, 2)), 1e-30)
-            if np.any(np.abs(cross) > 1e-6 * scale[:, None]):
-                raise PlanError("hard_all pair is not separable")
         i = _nearest(self.mids, P / _quad(self.rows, G)[..., None])
         p = self.points[self.axis, i].swapaxes(1, 2)         # (T, H, k)
         # x.G.x - 2 x.b, with x.b the sum of each axis's p times its term

@@ -71,6 +71,29 @@ def test_catalog_show_names_a_bad_parameter(argv, message, capsys):
     assert err == "error: %s\n" % message
 
 
+def test_key_errors_print_their_message_unquoted(capsys):
+    code, out, err = run(capsys, "catalog", "show", "nosuch")
+    assert (code, out, err) == (1, "", "error: unknown catalog design "
+                                       "'nosuch'\n")
+
+
+@pytest.mark.parametrize("M", ["1", "0", "-4"])
+def test_qam_sizes_below_4_fail_at_the_boundary(M, tmp_path, capsys):
+    # build-fd --M, verify --M and a file's meta.M all reach one check
+    message = "error: QAM size M=%s is not a perfect square of at least 4\n"
+    code, out, err = run(capsys, "build-fd", "--m", "2", "--rate", "5/4",
+                         "--M", M, "--angles", "auto")
+    assert (code, out, err) == (1, "", message % M)
+    p = tmp_path / "ala.txt"
+    run(capsys, "catalog", "show", "alamouti", "--out", str(p))
+    code, out, err = run(capsys, "verify", "--in", str(p), "--M", M)
+    assert (code, out, err) == (1, "", message % M)
+    p.write_text(p.read_text().replace("m=1\n", "m=1\nmeta.M=%s\n" % M))
+    code, out, err = run(capsys, "verify", "--in", str(p),
+                         "--suite", "diversity")
+    assert (code, out, err) == (1, "", message % M)
+
+
 def test_catalog_complexity_lines(capsys):
     # every catalog design with a bundle reports its plan's complexity
     for name, complexity in (("fgd_ren", "5·M^6"), ("silver", "M^2"),

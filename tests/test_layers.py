@@ -72,3 +72,10 @@ def test_no_unused_imports():
            for p in paths if p.name != "__init__.py"
            for name, line in _unused_imports(ast.parse(p.read_text()))]
     assert not bad, bad
+
+
+def test_simulate_sees_units_only_through_their_interface():
+    # the decoder reads a unit's geometry through axes(), never its type,
+    # so simulate imports no name from signalset
+    tree = ast.parse((SRC / "simulate.py").read_text())
+    assert "signalset" not in {dep for dep, _line in _package_imports(tree)}

@@ -6,6 +6,7 @@ import itertools
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stbc_forge.design import (Leaf, Cond, JOINT, HARD_LAST, HARD_ALL,
-                               plan_complexity, plan_indices,
+                               LinearDesign, plan_complexity, plan_indices,
                                to_linear_design)
 from stbc_forge.signalset import (pam_points, qam_side, PairQAM, RealPoints,
                                   BlockValues, SignalSet, qam_signal_set,
@@ -60,6 +61,31 @@ def test_pair_qam_values():
     u2 = PairQAM((0, 1), 4, 0.7)
     assert np.allclose(np.sum(u2.values() ** 2, axis=1),
                        np.sum(V ** 2, axis=1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(theta=st.floats(-7.0, 7.0), M=st.sampled_from([4, 16, 64]))
+def test_pair_qam_values_are_built_from_its_axes(theta, M):
+    # values() equals the closed form (c a - s b, s a + c b) bit for bit,
+    # and row a sqrt(M) + b is a e + b d on the axes (e, pam, sqrt(M)),
+    # (d, pam, 1)
+    u = PairQAM((0, 1), M, theta)
+    pam = pam_points(qam_side(M))
+    c, s = np.cos(theta), np.sin(theta)
+    want = np.array([[c * a - s * b, s * a + c * b] for a in pam for b in pam])
+    V = u.values()
+    assert V.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    (e, outer, f), (d, inner, g) = u.axes()
+    assert (outer, inner, f, g) == (pam, pam, len(pam), 1)
+    for a, b in itertools.product(range(len(pam)), repeat=2):
+        row = outer[a] * np.asarray(e) + inner[b] * np.asarray(d)
+        assert V[a * f + b].view(np.uint64).tolist() == \
+            row.view(np.uint64).tolist()
+
+
+def test_axes_of_reals_and_value_blocks():
+    assert RealPoints(3, (-1.0, 2.0)).axes() == (((1.0,), (-1.0, 2.0), 1),)
+    assert BlockValues((0, 1), ((1.0, 2.0),)).axes() == ()
 
 
 def test_real_points_validation():
@@ -1033,3 +1059,31 @@ def test_hard_all_limits_units_of_every_kind():
         got_o, m_o = sim._oracle(stbc, b, G)
         assert got_s.tolist() == got_o.tolist()
         assert np.allclose(m_s, m_o, rtol=1e-12, atol=1e-12)
+
+
+def _alamouti_a3_doubled(theta):
+    """Alamouti's design with A_3 doubled, reals 0 and 1 on 2-PAM and the
+    pair (2, 3) on 4-QAM at theta, all under one hard_all leaf.  Every
+    two reals stay HR-orthogonal, but A_2^H A_2 != A_3^H A_3, so the
+    pair's rotated axes couple unless theta = 0."""
+    lin = catalog("alamouti").linear
+    entries = list(lin.entries)
+    entries[3] = replace(entries[3], matrix=2 * entries[3].matrix)
+    signals = SignalSet(units=(RealPoints(0, pam_points(2)),
+                               RealPoints(1, pam_points(2)),
+                               PairQAM((2, 3), 4, theta)))
+    return STBCInstance(linear=LinearDesign(m=lin.m, entries=tuple(entries)),
+                        signals=signals, plan=Leaf((0, 1, 2, 3), HARD_ALL))
+
+
+def test_hard_all_is_proved_separable_when_the_plan_compiles():
+    # the axes' weight matrices must be pairwise HR-orthogonal, which is
+    # checked when the instance is built, never during a decode
+    with pytest.raises(PlanError, match="HR-orthogonal axes"):
+        _alamouti_a3_doubled(0.3)
+    stbc = _alamouti_a3_doubled(0.0)
+    assert stbc.compiled.count == 1
+    cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0, 20.0), trials=60, seed=4,
+                    decoder="both")
+    res = simulate(cfg, stbc)  # raises on any decoder disagreement
+    assert res.agreements == (60,) * 3
