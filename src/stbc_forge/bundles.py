@@ -1,7 +1,8 @@
 """Ready-to-simulate STBC bundles for the catalog and family designs.
 
 family_bundle is the one dispatcher over the family's m >= 1 and rate,
-and writes the metadata of a design file; bundle_from_meta reads it back.
+and writes the metadata of a design file; bundle_from_meta reads it back
+and checks that it builds the code on the file's vectors.
 
 Each builder fixes the signal set and decode plan that make the design's
 advertised decoding complexity concrete: orthogonal designs hard-limit
@@ -160,7 +161,7 @@ def family_bundle(m, R, M, angles, xi2):
     R is a Fraction or its text, such as a design file's meta.rate.
     """
     try:
-        R = Fraction(R)
+        R = parse_number(R, "rate", Fraction)
     except ZeroDivisionError:
         raise ValueError("rate %s has a zero denominator" % R) from None
     meta = {"family": _family_name(m), "rate": str(R), "M": str(M)}
@@ -174,11 +175,13 @@ def family_bundle(m, R, M, angles, xi2):
         stbc = silver_stbc(M, R)
         design = Design(1, tuple(e.vector for e in stbc.linear.entries))
         return Bundle(stbc, design, meta, predicted_complexity(m, R))
+    if xi2 not in (None, "1", "w2"):
+        raise ValueError("xi2 must be 1 or w2, got %r" % xi2)
     meta["xi2"] = xi2 = xi2 or "w2"
     fd = family(m, R, xi2=W2 if xi2 == "w2" else I)
     if angles != "auto":
-        angles = ([float(t) for t in angles.split(",")] if angles
-                  else [0.0] * (fd.K // 2))
+        angles = ([parse_number(t, "angle") for t in angles.split(",")]
+                  if angles else [0.0] * (fd.K // 2))
     stbc = assemble_stbc(fd, angles, M)
     meta["angles"] = ",".join("%.12f" % u.theta for u in stbc.signals.units)
     return Bundle(stbc, fd.design(), meta,
@@ -201,25 +204,45 @@ _CATALOG_BUNDLES = {
 }
 
 
-def bundle_from_meta(m, meta, M=4):
-    """Instance of a design file from its m and meta, or None when it
-    carries no signal set: a family file through family_bundle, a
+def bundle_from_meta(design, meta, M=4):
+    """Instance of a design file from its design and meta, or None when
+    it carries no signal set: a family file through family_bundle, a
     catalog file by meta.name at its meta.M or else M.  Malformed bundle
-    metadata raises ValueError."""
+    metadata, and metadata that builds a code on other vectors than the
+    file's, raise ValueError."""
     fam = meta.get("family")
     if fam is None:
         build = _CATALOG_BUNDLES.get(meta.get("name"))
-        return None if build is None else build(int(meta.get("M", M)))
-    for key in ("M", "rate") + (("angles",) if fam == _family_name(2)
-                                else ()):
-        if key not in meta:
-            raise ValueError("bundle metadata is missing %s" % key)
-    M = int(meta["M"])
-    if fam not in (_family_name(1), _family_name(2)):
-        raise ValueError("unknown bundle family %r" % fam)
-    if fam != _family_name(m):
-        raise ValueError("bundle family %s does not apply to m=%d" % (fam, m))
-    if meta.get("angles") in ("", "auto"):  # a file stores the angles used
-        raise ValueError("bundle metadata needs explicit angles")
-    return family_bundle(m, meta["rate"], M, meta.get("angles", ""),
-                         meta.get("xi2")).stbc
+        if build is None:
+            return None
+        stbc = build(parse_number(meta.get("M", M), "meta.M", int))
+    else:
+        for key in ("M", "rate") + (("angles",) if fam == _family_name(2)
+                                    else ()):
+            if key not in meta:
+                raise ValueError("bundle metadata is missing %s" % key)
+        M = parse_number(meta["M"], "meta.M", int)
+        if fam not in (_family_name(1), _family_name(2)):
+            raise ValueError("unknown bundle family %r" % fam)
+        if fam != _family_name(design.m):
+            raise ValueError("bundle family %s does not apply to m=%d"
+                             % (fam, design.m))
+        if meta.get("angles") in ("", "auto"):  # a file stores the angles
+            raise ValueError("bundle metadata needs explicit angles")
+        stbc = family_bundle(design.m, meta["rate"], M, meta.get("angles", ""),
+                             meta.get("xi2")).stbc
+    built = {e.vector for e in stbc.linear.entries}
+    if built != set(design.vectors):
+        raise ValueError("bundle metadata builds a code on %d vectors that "
+                         "are not the file's %d" % (len(built), design.K))
+    return stbc
+
+
+def parse_number(text, field, kind=float):
+    """kind(text); a ValueError naming the field when text is not such a
+    number."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError("%s %r is not %s" % (field, text, what)) from None

@@ -55,7 +55,7 @@ def parse_design(text, validate=True):
     groups = []
     for ln in lines[1:]:
         if ln.startswith("m="):
-            m = int(ln[2:])
+            m = bundles.parse_number(ln[2:], "m", int)
         elif ln.startswith("meta."):
             k, _eq, v = ln[5:].partition("=")
             meta[k] = v
@@ -134,7 +134,7 @@ def cmd_catalog(args):
     print("name=%s m=%d K=%d rate=%s groups=%d"
           % (entry.name, d.m, d.K, rate(d), rep.g))
     meta = {"name": entry.name}
-    stbc = bundles.bundle_from_meta(d.m, meta)
+    stbc = bundles.bundle_from_meta(d, meta)
     if stbc is not None:
         print("complexity=%s" % plan_complexity(stbc.plan))
     _emit(args.out, format_design(d, meta=meta))
@@ -151,7 +151,6 @@ def _parse_xi_order(s):
 
 def cmd_construct(args):
     d, _meta, _names = _read_design(args.infile)
-    print("in: rate=%s groups=%d" % (rate(d), len(d.partition)))
     if args.op == "A":
         out = cons.construct_A(d, args.l)
     elif args.op == "B":
@@ -159,8 +158,10 @@ def cmd_construct(args):
     else:
         out = cons.construct_C(d, _parse_xi_order(args.xi_order))
     if args.sigma:
-        sigma = tuple(int(t) for t in args.sigma.split(","))
+        sigma = tuple(bundles.parse_number(t, "--sigma", int)
+                      for t in args.sigma.split(","))
         out = cons.apply_sigma(out, sigma)
+    print("in: rate=%s groups=%d" % (rate(d), len(d.partition)))
     print("out: rate=%s groups=%d" % (rate(out), len(out.partition)))
     _emit(args.out, format_design(out, meta={"op": args.op}))
     return 0
@@ -201,7 +202,7 @@ def cmd_verify(args):
             ok = bool((hr == ~_even_table(d)).all())
             note = ""
         else:  # diversity
-            stbc = bundles.bundle_from_meta(d.m, meta, args.M)
+            stbc = bundles.bundle_from_meta(d, meta, args.M)
             if stbc is None:
                 print("diversity: INFEASIBLE (no signal set in file)")
                 infeasible = True
@@ -223,11 +224,12 @@ def cmd_verify(args):
 
 def cmd_simulate(args):
     d, meta, _names = _read_design(args.infile, validate=False)
-    stbc = bundles.bundle_from_meta(d.m, meta)
+    stbc = bundles.bundle_from_meta(d, meta)
     if stbc is None:
         raise ValueError("file is not a simulation bundle (no signal set)")
     cfg = SimConfig(n_rx=args.n_rx,
-                    snr_db=tuple(float(s) for s in args.snr.split(",")),
+                    snr_db=tuple(bundles.parse_number(s, "--snr")
+                                 for s in args.snr.split(",")),
                     trials=args.trials, seed=args.seed,
                     decoder=args.decoder, workers=args.workers)
     _emit(args.out, simulate(cfg, stbc).to_text())

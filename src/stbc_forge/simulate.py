@@ -10,61 +10,64 @@ The oracle enumerates the whole codebook.  The structured decoder
 follows the instance's DecodePlan, compiled once when the STBCInstance
 is built.  Compiling checks the plan against the design and the signal
 set (raising PlanError) and turns every node into static tables from
-the SignalSet, which owns the codebook order: its conditioning and
-prefix values (SignalSet.table), digit weights (SignalSet.weights) and
-unit axes (unit.axes(), the only view of a unit's geometry).
-A Cond node enumerates its conditioning symbols and, since G vanishes
-between HR-orthogonal groups, decodes each child separately after
-folding the hypothesis into the linear term; leaves either scan
-jointly, scan all but the last unit and hard-limit the final real (an
-exact 1-D quadratic minimization, so no orthogonality is needed inside
-the last pair; a real is a pair with a zero outer axis), or hard-limit
-every axis in one shot, which is exact when the axes' weight matrices
-are pairwise HR-orthogonal, as compiling checks.  Both decoders break
-metric ties by lowest codeword index, so their outputs are comparable by
-equality.
+the SignalSet, which owns the codebook order: its conditioning values
+(SignalSet.table), digit weights (SignalSet.weights) and unit axes
+(unit.axes(), the only view of a unit's geometry).
+
+Plans compile onto three kernels.  A Cond enumerates its conditioning
+symbols and, since G vanishes between HR-orthogonal groups, decodes
+each child separately after folding the hypothesis into the linear
+term; a bare leaf is a Cond without conditioning.  A joint leaf scans
+its units' joint values.  A hard-limit leaf enumerates one unit's outer
+axis and hard-limits its inner axis (an exact 1-D quadratic
+minimization; a real is a pair with a zero outer axis).  A hard_last
+leaf is a Cond on all its units but the last over a hard-limit leaf of
+the last; a hard_all leaf is one hard-limit leaf per axis of its units,
+with no outer axis, exact when the axes' weight matrices are pairwise
+HR-orthogonal, as compiling checks.  Both decoders break metric ties by
+lowest codeword index, so their outputs are comparable by equality.
 
 Both decoders take a batch of T trials per call: linear terms b of shape
 (T, K) against Grams of shape (T, K, K).
 
 The structured decoder works in projected coordinates.  Every compiled
 node keeps `rows`, the linear-term rows its kernel reads: a joint leaf
-its values, a hard_last leaf its 2d and 2o e rows and its prefix values,
-a hard_all leaf its axes, and a Cond its conditioning values followed by
-its children's rows.  The decoder forms rows @ b once, at the root, and
-no node ever sees the K columns of b again.  A Cond folds hypothesis v
-into a child's projections as P_child - rows_child.G.v, one
-(rows, hypotheses) product per trial broadcast over the parent's
-hypotheses, so each node's arrays are as wide as its own rows.  The node
-kernels cost a few numpy calls per plan level, each on one large array:
+its values, a hard-limit leaf its 2d and 2o e rows, and a Cond its
+conditioning values followed by its children's rows.  The decoder forms
+rows @ b once, at the root, and no node ever sees the K columns of b
+again.  A Cond folds hypothesis v into a child's projections as
+P_child - rows_child.G.v, one (rows, hypotheses) product per trial
+broadcast over the parent's hypotheses, so each node's arrays are as
+wide as its own rows.  The node kernels cost a few numpy calls per plan
+level, each on one large array:
 
   - Candidates ahead of hypotheses.  A node lays out its candidates
-    (joint values, prefix and outer PAM value, Cond hypotheses) on an
-    axis before the hypotheses and picks with min over that axis, then
-    the lowest codeword index among the exact ties, so its pick does
-    not depend on the candidates' order.
-  - Sibling groups.  At compile time a Cond fuses its leaf children of
-    one kind (joint or hard_last) whose tables share a shape, and for
-    hard_last the last unit's axis points, into one node with a leaf
-    axis; each leaf keeps its own rows and index offsets, and the
-    node returns the sums over its leaves.  A lone leaf is a group of
-    one; hard_all leaves stay single.
-  - No quotient in a metric.  hard_last divides only to pick the inner
-    PAM value; the metric is then formed from products and sums of the
-    picked point, the projections and the Gram, so integer channels
-    give exact metrics and exact ties, as in the oracle.
+    (joint values, outer PAM values, Cond hypotheses) on an axis before
+    the hypotheses and picks with min over that axis, then the lowest
+    codeword index among the exact ties, so its pick does not depend on
+    the candidates' order.
+  - Sibling groups.  At compile time a Cond fuses its joint leaves
+    whose tables share a shape, and its hard-limit leaves whose outer
+    points, outer digit factor and inner points agree, into one node
+    with a leaf axis; each leaf keeps its own rows and index offsets,
+    and the node returns the sums over its leaves.
+  - No quotient in a metric.  A hard-limit leaf divides only to pick
+    the inner PAM value; the metric is then formed from products and
+    sums of the picked point, the projections and the Gram, so integer
+    channels give exact metrics and exact ties, as in the oracle.
   - Batch-invariant bits.  Projections and folds are (rows, K) @ (K, n)
     products per trial and Gram terms _quad forms, whose BLAS shapes do
     not depend on T; everything else is elementwise.  A metric's bits
     are the same whether its trial is decoded alone or in a batch.
-  - Few live temporaries.  hard_last forms its metrics and indexes in
-    place, and each node's `width` bounds the float64 elements one trial
-    of its subtree holds at once.
+  - Few live temporaries.  A hard-limit node forms its metrics and
+    indexes in place, and each node's `width` bounds the float64
+    elements one trial of its subtree holds at once, numpy's broadcast
+    buffers included.
 
 Metric-evaluation counts match the plan's complexity terms exactly: a
-joint leaf costs its candidate count, a hard-limited last pair costs
-sqrt(M) per prefix, hard_all costs one, and a Cond multiplies by its
-hypothesis count.
+joint leaf costs its candidate count, a hard-limited last pair
+sqrt(M), a hard_all leaf one, charged to its first axis, and a Cond
+multiplies by its hypothesis count.
 
 The oracle needs neither the plan nor the HR-orthogonality table, nor
 the symbol table.  It splits the signal set's units, in codebook order,
@@ -118,8 +121,7 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import hr_orthogonal_table
-from .design import (Leaf, JOINT, HARD_LAST, HARD_ALL, check_plan,
-                     plan_indices)
+from .design import Leaf, Cond, JOINT, HARD_LAST, check_plan, plan_indices
 
 _BIG = np.iinfo(np.int64).max
 
@@ -134,11 +136,10 @@ def _midpoints(points):
 
 def _nearest(mids, v):
     """The number of midpoints below v: the nearest point's index, ties
-    going to the lower point.  mids (..., n) broadcasts against v."""
-    i = np.zeros(np.broadcast_shapes(np.shape(v), mids.shape[:-1]),
-                 dtype=np.intp)
-    for k in range(mids.shape[-1]):
-        i += v > mids[..., k]
+    going to the lower point."""
+    i = np.zeros(np.shape(v), dtype=np.intp)
+    for mid in mids:
+        i += v > mid
     return i
 
 
@@ -237,50 +238,84 @@ def _check_orthogonal(orth, groups, what):
 
 def _compile_node(node, hyps, signals, A, orth):
     if isinstance(node, Leaf):
-        return _compile_leaves([node], hyps, signals, A)[0]
+        node = Cond((), (node,))
     cond = _units_for(signals.units, node.conditioning)
     _check_orthogonal(orth, [sorted(plan_indices(c)) for c in node.children],
                       "Cond children must be HR-orthogonal")
     n_c = math.prod(u.size for u in cond)
-    leaves = [c for c in node.children if isinstance(c, Leaf)]
-    children = _compile_leaves(leaves, hyps * n_c, signals, A) + [
+    children = [_split_prefix(c, signals) for c in node.children]
+    leaves = [c for c in children if isinstance(c, Leaf)]
+    nodes = _compile_leaves(leaves, hyps * n_c, signals, A) + [
         _compile_node(c, hyps * n_c, signals, A, orth)
-        for c in node.children if not isinstance(c, Leaf)]
-    return _Cond(cond, tuple(children), signals, hyps)
+        for c in children if not isinstance(c, Leaf)]
+    return _Cond(cond, tuple(nodes), signals, hyps)
+
+
+def _split_prefix(node, signals):
+    """A hard_last leaf over several units as a Cond on all of them but
+    the last, over the hard_last leaf of the last; any other node as
+    it is."""
+    if not isinstance(node, Leaf) or node.kind != HARD_LAST:
+        return node
+    *prefix, last = _units_for(signals.units, node.indices)
+    if not prefix:
+        return node
+    return Cond(tuple(i for u in prefix for i in u.indices),
+                (Leaf(last.indices, HARD_LAST),))
 
 
 def _compile_leaves(leaves, hyps, signals, A):
-    """Kernel nodes of sibling leaves.  Leaves of one kind whose tables
-    have one signature (table shape, and for hard_last the last unit's
-    axis points and digit factors) share one node with a leaf axis;
-    hard_all leaves stay single, each checked separable on A."""
+    """Kernel nodes of sibling joint leaves and one-unit hard_last and
+    hard_all leaves.  A hard_all leaf hard-limits each axis of its units
+    alone, as one kernel leaf per axis with no outer axis, once checked
+    separable on A; its one evaluation is charged to its first axis.
+    Joint leaves of one table shape, and kernel leaves of one (outer
+    points, outer digit factor, inner points), share one node with a
+    leaf axis."""
     groups = {}
     for leaf in leaves:
-        picked = _units_for(signals.units, leaf.indices)
-        if leaf.kind == HARD_ALL:
-            key = (HARD_ALL, leaf)
-        elif leaf.kind == HARD_LAST:
-            axes = picked[-1].axes()
-            if not axes:
-                raise PlanError("cannot hard-limit a value block")
-            key = (HARD_LAST, _table_shape(picked[:-1]),
-                   tuple((points, f) for _d, points, f in axes))
+        units = _units_for(signals.units, leaf.indices)
+        if leaf.kind == JOINT:
+            groups.setdefault((JOINT, _table_shape(units)), []).append(units)
+            continue
+        if not all(u.axes() for u in units):
+            raise PlanError("cannot hard-limit a value block")
+        if leaf.kind == HARD_LAST:
+            (u,) = units
+            members = [(u, u.axes(), len(_outer(u.axes())[1]))]
         else:
-            key = (JOINT, _table_shape(picked))
-        groups.setdefault(key, []).append(picked)
-    kernel = {JOINT: _Joint, HARD_LAST: _HardLast, HARD_ALL: _HardAll}
-    nodes = [kernel[key[0]](members, signals, hyps)
-             for key, members in groups.items()]
-    for node in nodes:
-        if isinstance(node, _HardAll):
+            members = [(u, (axis,), 0) for u in units for axis in u.axes()]
+            members[0] = members[0][:2] + (1,)   # the leaf's one evaluation
             # limiting each axis alone is exact for every channel H when
             # the axes' weight matrices B = rows.A are pairwise
             # HR-orthogonal: then ReTr((B_k H)^H B_l H) = 0
-            B = np.tensordot(node.rows, A, axes=1)
+            B = np.tensordot(_axis_rows(members, signals.K)[1], A, axes=1)
             _check_orthogonal(hr_orthogonal_table(B),
                               [[k] for k in range(len(B))], "hard_all needs "
                               "HR-orthogonal axes (in leaf order)")
-    return nodes
+        for member in members:
+            axes = member[1]
+            key = (HARD_LAST,) + _outer(axes)[1:] + (axes[-1][1],)
+            groups.setdefault(key, []).append(member)
+    kernel = {JOINT: _Joint, HARD_LAST: _HardLast}
+    return [kernel[key[0]](members, signals, hyps)
+            for key, members in groups.items()]
+
+
+def _outer(axes):
+    """The outer axis of a hard-limit leaf's axes, (outer, inner) or
+    (inner,): a zero axis with the one value 0 when it has none."""
+    return axes[0] if len(axes) > 1 else (0.0, (0.0,), 1)
+
+
+def _axis_rows(leaves, K):
+    """Outer and inner axis rows (L, K) of hard-limit leaves (unit, axes,
+    charge) over all K reals."""
+    e, d = np.zeros((len(leaves), K)), np.zeros((len(leaves), K))
+    for k, (u, axes, _charge) in enumerate(leaves):
+        e[k, list(u.indices)] = _outer(axes)[0]
+        d[k, list(u.indices)] = axes[-1][0]
+    return e, d
 
 
 def _table_shape(units):
@@ -329,7 +364,7 @@ def _leaf_sum(m, idx):
 # the linear-term rows (r, K) its kernel reads, and decodes
 # P: (T, r, n_hyp), those rows applied to the folded linear terms of
 # every hypothesis, against G: (T, K, K), returning (metrics (T, n_hyp),
-# codeword indexes (T, n_hyp)); a leaf node holds L sibling leaves and
+# codeword indexes (T, n_hyp)); a kernel node holds L sibling leaves and
 # returns the sums over them.  `count` is the node's metric evaluations
 # per hypothesis and `width` bounds the float64 elements one trial of
 # the node and its subtree holds at once.
@@ -355,42 +390,37 @@ class _Joint:
 
 
 class _HardLast:
-    """Scan all units but the last; for each prefix and each outer PAM
-    value o of the last unit, hard-limit its final real p exactly.
+    """For each leaf and each value o of its outer axis, hard-limit the
+    inner axis exactly.
 
-    The last unit's point is x = o e + p d on its outer and inner axes,
-    e = (c, s) and d = (-s, c) for a QAM pair rotated by theta; a real
-    is a pair with a zero outer axis and the one outer value o = 0.
-    With b the linear term folded by the prefix v, w = b.e, u = b.d and
-    the Gram's g_ee, g_ed and g_dd, the metric is
+    A leaf is (unit, axes, charge): the unit's point is x = o e + p d on
+    its outer and inner axes, e = (c, s) and d = (-s, c) for a QAM pair
+    rotated by theta; a real, and each axis of a hard_all leaf, has a
+    zero outer axis and the one outer value o = 0.  With w = b.e,
+    u = b.d and the Gram's g_ee, g_ed and g_dd, the metric is
 
-        pre(v) - 2 (o w + p u) + o^2 g_ee + 2 o p g_ed + p^2 g_dd
-          = pre(v) + o^2 g_ee - 2 o w + p (p g_dd - 2 t),
+        -2 (o w + p u) + o^2 g_ee + 2 o p g_ed + p^2 g_dd
+          = o^2 g_ee - 2 o w + p (p g_dd - 2 t),
         2 t = 2 u - 2 o g_ed.
 
     The quotient t / g_dd only picks p; no quotient enters a metric, so
     integer channels give exact metrics and exact ties.  The rows are
     each leaf's 2d, read once and broadcast over the outer values, and
-    its 2o e for every o, then the prefix values: one projection gives
-    2u, 2o w and v.b of every hypothesis.
+    its 2o e for every o: one projection gives 2u and 2o w of every
+    hypothesis.  A hard_last leaf's other units are a Cond above the
+    node, which folds each of their values into b; a hard_all leaf's
+    axes are leaves whose metrics the node sums, and its one evaluation
+    is the charge of its first axis, 0 for the others.
     """
 
-    def __init__(self, members, signals, hyps):
-        Vp, pidx = _leaf_tables([u[:-1] for u in members], signals)
-        lasts = [u[-1] for u in members]
-        L, P, K = Vp.shape
-        self.leaves = L
-        # each leaf's axes e and d over all K reals; the leaves share the
-        # axes' points and digit factors.  A real is a pair with a zero
-        # outer axis and the one outer value 0, which adds exact zeros.
-        e, d = np.zeros((L, 1, K)), np.zeros((L, 1, K))
-        for k, u in enumerate(lasts):
-            *rest, (d_k, inner, _) = u.axes()
-            e_k, outer, f_o = rest[0] if rest else (0.0, (0.0,), 1)
-            e[k, 0, list(u.indices)] = e_k
-            d[k, 0, list(u.indices)] = d_k
-        self.points = np.asarray(inner)
+    def __init__(self, leaves, signals, hyps):
+        units, axes, charges = zip(*leaves)
+        L, K = len(leaves), signals.K
+        # the leaves share the axes' points and the outer digit factor
+        _e, outer, f_o = _outer(axes[0])
+        self.points = np.asarray(axes[0][-1][1])
         self.mids = _midpoints(self.points)
+        e, d = (r[:, None] for r in _axis_rows(leaves, K))
         n_o = len(outer)
         oe = np.asarray(outer)[:, None] * e                      # (L, n_o, K)
         R = np.concatenate([2.0 * d, 2.0 * oe], 1)         # (L, 1 + n_o, K)
@@ -398,42 +428,27 @@ class _HardLast:
         self.gx = np.concatenate([d, 2.0 * oe, oe], 1).reshape(-1, K)
         self.gy = np.concatenate([d, np.repeat(d, n_o, 1), oe],
                                  1).reshape(-1, K)
-        aoff = np.arange(n_o, dtype=np.int64) * f_o
-        self.n_R = L * R.shape[1]
         self.rows = R.reshape(-1, K)                 # (leaf, 2d | 2oe per o)
-        self.prefix = len(members[0]) > 1
-        if self.prefix:
-            self.Vp = Vp.reshape(L * P, K)
-            self.rows = np.concatenate([self.rows, self.Vp])
-            # the fold v.G.r of each (prefix, row) pair of one leaf
-            self.Vp_R = np.repeat(Vp, R.shape[1], axis=1).reshape(-1, K)
-            self.R_P = np.tile(R, (1, P, 1)).reshape(-1, K)
-        self.w_last = np.array([signals.weights[u] for u in lasts],
-                               dtype=np.int64)[:, None, None, None]
-        # codeword index of (leaf, prefix, outer value) at inner digit 0
-        self.offsets = pidx[:, :, None, None] + aoff[:, None] * self.w_last
-        self.count = L * P * len(aoff)
+        w = np.array([signals.weights[u] for u in units], dtype=np.int64)
+        # codeword index digits of the inner point, and of (leaf, outer
+        # value) at inner digit 0, (L, n_o, 1)
+        self.digit = (w * [a[-1][2] for a in axes])[:, None, None]
+        self.offsets = (w[:, None, None] * f_o
+                        * np.arange(n_o, dtype=np.int64)[:, None])
+        self.leaves = L
+        self.count = sum(charges)
         # t2, the quotient (then p), the inner indexes and the metrics,
-        # the prefix metrics and the Gram products
-        products = len(self.gx) + (len(self.Vp_R) if self.prefix else 0)
-        self.width = hyps * (4 * self.count + L * P) + K * products
+        # and the Gram products with their broadcast buffer
+        self.width = 4 * hyps * L * n_o + 2 * K * len(self.gx)
 
     def decode(self, P, G):
         T, _r, H = P.shape
-        L, n_p, n_o = self.offsets.shape[:3]
-        X = P[:, :self.n_R].reshape(T, L, 1, -1, H)           # 2u | 2o w
-        g = _quad(self.gx, G, self.gy).reshape(T, L, 1, -1, 1)
-        # g_dd, then 2o g_ed and o^2 g_ee, plus the prefix's fold
-        g_dd, ed, ee = (g[:, :, :, :1], g[:, :, :, 1:1 + n_o],
-                        g[:, :, :, 1 + n_o:])
-        if self.prefix:
-            pre = -2.0 * P[:, self.n_R:].reshape(T, L, n_p, 1, H)
-            pre += _quad(self.Vp, G).reshape(T, L, n_p, 1, 1)
-            # the prefix folds into u and w once per (trial, prefix)
-            fold = _quad(self.Vp_R, G, self.R_P).reshape(T, L, n_p, -1, 1)
-            ed = ed + fold[:, :, :, :1]
-            ee = ee + fold[:, :, :, 1:]
-        t2 = X[:, :, :, :1] - ed                         # (T, L, P, n_o, H)
+        L, n_o = self.offsets.shape[:2]
+        X = P.reshape(T, L, -1, H)                               # 2u | 2o w
+        g = _quad(self.gx, G, self.gy).reshape(T, L, -1, 1)
+        # g_dd, then 2o g_ed and o^2 g_ee
+        g_dd, ed, ee = g[:, :, :1], g[:, :, 1:1 + n_o], g[:, :, 1 + n_o:]
+        t2 = X[:, :, :1] - ed                               # (T, L, n_o, H)
         p = t2 / (2.0 * g_dd)
         pi = _nearest(self.mids, p)
         np.take(self.points, pi, out=p, mode="clip")
@@ -442,67 +457,16 @@ class _HardLast:
         m *= p
         del t2, p
         m += ee
-        m -= X[:, :, :, 1:]
-        if self.prefix:
-            m += pre
-        pi *= self.w_last
+        m -= X[:, :, 1:]
+        pi *= self.digit
         pi += self.offsets
-        shape = (T, L, n_p * n_o, H)
-        return _leaf_sum(*_pick(m.reshape(shape), pi.reshape(shape), 2))
-
-
-class _HardAll:
-    """One metric evaluation: every unit axis hard-limited independently.
-
-    Exact when the axes' weight matrices are pairwise HR-orthogonal, so
-    that the Gram is diagonal in axis coordinates for every channel,
-    which compiling checks.  The rows are the axes, so the projected
-    linear terms are each axis's own; the axes' point sets are padded to
-    one length so that every axis is limited at once.
-    """
-
-    def __init__(self, members, signals, hyps):
-        (units,) = members                  # hard_all leaves stay single
-        self.cols = np.array([i for u in units for i in u.indices],
-                             dtype=np.intp)
-        self.sub = _block(self.cols, self.cols)
-        self.rows = np.zeros((len(self.cols), signals.K))  # unit axes
-        points, digit = [], []
-        for u in units:
-            if not u.axes():
-                raise PlanError("hard_all cannot limit a value block")
-            for direction, pts, f in u.axes():
-                self.rows[len(points), list(u.indices)] = direction
-                points.append(pts)
-                digit.append(f * signals.weights[u])
-        self.E_cols = self.rows[:, self.cols]
-        n = max(map(len, points))
-        self.points = np.array([tuple(p) + (0.0,) * (n - len(p))
-                                for p in points])
-        self.mids = np.array([tuple(_midpoints(np.asarray(p)))
-                              + (np.inf,) * (n - len(p)) for p in points]
-                             )[:, None, :]                 # (k, 1, n - 1)
-        self.axis = np.arange(len(points))[:, None]
-        self.digit = np.array(digit, dtype=np.int64)[:, None]
-        self.count = 1
-        self.width = 6 * hyps * len(points)
-
-    def decode(self, P, G):
-        i = _nearest(self.mids, P / _quad(self.rows, G)[..., None])
-        p = self.points[self.axis, i].swapaxes(1, 2)         # (T, H, k)
-        # x.G.x - 2 x.b, with x.b the sum of each axis's p times its term
-        x = p @ self.E_cols
-        m = x @ G[self.sub]
-        m *= x
-        p *= P.swapaxes(1, 2)
-        p *= 2.0
-        m -= p
-        return m @ np.ones(m.shape[-1]), (i * self.digit).sum(axis=1)
+        return _leaf_sum(*_pick(m, pi, 2))
 
 
 class _Cond:
     """Enumerate the conditioning values and decode the children for each
-    hypothesis.  The rows are the conditioning values Vc, then the
+    hypothesis: a plan Cond, a bare leaf (no conditioning) or a hard_last
+    leaf's prefix.  The rows are the conditioning values Vc, then the
     children's rows.  Hypothesis v folds into the children's linear
     terms b as b - G v, that is into their projections as
     P_child - rows_child.G.v: one product per trial, broadcast over the
@@ -524,10 +488,11 @@ class _Cond:
                      np.concatenate([self.Vc, self.child_rows]))
         self.count = n_c * sum(c.count for c in children)
         # the folded projections and the running totals stay live while
-        # the children decode; the fold's products only before
+        # the children decode; the fold's products only before: V.G, the
+        # buffer of its product with V, and F
         r_c, K = self.child_rows.shape
         own = hyps * n_c * (4 + (r_c if self.Vc is not None else 0))
-        self.width = own + max([n_c * (K + r_c)]
+        self.width = own + max([n_c * (2 * K + r_c)]
                                + [c.width for c in children])
 
     def decode(self, P, G):
@@ -535,12 +500,14 @@ class _Cond:
         n_c = len(self.cidx)
         total_m, total_i, Pc = None, self.cidx, P
         if self.Vc is not None:
-            VG = self.Vc @ G              # (T, n_c, K): _quad's product, the fold
-            total_m = -2.0 * P[:, :n_c]                        # (T, n_c, H)
-            total_m += ((VG * self.Vc) @ np.ones(VG.shape[-1]))[..., None]
+            VG = self.Vc @ G        # (T, n_c, K): the fold, _quad's product
             F = self.child_rows @ VG.swapaxes(1, 2)          # (T, r_c, n_c)
             Pc = (P[:, n_c:, None] - F[..., None]).reshape(T, -1, n_c * H)
-            del VG, F
+            del F
+            VG *= self.Vc
+            total_m = -2.0 * P[:, :n_c]                        # (T, n_c, H)
+            total_m += (VG @ np.ones(VG.shape[-1]))[..., None]
+            del VG
         for child, rows in zip(self.children, self.slices):
             cm, ci = child.decode(Pc[:, rows], G)
             cm, ci = cm.reshape(T, n_c, H), ci.reshape(T, n_c, H)

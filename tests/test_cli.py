@@ -274,6 +274,81 @@ def test_zero_denominator_rate_is_an_error(m, rate, tmp_path, capsys):
         assert code == 1 and not out and err == message
 
 
+def _family_file(tmp_path, capsys, name="fd.txt"):
+    p = tmp_path / name
+    run(capsys, "build-fd", "--m", "2", "--rate", "2", "--out", str(p))
+    return p
+
+
+def _file_commands(p):
+    return (("verify", "--in", str(p), "--suite", "diversity"),
+            ("simulate", "--in", str(p), "--snr", "10", "--trials", "2"))
+
+
+def test_bundle_file_must_describe_the_code_it_builds(tmp_path, capsys):
+    # an m=1 file whose meta names qod4, and a one-vector m=2 file with
+    # family meta, would otherwise certify or simulate another code
+    ala = tmp_path / "ala.txt"
+    run(capsys, "catalog", "show", "alamouti", "--out", str(ala))
+    ala.write_text(ala.read_text().replace("meta.name=alamouti",
+                                           "meta.name=qod4"))
+    one = _family_file(tmp_path, capsys)
+    lines = one.read_text().splitlines()
+    group = next(ln for ln in lines if ln.startswith("group "))
+    one.write_text("\n".join([ln for ln in lines if ln != group]
+                             + [" ".join(group.split()[:3])]) + "\n")
+    for p, message in ((ala, "8 vectors that are not the file's 4"),
+                       (one, "16 vectors that are not the file's 1")):
+        for argv in _file_commands(p):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and not out
+            assert err == ("error: bundle metadata builds a code on %s\n"
+                           % message)
+
+
+def test_bundle_xi2_must_be_1_or_w2(tmp_path, capsys):
+    p = _family_file(tmp_path, capsys)
+    p.write_text(p.read_text().replace("meta.xi2=w2", "meta.xi2=zz"))
+    for argv in _file_commands(p):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err == "error: xi2 must be 1 or w2, got 'zz'\n"
+
+
+@pytest.mark.parametrize("argv, edit, message", [
+    (("simulate", "--snr", "0,x", "--trials", "2"), None,
+     "--snr 'x' is not a number"),
+    (("build-fd", "--m", "2", "--rate", "5/4", "--angles", "a,b,c,d"), None,
+     "angle 'a' is not a number"),
+    (("build-fd", "--m", "2", "--rate", "abc"), None,
+     "rate 'abc' is not a number"),
+    (("construct", "--op", "A", "--l", "1", "--sigma", "x"), None,
+     "--sigma 'x' is not an integer"),
+    (("simulate", "--snr", "10", "--trials", "2"), ("m=2", "m=abc"),
+     "m 'abc' is not an integer"),
+    (("verify", "--suite", "diversity"), ("meta.M=4", "meta.M=abc"),
+     "meta.M 'abc' is not an integer"),
+    (("construct", "--op", "A", "--l", "5"), None, "l must be in {0,1,2}"),
+    (("construct", "--op", "A", "--l", "1", "--sigma", "1,1"), None,
+     "sigma must be a permutation of 1..2"),
+], ids=["snr", "angles", "rate", "sigma", "m", "meta.M", "l", "sigma perm"])
+def test_malformed_options_name_their_field(argv, edit, message, tmp_path,
+                                            capsys):
+    # every message names the option or field, and nothing is printed
+    # before the error
+    p = _family_file(tmp_path, capsys)
+    if argv[0] == "construct":
+        p = tmp_path / "ala.txt"
+        run(capsys, "catalog", "show", "alamouti", "--out", str(p))
+    if edit:
+        p.write_text(p.read_text().replace(*edit, 1))
+    if argv[0] != "build-fd":
+        argv += ("--in", str(p))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err == "error: %s\n" % message
+
+
 def test_build_fd_silver_path(capsys):
     code, out, _err = run(capsys, "build-fd", "--m", "1", "--rate", "3/2")
     assert code == 0

@@ -763,28 +763,55 @@ def _support(row):
     return set(np.flatnonzero(row).tolist())
 
 
-@pytest.mark.parametrize("name", sorted(ALL_BUNDLES) + ["fgd_ren"])
+def _units_of(stbc, leaf):
+    return [u for u in stbc.signals.units
+            if set(u.indices) <= set(leaf.indices)]
+
+
+def _has_prefix(stbc, node):
+    return (isinstance(node, Leaf) and node.kind == HARD_LAST
+            and len(_units_of(stbc, node)) > 1)
+
+
+def _kernel_leaves(stbc, leaf):
+    """Kernel leaves of a plan leaf: one, or one per unit axis for
+    hard_all."""
+    if leaf.kind != HARD_ALL:
+        return 1
+    return sum(len(u.axes()) for u in _units_of(stbc, leaf))
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BUNDLES) + ["fgd_ren", "m=3 R=1",
+                                                        "qod4 hard_last"])
 def test_node_rows_stay_within_their_subtree(name):
     # every compiled node reads the linear terms only through its rows,
     # which must vanish outside the reals of its own subtree; a Cond's
     # rows are its conditioning values, then its children's rows, and
-    # each row of a fused leaf group reads the reals of one of its leaves
-    stbc = fgd_ren_stbc(Q=2) if name == "fgd_ren" else _bundle(name)
+    # each row of a fused leaf group reads the reals of one of its
+    # leaves.  A bare leaf compiles as a Cond without conditioning, and
+    # a hard_last leaf over several units as a Cond on all but its last
+    # unit over the hard_last leaf of the last.
+    stbc = _compile_shape_bundles()[name]()
 
     def check(plan, node):
         outside = sorted(set(range(stbc.linear.K)) - set(plan_indices(plan)))
         assert not node.rows[:, outside].any()
         if isinstance(plan, Leaf):
-            return
+            plan = Cond((), (plan,))
         parts = [c.rows for c in node.children]
         if node.Vc is not None:
             assert _support(node.Vc.any(axis=0)) == set(plan.conditioning)
             parts.insert(0, node.Vc)
         assert _same_bits(node.rows, np.concatenate(parts))
-        leaves = [c for c in plan.children if isinstance(c, Leaf)]
-        conds = [c for c in plan.children if not isinstance(c, Leaf)]
+        leaves = [c for c in plan.children
+                  if isinstance(c, Leaf) and not _has_prefix(stbc, c)]
+        conds = [c for c in plan.children if c not in leaves]
         n_groups = len(node.children) - len(conds)
         for c, n in zip(conds, node.children[n_groups:]):
+            if isinstance(c, Leaf):
+                *prefix, last = _units_of(stbc, c)
+                c = Cond(tuple(i for u in prefix for i in u.indices),
+                         (Leaf(last.indices, HARD_LAST),))
             check(c, n)
         for group in node.children[:n_groups]:
             owners = set()
@@ -793,9 +820,68 @@ def test_node_rows_stay_within_their_subtree(name):
                        if _support(row) <= set(leaf.indices)]
                 assert own
                 owners.add(own[0])
-            assert len(owners) == getattr(group, "leaves", 1)
+            assert getattr(group, "leaves", 1) == sum(
+                _kernel_leaves(stbc, leaves[k]) for k in owners)
 
     check(stbc.plan, stbc.compiled)
+
+
+def _compile_shape_bundles():
+    return dict(ALL_BUNDLES, **{
+        "fgd_ren": lambda: fgd_ren_stbc(Q=2),
+        "m=3 R=1": lambda: assemble_stbc(family(3, 1), [0.5] * 8, 4),
+        "qod4 hard_last": lambda: qod4_stbc(Q=2, kind=HARD_LAST),
+        "silver R=1": lambda: silver_stbc(4, 1),
+        "silver R=3/2": lambda: silver_stbc(4, Fraction(3, 2))})
+
+
+def _nodes(node):
+    yield node
+    for child in getattr(node, "children", ()):
+        yield from _nodes(child)
+
+
+@pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
+def test_plans_compile_onto_three_kernels(name):
+    stbc = _compile_shape_bundles()[name]()
+    assert type(stbc.compiled).__name__ == "_Cond"
+    kinds = {type(n).__name__ for n in _nodes(stbc.compiled)}
+    assert kinds <= {"_Joint", "_HardLast", "_Cond"}
+    # the mixed siblings hard-limit sqrt(M) values per pair
+    assert stbc.compiled.count == (4 + 4 + 2 + 2 if name == MIXED else
+                                   plan_complexity(stbc.plan).evaluate(4))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qod4_stbc(Q=2, kind=HARD_LAST),
+    lambda: assemble_stbc(family(3, 1), [0.5] * 8, 4)],
+    ids=["qod4 hard_last", "m=3 R=1"])
+def test_two_unit_hard_last_leaf_conditions_on_its_prefix(build):
+    stbc = build()
+    leaves = stbc.plan.children
+    assert all(len(_units_of(stbc, leaf)) == 2 for leaf in leaves)
+    assert len(stbc.compiled.children) == len(leaves)
+    for leaf, node in zip(leaves, stbc.compiled.children):
+        first, last = _units_of(stbc, leaf)
+        assert type(node).__name__ == "_Cond"
+        assert _support(node.Vc.any(axis=0)) == set(first.indices)
+        (kernel,) = node.children
+        assert type(kernel).__name__ == "_HardLast" and kernel.leaves == 1
+        assert _support(kernel.rows.any(axis=0)) == set(last.indices)
+        # a hypothesis per prefix value, times the last unit's outer values
+        assert node.count == first.size * last.size // len(last.axes()[-1][1])
+    assert stbc.compiled.count == plan_complexity(stbc.plan).evaluate(4)
+
+
+def test_hard_all_axes_fuse_and_are_charged_once():
+    # silver's hard_all leaf is four one-axis kernel leaves in one node,
+    # charged one evaluation per hypothesis
+    for R, hyps in ((1, 1), (Fraction(3, 2), 4), (2, 16)):
+        stbc = silver_stbc(4, R)
+        (node,) = [n for n in _nodes(stbc.compiled)
+                   if type(n).__name__ == "_HardLast"]
+        assert (node.leaves, node.count) == (4, 1)
+        assert stbc.compiled.count == hyps
 
 
 @pytest.mark.parametrize("name", sorted(ALL_BUNDLES))
@@ -950,6 +1036,27 @@ def test_decode_working_set_stays_within_the_chunk_budget(name):
     assert peak <= 1.5 * sim._CHUNK_BYTES
 
 
+@pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
+def test_node_widths_bound_the_structured_working_set(name):
+    # each node's width bounds the float64 words one trial of its subtree
+    # holds, so one _structured call on a full chunk of T trials holds at
+    # most T times the root's projections and width
+    stbc = _compile_shape_bundles()[name]()
+    cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=3,
+                    decoder="structured")
+    T = max(1, sim._CHUNK_BYTES // (8 * sim._trial_words(stbc, cfg)))
+    _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(T))
+    b, G = sim._metric_terms(stbc, Y, H)
+    tracemalloc.start()
+    try:
+        sim._structured(stbc, b, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    root = stbc.compiled
+    assert peak <= 8 * T * (len(root.rows) + root.width)
+
+
 @pytest.mark.parametrize("name", ["alamouti", "silver", "family R=2"])
 def test_oracle_working_set_stays_within_twice_the_chunk_budget(name):
     # a decode batch is sized by its metric terms; the oracle's grid
@@ -1042,8 +1149,8 @@ def test_oracle_decodes_several_trials_per_call(monkeypatch):
 
 def test_hard_all_limits_units_of_every_kind():
     # alamouti's four reals are pairwise HR-orthogonal, so one hard_all
-    # leaf decodes them whatever units carry them; point sets of
-    # different sizes are limited in one pass
+    # leaf decodes them whatever units carry them; axes with point sets
+    # of different sizes are limited in separate hard-limit nodes
     lin = catalog("alamouti").linear
     signals = SignalSet(units=(RealPoints(0, pam_points(2)),
                                RealPoints(1, pam_points(4)),
