@@ -23,7 +23,7 @@ from .f4 import (O, I, W, W2, F4Vec, weight, f4_pow_w, zero, delta,
                  enumerate_all)
 from .design import (Design, LinearDesign, LDEntry, _even_table,
                      finest_partition, validate_partition, to_linear_design)
-from .pauli import I2, X, Z, ZX, phi_signed
+from .pauli import I2, X, Z, ZX, MAX_M, phi_signed
 
 
 def _groups_of(d):
@@ -63,8 +63,7 @@ def _from_groups(m, vector_groups):
 
 def construct_A(d, l):
     """Per group: {[y,0]} and {[y,w^l] + delta}; g and rate preserved."""
-    if l not in (0, 1, 2):
-        raise ValueError("l must be in {0,1,2}")
+    _check_l(l)
     wl = f4_pow_w(l)
     dlt = delta(d.m + 1)
     groups = _groups_of(d)
@@ -78,8 +77,7 @@ def construct_A(d, l):
 
 def construct_B(d, l):
     """2-group intra-even input -> 2-group intra-even output, same rate."""
-    if l not in (0, 1, 2):
-        raise ValueError("l must be in {0,1,2}")
+    _check_l(l)
     groups = _groups_of(d)
     if len(groups) != 2:
         raise ValueError("construct_B needs exactly 2 groups, got %d" % len(groups))
@@ -186,6 +184,19 @@ def _v(lam, *xs):
     return F4Vec(lam, tuple(xs))
 
 
+def _check_m(m, params):
+    """ValueError naming the parameters unless a design on m coordinates
+    can be realized, before any of it is built."""
+    if m > MAX_M:
+        raise ValueError("%s gives m=%d; weight matrices are realized up to "
+                         "m=%d" % (params, m, MAX_M))
+
+
+def _check_l(l):
+    if l not in (0, 1, 2):
+        raise ValueError("l must be in {0,1,2}")
+
+
 def _alamouti():
     d = Design(1, (_v(0, O), _v(0, I), _v(0, W), _v(0, W2)),
                ((0,), (1,), (2,), (3,)))
@@ -193,6 +204,7 @@ def _alamouti():
 
 
 def _rate1_2x2(l):
+    _check_l(l)
     wl = f4_pow_w(l)
     d = Design(1, (_v(0, O), _v(1, wl), _v(0, wl), _v(1, O)), ((0, 1), (2, 3)))
     return _entry("rate1_2x2", d, notes={"l": l})
@@ -205,6 +217,7 @@ def _ciod(m):
     """Single-complex-symbol decodable block-diagonal design, 2^m antennas."""
     if m < 1:
         raise ValueError("ciod needs m >= 1")
+    _check_m(m, "ciod m=%d" % m)
     if m == 1:
         base = _rate1_2x2(1)
         d = base.design
@@ -228,6 +241,7 @@ def _scod(m):
     """Maximal rate square complex orthogonal design, 2m+2 singleton groups."""
     if m < 1:
         raise ValueError("scod needs m >= 1")
+    _check_m(m, "scod m=%d" % m)
     vs = []
     for head in (W2, I):
         for k in range(1, m + 1):
@@ -248,6 +262,7 @@ def _trivial():
 def _precoded_ciod(n):
     if n < 0:
         raise ValueError("precoded_ciod needs n >= 0")
+    _check_m(n + 1, "precoded_ciod n=%d" % n)
     d = _alamouti().design
     for _ in range(n):
         d = shift_front(construct_A(d, 1))
@@ -260,6 +275,7 @@ def _precoded_ciod(n):
 def _dast(n):
     if n < 0:
         raise ValueError("dast needs n >= 0")
+    _check_m(n + 1, "dast n=%d" % n)
     d = _rate1_2x2(1).design
     for _ in range(n):
         d = shift_front(construct_A(d, 1))
@@ -275,6 +291,7 @@ def _ggroup(g, a):
         raise ValueError("need g >= 2 and a >= 0")
     g_even = g if g % 2 == 0 else g + 1
     m0 = g_even // 2 - 1
+    _check_m(m0 + a, "ggroup g=%d a=%d" % (g, a))
     d = _trivial().design if m0 == 0 else _scod(m0).design
     for _ in range(a):
         d = construct_A(d, 0)

@@ -46,6 +46,7 @@ ZX = Z @ X  # [[0,1],[-1,0]]
 _PSI_INV = {O: I2, I: 1j * X, W: 1j * Z, W2: ZX}
 
 TOL = 1e-9
+MAX_M = 8  # largest m realized: 2^m x 2^m matrices of 256 x 256
 # i^k for k = 0..3, and the (lam, sign) with sign * i^lam == i^k
 _POWERS = np.array([1, 1j, -1, -1j])
 _LAM_SIGN = ((0, 1), (1, 1), (0, -1), (1, -1))
@@ -71,8 +72,8 @@ def _rows(m):
 def phi_inv(v):
     """i^lam scaled Kronecker product of the coordinate realizations, as
     one scatter of row r's entry into column r ^ lo."""
-    if v.m > 8:
-        raise ValueError("m > 8 unsupported")
+    if v.m > MAX_M:
+        raise ValueError("m > %d unsupported" % MAX_M)
     lo = hi = 0
     for x in map(int, v.xs):
         lo = lo << 1 | x & 1
@@ -92,9 +93,9 @@ def phi_signed(A):
     if n < 1 or A.shape != (n, n) or n & (n - 1):
         raise NotInLambdaError("shape %r is not 2^m square" % (A.shape,))
     m = n.bit_length() - 1
-    if m > 8:
-        raise NotInLambdaError("shape %r is m=%d; realizations stop at m <= 8"
-                               % (A.shape, m))
+    if m > MAX_M:
+        raise NotInLambdaError("shape %r is m=%d; realizations stop at m <= %d"
+                               % (A.shape, m, MAX_M))
     lo = int(np.abs(A[0]).argmax())
     a0 = A[0, lo]
     hi = sum(r for r in (1 << s for s in range(m))

@@ -14,28 +14,29 @@ the SignalSet, which owns the codebook order: its conditioning values
 (SignalSet.table), digit weights (SignalSet.weights) and unit axes
 (unit.axes(), the only view of a unit's geometry).
 
-Plans compile onto three kernels.  A Cond enumerates its conditioning
+Plans compile onto two kernels.  A Cond enumerates its conditioning
 symbols and, since G vanishes between HR-orthogonal groups, decodes
 each child separately after folding the hypothesis into the linear
-term; a bare leaf is a Cond without conditioning.  A joint leaf scans
-its units' joint values.  A hard-limit leaf enumerates one unit's outer
-axis and hard-limits its inner axis (an exact 1-D quadratic
-minimization; a real is a pair with a zero outer axis).  A hard_last
-leaf is a Cond on all its units but the last over a hard-limit leaf of
-the last; a hard_all leaf is one hard-limit leaf per axis of its units,
-with no outer axis, exact when the axes' weight matrices are pairwise
-HR-orthogonal, as compiling checks.  Both decoders break metric ties by
-lowest codeword index, so their outputs are comparable by equality.
+term; a bare leaf is a Cond without conditioning, and a joint leaf a
+Cond on its units without children, whose candidates are its values.
+A hard-limit leaf enumerates one unit's outer axis and hard-limits its
+inner axis (an exact 1-D quadratic minimization; a real is a pair with
+a zero outer axis).  A hard_last leaf is a Cond on all its units but
+the last over a hard-limit leaf of the last; a hard_all leaf is one
+hard-limit leaf per axis of its units, with no outer axis, exact when
+the axes' weight matrices are pairwise HR-orthogonal, as compiling
+checks.  Both decoders break metric ties by lowest codeword index, so
+their outputs are comparable by equality.
 
 Both decoders take a batch of T trials per call: linear terms b of shape
 (T, K) against Grams of shape (T, K, K).
 
 The structured decoder works in projected coordinates.  Every compiled
-node keeps `rows`, the linear-term rows its kernel reads: a joint leaf
-its values, a hard-limit leaf its 2d and 2o e rows, and a Cond its
-conditioning values followed by its children's rows.  The decoder forms
-rows @ b once, at the root, and no node ever sees the K columns of b
-again.  A Cond folds hypothesis v into a child's projections as
+node keeps `rows`, the linear-term rows its kernel reads, leaf by leaf:
+a hard-limit leaf its 2d and 2o e rows, and a Cond leaf its
+conditioning values followed by its rows of each child.  The decoder
+forms rows @ b once, at the root, and no node ever sees the K columns
+of b again.  A Cond folds hypothesis v into a child's projections as
 P_child - rows_child.G.v, one (rows, hypotheses) product per trial
 broadcast over the parent's hypotheses, so each node's arrays are as
 wide as its own rows.  The node kernels cost a few numpy calls per plan
@@ -46,11 +47,14 @@ level, each on one large array:
     the hypotheses and picks with min over that axis, then the lowest
     codeword index among the exact ties, so its pick does not depend on
     the candidates' order.
-  - Sibling groups.  At compile time a Cond fuses its joint leaves
-    whose tables share a shape, and its hard-limit leaves whose outer
-    points, outer digit factor and inner points agree, into one node
-    with a leaf axis; each leaf keeps its own rows and index offsets,
-    and the node returns the sums over its leaves.
+  - Sibling groups.  At compile time sibling nodes of one signature
+    fuse into one node with a leaf axis: Conds whose conditioning
+    tables share a shape and whose children's signatures agree in
+    order, their j-th children fusing in turn, and hard-limit leaves
+    whose outer points, outer digit factor and inner points agree.  A
+    leaf keeps its own rows and index offsets, a fused Cond folds a
+    leaf's values into that leaf's child rows only, and every node
+    returns per-leaf metrics, which the parent sums.
   - No quotient in a metric.  A hard-limit leaf divides only to pick
     the inner PAM value; the metric is then formed from products and
     sums of the picked point, the projections and the Gram, so integer
@@ -65,9 +69,9 @@ level, each on one large array:
     buffers included.
 
 Metric-evaluation counts match the plan's complexity terms exactly: a
-joint leaf costs its candidate count, a hard-limited last pair
-sqrt(M), a hard_all leaf one, charged to its first axis, and a Cond
-multiplies by its hypothesis count.
+joint leaf costs its candidate count (a Cond without children, one per
+value), a hard-limited last pair sqrt(M), a hard_all leaf one, charged
+to its first axis, and a Cond multiplies by its hypothesis count.
 
 The oracle needs neither the plan nor the HR-orthogonality table, nor
 the symbol table.  It splits the signal set's units, in codebook order,
@@ -117,11 +121,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .pauli import hr_orthogonal_table
-from .design import Leaf, Cond, JOINT, HARD_LAST, check_plan, plan_indices
+from .design import Cond, JOINT, HARD_LAST, check_plan, plan_indices
 
 _BIG = np.iinfo(np.int64).max
 
@@ -210,7 +215,16 @@ def _compile(stbc):
     instance and its cached tables alive until the cyclic collector runs.
     """
     A = stbc.matrices
-    return _compile_node(stbc.plan, 1, stbc.signals, A, hr_orthogonal_table(A))
+    plan = stbc.plan if isinstance(stbc.plan, Cond) else Cond((), (stbc.plan,))
+    spec = _spec(plan, stbc.signals, A, hr_orthogonal_table(A))
+    return _fuse([spec], 1, stbc.signals)
+
+
+class _Spec(NamedTuple):
+    """A Cond to compile: its conditioning units and its children, each a
+    _Spec or a hard-limit leaf (unit, axes, charge)."""
+    units: tuple
+    children: tuple
 
 
 def _units_for(units, indices):
@@ -236,70 +250,68 @@ def _check_orthogonal(orth, groups, what):
                 raise PlanError("%s; (%d,%d) are not" % (what, i, j))
 
 
-def _compile_node(node, hyps, signals, A, orth):
-    if isinstance(node, Leaf):
-        node = Cond((), (node,))
+def _spec(node, signals, A, orth):
+    """The _Spec of a plan Cond, checked against the units and A.  A joint
+    leaf is a Cond on its units without children; a hard_last leaf a Cond
+    on all its units but the last over the hard-limit leaf of the last, or
+    that leaf alone for one unit; a hard_all leaf one hard-limit leaf per
+    axis of its units, with no outer axis, once checked separable on A,
+    its one evaluation charged to its first axis."""
     cond = _units_for(signals.units, node.conditioning)
     _check_orthogonal(orth, [sorted(plan_indices(c)) for c in node.children],
                       "Cond children must be HR-orthogonal")
-    n_c = math.prod(u.size for u in cond)
-    children = [_split_prefix(c, signals) for c in node.children]
-    leaves = [c for c in children if isinstance(c, Leaf)]
-    nodes = _compile_leaves(leaves, hyps * n_c, signals, A) + [
-        _compile_node(c, hyps * n_c, signals, A, orth)
-        for c in children if not isinstance(c, Leaf)]
-    return _Cond(cond, tuple(nodes), signals, hyps)
-
-
-def _split_prefix(node, signals):
-    """A hard_last leaf over several units as a Cond on all of them but
-    the last, over the hard_last leaf of the last; any other node as
-    it is."""
-    if not isinstance(node, Leaf) or node.kind != HARD_LAST:
-        return node
-    *prefix, last = _units_for(signals.units, node.indices)
-    if not prefix:
-        return node
-    return Cond(tuple(i for u in prefix for i in u.indices),
-                (Leaf(last.indices, HARD_LAST),))
-
-
-def _compile_leaves(leaves, hyps, signals, A):
-    """Kernel nodes of sibling joint leaves and one-unit hard_last and
-    hard_all leaves.  A hard_all leaf hard-limits each axis of its units
-    alone, as one kernel leaf per axis with no outer axis, once checked
-    separable on A; its one evaluation is charged to its first axis.
-    Joint leaves of one table shape, and kernel leaves of one (outer
-    points, outer digit factor, inner points), share one node with a
-    leaf axis."""
-    groups = {}
-    for leaf in leaves:
-        units = _units_for(signals.units, leaf.indices)
-        if leaf.kind == JOINT:
-            groups.setdefault((JOINT, _table_shape(units)), []).append(units)
+    children = []
+    for child in node.children:
+        if isinstance(child, Cond):
+            children.append(_spec(child, signals, A, orth))
             continue
-        if not all(u.axes() for u in units):
+        units = _units_for(signals.units, child.indices)
+        if child.kind == JOINT:
+            children.append(_Spec(units, ()))
+        elif not all(u.axes() for u in units):
             raise PlanError("cannot hard-limit a value block")
-        if leaf.kind == HARD_LAST:
-            (u,) = units
-            members = [(u, u.axes(), len(_outer(u.axes())[1]))]
+        elif child.kind == HARD_LAST:
+            *prefix, u = units
+            leaf = (u, u.axes(), len(_outer(u.axes())[1]))
+            children.append(_Spec(tuple(prefix), (leaf,)) if prefix else leaf)
         else:
-            members = [(u, (axis,), 0) for u in units for axis in u.axes()]
-            members[0] = members[0][:2] + (1,)   # the leaf's one evaluation
+            leaves = [(u, (axis,), 0) for u in units for axis in u.axes()]
+            leaves[0] = leaves[0][:2] + (1,)   # the leaf's one evaluation
             # limiting each axis alone is exact for every channel H when
             # the axes' weight matrices B = rows.A are pairwise
             # HR-orthogonal: then ReTr((B_k H)^H B_l H) = 0
-            B = np.tensordot(_axis_rows(members, signals.K)[1], A, axes=1)
+            B = np.tensordot(_axis_rows(leaves, signals.K)[1], A, axes=1)
             _check_orthogonal(hr_orthogonal_table(B),
                               [[k] for k in range(len(B))], "hard_all needs "
                               "HR-orthogonal axes (in leaf order)")
-        for member in members:
-            axes = member[1]
-            key = (HARD_LAST,) + _outer(axes)[1:] + (axes[-1][1],)
-            groups.setdefault(key, []).append(member)
-    kernel = {JOINT: _Joint, HARD_LAST: _HardLast}
-    return [kernel[key[0]](members, signals, hyps)
-            for key, members in groups.items()]
+            children += leaves
+    return _Spec(cond, tuple(children))
+
+
+def _signature(spec):
+    """What sibling specs share to fuse into one node: a Cond's
+    conditioning table shape and its children's signatures in order, a
+    hard-limit leaf's outer points, outer digit factor and inner points."""
+    if isinstance(spec, _Spec):
+        return (_Cond, _table_shape(spec.units)) + tuple(
+            map(_signature, spec.children))
+    axes = spec[1]
+    return (_HardLast,) + _outer(axes)[1:] + (axes[-1][1],)
+
+
+def _fuse(specs, hyps, signals):
+    """One node over sibling specs of one _signature, a leaf each.  The
+    j-th children of fused Conds, and a Cond's children of one signature,
+    fuse in turn: a child node's leaves run over the node's leaves first."""
+    if not isinstance(specs[0], _Spec):
+        return _HardLast(specs, signals, hyps)
+    groups = {}
+    for j, child in enumerate(specs[0].children):
+        groups.setdefault(_signature(child), []).append(j)
+    n_c = math.prod(u.size for u in specs[0].units)
+    children = tuple(_fuse([s.children[j] for s in specs for j in js],
+                           hyps * n_c, signals) for js in groups.values())
+    return _Cond([s.units for s in specs], children, signals, hyps)
 
 
 def _outer(axes):
@@ -324,13 +336,6 @@ def _table_shape(units):
             sum(len(u.indices) for u in units))
 
 
-def _leaf_tables(members, signals):
-    """(rows (L, n, K), partial indexes (L, n)): the SignalSet tables of
-    the unit lists of L leaves with one table shape."""
-    V, idx = zip(*(signals.table(units) for units in members))
-    return np.stack(V), np.stack(idx)
-
-
 def _block(rows, cols):
     """Index of the (T, rows, cols) sub-block of a stack of Grams."""
     return (slice(None), rows[:, None], cols[None, :])
@@ -353,41 +358,21 @@ def _pick(m, idx, axis):
 
 
 def _leaf_sum(m, idx):
-    """Totals over the leaf axis 1, added leaf by leaf in a fixed order."""
-    total = m[:, 0]
-    for k in range(1, m.shape[1]):
-        total = total + m[:, k]
-    return total, idx.sum(axis=1)
+    """Totals over the leaf axis -2, added leaf by leaf in a fixed order."""
+    total = m[..., 0, :]
+    for k in range(1, m.shape[-2]):
+        total = total + m[..., k, :]
+    return total, idx.sum(axis=-2)
 
 
-# Each node is built from its units and the SignalSet.  It keeps `rows`,
-# the linear-term rows (r, K) its kernel reads, and decodes
-# P: (T, r, n_hyp), those rows applied to the folded linear terms of
-# every hypothesis, against G: (T, K, K), returning (metrics (T, n_hyp),
-# codeword indexes (T, n_hyp)); a kernel node holds L sibling leaves and
-# returns the sums over them.  `count` is the node's metric evaluations
-# per hypothesis and `width` bounds the float64 elements one trial of
-# the node and its subtree holds at once.
-
-class _Joint:
-    """Scan every joint value of each leaf's units."""
-
-    def __init__(self, members, signals, hyps):
-        V, idx = _leaf_tables(members, signals)
-        self.leaves, n, K = V.shape
-        self.rows = V.reshape(self.leaves * n, K)
-        self.idx = idx[..., None]                          # (L, n, 1)
-        self.count = self.leaves * n
-        # the Gram product, then the metrics, ties and picked indexes
-        self.width = (K + 3 * hyps) * self.count
-
-    def decode(self, P, G):
-        T, _r, H = P.shape
-        L, n = self.idx.shape[:2]
-        m = -2.0 * P
-        m += _quad(self.rows, G)[..., None]
-        return _leaf_sum(*_pick(m.reshape(T, L, n, H), self.idx, 2))
-
+# Each node is built from its units and the SignalSet, and holds L
+# sibling leaves of one signature.  It keeps `rows`, the linear-term rows
+# (r, K) its kernel reads, leaf by leaf, and decodes P: (T, r, n_hyp),
+# those rows applied to the folded linear terms of every hypothesis,
+# against G: (T, K, K), returning per-leaf (metrics (T, L, n_hyp),
+# codeword indexes (T, L, n_hyp)); the parent Cond sums them.  `count`
+# is the node's metric evaluations per hypothesis and `width` bounds the
+# float64 elements one trial of the node and its subtree holds at once.
 
 class _HardLast:
     """For each leaf and each value o of its outer axis, hard-limit the
@@ -409,8 +394,8 @@ class _HardLast:
     its 2o e for every o: one projection gives 2u and 2o w of every
     hypothesis.  A hard_last leaf's other units are a Cond above the
     node, which folds each of their values into b; a hard_all leaf's
-    axes are leaves whose metrics the node sums, and its one evaluation
-    is the charge of its first axis, 0 for the others.
+    axes are leaves whose metrics the parent Cond sums, and its one
+    evaluation is the charge of its first axis, 0 for the others.
     """
 
     def __init__(self, leaves, signals, hyps):
@@ -460,65 +445,79 @@ class _HardLast:
         m -= X[:, :, 1:]
         pi *= self.digit
         pi += self.offsets
-        return _leaf_sum(*_pick(m, pi, 2))
+        if n_o == 1:  # one outer value: nothing to pick
+            return m[:, :, 0], pi[:, :, 0]
+        return _pick(m, pi, 2)
 
 
 class _Cond:
-    """Enumerate the conditioning values and decode the children for each
-    hypothesis: a plan Cond, a bare leaf (no conditioning) or a hard_last
-    leaf's prefix.  The rows are the conditioning values Vc, then the
-    children's rows.  Hypothesis v folds into the children's linear
-    terms b as b - G v, that is into their projections as
-    P_child - rows_child.G.v: one product per trial, broadcast over the
-    parent's hypotheses.  Hypothesis c of parent row h becomes row
-    c * H + h, so the conditioning values are the leading candidate axis
-    of the totals."""
+    """For each leaf, enumerate its conditioning values and decode its
+    children for each hypothesis: a plan Cond, a bare leaf (no
+    conditioning), a hard_last leaf's prefix, or with no children a joint
+    leaf.  A leaf's rows are its conditioning values Vc, then its rows of
+    each child.  Hypothesis v of leaf l folds into the linear terms b of
+    leaf l's children as b - G v, that is into their projections as
+    P_child - rows_child.G.v, broadcast over the parent's hypotheses.
+    Hypothesis c of parent row h becomes row c * H + h, so a leaf's
+    values are the leading candidate axis of its totals: -2 P + v.G.v,
+    plus its children's metrics."""
 
     def __init__(self, units, children, signals, hyps):
-        Vc, cidx = signals.table(units)
-        self.Vc = Vc if units else None   # no conditioning: nothing to fold
-        self.cidx = cidx[:, None]                          # (n_c, 1)
+        Vc, cidx = zip(*(signals.table(u) for u in units))
+        self.leaves, n_c, K = np.shape(Vc)
+        self.Vc = np.concatenate(Vc) if units[0] else None  # None: no fold
+        self.cidx = np.stack(cidx)[..., None]              # (L, n_c, 1)
         self.children = children
-        n_c = len(cidx)
-        sizes = [len(c.rows) for c in children]
-        ends = np.cumsum(sizes)
-        self.slices = [slice(e - r, e) for e, r in zip(ends, sizes)]
-        self.child_rows = np.concatenate([c.rows for c in children])
-        self.rows = (self.child_rows if self.Vc is None else
-                     np.concatenate([self.Vc, self.child_rows]))
-        self.count = n_c * sum(c.count for c in children)
+        parts = [c.rows.reshape(self.leaves, -1, K) for c in children]
+        ends = np.cumsum([p.shape[1] for p in parts])
+        self.slices = [slice(e - p.shape[1], e) for e, p in zip(ends, parts)]
+        rows = np.concatenate([np.zeros((self.leaves, 0, K))] + parts, 1)
+        self.child_rows = rows.reshape(-1, K)
+        values = [] if self.Vc is None else [np.stack(Vc)]
+        self.rows = np.concatenate(values + [rows], 1).reshape(-1, K)
+        self.count = n_c * (sum(c.count for c in children) or self.leaves)
         # the folded projections and the running totals stay live while
         # the children decode; the fold's products only before: V.G, the
-        # buffer of its product with V, and F
-        r_c, K = self.child_rows.shape
-        own = hyps * n_c * (4 + (r_c if self.Vc is not None else 0))
-        self.width = own + max([n_c * (2 * K + r_c)]
+        # buffer of its product with V, and F over all leaves' values
+        r_c = len(self.child_rows) if self.Vc is not None else 0
+        own = hyps * n_c * (4 * self.leaves + r_c)
+        self.width = own + max([n_c * self.leaves * (2 * K + r_c)]
                                + [c.width for c in children])
 
     def decode(self, P, G):
         T, _r, H = P.shape
-        n_c = len(self.cidx)
+        L, n_c = self.cidx.shape[:2]
+        P = P.reshape(T, L, -1, H)
         total_m, total_i, Pc = None, self.cidx, P
         if self.Vc is not None:
-            VG = self.Vc @ G        # (T, n_c, K): the fold, _quad's product
-            F = self.child_rows @ VG.swapaxes(1, 2)          # (T, r_c, n_c)
-            Pc = (P[:, n_c:, None] - F[..., None]).reshape(T, -1, n_c * H)
-            del F
+            VG = self.Vc @ G   # (T, L n_c, K): the fold, v.G.v's product
+            if self.children:
+                # every leaf's rows against every leaf's values, one product
+                # per trial; each leaf folds its own block (T, L, r, n_c)
+                F = (self.child_rows @ VG.swapaxes(1, 2)).reshape(
+                    T, L, -1, L, n_c)
+                F = F.diagonal(0, 1, 3).transpose(0, 3, 1, 2)
+                Pc = (P[:, :, n_c:, None] - F[..., None]).reshape(
+                    T, L, -1, n_c * H)
+                del F
             VG *= self.Vc
-            total_m = -2.0 * P[:, :n_c]                        # (T, n_c, H)
-            total_m += (VG @ np.ones(VG.shape[-1]))[..., None]
+            total_m = -2.0 * P[:, :, :n_c]                  # (T, L, n_c, H)
+            total_m += (VG @ np.ones(VG.shape[-1])).reshape(T, L, n_c, 1)
             del VG
         for child, rows in zip(self.children, self.slices):
-            cm, ci = child.decode(Pc[:, rows], G)
-            cm, ci = cm.reshape(T, n_c, H), ci.reshape(T, n_c, H)
+            cm, ci = child.decode(Pc[:, :, rows].reshape(T, -1, n_c * H), G)
+            # the child's leaves under each of this node's leaves
+            cm, ci = _leaf_sum(cm.reshape(T, L, -1, n_c * H),
+                               ci.reshape(T, L, -1, n_c * H))
+            cm, ci = cm.reshape(T, L, n_c, H), ci.reshape(T, L, n_c, H)
             if total_m is None:
                 total_m = cm
             else:
                 total_m += cm
             total_i = total_i + ci
-        if n_c == 1:
-            return total_m[:, 0], total_i[:, 0]
-        return _pick(total_m, total_i, 1)
+        if self.Vc is None:
+            return total_m[:, :, 0], total_i[:, :, 0]
+        return _pick(total_m, total_i, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +611,7 @@ def _structured(stbc, b, G):
     """Plan decode of b: (T, K), G: (T, K, K); (indexes, metrics)."""
     root = stbc.compiled
     m, idx = root.decode(root.rows @ b[..., None], G)
-    return idx[:, 0], m[:, 0]
+    return idx[:, 0, 0], m[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,25 @@ def test_catalog_complexity_lines(capsys):
     assert code == 0 and "complexity=" not in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("dast", "n=8"), "dast n=8 gives m=9; weight matrices are realized up "
+                      "to m=8"),
+    (("precoded_ciod", "n=8"), "precoded_ciod n=8 gives m=9; weight "
+                               "matrices are realized up to m=8"),
+    (("rate1_2x2", "l=5"), "l must be in {0,1,2}"),
+    (("rate1_2x2", "l=-1"), "l must be in {0,1,2}"),
+])
+def test_catalog_show_refuses_designs_it_cannot_realize(argv, message,
+                                                        capsys, monkeypatch):
+    # refused before any construction step runs, with exit 1
+    calls = []
+    monkeypatch.setattr(cli.cons, "construct_A",
+                        lambda *args: calls.append(args))
+    code, out, err = run(capsys, "catalog", "show", *argv)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+    assert not calls
+
+
 def test_catalog_errors(capsys):
     code, _out, err = run(capsys, "catalog", "show", "nosuch")
     assert code == 1 and "nosuch" in err

@@ -11,6 +11,7 @@ from stbc_forge.constructions import (construct_A, construct_B, construct_C,
                                       apply_sigma, shift_front,
                                       designs_equivalent, catalog,
                                       catalog_names, XI_ORDERS, SILVER_U)
+from stbc_forge import constructions as cons
 from stbc_forge.pauli import phi_inv, hr_orthogonal_numeric
 
 
@@ -243,6 +244,37 @@ def test_precoded_ciod_and_dast():
         e = catalog("dast", n=n)
         assert len(e.design.partition) == 2
         assert validate_partition(e.design, e.design.partition).valid
+
+
+@pytest.mark.parametrize("name, params, m", [
+    ("scod", {"m": 9}, 9), ("ciod", {"m": 9}, 9),
+    ("precoded_ciod", {"n": 8}, 9), ("dast", {"n": 8}, 9),
+    ("dast", {"n": 13}, 14), ("ggroup", {"g": 4, "a": 8}, 9),
+    ("ggroup", {"g": 19, "a": 0}, 9)])
+def test_unrealizable_parameters_are_refused_before_building(name, params, m,
+                                                            monkeypatch):
+    # weight matrices stop at pauli.MAX_M = 8; a design past it is refused
+    # before any construction step, Hadamard precoder or vector is built
+    calls = []
+    monkeypatch.setattr(cons, "construct_A",
+                        lambda *args: calls.append(args))
+    given = " ".join("%s=%d" % kv for kv in params.items())
+    with pytest.raises(ValueError, match="^%s %s gives m=%d; weight matrices "
+                       "are realized up to m=8$" % (name, given, m)):
+        catalog(name, **params)
+    assert not calls
+
+
+def test_largest_realizable_parameters_still_build():
+    assert catalog("scod", m=8).design.m == 8
+    assert catalog("ggroup", g=18, a=0).design.m == 8
+
+
+@pytest.mark.parametrize("l", [-1, 3, 5])
+def test_rate1_2x2_refuses_l_outside_0_1_2(l):
+    # w^l would wrap l mod 3 and build another l's design
+    with pytest.raises(ValueError, match=r"^l must be in \{0,1,2\}$"):
+        catalog("rate1_2x2", l=l)
 
 
 @pytest.mark.parametrize("g", range(2, 9))

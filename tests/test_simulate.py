@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stbc_forge.design import (Leaf, Cond, JOINT, HARD_LAST, HARD_ALL,
-                               LinearDesign, plan_complexity, plan_indices,
-                               to_linear_design)
+                               LDEntry, LinearDesign, plan_complexity,
+                               plan_indices, to_linear_design)
 from stbc_forge.signalset import (pam_points, qam_side, PairQAM, RealPoints,
                                   BlockValues, SignalSet, qam_signal_set,
                                   pam_signal_set)
@@ -367,7 +367,7 @@ def _same_bits(a, b):
 
 @lru_cache(maxsize=None)
 def _bundle(name):
-    return ALL_BUNDLES[name]()
+    return _compile_shape_bundles()[name]()
 
 
 @pytest.mark.parametrize("name", ["alamouti", "qod4", "silver", "family R=1",
@@ -707,8 +707,9 @@ def _table_argmin(stbc, b, G):
                      for b_t, G_t in zip(b, G)])
 
 
-@settings(max_examples=180, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(sorted(BATCH_BUNDLES) + [MIXED]),
+@settings(max_examples=240, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BATCH_BUNDLES) + [MIXED, "qod4 hard_last",
+                                                    "m=3 R=1"]),
        seed=st.integers(0, 2 ** 32 - 1),
        snr_db=st.floats(-10.0, 60.0),
        batch=st.integers(1, 12))
@@ -738,15 +739,17 @@ def test_structured_equals_oracle_fuzz(name, seed, snr_db, batch):
 def _leaf_groups(node):
     """(kernel class name, sibling leaves) of each child of a compiled
     Cond."""
-    return [(type(c).__name__, getattr(c, "leaves", None))
-            for c in node.children]
+    return [(type(c).__name__, c.leaves) for c in node.children]
 
 
 def test_sibling_leaves_share_one_kernel_node():
     assert _leaf_groups(alamouti_stbc(4).compiled) == [("_HardLast", 4)]
-    assert _leaf_groups(qod4_stbc(Q=2).compiled) == [("_Joint", 4)]
+    # joint leaves are Conds without children
+    (joint,) = qod4_stbc(Q=2).compiled.children
+    assert (type(joint).__name__, joint.leaves, joint.children) == \
+        ("_Cond", 4, ())
     root = _family_r2().compiled
-    assert _leaf_groups(root) == [("_HardLast", 1), ("_Cond", None)]
+    assert _leaf_groups(root) == [("_HardLast", 1), ("_Cond", 1)]
     assert _leaf_groups(root.children[1]) == [("_HardLast", 3)]
     # leaves with other points or another kind do not join a group
     mixed = _mixed_siblings()
@@ -755,8 +758,17 @@ def test_sibling_leaves_share_one_kernel_node():
     assert _leaf_groups(mixed.compiled) == [("_HardLast", 2)] * 2
     assert [len(g.points) for g in groups] == [4, 2]
     fgd = fgd_ren_stbc(Q=2).compiled
-    assert _leaf_groups(fgd) == [("_Joint", 1), ("_Cond", None)]
-    assert _leaf_groups(fgd.children[1]) == [("_Joint", 5)]
+    assert _leaf_groups(fgd) == [("_Cond", 1), ("_Cond", 1)]
+    (inner,) = fgd.children[1].children
+    assert (inner.leaves, inner.children) == (5, ())
+    # sibling hard_last prefixes fuse, and so do their hard-limit leaves
+    for name in ("qod4 hard_last", "m=3 R=1"):
+        (prefix,) = _compile_shape_bundles()[name]().compiled.children
+        assert (type(prefix).__name__, prefix.leaves) == ("_Cond", 4)
+        assert _leaf_groups(prefix) == [("_HardLast", 4)]
+    inner = _compile_shape_bundles()["m=3 R=5/4"]().compiled.children[1]
+    assert _leaf_groups(inner) == [("_Cond", 3)]
+    assert _leaf_groups(inner.children[0]) == [("_HardLast", 3)]
 
 
 def _support(row):
@@ -768,69 +780,111 @@ def _units_of(stbc, leaf):
             if set(u.indices) <= set(leaf.indices)]
 
 
-def _has_prefix(stbc, node):
-    return (isinstance(node, Leaf) and node.kind == HARD_LAST
-            and len(_units_of(stbc, node)) > 1)
-
-
-def _kernel_leaves(stbc, leaf):
-    """Kernel leaves of a plan leaf: one, or one per unit axis for
-    hard_all."""
-    if leaf.kind != HARD_ALL:
+def _kernel_leaves(stbc, node):
+    """Kernel leaves of a plan node: one, or one per unit axis for a
+    hard_all leaf."""
+    if isinstance(node, Cond) or node.kind != HARD_ALL:
         return 1
-    return sum(len(u.axes()) for u in _units_of(stbc, leaf))
+    return sum(len(u.axes()) for u in _units_of(stbc, node))
 
 
-@pytest.mark.parametrize("name", sorted(ALL_BUNDLES) + ["fgd_ren", "m=3 R=1",
-                                                        "qod4 hard_last"])
+def _conditioning(stbc, plan):
+    """The reals a compiled Cond leaf of a plan node conditions on: a
+    Cond's conditioning, a joint leaf's reals, or a hard_last leaf's
+    reals but those of its last unit."""
+    if isinstance(plan, Cond):
+        return set(plan.conditioning)
+    if plan.kind == JOINT:
+        return set(plan.indices)
+    return set(plan.indices) - set(_units_of(stbc, plan)[-1].indices)
+
+
+def _under(stbc, plan):
+    """The plan nodes of the kernel leaves under a compiled Cond leaf of a
+    plan node: a Cond's children, a hard_all leaf once per unit axis; a
+    hard_last leaf's last unit; nothing under a joint leaf."""
+    if isinstance(plan, Cond):
+        return [c for c in plan.children for _ in range(_kernel_leaves(stbc, c))]
+    if plan.kind == JOINT:
+        return []
+    return [Leaf(_units_of(stbc, plan)[-1].indices, HARD_LAST)]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BUNDLES) + [
+    "fgd_ren", "m=3 R=1", "m=3 R=5/4", "qod4 hard_last", "sibling Conds"])
 def test_node_rows_stay_within_their_subtree(name):
     # every compiled node reads the linear terms only through its rows,
-    # which must vanish outside the reals of its own subtree; a Cond's
-    # rows are its conditioning values, then its children's rows, and
-    # each row of a fused leaf group reads the reals of one of its
-    # leaves.  A bare leaf compiles as a Cond without conditioning, and
-    # a hard_last leaf over several units as a Cond on all but its last
+    # leaf by leaf, and a leaf's rows must vanish outside the reals of
+    # its own plan node; a Cond leaf's rows are its conditioning values,
+    # then its rows of each child.  Under each Cond leaf, the child
+    # nodes' leaves are the kernel leaves of its plan node's children,
+    # each exactly once.  A bare leaf compiles as a Cond without
+    # conditioning, a joint leaf as a Cond without children, and a
+    # hard_last leaf over several units as a Cond on all but its last
     # unit over the hard_last leaf of the last.
     stbc = _compile_shape_bundles()[name]()
+    K = stbc.linear.K
 
-    def check(plan, node):
-        outside = sorted(set(range(stbc.linear.K)) - set(plan_indices(plan)))
-        assert not node.rows[:, outside].any()
-        if isinstance(plan, Leaf):
-            plan = Cond((), (plan,))
-        parts = [c.rows for c in node.children]
-        if node.Vc is not None:
-            assert _support(node.Vc.any(axis=0)) == set(plan.conditioning)
-            parts.insert(0, node.Vc)
-        assert _same_bits(node.rows, np.concatenate(parts))
-        leaves = [c for c in plan.children
-                  if isinstance(c, Leaf) and not _has_prefix(stbc, c)]
-        conds = [c for c in plan.children if c not in leaves]
-        n_groups = len(node.children) - len(conds)
-        for c, n in zip(conds, node.children[n_groups:]):
-            if isinstance(c, Leaf):
-                *prefix, last = _units_of(stbc, c)
-                c = Cond(tuple(i for u in prefix for i in u.indices),
-                         (Leaf(last.indices, HARD_LAST),))
-            check(c, n)
-        for group in node.children[:n_groups]:
-            owners = set()
-            for row in group.rows:
-                own = [k for k, leaf in enumerate(leaves)
-                       if _support(row) <= set(leaf.indices)]
-                assert own
-                owners.add(own[0])
-            assert getattr(group, "leaves", 1) == sum(
-                _kernel_leaves(stbc, leaves[k]) for k in owners)
+    def check(node, plans):
+        L = node.leaves
+        assert len(plans) == L
+        for plan, rows in zip(plans, node.rows.reshape(L, -1, K)):
+            outside = sorted(set(range(K)) - set(plan_indices(plan)))
+            assert not rows[:, outside].any()
+        if type(node).__name__ == "_HardLast":
+            return
+        own = (np.zeros((L, 0, K)) if node.Vc is None
+               else node.Vc.reshape(L, -1, K))
+        parts = [c.rows.reshape(L, -1, K) for c in node.children]
+        assert _same_bits(node.rows,
+                          np.concatenate([own] + parts, 1).reshape(-1, K))
+        for plan, V in zip(plans, own):
+            assert _support(V.any(axis=0)) == _conditioning(stbc, plan)
+        pending = [_under(stbc, plan) for plan in plans]
+        for child, rows in zip(node.children, parts):
+            owners = []
+            for left, leaf_rows in zip(pending, rows.reshape(
+                    L, child.leaves // L, -1, K)):
+                for r in leaf_rows:
+                    reads = _support(r.any(axis=0))
+                    (owner, *_) = [p for p in left
+                                   if reads <= set(plan_indices(p))]
+                    left.remove(owner)
+                    owners.append(owner)
+            check(child, owners)
+        assert not any(pending)
 
-    check(stbc.plan, stbc.compiled)
+    plan = stbc.plan if isinstance(stbc.plan, Cond) else Cond((), (stbc.plan,))
+    check(stbc.compiled, [plan])
+
+
+def _sibling_conds(kinds=(HARD_LAST, JOINT), other=None):
+    """Two uncoupled copies of silver R=3/2 on 4-QAM: diag(1, 0) (x) A and
+    diag(0, 1) (x) A for each weight matrix A.  Each copy's plan is a Cond
+    on its third pair over leaves of the given kinds on its first two
+    pairs (the second copy's kinds `other`, default the same)."""
+    A = silver_stbc(4, Fraction(3, 2)).matrices
+    entries = tuple(LDEntry(label="x%d" % k, matrix=np.kron(np.diag(e), a))
+                    for k, (e, a) in enumerate(itertools.product(
+                        ((1, 0), (0, 1)), A)))
+    units = tuple(PairQAM((i, i + 1), 4, 0.0 if i % 6 == 4 else 0.5)
+                  for i in range(0, 12, 2))
+    plan = Cond((), tuple(
+        Cond((c + 4, c + 5), tuple(Leaf((c + 2 * k, c + 2 * k + 1), kind)
+                                   for k, kind in enumerate(ks)))
+        for c, ks in ((0, kinds), (6, other or kinds))))
+    return STBCInstance(linear=LinearDesign(m=2, entries=entries),
+                        signals=SignalSet(units=units), plan=plan)
 
 
 def _compile_shape_bundles():
     return dict(ALL_BUNDLES, **{
+        "sibling Conds": _sibling_conds,
         "fgd_ren": lambda: fgd_ren_stbc(Q=2),
         "m=3 R=1": lambda: assemble_stbc(family(3, 1), [0.5] * 8, 4),
         "qod4 hard_last": lambda: qod4_stbc(Q=2, kind=HARD_LAST),
+        "m=3 R=5/4": lambda: assemble_stbc(family(3, Fraction(5, 4)),
+                                           [0.5] * 10, 4),
         "silver R=1": lambda: silver_stbc(4, 1),
         "silver R=3/2": lambda: silver_stbc(4, Fraction(3, 2))})
 
@@ -843,13 +897,38 @@ def _nodes(node):
 
 @pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
 def test_plans_compile_onto_three_kernels(name):
+    # two kernel classes: a joint scan is a Cond without children
     stbc = _compile_shape_bundles()[name]()
     assert type(stbc.compiled).__name__ == "_Cond"
     kinds = {type(n).__name__ for n in _nodes(stbc.compiled)}
-    assert kinds <= {"_Joint", "_HardLast", "_Cond"}
+    assert kinds <= {"_HardLast", "_Cond"}
     # the mixed siblings hard-limit sqrt(M) values per pair
     assert stbc.compiled.count == (4 + 4 + 2 + 2 if name == MIXED else
                                    plan_complexity(stbc.plan).evaluate(4))
+
+
+def _fusion_signature(node):
+    """What sibling nodes share to fuse, read off a compiled node: a
+    Cond's conditioning table shape (values, reals) and its children's
+    signatures with their leaves per leaf of the Cond; a hard-limit
+    node's inner points and outer value count."""
+    if type(node).__name__ == "_HardLast":
+        return ("_HardLast", tuple(node.points), node.offsets.shape[1])
+    L = getattr(node, "leaves", 1)
+    reals = 0 if node.Vc is None else len(_support(node.Vc.any(axis=0))) // L
+    return ("_Cond", node.cidx.shape[-2], reals) + tuple(
+        (_fusion_signature(c), getattr(c, "leaves", 1) // L)
+        for c in node.children)
+
+
+@pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
+def test_no_cond_has_two_children_that_would_fuse(name):
+    # siblings of one signature are one node with a leaf axis; apart,
+    # each would make its own small products per trial
+    stbc = _compile_shape_bundles()[name]()
+    for node in _nodes(stbc.compiled):
+        sigs = [_fusion_signature(c) for c in getattr(node, "children", ())]
+        assert len(set(sigs)) == len(sigs), sigs
 
 
 @pytest.mark.parametrize("build", [
@@ -857,20 +936,46 @@ def test_plans_compile_onto_three_kernels(name):
     lambda: assemble_stbc(family(3, 1), [0.5] * 8, 4)],
     ids=["qod4 hard_last", "m=3 R=1"])
 def test_two_unit_hard_last_leaf_conditions_on_its_prefix(build):
+    # the four two-unit leaves are one Cond of four leaves, each on its
+    # first unit, over one hard-limit node of four leaves, each on its
+    # last unit
     stbc = build()
-    leaves = stbc.plan.children
+    leaves, K = stbc.plan.children, stbc.linear.K
     assert all(len(_units_of(stbc, leaf)) == 2 for leaf in leaves)
-    assert len(stbc.compiled.children) == len(leaves)
-    for leaf, node in zip(leaves, stbc.compiled.children):
+    (node,) = stbc.compiled.children
+    (kernel,) = node.children
+    assert (type(node).__name__, node.leaves) == ("_Cond", len(leaves))
+    assert (type(kernel).__name__, kernel.leaves) == ("_HardLast", len(leaves))
+    for leaf, V, rows in zip(leaves, node.Vc.reshape(len(leaves), -1, K),
+                             kernel.rows.reshape(len(leaves), -1, K)):
         first, last = _units_of(stbc, leaf)
-        assert type(node).__name__ == "_Cond"
-        assert _support(node.Vc.any(axis=0)) == set(first.indices)
-        (kernel,) = node.children
-        assert type(kernel).__name__ == "_HardLast" and kernel.leaves == 1
-        assert _support(kernel.rows.any(axis=0)) == set(last.indices)
-        # a hypothesis per prefix value, times the last unit's outer values
-        assert node.count == first.size * last.size // len(last.axes()[-1][1])
+        assert _support(V.any(axis=0)) == set(first.indices)
+        assert _support(rows.any(axis=0)) == set(last.indices)
+    # per leaf, a hypothesis per prefix value, times the last unit's
+    # outer values
+    first, last = _units_of(stbc, leaves[0])
+    assert node.count == (len(leaves) * first.size * last.size
+                          // len(last.axes()[-1][1]))
     assert stbc.compiled.count == plan_complexity(stbc.plan).evaluate(4)
+
+
+def test_sibling_conds_fold_each_leaf_into_its_own_children():
+    # two Conds whose children match in order are one Cond of two leaves
+    # over one node per child position, its leaves running over the
+    # Cond's leaves first; each leaf's hypotheses fold into its own
+    # children only, so the decoders agree.  Children in another order
+    # make another signature, and the Conds stay apart
+    two_hard = _sibling_conds((HARD_LAST, HARD_LAST))
+    mixed = _sibling_conds()
+    apart = _sibling_conds(other=(JOINT, HARD_LAST))
+    assert _leaf_groups(two_hard.compiled.children[0]) == [("_HardLast", 4)]
+    assert _leaf_groups(mixed.compiled.children[0]) == [("_HardLast", 2),
+                                                        ("_Cond", 2)]
+    assert _leaf_groups(apart.compiled) == [("_Cond", 1)] * 2
+    for stbc, count in ((two_hard, 32), (mixed, 48), (apart, 48)):
+        assert _agree(stbc, 40, seed=19, snr_db=0.0) == count
+        assert _agree(stbc, 40, seed=20, snr_db=20.0) == count
+        assert count == plan_complexity(stbc.plan).evaluate(4)
 
 
 def test_hard_all_axes_fuse_and_are_charged_once():
@@ -884,7 +989,8 @@ def test_hard_all_axes_fuse_and_are_charged_once():
         assert stbc.compiled.count == hyps
 
 
-@pytest.mark.parametrize("name", sorted(ALL_BUNDLES))
+@pytest.mark.parametrize("name", sorted(ALL_BUNDLES) + ["m=3 R=1",
+                                                        "qod4 hard_last"])
 def test_structured_metric_bits_do_not_depend_on_the_batch(name):
     stbc = _bundle(name)
     T = 24
