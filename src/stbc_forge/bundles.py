@@ -21,26 +21,24 @@ import numpy as np
 
 from .constructions import catalog, SILVER_U
 from .design import (Design, LinearDesign, Leaf, Cond, JOINT, HARD_LAST,
-                     HARD_ALL, finest_partition, to_linear_design)
+                     HARD_ALL, groups_of, qam_side, to_linear_design)
 from .diversity import rotation_search, check_class_cap, group_classes
 from .f4 import I, W2
 from .fdfgd import family, family_pairs, family_plan, predicted_complexity
-from .signalset import (SignalSet, PairQAM, RealPoints, BlockValues,
-                        pam_points, qam_side, qam_signal_set)
+from .signalset import (SignalSet, PairQAM, BlockValues, pam_points,
+                        pam_signal_set, qam_signal_set)
 from .simulate import STBCInstance
 
 
 def _pam_instance(linear, Q, plan):
-    sig = SignalSet(units=tuple(RealPoints(i, pam_points(Q))
-                                for i in range(linear.K)))
-    return STBCInstance(linear=linear, signals=sig, plan=plan)
+    return STBCInstance(linear=linear, signals=pam_signal_set(linear.K, Q),
+                        plan=plan)
 
 
 def group_stbc(entry, Q=2, kind=JOINT):
     """Generic per-group plan for any validly partitioned catalog design."""
-    d = entry.design
-    part = d.partition or finest_partition(d).groups
-    plan = Cond(conditioning=(), children=tuple(Leaf(g, kind) for g in part))
+    plan = Cond(conditioning=(), children=tuple(
+        Leaf(g, kind) for g in groups_of(entry.design)))
     return _pam_instance(entry.linear, Q, plan)
 
 
@@ -133,7 +131,7 @@ def assemble_stbc(fd, angles, M):
         # code is full diversity, not just each pair in isolation
         units, thetas = [], []
         for pair in pairs:
-            thetas.append(rotation_search(A, units, pair, M, 720))
+            thetas.append(rotation_search(A, units, pair, M))
             units.append((pair, PairQAM(pair, M, thetas[-1]).values()))
     else:
         thetas = list(angles)

@@ -16,14 +16,13 @@ import os
 import sys
 
 from .f4 import parse_vec, format_vec, O, I, W, W2
-from .design import (Design, rate, finest_partition, validate_partition,
-                     plan_complexity, to_linear_design, _even_table)
+from .design import (Design, rate, groups_of, validate_partition,
+                     plan_complexity, qam_side, to_linear_design, even_table)
 from .diversity import (generator_matrix, cubic_shaping_check,
                         full_diversity_check, difference_classes,
                         group_classes, DiversityCapError,
                         DiversityFloorError, DET_TOL)
 from .pauli import hr_orthogonal_table, phi_inv
-from .signalset import qam_side
 from .simulate import SimConfig, simulate
 from . import bundles
 from . import constructions as cons
@@ -73,11 +72,8 @@ def parse_design(text, validate=True):
         vectors.extend(vs)
         at += len(vs)
     d = Design(m, tuple(vectors), tuple(partition))
-    if validate and len(partition) > 1:
-        rep = validate_partition(d, d.partition)
-        if not rep.valid:
-            raise ValueError("invalid partition: even-sum cross pair %r"
-                             % (rep.witness,))
+    if validate:
+        groups_of(d)
     names = tuple(n for n, _vs in groups)
     return d, meta, names
 
@@ -129,10 +125,8 @@ def cmd_catalog(args):
         return 0
     entry = cons.catalog(args.name, **_catalog_params(args.name, args.params))
     d = entry.design
-    rep = (validate_partition(d, d.partition) if d.partition
-           else finest_partition(d))
     print("name=%s m=%d K=%d rate=%s groups=%d"
-          % (entry.name, d.m, d.K, rate(d), rep.g))
+          % (entry.name, d.m, d.K, rate(d), len(groups_of(d))))
     meta = {"name": entry.name}
     stbc = bundles.bundle_from_meta(d, meta)
     if stbc is not None:
@@ -199,7 +193,7 @@ def cmd_verify(args):
             # the numeric HR-orthogonality of the realizations against the
             # GF(4) parity of each pair's sum: odd weight, orthogonal
             hr = hr_orthogonal_table([phi_inv(v) for v in d.vectors])
-            ok = bool((hr == ~_even_table(d)).all())
+            ok = bool((hr == ~even_table(d)).all())
             note = ""
         else:  # diversity
             stbc = bundles.bundle_from_meta(d, meta, args.M)

@@ -15,31 +15,20 @@ sources only fix matrices up to sign.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
 
-from .f4 import (O, I, W, W2, F4Vec, weight, f4_pow_w, zero, delta,
+from .f4 import (O, I, W, W2, MAX_M, F4Vec, weight, f4_pow_w, zero, delta,
                  enumerate_all)
-from .design import (Design, LinearDesign, LDEntry, _even_table,
-                     finest_partition, validate_partition, to_linear_design)
-from .pauli import I2, X, Z, ZX, MAX_M, phi_signed
-
-
-def _groups_of(d):
-    """Partition to use: the design's own (validated) or the finest."""
-    if d.partition is not None:
-        rep = validate_partition(d, d.partition)
-        if not rep.valid:
-            i, j = rep.witness
-            raise ValueError("invalid partition: even-sum cross pair (%d,%d)"
-                             % (i, j))
-        return rep.groups
-    return finest_partition(d).groups
+from .design import (Design, LinearDesign, LDEntry, even_table,
+                     finest_partition, groups_of, to_linear_design)
+from .pauli import I2, X, Z, ZX, phi_signed
 
 
 def _intra_even_check(d, groups):
-    even = _even_table(d)
+    even = even_table(d)
     for grp in groups:
         odd = np.triu(~even[np.ix_(grp, grp)], 1)
         if odd.any():
@@ -66,7 +55,7 @@ def construct_A(d, l):
     _check_l(l)
     wl = f4_pow_w(l)
     dlt = delta(d.m + 1)
-    groups = _groups_of(d)
+    groups = groups_of(d)
     out = []
     for grp in groups:
         ys = [d.vectors[i] for i in grp]
@@ -78,7 +67,7 @@ def construct_A(d, l):
 def construct_B(d, l):
     """2-group intra-even input -> 2-group intra-even output, same rate."""
     _check_l(l)
-    groups = _groups_of(d)
+    groups = groups_of(d)
     if len(groups) != 2:
         raise ValueError("construct_B needs exactly 2 groups, got %d" % len(groups))
     _intra_even_check(d, groups)
@@ -95,7 +84,7 @@ def construct_C(d, xi_order):
     xi_order = tuple(xi_order)
     if sorted(xi_order) != [O, I, W, W2]:
         raise ValueError("xi_order must be 4 distinct GF(4) elements")
-    groups = _groups_of(d)
+    groups = groups_of(d)
     if len(groups) != 2:
         raise ValueError("construct_C needs exactly 2 groups, got %d" % len(groups))
     _intra_even_check(d, groups)
@@ -130,6 +119,7 @@ def shift_front(d):
 
 
 def _group_sets(d):
+    # as given, not validated by groups_of: runs once per permutation
     groups = (d.partition if d.partition is not None
               else finest_partition(d).groups)
     return frozenset(frozenset(d.vectors[i] for i in grp) for grp in groups)
@@ -213,16 +203,24 @@ def _rate1_2x2(l):
 _HAD2 = np.array([[1.0, -1.0], [1.0, 1.0]])
 
 
+def _doubled(d, n):
+    """n rounds of shift_front(construct_A(., 1)): 2^n times the antennas."""
+    for _ in range(n):
+        d = shift_front(construct_A(d, 1))
+    return d
+
+
+def _had2_power(k):
+    """HAD2^{(x)k}, the 1 x 1 identity for k = 0."""
+    return reduce(np.kron, [_HAD2] * k, np.eye(1))
+
+
 def _ciod(m):
     """Single-complex-symbol decodable block-diagonal design, 2^m antennas."""
     if m < 1:
         raise ValueError("ciod needs m >= 1")
     _check_m(m, "ciod m=%d" % m)
-    if m == 1:
-        base = _rate1_2x2(1)
-        d = base.design
-    else:
-        d = shift_front(construct_A(_scod(m - 1).design, 1))
+    d = _rate1_2x2(1).design if m == 1 else _doubled(_scod(m - 1).design, 1)
     return _entry("ciod", d, notes={"pair_transform": _HAD2})
 
 
@@ -263,26 +261,16 @@ def _precoded_ciod(n):
     if n < 0:
         raise ValueError("precoded_ciod needs n >= 0")
     _check_m(n + 1, "precoded_ciod n=%d" % n)
-    d = _alamouti().design
-    for _ in range(n):
-        d = shift_front(construct_A(d, 1))
-    U = np.array([[1.0]])
-    for _ in range(n):
-        U = np.kron(_HAD2, U)
-    return _entry("precoded_ciod", d, notes={"group_precoder": U})
+    return _entry("precoded_ciod", _doubled(_alamouti().design, n),
+                  notes={"group_precoder": _had2_power(n)})
 
 
 def _dast(n):
     if n < 0:
         raise ValueError("dast needs n >= 0")
     _check_m(n + 1, "dast n=%d" % n)
-    d = _rate1_2x2(1).design
-    for _ in range(n):
-        d = shift_front(construct_A(d, 1))
-    U = np.array([[1.0]])
-    for _ in range(n + 1):
-        U = np.kron(_HAD2, U)
-    return _entry("dast", d, notes={"group_precoder": U})
+    return _entry("dast", _doubled(_rate1_2x2(1).design, n),
+                  notes={"group_precoder": _had2_power(n + 1)})
 
 
 def _ggroup(g, a):

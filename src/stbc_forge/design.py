@@ -81,7 +81,7 @@ class PartitionReport:
         return len(self.groups)
 
 
-def _even_table(d):
+def even_table(d):
     """(K, K) bool table: vectors i and j sum to even weight, by the
     bilinear form above (one float32 product, exact: entries are <= 2m)."""
     m = d.m
@@ -120,7 +120,7 @@ def components(adj):
 
 def finest_partition(d):
     """Connected components over even-sum pairs; always a valid partition."""
-    label = components(_even_table(d))
+    label = components(even_table(d))
     groups = tuple(tuple(np.flatnonzero(label == r).tolist())
                    for r in np.flatnonzero(label == np.arange(d.K)))
     return PartitionReport(groups=groups, valid=True)
@@ -135,11 +135,22 @@ def validate_partition(d, partition):
     group_of = np.empty(d.K, np.intp)
     for gi, grp in enumerate(partition):
         group_of[list(grp)] = gi
-    bad = np.triu(_even_table(d) & (group_of[:, None] != group_of), 1)
+    bad = np.triu(even_table(d) & (group_of[:, None] != group_of), 1)
     if bad.any():
         i, j = divmod(int(bad.argmax()), d.K)
         return PartitionReport(partition, False, witness=(i, j))
     return PartitionReport(partition, True)
+
+
+def groups_of(d):
+    """The design's own partition, validated, or else the finest."""
+    if d.partition is None:
+        return finest_partition(d).groups
+    rep = validate_partition(d, d.partition)
+    if not rep.valid:
+        raise ValueError("invalid partition: even-sum cross pair (%d, %d)"
+                         % rep.witness)
+    return rep.groups
 
 
 def rate(d):
@@ -220,14 +231,20 @@ class ComplexityReport:
         return self.terms[0][1]
 
     def evaluate(self, M):
-        """Exact integer sum of c*M^a over all terms (M a perfect square)."""
-        r = isqrt(M)
-        if r * r != M:
-            raise ValueError("M must be a perfect square")
+        """Exact integer sum of c*M^a over all terms at QAM size M."""
+        r = qam_side(M)
         return sum(c * r ** int(2 * a) for c, a in self.terms)
 
     def __str__(self):
         return format_term(self.coefficient, self.exponent)
+
+
+def qam_side(M):
+    """sqrt(M); every QAM size in the package is checked here."""
+    if M < 4 or isqrt(M) ** 2 != M:
+        raise ValueError("QAM size M=%d is not a perfect square of at "
+                         "least 4" % M)
+    return isqrt(M)
 
 
 def format_term(c, a):

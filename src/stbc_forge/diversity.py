@@ -48,13 +48,15 @@ w, det(D + e^{it} w B+ + e^{-it} w* B-) is a Laurent polynomial of
 degree <= N in e^{it}: 2N+1 samples and one FFT give its coefficients
 exactly, and one matrix product evaluates it on the whole angle grid.
 The square-QAM difference set is invariant under multiplication by i,
-so the minimum |det| has period pi/2 and only grid angles in (0, pi/2]
-are evaluated.  The search returns the smallest grid angle whose
-minimum |det| is within a relative TIE_RTOL of the best, re-certified
-by direct determinants, and refines the grid when no angle clears
-DET_TOL.  Arbitrary per-real point sets achieving full diversity are
-grown greedily, accepting each sampled point only if the enlarged code
-still passes the exhaustive check.
+so the minimum |det| has period pi/2 and only the GRID / 4 grid angles
+in (0, pi/2] are evaluated, in one pass over one fixed grid.  The search
+returns the smallest grid angle whose minimum |det| is within a relative
+TIE_RTOL of the best, re-certified by direct determinants, and refuses
+the pair when that angle does not clear DET_TOL; every auto-angle family
+code that builds finds its angles on this grid.  Arbitrary per-real
+point sets achieving full diversity are grown greedily, accepting each
+sampled point only if the enlarged code still passes the exhaustive
+check.
 """
 
 import itertools
@@ -62,13 +64,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import components
-from .pauli import hr_orthogonal_table
-from .signalset import pam_points, product_sums, qam_side
+from .design import components, qam_side
+from .pauli import TOL, hr_orthogonal_table
+from .signalset import pam_points, product_sums
 
 DET_TOL = 1e-8
 # most +- classes of distinct codeword differences one check evaluates
 DIFF_CAP = 10 ** 7
+# the rotation search's angles 2 pi k / GRID, k = 1..GRID / 4
+GRID = 720
 # grid angles whose minimum |det| is this close (relative) to the best tie
 TIE_RTOL = 1e-9
 # complex entries per working block (16 MiB)
@@ -333,7 +337,7 @@ def _grid_min(coeffs, thetas):
     return out
 
 
-def rotation_search(A, units, pair, M, grid_size=720):
+def rotation_search(A, units, pair, M):
     """Angle making the prior code extended by an e^{i theta} QAM pair
     full diversity.
 
@@ -341,23 +345,22 @@ def rotation_search(A, units, pair, M, grid_size=720):
     codeword when there are none; pair = (i_I, i_Q) names the weight
     matrices of the rotated M-QAM symbol.  Maximizes the minimum |det|
     over the extended code's differences on the grid
-    theta_k = 2 pi k / grid_size, evaluated on (0, pi/2] only when
-    grid_size is divisible by 4: min(c, own(theta)), where c is the
-    prior's minimum and own(theta) the minimum over zero or a class of
-    the prior units in the pair's HR-orthogonal group (from the
+    theta_k = 2 pi k / GRID, k = 1..GRID / 4: min(c, own(theta)), where
+    c is the prior's minimum and own(theta) the minimum over zero or a
+    class of the prior units in the pair's HR-orthogonal group (from the
     certification enumerator, in blocks and under DIFF_CAP) plus a QAM
     difference.  By Minkowski's inequality a difference with a part in
     another group is no smaller than that part, so c covers it.
     Returns the smallest grid angle within a relative TIE_RTOL of the
-    best minimum once direct determinants there clear DET_TOL; otherwise
-    refines the grid 4x, up to three times, before giving up.
+    best minimum once direct determinants there clear DET_TOL; raises
+    ValueError when they do not, or when no grid angle clears it.
     """
     A = np.asarray(A, complex)
     A1, A2 = A[pair[0]], A[pair[1]]
     sv = np.linalg.svd(A1 + 1j * A2, compute_uv=False)
     if sv[-1] <= DET_TOL:
         raise ValueError("A1 + i*A2 is rank deficient; no angle can work")
-    base_min = best_min = _min_abs_det_product(A, units)
+    best_min = _min_abs_det_product(A, units)
     # the prior units in the pair's group: the one ending in the pair
     groups = _unit_groups(A, [idx for idx, _V in units] + [pair])
     own = next(g for g in groups if g[-1] == len(units))[:-1]
@@ -374,21 +377,19 @@ def rotation_search(A, units, pair, M, grid_size=720):
                                _class_blocks(A, own, rows))
 
     # a prior that is not full diversity cannot be rescued by any angle
-    for _ in range(4 if base_min > DET_TOL else 0):
-        n = grid_size // 4 if grid_size % 4 == 0 else grid_size
-        thetas = 2 * np.pi * np.arange(1, n + 1) / grid_size
-        mins = np.full(n, base_min)
+    if best_min > DET_TOL:
+        thetas = 2 * np.pi * np.arange(1, GRID // 4 + 1) / GRID
+        mins = np.full(len(thetas), best_min)
         for D in prior():
             np.minimum(mins, _grid_min(_laurent_coefficients(D, w, Bp, Bm),
                                        thetas), out=mins)
         best_min = float(mins.max())
         theta = float(thetas[np.argmax(mins >= best_min * (1 - TIE_RTOL))])
-        if best_min > DET_TOL:
-            z = np.exp(1j * theta) * w
-            if all(np.abs(_pair_dets(D, z, Bp, Bm)).min() > DET_TOL
-                   for D in prior()):
-                return theta
-        grid_size *= 4
+        z = np.exp(1j * theta) * w
+        if best_min > DET_TOL and all(
+                np.abs(_pair_dets(D, z, Bp, Bm)).min() > DET_TOL
+                for D in prior()):
+            return theta
     raise ValueError("no grid angle certifies full diversity "
                      "(best min |det| = %.3g)" % best_min)
 
@@ -451,15 +452,14 @@ def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0, retries=200):
     counts for symbols L+1..K (default 2 each).
     """
     A = ld.matrices()
-    N = A.shape[1]
-    for i in range(L):
-        for j in range(i, L):
-            want = 2.0 * np.eye(N) if i == j else np.zeros((N, N))
-            got = A[i].conj().T @ A[j] + A[j].conj().T @ A[i]
-            if np.linalg.norm(got - want) > 1e-9:
-                raise ValueError(
-                    "matrices %d,%d violate the Hurwitz-Radon equations"
-                    % (i, j))
+    # HR-orthogonal pairs, and A_i^H A_i = I on the diagonal
+    ok = hr_orthogonal_table(A[:L])
+    unit = A[:L].conj().transpose(0, 2, 1) @ A[:L] - np.eye(A.shape[1])
+    np.fill_diagonal(ok, 2 * np.linalg.norm(unit, axis=(1, 2)) <= TOL)
+    bad = np.triu(~ok)
+    if bad.any():
+        raise ValueError("matrices %d,%d violate the Hurwitz-Radon equations"
+                         % divmod(int(bad.argmax()), L))
     if len(pam_sets) != L:
         raise ValueError("need %d PAM sets" % L)
     K = ld.K

@@ -39,6 +39,8 @@ _VALUES = {v: k for k, v in _NAMES.items()}
 _LOG = {I: 0, W: 1, W2: 2}
 _EXP = {0: I, 1: W, 2: W2}
 
+MAX_M = 8  # largest m: realizations stop at 256 x 256 matrices
+
 
 def f4_add(a, b):
     """Sum in GF(4); XOR under the two-bit encoding."""
@@ -106,8 +108,8 @@ def delta(m):
 
 def enumerate_all(m):
     """All 2*4^m vectors of F2 + F4^m in lexicographic order."""
-    if not 1 <= m <= 8:
-        raise ValueError("m out of range (1..8)")
+    if not 1 <= m <= MAX_M:
+        raise ValueError("m out of range (1..%d)" % MAX_M)
     return [F4Vec(lam, xs)
             for lam in (0, 1)
             for xs in product((O, I, W, W2), repeat=m)]

@@ -35,7 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from .f4 import O as F0, I as F1, W, W2, F4Vec, code, from_code, delta
+from .f4 import O as F0, I as F1, W, W2, MAX_M, F4Vec, code, from_code, delta
 from .design import Design, Leaf, Cond, ComplexityReport, HARD_LAST
 from .pauli import phi_inv
 
@@ -171,8 +171,11 @@ def extend(base, R):
 
 def family(m, R, xi2=W2):
     """Family member of rate R: the base design at R = 5/4, punctured
-    below and extended above."""
+    below and extended above; m past MAX_M is refused before building."""
     R = Fraction(R)
+    if m > MAX_M:
+        raise ValueError("family m=%d: weight matrices are realized up to "
+                         "m=%d" % (m, MAX_M))
     base = build_base(m, xi2=xi2)
     if R < Fraction(5, 4):
         return puncture(base, R)

@@ -29,14 +29,14 @@ facts used throughout:
     <a, b> = sum_k hi_k(a) lo_k(b) + lo_k(a) hi_k(b) over the two bits
     (hi, lo) of each coordinate is the symplectic (trace) form of GF(4)
     codes; it makes the HR-orthogonality parity of all pairs of a design
-    one matrix product (design._even_table).
+    one matrix product (design.even_table).
 """
 
 from functools import cache
 
 import numpy as np
 
-from .f4 import O, I, W, W2, F4Vec, weight
+from .f4 import O, I, W, W2, MAX_M, F4Vec, weight
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,7 +46,6 @@ ZX = Z @ X  # [[0,1],[-1,0]]
 _PSI_INV = {O: I2, I: 1j * X, W: 1j * Z, W2: ZX}
 
 TOL = 1e-9
-MAX_M = 8  # largest m realized: 2^m x 2^m matrices of 256 x 256
 # i^k for k = 0..3, and the (lam, sign) with sign * i^lam == i^k
 _POWERS = np.array([1, 1j, -1, -1j])
 _LAM_SIGN = ((0, 1), (1, 1), (0, -1), (1, -1))
@@ -129,9 +128,10 @@ def anticommute_parity(v1, v2):
 
 
 def hr_orthogonal_numeric(A, B, tol=TOL):
+    """A^H B + B^H A vanishes: entry (0, 1) of the pair's table."""
     if A.shape != B.shape:
         raise ValueError("dimension mismatch")
-    return np.linalg.norm(A.conj().T @ B + B.conj().T @ A) < tol
+    return hr_orthogonal_table([A, B], tol)[0, 1]
 
 
 def hr_orthogonal_table(A, tol=TOL):

@@ -31,20 +31,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .design import qam_side
+
 
 def pam_points(Q):
     """Q-ary PAM: zero mean, unit spacing, ascending."""
     if Q < 1:
         raise ValueError("PAM size must be positive")
     return tuple(k - (Q - 1) / 2.0 for k in range(Q))
-
-
-def qam_side(M):
-    """sqrt(M); every QAM size in the package is checked here."""
-    if M < 4 or math.isqrt(M) ** 2 != M:
-        raise ValueError("QAM size M=%d is not a perfect square of at "
-                         "least 4" % M)
-    return math.isqrt(M)
 
 
 @dataclass(frozen=True)

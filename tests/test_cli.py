@@ -165,6 +165,10 @@ def test_parse_design_errors():
     assert d.K == 3
     with pytest.raises(ValueError, match="even-sum"):
         parse_design(bad)
+    # one message for an invalid partition, on load and in a construction
+    message = r"^invalid partition: even-sum cross pair \(0, 1\)$"
+    with pytest.raises(ValueError, match=message):
+        cli.cons.construct_A(d, 0)
 
 
 def test_construct_pipeline(tmp_path, capsys):
@@ -429,6 +433,18 @@ def test_build_fd_auto_refused_over_the_cap(m, rate, classes, capsys,
     assert code == 1
     assert ("%d difference classes exceed the cap of 10000000" % classes
             in err)
+
+
+@pytest.mark.parametrize("m", ["9", "12"])
+def test_build_fd_refuses_m_past_max_m_before_building(m, capsys,
+                                                       monkeypatch):
+    # extend's complement set has 2 * 4^m codes, so m is checked first
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("build_base ran at m=%s" % m)
+    monkeypatch.setattr("stbc_forge.fdfgd.build_base", no_build)
+    code, out, err = run(capsys, "build-fd", "--m", m, "--rate", "2")
+    assert (code, out, err) == (1, "", "error: family m=%s: weight matrices "
+                                "are realized up to m=8\n" % m)
 
 
 def test_build_fd_auto_m3_rate1_certifies(tmp_path, capsys):

@@ -253,7 +253,7 @@ def test_precoded_ciod_and_dast():
     ("ggroup", {"g": 19, "a": 0}, 9)])
 def test_unrealizable_parameters_are_refused_before_building(name, params, m,
                                                             monkeypatch):
-    # weight matrices stop at pauli.MAX_M = 8; a design past it is refused
+    # weight matrices stop at f4.MAX_M = 8; a design past it is refused
     # before any construction step, Hadamard precoder or vector is built
     calls = []
     monkeypatch.setattr(cons, "construct_A",

@@ -11,7 +11,8 @@ from stbc_forge.design import (Design, finest_partition, validate_partition,
                                rate, conditional_partition, Leaf, Cond,
                                JOINT, HARD_LAST, HARD_ALL, check_plan,
                                plan_complexity, format_term, to_linear_design,
-                               matrix_form, components, _even_table)
+                               matrix_form, components, even_table,
+                               groups_of)
 from stbc_forge.constructions import catalog
 from stbc_forge.fdfgd import family
 
@@ -114,7 +115,7 @@ def _designs_and_labels(draw):
 @given(_designs_and_labels())
 def test_parity_table_partition_and_witness(case):
     d, labels = case
-    even = _even_table(d)
+    even = even_table(d)
     assert even.shape == (d.K, d.K) and even.dtype == bool
     assert [[bool(e) for e in row] for row in even] == \
         [[_even(d, i, j) for j in range(d.K)] for i in range(d.K)]
@@ -139,7 +140,7 @@ def test_code_and_parity_table_read_numpy_integer_coordinates():
         codes = [code(v) for v in vs]
         assert codes == [code(v) for v in d.vectors]
         assert all(type(c) is int for c in codes)
-        assert np.array_equal(_even_table(Design(d.m, vs)), _even_table(d))
+        assert np.array_equal(even_table(Design(d.m, vs)), even_table(d))
 
 
 def test_components_labels_by_smallest_member():
@@ -238,6 +239,26 @@ def test_evaluate_requires_square():
     rep = plan_complexity(Leaf((0, 1), JOINT))
     with pytest.raises(ValueError):
         rep.evaluate(8)
+
+
+@pytest.mark.parametrize("M", [0, 1, 2])
+def test_evaluate_checks_the_qam_size(M):
+    # qod4's plan, four 2-real joint leaves, would count 4 * M
+    plan = Cond((), tuple(Leaf(g, JOINT)
+                          for g in ((0, 6), (1, 7), (2, 4), (3, 5))))
+    with pytest.raises(ValueError, match="^QAM size M=%d is not a perfect "
+                       "square of at least 4$" % M):
+        plan_complexity(plan).evaluate(M)
+
+
+def test_groups_of_validates_the_design_partition():
+    # [1|0] + [0|w] has even weight, so 0 and 1 must share a group
+    vs = (F4Vec(1, (O,)), F4Vec(0, (W,)), F4Vec(0, (O,)))
+    assert groups_of(Design(1, vs)) == finest_partition(Design(1, vs)).groups
+    assert groups_of(Design(1, vs, ((0, 1, 2),))) == ((0, 1, 2),)
+    with pytest.raises(ValueError, match=r"^invalid partition: even-sum "
+                       r"cross pair \(0, 1\)$"):
+        groups_of(Design(1, vs, ((0,), (1, 2))))
 
 
 def test_format_term():

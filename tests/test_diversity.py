@@ -14,14 +14,14 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   grow_constellation, grow_with_pam_prefix,
                                   difference_classes, group_classes,
                                   DiversityCapError, DiversityFloorError,
-                                  DET_TOL, DIFF_CAP, TIE_RTOL,
+                                  DET_TOL, DIFF_CAP, GRID, TIE_RTOL,
                                   _class_blocks, _qam_diffs, _grid_min,
                                   _laurent_coefficients, _pair_dets,
                                   _min_abs_det_product, _det_batch,
                                   _unit_groups)
 from stbc_forge.fdfgd import (build_base, puncture, extend, family,
                               family_pairs)
-from stbc_forge.pauli import phi_inv
+from stbc_forge.pauli import I2, X, Z, phi_inv
 from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
                                   BlockValues, PairQAM)
 from stbc_forge.simulate import STBCInstance
@@ -132,10 +132,10 @@ def _extend(prior, A1, A2, M, theta):
     return [C + zz.real * A1 + zz.imag * A2 for C in prior for zz in z]
 
 
-def _brute_force_angle(prior, A1, A2, M, grid_size=720):
+def _brute_force_angle(prior, A1, A2, M):
     """Smallest maximiser over the full (0, 2pi] grid of the min |det| of
     all codeword pairs of the extended code, by direct determinants."""
-    thetas = 2 * np.pi * np.arange(1, grid_size + 1) / grid_size
+    thetas = 2 * np.pi * np.arange(1, GRID + 1) / GRID
     mins = []
     for th in thetas:
         C = np.asarray(_extend(prior, A1, A2, M, th))
@@ -173,12 +173,19 @@ def test_rotation_search_matches_brute_force_ciod():
     _search_against_brute_force(_ciod_matrices(), ((0, 1), (2, 3)))
 
 
-def test_rotation_search_grid_not_divisible_by_four():
-    # no pi/2 shortcut on such a grid; the answer is still the reference's
-    (A1, A2), _second = _ciod_pairs()
-    prior = [np.zeros((2, 2), complex)]
-    assert rotation_search(_ciod_matrices(), [], (0, 1), 4, 90) == \
-        _brute_force_angle(prior, A1, A2, 4, 90)
+def test_rotation_search_makes_one_pass_over_the_grid(monkeypatch):
+    # no grid angle clears DET_TOL, and the search gives up after its one
+    # pass of GRID / 4 angles: there is no finer grid to try
+    passes = []
+
+    def zeros(coeffs, thetas):
+        passes.append(len(thetas))
+        return np.zeros(len(thetas))
+    monkeypatch.setattr("stbc_forge.diversity._grid_min", zeros)
+    A = catalog("ciod", m=1).linear.matrices()
+    with pytest.raises(ValueError, match="no grid angle certifies"):
+        rotation_search(A, [], (0, 1), 4)
+    assert passes == [180]
 
 
 def test_rotation_search_rejects_failing_prior():
@@ -194,7 +201,7 @@ def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
     # angle cancels it: e^{it} w = -e^{ia} d for w = -d.  With the grid
     # seeing the zero block only, every angle ties and the first grid
     # angle, the prior's, wins; only the direct determinants over the
-    # prior's classes can reject it
+    # prior's classes can reject it, and the search is then refused
     A = np.stack([np.eye(2), -1j * np.eye(2)] * 2)
     a = 2 * np.pi / 720
     units = [_pair_unit((2, 3), 4, a)]
@@ -205,10 +212,8 @@ def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
         "stbc_forge.diversity._grid_min",
         lambda c, th: _grid_min(c, th) if len(c) == n_zero else np.full_like(
             th, np.inf))
-    th = rotation_search(A, units, (0, 1), 4)
-    assert th != a
-    assert _min_abs_det_product(A, units + [_pair_unit((0, 1), 4, th)]) \
-        > DET_TOL
+    with pytest.raises(ValueError, match="no grid angle"):
+        rotation_search(A, units, (0, 1), 4)
 
 
 def test_rotation_search_prior_under_the_cap(monkeypatch):
@@ -504,6 +509,19 @@ def test_grow_with_pam_prefix_rejects_bad_prefix():
     with pytest.raises(ValueError, match="Hurwitz-Radon"):
         grow_with_pam_prefix(entry.linear, 2,
                              (pam_points(2), pam_points(2)))
+
+
+@pytest.mark.parametrize("mats, pair", [
+    ((I2, 2j * X, I2), "0,2"),  # A_0^H A_2 + A_2^H A_0 = 2 I
+    ((I2, 2j * X, 1j * Z), "1,1"),  # A_1^H A_1 = 4 I
+])
+def test_grow_with_pam_prefix_names_the_first_failing_pair(mats, pair):
+    # pairs (i, j >= i) are checked in row-major order
+    ld = LinearDesign(m=1, entries=tuple(LDEntry("x%d" % k, A)
+                                         for k, A in enumerate(mats)))
+    with pytest.raises(ValueError, match="^matrices %s violate the "
+                       "Hurwitz-Radon equations$" % pair):
+        grow_with_pam_prefix(ld, 3, (pam_points(2),) * 3)
 
 
 def test_grow_with_pam_prefix_argument_checks():

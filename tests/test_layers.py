@@ -50,6 +50,20 @@ def test_imports_follow_layers():
     assert not bad, bad
 
 
+def test_no_private_names_cross_modules():
+    # an underscore name belongs to its own module: no package module
+    # imports one from another
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith(PACKAGE)):
+                bad.extend("%s.py:%d imports %s" % (path.stem, node.lineno,
+                                                     a.name)
+                           for a in node.names if a.name.startswith("_"))
+    assert not bad, bad
+
+
 def _unused_imports(tree):
     """Names bound by an import in tree and never read, as (name, line)."""
     bound = []

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from stbc_forge.design import (Leaf, Cond, JOINT, HARD_LAST, HARD_ALL,
                                LDEntry, LinearDesign, plan_complexity,
-                               plan_indices, to_linear_design)
-from stbc_forge.signalset import (pam_points, qam_side, PairQAM, RealPoints,
+                               plan_indices, qam_side, to_linear_design)
+from stbc_forge.signalset import (pam_points, PairQAM, RealPoints,
                                   BlockValues, SignalSet, qam_signal_set,
                                   pam_signal_set)
 from stbc_forge.simulate import STBCInstance, SimConfig, simulate, PlanError
