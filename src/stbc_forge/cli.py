@@ -16,7 +16,7 @@ import os
 import sys
 
 from .f4 import parse_vec, format_vec, O, I, W, W2
-from .design import (Design, rate, groups_of, validate_partition,
+from .design import (from_groups, rate, groups_of, validate_partition,
                      plan_complexity, qam_side, to_linear_design, even_table)
 from .diversity import (generator_matrix, cubic_shaping_check,
                         full_diversity_check, difference_classes,
@@ -66,12 +66,7 @@ def parse_design(text, validate=True):
             raise ValueError("unrecognized line %r" % ln)
     if m is None:
         raise ValueError("missing m= line")
-    vectors, partition, at = [], [], 0
-    for _name, vs in groups:
-        partition.append(tuple(range(at, at + len(vs))))
-        vectors.extend(vs)
-        at += len(vs)
-    d = Design(m, tuple(vectors), tuple(partition))
+    d = from_groups(m, [vs for _name, vs in groups])
     if validate:
         groups_of(d)
     names = tuple(n for n, _vs in groups)

@@ -23,7 +23,8 @@ import numpy as np
 from .f4 import (O, I, W, W2, MAX_M, F4Vec, weight, f4_pow_w, zero, delta,
                  enumerate_all)
 from .design import (Design, LinearDesign, LDEntry, even_table,
-                     finest_partition, groups_of, to_linear_design)
+                     finest_partition, from_groups, groups_of,
+                     to_linear_design)
 from .pauli import I2, X, Z, ZX, phi_signed
 
 
@@ -41,15 +42,6 @@ def _append(y, xi):
     return F4Vec(y.lam, y.xs + (xi,))
 
 
-def _from_groups(m, vector_groups):
-    vectors, partition, k = [], [], 0
-    for grp in vector_groups:
-        partition.append(tuple(range(k, k + len(grp))))
-        vectors.extend(grp)
-        k += len(grp)
-    return Design(m, tuple(vectors), tuple(partition))
-
-
 def construct_A(d, l):
     """Per group: {[y,0]} and {[y,w^l] + delta}; g and rate preserved."""
     _check_l(l)
@@ -61,7 +53,7 @@ def construct_A(d, l):
         ys = [d.vectors[i] for i in grp]
         out.append([_append(y, O) for y in ys] +
                    [_append(y, wl) + dlt for y in ys])
-    return _from_groups(d.m + 1, out)
+    return from_groups(d.m + 1, out)
 
 
 def construct_B(d, l):
@@ -76,7 +68,7 @@ def construct_B(d, l):
     s2 = [d.vectors[i] for i in groups[1]]
     g1 = [_append(y, O) for y in s1] + [_append(y, wl) for y in s2]
     g2 = [_append(y, O) for y in s2] + [_append(y, wl) for y in s1]
-    return _from_groups(d.m + 1, [g1, g2])
+    return from_groups(d.m + 1, [g1, g2])
 
 
 def construct_C(d, xi_order):
@@ -96,7 +88,7 @@ def construct_C(d, xi_order):
            [_append(y, x2) for y in s1],
            [_append(y, x3) + dlt for y in s2],
            [_append(y, x4) + dlt for y in s2]]
-    return _from_groups(d.m + 1, out)
+    return from_groups(d.m + 1, out)
 
 
 # the four inequivalent suffix orders for construct_C

@@ -33,6 +33,7 @@ what the complexity tables quote.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
@@ -58,6 +59,14 @@ class Design:
     @property
     def K(self):
         return len(self.vectors)
+
+
+def from_groups(m, vector_groups):
+    """The Design of each group's vectors in turn, partitioned by group."""
+    ends = accumulate(map(len, vector_groups))
+    return Design(m, tuple(v for grp in vector_groups for v in grp),
+                  tuple(tuple(range(e - len(grp), e))
+                        for grp, e in zip(vector_groups, ends)))
 
 
 def _check_cover(partition, K):

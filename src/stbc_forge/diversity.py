@@ -353,7 +353,7 @@ def rotation_search(A, units, pair, M):
     another group is no smaller than that part, so c covers it.
     Returns the smallest grid angle within a relative TIE_RTOL of the
     best minimum once direct determinants there clear DET_TOL; raises
-    ValueError when they do not, or when no grid angle clears it.
+    ValueError naming the failed check's minimum (and angle) otherwise.
     """
     A = np.asarray(A, complex)
     A1, A2 = A[pair[0]], A[pair[1]]
@@ -386,10 +386,14 @@ def rotation_search(A, units, pair, M):
         best_min = float(mins.max())
         theta = float(thetas[np.argmax(mins >= best_min * (1 - TIE_RTOL))])
         z = np.exp(1j * theta) * w
-        if best_min > DET_TOL and all(
-                np.abs(_pair_dets(D, z, Bp, Bm)).min() > DET_TOL
-                for D in prior()):
-            return theta
+        if best_min > DET_TOL:
+            direct = min(float(np.abs(_pair_dets(D, z, Bp, Bm)).min())
+                         for D in prior())
+            if direct > DET_TOL:
+                return theta
+            raise ValueError("no grid angle certifies full diversity "
+                             "(direct min |det| = %.3g at theta = %.6g)"
+                             % (direct, theta))
     raise ValueError("no grid angle certifies full diversity "
                      "(best min |det| = %.3g)" % best_min)
 
@@ -451,6 +455,9 @@ def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0, retries=200):
     A_i^H A_j + A_j^H A_i = 2*1{i=j}*I.  sizes gives the target point
     counts for symbols L+1..K (default 2 each).
     """
+    if not 0 <= L <= ld.K:
+        raise ValueError("PAM prefix of L=%d symbols, need 0 <= L <= K=%d"
+                         % (L, ld.K))
     A = ld.matrices()
     # HR-orthogonal pairs, and A_i^H A_i = I on the diagonal
     ok = hr_orthogonal_table(A[:L])

@@ -145,27 +145,38 @@ class SignalSet:
         sizes = [u.size for u in self.units]
         return {u: math.prod(sizes[k + 1:]) for k, u in enumerate(self.units)}
 
-    def table(self, units):
+    def table(self, parts):
         """(rows (n, K), indexes (n,)): every joint value of the given
-        units of this set, in the order they are given, first unit
+        parts of this set, in the order they are given, first part
         slowest, each row placed among all K reals (zero elsewhere), and
-        the sum of the codeword-index digits that row sets.  No units
-        give the one zero row at index 0."""
-        digits = [np.arange(u.size, dtype=np.int64) * self.weights[u]
-                  for u in units] or [np.zeros(1, dtype=np.int64)]
-        return self._rows(units), next(product_sums(digits, math.inf))
+        the sum of the codeword-index digits that row sets.  A part is a
+        unit, or (unit, axis) for one of its axes: the axis points along
+        its direction, point i setting digit i x the axis digit factor x
+        the unit weight.  No parts give the one zero row at index 0."""
+        rows, digits = self._parts(parts)
+        return (next(product_sums(rows, math.inf)),
+                next(product_sums(digits, math.inf)))
 
     def symbol_table(self):
         """(count, K) array of all real-symbol vectors in enumeration order."""
-        return self._rows(self.units)
+        return next(product_sums(self._parts(self.units)[0], math.inf))
 
-    def _rows(self, units):
-        """The rows of table(units)."""
-        rows = ([np.zeros((u.size, self.K)) for u in units]
-                or [np.zeros((1, self.K))])
-        for R, u in zip(rows, units):
-            R[:, list(u.indices)] = u.values()
-        return next(product_sums(rows, math.inf))
+    def _parts(self, parts):
+        """Each part's value rows among all K reals and index digits."""
+        rows, digits = [], []
+        for part in parts:
+            if isinstance(part, tuple):  # one axis of a unit
+                u, (direction, points, factor) = part
+                values = np.multiply.outer(points, direction)
+            else:
+                u, values, factor = part, part.values(), 1
+            R = np.zeros((len(values), self.K))
+            R[:, list(u.indices)] = values
+            rows.append(R)
+            digits.append(np.arange(len(values), dtype=np.int64)
+                          * (factor * self.weights[u]))
+        return (rows or [np.zeros((1, self.K))],
+                digits or [np.zeros(1, dtype=np.int64)])
 
 
 def product_sums(tables, step):

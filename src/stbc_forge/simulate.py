@@ -19,22 +19,22 @@ symbols and, since G vanishes between HR-orthogonal groups, decodes
 each child separately after folding the hypothesis into the linear
 term; a bare leaf is a Cond without conditioning, and a joint leaf a
 Cond on its units without children, whose candidates are its values.
-A hard-limit leaf enumerates one unit's outer axis and hard-limits its
-inner axis (an exact 1-D quadratic minimization; a real is a pair with
-a zero outer axis).  A hard_last leaf is a Cond on all its units but
-the last over a hard-limit leaf of the last; a hard_all leaf is one
-hard-limit leaf per axis of its units, with no outer axis, exact when
-the axes' weight matrices are pairwise HR-orthogonal, as compiling
-checks.  Both decoders break metric ties by lowest codeword index, so
-their outputs are comparable by equality.
+A hard-limit leaf hard-limits one axis of one unit, an exact 1-D
+quadratic minimization.  A hard_last leaf is a Cond on all its units
+but the last and on the last's outer axis (a QAM pair's sqrt(M) PAM
+values) over the hard-limit leaf of its inner axis, or that leaf alone
+for a real.  A hard_all leaf is one hard-limit leaf per axis of its
+units, exact when the axes' weight matrices are pairwise
+HR-orthogonal, as compiling checks.  Both decoders break metric ties by
+lowest codeword index, so their outputs are comparable by equality.
 
 Both decoders take a batch of T trials per call: linear terms b of shape
 (T, K) against Grams of shape (T, K, K).
 
 The structured decoder works in projected coordinates.  Every compiled
 node keeps `rows`, the linear-term rows its kernel reads, leaf by leaf:
-a hard-limit leaf its 2d and 2o e rows, and a Cond leaf its
-conditioning values followed by its rows of each child.  The decoder
+a hard-limit leaf its one row 2d, and a Cond leaf its conditioning
+values followed by its rows of each child.  The decoder
 forms rows @ b once, at the root, and no node ever sees the K columns
 of b again.  A Cond folds hypothesis v into a child's projections as
 P_child - rows_child.G.v, one (rows, hypotheses) product per trial
@@ -42,36 +42,36 @@ broadcast over the parent's hypotheses, so each node's arrays are as
 wide as its own rows.  The node kernels cost a few numpy calls per plan
 level, each on one large array:
 
-  - Candidates ahead of hypotheses.  A node lays out its candidates
-    (joint values, outer PAM values, Cond hypotheses) on an axis before
+  - Candidates ahead of hypotheses.  A Cond lays out its values (joint
+    values, outer PAM values, conditioning hypotheses) on an axis before
     the hypotheses and picks with min over that axis, then the lowest
     codeword index among the exact ties, so its pick does not depend on
     the candidates' order.
   - Sibling groups.  At compile time sibling nodes of one signature
     fuse into one node with a leaf axis: Conds whose conditioning
-    tables share a shape and whose children's signatures agree in
-    order, their j-th children fusing in turn, and hard-limit leaves
-    whose outer points, outer digit factor and inner points agree.  A
-    leaf keeps its own rows and index offsets, a fused Cond folds a
-    leaf's values into that leaf's child rows only, and every node
-    returns per-leaf metrics, which the parent sums.
+    tables have one value count and whose children's signatures agree
+    in order, their j-th children fusing in turn, and hard-limit leaves
+    whose points agree.  A leaf keeps its own rows and index digits, a
+    fused Cond folds a leaf's values into that leaf's child rows only,
+    and every node returns per-leaf metrics, which the parent sums.
   - No quotient in a metric.  A hard-limit leaf divides only to pick
-    the inner PAM value; the metric is then formed from products and
-    sums of the picked point, the projections and the Gram, so integer
-    channels give exact metrics and exact ties, as in the oracle.
+    its point; the metric is then formed from products and sums of the
+    picked point, the projections and the Gram, so integer channels
+    give exact metrics and exact ties, as in the oracle.
   - Batch-invariant bits.  Projections and folds are (rows, K) @ (K, n)
-    products per trial and Gram terms _quad forms, whose BLAS shapes do
-    not depend on T; everything else is elementwise.  A metric's bits
-    are the same whether its trial is decoded alone or in a batch.
-  - Few live temporaries.  A hard-limit node forms its metrics and
-    indexes in place, and each node's `width` bounds the float64
-    elements one trial of its subtree holds at once, numpy's broadcast
-    buffers included.
+    products per trial on C-contiguous b and G, and Gram terms _quad
+    forms, whose BLAS shapes do not depend on T; everything else is
+    elementwise.  A metric's bits are the same whether its trial is
+    decoded alone or in a batch.
+  - Few live temporaries.  Nodes form metrics and indexes in place, a
+    Cond adds its own metrics into its first child's, and each node's
+    `width` bounds the float64 elements one trial of its subtree holds
+    at once, numpy's broadcast buffers included.
 
 Metric-evaluation counts match the plan's complexity terms exactly: a
-joint leaf costs its candidate count (a Cond without children, one per
-value), a hard-limited last pair sqrt(M), a hard_all leaf one, charged
-to its first axis, and a Cond multiplies by its hypothesis count.
+joint leaf costs its candidate count (a Cond without children), a
+hard-limit leaf one (a hard_all leaf's, its first axis), and a Cond
+multiplies by its hypothesis count: a hard_last pair's is sqrt(M).
 
 The oracle needs neither the plan nor the HR-orthogonality table, nor
 the symbol table.  It splits the signal set's units, in codebook order,
@@ -133,10 +133,6 @@ _BIG = np.iinfo(np.int64).max
 ORACLE_CAP = 10 ** 5    # largest codebook the exhaustive decoder scans
 _CHUNK_BYTES = 1 << 20  # working-set budget of one decode batch (1 MiB)
 MAX_TRIALS = 2 ** 32    # trial indexes fill one uint32 word of the RNG key
-
-
-def _midpoints(points):
-    return (points[:-1] + points[1:]) / 2.0
 
 
 def _nearest(mids, v):
@@ -221,9 +217,11 @@ def _compile(stbc):
 
 
 class _Spec(NamedTuple):
-    """A Cond to compile: its conditioning units and its children, each a
-    _Spec or a hard-limit leaf (unit, axes, charge)."""
-    units: tuple
+    """A Cond to compile: its conditioning parts (units, or (unit, axis)
+    for one axis of a unit), their SignalSet.table, and its children,
+    each a _Spec or a hard-limit leaf (unit, axis, charge)."""
+    parts: tuple
+    table: tuple
     children: tuple
 
 
@@ -253,10 +251,11 @@ def _check_orthogonal(orth, groups, what):
 def _spec(node, signals, A, orth):
     """The _Spec of a plan Cond, checked against the units and A.  A joint
     leaf is a Cond on its units without children; a hard_last leaf a Cond
-    on all its units but the last over the hard-limit leaf of the last, or
-    that leaf alone for one unit; a hard_all leaf one hard-limit leaf per
-    axis of its units, with no outer axis, once checked separable on A,
-    its one evaluation charged to its first axis."""
+    on all its units but the last and on every axis of the last but its
+    inner one, over the hard-limit leaf of that inner axis, or that leaf
+    alone for a real; a hard_all leaf one hard-limit leaf per axis of its
+    units, once checked separable on A, its one evaluation charged to its
+    first axis."""
     cond = _units_for(signals.units, node.conditioning)
     _check_orthogonal(orth, [sorted(plan_indices(c)) for c in node.children],
                       "Cond children must be HR-orthogonal")
@@ -267,36 +266,38 @@ def _spec(node, signals, A, orth):
             continue
         units = _units_for(signals.units, child.indices)
         if child.kind == JOINT:
-            children.append(_Spec(units, ()))
+            children.append(_Spec(units, signals.table(units), ()))
         elif not all(u.axes() for u in units):
             raise PlanError("cannot hard-limit a value block")
         elif child.kind == HARD_LAST:
             *prefix, u = units
-            leaf = (u, u.axes(), len(_outer(u.axes())[1]))
-            children.append(_Spec(tuple(prefix), (leaf,)) if prefix else leaf)
+            *outer, inner = u.axes()
+            parts = tuple(prefix) + tuple((u, axis) for axis in outer)
+            leaf = (u, inner, 1)
+            children.append(_Spec(parts, signals.table(parts), (leaf,))
+                            if parts else leaf)
         else:
-            leaves = [(u, (axis,), 0) for u in units for axis in u.axes()]
+            leaves = [(u, axis, 0) for u in units for axis in u.axes()]
             leaves[0] = leaves[0][:2] + (1,)   # the leaf's one evaluation
             # limiting each axis alone is exact for every channel H when
             # the axes' weight matrices B = rows.A are pairwise
             # HR-orthogonal: then ReTr((B_k H)^H B_l H) = 0
-            B = np.tensordot(_axis_rows(leaves, signals.K)[1], A, axes=1)
+            B = np.tensordot(_axis_rows(leaves, signals.K), A, axes=1)
             _check_orthogonal(hr_orthogonal_table(B),
                               [[k] for k in range(len(B))], "hard_all needs "
                               "HR-orthogonal axes (in leaf order)")
             children += leaves
-    return _Spec(cond, tuple(children))
+    return _Spec(cond, signals.table(cond), tuple(children))
 
 
 def _signature(spec):
     """What sibling specs share to fuse into one node: a Cond's
-    conditioning table shape and its children's signatures in order, a
-    hard-limit leaf's outer points, outer digit factor and inner points."""
+    conditioning value count and its children's signatures in order, a
+    hard-limit leaf's points."""
     if isinstance(spec, _Spec):
-        return (_Cond, _table_shape(spec.units)) + tuple(
+        return (_Cond, len(spec.table[1])) + tuple(
             map(_signature, spec.children))
-    axes = spec[1]
-    return (_HardLast,) + _outer(axes)[1:] + (axes[-1][1],)
+    return (_HardLimit, spec[1][1])
 
 
 def _fuse(specs, hyps, signals):
@@ -304,36 +305,22 @@ def _fuse(specs, hyps, signals):
     j-th children of fused Conds, and a Cond's children of one signature,
     fuse in turn: a child node's leaves run over the node's leaves first."""
     if not isinstance(specs[0], _Spec):
-        return _HardLast(specs, signals, hyps)
+        return _HardLimit(specs, signals, hyps)
     groups = {}
     for j, child in enumerate(specs[0].children):
         groups.setdefault(_signature(child), []).append(j)
-    n_c = math.prod(u.size for u in specs[0].units)
+    n_c = len(specs[0].table[1])
     children = tuple(_fuse([s.children[j] for s in specs for j in js],
                            hyps * n_c, signals) for js in groups.values())
-    return _Cond([s.units for s in specs], children, signals, hyps)
-
-
-def _outer(axes):
-    """The outer axis of a hard-limit leaf's axes, (outer, inner) or
-    (inner,): a zero axis with the one value 0 when it has none."""
-    return axes[0] if len(axes) > 1 else (0.0, (0.0,), 1)
+    return _Cond(specs, children, hyps)
 
 
 def _axis_rows(leaves, K):
-    """Outer and inner axis rows (L, K) of hard-limit leaves (unit, axes,
-    charge) over all K reals."""
-    e, d = np.zeros((len(leaves), K)), np.zeros((len(leaves), K))
-    for k, (u, axes, _charge) in enumerate(leaves):
-        e[k, list(u.indices)] = _outer(axes)[0]
-        d[k, list(u.indices)] = axes[-1][0]
-    return e, d
-
-
-def _table_shape(units):
-    """Shape of the enumerated value table of a unit list."""
-    return (math.prod(u.size for u in units),
-            sum(len(u.indices) for u in units))
+    """Axis rows (L, K) of hard-limit leaves (unit, axis, charge)."""
+    d = np.zeros((len(leaves), K))
+    for k, (u, axis, _charge) in enumerate(leaves):
+        d[k, list(u.indices)] = axis[0]
+    return d
 
 
 def _block(rows, cols):
@@ -341,11 +328,10 @@ def _block(rows, cols):
     return (slice(None), rows[:, None], cols[None, :])
 
 
-def _quad(X, G, Y=None):
-    """x.G.y for every row x of X and matching row y of Y (default X);
-    X, Y (n, k) or (T, n, k), G (T, k, k)."""
+def _quad(X, G):
+    """x.G.x for every row x of X (n, k) or (T, n, k), G (T, k, k)."""
     XG = X @ G
-    XG *= X if Y is None else Y
+    XG *= X
     return XG @ np.ones(X.shape[-1])
 
 
@@ -358,166 +344,163 @@ def _pick(m, idx, axis):
 
 
 def _leaf_sum(m, idx):
-    """Totals over the leaf axis -2, added leaf by leaf in a fixed order."""
-    total = m[..., 0, :]
-    for k in range(1, m.shape[-2]):
-        total = total + m[..., k, :]
+    """Totals over the leaf axis -2, added leaf by leaf in a fixed order;
+    views of the one leaf when there is one."""
+    if m.shape[-2] == 1:
+        return m[..., 0, :], idx[..., 0, :]
+    total = m[..., 0, :] + m[..., 1, :]
+    for k in range(2, m.shape[-2]):
+        total += m[..., k, :]
     return total, idx.sum(axis=-2)
 
 
-# Each node is built from its units and the SignalSet, and holds L
+def _own(P, vGv):
+    """-2 P + v.G.v of a Cond's values, P's leading rows for each leaf."""
+    own = -2.0 * P[:, :, :vGv.shape[2]]
+    own += vGv
+    return own
+
+
+# Each node is built from its specs and the SignalSet, and holds L
 # sibling leaves of one signature.  It keeps `rows`, the linear-term rows
 # (r, K) its kernel reads, leaf by leaf, and decodes P: (T, r, n_hyp),
 # those rows applied to the folded linear terms of every hypothesis,
 # against G: (T, K, K), returning per-leaf (metrics (T, L, n_hyp),
-# codeword indexes (T, L, n_hyp)); the parent Cond sums them.  `count`
-# is the node's metric evaluations per hypothesis and `width` bounds the
-# float64 elements one trial of the node and its subtree holds at once.
+# codeword indexes (T, L, n_hyp)), which the caller owns and may change
+# in place; the parent Cond sums them.  `count` is the node's metric
+# evaluations per hypothesis and `width` bounds the float64 elements one
+# trial of the node and its subtree holds at once, its results included.
 
-class _HardLast:
-    """For each leaf and each value o of its outer axis, hard-limit the
-    inner axis exactly.
+class _HardLimit:
+    """For each leaf, hard-limit one axis of a unit exactly.
 
-    A leaf is (unit, axes, charge): the unit's point is x = o e + p d on
-    its outer and inner axes, e = (c, s) and d = (-s, c) for a QAM pair
-    rotated by theta; a real, and each axis of a hard_all leaf, has a
-    zero outer axis and the one outer value o = 0.  With w = b.e,
-    u = b.d and the Gram's g_ee, g_ed and g_dd, the metric is
+    A leaf is (unit, axis, charge): the axis's point p lies along its
+    direction d, every other real held by the Conds above, which fold
+    their values into b.  With u = b.d and g_dd = d.G.d the metric is
 
-        -2 (o w + p u) + o^2 g_ee + 2 o p g_ed + p^2 g_dd
-          = o^2 g_ee - 2 o w + p (p g_dd - 2 t),
-        2 t = 2 u - 2 o g_ed.
+        -2 p u + p^2 g_dd = p (p g_dd - 2u).
 
-    The quotient t / g_dd only picks p; no quotient enters a metric, so
-    integer channels give exact metrics and exact ties.  The rows are
-    each leaf's 2d, read once and broadcast over the outer values, and
-    its 2o e for every o: one projection gives 2u and 2o w of every
-    hypothesis.  A hard_last leaf's other units are a Cond above the
-    node, which folds each of their values into b; a hard_all leaf's
-    axes are leaves whose metrics the parent Cond sums, and its one
-    evaluation is the charge of its first axis, 0 for the others.
+    The quotient 2u / (2 g_dd) only picks p; no quotient enters a metric,
+    so integer channels give exact metrics and exact ties.  A leaf's one
+    row is 2d, its index digit p's index times the axis digit factor
+    times the unit weight, and its charge one evaluation, or none for a
+    hard_all leaf's axes after the first, whose metrics the parent sums.
     """
 
     def __init__(self, leaves, signals, hyps):
         units, axes, charges = zip(*leaves)
-        L, K = len(leaves), signals.K
-        # the leaves share the axes' points and the outer digit factor
-        _e, outer, f_o = _outer(axes[0])
-        self.points = np.asarray(axes[0][-1][1])
-        self.mids = _midpoints(self.points)
-        e, d = (r[:, None] for r in _axis_rows(leaves, K))
-        n_o = len(outer)
-        oe = np.asarray(outer)[:, None] * e                      # (L, n_o, K)
-        R = np.concatenate([2.0 * d, 2.0 * oe], 1)         # (L, 1 + n_o, K)
-        # quadratic rows: g_dd, then 2o g_ed and o^2 g_ee per o
-        self.gx = np.concatenate([d, 2.0 * oe, oe], 1).reshape(-1, K)
-        self.gy = np.concatenate([d, np.repeat(d, n_o, 1), oe],
-                                 1).reshape(-1, K)
-        self.rows = R.reshape(-1, K)                 # (leaf, 2d | 2oe per o)
-        w = np.array([signals.weights[u] for u in units], dtype=np.int64)
-        # codeword index digits of the inner point, and of (leaf, outer
-        # value) at inner digit 0, (L, n_o, 1)
-        self.digit = (w * [a[-1][2] for a in axes])[:, None, None]
-        self.offsets = (w[:, None, None] * f_o
-                        * np.arange(n_o, dtype=np.int64)[:, None])
-        self.leaves = L
+        # the leaves share the axis points
+        self.points = np.asarray(axes[0][1])
+        self.mids = (self.points[:-1] + self.points[1:]) / 2.0
+        self.d = _axis_rows(leaves, signals.K)
+        self.rows = 2.0 * self.d
+        self.digit = np.array([signals.weights[u] * axis[2]
+                               for u, axis in zip(units, axes)],
+                              dtype=np.int64)[:, None]
+        self.leaves = L = len(leaves)
         self.count = sum(charges)
-        # t2, the quotient (then p), the inner indexes and the metrics,
-        # and the Gram products with their broadcast buffer
-        self.width = 4 * hyps * L * n_o + 2 * K * len(self.gx)
+        # the quotient (then p), the indexes, the metrics and a broadcast
+        # buffer, and the Gram product with its broadcast buffer
+        self.width = 4 * hyps * L + 2 * self.d.size
 
     def decode(self, P, G):
-        T, _r, H = P.shape
-        L, n_o = self.offsets.shape[:2]
-        X = P.reshape(T, L, -1, H)                               # 2u | 2o w
-        g = _quad(self.gx, G, self.gy).reshape(T, L, -1, 1)
-        # g_dd, then 2o g_ed and o^2 g_ee
-        g_dd, ed, ee = g[:, :, :1], g[:, :, 1:1 + n_o], g[:, :, 1 + n_o:]
-        t2 = X[:, :, :1] - ed                               # (T, L, n_o, H)
-        p = t2 / (2.0 * g_dd)
+        g_dd = _quad(self.d, G)[..., None]                         # (T, L, 1)
+        p = P / (2.0 * g_dd)
         pi = _nearest(self.mids, p)
         np.take(self.points, pi, out=p, mode="clip")
         m = p * g_dd
-        m -= t2
+        m -= P
         m *= p
-        del t2, p
-        m += ee
-        m -= X[:, :, 1:]
         pi *= self.digit
-        pi += self.offsets
-        if n_o == 1:  # one outer value: nothing to pick
-            return m[:, :, 0], pi[:, :, 0]
-        return _pick(m, pi, 2)
+        return m, pi
 
 
 class _Cond:
     """For each leaf, enumerate its conditioning values and decode its
     children for each hypothesis: a plan Cond, a bare leaf (no
-    conditioning), a hard_last leaf's prefix, or with no children a joint
-    leaf.  A leaf's rows are its conditioning values Vc, then its rows of
-    each child.  Hypothesis v of leaf l folds into the linear terms b of
-    leaf l's children as b - G v, that is into their projections as
-    P_child - rows_child.G.v, broadcast over the parent's hypotheses.
-    Hypothesis c of parent row h becomes row c * H + h, so a leaf's
-    values are the leading candidate axis of its totals: -2 P + v.G.v,
-    plus its children's metrics."""
+    conditioning), a hard_last leaf's prefix and outer axes, or with no
+    children a joint leaf.  A leaf's rows are its conditioning values Vc,
+    then its rows of each child.  Hypothesis v of leaf l folds into the
+    linear terms b of leaf l's children as b - G v, that is into their
+    projections as P_child - rows_child.G.v, broadcast over the parent's
+    hypotheses.  Hypothesis c of parent row h becomes row c * H + h, so a
+    leaf's values are the leading candidate axis of its totals: its first
+    child's metrics plus -2 P + v.G.v, plus its other children's."""
 
-    def __init__(self, units, children, signals, hyps):
-        Vc, cidx = zip(*(signals.table(u) for u in units))
-        self.leaves, n_c, K = np.shape(Vc)
-        self.Vc = np.concatenate(Vc) if units[0] else None  # None: no fold
+    def __init__(self, specs, children, hyps):
+        Vc, cidx = zip(*(s.table for s in specs))
+        L, n_c, K = np.shape(Vc)
+        self.leaves = L
+        self.Vc = np.concatenate(Vc) if specs[0].parts else None  # no fold
         self.cidx = np.stack(cidx)[..., None]              # (L, n_c, 1)
         self.children = children
-        parts = [c.rows.reshape(self.leaves, -1, K) for c in children]
+        parts = [c.rows.reshape(L, -1, K) for c in children]
         ends = np.cumsum([p.shape[1] for p in parts])
         self.slices = [slice(e - p.shape[1], e) for e, p in zip(ends, parts)]
-        rows = np.concatenate([np.zeros((self.leaves, 0, K))] + parts, 1)
+        rows = np.concatenate([np.zeros((L, 0, K))] + parts, 1)
         self.child_rows = rows.reshape(-1, K)
         values = [] if self.Vc is None else [np.stack(Vc)]
         self.rows = np.concatenate(values + [rows], 1).reshape(-1, K)
-        self.count = n_c * (sum(c.count for c in children) or self.leaves)
-        # the folded projections and the running totals stay live while
-        # the children decode; the fold's products only before: V.G, the
-        # buffer of its product with V, and F over all leaves' values
-        r_c = len(self.child_rows) if self.Vc is not None else 0
-        own = hyps * n_c * (4 * self.leaves + r_c)
-        self.width = own + max([n_c * self.leaves * (2 * K + r_c)]
-                               + [c.width for c in children])
+        self.count = n_c * (sum(c.count for c in children) or L)
+        # float64 words one trial holds at once, a buffer per broadcast or
+        # strided operand counted at its result's size: the fold (F, L x L
+        # blocks, next to V.G and a buffer, then next to the folded
+        # projections and two buffers) and the pick; then, while each
+        # child decodes, the folded projections, a copy of the child's
+        # block, and its subtree or its results with their leaf sums and
+        # this node's own metrics or running totals
+        res = hyps * n_c * L  # the metrics, or the indexes, of all leaves
+        r_c = len(self.child_rows)
+        fold = hyps * n_c * r_c if self.Vc is not None else 0
+        live = [] if self.Vc is None else [
+            L * n_c * r_c + max(2 * L * n_c * K, 3 * fold),
+            25 * res // 8 + 2 * hyps * L]
+        for j, c in enumerate(children):
+            k, copy = c.leaves // L, L > 1 and len(children) > 1
+            live.append(fold + copy * hyps * n_c * len(c.rows) + max(
+                c.width + 2 * res * (j > 0),
+                2 * res * (k + (k > 1) + (j > 0 or self.Vc is not None))))
+        self.width = max(live)
 
     def decode(self, P, G):
         T, _r, H = P.shape
         L, n_c = self.cidx.shape[:2]
-        P = P.reshape(T, L, -1, H)
-        total_m, total_i, Pc = None, self.cidx, P
+        Pc = P = P.reshape(T, L, -1, H)
         if self.Vc is not None:
             VG = self.Vc @ G   # (T, L n_c, K): the fold, v.G.v's product
-            if self.children:
-                # every leaf's rows against every leaf's values, one product
-                # per trial; each leaf folds its own block (T, L, r, n_c)
-                F = (self.child_rows @ VG.swapaxes(1, 2)).reshape(
-                    T, L, -1, L, n_c)
-                F = F.diagonal(0, 1, 3).transpose(0, 3, 1, 2)
+            # every leaf's rows against every leaf's values, one product per
+            # trial, taken before V.G turns into v.G.v's product
+            F = self.child_rows @ VG.swapaxes(1, 2) if self.children else None
+            VG *= self.Vc
+            vGv = (VG @ np.ones(VG.shape[-1])).reshape(T, L, n_c, 1)
+            del VG
+            if self.children:  # each leaf folds its own block (T, L, r, n_c)
+                F = F.reshape(T, L, -1, L, n_c).diagonal(0, 1, 3).transpose(
+                    0, 3, 1, 2)
                 Pc = (P[:, :, n_c:, None] - F[..., None]).reshape(
                     T, L, -1, n_c * H)
                 del F
-            VG *= self.Vc
-            total_m = -2.0 * P[:, :, :n_c]                  # (T, L, n_c, H)
-            total_m += (VG @ np.ones(VG.shape[-1])).reshape(T, L, n_c, 1)
-            del VG
+        m = i = None
         for child, rows in zip(self.children, self.slices):
             cm, ci = child.decode(Pc[:, :, rows].reshape(T, -1, n_c * H), G)
             # the child's leaves under each of this node's leaves
             cm, ci = _leaf_sum(cm.reshape(T, L, -1, n_c * H),
                                ci.reshape(T, L, -1, n_c * H))
             cm, ci = cm.reshape(T, L, n_c, H), ci.reshape(T, L, n_c, H)
-            if total_m is None:
-                total_m = cm
+            if m is None:
+                m, i = cm, ci
+                if self.Vc is not None:  # its own, after its first child
+                    m += _own(P, vGv)
+                    i += self.cidx
             else:
-                total_m += cm
-            total_i = total_i + ci
+                m += cm
+                i += ci
+        del Pc
         if self.Vc is None:
-            return total_m[:, :, 0], total_i[:, :, 0]
-        return _pick(total_m, total_i, 2)
+            return m[:, :, 0], i[:, :, 0]
+        if m is None:  # a joint leaf: its values are the candidates
+            m, i = _own(P, vGv), self.cidx
+        return _pick(m, i, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +511,9 @@ def _metric_terms(stbc, Y, H):
     AH = np.einsum("iab,...bc->...iac", stbc.matrices, H)
     b = np.real(np.einsum("...ab,...iab->...i", Y.conj(), AH))
     G = np.real(np.einsum("...iab,...jab->...ij", AH.conj(), AH))
-    return b, G
+    # C-contiguous, so that a one-row product against G has the same bits
+    # in a batch as for one trial
+    return np.ascontiguousarray(b), np.ascontiguousarray(G)
 
 
 def _grid(signals):

@@ -12,7 +12,7 @@ from stbc_forge.design import (Design, finest_partition, validate_partition,
                                JOINT, HARD_LAST, HARD_ALL, check_plan,
                                plan_complexity, format_term, to_linear_design,
                                matrix_form, components, even_table,
-                               groups_of)
+                               groups_of, from_groups)
 from stbc_forge.constructions import catalog
 from stbc_forge.fdfgd import family
 
@@ -259,6 +259,16 @@ def test_groups_of_validates_the_design_partition():
     with pytest.raises(ValueError, match=r"^invalid partition: even-sum "
                        r"cross pair \(0, 1\)$"):
         groups_of(Design(1, vs, ((0,), (1, 2))))
+
+
+def test_from_groups_partitions_the_vectors_by_group():
+    # the groups' vectors in turn, each group one block of the partition;
+    # the constructions and the design-file parser both build this way
+    vs = (F4Vec(1, (O,)), F4Vec(0, (W,)), F4Vec(0, (O,)))
+    assert from_groups(1, [vs[:2], vs[2:]]) == Design(1, vs, ((0, 1), (2,)))
+    assert from_groups(1, [vs]) == Design(1, vs, ((0, 1, 2),))
+    with pytest.raises(ValueError, match="empty group"):
+        from_groups(1, [vs, ()])
 
 
 def test_format_term():

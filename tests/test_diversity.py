@@ -1,5 +1,6 @@
 """Cubic shaping, rotation search, certification and constellation growth."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -212,8 +213,14 @@ def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
         "stbc_forge.diversity._grid_min",
         lambda c, th: _grid_min(c, th) if len(c) == n_zero else np.full_like(
             th, np.inf))
-    with pytest.raises(ValueError, match="no grid angle"):
+    with pytest.raises(ValueError, match="no grid angle") as exc:
         rotation_search(A, units, (0, 1), 4)
+    # the refusal reports the direct check's minimum at the grid angle
+    found = re.search(r"min \|det\| = (\S+) at theta = (\S+)\)$",
+                      str(exc.value))
+    assert found, str(exc.value)
+    assert float(found[1]) <= DET_TOL
+    assert float(found[2]) == pytest.approx(a, rel=1e-5)
 
 
 def test_rotation_search_prior_under_the_cap(monkeypatch):
@@ -534,3 +541,13 @@ def test_grow_with_pam_prefix_argument_checks():
     with pytest.raises(ValueError):
         grow_with_pam_prefix(ld, 2, (pam_points(2), pam_points(2)),
                              sizes=(2,))
+
+
+@pytest.mark.parametrize("L", [5, -1])
+def test_grow_with_pam_prefix_checks_the_prefix_length_first(L):
+    # alamouti has K = 4 symbols; a prefix longer than K or negative is
+    # refused before the PAM sets and sizes are read
+    ld = catalog("alamouti").linear
+    with pytest.raises(ValueError, match=r"^PAM prefix of L=%d symbols, "
+                       r"need 0 <= L <= K=4$" % L):
+        grow_with_pam_prefix(ld, L, (pam_points(2),) * max(L, 0))

@@ -138,6 +138,28 @@ def test_symbol_table_order():
                 assert (T[idx][:, rest] == T[0, rest]).all()
 
 
+def test_table_enumerates_one_axis_of_a_unit():
+    # one axis of a unit as a conditioning part: its points along its
+    # direction, point a setting digit a x the axis digit factor x the
+    # unit weight; the symbol-table row at that index adds the unit's
+    # other axes, and the other units, at their first points
+    pair, real = PairQAM((0, 3), 16, 0.3), RealPoints(1, (-1.0, 0.5, 2.0))
+    sig = SignalSet(units=(pair, real, RealPoints(2, (0.0, 1.0))))
+    (e, pam, f), (d, _pam, _one) = pair.axes()
+    V, idx = sig.table([real, (pair, pair.axes()[0])])
+    w = sig.weights
+    assert idx.tolist() == [r * w[real] + a * f * w[pair]
+                            for r in range(3) for a in range(4)]
+    want = np.zeros((12, 4))
+    want[:, 1] = np.repeat(real.points, 4)
+    want[:, [0, 3]] = np.tile(np.multiply.outer(pam, e), (3, 1))
+    assert V.tobytes() == want.tobytes()
+    rest = np.zeros(4)
+    rest[[0, 3]] = np.multiply(pam[0], d)
+    assert np.allclose(sig.symbol_table()[idx] - V, rest, rtol=0,
+                       atol=1e-15)
+
+
 def test_qam_signal_set_pairs_noncontiguous():
     sig = qam_signal_set(((0, 2), (1, 3)), 4)
     T = sig.symbol_table()
@@ -743,20 +765,24 @@ def _leaf_groups(node):
 
 
 def test_sibling_leaves_share_one_kernel_node():
-    assert _leaf_groups(alamouti_stbc(4).compiled) == [("_HardLast", 4)]
+    assert _leaf_groups(alamouti_stbc(4).compiled) == [("_HardLimit", 4)]
     # joint leaves are Conds without children
     (joint,) = qod4_stbc(Q=2).compiled.children
     assert (type(joint).__name__, joint.leaves, joint.children) == \
         ("_Cond", 4, ())
+    # a hard_last pair is a Cond on its outer axis over a hard-limit leaf
     root = _family_r2().compiled
-    assert _leaf_groups(root) == [("_HardLast", 1), ("_Cond", 1)]
-    assert _leaf_groups(root.children[1]) == [("_HardLast", 3)]
+    assert _leaf_groups(root) == [("_Cond", 1), ("_Cond", 1)]
+    assert _leaf_groups(root.children[0]) == [("_HardLimit", 1)]
+    assert _leaf_groups(root.children[1]) == [("_Cond", 3)]
+    assert _leaf_groups(root.children[1].children[0]) == [("_HardLimit", 3)]
     # leaves with other points or another kind do not join a group
     mixed = _mixed_siblings()
     assert mixed.count == 4096
     groups = mixed.compiled.children
-    assert _leaf_groups(mixed.compiled) == [("_HardLast", 2)] * 2
-    assert [len(g.points) for g in groups] == [4, 2]
+    assert _leaf_groups(mixed.compiled) == [("_Cond", 2)] * 2
+    assert [_leaf_groups(g) for g in groups] == [[("_HardLimit", 2)]] * 2
+    assert [len(g.children[0].points) for g in groups] == [4, 2]
     fgd = fgd_ren_stbc(Q=2).compiled
     assert _leaf_groups(fgd) == [("_Cond", 1), ("_Cond", 1)]
     (inner,) = fgd.children[1].children
@@ -765,10 +791,10 @@ def test_sibling_leaves_share_one_kernel_node():
     for name in ("qod4 hard_last", "m=3 R=1"):
         (prefix,) = _compile_shape_bundles()[name]().compiled.children
         assert (type(prefix).__name__, prefix.leaves) == ("_Cond", 4)
-        assert _leaf_groups(prefix) == [("_HardLast", 4)]
+        assert _leaf_groups(prefix) == [("_HardLimit", 4)]
     inner = _compile_shape_bundles()["m=3 R=5/4"]().compiled.children[1]
     assert _leaf_groups(inner) == [("_Cond", 3)]
-    assert _leaf_groups(inner.children[0]) == [("_HardLast", 3)]
+    assert _leaf_groups(inner.children[0]) == [("_HardLimit", 3)]
 
 
 def _support(row):
@@ -788,15 +814,23 @@ def _kernel_leaves(stbc, node):
     return sum(len(u.axes()) for u in _units_of(stbc, node))
 
 
+def _outer_reals(unit):
+    """The reals a unit's axes but its inner one move."""
+    return {i for direction, _points, _factor in unit.axes()[:-1]
+            for i, c in zip(unit.indices, direction) if c}
+
+
 def _conditioning(stbc, plan):
     """The reals a compiled Cond leaf of a plan node conditions on: a
     Cond's conditioning, a joint leaf's reals, or a hard_last leaf's
-    reals but those of its last unit."""
+    reals but those of its last unit, with the reals its last unit's
+    outer axis moves."""
     if isinstance(plan, Cond):
         return set(plan.conditioning)
     if plan.kind == JOINT:
         return set(plan.indices)
-    return set(plan.indices) - set(_units_of(stbc, plan)[-1].indices)
+    last = _units_of(stbc, plan)[-1]
+    return set(plan.indices) - set(last.indices) | _outer_reals(last)
 
 
 def _under(stbc, plan):
@@ -820,8 +854,9 @@ def test_node_rows_stay_within_their_subtree(name):
     # nodes' leaves are the kernel leaves of its plan node's children,
     # each exactly once.  A bare leaf compiles as a Cond without
     # conditioning, a joint leaf as a Cond without children, and a
-    # hard_last leaf over several units as a Cond on all but its last
-    # unit over the hard_last leaf of the last.
+    # hard_last leaf as a Cond on all but its last unit and on the last
+    # unit's outer axis, over the hard-limit leaf of its inner axis (a
+    # lone real is that leaf alone).
     stbc = _compile_shape_bundles()[name]()
     K = stbc.linear.K
 
@@ -831,7 +866,7 @@ def test_node_rows_stay_within_their_subtree(name):
         for plan, rows in zip(plans, node.rows.reshape(L, -1, K)):
             outside = sorted(set(range(K)) - set(plan_indices(plan)))
             assert not rows[:, outside].any()
-        if type(node).__name__ == "_HardLast":
+        if type(node).__name__ == "_HardLimit":
             return
         own = (np.zeros((L, 0, K)) if node.Vc is None
                else node.Vc.reshape(L, -1, K))
@@ -897,11 +932,12 @@ def _nodes(node):
 
 @pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
 def test_plans_compile_onto_three_kernels(name):
-    # two kernel classes: a joint scan is a Cond without children
+    # two kernel classes: a joint scan is a Cond without children, and
+    # a QAM pair's outer axis is conditioning
     stbc = _compile_shape_bundles()[name]()
     assert type(stbc.compiled).__name__ == "_Cond"
     kinds = {type(n).__name__ for n in _nodes(stbc.compiled)}
-    assert kinds <= {"_HardLast", "_Cond"}
+    assert kinds <= {"_HardLimit", "_Cond"}
     # the mixed siblings hard-limit sqrt(M) values per pair
     assert stbc.compiled.count == (4 + 4 + 2 + 2 if name == MIXED else
                                    plan_complexity(stbc.plan).evaluate(4))
@@ -909,14 +945,12 @@ def test_plans_compile_onto_three_kernels(name):
 
 def _fusion_signature(node):
     """What sibling nodes share to fuse, read off a compiled node: a
-    Cond's conditioning table shape (values, reals) and its children's
-    signatures with their leaves per leaf of the Cond; a hard-limit
-    node's inner points and outer value count."""
-    if type(node).__name__ == "_HardLast":
-        return ("_HardLast", tuple(node.points), node.offsets.shape[1])
+    Cond's conditioning value count and its children's signatures with
+    their leaves per leaf of the Cond; a hard-limit node's points."""
+    if type(node).__name__ == "_HardLimit":
+        return ("_HardLimit", tuple(node.points))
     L = getattr(node, "leaves", 1)
-    reals = 0 if node.Vc is None else len(_support(node.Vc.any(axis=0))) // L
-    return ("_Cond", node.cidx.shape[-2], reals) + tuple(
+    return ("_Cond", node.cidx.shape[-2]) + tuple(
         (_fusion_signature(c), getattr(c, "leaves", 1) // L)
         for c in node.children)
 
@@ -937,19 +971,21 @@ def test_no_cond_has_two_children_that_would_fuse(name):
     ids=["qod4 hard_last", "m=3 R=1"])
 def test_two_unit_hard_last_leaf_conditions_on_its_prefix(build):
     # the four two-unit leaves are one Cond of four leaves, each on its
-    # first unit, over one hard-limit node of four leaves, each on its
-    # last unit
+    # first unit and its last unit's outer axis (none for a real), over
+    # one hard-limit node of four leaves, each on its last unit
     stbc = build()
     leaves, K = stbc.plan.children, stbc.linear.K
     assert all(len(_units_of(stbc, leaf)) == 2 for leaf in leaves)
     (node,) = stbc.compiled.children
     (kernel,) = node.children
     assert (type(node).__name__, node.leaves) == ("_Cond", len(leaves))
-    assert (type(kernel).__name__, kernel.leaves) == ("_HardLast", len(leaves))
+    assert (type(kernel).__name__, kernel.leaves) == ("_HardLimit",
+                                                      len(leaves))
     for leaf, V, rows in zip(leaves, node.Vc.reshape(len(leaves), -1, K),
                              kernel.rows.reshape(len(leaves), -1, K)):
         first, last = _units_of(stbc, leaf)
-        assert _support(V.any(axis=0)) == set(first.indices)
+        assert _support(V.any(axis=0)) == (set(first.indices)
+                                           | _outer_reals(last))
         assert _support(rows.any(axis=0)) == set(last.indices)
     # per leaf, a hypothesis per prefix value, times the last unit's
     # outer values
@@ -968,9 +1004,12 @@ def test_sibling_conds_fold_each_leaf_into_its_own_children():
     two_hard = _sibling_conds((HARD_LAST, HARD_LAST))
     mixed = _sibling_conds()
     apart = _sibling_conds(other=(JOINT, HARD_LAST))
-    assert _leaf_groups(two_hard.compiled.children[0]) == [("_HardLast", 4)]
-    assert _leaf_groups(mixed.compiled.children[0]) == [("_HardLast", 2),
-                                                        ("_Cond", 2)]
+    (outer,) = two_hard.compiled.children[0].children
+    assert _leaf_groups(two_hard.compiled.children[0]) == [("_Cond", 4)]
+    assert _leaf_groups(outer) == [("_HardLimit", 4)]
+    (outer, joint) = mixed.compiled.children[0].children
+    assert _leaf_groups(mixed.compiled.children[0]) == [("_Cond", 2)] * 2
+    assert (_leaf_groups(outer), joint.children) == ([("_HardLimit", 2)], ())
     assert _leaf_groups(apart.compiled) == [("_Cond", 1)] * 2
     for stbc, count in ((two_hard, 32), (mixed, 48), (apart, 48)):
         assert _agree(stbc, 40, seed=19, snr_db=0.0) == count
@@ -984,9 +1023,50 @@ def test_hard_all_axes_fuse_and_are_charged_once():
     for R, hyps in ((1, 1), (Fraction(3, 2), 4), (2, 16)):
         stbc = silver_stbc(4, R)
         (node,) = [n for n in _nodes(stbc.compiled)
-                   if type(n).__name__ == "_HardLast"]
+                   if type(n).__name__ == "_HardLimit"]
         assert (node.leaves, node.count) == (4, 1)
         assert stbc.compiled.count == hyps
+
+
+@pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
+def test_hard_limit_nodes_read_one_row_per_leaf(name):
+    # a hard-limit node limits one axis per leaf: it reads one row per
+    # leaf, on one unit, and has no outer values to enumerate or pick
+    stbc = _compile_shape_bundles()[name]()
+    units = [set(u.indices) for u in stbc.signals.units]
+    for node in _nodes(stbc.compiled):
+        if type(node).__name__ != "_Cond":
+            assert node.rows.shape == (node.leaves, stbc.linear.K)
+            assert all(any(_support(r) <= u for u in units)
+                       for r in node.rows)
+
+
+def test_hard_last_pair_conditions_on_its_outer_axis():
+    # a hard_last leaf on one QAM pair is a Cond on the pair's outer axis,
+    # sqrt(M) values a e, value a setting digit a x sqrt(M) x the pair's
+    # weight, over the hard-limit leaf of its inner axis d: one row 2d,
+    # digit the pair's weight, one evaluation per outer value
+    stbc = _mixed_siblings()
+    K, weights = stbc.linear.K, stbc.signals.weights
+    nodes = stbc.compiled.children
+    assert [(type(n).__name__, n.leaves, n.count) for n in nodes] == [
+        ("_Cond", 2, 2 * 4), ("_Cond", 2, 2 * 2)]
+    for node in nodes:
+        (kernel,) = node.children
+        assert (type(kernel).__name__, kernel.leaves) == ("_HardLimit", 2)
+        for V, idx, row, digit in zip(node.Vc.reshape(2, -1, K),
+                                      node.cidx[..., 0], kernel.rows,
+                                      kernel.digit[:, 0]):
+            (u,) = [u for u in stbc.signals.units
+                    if _support(row) <= set(u.indices)]
+            (e, pam, f), (d, _pam, one) = u.axes()
+            assert f == len(pam) == qam_side(u.M) and one == 1
+            want = np.zeros((f, K))
+            want[:, list(u.indices)] = np.multiply.outer(pam, e)
+            assert V.tobytes() == want.tobytes()
+            assert idx.tolist() == [a * f * weights[u] for a in range(f)]
+            assert row[list(u.indices)].tolist() == [2.0 * c for c in d]
+            assert digit == weights[u]
 
 
 @pytest.mark.parametrize("name", sorted(ALL_BUNDLES) + ["m=3 R=1",
@@ -1006,6 +1086,22 @@ def test_structured_metric_bits_do_not_depend_on_the_batch(name):
                                            G[t:t + 1].copy())
             assert one_i[0] == idx[t]
             assert _same_bits(one_m, m[t:t + 1]), (seed, t)
+
+
+def test_metric_terms_are_contiguous():
+    # b and G are C-contiguous, so a product of one row against G, as a
+    # hard-limit node of one leaf forms, has the same bits in a batch as
+    # for one trial alone
+    stbc = _bundle("family R=5/4")
+    T, K = 24, stbc.linear.K
+    cfg = SimConfig(n_rx=2, snr_db=(6.0,), trials=T, seed=4)
+    _sent, Y, H = sim._draw(stbc, cfg, 0.5, 0, range(T))
+    b, G = sim._metric_terms(stbc, Y, H)
+    assert b.flags.c_contiguous and G.flags.c_contiguous
+    for x in np.random.default_rng(6).standard_normal((100, 1, K)):
+        batch = sim._quad(x, G)
+        for t in range(T):
+            assert _same_bits(batch[t:t + 1], sim._quad(x, G[t:t + 1].copy()))
 
 
 @pytest.mark.parametrize("name", sorted(ALL_BUNDLES))
