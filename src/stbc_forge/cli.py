@@ -1,8 +1,9 @@
 """Command line interface: catalog, construct, build-fd, verify, simulate.
 
-Design files are plain text ("stbc-design v1"): an m= line, sorted
+Design files are plain text ("stbc-design v1"): one m= line, sorted
 meta.* lines, then one line per group listing vectors in the canonical
-"lam|x1,...,xm" form.  Writing, reading and re-writing a file is
+"lam|x1,...,xm" form; parse_design refuses a second m= line and a file
+with no vectors.  Writing, reading and re-writing a file is
 byte-identical.  Simulation results use the "stbc-simresult v1" record
 of key=value lines plus a per-SNR table.
 
@@ -54,6 +55,8 @@ def parse_design(text, validate=True):
     groups = []
     for ln in lines[1:]:
         if ln.startswith("m="):
+            if m is not None:
+                raise ValueError("second m= line %r" % ln)
             m = bundles.parse_number(ln[2:], "m", int)
         elif ln.startswith("meta."):
             k, _eq, v = ln[5:].partition("=")
@@ -66,6 +69,8 @@ def parse_design(text, validate=True):
             raise ValueError("unrecognized line %r" % ln)
     if m is None:
         raise ValueError("missing m= line")
+    if not any(vs for _name, vs in groups):
+        raise ValueError("design file lists no vectors")
     d = from_groups(m, [vs for _name, vs in groups])
     if validate:
         groups_of(d)

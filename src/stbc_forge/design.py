@@ -6,8 +6,8 @@ groups exactly when their vectors sum to odd weight, so the finest valid
 decoding partition is the set of connected components of the graph with
 an edge between vectors summing to even weight.
 
-That parity is a bilinear form on the packed codes of f4: writing hi and
-lo for the two bits of each coordinate,
+That parity is a bilinear form on the coordinates: writing hi and lo for
+the two bits of each coordinate (its f4 two-bit encoding),
 
     wt(a + b) = wt(a) + wt(b) + <a, b>  (mod 2),
     <a, b>    = sum_k hi_k(a) lo_k(b) + lo_k(a) hi_k(b),
@@ -38,7 +38,7 @@ from math import isqrt
 
 import numpy as np
 
-from .f4 import F4Vec, code
+from .f4 import F4Vec
 from .pauli import phi_inv
 
 
@@ -92,13 +92,13 @@ class PartitionReport:
 
 def even_table(d):
     """(K, K) bool table: vectors i and j sum to even weight, by the
-    bilinear form above (one float32 product, exact: entries are <= 2m)."""
-    m = d.m
-    c = np.array([code(v) for v in d.vectors], np.int64)
-    digits = c[:, None] >> 2 * np.arange(m - 1, -1, -1) & 3
-    hi, lo = (digits >> 1).astype(np.float32), (digits & 1).astype(np.float32)
-    odd = ((c >> 2 * m) + np.count_nonzero(digits, axis=1) & 1).astype(np.uint8)
-    form = (np.hstack([hi, lo]) @ np.hstack([lo, hi]).T).astype(np.uint8)
+    bilinear form above on the coordinates' two bits, for any m (one
+    float32 product, exact: entries are <= 2m)."""
+    xs = np.array([v.xs for v in d.vectors], np.int64).reshape(d.K, d.m)
+    hi, lo = (xs >> 1).astype(np.float32), (xs & 1).astype(np.float32)
+    odd = np.array([v.lam for v in d.vectors], np.int64).reshape(d.K)
+    odd += np.count_nonzero(xs, axis=1)
+    form = (np.hstack([hi, lo]) @ np.hstack([lo, hi]).T).astype(np.int64)
     return (odd[:, None] ^ odd[None, :] ^ form) & 1 == 0
 
 

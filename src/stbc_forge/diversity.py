@@ -73,6 +73,8 @@ DET_TOL = 1e-8
 DIFF_CAP = 10 ** 7
 # the rotation search's angles 2 pi k / GRID, k = 1..GRID / 4
 GRID = 720
+# candidates constellation growth may reject per symbol before it gives up
+RETRIES = 200
 # grid angles whose minimum |det| is this close (relative) to the best tie
 TIE_RTOL = 1e-9
 # complex entries per working block (16 MiB)
@@ -405,15 +407,15 @@ def _check_full_rank(A, start=0):
             raise ValueError("weight matrix %d is singular" % k)
 
 
-def _grow(A, points, sizes, start, rng, retries):
+def _grow(A, points, sizes, start, rng):
     """Grow points[k] to sizes[k - start] points for every k >= start.
 
     Candidates are drawn uniformly from [-10, 10); each is kept only if
     the enlarged code still passes the exhaustive check, and each symbol
-    may reject `retries` candidates.  Returns sorted point tuples.
+    may reject RETRIES candidates.  Returns sorted point tuples.
     """
     for k in range(start, len(points)):
-        budget = retries
+        budget = RETRIES
         while len(points[k]) < sizes[k - start]:
             cand = float(rng.uniform(-10, 10))
             if any(abs(cand - p) < 1e-9 for p in points[k]):
@@ -430,7 +432,7 @@ def _grow(A, points, sizes, start, rng, retries):
     return tuple(tuple(sorted(p)) for p in points)
 
 
-def grow_constellation(ld, sizes, seed=0, retries=200):
+def grow_constellation(ld, sizes, seed=0):
     """Greedy per-real point growth keeping the code full diversity.
 
     Requires every weight matrix to be full rank; each accepted point is
@@ -445,10 +447,10 @@ def grow_constellation(ld, sizes, seed=0, retries=200):
     _check_growth_cap(A, sizes)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     points = [[float(rng.uniform(-10, 10))] for _ in range(K)]
-    return _grow(A, points, sizes, 0, rng, retries)
+    return _grow(A, points, sizes, 0, rng)
 
 
-def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0, retries=200):
+def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0):
     """Keep PAM sets on the first L orthogonal symbols, grow the rest.
 
     The first L weight matrices must satisfy the Hurwitz-Radon equations
@@ -481,4 +483,4 @@ def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0, retries=200):
         [[float(rng.uniform(-10, 10))] for _ in range(L, K)]
     if _min_det_from_points(A, points) <= DET_TOL:
         raise RuntimeError("initial configuration failed certification")
-    return _grow(A, points, sizes, L, rng, retries)
+    return _grow(A, points, sizes, L, rng)

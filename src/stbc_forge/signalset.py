@@ -41,6 +41,13 @@ def pam_points(Q):
     return tuple(k - (Q - 1) / 2.0 for k in range(Q))
 
 
+def _check_finite(values, what):
+    """ValueError naming `what` and the first value that is not finite."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError("%s %r is not finite" % (what, v))
+
+
 @dataclass(frozen=True)
 class PairQAM:
     indices: tuple  # (i_I, i_Q)
@@ -51,9 +58,8 @@ class PairQAM:
         if len(self.indices) != 2:
             raise ValueError("PairQAM owns exactly two real indices")
         qam_side(self.M)
-        if not math.isfinite(self.theta):
-            raise ValueError("QAM pair %r: rotation angle %r is not finite"
-                             % (tuple(self.indices), self.theta))
+        _check_finite((self.theta,), "QAM pair %r: rotation angle"
+                      % (tuple(self.indices),))
 
     @property
     def size(self):
@@ -81,6 +87,7 @@ class RealPoints:
     def __post_init__(self):
         if not self.points:
             raise ValueError("empty point list")
+        _check_finite(self.points, "real %d: point" % self.index)
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
             raise ValueError("points must be strictly increasing")
 
@@ -109,6 +116,8 @@ class BlockValues:
             raise ValueError("empty value table")
         if any(len(row) != len(self.indices) for row in self.table):
             raise ValueError("table rows must match index count")
+        _check_finite([v for row in self.table for v in row],
+                      "value block %r: value" % (tuple(self.indices),))
 
     @property
     def size(self):

@@ -6,6 +6,11 @@ constant ||Y||^2, the metric of a symbol vector x is
     f(x) = -2 x.b + x.G.x,   b_i = ReTr(Y^H A_i H),
                              G_ij = ReTr((A_i H)^H (A_j H)).
 
+ReTr(U^H V) is the dot product of the real views of U and V (real and
+imaginary parts side by side), so with R the (K, 2 N n_rx) real view of
+the stack A_i H and y that of Y, b = R.y and G = R.R^T: the equivalent
+real channel's two products.
+
 The oracle enumerates the whole codebook.  The structured decoder
 follows the instance's DecodePlan, compiled once when the STBCInstance
 is built.  Compiling checks the plan against the design and the signal
@@ -58,11 +63,12 @@ level, each on one large array:
     its point; the metric is then formed from products and sums of the
     picked point, the projections and the Gram, so integer channels
     give exact metrics and exact ties, as in the oracle.
-  - Batch-invariant bits.  Projections and folds are (rows, K) @ (K, n)
-    products per trial on C-contiguous b and G, and Gram terms _quad
-    forms, whose BLAS shapes do not depend on T; everything else is
-    elementwise.  A metric's bits are the same whether its trial is
-    decoded alone or in a batch.
+  - Batch-invariant bits.  b and G are one real product each per trial,
+    C-contiguous as products are; projections and folds are (rows, K) @
+    (K, n) products per trial on them, and Gram terms _quad forms, whose
+    BLAS shapes do not depend on T; everything else is elementwise.  A
+    metric's bits are the same whether its trial is decoded alone or in
+    a batch.
   - Few live temporaries.  Nodes form metrics and indexes in place, a
     Cond adds its own metrics into its first child's, and each node's
     `width` bounds the float64 elements one trial of its subtree holds
@@ -182,7 +188,8 @@ class STBCInstance:
 
     @cached_property
     def matrices(self):
-        return self.linear.matrices()
+        """The weight matrices (K, N, N) as complex, for their real view."""
+        return np.asarray(self.linear.matrices(), complex)
 
     @cached_property
     def symbol_table(self):
@@ -190,8 +197,9 @@ class STBCInstance:
 
     @cached_property
     def base_gram(self):
-        A = self.matrices
-        return np.real(np.einsum("iab,jab->ij", A.conj(), A))
+        """ReTr(A_i^H A_j): the product of A's real views."""
+        A = self.matrices.view(np.float64).reshape(self.linear.K, -1)
+        return A @ A.T
 
     @cached_property
     def average_energy(self):
@@ -507,13 +515,11 @@ class _Cond:
 # metric terms and decoders
 
 def _metric_terms(stbc, Y, H):
-    """b (T, K) and G (T, K, K) of a stack of trials Y, H: (T, N, n_rx)."""
+    """b (T, K) and G (T, K, K) of a stack of trials Y, H: (T, N, n_rx):
+    b = R.y and G = R.R^T on the real views R of A_i H and y of Y."""
     AH = np.einsum("iab,...bc->...iac", stbc.matrices, H)
-    b = np.real(np.einsum("...ab,...iab->...i", Y.conj(), AH))
-    G = np.real(np.einsum("...iab,...jab->...ij", AH.conj(), AH))
-    # C-contiguous, so that a one-row product against G has the same bits
-    # in a batch as for one trial
-    return np.ascontiguousarray(b), np.ascontiguousarray(G)
+    R = AH.view(np.float64).reshape(AH.shape[:2] + (-1,))
+    return (R @ Y.view(np.float64).reshape(len(Y), -1, 1))[..., 0], R @ R.mT
 
 
 def _grid(signals):
@@ -679,11 +685,11 @@ class SimResult:
 
 def _trial_words(stbc, cfg):
     """Float64 words one trial of a decode batch holds at most: b, G,
-    A_i H and, for the structured decoder, the root's projections and
-    the compiled nodes' widths; the oracle scans its grid in blocks
-    within _CHUNK_BYTES on its own."""
+    the real view of A_i H and, for the structured decoder, the root's
+    projections and the compiled nodes' widths; the oracle scans its grid
+    in blocks within _CHUNK_BYTES on its own."""
     K = stbc.linear.K
-    words = K * (K + 1) + 4 * K * stbc.N * cfg.n_rx
+    words = K * (K + 1) + 2 * K * stbc.N * cfg.n_rx
     if cfg.decoder != "oracle":
         words += len(stbc.compiled.rows) + stbc.compiled.width
     return words

@@ -171,6 +171,38 @@ def test_parse_design_errors():
         cli.cons.construct_A(d, 0)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("m=2\n", "design file lists no vectors"),
+    ("m=2\nmeta.name=x\n", "design file lists no vectors"),
+    ("m=1\nm=2\ngroup S1: 0|0,0\n", "second m= line 'm=2'"),
+    ("m=2\ngroup S1: 0|0,0\nm=2\n", "second m= line 'm=2'")])
+def test_design_file_needs_one_m_line_and_a_vector(body, message, tmp_path,
+                                                   capsys):
+    # refused on load, before a suite or a construction reads the design
+    p = tmp_path / "bad.txt"
+    p.write_text(DESIGN_HEADER + "\n" + body)
+    for argv in (("verify", "--in", str(p), "--suite", "shaping"),
+                 ("verify", "--in", str(p), "--suite", "prop5"),
+                 ("construct", "--op", "A", "--in", str(p))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("m", [32, 40])
+def test_partition_suite_reads_any_m(m, tmp_path, capsys):
+    # the parity table needs no packed code, which would not fit an int64
+    # word past m = 31; the realizations stop at MAX_M
+    p = tmp_path / "wide.txt"
+    p.write_text("%s\nm=%d\ngroup S1: 0|%s 1|%s\n"
+                 % (DESIGN_HEADER, m, ",".join("0" * m), ",".join("w" * m)))
+    assert run(capsys, "verify", "--in", str(p), "--suite",
+               "partition") == (0, "partition: PASS\n", "")
+    assert run(capsys, "verify", "--in", str(p), "--suite",
+               "shaping") == (1, "", "error: m > 8 unsupported\n")
+    code, out, _err = run(capsys, "construct", "--op", "A", "--in", str(p))
+    assert code == 0 and "out: rate=" in out
+
+
 def test_construct_pipeline(tmp_path, capsys):
     src = tmp_path / "ala.txt"
     out = tmp_path / "a4.txt"

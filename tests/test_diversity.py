@@ -494,6 +494,34 @@ def test_grow_constellation_size_checks():
     assert [len(p) for p in points] == [100] * 4
 
 
+def test_growth_gives_up_after_its_retry_budget(monkeypatch):
+    # with a check that certifies no candidate, each growth rejects
+    # RETRIES candidates for its first grown symbol, then names it
+    import stbc_forge.diversity as div
+    calls = []
+
+    def certify_first_only(matrices, point_lists):
+        calls.append(1)
+        return 1.0 if len(calls) == 1 else 0.0
+
+    monkeypatch.setattr(div, "_min_det_from_points", lambda *a: 0.0)
+    ld = to_linear_design(catalog("alamouti").design)
+    with pytest.raises(RuntimeError, match="^growth retry budget exhausted "
+                       "at symbol 0$"):
+        grow_constellation(ld, (2, 2, 2, 2))
+    # grow_with_pam_prefix certifies its PAM prefix first, then grows
+    monkeypatch.setattr(div, "_min_det_from_points", certify_first_only)
+    entry = catalog("ggroup", g=2, a=1)
+    ents = entry.linear.entries
+    ld = LinearDesign(m=entry.design.m,
+                      entries=(ents[0], ents[2], ents[1], ents[3]))
+    pam = pam_points(2)
+    with pytest.raises(RuntimeError, match="^growth retry budget exhausted "
+                       "at symbol 2$"):
+        grow_with_pam_prefix(ld, 2, (pam, pam))
+    assert len(calls) == 1 + div.RETRIES
+
+
 def test_grow_with_pam_prefix_ggroup21():
     # keep PAM on two mutually orthogonal reals, grow the other two;
     # catalog order lists intra-group reals first, so interleave

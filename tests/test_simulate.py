@@ -102,6 +102,22 @@ def test_block_values_validation():
         BlockValues((0, 1), ((1.0,),))
 
 
+@pytest.mark.parametrize("points", [(0.0, np.inf), (np.nan,), (-np.inf, 0.0)])
+def test_real_points_refuse_non_finite_points(points):
+    # NaN passes the increasing-order check and an infinite point gives
+    # an instance of NaN energy: both fail here, naming the real
+    with pytest.raises(ValueError, match=r"^real 3: point -?(inf|nan) is "
+                                         r"not finite$"):
+        RealPoints(3, points)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_block_values_refuse_non_finite_values(value):
+    with pytest.raises(ValueError, match=r"^value block \(0, 1\): value "
+                                         r"(inf|nan) is not finite$"):
+        BlockValues((0, 1), ((1.0, 2.0), (0.5, value)))
+
+
 def test_signal_set_cover():
     with pytest.raises(ValueError):
         SignalSet(units=(RealPoints(0, (0.0, 1.0)), RealPoints(2, (0.0, 1.0))))
@@ -1102,6 +1118,54 @@ def test_metric_terms_are_contiguous():
         batch = sim._quad(x, G)
         for t in range(T):
             assert _same_bits(batch[t:t + 1], sim._quad(x, G[t:t + 1].copy()))
+
+
+@pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
+def test_metric_terms_give_the_distance_on_complex_channels(name):
+    # -2 x.b + x.G.x = ||Y - XH||^2 - ||Y||^2 for any codeword x, and each
+    # trial's terms have the same bits alone as in the batch
+    stbc = _bundle(name)
+    rng = np.random.default_rng(17)
+    T, N, K = 12, stbc.N, stbc.linear.K
+    for n_rx in (1, 3):
+        H, Y = (rng.standard_normal((2, T, N, n_rx))
+                + 1j * rng.standard_normal((2, T, N, n_rx)))
+        b, G = sim._metric_terms(stbc, Y, H)
+        assert b.shape == (T, K) and G.shape == (T, K, K)
+        for t in range(T):
+            one_b, one_G = sim._metric_terms(stbc, Y[t:t + 1], H[t:t + 1])
+            assert _same_bits(one_b, b[t:t + 1])
+            assert _same_bits(one_G, G[t:t + 1])
+        x = np.zeros((T, K))
+        for u in stbc.signals.units:
+            values = u.values()
+            x[:, list(u.indices)] = values[rng.integers(len(values), size=T)]
+        XH = np.tensordot(x, stbc.matrices, axes=(1, 0)) @ H
+        y2, d2 = (np.sum(abs(Z) ** 2, axis=(1, 2)) for Z in (Y, Y - XH))
+        f = -2.0 * np.sum(x * b, 1) + np.einsum("ti,tij,tj->t", x, G, x)
+        scale = y2 + np.sum(abs(XH) ** 2, axis=(1, 2))
+        assert np.all(abs(f - (d2 - y2)) <= 1e-9 * scale)
+
+
+@pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
+def test_metric_terms_stay_within_the_chunk_budget(name):
+    # a full oracle-mode chunk is sized by b, G and the real view of A_i H
+    # alone, so forming its metric terms holds no more than _CHUNK_BYTES
+    # (and a little for numpy's own bookkeeping)
+    stbc = _bundle(name)
+    stbc.matrices  # the instance's cached tables, built once
+    for n_rx in (1, 2, 3):
+        cfg = SimConfig(n_rx=n_rx, snr_db=(10.0,), trials=10 ** 6, seed=3,
+                        decoder="oracle")
+        chunk = max(1, sim._CHUNK_BYTES // (8 * sim._trial_words(stbc, cfg)))
+        _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(chunk))
+        tracemalloc.start()
+        try:
+            sim._metric_terms(stbc, Y, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sim._CHUNK_BYTES + (64 << 10), n_rx
 
 
 @pytest.mark.parametrize("name", sorted(ALL_BUNDLES))
