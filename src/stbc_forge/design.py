@@ -315,6 +315,8 @@ class LinearDesign:
         return 2 ** self.m
 
     def matrices(self):
+        """The (K, N, N) stack; the entries' matrices are complex128 (as
+        phi_inv and the catalog build them), so it has a float64 view."""
         return np.stack([e.matrix for e in self.entries])
 
 

@@ -9,7 +9,9 @@ constant ||Y||^2, the metric of a symbol vector x is
 ReTr(U^H V) is the dot product of the real views of U and V (real and
 imaginary parts side by side), so with R the (K, 2 N n_rx) real view of
 the stack A_i H and y that of Y, b = R.y and G = R.R^T: the equivalent
-real channel's two products.
+real channel's two products.  G is set to exactly 0 on the
+HR-orthogonal pairs, where it vanishes in exact arithmetic, so neither
+decoder reads rounding noise between groups.
 
 The oracle enumerates the whole codebook.  The structured decoder
 follows the instance's DecodePlan, compiled once when the STBCInstance
@@ -188,8 +190,12 @@ class STBCInstance:
 
     @cached_property
     def matrices(self):
-        """The weight matrices (K, N, N) as complex, for their real view."""
-        return np.asarray(self.linear.matrices(), complex)
+        return self.linear.matrices()
+
+    @cached_property
+    def hr_orthogonal(self):
+        """(K, K) table of the HR-orthogonal pairs, where G_ij is 0."""
+        return hr_orthogonal_table(self.matrices)
 
     @cached_property
     def symbol_table(self):
@@ -220,7 +226,7 @@ def _compile(stbc):
     """
     A = stbc.matrices
     plan = stbc.plan if isinstance(stbc.plan, Cond) else Cond((), (stbc.plan,))
-    spec = _spec(plan, stbc.signals, A, hr_orthogonal_table(A))
+    spec = _spec(plan, stbc.signals, A, stbc.hr_orthogonal)
     return _fuse([spec], 1, stbc.signals)
 
 
@@ -515,11 +521,13 @@ class _Cond:
 # metric terms and decoders
 
 def _metric_terms(stbc, Y, H):
-    """b (T, K) and G (T, K, K) of a stack of trials Y, H: (T, N, n_rx):
-    b = R.y and G = R.R^T on the real views R of A_i H and y of Y."""
+    """b = R.y (T, K) and G = R.R^T (T, K, K), R and y the real views of
+    A_i H and Y: (T, N, n_rx); G is exactly 0 on HR-orthogonal pairs."""
     AH = np.einsum("iab,...bc->...iac", stbc.matrices, H)
     R = AH.view(np.float64).reshape(AH.shape[:2] + (-1,))
-    return (R @ Y.view(np.float64).reshape(len(Y), -1, 1))[..., 0], R @ R.mT
+    G = R @ R.swapaxes(1, 2)
+    G[:, stbc.hr_orthogonal] = 0
+    return (R @ Y.view(np.float64).reshape(len(Y), -1, 1))[..., 0], G
 
 
 def _grid(signals):

@@ -26,6 +26,7 @@ from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, group_stbc,
                                 fgd_ren_stbc, silver_stbc, assemble_stbc)
 from stbc_forge.fdfgd import (build_base, puncture, family,
                               family_pairs, family_plan)
+from stbc_forge.pauli import hr_orthogonal_table
 
 # the module itself; the package exports the simulate() function by name
 sim = importlib.import_module("stbc_forge.simulate")
@@ -1118,6 +1119,20 @@ def test_metric_terms_are_contiguous():
         batch = sim._quad(x, G)
         for t in range(T):
             assert _same_bits(batch[t:t + 1], sim._quad(x, G[t:t + 1].copy()))
+
+
+@pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
+def test_gram_is_exactly_zero_on_hr_orthogonal_pairs(name):
+    # G_ij vanishes in exact arithmetic on an HR-orthogonal pair, and the
+    # oracle's metric adds it where the structured decoder never reads it
+    stbc = _bundle(name)
+    hr = hr_orthogonal_table(stbc.matrices)
+    assert hr.any()
+    cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=50, seed=1)
+    _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(50))
+    G = sim._metric_terms(stbc, Y, H)[1]
+    assert np.all(G[:, hr] == 0)
+    assert np.all(G[:, ~hr] != 0)
 
 
 @pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
