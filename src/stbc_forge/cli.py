@@ -187,7 +187,7 @@ def cmd_verify(args):
             note = "" if ok else " witness=%r" % (rep.witness,)
         elif suite == "shaping":
             gm = generator_matrix(to_linear_design(d))
-            ok = cubic_shaping_check(gm, tol=1e-9)
+            ok = cubic_shaping_check(gm)
             note = ""
         elif suite == "prop5":
             # the numeric HR-orthogonality of the realizations against the

@@ -66,7 +66,7 @@ import numpy as np
 
 from .design import components, qam_side
 from .pauli import TOL, hr_orthogonal_table
-from .signalset import pam_points, product_sums
+from .signalset import product_sums
 
 DET_TOL = 1e-8
 # most +- classes of distinct codeword differences one check evaluates
@@ -128,10 +128,8 @@ def cubic_shaping_check(gm, tol=1e-9):
 
 
 def _det_batch(A):
-    """Determinants of a (..., n, n) stack; explicit for n <= 2."""
+    """Determinants of a (..., n, n) stack; explicit for n = 2."""
     n = A.shape[-1]
-    if n == 1:
-        return A[..., 0, 0]
     if n == 2:
         return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
     return np.linalg.det(A)
@@ -301,10 +299,11 @@ def _check_growth_cap(A, sizes):
 # rotation search
 
 def _qam_diffs(M):
-    """Nonzero differences of the unrotated unit-distance M-QAM."""
-    pam = pam_points(qam_side(M))
-    d = sorted({round(a - b, 9) for a in pam for b in pam})
-    out = [complex(x, y) for x in d for y in d if (x, y) != (0.0, 0.0)]
+    """Nonzero differences of the unrotated unit-distance M-QAM: the
+    integers 1 - sqrt(M)..sqrt(M) - 1 on each axis."""
+    side = qam_side(M)
+    d = range(1 - side, side)
+    out = [complex(x, y) for x in d for y in d if (x, y) != (0, 0)]
     return np.asarray(out)
 
 
@@ -460,6 +459,11 @@ def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0):
     if not 0 <= L <= ld.K:
         raise ValueError("PAM prefix of L=%d symbols, need 0 <= L <= K=%d"
                          % (L, ld.K))
+    points = [sorted(map(float, p)) for p in pam_sets]
+    for k, p in enumerate(points):
+        if any(b - a < 1e-9 for a, b in zip(p, p[1:])):
+            raise ValueError("PAM set %d %r repeats a point"
+                             % (k, tuple(pam_sets[k])))
     A = ld.matrices()
     # HR-orthogonal pairs, and A_i^H A_i = I on the diagonal
     ok = hr_orthogonal_table(A[:L])
@@ -479,8 +483,7 @@ def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0):
     _check_full_rank(A, L)
     _check_growth_cap(A, [len(p) for p in pam_sets] + list(sizes))
     rng = np.random.default_rng(np.random.SeedSequence([seed, L]))
-    points = [sorted(map(float, p)) for p in pam_sets] + \
-        [[float(rng.uniform(-10, 10))] for _ in range(L, K)]
+    points += [[float(rng.uniform(-10, 10))] for _ in range(L, K)]
     if _min_det_from_points(A, points) <= DET_TOL:
         raise RuntimeError("initial configuration failed certification")
     return _grow(A, points, sizes, L, rng)

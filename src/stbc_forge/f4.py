@@ -151,10 +151,8 @@ def parse_vec(text):
         raise ValueError("missing '|' separator in %r" % text)
     if head not in ("0", "1"):
         raise ValueError("F2 component must be 0 or 1, got %r" % head)
-    if not tail:
-        raise ValueError("empty coordinate list in %r" % text)
     xs = []
-    for tok in tail.split(","):
+    for tok in tail.split(",") if tail else ():  # "lam|" is an m=0 vector
         tok = tok.strip()
         if tok not in _VALUES:
             raise ValueError("bad GF(4) token %r" % tok)

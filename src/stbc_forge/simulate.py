@@ -94,14 +94,16 @@ codebook order.  With x = (x_A, x_B) split the same way,
 f_A and f_B each half's own linear and quadratic terms.  Per trial the
 whole grid is one product of the head rows [2 x_A G_AB, 1, f_A]
 against the tail columns [x_B, f_B, 1].  The tail is taken in blocks of
-rows whose columns and f_B's product fit _CHUNK_BYTES, each against
-blocks of head rows whose grid block fits it, and trials in blocks whose
-grid blocks and half tables fit it too.  Each block's argmin takes the
-first of its minima, which is its lowest index, and a block wins over
-the best so far with a strictly smaller metric, or with an equal metric
-at a lower index, so ties go to the lowest codeword index in any block
-order.  Every product has a per-trial shape that does not depend on T,
-so the oracle's metric bits do not depend on the batch either.
+rows whose columns and f_B's product fit _CHUNK_BYTES, each against all
+n_A head rows, and trials in blocks whose grid blocks and half tables
+fit it too.  The head is never split: a grid block holds at most
+n_A n_B <= ORACLE_CAP metrics, and 8 ORACLE_CAP bytes fit _CHUNK_BYTES.
+Each block's argmin takes the first of its minima, which is its lowest
+index, and a block wins over the best so far with a strictly smaller
+metric, or with an equal metric at a lower index, so ties go to the
+lowest codeword index in any block order.  Every product has a
+per-trial shape that does not depend on T, so the oracle's metric bits
+do not depend on the batch either.
 
 simulate walks one stream of (snr index, trial) keys, SNR by SNR, and
 decodes it in chunks whose metric terms, root projections and
@@ -202,16 +204,12 @@ class STBCInstance:
         return self.signals.symbol_table()
 
     @cached_property
-    def base_gram(self):
-        """ReTr(A_i^H A_j): the product of A's real views."""
-        A = self.matrices.view(np.float64).reshape(self.linear.K, -1)
-        return A @ A.T
-
-    @cached_property
     def average_energy(self):
-        """Empirical mean ||X||_F^2 over the whole codebook."""
+        """Empirical mean ||X||_F^2 over the whole codebook, through
+        ReTr(A_i^H A_j), the product of A's real views."""
+        A = self.matrices.view(np.float64).reshape(self.linear.K, -1)
         V = self.symbol_table
-        return float(np.mean(np.einsum("ni,ij,nj->n", V, self.base_gram, V)))
+        return float(np.mean(np.einsum("ni,ij,nj->n", V, A @ A.T, V)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +238,9 @@ class _Spec(NamedTuple):
 
 
 def _units_for(units, indices):
-    """Units (in signal-set order) exactly covering the index set."""
+    """Units (in signal-set order) exactly covering the index set.  The
+    plan and the signal set each cover 0..K-1 once, so every index lies
+    in a unit that is either picked or split."""
     want = set(indices)
     picked = []
     for u in units:
@@ -249,8 +249,6 @@ def _units_for(units, indices):
             picked.append(u)
         elif us & want:
             raise PlanError("plan node splits unit %r" % (u,))
-    if set(i for u in picked for i in u.indices) != want:
-        raise PlanError("no unit covering some of %r" % (sorted(want),))
     return tuple(picked)
 
 
@@ -568,15 +566,15 @@ def _oracle(stbc, b, G):
     plus the cross term, as one product per trial of the head rows
     [2 x_A G_AB, 1, f_A] against the tail columns [x_B, f_B, 1].  The
     tail is taken in blocks of rows whose columns, and f_B's product,
-    fit _CHUNK_BYTES per trial, each against blocks of head rows whose
-    grid block fits it, and trials in blocks within the same budget.
+    fit _CHUNK_BYTES per trial, each against all head rows, since a
+    codebook within ORACLE_CAP keeps any grid block within the budget,
+    and trials in blocks within the same budget.
     """
     (cA, XA), (cB, XB) = stbc.grid
     T, K = b.shape
     n_A, (n_B, k_B) = len(XA), XB.shape
     cols = min(n_B, max(1, _CHUNK_BYTES // (8 * (2 * k_B + 2))))
-    rows = min(n_A, max(1, _CHUNK_BYTES // (8 * cols)))
-    per = max(1, _CHUNK_BYTES // (8 * (rows * cols + (n_A + cols) * (K + 2))))
+    per = max(1, _CHUNK_BYTES // (8 * (n_A * cols + (n_A + cols) * (K + 2))))
     best_i, best_m = np.empty(T, dtype=np.int64), np.empty(T)
     for t0 in range(0, T, per):
         bt, Gt = b[t0:t0 + per], G[t0:t0 + per]
@@ -591,17 +589,16 @@ def _oracle(stbc, b, G):
             R[:, :k_B] = XBb.T
             R[:, k_B] = _half_metric(XBb, cB, bt, Gt)
             R[:, k_B + 1] = 1.0
-            for a0 in range(0, n_A, rows):
-                m = (L[:, a0:a0 + rows] @ R).reshape(len(bt), -1)
-                arg = np.argmin(m, axis=1)
-                m, i = m[t, arg], arg + (a0 * n_B + b0)
-                if len(XBb) < n_B:  # grid row arg // len(XBb) of the block
-                    i += arg // len(XBb) * (n_B - len(XBb))
-                if bi is None:
-                    bi, bm = i, m
-                else:  # a strictly smaller metric, or a tie at a lower index
-                    upd = (m < bm) | ((m == bm) & (i < bi))
-                    bi, bm = np.where(upd, i, bi), np.where(upd, m, bm)
+            m = (L @ R).reshape(len(bt), -1)
+            arg = np.argmin(m, axis=1)
+            m, i = m[t, arg], arg + b0
+            if len(XBb) < n_B:  # grid row arg // len(XBb) of the block
+                i += arg // len(XBb) * (n_B - len(XBb))
+            if bi is None:
+                bi, bm = i, m
+            else:  # a strictly smaller metric, or a tie at a lower index
+                upd = (m < bm) | ((m == bm) & (i < bi))
+                bi, bm = np.where(upd, i, bi), np.where(upd, m, bm)
         best_i[t0:t0 + per], best_m[t0:t0 + per] = bi, bm
     return best_i, best_m
 
@@ -664,7 +661,6 @@ class SimResult:
     codebook: int
     energy: float
     errors: tuple
-    agreements: tuple
     oracle_evals: float
     structured_evals: float
 
@@ -684,10 +680,10 @@ class SimResult:
                  "oracle_evals=%.12g" % self.oracle_evals,
                  "structured_evals=%.12g" % self.structured_evals,
                  "snr_db\terrors\tcer\tagree"]
+        # v1's agree column: every trial, as a disagreement raises
         for k, snr in enumerate(c.snr_db):
             lines.append("%.12g\t%d\t%.12g\t%d"
-                         % (snr, self.errors[k], self.cer(k),
-                            self.agreements[k]))
+                         % (snr, self.errors[k], self.cer(k), c.trials))
         return "\n".join(lines) + "\n"
 
 
@@ -824,7 +820,6 @@ def simulate(cfg, stbc):
         errors += np.bincount(snr_idx[got != sent], minlength=len(sigmas))
     return SimResult(config=cfg, n_tx=N, codebook=stbc.count,
                      energy=es_avg, errors=tuple(map(int, errors)),
-                     agreements=(cfg.trials,) * len(cfg.snr_db),
                      oracle_evals=float(stbc.count if use_o else 0),
                      structured_evals=float(stbc.compiled.count if use_s
                                             else 0))

@@ -124,6 +124,40 @@ def test_catalog_show_refuses_designs_it_cannot_realize(argv, message,
     assert not calls
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("ciod", "m=0"), "ciod needs m >= 1"),
+    (("scod", "m=0"), "scod needs m >= 1"),
+    (("precoded_ciod", "n=-1"), "precoded_ciod needs n >= 0"),
+    (("dast", "n=-1"), "dast needs n >= 0"),
+    (("ggroup", "g=1", "a=0"), "need g >= 2 and a >= 0"),
+])
+def test_catalog_show_refuses_parameters_out_of_range(argv, message, capsys):
+    code, out, err = run(capsys, "catalog", "show", *argv)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+def test_one_antenna_design_file_reads_back(tmp_path, capsys):
+    # ggroup a=0 is an m=0 design, written as "0|" and "1|"
+    p = tmp_path / "gg.txt"
+    code, _out, _err = run(capsys, "catalog", "show", "ggroup", "g=2", "a=0",
+                           "--out", str(p))
+    assert code == 0
+    text = p.read_text()
+    assert "group S1: 0|\ngroup S2: 1|\n" in text
+    d, meta, names = parse_design(text)
+    assert (d.m, d.K) == (0, 2)
+    assert format_design(d, meta, names) == text
+    code, out, err = run(capsys, "verify", "--in", str(p))
+    assert (code, err) == (3, "")
+    assert out == ("partition: PASS\nshaping: PASS\nprop5: PASS\n"
+                   "diversity: INFEASIBLE (no signal set in file)\n")
+    q = tmp_path / "a.txt"
+    code, _out, _err = run(capsys, "construct", "--op", "A", "--in", str(p),
+                           "--out", str(q))
+    assert code == 0
+    assert parse_design(q.read_text())[0].m == 1
+
+
 def test_catalog_errors(capsys):
     code, _out, err = run(capsys, "catalog", "show", "nosuch")
     assert code == 1 and "nosuch" in err
@@ -226,6 +260,15 @@ def test_construct_with_sigma(tmp_path, capsys):
     assert code == 0
 
 
+def test_construct_refuses_a_bad_xi_order_token(tmp_path, capsys):
+    src = tmp_path / "r1.txt"
+    run(capsys, "catalog", "show", "rate1_2x2", "l=1", "--out", str(src))
+    code, out, err = run(capsys, "construct", "--op", "C", "--xi-order",
+                         "0,1,w,x", "--in", str(src))
+    assert (code, out, err) == (1, "", "error: xi-order tokens must be "
+                                       "0,1,w,w2\n")
+
+
 def test_construct_intra_odd_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text(DESIGN_HEADER +
@@ -288,6 +331,12 @@ def test_build_fd_granularity_error(capsys):
     assert code == 1
     assert "even integer" in err
     assert "predicted" not in out  # error surfaces before any prediction
+
+
+def test_build_fd_refuses_a_fractional_s_e_size(capsys):
+    code, out, err = run(capsys, "build-fd", "--m", "2", "--rate", "17/16")
+    assert (code, out, err) == (1, "", "error: rate 17/16 leaves a "
+                                       "fractional S_E size\n")
 
 
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])

@@ -124,6 +124,19 @@ def test_designs_equivalent_basic():
     assert not designs_equivalent(d, catalog("alamouti").design)
 
 
+def test_designs_equivalent_compares_vector_sets_and_groups():
+    # same m and K, different groups: no coordinate permutation maps one
+    # onto the other
+    qod4 = catalog("qod4").design
+    a1 = construct_A(catalog("alamouti").design, 1)
+    assert (qod4.m, qod4.K) == (a1.m, a1.K) == (2, 8)
+    assert not designs_equivalent(qod4, a1)
+    # designs without a partition compare their finest partitions
+    silver, pavan = catalog("silver").design, catalog("pavan2x2").design
+    assert silver.partition is None and pavan.partition is None
+    assert designs_equivalent(silver, pavan)
+
+
 def test_xi_order_equivalence_classes_reported():
     """Count distinct outputs of construct_C over all suffix orders.
 

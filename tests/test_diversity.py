@@ -571,6 +571,17 @@ def test_grow_with_pam_prefix_argument_checks():
                              sizes=(2,))
 
 
+def test_grow_with_pam_prefix_refuses_a_repeated_pam_point():
+    # refused at the boundary, not by the prefix's failed certification
+    entry = catalog("ggroup", g=2, a=1)
+    ents = entry.linear.entries
+    ld = LinearDesign(m=entry.design.m,
+                      entries=(ents[0], ents[2], ents[1], ents[3]))
+    with pytest.raises(ValueError, match=r"^PAM set 0 \(-0\.5, -0\.5\) "
+                       r"repeats a point$"):
+        grow_with_pam_prefix(ld, 2, ((-0.5, -0.5), pam_points(2)))
+
+
 @pytest.mark.parametrize("L", [5, -1])
 def test_grow_with_pam_prefix_checks_the_prefix_length_first(L):
     # alamouti has K = 4 symbols; a prefix longer than K or negative is

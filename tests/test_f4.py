@@ -113,10 +113,13 @@ def test_format_parse_round_trip():
         assert parse_vec(format_vec(v)) == v
     assert format_vec(F4Vec(1, (W, W2))) == "1|w,w2"
     assert parse_vec(" 0| w , w2 ") == F4Vec(0, (W, W2))
+    for lam in (0, 1):  # m = 0: "0|" and "1|"
+        assert parse_vec(format_vec(F4Vec(lam, ()))) == F4Vec(lam, ())
+    assert parse_vec("1|") == F4Vec(1, ())
 
 
 def test_parse_errors():
-    for bad in ("1", "2|w", "1|", "0|q", "0|w;w"):
+    for bad in ("1", "2|w", "0|q", "0|w;w"):
         with pytest.raises(ValueError):
             parse_vec(bad)
 

@@ -311,6 +311,16 @@ def test_predicted_complexity_errors():
         predicted_complexity(2, 5)
 
 
+def test_predicted_complexity_refuses_m_below_1():
+    with pytest.raises(ValueError, match="^m >= 1$"):
+        predicted_complexity(0, 1)
+
+
+def test_subset_names_an_unknown_subset():
+    with pytest.raises(KeyError, match="X"):
+        build_base(2).subset("X")
+
+
 @pytest.mark.parametrize("m,R", [
     (2, Fraction(5, 4)), (2, Fraction(3, 2)), (2, 2),
     (3, Fraction(5, 4)), (3, 2), (3, Fraction(17, 8)),

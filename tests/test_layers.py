@@ -1,6 +1,7 @@
 """Module layering: each module imports only from earlier layers."""
 
 import ast
+import re
 from pathlib import Path
 
 import stbc_forge
@@ -93,3 +94,39 @@ def test_simulate_sees_units_only_through_their_interface():
     # so simulate imports no name from signalset
     tree = ast.parse((SRC / "simulate.py").read_text())
     assert "signalset" not in {dep for dep, _line in _package_imports(tree)}
+
+
+# names NumPy 2.0 added: the ndarray attribute mT and these module functions
+NUMPY_2_FUNCTIONS = {"concat", "astype", "unstack", "permute_dims",
+                     "matrix_transpose", "vecdot", "bitwise_count", "isdtype",
+                     "trapezoid", "cumulative_sum", "unique_values",
+                     "unique_counts", "unique_inverse", "unique_all"}
+
+
+def _numpy_2_names(tree):
+    """Uses of a NumPy 2.0 name in tree, as (name, line): any .mT, and
+    np.<name>, numpy.<name> or an import from numpy of a listed name."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "mT" or node.attr in NUMPY_2_FUNCTIONS and
+                isinstance(node.value, ast.Name) and
+                node.value.id in ("np", "numpy")):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            out.extend((a.name, node.lineno) for a in node.names
+                       if a.name in NUMPY_2_FUNCTIONS)
+    return out
+
+
+def test_source_runs_on_the_declared_numpy_floor():
+    # no NumPy 2.0 name while pyproject.toml's numpy floor is below 2.0
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', pyproject)
+    assert floor, "no numpy floor in pyproject.toml"
+    if int(floor.group(1)) >= 2:
+        return
+    bad = ["%s.py:%d %s" % (p.stem, line, name)
+           for p in sorted(SRC.glob("*.py"))
+           for name, line in _numpy_2_names(ast.parse(p.read_text()))]
+    assert not bad, bad

@@ -109,6 +109,12 @@ def test_trace_inner_orthonormal_basis():
                 assert abs(trace_inner(mats[i], mats[j]) - want) < 1e-9
 
 
+@pytest.mark.parametrize("fn", [hr_orthogonal_numeric, trace_inner])
+def test_pairwise_checks_refuse_mismatched_sizes(fn):
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        fn(np.eye(2), np.eye(4))
+
+
 def test_unitarity():
     for v in enumerate_all(2):
         A = phi_inv(v)
