@@ -52,12 +52,16 @@ def qod4_stbc(Q=2, kind=JOINT):
     return group_stbc(catalog("qod4"), Q, kind)
 
 
-def fgd_ren_stbc(Q=2, rate=Fraction(17, 8)):
+def fgd_ren_stbc(M=4, rate=Fraction(17, 8)):
     """Fast-group-decodable code; rate 2 drops one symbol of S2 \\ O.
 
     S1 is the zero vector; inside S2 the five mutually HR-orthogonal
     symbols O are decoded one by one for each hypothesis of the rest.
+    Only M = 4 is built: the plan conditions on 11 reals.
     """
+    if M != 4:
+        raise ValueError("the fgd_ren bundle supports M=4 only, got M=%d: "
+                         "its plan conditions on 11 reals" % M)
     entry = catalog("fgd_ren")
     rate = Fraction(rate)
     vectors = list(entry.design.vectors)
@@ -77,7 +81,7 @@ def fgd_ren_stbc(Q=2, rate=Fraction(17, 8)):
         Leaf((0,), JOINT),
         Cond(conditioning=rest,
              children=tuple(Leaf((i,), JOINT) for i in sorted(ortho)))))
-    return _pam_instance(lin, Q, plan)
+    return _pam_instance(lin, qam_side(M), plan)
 
 
 def silver_stbc(M, R=Fraction(2)):
@@ -186,18 +190,11 @@ def family_bundle(m, R, M, angles, xi2):
                   predicted_complexity(m, R) if R > 1 else None)
 
 
-def _fgd_ren_stbc(M):
-    if M != 4:
-        raise ValueError("the fgd_ren bundle supports M=4 only, got M=%d: "
-                         "its plan conditions on 11 reals" % M)
-    return fgd_ren_stbc()
-
-
 # catalog designs with a canonical signal set and plan, by QAM size M
 _CATALOG_BUNDLES = {
     "alamouti": alamouti_stbc,
     "qod4": lambda M: qod4_stbc(qam_side(M)),
-    "fgd_ren": _fgd_ren_stbc,
+    "fgd_ren": fgd_ren_stbc,
     "silver": silver_stbc,
 }
 

@@ -144,13 +144,18 @@ def _parse_xi_order(s):
 
 
 def cmd_construct(args):
+    if args.op == "C" and args.l is not None:
+        raise ValueError("--l applies to --op A and B, not C")
+    if args.op != "C" and args.xi_order is not None:
+        raise ValueError("--xi-order applies to --op C, not %s" % args.op)
     d, _meta, _names = _read_design(args.infile)
     if args.op == "A":
-        out = cons.construct_A(d, args.l)
+        out = cons.construct_A(d, args.l or 0)
     elif args.op == "B":
-        out = cons.construct_B(d, args.l)
+        out = cons.construct_B(d, args.l or 0)
     else:
-        out = cons.construct_C(d, _parse_xi_order(args.xi_order))
+        out = cons.construct_C(d, cons.XI_ORDERS[0] if args.xi_order is None
+                               else _parse_xi_order(args.xi_order))
     if args.sigma:
         sigma = tuple(bundles.parse_number(t, "--sigma", int)
                       for t in args.sigma.split(","))
@@ -243,8 +248,9 @@ def build_parser():
 
     c = sub.add_parser("construct", help="apply a recursive construction")
     c.add_argument("--op", choices=["A", "B", "C"], required=True)
-    c.add_argument("--l", type=int, default=0)
-    c.add_argument("--xi-order", dest="xi_order", default="0,1,w,w2")
+    c.add_argument("--l", type=int, help="--op A and B (default 0)")
+    c.add_argument("--xi-order", dest="xi_order",
+                   help="--op C (default 0,1,w,w2)")
     c.add_argument("--sigma")
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--out")

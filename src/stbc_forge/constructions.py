@@ -28,7 +28,13 @@ from .design import (Design, LinearDesign, LDEntry, even_table,
 from .pauli import I2, X, Z, ZX, phi_signed
 
 
-def _intra_even_check(d, groups):
+def _two_even_groups(d, op):
+    """The vectors of each group of d, a 2-group design whose intra-group
+    sums are all even, as constructions B and C (op) need."""
+    groups = groups_of(d)
+    if len(groups) != 2:
+        raise ValueError("%s needs exactly 2 groups, got %d"
+                         % (op, len(groups)))
     even = even_table(d)
     for grp in groups:
         odd = np.triu(~even[np.ix_(grp, grp)], 1)
@@ -36,6 +42,7 @@ def _intra_even_check(d, groups):
             a, b = divmod(int(odd.argmax()), len(grp))
             raise ValueError("intra-group pair (%d,%d) sums to odd weight"
                              % (grp[a], grp[b]))
+    return [[d.vectors[i] for i in grp] for grp in groups]
 
 
 def _append(y, xi):
@@ -59,13 +66,8 @@ def construct_A(d, l):
 def construct_B(d, l):
     """2-group intra-even input -> 2-group intra-even output, same rate."""
     _check_l(l)
-    groups = groups_of(d)
-    if len(groups) != 2:
-        raise ValueError("construct_B needs exactly 2 groups, got %d" % len(groups))
-    _intra_even_check(d, groups)
+    s1, s2 = _two_even_groups(d, "construct_B")
     wl = f4_pow_w(l)
-    s1 = [d.vectors[i] for i in groups[0]]
-    s2 = [d.vectors[i] for i in groups[1]]
     g1 = [_append(y, O) for y in s1] + [_append(y, wl) for y in s2]
     g2 = [_append(y, O) for y in s2] + [_append(y, wl) for y in s1]
     return from_groups(d.m + 1, [g1, g2])
@@ -76,14 +78,9 @@ def construct_C(d, xi_order):
     xi_order = tuple(xi_order)
     if sorted(xi_order) != [O, I, W, W2]:
         raise ValueError("xi_order must be 4 distinct GF(4) elements")
-    groups = groups_of(d)
-    if len(groups) != 2:
-        raise ValueError("construct_C needs exactly 2 groups, got %d" % len(groups))
-    _intra_even_check(d, groups)
+    s1, s2 = _two_even_groups(d, "construct_C")
     x1, x2, x3, x4 = xi_order
     dlt = delta(d.m + 1)
-    s1 = [d.vectors[i] for i in groups[0]]
-    s2 = [d.vectors[i] for i in groups[1]]
     out = [[_append(y, x1) for y in s1],
            [_append(y, x2) for y in s1],
            [_append(y, x3) + dlt for y in s2],

@@ -44,10 +44,10 @@ a hard-limit leaf its one row 2d, and a Cond leaf its conditioning
 values followed by its rows of each child.  The decoder
 forms rows @ b once, at the root, and no node ever sees the K columns
 of b again.  A Cond folds hypothesis v into a child's projections as
-P_child - rows_child.G.v, one (rows, hypotheses) product per trial
-broadcast over the parent's hypotheses, so each node's arrays are as
-wide as its own rows.  The node kernels cost a few numpy calls per plan
-level, each on one large array:
+P_child - rows_child.G.v, one (rows, hypotheses) product per leaf and
+trial broadcast over the parent's hypotheses, so each node's arrays are
+as wide as its own rows.  The node kernels cost a few numpy calls per
+plan level, each on one large array:
 
   - Candidates ahead of hypotheses.  A Cond lays out its values (joint
     values, outer PAM values, conditioning hypotheses) on an axis before
@@ -66,11 +66,11 @@ level, each on one large array:
     picked point, the projections and the Gram, so integer channels
     give exact metrics and exact ties, as in the oracle.
   - Batch-invariant bits.  b and G are one real product each per trial,
-    C-contiguous as products are; projections and folds are (rows, K) @
-    (K, n) products per trial on them, and Gram terms _quad forms, whose
-    BLAS shapes do not depend on T; everything else is elementwise.  A
-    metric's bits are the same whether its trial is decoded alone or in
-    a batch.
+    C-contiguous as products are; projections are (rows, K) @ (K, n)
+    products per trial on them, folds such products per trial and leaf,
+    and Gram terms _quad forms, whose BLAS shapes do not depend on T;
+    everything else is elementwise.  A metric's bits are the same
+    whether its trial is decoded alone or in a batch.
   - Few live temporaries.  Nodes form metrics and indexes in place, a
     Cond adds its own metrics into its first child's, and each node's
     `width` bounds the float64 elements one trial of its subtree holds
@@ -435,8 +435,9 @@ class _Cond:
     then its rows of each child.  Hypothesis v of leaf l folds into the
     linear terms b of leaf l's children as b - G v, that is into their
     projections as P_child - rows_child.G.v, broadcast over the parent's
-    hypotheses.  Hypothesis c of parent row h becomes row c * H + h, so a
-    leaf's values are the leading candidate axis of its totals: its first
+    hypotheses, one product per leaf of its child rows and its V.G.
+    Hypothesis c of parent row h becomes row c * H + h, so a leaf's
+    values are the leading candidate axis of its totals: its first
     child's metrics plus -2 P + v.G.v, plus its other children's."""
 
     def __init__(self, specs, children, hyps):
@@ -449,23 +450,22 @@ class _Cond:
         parts = [c.rows.reshape(L, -1, K) for c in children]
         ends = np.cumsum([p.shape[1] for p in parts])
         self.slices = [slice(e - p.shape[1], e) for e, p in zip(ends, parts)]
-        rows = np.concatenate([np.zeros((L, 0, K))] + parts, 1)
-        self.child_rows = rows.reshape(-1, K)
+        rows = self.leaf_rows = np.concatenate([np.zeros((L, 0, K)), *parts], 1)
         values = [] if self.Vc is None else [np.stack(Vc)]
         self.rows = np.concatenate(values + [rows], 1).reshape(-1, K)
         self.count = n_c * (sum(c.count for c in children) or L)
-        # float64 words one trial holds at once, a buffer per broadcast or
-        # strided operand counted at its result's size: the fold (F, L x L
-        # blocks, next to V.G and a buffer, then next to the folded
-        # projections and two buffers) and the pick; then, while each
+        # float64 words one trial holds at once, a buffer per broadcast
+        # operand counted at its result's size: the fold (V.G and the
+        # folded projections, next to F, a block per leaf, and their
+        # buffer, or to V.G's own buffer) and the pick; then, while each
         # child decodes, the folded projections, a copy of the child's
         # block, and its subtree or its results with their leaf sums and
         # this node's own metrics or running totals
         res = hyps * n_c * L  # the metrics, or the indexes, of all leaves
-        r_c = len(self.child_rows)
+        r_c = rows[..., 0].size
         fold = hyps * n_c * r_c if self.Vc is not None else 0
         live = [] if self.Vc is None else [
-            L * n_c * r_c + max(2 * L * n_c * K, 3 * fold),
+            fold + L * n_c * K + max(n_c * r_c + fold, L * n_c * K),
             25 * res // 8 + 2 * hyps * L]
         for j, c in enumerate(children):
             k, copy = c.leaves // L, L > 1 and len(children) > 1
@@ -480,18 +480,14 @@ class _Cond:
         Pc = P = P.reshape(T, L, -1, H)
         if self.Vc is not None:
             VG = self.Vc @ G   # (T, L n_c, K): the fold, v.G.v's product
-            # every leaf's rows against every leaf's values, one product per
-            # trial, taken before V.G turns into v.G.v's product
-            F = self.child_rows @ VG.swapaxes(1, 2) if self.children else None
-            VG *= self.Vc
-            vGv = (VG @ np.ones(VG.shape[-1])).reshape(T, L, n_c, 1)
-            del VG
-            if self.children:  # each leaf folds its own block (T, L, r, n_c)
-                F = F.reshape(T, L, -1, L, n_c).diagonal(0, 1, 3).transpose(
-                    0, 3, 1, 2)
+            if self.children:  # each leaf's rows against its own values
+                F = self.leaf_rows @ VG.reshape(T, L, n_c, -1).swapaxes(2, 3)
                 Pc = (P[:, :, n_c:, None] - F[..., None]).reshape(
                     T, L, -1, n_c * H)
                 del F
+            VG *= self.Vc
+            vGv = (VG @ np.ones(VG.shape[-1])).reshape(T, L, n_c, 1)
+            del VG
         m = i = None
         for child, rows in zip(self.children, self.slices):
             cm, ci = child.decode(Pc[:, :, rows].reshape(T, -1, n_c * H), G)

@@ -269,6 +269,35 @@ def test_construct_refuses_a_bad_xi_order_token(tmp_path, capsys):
                                        "0,1,w,w2\n")
 
 
+@pytest.mark.parametrize("op, option, value", [
+    ("C", "--l", "0"), ("C", "--l", "1"),
+    ("A", "--xi-order", "0,1,w,w2"), ("B", "--xi-order", "w,w2,0,1")])
+def test_construct_refuses_an_option_its_op_does_not_read(op, option, value,
+                                                          tmp_path, capsys):
+    # A and B read --l, C reads --xi-order; the other is refused, even at
+    # its default value, before the design file is read
+    code, out, err = run(capsys, "construct", "--op", op, option, value,
+                         "--in", str(tmp_path / "missing.txt"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s applies to --op " % option)
+
+
+def test_construct_defaults_stand_for_l_0_and_the_first_xi_order(tmp_path,
+                                                                  capsys):
+    src = tmp_path / "r1.txt"
+    run(capsys, "catalog", "show", "rate1_2x2", "l=1", "--out", str(src))
+    for op, option, value in (("A", "--l", "0"), ("B", "--l", "0"),
+                              ("C", "--xi-order", "0,1,w,w2")):
+        texts = []
+        for extra in ((), (option, value)):
+            f = tmp_path / ("%s%d.txt" % (op, len(extra)))
+            code, _out, _err = run(capsys, "construct", "--op", op, *extra,
+                                   "--in", str(src), "--out", str(f))
+            assert code == 0
+            texts.append(f.read_text())
+        assert texts[0] == texts[1]
+
+
 def test_construct_intra_odd_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text(DESIGN_HEADER +

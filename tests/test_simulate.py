@@ -326,7 +326,7 @@ def _clean_terms(stbc, sent, seed):
 def test_fgd_ren_count_and_zero_noise():
     # 2^17 codewords: beyond the oracle cap, so check the structured
     # decoder's instrumentation and exact decoding of clean channels
-    stbc = fgd_ren_stbc(Q=2)
+    stbc = fgd_ren_stbc()
     rep = plan_complexity(stbc.plan)
     assert str(rep) == "5·M^6"
     sent = [0, 31337, stbc.count - 1]
@@ -336,7 +336,7 @@ def test_fgd_ren_count_and_zero_noise():
 
 
 def test_fgd_ren_rate2():
-    stbc = fgd_ren_stbc(Q=2, rate=2)
+    stbc = fgd_ren_stbc(rate=2)
     rep = plan_complexity(stbc.plan)
     assert rep.evaluate(4) == 5 * 4 ** Fraction(11, 2) + 4 ** Fraction(1, 2)
     count = _agree(stbc, 6, seed=16)
@@ -679,7 +679,7 @@ def test_simulate_batch_invariance(name, monkeypatch):
 
 def test_simulate_batch_invariance_fgd_ren(monkeypatch):
     # the 2,048-hypothesis Cond, decoded over several chunks
-    stbc = fgd_ren_stbc(Q=2)
+    stbc = fgd_ren_stbc()
     cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=9, seed=4,
                     decoder="structured")
     want = simulate(cfg, stbc).to_text()
@@ -813,7 +813,7 @@ def test_sibling_leaves_share_one_kernel_node():
     assert _leaf_groups(mixed.compiled) == [("_Cond", 2)] * 2
     assert [_leaf_groups(g) for g in groups] == [[("_HardLimit", 2)]] * 2
     assert [len(g.children[0].points) for g in groups] == [4, 2]
-    fgd = fgd_ren_stbc(Q=2).compiled
+    fgd = fgd_ren_stbc().compiled
     assert _leaf_groups(fgd) == [("_Cond", 1), ("_Cond", 1)]
     (inner,) = fgd.children[1].children
     assert (inner.leaves, inner.children) == (5, ())
@@ -945,7 +945,7 @@ def _sibling_conds(kinds=(HARD_LAST, JOINT), other=None):
 def _compile_shape_bundles():
     return dict(ALL_BUNDLES, **{
         "sibling Conds": _sibling_conds,
-        "fgd_ren": lambda: fgd_ren_stbc(Q=2),
+        "fgd_ren": lambda: fgd_ren_stbc(),
         "m=3 R=1": lambda: assemble_stbc(family(3, 1), [0.5] * 8, 4),
         "qod4 hard_last": lambda: qod4_stbc(Q=2, kind=HARD_LAST),
         "m=3 R=5/4": lambda: assemble_stbc(family(3, Fraction(5, 4)),
@@ -1045,6 +1045,40 @@ def test_sibling_conds_fold_each_leaf_into_its_own_children():
         assert _agree(stbc, 40, seed=19, snr_db=0.0) == count
         assert _agree(stbc, 40, seed=20, snr_db=20.0) == count
         assert count == plan_complexity(stbc.plan).evaluate(4)
+
+
+@pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
+def test_cond_folds_each_leaf_into_its_own_child_rows(name, monkeypatch):
+    # the projections a Cond hands its children are, leaf by leaf, its
+    # own projections of that leaf's child rows minus rows_l.G.v for each
+    # value v of the leaf's conditioning table: hypothesis c * H + h for
+    # value c under parent hypothesis h
+    stbc = _compile_shape_bundles()[name]()
+    K = stbc.linear.K
+    cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=6, seed=23,
+                    decoder="structured")
+    _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(6))
+    b, G = sim._metric_terms(stbc, Y, H)
+    seen = {}
+    for node in _nodes(stbc.compiled):
+        def spy(P, G, node=node, decode=node.decode):
+            seen[id(node)] = P.copy()
+            return decode(P, G)
+        monkeypatch.setattr(node, "decode", spy)
+    sim._structured(stbc, b, G)
+    folds = [n for n in _nodes(stbc.compiled) if type(n).__name__ == "_Cond"
+             and n.Vc is not None and n.children]
+    assert bool(folds) == (name not in ("alamouti", "qod4", "silver R=1"))
+    for node in folds:
+        L, n_c = node.cidx.shape[:2]
+        T, _r, n_h = seen[id(node)].shape
+        P = seen[id(node)].reshape(T, L, -1, n_h)[:, :, n_c:]
+        got = np.concatenate([seen[id(c)].reshape(T, L, -1, n_c, n_h)
+                              for c in node.children], 2)
+        rows = node.rows.reshape(L, -1, K)[:, n_c:]
+        for leaf, (r, V) in enumerate(zip(rows, node.Vc.reshape(L, n_c, K))):
+            want = P[:, leaf, :, None] - (r @ G @ V.T)[..., None]
+            assert np.abs(got[:, leaf] - want).max() <= 1e-12
 
 
 def test_hard_all_axes_fuse_and_are_charged_once():
