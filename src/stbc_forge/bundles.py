@@ -21,7 +21,8 @@ import numpy as np
 
 from .constructions import catalog, SILVER_U
 from .design import (Design, LinearDesign, Leaf, Cond, JOINT, HARD_LAST,
-                     HARD_ALL, groups_of, qam_side, to_linear_design)
+                     HARD_ALL, from_groups, groups_of, qam_side,
+                     to_linear_design)
 from .diversity import rotation_search, check_class_cap, group_classes
 from .f4 import I, W2
 from .fdfgd import family, family_pairs, family_plan, predicted_complexity
@@ -47,9 +48,9 @@ def alamouti_stbc(M):
     return group_stbc(catalog("alamouti"), qam_side(M), HARD_LAST)
 
 
-def qod4_stbc(Q=2, kind=JOINT):
-    """Four 2-real groups scanned jointly (or with the last hard-limited)."""
-    return group_stbc(catalog("qod4"), Q, kind)
+def qod4_stbc(Q=2):
+    """Four 2-real groups, each scanned jointly."""
+    return group_stbc(catalog("qod4"), Q)
 
 
 def fgd_ren_stbc(M=4, rate=Fraction(17, 8)):
@@ -73,10 +74,8 @@ def fgd_ren_stbc(M=4, rate=Fraction(17, 8)):
         ortho = {keep.index(i) for i in ortho}
     elif rate != Fraction(17, 8):
         raise ValueError("supported rates: 17/8 and 2")
-    K = len(vectors)
-    d = Design(2, tuple(vectors), ((0,), tuple(range(1, K))))
-    lin = to_linear_design(d)
-    rest = tuple(i for i in range(1, K) if i not in ortho)
+    lin = to_linear_design(from_groups(2, [vectors[:1], vectors[1:]]))
+    rest = tuple(i for i in range(1, len(vectors)) if i not in ortho)
     plan = Cond(conditioning=(), children=(
         Leaf((0,), JOINT),
         Cond(conditioning=rest,

@@ -274,11 +274,8 @@ def _ggroup(g, a):
         d = construct_A(d, 0)
     if g % 2 == 1:
         # odd g: drop the last group of the even design
-        keep = d.partition[:-1]
-        idx = [i for grp in keep for i in grp]
-        remap = {old: new for new, old in enumerate(idx)}
-        part = tuple(tuple(remap[i] for i in grp) for grp in keep)
-        d = Design(d.m, tuple(d.vectors[i] for i in idx), part)
+        d = from_groups(d.m, [[d.vectors[i] for i in grp]
+                              for grp in d.partition[:-1]])
     return _entry("ggroup", d, notes={"g": g, "a": a})
 
 
@@ -286,7 +283,7 @@ def _fgd_ren():
     """Rate 17/8 fast-group-decodable design: zero vector plus all odd weights."""
     odd = [v for v in enumerate_all(2) if weight(v) % 2 == 1]
     vs = (zero(2),) + tuple(odd)
-    d = Design(2, vs, ((0,), tuple(range(1, 17))))
+    d = from_groups(2, [vs[:1], vs[1:]])
     scod_odd = [v for v in _scod(2).design.vectors if weight(v) % 2 == 1]
     ortho = tuple(sorted(vs.index(v) for v in scod_odd))
     return _entry("fgd_ren", d, notes={"ortho_indices": ortho})

@@ -104,8 +104,8 @@ def even_table(d):
 
 def components(adj):
     """Connected components of the undirected graph with (n, n) bool
-    adjacency adj, as an (n,) label array: each vertex is labelled with the
-    smallest vertex of its component.
+    adjacency adj, as ascending index arrays ordered by their smallest
+    vertex.
 
     Min-label propagation with hooking (a vertex's old label also takes
     its new label) and pointer jumping.  A label is always a vertex of the
@@ -123,15 +123,14 @@ def components(adj):
                 break
             new = hop
         if (new == label).all():
-            return label
+            return [np.flatnonzero(label == r)
+                    for r in np.flatnonzero(label == np.arange(n))]
         label = new
 
 
 def finest_partition(d):
     """Connected components over even-sum pairs; always a valid partition."""
-    label = components(even_table(d))
-    groups = tuple(tuple(np.flatnonzero(label == r).tolist())
-                   for r in np.flatnonzero(label == np.arange(d.K)))
+    groups = tuple(tuple(g.tolist()) for g in components(even_table(d)))
     return PartitionReport(groups=groups, valid=True)
 
 
@@ -174,9 +173,8 @@ def conditional_partition(d, gamma):
         raise ValueError("gamma must be a nonempty set of indices")
     if not set(gamma) <= set(range(d.K)) or len(gamma) >= d.K:
         raise ValueError("gamma must be a proper subset of 0..%d" % (d.K - 1))
-    sub = Design(d.m, tuple(d.vectors[i] for i in gamma))
-    rep = finest_partition(sub)
-    groups = tuple(tuple(gamma[i] for i in grp) for grp in rep.groups)
+    groups = tuple(tuple(gamma[i] for i in g)
+                   for g in components(even_table(d)[np.ix_(gamma, gamma)]))
     return PartitionReport(groups=groups, valid=True)
 
 

@@ -204,9 +204,7 @@ def _unit_groups(A, indices):
     U = np.zeros((len(indices), len(A)), np.int64)
     for u, idx in enumerate(indices):
         U[u, list(idx)] = 1
-    label = components(U @ ~hr_orthogonal_table(A) @ U.T > 0)
-    return [np.flatnonzero(label == r)
-            for r in np.flatnonzero(label == np.arange(len(label)))]
+    return components(U @ ~hr_orthogonal_table(A) @ U.T > 0)
 
 
 def _groups(A, units):

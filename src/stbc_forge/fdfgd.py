@@ -36,7 +36,8 @@ from itertools import product
 import numpy as np
 
 from .f4 import O as F0, I as F1, W, W2, MAX_M, F4Vec, code, from_code, delta
-from .design import Design, Leaf, Cond, ComplexityReport, HARD_LAST
+from .design import (Design, Leaf, Cond, ComplexityReport, HARD_LAST,
+                     from_groups)
 from .pauli import phi_inv
 
 
@@ -73,12 +74,10 @@ class FamilyDesign:
 
     def design(self):
         """Design with the 2-group partition (S1, S2') when it is one."""
-        vs = self.vectors
-        n1 = len(self.subset("S_A"))
-        partition = None
-        if not self.subset("O"):
-            partition = (tuple(range(n1)), tuple(range(n1, len(vs))))
-        return Design(self.m, vs, partition)
+        if self.subset("O"):
+            return Design(self.m, self.vectors)
+        s1 = self.subset("S_A")
+        return from_groups(self.m, [s1, self.vectors[len(s1):]])
 
 
 def _sorted_pairs(codes, m):

@@ -347,12 +347,12 @@ def _quad(X, G):
     return XG @ np.ones(X.shape[-1])
 
 
-def _pick(m, idx, axis):
-    """Minimum of m over the candidate axis and the lowest index among
+def _pick(m, idx):
+    """Minimum of m over the candidate axis 2 and the lowest index among
     its exact ties, whatever order the candidates come in."""
-    best = m.min(axis=axis, keepdims=True)
+    best = m.min(axis=2, keepdims=True)
     tied = m == best
-    return best.squeeze(axis), np.where(tied, idx, _BIG).min(axis=axis)
+    return best.squeeze(2), np.where(tied, idx, _BIG).min(axis=2)
 
 
 def _leaf_sum(m, idx):
@@ -508,7 +508,7 @@ class _Cond:
             return m[:, :, 0], i[:, :, 0]
         if m is None:  # a joint leaf: its values are the candidates
             m, i = _own(P, vGv), self.cidx
-        return _pick(m, i, 2)
+        return _pick(m, i)
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +695,11 @@ def _trial_words(stbc, cfg):
     return words
 
 
+def _chunk(stbc, cfg):
+    """Trials per decode batch: as many as _CHUNK_BYTES holds, at least one."""
+    return max(1, _CHUNK_BYTES // (8 * _trial_words(stbc, cfg)))
+
+
 def _words(n):
     """Little-endian 32-bit words of an int >= 0, one zero word for 0: how
     SeedSequence reads each int of an entropy list."""
@@ -794,7 +799,7 @@ def simulate(cfg, stbc):
     N = stbc.N
     es_avg = stbc.average_energy
     sigmas = np.array([_noise_std(es_avg, N, snr) for snr in cfg.snr_db])
-    chunk = max(1, _CHUNK_BYTES // (8 * _trial_words(stbc, cfg)))
+    chunk = _chunk(stbc, cfg)
     n = cfg.trials
     errors = np.zeros(len(sigmas), dtype=np.int64)
     # one stream of (snr index, trial) keys, key k * trials + t, cut into

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stbc_forge.f4 import O, I, W, W2, F4Vec, zero, delta, weight, parse_vec
-from stbc_forge.design import Design, validate_partition, rate
+from stbc_forge.design import Design, validate_partition, rate, from_groups
 from stbc_forge.constructions import (construct_A, construct_B, construct_C,
                                       apply_sigma, shift_front,
                                       designs_equivalent, catalog,
@@ -299,6 +299,15 @@ def test_ggroup_rate_and_shape(g, a):
     assert all(len(grp) == 2 ** a for grp in d.partition)
     assert rate(d) == Fraction(g, 2 ** ((g + 1) // 2))
     assert validate_partition(d, d.partition).valid
+
+
+@pytest.mark.parametrize("g, a", [(3, 0), (3, 1), (5, 1)])
+def test_odd_ggroup_is_the_even_design_without_its_last_group(g, a):
+    even = catalog("ggroup", g=g + 1, a=a).design
+    want = from_groups(even.m, [[even.vectors[i] for i in grp]
+                                for grp in even.partition[:-1]])
+    got = catalog("ggroup", g=g, a=a).design
+    assert (got.vectors, got.partition) == (want.vectors, want.partition)
 
 
 def test_fgd_ren():

@@ -143,16 +143,17 @@ def test_code_and_parity_table_read_numpy_integer_coordinates():
         assert np.array_equal(even_table(Design(d.m, vs)), even_table(d))
 
 
-def test_components_labels_by_smallest_member():
+def test_components_orders_groups_by_smallest_member():
     # a path through 0..11 in scrambled order, which one round of
     # min-labels cannot settle, the path 15-13-14-12 and the isolated 16
     adj = [[False] * 17 for _ in range(17)]
     for path in ((9, 3, 8, 4, 7, 5, 6, 0, 11, 1, 10, 2), (15, 13, 14, 12)):
         for i, j in zip(path, path[1:]):
             adj[i][j] = adj[j][i] = True
-    assert components(adj).tolist() == [0] * 12 + [12] * 4 + [16]
-    assert components([[False]]).tolist() == [0]
-    assert components(np.zeros((0, 0), bool)).tolist() == []
+    assert ([g.tolist() for g in components(adj)]
+            == [list(range(12)), [12, 13, 14, 15], [16]])
+    assert [g.tolist() for g in components([[False]])] == [[0]]
+    assert components(np.zeros((0, 0), bool)) == []
 
 
 def test_rate():
@@ -170,6 +171,20 @@ def test_conditional_partition():
         conditional_partition(d, ())
     with pytest.raises(ValueError):
         conditional_partition(d, tuple(range(d.K)))
+
+
+@pytest.mark.parametrize("name", ["fgd_ren", "qod4"])
+def test_conditional_partition_is_the_sub_designs_finest(name):
+    # reference: the sub-design on gamma, in gamma's order, searched anew
+    d = catalog(name).design
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(1, d.K))
+        gamma = tuple(rng.permutation(d.K)[:n].tolist())
+        sub = Design(d.m, tuple(d.vectors[i] for i in gamma))
+        want = tuple(tuple(gamma[i] for i in grp)
+                     for grp in finest_partition(sub).groups)
+        assert conditional_partition(d, gamma).groups == want, gamma
 
 
 def test_leaf_and_cond_validation():

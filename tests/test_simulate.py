@@ -304,7 +304,7 @@ def test_qod4_decoder_agreement_and_count():
 
 
 def test_qod4_hard_last_variant():
-    stbc = qod4_stbc(Q=2, kind=HARD_LAST)
+    stbc = group_stbc(catalog("qod4"), 2, HARD_LAST)
     count = _agree(stbc, 60, seed=13)
     assert count == plan_complexity(stbc.plan).evaluate(4) == 8
 
@@ -947,7 +947,7 @@ def _compile_shape_bundles():
         "sibling Conds": _sibling_conds,
         "fgd_ren": lambda: fgd_ren_stbc(),
         "m=3 R=1": lambda: assemble_stbc(family(3, 1), [0.5] * 8, 4),
-        "qod4 hard_last": lambda: qod4_stbc(Q=2, kind=HARD_LAST),
+        "qod4 hard_last": lambda: group_stbc(catalog("qod4"), 2, HARD_LAST),
         "m=3 R=5/4": lambda: assemble_stbc(family(3, Fraction(5, 4)),
                                            [0.5] * 10, 4),
         "silver R=1": lambda: silver_stbc(4, 1),
@@ -996,7 +996,7 @@ def test_no_cond_has_two_children_that_would_fuse(name):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: qod4_stbc(Q=2, kind=HARD_LAST),
+    lambda: group_stbc(catalog("qod4"), 2, HARD_LAST),
     lambda: assemble_stbc(family(3, 1), [0.5] * 8, 4)],
     ids=["qod4 hard_last", "m=3 R=1"])
 def test_two_unit_hard_last_leaf_conditions_on_its_prefix(build):
@@ -1219,7 +1219,7 @@ def test_metric_terms_stay_within_the_chunk_budget(name):
     for n_rx in (1, 2, 3):
         cfg = SimConfig(n_rx=n_rx, snr_db=(10.0,), trials=10 ** 6, seed=3,
                         decoder="oracle")
-        chunk = max(1, sim._CHUNK_BYTES // (8 * sim._trial_words(stbc, cfg)))
+        chunk = sim._chunk(stbc, cfg)
         _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(chunk))
         tracemalloc.start()
         try:
@@ -1306,7 +1306,7 @@ def _integer_terms(stbc, Y, H):
 TIE_BUNDLES = {
     "alamouti": lambda: alamouti_stbc(4),
     "qod4": lambda: qod4_stbc(Q=2),
-    "qod4 hard_last": lambda: qod4_stbc(Q=2, kind=HARD_LAST),
+    "qod4 hard_last": lambda: group_stbc(catalog("qod4"), 2, HARD_LAST),
     "family R=1": lambda: assemble_stbc(puncture(build_base(2), 1),
                                         [0.0] * 4, 4),
     "family R=5/4": lambda: assemble_stbc(build_base(2), [0.0] * 5, 4),
@@ -1352,7 +1352,7 @@ def test_decode_working_set_stays_within_the_chunk_budget(name):
     stbc = _bundle(name)
     cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=3,
                     decoder="structured")
-    chunk = max(1, sim._CHUNK_BYTES // (8 * sim._trial_words(stbc, cfg)))
+    chunk = sim._chunk(stbc, cfg)
     _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(chunk))
     tracemalloc.start()
     try:
@@ -1372,7 +1372,7 @@ def test_node_widths_bound_the_structured_working_set(name):
     stbc = _compile_shape_bundles()[name]()
     cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=3,
                     decoder="structured")
-    T = max(1, sim._CHUNK_BYTES // (8 * sim._trial_words(stbc, cfg)))
+    T = sim._chunk(stbc, cfg)
     _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(T))
     b, G = sim._metric_terms(stbc, Y, H)
     tracemalloc.start()
@@ -1392,7 +1392,7 @@ def test_oracle_working_set_stays_within_twice_the_chunk_budget(name):
     stbc = _bundle(name)
     cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=3,
                     decoder="oracle")
-    chunk = max(1, sim._CHUNK_BYTES // (8 * sim._trial_words(stbc, cfg)))
+    chunk = sim._chunk(stbc, cfg)
     _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(chunk))
     stbc.grid  # the instance's cached tables, built once
     tracemalloc.start()
@@ -1416,7 +1416,7 @@ def test_oracle_bounds_the_tail_tables_of_one_large_unit():
     assert (len(XA), len(XB)) == (1, 60000)
     cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=3,
                     decoder="oracle")
-    chunk = max(1, sim._CHUNK_BYTES // (8 * sim._trial_words(stbc, cfg)))
+    chunk = sim._chunk(stbc, cfg)
     _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(chunk))
     tracemalloc.start()
     try:
