@@ -50,13 +50,14 @@ exactly, and one matrix product evaluates it on the whole angle grid.
 The square-QAM difference set is invariant under multiplication by i,
 so the minimum |det| has period pi/2 and only the GRID / 4 grid angles
 in (0, pi/2] are evaluated, in one pass over one fixed grid.  The search
-returns the smallest grid angle whose minimum |det| is within a relative
-TIE_RTOL of the best, re-certified by direct determinants, and refuses
-the pair when that angle does not clear DET_TOL; every auto-angle family
-code that builds finds its angles on this grid.  Arbitrary per-real
-point sets achieving full diversity are grown greedily, accepting each
-sampled point only if the enlarged code still passes the exhaustive
-check.
+takes the smallest grid angle whose minimum |det| is within a relative
+TIE_RTOL of the best and accepts it only through the group certifier,
+run on the pair's own group with the rotated pair's values: DET_TOL,
+DIFF_CAP and, at N >= 8, the LU error floor, as in every other verdict.
+Every auto-angle family code that builds finds its angles on this grid.
+Arbitrary per-real point sets achieving full diversity are grown
+greedily, accepting each sampled point only if the enlarged code still
+passes the exhaustive check.
 """
 
 import itertools
@@ -64,9 +65,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import components, qam_side
+from .design import components
 from .pauli import TOL, hr_orthogonal_table
-from .signalset import product_sums
+from .signalset import PairQAM, product_sums
 
 DET_TOL = 1e-8
 # most +- classes of distinct codeword differences one check evaluates
@@ -296,15 +297,6 @@ def _check_growth_cap(A, sizes):
 # ---------------------------------------------------------------------------
 # rotation search
 
-def _qam_diffs(M):
-    """Nonzero differences of the unrotated unit-distance M-QAM: the
-    integers 1 - sqrt(M)..sqrt(M) - 1 on each axis."""
-    side = qam_side(M)
-    d = range(1 - side, side)
-    out = [complex(x, y) for x in d for y in d if (x, y) != (0, 0)]
-    return np.asarray(out)
-
-
 def _pair_dets(D, dz, Bp, Bm):
     """det(D_i + dz_j Bp + conj(dz_j) Bm) as a (len(D), len(dz)) array."""
     P = dz[:, None, None] * Bp + np.conj(dz)[:, None, None] * Bm
@@ -350,9 +342,13 @@ def rotation_search(A, units, pair, M):
     certification enumerator, in blocks and under DIFF_CAP) plus a QAM
     difference.  By Minkowski's inequality a difference with a part in
     another group is no smaller than that part, so c covers it.
-    Returns the smallest grid angle within a relative TIE_RTOL of the
-    best minimum once direct determinants there clear DET_TOL; raises
-    ValueError naming the failed check's minimum (and angle) otherwise.
+    Takes the smallest grid angle within a relative TIE_RTOL of the best
+    minimum and returns it when the certifier, on the prior's units in
+    the pair's group plus the pair at that angle, finds a minimum above
+    DET_TOL.  Raises ValueError naming the failed minimum (and angle)
+    otherwise; the certifier itself raises DiversityCapError for a group
+    over DIFF_CAP and, at N >= 8, DiversityFloorError for a minimum
+    under the group's LU error floor.
     """
     A = np.asarray(A, complex)
     A1, A2 = A[pair[0]], A[pair[1]]
@@ -364,30 +360,27 @@ def rotation_search(A, units, pair, M):
     groups = _unit_groups(A, [idx for idx, _V in units] + [pair])
     own = next(g for g in groups if g[-1] == len(units))[:-1]
     own = [units[u] for u in own]
-    w = _qam_diffs(M)
+    # the unrotated pair's nonzero differences, x_I + i x_Q
+    d, _pick = _unit_differences(PairQAM(pair, M).values())
+    w = d[d.any(axis=1)].view(complex)[:, 0]
     # half of A1 -+ i A2: x_I A1 + x_Q A2 = z*Bp + conj(z)*Bm
     Bp = (A1 - 1j * A2) / 2.0
     Bm = (A1 + 1j * A2) / 2.0
     N = A.shape[-1]
     rows = max(1, _BLOCK // (len(w) * (2 * N + 1)))
-
-    def prior():
-        return itertools.chain([np.zeros((1, N, N), complex)],
-                               _class_blocks(A, own, rows))
-
     # a prior that is not full diversity cannot be rescued by any angle
     if best_min > DET_TOL:
         thetas = 2 * np.pi * np.arange(1, GRID // 4 + 1) / GRID
         mins = np.full(len(thetas), best_min)
-        for D in prior():
+        for D in itertools.chain([np.zeros((1, N, N), complex)],
+                                 _class_blocks(A, own, rows)):
             np.minimum(mins, _grid_min(_laurent_coefficients(D, w, Bp, Bm),
                                        thetas), out=mins)
         best_min = float(mins.max())
         theta = float(thetas[np.argmax(mins >= best_min * (1 - TIE_RTOL))])
-        z = np.exp(1j * theta) * w
         if best_min > DET_TOL:
-            direct = min(float(np.abs(_pair_dets(D, z, Bp, Bm)).min())
-                         for D in prior())
+            direct = _min_abs_det_product(
+                A, own + [(pair, PairQAM(pair, M, theta).values())])
             if direct > DET_TOL:
                 return theta
             raise ValueError("no grid angle certifies full diversity "

@@ -16,10 +16,10 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   difference_classes, group_classes,
                                   DiversityCapError, DiversityFloorError,
                                   DET_TOL, DIFF_CAP, GRID, TIE_RTOL,
-                                  _class_blocks, _qam_diffs, _grid_min,
+                                  _class_blocks, _grid_min,
                                   _laurent_coefficients, _pair_dets,
                                   _min_abs_det_product, _det_batch,
-                                  _unit_groups)
+                                  _unit_differences, _unit_groups)
 from stbc_forge.fdfgd import (build_base, puncture, extend, family,
                               family_pairs)
 from stbc_forge.pauli import I2, X, Z, phi_inv
@@ -105,6 +105,24 @@ def test_unrotated_diagonal_design_not_full_diversity():
 
 def _pair_unit(pair, M, theta):
     return (pair, PairQAM(pair, M, theta).values())
+
+
+def _qam_diffs(M):
+    """Reference: nonzero differences of the unrotated unit-distance
+    M-QAM, the integers 1 - sqrt(M)..sqrt(M) - 1 on each axis."""
+    side = int(round(M ** 0.5))
+    d = range(1 - side, side)
+    return np.asarray([complex(x, y) for x in d for y in d
+                       if (x, y) != (0, 0)])
+
+
+@pytest.mark.parametrize("M", [4, 16, 64])
+def test_qam_differences_come_from_the_pair_unit(M):
+    # the rotation search's QAM differences, the nonzero rows of the
+    # unrotated pair's unit differences as x_I + i x_Q, in their order
+    d, _pick = _unit_differences(PairQAM((0, 1), M).values())
+    w = d[d.any(axis=1)].view(complex)[:, 0]
+    assert w.tobytes() == _qam_diffs(M).tobytes()
 
 
 def test_rotation_search_fixes_diagonal_design():
@@ -394,12 +412,19 @@ def test_unit_groups_are_the_finest_partition(m):
         assert got == set(finest_partition(fd.design()).groups), R
 
 
+def _ggroup21_interleaved():
+    """ggroup g=2 a=1 with its reals reordered 0, 2, 1, 3: the catalog
+    lists intra-group reals first, so the first two are now mutually
+    HR-orthogonal."""
+    entry = catalog("ggroup", g=2, a=1)
+    e = entry.linear.entries
+    return LinearDesign(m=entry.design.m, entries=(e[0], e[2], e[1], e[3]))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_growth_matches_the_whole_product(seed, monkeypatch):
     ala = to_linear_design(catalog("alamouti").design)
-    entry = catalog("ggroup", g=2, a=1)
-    e = entry.linear.entries
-    gg = LinearDesign(m=entry.design.m, entries=(e[0], e[2], e[1], e[3]))
+    gg = _ggroup21_interleaved()
     pam = pam_points(2)
 
     def grow():
@@ -428,6 +453,21 @@ def test_floor_refuses_a_group_under_the_lu_error():
             with pytest.raises(DiversityFloorError,
                                match="floor 4.55e-13 at N=8"):
                 _min_abs_det_product(A, unrotated)
+
+
+def test_rotation_search_refuses_an_angle_under_the_lu_floor():
+    # family m=4 R=1: the first group's third pair has a best grid angle,
+    # but the certifier on its group of three pairs finds a minimum under
+    # the LU error floor, so the search refuses the angle itself
+    fd = family(4, 1)
+    A, pairs = _family_matrices(fd), family_pairs(fd)
+    first = [pairs[u] for u in _unit_groups(A, list(pairs))[0]]
+    units = []
+    for pair in first[:2]:
+        units.append(_pair_unit(pair, 4, rotation_search(A, units, pair, 4)))
+    with pytest.raises(DiversityFloorError,
+                       match=r"group of 6 reals .* at N=16"):
+        rotation_search(A, units, first[2], 4)
 
 
 def test_full_diversity_repeated_codeword_is_zero():
@@ -511,10 +551,7 @@ def test_growth_gives_up_after_its_retry_budget(monkeypatch):
         grow_constellation(ld, (2, 2, 2, 2))
     # grow_with_pam_prefix certifies its PAM prefix first, then grows
     monkeypatch.setattr(div, "_min_det_from_points", certify_first_only)
-    entry = catalog("ggroup", g=2, a=1)
-    ents = entry.linear.entries
-    ld = LinearDesign(m=entry.design.m,
-                      entries=(ents[0], ents[2], ents[1], ents[3]))
+    ld = _ggroup21_interleaved()
     pam = pam_points(2)
     with pytest.raises(RuntimeError, match="^growth retry budget exhausted "
                        "at symbol 2$"):
@@ -523,12 +560,8 @@ def test_growth_gives_up_after_its_retry_budget(monkeypatch):
 
 
 def test_grow_with_pam_prefix_ggroup21():
-    # keep PAM on two mutually orthogonal reals, grow the other two;
-    # catalog order lists intra-group reals first, so interleave
-    entry = catalog("ggroup", g=2, a=1)
-    ents = entry.linear.entries
-    ld = LinearDesign(m=entry.design.m,
-                      entries=(ents[0], ents[2], ents[1], ents[3]))
+    # keep PAM on two mutually orthogonal reals, grow the other two
+    ld = _ggroup21_interleaved()
     pam = pam_points(2)
     points = grow_with_pam_prefix(ld, 2, (pam, pam), seed=0)
     assert points[0] == pam and points[1] == pam
@@ -560,10 +593,7 @@ def test_grow_with_pam_prefix_names_the_first_failing_pair(mats, pair):
 
 
 def test_grow_with_pam_prefix_argument_checks():
-    entry = catalog("ggroup", g=2, a=1)
-    ents = entry.linear.entries
-    ld = LinearDesign(m=entry.design.m,
-                      entries=(ents[0], ents[2], ents[1], ents[3]))
+    ld = _ggroup21_interleaved()
     with pytest.raises(ValueError):
         grow_with_pam_prefix(ld, 2, (pam_points(2),))
     with pytest.raises(ValueError):
@@ -573,13 +603,19 @@ def test_grow_with_pam_prefix_argument_checks():
 
 def test_grow_with_pam_prefix_refuses_a_repeated_pam_point():
     # refused at the boundary, not by the prefix's failed certification
-    entry = catalog("ggroup", g=2, a=1)
-    ents = entry.linear.entries
-    ld = LinearDesign(m=entry.design.m,
-                      entries=(ents[0], ents[2], ents[1], ents[3]))
+    ld = _ggroup21_interleaved()
     with pytest.raises(ValueError, match=r"^PAM set 0 \(-0\.5, -0\.5\) "
                        r"repeats a point$"):
         grow_with_pam_prefix(ld, 2, ((-0.5, -0.5), pam_points(2)))
+
+
+def test_grow_with_pam_prefix_refuses_an_uncertified_prefix():
+    # PAM sets (0, 1e-5) on two HR-orthogonal reals: the initial code's
+    # min |det| is (1e-5)^2 = 1e-10, under DET_TOL, so nothing is grown
+    ld = _ggroup21_interleaved()
+    with pytest.raises(RuntimeError, match="^initial configuration failed "
+                       "certification$"):
+        grow_with_pam_prefix(ld, 2, ((0.0, 1e-5), (0.0, 1e-5)))
 
 
 @pytest.mark.parametrize("L", [5, -1])
