@@ -16,18 +16,19 @@ in blocks summed in the codebook order by signalset.product_sums.
 
 Certification works one HR-orthogonal group at a time.  The units split
 into groups whose weight matrices are pairwise HR-orthogonal across
-groups (A_i^H A_j + A_j^H A_i = 0, checked numerically; for family codes
-these are design.finest_partition's groups).  A difference D = sum_g D_g
-with parts in such groups has D^H D = sum_g D_g^H D_g, and Minkowski's
-determinant inequality gives |det D|^{2/N} >= sum_g |det D_g|^{2/N}.
-So the minimum |det| over the code is the smallest of the groups'
-minima, attained by a difference inside one group, and certification
-takes sum_g classes(g) determinants instead of their product.  The
-single cap DIFF_CAP applies to each group's class count, checked from
-the per-unit counts before any class is allocated; it governs
-certification, `verify`, the rotation search and the finished code of
-an auto-angle build.  Constellation growth bounds each group of the
-grown code by q(q-1)+1 differences per q-point real before it starts.
+groups (A_i^H A_j + A_j^H A_i = 0; for family codes these are
+design.finest_partition's groups), read from one numeric table per
+weight-matrix stack, an instance's cached `hr_orthogonal`.  A difference
+D = sum_g D_g with parts in such groups has D^H D = sum_g D_g^H D_g, and
+Minkowski's determinant inequality gives |det D|^{2/N} >= sum_g
+|det D_g|^{2/N}.  So the minimum |det| over the code is the smallest of
+the groups' minima, attained by a difference inside one group, and
+certification takes sum_g classes(g) determinants instead of their
+product.  The single cap DIFF_CAP applies to each group's class count,
+checked from the per-unit counts before any class is allocated; it
+governs certification, `verify`, the rotation search and the finished
+code of an auto-angle build.  Constellation growth bounds each group of
+the grown code by q(q-1)+1 differences per q-point real before it starts.
 
 A minimum is compared with DET_TOL, absolute, at N <= 4.  At N >= 8 a
 computed determinant's LU backward error grows like N eps ||D||_2^N, so
@@ -56,11 +57,13 @@ run on the pair's own group with the rotated pair's values: DET_TOL,
 DIFF_CAP and, at N >= 8, the LU error floor, as in every other verdict.
 Every auto-angle family code that builds finds its angles on this grid.
 Arbitrary per-real point sets achieving full diversity are grown
-greedily, accepting each sampled point only if the enlarged code still
-passes the exhaustive check.
+greedily: a sampled point changes only its real's group, every other
+group has certified, so the point is kept when its group still does.
 """
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +119,8 @@ def generator_matrix(ld, Q=None):
     Q = np.eye(K) if Q is None else np.asarray(Q, dtype=float)
     if Q.shape != (K, K):
         raise ValueError("Q must be %dx%d" % (K, K))
-    if np.linalg.norm(Q.T @ Q - np.eye(K)) > 1e-9:
+    if not (np.isfinite(Q).all()
+            and np.linalg.norm(Q.T @ Q - np.eye(K)) <= 1e-9):
         raise ValueError("Q is not orthogonal")
     return GeneratorMatrix(G=G, Q=Q)
 
@@ -195,23 +199,16 @@ def _blocks(A, units, diffs, rows):
             yield from product_sums([mats[p][pick]] + mats[p + 1:], rows)
 
 
-def _unit_groups(A, indices):
-    """Positions of the units owning the given index tuples, split into
-    mutually HR-orthogonal groups: the connected components of units
-    joined by a pair of weight matrices that is not HR-orthogonal.  Each
-    group is ascending; groups are ordered by their first unit."""
-    if not indices:
-        return []
-    U = np.zeros((len(indices), len(A)), np.int64)
-    for u, idx in enumerate(indices):
+def _groups(orth, units):
+    """The (indices, values) units split into mutually HR-orthogonal
+    groups, read from the (K, K) table orth of the weight matrices: the
+    connected components of units joined by a pair of weight matrices
+    that is not HR-orthogonal.  Each group keeps the units' order; groups
+    are ordered by their first unit."""
+    U = np.zeros((len(units), len(orth)), np.int64)
+    for u, (idx, _V) in enumerate(units):
         U[u, list(idx)] = 1
-    return components(U @ ~hr_orthogonal_table(A) @ U.T > 0)
-
-
-def _groups(A, units):
-    """The (indices, values) units in their HR-orthogonal groups."""
-    return [[units[u] for u in g]
-            for g in _unit_groups(A, [idx for idx, _V in units])]
+    return [[units[u] for u in g] for g in components(U @ ~orth @ U.T > 0)]
 
 
 def _check_floor(A, units, mn):
@@ -233,15 +230,14 @@ def _check_floor(A, units, mn):
             "error floor %.3g at N=%d" % (mn, len(idx), floor, N))
 
 
-def _min_abs_det_product(A, units):
-    """Exact min |det| over the nonzero differences of the code; inf for
-    a single codeword.  By Minkowski's inequality it is the smallest of
-    the HR-orthogonal groups' minima; every group's class count is
-    checked against DIFF_CAP before any class is allocated."""
-    parts = _groups(A, units)
-    blocks = [_class_blocks(A, part) for part in parts]
+def _min_abs_det_product(A, groups):
+    """Exact min |det| over the nonzero differences of the code over units
+    split into their HR-orthogonal groups: by Minkowski's inequality the
+    smallest group minimum, inf for a single codeword.  Every group's
+    class count is checked against DIFF_CAP before any class is built."""
+    blocks = [_class_blocks(A, part) for part in groups]
     best = np.inf
-    for part, group in zip(parts, blocks):
+    for part, group in zip(groups, blocks):
         mn = min((float(np.abs(_det_batch(b)).min()) for b in group),
                  default=np.inf)
         _check_floor(A, part, mn)
@@ -261,7 +257,7 @@ def group_classes(A, signals):
     determinants full_diversity_check takes."""
     units = [(u.indices, u.values()) for u in signals.units]
     return [_class_count([_unit_differences(V) for _idx, V in part])
-            for part in _groups(A, units)]
+            for part in _groups(hr_orthogonal_table(A), units)]
 
 
 def full_diversity_check(stbc):
@@ -274,24 +270,8 @@ def full_diversity_check(stbc):
     group's minimum does not clear its LU error floor.
     """
     units = [(u.indices, u.values()) for u in stbc.signals.units]
-    return _min_abs_det_product(stbc.matrices, units)
-
-
-def _min_det_from_points(matrices, point_lists):
-    units = [((k,), np.reshape(p, (-1, 1)))
-             for k, p in enumerate(point_lists)]
-    return _min_abs_det_product(np.asarray(matrices), units)
-
-
-def _check_growth_cap(A, sizes):
-    """Refuse point-set targets, one per real, under which an
-    HR-orthogonal group of the code could exceed DIFF_CAP classes; q
-    points have at most q(q-1)+1 distinct differences."""
-    for g in _unit_groups(A, [(k,) for k in range(len(sizes))]):
-        total = 1
-        for k in g:
-            total *= sizes[k] * (sizes[k] - 1) + 1
-        check_class_cap((total - 1) // 2)
+    return _min_abs_det_product(stbc.matrices,
+                                _groups(stbc.hr_orthogonal, units))
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +328,30 @@ def rotation_search(A, units, pair, M):
     DET_TOL.  Raises ValueError naming the failed minimum (and angle)
     otherwise; the certifier itself raises DiversityCapError for a group
     over DIFF_CAP and, at N >= 8, DiversityFloorError for a minimum
-    under the group's LU error floor.
+    under the group's LU error floor.  A pair that is not two distinct
+    reals of 0..K-1 outside the prior's, or a prior whose units do not
+    own distinct reals of 0..K-1, is refused with a ValueError.
     """
     A = np.asarray(A, complex)
+    owned = [i for idx, _V in units for i in idx]
+    if not _distinct_reals(owned, len(A)):
+        raise ValueError("prior units own reals %r, need distinct reals of "
+                         "0..%d" % (owned, len(A) - 1))
+    if len(pair) != 2 or not _distinct_reals(owned + list(pair), len(A)):
+        raise ValueError("pair %r needs two distinct reals of 0..%d that no "
+                         "prior unit owns" % (tuple(pair), len(A) - 1))
     A1, A2 = A[pair[0]], A[pair[1]]
     sv = np.linalg.svd(A1 + 1j * A2, compute_uv=False)
     if sv[-1] <= DET_TOL:
         raise ValueError("A1 + i*A2 is rank deficient; no angle can work")
-    best_min = _min_abs_det_product(A, units)
-    # the prior units in the pair's group: the one ending in the pair
-    groups = _unit_groups(A, [idx for idx, _V in units] + [pair])
-    own = next(g for g in groups if g[-1] == len(units))[:-1]
-    own = [units[u] for u in own]
-    # the unrotated pair's nonzero differences, x_I + i x_Q
-    d, _pick = _unit_differences(PairQAM(pair, M).values())
+    orth = hr_orthogonal_table(A)
+    best_min = _min_abs_det_product(A, _groups(orth, units))
+    # the prior units in the pair's group: the group ending in the
+    # unrotated pair, whose nonzero differences are x_I + i x_Q
+    probe = units + [(pair, PairQAM(pair, M).values())]
+    *own, (_pair, V) = next(g for g in _groups(orth, probe)
+                            if g[-1] is probe[-1])
+    d, _pick = _unit_differences(V)
     w = d[d.any(axis=1)].view(complex)[:, 0]
     # half of A1 -+ i A2: x_I A1 + x_Q A2 = z*Bp + conj(z)*Bm
     Bp = (A1 - 1j * A2) / 2.0
@@ -380,7 +370,7 @@ def rotation_search(A, units, pair, M):
         theta = float(thetas[np.argmax(mins >= best_min * (1 - TIE_RTOL))])
         if best_min > DET_TOL:
             direct = _min_abs_det_product(
-                A, own + [(pair, PairQAM(pair, M, theta).values())])
+                A, [own + [(pair, PairQAM(pair, M, theta).values())]])
             if direct > DET_TOL:
                 return theta
             raise ValueError("no grid angle certifies full diversity "
@@ -390,6 +380,12 @@ def rotation_search(A, units, pair, M):
                      "(best min |det| = %.3g)" % best_min)
 
 
+def _distinct_reals(idx, K):
+    """True when idx are distinct integer reals of 0..K-1."""
+    return len(set(idx)) == len(idx) and all(
+        isinstance(i, numbers.Integral) and 0 <= i < K for i in idx)
+
+
 def _check_full_rank(A, start=0):
     for k, a in enumerate(A[start:], start=start):
         sv = np.linalg.svd(a, compute_uv=False)
@@ -397,24 +393,48 @@ def _check_full_rank(A, start=0):
             raise ValueError("weight matrix %d is singular" % k)
 
 
-def _grow(A, points, sizes, start, rng):
+def _real_groups(orth, sizes):
+    """The HR-orthogonal groups of the reals, as lists of indices read
+    from the table orth, for point-set targets sizes, one per real.
+    Refuses a target that is not an integer >= 1, and targets under
+    which a group could exceed DIFF_CAP classes; q points have at most
+    q(q-1)+1 distinct differences."""
+    for k, q in enumerate(sizes):
+        if not (isinstance(q, numbers.Integral) and q >= 1):
+            raise ValueError("real %d: target size %r is not an integer "
+                             ">= 1" % (k, q))
+    groups = [[k for (k,), _V in g]
+              for g in _groups(orth, [((k,), None) for k in range(len(orth))])]
+    for g in groups:
+        check_class_cap(
+            (math.prod(sizes[k] * (sizes[k] - 1) + 1 for k in g) - 1) // 2)
+    return groups
+
+
+def _certifies(A, points, groups):
+    """min |det| of the code over the point lists' groups > DET_TOL."""
+    return _min_abs_det_product(A, [[((k,), np.reshape(points[k], (-1, 1)))
+                                     for k in g] for g in groups]) > DET_TOL
+
+
+def _grow(A, groups, points, sizes, start, rng):
     """Grow points[k] to sizes[k - start] points for every k >= start.
 
     Candidates are drawn uniformly from [-10, 10); each is kept only if
-    the enlarged code still passes the exhaustive check, and each symbol
-    may reject RETRIES candidates.  Returns sorted point tuples.
+    real k's group, the one group it changes, still certifies (so does
+    the code), and each symbol may reject RETRIES candidates.  Returns
+    sorted point tuples.
     """
+    group = {k: g for g in groups for k in g}
     for k in range(start, len(points)):
         budget = RETRIES
         while len(points[k]) < sizes[k - start]:
             cand = float(rng.uniform(-10, 10))
             if any(abs(cand - p) < 1e-9 for p in points[k]):
                 continue
-            trial = [list(p) for p in points]
-            trial[k].append(cand)
-            if _min_det_from_points(A, trial) > DET_TOL:
-                points[k].append(cand)
-            else:
+            points[k].append(cand)
+            if not _certifies(A, points, [group[k]]):
+                points[k].pop()
                 budget -= 1
                 if budget == 0:
                     raise RuntimeError(
@@ -425,8 +445,9 @@ def _grow(A, points, sizes, start, rng):
 def grow_constellation(ld, sizes, seed=0):
     """Greedy per-real point growth keeping the code full diversity.
 
-    Requires every weight matrix to be full rank; each accepted point is
-    certified by an exhaustive difference-determinant check, so the
+    Requires every weight matrix to be full rank and every target size
+    to be an integer >= 1; each accepted point is certified by an
+    exhaustive difference-determinant check of its group, so the
     returned point lists always produce a full-diversity code.
     """
     A = ld.matrices()
@@ -434,30 +455,35 @@ def grow_constellation(ld, sizes, seed=0):
     K = ld.K
     if len(sizes) != K:
         raise ValueError("need one size per real symbol")
-    _check_growth_cap(A, sizes)
+    groups = _real_groups(hr_orthogonal_table(A), sizes)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     points = [[float(rng.uniform(-10, 10))] for _ in range(K)]
-    return _grow(A, points, sizes, 0, rng)
+    return _grow(A, groups, points, sizes, 0, rng)
 
 
 def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0):
     """Keep PAM sets on the first L orthogonal symbols, grow the rest.
 
     The first L weight matrices must satisfy the Hurwitz-Radon equations
-    A_i^H A_j + A_j^H A_i = 2*1{i=j}*I.  sizes gives the target point
-    counts for symbols L+1..K (default 2 each).
+    A_i^H A_j + A_j^H A_i = 2*1{i=j}*I, and each PAM set must be
+    non-empty, finite and free of repeats.  sizes gives the target
+    point counts, integers >= 1, for symbols L+1..K (default 2 each).
     """
     if not 0 <= L <= ld.K:
         raise ValueError("PAM prefix of L=%d symbols, need 0 <= L <= K=%d"
                          % (L, ld.K))
     points = [sorted(map(float, p)) for p in pam_sets]
     for k, p in enumerate(points):
+        if not (p and np.isfinite(p).all()):
+            raise ValueError("PAM set %d %r is empty or not finite"
+                             % (k, tuple(pam_sets[k])))
         if any(b - a < 1e-9 for a, b in zip(p, p[1:])):
             raise ValueError("PAM set %d %r repeats a point"
                              % (k, tuple(pam_sets[k])))
     A = ld.matrices()
+    orth = hr_orthogonal_table(A)
     # HR-orthogonal pairs, and A_i^H A_i = I on the diagonal
-    ok = hr_orthogonal_table(A[:L])
+    ok = orth[:L, :L].copy()
     unit = A[:L].conj().transpose(0, 2, 1) @ A[:L] - np.eye(A.shape[1])
     np.fill_diagonal(ok, 2 * np.linalg.norm(unit, axis=(1, 2)) <= TOL)
     bad = np.triu(~ok)
@@ -472,9 +498,9 @@ def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0):
     if len(sizes) != K - L:
         raise ValueError("need one target size per grown symbol")
     _check_full_rank(A, L)
-    _check_growth_cap(A, [len(p) for p in pam_sets] + list(sizes))
+    groups = _real_groups(orth, [len(p) for p in points] + list(sizes))
     rng = np.random.default_rng(np.random.SeedSequence([seed, L]))
     points += [[float(rng.uniform(-10, 10))] for _ in range(L, K)]
-    if _min_det_from_points(A, points) <= DET_TOL:
+    if not _certifies(A, points, groups):
         raise RuntimeError("initial configuration failed certification")
-    return _grow(A, points, sizes, L, rng)
+    return _grow(A, groups, points, sizes, L, rng)

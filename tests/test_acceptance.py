@@ -25,9 +25,9 @@ from stbc_forge.fdfgd import (build_base, puncture, extend, check_prop16,
                               predicted_complexity)
 from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   full_diversity_check, grow_constellation,
-                                  grow_with_pam_prefix, DET_TOL,
-                                  _min_det_from_points)
-from stbc_forge.signalset import pam_points, qam_signal_set
+                                  grow_with_pam_prefix, DET_TOL)
+from stbc_forge.signalset import (pam_points, qam_signal_set, RealPoints,
+                                  SignalSet)
 from stbc_forge.simulate import STBCInstance, SimConfig, simulate
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
                                 silver_stbc)
@@ -324,6 +324,12 @@ def test_criterion_8_decoder_oracle_equivalence():
           "oracle, counts == term sums (%.1f s)" % dt)
 
 
+def _grown(ld, points):
+    """The code over grown per-real point sets."""
+    return STBCInstance(linear=ld, signals=SignalSet(
+        units=tuple(RealPoints(k, p) for k, p in enumerate(points))))
+
+
 def test_criterion_9_full_diversity():
     t0 = time.monotonic()
     # searched angles give a fully diverse 1024-codeword family code
@@ -343,16 +349,14 @@ def test_criterion_9_full_diversity():
     # grown point sets certified exhaustively
     ala = to_linear_design(catalog("alamouti").design)
     pts = grow_constellation(ala, (2, 2, 2, 2), seed=0)
-    assert _min_det_from_points(ala.matrices(),
-                                [list(p) for p in pts]) > DET_TOL
+    assert full_diversity_check(_grown(ala, pts)) > DET_TOL
     gg = catalog("ggroup", g=2, a=1)
     ents = gg.linear.entries
     ld = LinearDesign(m=gg.design.m,
                       entries=(ents[0], ents[2], ents[1], ents[3]))
     pam = pam_points(2)
     pts = grow_with_pam_prefix(ld, 2, (pam, pam), seed=0)
-    assert _min_det_from_points(ld.matrices(),
-                                [list(p) for p in pts]) > DET_TOL
+    assert full_diversity_check(_grown(ld, pts)) > DET_TOL
     print("criterion 9: PASS - searched family code min|det|=%.4g, negative "
           "control and grown sets verified (%.1f s)"
           % (mn, time.monotonic() - t0))

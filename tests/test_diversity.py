@@ -19,12 +19,12 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   _class_blocks, _grid_min,
                                   _laurent_coefficients, _pair_dets,
                                   _min_abs_det_product, _det_batch,
-                                  _unit_differences, _unit_groups)
+                                  _unit_differences, _groups)
 from stbc_forge.fdfgd import (build_base, puncture, extend, family,
                               family_pairs)
-from stbc_forge.pauli import I2, X, Z, phi_inv
+from stbc_forge.pauli import I2, X, Z, phi_inv, hr_orthogonal_table
 from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
-                                  BlockValues, PairQAM)
+                                  BlockValues, PairQAM, RealPoints)
 from stbc_forge.simulate import STBCInstance
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
                                 silver_stbc, group_stbc)
@@ -71,6 +71,15 @@ def test_generator_matrix_q_validation():
         generator_matrix(ld, Q=2 * np.eye(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generator_matrix_refuses_a_non_finite_q(bad):
+    # a NaN makes the orthogonality residual NaN, which must not pass
+    Q = np.eye(4)
+    Q[0, 0] = bad
+    with pytest.raises(ValueError, match="^Q is not orthogonal$"):
+        generator_matrix(to_linear_design(catalog("alamouti").design), Q=Q)
+
+
 def test_cubic_shaping_negative():
     # scaling one column breaks the scalar Gram
     ld = to_linear_design(catalog("alamouti").design)
@@ -105,6 +114,11 @@ def test_unrotated_diagonal_design_not_full_diversity():
 
 def _pair_unit(pair, M, theta):
     return (pair, PairQAM(pair, M, theta).values())
+
+
+def _certify(A, units):
+    """The group certifier on the units' HR-orthogonal groups."""
+    return _min_abs_det_product(A, _groups(hr_orthogonal_table(A), units))
 
 
 def _qam_diffs(M):
@@ -224,8 +238,7 @@ def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
     A = np.stack([np.eye(2), -1j * np.eye(2)] * 2)
     a = 2 * np.pi / 720
     units = [_pair_unit((2, 3), 4, a)]
-    assert _min_abs_det_product(A, units + [_pair_unit((0, 1), 4, a)]) \
-        < DET_TOL
+    assert _certify(A, units + [_pair_unit((0, 1), 4, a)]) < DET_TOL
     n_zero = len(_qam_diffs(4))  # coefficient rows of the zero block
     monkeypatch.setattr(
         "stbc_forge.diversity._grid_min",
@@ -407,8 +420,9 @@ def test_unit_groups_are_the_finest_partition(m):
         except ValueError:  # not a rate of the family
             continue
         pairs = family_pairs(fd)
-        groups = _unit_groups(_family_matrices(fd), pairs)
-        got = {tuple(i for u in g for i in pairs[u]) for g in groups}
+        groups = _groups(hr_orthogonal_table(_family_matrices(fd)),
+                         [(p, None) for p in pairs])
+        got = {tuple(i for idx, _V in g for i in idx) for g in groups}
         assert got == set(finest_partition(fd.design()).groups), R
 
 
@@ -421,19 +435,68 @@ def _ggroup21_interleaved():
     return LinearDesign(m=entry.design.m, entries=(e[0], e[2], e[1], e[3]))
 
 
+def _whole_growth(ld, points, sizes, start, rng):
+    """Reference growth: each candidate drawn as growth draws it, and kept
+    when the whole product, every real, still certifies."""
+    A = ld.matrices()
+    for k in range(start, len(points)):
+        while len(points[k]) < sizes[k - start]:
+            cand = float(rng.uniform(-10, 10))
+            if any(abs(cand - p) < 1e-9 for p in points[k]):
+                continue
+            units = [((j,), np.reshape(p + [cand] * (j == k), (-1, 1)))
+                     for j, p in enumerate(points)]
+            if _whole_min(A, units) > DET_TOL:
+                points[k].append(cand)
+    return tuple(tuple(sorted(p)) for p in points)
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_growth_matches_the_whole_product(seed, monkeypatch):
+def test_growth_matches_the_whole_product(seed):
+    # growth certifies only the candidate's group; by Minkowski that is
+    # the whole product's verdict, so both keep the same points
     ala = to_linear_design(catalog("alamouti").design)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    points = [[float(rng.uniform(-10, 10))] for _ in range(4)]
+    assert grow_constellation(ala, (2, 2, 2, 2), seed=seed) == \
+        _whole_growth(ala, points, (2, 2, 2, 2), 0, rng)
     gg = _ggroup21_interleaved()
     pam = pam_points(2)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    points = [list(pam), list(pam)] + [[float(rng.uniform(-10, 10))]
+                                       for _ in range(2)]
+    assert grow_with_pam_prefix(gg, 2, (pam, pam), seed=seed) == \
+        _whole_growth(gg, points, (2, 2), 2, rng)
 
-    def grow():
-        return (grow_constellation(ala, (2, 2, 2, 2), seed=seed),
-                grow_with_pam_prefix(gg, 2, (pam, pam), seed=seed))
-    got = grow()
-    monkeypatch.setattr("stbc_forge.diversity._min_abs_det_product",
-                        _whole_min)
-    assert got == grow()
+
+def test_each_verdict_reads_one_hr_orthogonality_table(monkeypatch):
+    # one table per rotation search and per growth run; a certification
+    # of an instance reads the instance's cached table
+    import stbc_forge.diversity as div
+    calls = []
+
+    def spy(A, *args):
+        calls.append(len(A))
+        return hr_orthogonal_table(A, *args)
+    monkeypatch.setattr(div, "hr_orthogonal_table", spy)
+    fd = family(2, Fraction(5, 4))
+    A, units = _family_matrices(fd), []
+    for pair in family_pairs(fd):
+        calls.clear()
+        theta = rotation_search(A, units, pair, 4)
+        assert len(calls) <= 1
+        units.append(_pair_unit(pair, 4, theta))
+    stbc = _family_auto(Fraction(5, 4))
+    calls.clear()
+    assert full_diversity_check(stbc) > DET_TOL
+    assert calls == []
+    ala = to_linear_design(catalog("alamouti").design)
+    grow_constellation(ala, (2, 2, 2, 2), seed=3)
+    assert len(calls) <= 1
+    calls.clear()
+    pam = pam_points(2)
+    grow_with_pam_prefix(_ggroup21_interleaved(), 2, (pam, pam), seed=5)
+    assert len(calls) <= 1
 
 
 def test_floor_refuses_a_group_under_the_lu_error():
@@ -445,14 +508,14 @@ def test_floor_refuses_a_group_under_the_lu_error():
         fd = family(m, 1)
         A, pair = _family_matrices(fd), family_pairs(fd)[0]
         rotated = [_pair_unit(pair, 4, 2 * np.pi * 27 / 720)]
-        assert _min_abs_det_product(A, rotated) == pytest.approx(want)
+        assert _certify(A, rotated) == pytest.approx(want)
         unrotated = [_pair_unit(pair, 4, 0.0)]
         if m == 2:
-            assert _min_abs_det_product(A, unrotated) == 0.0
+            assert _certify(A, unrotated) == 0.0
         else:
             with pytest.raises(DiversityFloorError,
                                match="floor 4.55e-13 at N=8"):
-                _min_abs_det_product(A, unrotated)
+                _certify(A, unrotated)
 
 
 def test_rotation_search_refuses_an_angle_under_the_lu_floor():
@@ -461,13 +524,43 @@ def test_rotation_search_refuses_an_angle_under_the_lu_floor():
     # the LU error floor, so the search refuses the angle itself
     fd = family(4, 1)
     A, pairs = _family_matrices(fd), family_pairs(fd)
-    first = [pairs[u] for u in _unit_groups(A, list(pairs))[0]]
+    first = [idx for idx, _V in _groups(hr_orthogonal_table(A),
+                                       [(p, None) for p in pairs])[0]]
     units = []
     for pair in first[:2]:
         units.append(_pair_unit(pair, 4, rotation_search(A, units, pair, 4)))
     with pytest.raises(DiversityFloorError,
                        match=r"group of 6 reals .* at N=16"):
         rotation_search(A, units, first[2], 4)
+
+
+@pytest.mark.parametrize("prior, pair", [
+    ([(0, 1)], (0, 1)),  # a real the prior owns
+    ([], (3, 3)),        # one real twice
+    ([], (-2, -1)),      # negative reals would wrap to 8, 9
+    ([], (9, 10)),       # past K - 1
+    ([], (0, 1, 2)),
+])
+def test_rotation_search_refuses_a_malformed_pair(prior, pair):
+    A = _family_matrices(family(2, Fraction(5, 4)))  # K = 10
+    units = [_pair_unit(p, 4, 0.5) for p in prior]
+    with pytest.raises(ValueError, match="^pair %s needs two distinct "
+                       r"reals of 0\.\.9 that no prior unit owns$"
+                       % re.escape(repr(pair))):
+        rotation_search(A, units, pair, 4)
+
+
+@pytest.mark.parametrize("prior, owned", [
+    ([(0, 1), (1, 2)], "[0, 1, 1, 2]"),
+    ([(8, 10)], "[8, 10]"),
+    ([(-1, 0)], "[-1, 0]"),
+])
+def test_rotation_search_refuses_a_malformed_prior(prior, owned):
+    A = _family_matrices(family(2, Fraction(5, 4)))
+    units = [_pair_unit(p, 4, 0.5) for p in prior]
+    with pytest.raises(ValueError, match=r"^prior units own reals %s, need "
+                       r"distinct reals of 0\.\.9$" % re.escape(owned)):
+        rotation_search(A, units, (4, 5), 4)
 
 
 def test_full_diversity_repeated_codeword_is_zero():
@@ -498,15 +591,19 @@ def test_single_cap_counts_difference_classes():
 # ---------------------------------------------------------------------------
 # constellation growth
 
+def _grown_min(ld, points):
+    """full_diversity_check of the code over grown per-real points."""
+    return full_diversity_check(STBCInstance(linear=ld, signals=SignalSet(
+        units=tuple(RealPoints(k, p) for k, p in enumerate(points)))))
+
+
 def test_grow_constellation_alamouti():
     ld = to_linear_design(catalog("alamouti").design)
     points = grow_constellation(ld, (2, 2, 2, 2), seed=0)
     assert all(len(p) == 2 for p in points)
     assert all(tuple(sorted(p)) == p for p in points)
     # certify the result independently
-    from stbc_forge.diversity import _min_det_from_points
-    assert _min_det_from_points(ld.matrices(), [list(p) for p in points]) \
-        > DET_TOL
+    assert _grown_min(ld, points) > DET_TOL
 
 
 def test_grow_constellation_rejects_singular_matrix():
@@ -534,23 +631,49 @@ def test_grow_constellation_size_checks():
     assert [len(p) for p in points] == [100] * 4
 
 
+@pytest.mark.parametrize("size", [0, -3, 1.5, "2", None])
+def test_growth_refuses_a_target_size_that_is_not_a_count(size):
+    ala = to_linear_design(catalog("alamouti").design)
+    with pytest.raises(ValueError, match="^real 0: target size %s is not "
+                       "an integer >= 1$" % re.escape(repr(size))):
+        grow_constellation(ala, (size, 2, 2, 2))
+    # the grown reals of a PAM-prefix growth are named by their index
+    pam = pam_points(2)
+    with pytest.raises(ValueError, match="^real 3: target size %s is not "
+                       "an integer >= 1$" % re.escape(repr(size))):
+        grow_with_pam_prefix(_ggroup21_interleaved(), 2, (pam, pam),
+                             sizes=(2, size))
+
+
+@pytest.mark.parametrize("pams, msg", [
+    (((), (-0.5, 0.5)), "PAM set 0 () is empty or not finite"),
+    (((-0.5, 0.5), (0.0, np.nan)), "PAM set 1 (0.0, nan) is empty or not "
+     "finite"),
+    (((0.5, -np.inf), (-0.5, 0.5)), "PAM set 0 (0.5, -inf) is empty or not "
+     "finite"),
+])
+def test_grow_with_pam_prefix_refuses_an_empty_or_non_finite_set(pams, msg):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+        grow_with_pam_prefix(_ggroup21_interleaved(), 2, pams)
+
+
 def test_growth_gives_up_after_its_retry_budget(monkeypatch):
     # with a check that certifies no candidate, each growth rejects
     # RETRIES candidates for its first grown symbol, then names it
     import stbc_forge.diversity as div
     calls = []
 
-    def certify_first_only(matrices, point_lists):
+    def certify_first_only(A, groups):
         calls.append(1)
         return 1.0 if len(calls) == 1 else 0.0
 
-    monkeypatch.setattr(div, "_min_det_from_points", lambda *a: 0.0)
+    monkeypatch.setattr(div, "_min_abs_det_product", lambda *a: 0.0)
     ld = to_linear_design(catalog("alamouti").design)
     with pytest.raises(RuntimeError, match="^growth retry budget exhausted "
                        "at symbol 0$"):
         grow_constellation(ld, (2, 2, 2, 2))
     # grow_with_pam_prefix certifies its PAM prefix first, then grows
-    monkeypatch.setattr(div, "_min_det_from_points", certify_first_only)
+    monkeypatch.setattr(div, "_min_abs_det_product", certify_first_only)
     ld = _ggroup21_interleaved()
     pam = pam_points(2)
     with pytest.raises(RuntimeError, match="^growth retry budget exhausted "
@@ -566,9 +689,7 @@ def test_grow_with_pam_prefix_ggroup21():
     points = grow_with_pam_prefix(ld, 2, (pam, pam), seed=0)
     assert points[0] == pam and points[1] == pam
     assert all(len(p) == 2 for p in points[2:])
-    from stbc_forge.diversity import _min_det_from_points
-    assert _min_det_from_points(ld.matrices(), [list(p) for p in points]) \
-        > DET_TOL
+    assert _grown_min(ld, points) > DET_TOL
 
 
 def test_grow_with_pam_prefix_rejects_bad_prefix():
