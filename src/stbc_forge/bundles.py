@@ -26,6 +26,7 @@ from .design import (Design, LinearDesign, Leaf, Cond, JOINT, HARD_LAST,
 from .diversity import rotation_search, check_class_cap, group_classes
 from .f4 import I, W2
 from .fdfgd import family, family_pairs, family_plan, predicted_complexity
+from .pauli import hr_orthogonal_table
 from .signalset import (SignalSet, PairQAM, BlockValues, pam_points,
                         pam_signal_set, qam_signal_set)
 from .simulate import STBCInstance
@@ -128,7 +129,8 @@ def assemble_stbc(fd, angles, M):
     linear = to_linear_design(fd.design())
     if isinstance(angles, str) and angles == "auto":
         A = linear.matrices()
-        for n in group_classes(A, qam_signal_set(pairs, M)):
+        for n in group_classes(hr_orthogonal_table(A),
+                               qam_signal_set(pairs, M)):
             check_class_cap(n)
         # angle per pair against the code built so far, so the final
         # code is full diversity, not just each pair in isolation

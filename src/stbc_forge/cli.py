@@ -215,7 +215,7 @@ def cmd_verify(args):
             ok = mn > DET_TOL
             note = " min_det=%.6g classes=%d checked=%d" % (
                 mn, difference_classes(stbc.signals),
-                sum(group_classes(stbc.matrices, stbc.signals)))
+                sum(group_classes(stbc.hr_orthogonal, stbc.signals)))
         print("%s: %s%s" % (suite, "PASS" if ok else "FAIL", note))
         failed = failed or not ok
     return 1 if failed else (INFEASIBLE if infeasible else 0)

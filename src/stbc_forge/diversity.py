@@ -251,13 +251,14 @@ def difference_classes(signals):
                          for u in signals.units])
 
 
-def group_classes(A, signals):
+def group_classes(orth, signals):
     """+- class count of each HR-orthogonal group of the code over the
-    signal set with weight matrices A; their sum is the number of
-    determinants full_diversity_check takes."""
+    signal set, grouped by the (K, K) HR-orthogonality table orth of its
+    weight matrices; their sum is the number of determinants
+    full_diversity_check takes."""
     units = [(u.indices, u.values()) for u in signals.units]
     return [_class_count([_unit_differences(V) for _idx, V in part])
-            for part in _groups(hr_orthogonal_table(A), units)]
+            for part in _groups(orth, units)]
 
 
 def full_diversity_check(stbc):

@@ -16,7 +16,11 @@ slowest; within a PairQAM the PAM index of a is the outer digit.  This
 fixed order is what makes lowest-index tie-breaking well defined.
 SignalSet.weights, SignalSet.table and product_sums are its one
 enumerator, behind the symbol table, the decoder's tables and the
-difference classes of certification.
+difference classes of certification.  Simulation reads no table of the
+whole codebook: SignalSet.symbols gathers a codeword's reals from its
+mixed-radix digits, and SignalSet.mean_quadratic takes codebook means
+from per-unit moments, the units being independent.  symbol_table() is
+a reference for both.
 
 A unit has indices, size, values() and axes(): (direction on its
 indices, points, digit factor) per independent real, outer first, so
@@ -167,8 +171,55 @@ class SignalSet:
                 next(product_sums(digits, math.inf)))
 
     def symbol_table(self):
-        """(count, K) array of all real-symbol vectors in enumeration order."""
+        """(count, K) array of all real-symbol vectors in enumeration order:
+        a reference, since symbols and mean_quadratic need no table."""
         return next(product_sums(self._parts(self.units)[0], math.inf))
+
+    @cached_property
+    def _digits(self):
+        """(weights (U,), sizes (U,), unit (K,), offset (K,), flat): real
+        i of codeword n is flat[offset[i] + digit of unit[i] in n], flat
+        holding each real's column of its unit's values."""
+        unit, offset, columns, start = [0] * self.K, [0] * self.K, [], 0
+        for p, u in enumerate(self.units):
+            for i, column in zip(u.indices, u.values().T):
+                unit[i], offset[i] = p, start
+                columns.append(column)
+                start += len(column)
+        flat = np.concatenate(columns)
+        if len(self.units) > 1:  # the table's sums add +0.0: -0.0 -> +0.0
+            flat += 0.0
+        return (np.array(list(self.weights.values()), dtype=np.int64),
+                np.array([u.size for u in self.units], dtype=np.int64),
+                np.array(unit, dtype=np.intp), np.array(offset, dtype=np.intp),
+                flat)
+
+    def symbols(self, index):
+        """(n, K) real-symbol vectors of the codeword indexes (n,), each
+        real gathered from its own unit's values at the unit's digit of
+        the index: symbol_table()[index] bit for bit, without the table."""
+        weights, sizes, unit, offset, flat = self._digits
+        digits = np.asarray(index, dtype=np.int64)[:, None] // weights % sizes
+        return flat[digits[:, unit] + offset]
+
+    def mean_quadratic(self, gram):
+        """E[x.gram.x] over the uniform codebook, sum_ij gram_ij E[x_i x_j]
+        for a (K, K) gram.  The units are independent, so E[x_i x_j] is a
+        moment of one unit's values inside a unit and E[x_i] E[x_j]
+        across units; every sum is math.fsum, exactly rounded and so
+        independent of the order of the terms."""
+        mean, rows, cols, moments = np.zeros(self.K), [], [], []
+        for u in self.units:
+            V, n = u.values().tolist(), u.size
+            for a, i in enumerate(u.indices):
+                mean[i] = math.fsum(v[a] for v in V) / n
+                for b, j in enumerate(u.indices):
+                    rows.append(i)
+                    cols.append(j)
+                    moments.append(math.fsum(v[a] * v[b] for v in V) / n)
+        S = np.multiply.outer(mean, mean)
+        S[rows, cols] = moments
+        return math.fsum((gram * S).ravel().tolist())
 
     def _parts(self, parts):
         """Each part's value rows among all K reals and index digits."""

@@ -120,7 +120,12 @@ word by word on scalars, runs for the whole chunk as a few uint32 array
 operations, and each PCG64 is seeded from its precomputed words.  One
 loop over the keys then draws the sent index and all of the trial's
 standard normals in one call; the codewords and the channel outputs
-Y = XH + W of the whole chunk take a fixed number of numpy calls.
+Y = XH + W of the whole chunk take a fixed number of numpy calls.  A
+codeword's reals come from the mixed-radix digits of its index
+(SignalSet.symbols), and the noise deviation from the average codeword
+energy, which the signal set's per-unit moments give exactly
+(SignalSet.mean_quadratic).  So no run builds the codebook's symbol
+table, which STBCInstance.symbol_table keeps as a reference only.
 SimConfig.workers is accepted and validated for compatibility only: it
 does not change how a run executes.  An SNR must give a finite positive
 noise deviation, at unit energy in SimConfig and at the instance's
@@ -201,15 +206,17 @@ class STBCInstance:
 
     @cached_property
     def symbol_table(self):
+        """The whole codebook's real-symbol vectors, a reference that
+        nothing in simulate reads; built on first use."""
         return self.signals.symbol_table()
 
     @cached_property
     def average_energy(self):
-        """Empirical mean ||X||_F^2 over the whole codebook, through
-        ReTr(A_i^H A_j), the product of A's real views."""
+        """Mean ||X||_F^2 over the whole codebook, E[x.Gamma.x] with
+        Gamma_ij = ReTr(A_i^H A_j), the product of A's real views, from
+        the signal set's per-unit moments: no codebook table."""
         A = self.matrices.view(np.float64).reshape(self.linear.K, -1)
-        V = self.symbol_table
-        return float(np.mean(np.einsum("ni,ij,nj->n", V, A @ A.T, V)))
+        return self.signals.mean_quadratic(A @ A.T)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +524,9 @@ class _Cond:
 def _metric_terms(stbc, Y, H):
     """b = R.y (T, K) and G = R.R^T (T, K, K), R and y the real views of
     A_i H and Y: (T, N, n_rx); G is exactly 0 on HR-orthogonal pairs."""
-    AH = np.einsum("iab,...bc->...iac", stbc.matrices, H)
-    R = AH.view(np.float64).reshape(AH.shape[:2] + (-1,))
+    K, N = len(stbc.matrices), stbc.N
+    AH = stbc.matrices.reshape(K * N, N) @ H  # (T, K N, n_rx)
+    R = AH.view(np.float64).reshape(len(H), K, -1)
     G = R @ R.swapaxes(1, 2)
     G[:, stbc.hr_orthogonal] = 0
     return (R @ Y.view(np.float64).reshape(len(Y), -1, 1))[..., 0], G
@@ -777,7 +785,7 @@ def _draw(stbc, cfg, sigma, snr_idx, trials):
         rng = generator(pcg64(_Seeded(row)))
         sent[k] = rng.integers(count)
         rng.standard_normal(out=Z[k])
-    X = np.tensordot(stbc.symbol_table[sent], stbc.matrices, axes=(1, 0))
+    X = np.tensordot(stbc.signals.symbols(sent), stbc.matrices, axes=(1, 0))
     # Y = XH + W: Z holds the real and imaginary parts of the unit-variance
     # CSCG channel H, then those of the noise W before scaling by sigma
     H = (Z[:, 0] + 1j * Z[:, 1]) / np.sqrt(2)

@@ -1,5 +1,6 @@
 """Command line surface: file formats, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 from stbc_forge import cli
 from stbc_forge.cli import (main, format_design, parse_design, DESIGN_HEADER,
                             INFEASIBLE)
+from stbc_forge.signalset import SignalSet
 from stbc_forge.simulate import SimConfig
 
 
@@ -669,6 +671,26 @@ def test_verify_alamouti_all(tmp_path, capsys):
         assert "%s: PASS" % suite in out
 
 
+def test_verify_all_builds_two_hr_orthogonality_tables(tmp_path, capsys,
+                                                     monkeypatch):
+    # prop5 tables the file's realizations and the instance its weight
+    # matrices; the diversity line's checked= reads the instance's table
+    div, sim = (importlib.import_module("stbc_forge." + name)
+                for name in ("diversity", "simulate"))
+    p = tmp_path / "fd.txt"
+    run(capsys, "build-fd", "--m", "2", "--rate", "5/4",
+        "--angles", "0.5,0.6,0.7,0.8,0.9", "--out", str(p))
+    calls = []
+    for mod in (cli, div, sim):
+        def spy(A, *args, _real=mod.hr_orthogonal_table, _name=mod.__name__):
+            calls.append(_name)
+            return _real(A, *args)
+        monkeypatch.setattr(mod, "hr_orthogonal_table", spy)
+    code, out, _err = run(capsys, "verify", "--in", str(p))
+    assert code == 0 and "checked=" in out
+    assert sorted(calls) == ["stbc_forge.cli", "stbc_forge.simulate"]
+
+
 def test_verify_prop5_fails_on_a_mismatch(tmp_path, capsys, monkeypatch):
     # prop5 compares the realizations' numeric HR-orthogonality table with
     # the GF(4) parity table; one flipped pair must fail the suite
@@ -866,6 +888,26 @@ def test_simulate_build_fd_bundle(tmp_path, capsys):
                           "--snr", "12", "--trials", "10", "--seed", "1")
     assert code == 0
     assert "stbc-simresult v1" in out
+
+
+def test_simulate_family_r2_at_16qam(tmp_path, capsys, monkeypatch):
+    # 2^32 codewords: the draw and the energy read the signal set's
+    # units, never the 32 GiB codebook table, which is refused here
+    def refuse(self):
+        raise AssertionError("the codebook's symbol table was built")
+    monkeypatch.setattr(SignalSet, "symbol_table", refuse)
+    p = tmp_path / "fd16.txt"
+    code, _out, err = run(capsys, "build-fd", "--m", "2", "--rate", "2",
+                          "--M", "16", "--angles", ",".join(["0.5"] * 8),
+                          "--out", str(p))
+    assert code == 0, err
+    code, out, err = run(capsys, "simulate", "--in", str(p), "--decoder",
+                         "structured", "--trials", "4", "--snr", "10")
+    assert code == 0, err
+    lines = out.splitlines()
+    for line in ("codebook=4294967296", "energy=80",
+                 "structured_evals=802816"):
+        assert line in lines
 
 
 def test_seed_env_default(tmp_path, capsys, monkeypatch):

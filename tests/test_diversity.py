@@ -408,7 +408,7 @@ def test_group_classes_of_the_family():
               Fraction(3, 2): [265720]}
     for R, want in counts.items():
         stbc = _family_auto(R)
-        assert group_classes(stbc.matrices, stbc.signals) == want
+        assert group_classes(stbc.hr_orthogonal, stbc.signals) == want
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -3,6 +3,7 @@
 import gc
 import importlib
 import itertools
+import math
 import re
 import tracemalloc
 import weakref
@@ -1523,3 +1524,108 @@ def test_hard_all_is_proved_separable_when_the_plan_compiles():
     res = simulate(cfg, stbc)  # raises on any decoder disagreement
     assert [line.split("\t")[-1]
             for line in res.to_text().splitlines()[-3:]] == ["60"] * 3
+
+
+# ---------------------------------------------------------------------------
+# simulation without the codebook table
+
+# the perfbench bundles, family R=2, mixed siblings and larger QAM
+TABLE_BUNDLES = dict(ALL_BUNDLES, **{
+    "alamouti M=16": lambda: alamouti_stbc(16),
+    "alamouti M=64": lambda: alamouti_stbc(64),
+    "silver M=16": lambda: silver_stbc(16)})
+
+
+def _refuse_the_table(self):
+    raise AssertionError("the codebook's symbol table was built")
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_BUNDLES))
+def test_symbols_are_the_symbol_table_rows(name):
+    # each real gathered from its own unit at the unit's digit of the
+    # index is the table's entry bit for bit, in any index order
+    sig = TABLE_BUNDLES[name]().signals
+    idx = np.random.default_rng(3).permutation(sig.count)
+    assert _same_bits(sig.symbols(idx), sig.symbol_table()[idx])
+
+
+def test_symbols_keep_the_tables_signed_zeros():
+    # the table adds the other units' zeros, which turns -0.0 into +0.0;
+    # a single unit's table adds nothing and keeps it
+    one = SignalSet(units=(RealPoints(0, (-1.0, -0.0, 1.0)),))
+    two = SignalSet(units=(RealPoints(0, (-1.0, -0.0, 1.0)),
+                           RealPoints(1, (-0.0, 2.0))))
+    for sig, signed in ((one, True), (two, False)):
+        idx = np.arange(sig.count)[::-1]
+        got = sig.symbols(idx)
+        assert _same_bits(got, sig.symbol_table()[idx])
+        assert np.signbit(got[got == 0]).all() == signed
+
+
+def _ulps(a, b):
+    return abs(int(np.float64(a).view(np.int64))
+               - int(np.float64(b).view(np.int64)))
+
+
+def _real_gram(stbc):
+    A = stbc.matrices.view(np.float64).reshape(stbc.linear.K, -1)
+    return A @ A.T
+
+
+@pytest.mark.parametrize("M", [4, 16])
+@pytest.mark.parametrize("m, R", [(2, 1), (2, Fraction(5, 4)), (2, 2),
+                                  (3, 1)])
+def test_pauli_family_energy_is_n_times_the_real_moments(m, R, M):
+    # Gamma = N I on phased Paulis, so E||X||^2 = N sum_i E[x_i^2] with
+    # no cross term, and exact sums leave no rounding to differ in; at
+    # M = 16 and R = 2 the codebook has 2^32 codewords and no table
+    fd = family(m, R)
+    stbc = assemble_stbc(fd, [0.3 + 0.1 * k for k in range(fd.K // 2)], M)
+    K = stbc.linear.K
+    assert np.array_equal(_real_gram(stbc), stbc.N * np.eye(K))
+    second = [math.fsum(c * c) / u.size
+              for u in stbc.signals.units for c in u.values().T]
+    assert len(second) == K
+    assert stbc.average_energy == stbc.N * math.fsum(second)
+
+
+def _coupled():
+    """Five random complex weight matrices (a full Gamma) over units of
+    nonzero mean, so every cross term E[x_i] E[x_j] counts."""
+    rng = np.random.default_rng(43)
+    A = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    rows = rng.standard_normal((6, 2)) + 1.0
+    signals = SignalSet(units=(RealPoints(0, (0.5, 1.0, 3.0)),
+                               PairQAM((1, 3), 16, 0.2),
+                               BlockValues((2, 4), tuple(map(tuple, rows)))))
+    entries = tuple(LDEntry("x%d" % (k + 1), A[k]) for k in range(5))
+    return STBCInstance(linear=LinearDesign(m=1, entries=entries),
+                        signals=signals)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_BUNDLES) + ["coupled",
+                                                          "one unit"])
+def test_average_energy_is_the_table_mean_within_4_ulp(name):
+    build = {"coupled": _coupled, "one unit": _one_unit}.get(name)
+    stbc = (build or TABLE_BUNDLES[name])()
+    V = stbc.symbol_table
+    want = float(np.mean(np.einsum("ni,ij,nj->n", V, _real_gram(stbc), V)))
+    assert _ulps(stbc.average_energy, want) <= 4
+
+
+def test_simulate_reads_no_codebook_table(monkeypatch):
+    # the draw and the energy read the signal set's units: family R=2 at
+    # 16-QAM (2^32 codewords, a 32 GiB table) simulates, and no run of
+    # the sim-small bundles builds or caches a table
+    monkeypatch.setattr(SignalSet, "symbol_table", _refuse_the_table)
+    big = assemble_stbc(family(2, 2), [0.5] * 8, 16)
+    cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=4, seed=1,
+                    decoder="structured")
+    res = simulate(cfg, big)
+    assert (res.codebook, "%.12g" % res.energy, res.structured_evals) == \
+        (2 ** 32, "80", 802816)
+    assert "symbol_table" not in vars(big)
+    for name, build in sorted(BATCH_BUNDLES.items()):
+        stbc = build()
+        simulate(replace(cfg, snr_db=(0.0, 10.0), decoder="both"), stbc)
+        assert "symbol_table" not in vars(stbc), name
