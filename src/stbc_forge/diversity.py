@@ -30,15 +30,17 @@ governs certification, `verify`, the rotation search and the finished
 code of an auto-angle build.  Constellation growth bounds each group of
 the grown code by q(q-1)+1 differences per q-point real before it starts.
 
-A minimum is compared with DET_TOL, absolute, at N <= 4.  At N >= 8 a
-computed determinant's LU backward error grows like N eps ||D||_2^N, so
-a group's minimum also has to clear the floor N eps beta^N, where
-beta = sum_k max|dx_k| ||A_k||_2 over the group's reals bounds ||D||_2
-(||A_k||_2 = 1 for family codes).  A group at or below its floor raises
-DiversityFloorError: its minimum certifies neither way, and `verify`
-reports the suite infeasible.  m=3 R=1 (floor ~1e-9, minimum 0.037)
-certifies; m=4 R=1 (floors of order 1 against minima near 1e-6) does
-not.
+At N = 2 and 4 a determinant is a closed-form sum of products of 2x2
+minors, exact on Gaussian-integer entries; other N take an LU
+factorization.  A minimum is compared with DET_TOL, absolute, at N <= 4.
+At N >= 8 a computed determinant's LU backward error grows like
+N eps ||D||_2^N, so a group's minimum also has to clear the floor
+N eps beta^N, where beta = sum_k max|dx_k| ||A_k||_2 over the group's
+reals bounds ||D||_2 (||A_k||_2 = 1 for family codes).  A group at or
+below its floor raises DiversityFloorError: its minimum certifies
+neither way, and `verify` reports the suite infeasible.  m=3 R=1 (floor
+~1e-9, minimum 0.037) certifies; m=4 R=1 (floors of order 1 against
+minima near 1e-6) does not.
 
 Rotating each QAM pair by a suitable angle achieves full diversity when
 the pair matrices combine to a full-rank matrix.  The prior code is
@@ -46,8 +48,12 @@ given as units.  Only the prior units in the pair's own group combine
 with it; every other group enters through the prior's minimum.  For
 each class D of the own-group prior (and zero) and each QAM difference
 w, det(D + e^{it} w B+ + e^{-it} w* B-) is a Laurent polynomial of
-degree <= N in e^{it}: 2N+1 samples and one FFT give its coefficients
-exactly, and one matrix product evaluates it on the whole angle grid.
+degree <= N in e^{it}.  Its coefficients come from det(D + s B+ + t B-),
+of degree <= N in s and in t: (N+1)^2 samples on a grid of radius max|w|
+and one 2-D FFT give that polynomial's coefficients, and one product
+with a fixed monomial matrix gives every w's Laurent coefficients, so a
+class takes (N+1)^2 determinants however many differences the QAM has.
+One more matrix product evaluates them on the whole angle grid.
 The square-QAM difference set is invariant under multiplication by i,
 so the minimum |det| has period pi/2 and only the GRID / 4 grid angles
 in (0, pi/2] are evaluated, in one pass over one fixed grid.  The search
@@ -133,11 +139,49 @@ def cubic_shaping_check(gm, tol=1e-9):
 
 
 def _det_batch(A):
-    """Determinants of a (..., n, n) stack; explicit for n = 2."""
+    """Determinants of a (..., n, n) stack; explicit for n = 2 and 4."""
     n = A.shape[-1]
     if n == 2:
         return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    if n == 4:
+        return _det4(A)
     return np.linalg.det(A)
+
+
+# Laplace expansion of a 4x4 determinant along rows 0, 1: the column
+# pairs of each 2x2 minor of rows 0, 1 and of its complementary minor of
+# rows 2, 3, the sign (-1)^(j + k + 1) folded into the first pair's order
+_LAPLACE = (((0, 1), (2, 3)), ((2, 0), (1, 3)), ((0, 3), (1, 2)),
+            ((1, 2), (0, 3)), ((3, 1), (0, 2)), ((2, 3), (0, 1)))
+# 4x4 matrices per slice of _det4: 1 MiB of stack and 64 KiB temporaries
+# stay in cache, 2-3x faster than whole-stack temporaries at 8,100 and
+# 65,536 matrices
+_DET4_ROWS = 4096
+
+
+def _det4(A):
+    """Determinants of a (..., 4, 4) stack: six products of 2x2 minors,
+    each an array over a slice of _DET4_ROWS matrices built from column
+    views.  Exact on Gaussian-integer entries, so a singular integer
+    difference gives 0.0."""
+    flat = A.reshape(-1, 4, 4)
+    out = np.empty(len(flat), complex)
+    (p0, q0), *rest = _LAPLACE
+    for i in range(0, len(flat), _DET4_ROWS):
+        col = [flat[i:i + _DET4_ROWS, :, j] for j in range(4)]
+        det = out[i:i + _DET4_ROWS]
+        np.multiply(_minor(col, 0, *p0), _minor(col, 2, *q0), out=det)
+        for p, q in rest:
+            det += _minor(col, 0, *p) * _minor(col, 2, *q)
+    return out.reshape(A.shape[:-2])
+
+
+def _minor(col, r, j, k):
+    """The 2x2 minor of rows r, r + 1 and columns j, k over a stack given
+    by its (n, 4) columns."""
+    m = col[j][:, r] * col[k][:, r + 1]
+    m -= col[k][:, r] * col[j][:, r + 1]
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -278,24 +322,37 @@ def full_diversity_check(stbc):
 # ---------------------------------------------------------------------------
 # rotation search
 
-def _pair_dets(D, dz, Bp, Bm):
-    """det(D_i + dz_j Bp + conj(dz_j) Bm) as a (len(D), len(dz)) array."""
-    P = dz[:, None, None] * Bp + np.conj(dz)[:, None, None] * Bm
-    step = max(1, _BLOCK // P.size)
-    out = np.empty((len(D), len(dz)), complex)
-    for i in range(0, len(D), step):
-        out[i:i + step] = _det_batch(D[i:i + step, None] + P[None])
-    return out
-
-
 def _laurent_coefficients(D, w, Bp, Bm):
     """One row per (D_i, w_j): the coefficients c_k, k = 0..N, -N..-1
-    (FFT order), of det(D_i + z w_j Bp + conj(w_j) Bm / z) = sum c_k z^k,
-    from its values at the 2N+1 roots of unity."""
-    L = 2 * Bp.shape[-1] + 1
-    z = np.exp(2j * np.pi * np.arange(L) / L)
-    samples = _pair_dets(D, (w[:, None] * z).ravel(), Bp, Bm)
-    return np.fft.fft(samples.reshape(-1, L), axis=1) / L
+    (FFT order), of det(D_i + z w_j Bp + conj(w_j) Bm / z) = sum c_k z^k.
+
+    f(s, t) = det(D_i + s Bp + t Bm) has total degree <= N, so its values
+    at s = rho omega^a, t = rho omega^b, a, b = 0..N,
+    omega = e^{2 pi i / (N + 1)}, rho = max |w_j|, and one 2-D FFT give
+    its coefficients C_ab; then c_k = sum_{a - b = k} C_ab
+    w_j^a conj(w_j)^b is one product with a fixed monomial matrix.  That
+    is (N + 1)^2 determinants per D_i, whatever the number of w_j."""
+    N = Bp.shape[-1]
+    n = N + 1
+    rho = float(np.abs(w).max())
+    u = rho * np.exp(2j * np.pi * np.arange(n) / n)
+    F = _det_batch(D[:, None, None] + (u[:, None, None, None] * Bp
+                                       + u[None, :, None, None] * Bm))
+    C = np.fft.fft2(F).reshape(len(D), n * n)
+    return (C @ _monomials(w / rho, N)).reshape(-1, 2 * N + 1)
+
+
+def _monomials(v, N):
+    """The ((N + 1)^2, len(v) (2N + 1)) matrix taking the 2-D FFT of an
+    (N + 1) x (N + 1) grid, index (a, b), to Laurent coefficients, index
+    (j, k) with k in FFT order: v_j^a conj(v_j)^b / (N + 1)^2 at
+    k = a - b, for the a + b <= N within the determinant's degree."""
+    n, L = N + 1, 2 * N + 1
+    a, b = np.divmod(np.arange(n * n), n)
+    out = np.zeros((n * n, len(v), L), complex)
+    for i in np.flatnonzero(a + b <= N):
+        out[i, :, (a[i] - b[i]) % L] = v ** a[i] * np.conj(v) ** b[i]
+    return out.reshape(n * n, -1) / (n * n)
 
 
 def _grid_min(coeffs, thetas):
@@ -358,7 +415,9 @@ def rotation_search(A, units, pair, M):
     Bp = (A1 - 1j * A2) / 2.0
     Bm = (A1 + 1j * A2) / 2.0
     N = A.shape[-1]
-    rows = max(1, _BLOCK // (len(w) * (2 * N + 1)))
+    # prior classes per block: their (N+1)^2 samples and their Laurent
+    # rows each fit _BLOCK
+    rows = max(1, _BLOCK // max((N + 1) ** 2 * N * N, len(w) * (2 * N + 1)))
     # a prior that is not full diversity cannot be rescued by any angle
     if best_min > DET_TOL:
         thetas = 2 * np.pi * np.arange(1, GRID // 4 + 1) / GRID

@@ -17,7 +17,7 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   DiversityCapError, DiversityFloorError,
                                   DET_TOL, DIFF_CAP, GRID, TIE_RTOL,
                                   _class_blocks, _grid_min,
-                                  _laurent_coefficients, _pair_dets,
+                                  _laurent_coefficients,
                                   _min_abs_det_product, _det_batch,
                                   _unit_differences, _groups)
 from stbc_forge.fdfgd import (build_base, puncture, extend, family,
@@ -322,13 +322,86 @@ def test_interpolated_det_equals_direct(which, theta):
     L = coeffs.shape[1]
     k = np.fft.fftfreq(L, 1.0 / L)
     interp = coeffs @ np.exp(1j * k * theta)
-    direct = _pair_dets(D, np.exp(1j * theta) * w, Bp, Bm).ravel()
+    dz = np.exp(1j * theta) * w
+    direct = np.linalg.det(D[:, None] + dz[:, None, None] * Bp
+                           + np.conj(dz)[:, None, None] * Bm).ravel()
     # relative to the polynomial's scale sum |c_k| >= max |det| on the
     # circle: near a root no finite-precision method is relatively exact
     scale = np.abs(coeffs).sum(axis=1)
     assert np.all(np.abs(interp - direct) <= 1e-9 * scale)
     assert abs(np.abs(interp).min() - np.abs(direct).min()) \
         <= 1e-9 * max(np.abs(direct).min(), 1e-3 * scale.max())
+
+
+def _laurent_reference(D, w, Bp, Bm):
+    """Laurent rows by direct sampling: for each (D_i, w_j), an FFT of
+    det(D_i + z w_j Bp + conj(w_j) Bm / z) at the 2N+1 roots of unity."""
+    L = 2 * Bp.shape[-1] + 1
+    dz = (w[:, None] * np.exp(2j * np.pi * np.arange(L) / L)).ravel()
+    samples = np.linalg.det(D[:, None] + dz[:, None, None] * Bp
+                            + np.conj(dz)[:, None, None] * Bm)
+    return np.fft.fft(samples.reshape(-1, L), axis=1) / L
+
+
+def _coefficient_case(N, M):
+    """(D, Bp, Bm): zero and the classes of one prior pair at 0.5, against
+    the next pair, of the N = 2 diagonal design or the m = 2, 3 family."""
+    if N == 2:
+        A, pairs = _ciod_matrices(), ((0, 1), (2, 3))
+    else:
+        fd = build_base({4: 2, 8: 3}[N])
+        A, pairs = _family_matrices(fd), family_pairs(fd)
+    D = np.concatenate([np.zeros((1, N, N), complex),
+                        *_class_blocks(A, [_pair_unit(pairs[0], M, 0.5)])])
+    A1, A2 = A[pairs[1][0]], A[pairs[1][1]]
+    return D, (A1 - 1j * A2) / 2, (A1 + 1j * A2) / 2
+
+
+@pytest.mark.parametrize("M", [4, 16])
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_bivariate_coefficients_equal_direct_sampling(N, M):
+    # (N+1)^2 samples of det(D + s Bp + t Bm) per D give every w's Laurent
+    # row, in the (D_i, w_j) row order and FFT column order of the
+    # reference's 2N+1 direct samples per (D_i, w_j)
+    D, Bp, Bm = _coefficient_case(N, M)
+    w = _qam_diffs(M)
+    got = _laurent_coefficients(D, w, Bp, Bm)
+    want = _laurent_reference(D, w, Bp, Bm)
+    assert got.shape == want.shape == (len(D) * len(w), 2 * N + 1)
+    scale = np.abs(want).sum(axis=1)
+    assert np.all(np.abs(got - want) <= 1e-9 * scale[:, None])
+
+
+def test_grid_pass_takes_n_plus_1_squared_determinants_per_class(
+        monkeypatch):
+    # the last pair of m=2 R=5/4 searches over zero and its group's
+    # (9^3 - 1) / 2 = 364 prior classes, in blocks of 324, 36 and 4:
+    # (N+1)^2 = 25 determinants each, where sampling each of the 8 QAM
+    # differences at 2N+1 points took 72 (26,280 in all)
+    import stbc_forge.diversity as div
+    asked, grid = [], []
+    det, laurent = div._det_batch, div._laurent_coefficients
+
+    def det_spy(A):
+        if grid:
+            asked.append(int(np.prod(A.shape[:-2])))
+        return det(A)
+
+    def laurent_spy(*args):
+        grid.append(True)
+        try:
+            return laurent(*args)
+        finally:
+            grid.pop()
+    monkeypatch.setattr(div, "_det_batch", det_spy)
+    monkeypatch.setattr(div, "_laurent_coefficients", laurent_spy)
+    fd = family(2, Fraction(5, 4))
+    *prior, last = family_pairs(fd)
+    units = [_pair_unit(p, 4, 2 * np.pi * 27 / GRID) for p in prior]
+    theta = rotation_search(_family_matrices(fd), units, last, 4)
+    assert theta == 2 * np.pi * 72 / GRID
+    assert asked == [25, 25 * 324, 25 * 36, 25 * 4]
+    assert sum(asked) == 9125
 
 
 def test_rotation_search_rank_deficient_pair():
@@ -369,6 +442,44 @@ def test_full_diversity_equals_pairwise(make):
 
 # ---------------------------------------------------------------------------
 # certification one HR-orthogonal group at a time
+
+def _det4_stacks(seed):
+    # 5,000 matrices take two of _det4's slices
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in ((5000, 4, 4), (3, 7, 4, 4))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_det_batch_4x4_equals_lapack(seed):
+    for A in _det4_stacks(seed):
+        got, want = _det_batch(A), np.linalg.det(A)
+        assert got.shape == want.shape == A.shape[:-2]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_det_batch_4x4_is_exact_on_gaussian_integers():
+    rng = np.random.default_rng(7)
+    A = (rng.integers(-6, 7, (500, 4, 4))
+         + 1j * rng.integers(-6, 7, (500, 4, 4)))
+    # the reference: Laplace expansion along row 0 in Python complex
+    # arithmetic, exact here, as every partial result is a small integer
+    def det(M):
+        if len(M) == 1:
+            return M[0][0]
+        return sum((-1) ** j * M[0][j] * det([r[:j] + r[j + 1:]
+                                              for r in M[1:]])
+                   for j in range(len(M)))
+    ints = [[[complex(int(x.real), int(x.imag)) for x in r] for r in M]
+            for M in A]
+    assert _det_batch(A).tolist() == [det(M) for M in ints]
+    # singular: a repeated row, a zero column, a row sum of two others
+    S = A[:3].copy()
+    S[0, 3] = S[0, 1]
+    S[1, :, 2] = 0
+    S[2, 0] = S[2, 1] + S[2, 2]
+    assert _det_batch(S).tolist() == [0.0, 0.0, 0.0]
+
 
 def _whole_min(A, units):
     """min |det| over the classes of the whole product, the reference."""
