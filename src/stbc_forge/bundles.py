@@ -23,10 +23,9 @@ from .constructions import catalog, SILVER_U
 from .design import (Design, LinearDesign, Leaf, Cond, JOINT, HARD_LAST,
                      HARD_ALL, from_groups, groups_of, qam_side,
                      to_linear_design)
-from .diversity import rotation_search, check_class_cap, group_classes
+from .diversity import rotation_search
 from .f4 import I, W2
 from .fdfgd import family, family_pairs, family_plan, predicted_complexity
-from .pauli import hr_orthogonal_table
 from .signalset import (SignalSet, PairQAM, BlockValues, pam_points,
                         pam_signal_set, qam_signal_set)
 from .simulate import STBCInstance
@@ -118,26 +117,14 @@ def silver_stbc(M, R=Fraction(2)):
 def assemble_stbc(fd, angles, M):
     """STBC of the family design: paired rotated QAM plus the family plan.
 
-    angles: one theta per pair (in family_pairs order), or "auto" to run
-    the rotation search pair by pair, each against the units of the pairs
-    searched before it.  "auto" first checks the class count of each
-    HR-orthogonal group of the finished code against DIFF_CAP and raises
-    DiversityCapError when its certification would be refused, before
-    any search.
+    angles: one theta per pair (in family_pairs order), or "auto" for one
+    rotation search over all the pairs, which refuses a code over DIFF_CAP
+    before any search and makes the finished code full diversity.
     """
     pairs = family_pairs(fd)
     linear = to_linear_design(fd.design())
     if isinstance(angles, str) and angles == "auto":
-        A = linear.matrices()
-        for n in group_classes(hr_orthogonal_table(A),
-                               qam_signal_set(pairs, M)):
-            check_class_cap(n)
-        # angle per pair against the code built so far, so the final
-        # code is full diversity, not just each pair in isolation
-        units, thetas = [], []
-        for pair in pairs:
-            thetas.append(rotation_search(A, units, pair, M))
-            units.append((pair, PairQAM(pair, M, thetas[-1]).values()))
+        thetas = rotation_search(linear.matrices(), [], pairs, M)
     else:
         thetas = list(angles)
         if len(thetas) != len(pairs):

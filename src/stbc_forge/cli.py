@@ -14,6 +14,7 @@ simulate).
 
 import argparse
 import os
+import re
 import sys
 
 from .f4 import parse_vec, format_vec, O, I, W, W2
@@ -109,7 +110,7 @@ def _catalog_params(name, tokens):
     params = {}
     for tok in tokens:
         k, _eq, v = tok.partition("=")
-        if k not in takes or not v.strip().lstrip("+-").isdecimal():
+        if k not in takes or not re.fullmatch(r"[+-]?\d+", v.strip()):
             raise ValueError("bad parameter %r for %s, which takes %s"
                              % (tok, name, " ".join("%s=<int>" % p
                                                     for p in takes)

@@ -43,24 +43,25 @@ neither way, and `verify` reports the suite infeasible.  m=3 R=1 (floor
 minima near 1e-6) does not.
 
 Rotating each QAM pair by a suitable angle achieves full diversity when
-the pair matrices combine to a full-rank matrix.  The prior code is
-given as units.  Only the prior units in the pair's own group combine
-with it; every other group enters through the prior's minimum.  For
-each class D of the own-group prior (and zero) and each QAM difference
-w, det(D + e^{it} w B+ + e^{-it} w* B-) is a Laurent polynomial of
-degree <= N in e^{it}.  Its coefficients come from det(D + s B+ + t B-),
-of degree <= N in s and in t: (N+1)^2 samples on a grid of radius max|w|
-and one 2-D FFT give that polynomial's coefficients, and one product
-with a fixed monomial matrix gives every w's Laurent coefficients, so a
-class takes (N+1)^2 determinants however many differences the QAM has.
-One more matrix product evaluates them on the whole angle grid.
-The square-QAM difference set is invariant under multiplication by i,
-so the minimum |det| has period pi/2 and only the GRID / 4 grid angles
-in (0, pi/2] are evaluated, in one pass over one fixed grid.  The search
-takes the smallest grid angle whose minimum |det| is within a relative
-TIE_RTOL of the best and accepts it only through the group certifier,
-run on the pair's own group with the rotated pair's values: DET_TOL,
-DIFF_CAP and, at N >= 8, the LU error floor, as in every other verdict.
+the pair matrices combine to a full-rank matrix.  One rotation search
+takes a prior code, given as units, and all of a code's pairs, each
+searched against the prior and the pairs before it.  It reads one
+HR-orthogonality table, checks each group of the finished code against
+DIFF_CAP before any search and certifies each prior group once; a group
+keeps its minimum until a pair joins it.  Only the units in the pair's
+own group combine with it; every other group enters through its minimum.
+For each class D of the own group (and zero) and each QAM difference w,
+det(D + e^{it} w B+ + e^{-it} w* B-) is a Laurent polynomial of degree
+<= N in e^{it}, whose coefficients for every w take (N+1)^2 determinants
+and one 2-D FFT (_laurent_coefficients); one more matrix product
+evaluates them on the angle grid.  The square-QAM difference set is
+invariant under multiplication by i, so the minimum |det| has period
+pi/2 and only the GRID / 4 grid angles in (0, pi/2] are evaluated, in
+one pass.  The search takes the smallest grid angle whose minimum |det|
+is within a relative TIE_RTOL of the best and accepts it only through
+the group certifier on the pair's own group with the rotated pair's
+values, whose minimum the merged group then carries: DET_TOL, DIFF_CAP
+and, at N >= 8, the LU error floor, as in every other verdict.
 Every auto-angle family code that builds finds its angles on this grid.
 Arbitrary per-real point sets achieving full diversity are grown
 greedily: a sampled point changes only its real's group, every other
@@ -215,7 +216,7 @@ def _class_count(diffs):
     return total
 
 
-def check_class_cap(n):
+def _check_class_cap(n):
     """Raise DiversityCapError when n +- classes exceed DIFF_CAP."""
     if n > DIFF_CAP:
         raise DiversityCapError("%d difference classes exceed the cap of %d"
@@ -229,7 +230,7 @@ def _class_blocks(A, units, rows=None):
     count) matrices, 16 MiB by default.  The class count is checked
     against DIFF_CAP on the call, before any class is allocated."""
     diffs = [_unit_differences(V) for _idx, V in units]
-    check_class_cap(_class_count(diffs))
+    _check_class_cap(_class_count(diffs))
     return _blocks(A, units, diffs, rows)
 
 
@@ -366,78 +367,89 @@ def _grid_min(coeffs, thetas):
     return out
 
 
-def rotation_search(A, units, pair, M):
-    """Angle making the prior code extended by an e^{i theta} QAM pair
-    full diversity.
+def rotation_search(A, units, pairs, M):
+    """Angles making the prior code extended by e^{i theta} M-QAM pairs
+    full diversity, one per pair, searched in the given order.
 
     The prior is the code over the (indices, values) units, the zero
     codeword when there are none; pair = (i_I, i_Q) names the weight
-    matrices of the rotated M-QAM symbol.  Maximizes the minimum |det|
-    over the extended code's differences on the grid
-    theta_k = 2 pi k / GRID, k = 1..GRID / 4: min(c, own(theta)), where
-    c is the prior's minimum and own(theta) the minimum over zero or a
-    class of the prior units in the pair's HR-orthogonal group (from the
-    certification enumerator, in blocks and under DIFF_CAP) plus a QAM
-    difference.  By Minkowski's inequality a difference with a part in
-    another group is no smaller than that part, so c covers it.
-    Takes the smallest grid angle within a relative TIE_RTOL of the best
-    minimum and returns it when the certifier, on the prior's units in
-    the pair's group plus the pair at that angle, finds a minimum above
-    DET_TOL.  Raises ValueError naming the failed minimum (and angle)
-    otherwise; the certifier itself raises DiversityCapError for a group
-    over DIFF_CAP and, at N >= 8, DiversityFloorError for a minimum
-    under the group's LU error floor.  A pair that is not two distinct
-    reals of 0..K-1 outside the prior's, or a prior whose units do not
-    own distinct reals of 0..K-1, is refused with a ValueError.
+    matrices of a rotated symbol, searched against the prior plus the
+    pairs before it.  Raises DiversityCapError before any search when a
+    group of the finished code (the prior plus every pair, unrotated)
+    exceeds DIFF_CAP.  Each pair takes the smallest grid angle
+    2 pi k / GRID, k = 1..GRID / 4, within a relative TIE_RTOL of the
+    best min(c, own(theta)): c the smallest minimum of the current
+    groups, own(theta) that over zero or a class of the units in the
+    pair's group plus a QAM difference.  The angle stands when the
+    certifier finds that group plus the rotated pair above DET_TOL, and
+    the merged group carries the minimum; a ValueError names the failed
+    minimum (and angle) otherwise, and at N >= 8 the certifier raises
+    DiversityFloorError under the group's LU error floor.  A prior whose
+    units do not own distinct reals of 0..K-1, a pair that is not two
+    distinct reals outside the prior's and the earlier pairs', and a
+    pair with A1 + i A2 rank deficient are refused with a ValueError
+    before any search.
     """
     A = np.asarray(A, complex)
     owned = [i for idx, _V in units for i in idx]
     if not _distinct_reals(owned, len(A)):
         raise ValueError("prior units own reals %r, need distinct reals of "
                          "0..%d" % (owned, len(A) - 1))
-    if len(pair) != 2 or not _distinct_reals(owned + list(pair), len(A)):
-        raise ValueError("pair %r needs two distinct reals of 0..%d that no "
-                         "prior unit owns" % (tuple(pair), len(A) - 1))
-    A1, A2 = A[pair[0]], A[pair[1]]
-    sv = np.linalg.svd(A1 + 1j * A2, compute_uv=False)
-    if sv[-1] <= DET_TOL:
-        raise ValueError("A1 + i*A2 is rank deficient; no angle can work")
+    for pair in pairs:
+        owned += list(pair)
+        if len(pair) != 2 or not _distinct_reals(owned, len(A)):
+            raise ValueError("pair %r needs two distinct reals of 0..%d that "
+                             "no prior unit owns" % (tuple(pair), len(A) - 1))
+        sv = np.linalg.svd(A[pair[0]] + 1j * A[pair[1]], compute_uv=False)
+        if sv[-1] <= DET_TOL:
+            raise ValueError("A1 + i*A2 is rank deficient; no angle can work")
     orth = hr_orthogonal_table(A)
-    best_min = _min_abs_det_product(A, _groups(orth, units))
-    # the prior units in the pair's group: the group ending in the
-    # unrotated pair, whose nonzero differences are x_I + i x_Q
-    probe = units + [(pair, PairQAM(pair, M).values())]
-    *own, (_pair, V) = next(g for g in _groups(orth, probe)
-                            if g[-1] is probe[-1])
-    d, _pick = _unit_differences(V)
+    unrotated = [(pair, PairQAM(pair, M).values()) for pair in pairs]
+    units, found = list(units), []
+    for g in _groups(orth, units + unrotated):
+        _check_class_cap(_class_count([_unit_differences(V) for _i, V in g]))
+    least = {}  # each unit's group minimum, keyed by the unit's first real
+    for group in _groups(orth, units):
+        least.update(dict.fromkeys([idx[0] for idx, _V in group],
+                                   _min_abs_det_product(A, [group])))
+    # the nonzero differences x_I + i x_Q of the unrotated M-QAM
+    d, _pick = _unit_differences(PairQAM((0, 1), M).values())
     w = d[d.any(axis=1)].view(complex)[:, 0]
-    # half of A1 -+ i A2: x_I A1 + x_Q A2 = z*Bp + conj(z)*Bm
-    Bp = (A1 - 1j * A2) / 2.0
-    Bm = (A1 + 1j * A2) / 2.0
     N = A.shape[-1]
     # prior classes per block: their (N+1)^2 samples and their Laurent
     # rows each fit _BLOCK
     rows = max(1, _BLOCK // max((N + 1) ** 2 * N * N, len(w) * (2 * N + 1)))
-    # a prior that is not full diversity cannot be rescued by any angle
-    if best_min > DET_TOL:
-        thetas = 2 * np.pi * np.arange(1, GRID // 4 + 1) / GRID
-        mins = np.full(len(thetas), best_min)
-        for D in itertools.chain([np.zeros((1, N, N), complex)],
-                                 _class_blocks(A, own, rows)):
-            np.minimum(mins, _grid_min(_laurent_coefficients(D, w, Bp, Bm),
-                                       thetas), out=mins)
-        best_min = float(mins.max())
-        theta = float(thetas[np.argmax(mins >= best_min * (1 - TIE_RTOL))])
+    thetas = 2 * np.pi * np.arange(1, GRID // 4 + 1) / GRID
+    for unit in unrotated:
+        # the units in the pair's group, ahead of the unrotated pair
+        *own, (pair, _V) = next(g for g in _groups(orth, units + [unit])
+                                if g[-1] is unit)
+        # half of A1 -+ i A2: x_I A1 + x_Q A2 = z*Bp + conj(z)*Bm
+        A1, A2 = A[list(pair)]
+        Bp, Bm = (A1 - 1j * A2) / 2.0, (A1 + 1j * A2) / 2.0
+        best_min = min(least.values(), default=np.inf)
+        # a prior that is not full diversity cannot be rescued by any angle
         if best_min > DET_TOL:
-            direct = _min_abs_det_product(
-                A, [own + [(pair, PairQAM(pair, M, theta).values())]])
-            if direct > DET_TOL:
-                return theta
+            mins = np.full(len(thetas), best_min)
+            for D in itertools.chain([np.zeros((1, N, N), complex)],
+                                     _class_blocks(A, own, rows)):
+                np.minimum(mins, _grid_min(_laurent_coefficients(
+                    D, w, Bp, Bm), thetas), out=mins)
+            best_min = float(mins.max())
+        if best_min <= DET_TOL:
+            raise ValueError("no grid angle certifies full diversity "
+                             "(best min |det| = %.3g)" % best_min)
+        theta = float(thetas[np.argmax(mins >= best_min * (1 - TIE_RTOL))])
+        group = own + [(pair, PairQAM(pair, M, theta).values())]
+        direct = _min_abs_det_product(A, [group])
+        if direct <= DET_TOL:
             raise ValueError("no grid angle certifies full diversity "
                              "(direct min |det| = %.3g at theta = %.6g)"
                              % (direct, theta))
-    raise ValueError("no grid angle certifies full diversity "
-                     "(best min |det| = %.3g)" % best_min)
+        least.update(dict.fromkeys([idx[0] for idx, _V in group], direct))
+        units.append(group[-1])
+        found.append(theta)
+    return found
 
 
 def _distinct_reals(idx, K):
@@ -466,7 +478,7 @@ def _real_groups(orth, sizes):
     groups = [[k for (k,), _V in g]
               for g in _groups(orth, [((k,), None) for k in range(len(orth))])]
     for g in groups:
-        check_class_cap(
+        _check_class_cap(
             (math.prod(sizes[k] * (sizes[k] - 1) + 1 for k in g) - 1) // 2)
     return groups
 

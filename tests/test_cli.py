@@ -66,7 +66,12 @@ def test_catalog_show_with_params(capsys, tmp_path):
                         "m=<int>"),
     (("ggroup", "g=3", "a"), "bad parameter 'a' for ggroup, which takes "
                              "g=<int> a=<int>"),
-], ids=["no-parameters", "unknown-key", "not-an-integer", "no-value"])
+    (("scod", "m=+-5"), "bad parameter 'm=+-5' for scod, which takes "
+                        "m=<int>"),
+    (("ggroup", "g=2", "a=--1"), "bad parameter 'a=--1' for ggroup, which "
+                                 "takes g=<int> a=<int>"),
+], ids=["no-parameters", "unknown-key", "not-an-integer", "no-value",
+        "two-signs", "doubled-sign"])
 def test_catalog_show_names_a_bad_parameter(argv, message, capsys):
     code, out, err = run(capsys, "catalog", "show", *argv)
     assert code == 1 and not out
@@ -535,11 +540,13 @@ def test_build_fd_auto_angles_pinned(tmp_path, capsys):
     ("2", "2", 21523360), ("3", "5/4", 21523360)])
 def test_build_fd_auto_refused_over_the_cap(m, rate, classes, capsys,
                                             monkeypatch):
-    # the finished code could never be certified, so no pair is searched:
-    # m=2 R=2 is one group, m=3 R=5/4 has groups of 40 and 21523360 classes
+    # the finished code could never be certified, so the rotation search
+    # refuses it before its grid pass reaches any pair: m=2 R=2 is one
+    # group, m=3 R=5/4 has groups of 40 and 21523360 classes
     def no_search(*_args):
-        raise AssertionError("rotation search ran above the cap")
-    monkeypatch.setattr("stbc_forge.bundles.rotation_search", no_search)
+        raise AssertionError("a pair was searched above the cap")
+    monkeypatch.setattr("stbc_forge.diversity._laurent_coefficients",
+                        no_search)
     code, _out, err = run(capsys, "build-fd", "--m", m, "--rate", rate,
                           "--angles", "auto", "--M", "4")
     assert code == 1
@@ -560,11 +567,16 @@ def test_build_fd_refuses_m_past_max_m_before_building(m, capsys,
 
 
 def test_build_fd_auto_m3_rate1_certifies(tmp_path, capsys):
-    # 21523360 classes in all, but four groups of 40: under the cap
+    # 21523360 classes in all, but four groups of 40: under the cap; each
+    # group's second pair merges it with its first
     p = tmp_path / "m3.txt"
     code, _out, _err = run(capsys, "build-fd", "--m", "3", "--rate", "1",
                            "--angles", "auto", "--out", str(p))
     assert code == 0
+    _d, meta, _names = parse_design(p.read_text())
+    assert meta["angles"] == ("0.235619449019,0.558505360638,0.113446401380,"
+                              "0.366519142919,0.113446401380,0.366519142919,"
+                              "0.113446401380,0.366519142919")
     code, out, _err = run(capsys, "verify", "--in", str(p))
     assert code == 0
     assert ("diversity: PASS min_det=0.036929 classes=21523360 checked=160"

@@ -141,8 +141,7 @@ def test_qam_differences_come_from_the_pair_unit(M):
 
 def test_rotation_search_fixes_diagonal_design():
     A = _ciod_matrices()
-    th1 = rotation_search(A, [], (0, 1), 4)
-    th2 = rotation_search(A, [_pair_unit((0, 1), 4, th1)], (2, 3), 4)
+    th1, th2 = rotation_search(A, [], [(0, 1), (2, 3)], 4)
     entries = tuple(LDEntry(label="x%d" % (k + 1), matrix=a)
                     for k, a in enumerate(A))
     lin = LinearDesign(m=1, entries=entries)
@@ -179,17 +178,18 @@ def _brute_force_angle(prior, A1, A2, M):
 
 
 def _search_against_brute_force(A, pairs, M=4):
-    """rotation_search on units, pair by pair, equals the codeword-pair
-    reference on the same prior as a codeword list."""
+    """rotation_search over the pairs gives, for each pair, the
+    codeword-pair reference on the code of the pairs before it as a
+    codeword list."""
     N = A.shape[-1]
-    prior, units = [np.zeros((N, N), complex)], []
-    for pair in pairs:
+    prior = [np.zeros((N, N), complex)]
+    thetas = rotation_search(A, [], pairs, M)
+    assert len(thetas) == len(pairs)
+    for pair, th in zip(pairs, thetas):
         A1, A2 = A[pair[0]], A[pair[1]]
-        th = rotation_search(A, units, pair, M)
         assert th == _brute_force_angle(prior, A1, A2, M)
         assert 0 < th <= np.pi / 2
         prior = _extend(prior, A1, A2, M, th)
-        units.append(_pair_unit(pair, M, th))
 
 
 def _family_matrices(fd):
@@ -217,7 +217,7 @@ def test_rotation_search_makes_one_pass_over_the_grid(monkeypatch):
     monkeypatch.setattr("stbc_forge.diversity._grid_min", zeros)
     A = catalog("ciod", m=1).linear.matrices()
     with pytest.raises(ValueError, match="no grid angle certifies"):
-        rotation_search(A, [], (0, 1), 4)
+        rotation_search(A, [], [(0, 1)], 4)
     assert passes == [180]
 
 
@@ -226,7 +226,7 @@ def test_rotation_search_rejects_failing_prior():
     # every angle
     A = np.concatenate([_ciod_matrices()[:2], [E11]])
     with pytest.raises(ValueError, match="no grid angle"):
-        rotation_search(A, [((2,), np.array([[0.0], [1.0]]))], (0, 1), 4)
+        rotation_search(A, [((2,), np.array([[0.0], [1.0]]))], [(0, 1)], 4)
 
 
 def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
@@ -245,7 +245,7 @@ def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
         lambda c, th: _grid_min(c, th) if len(c) == n_zero else np.full_like(
             th, np.inf))
     with pytest.raises(ValueError, match="no grid angle") as exc:
-        rotation_search(A, units, (0, 1), 4)
+        rotation_search(A, units, [(0, 1)], 4)
     # the refusal reports the direct check's minimum at the grid angle
     found = re.search(r"min \|det\| = (\S+) at theta = (\S+)\)$",
                       str(exc.value))
@@ -256,13 +256,21 @@ def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
 
 def test_rotation_search_prior_under_the_cap(monkeypatch):
     # pairs 1 and 2 are HR-orthogonal, but the last pair joins them into
-    # one group, so its search reads their (9^2 - 1) / 2 = 40 classes
+    # one group: the cap is checked on that finished group's
+    # (9^3 - 1) / 2 = 364 classes before any search, and the prior's 40
+    # are a sub-product of them
     fd = build_base(2)
     A, pairs = _family_matrices(fd), family_pairs(fd)
     units = [_pair_unit(p, 4, 0.5) for p in pairs[1:3]]
+
+    def no_search(*_args):
+        raise AssertionError("a pair was searched above the cap")
+    monkeypatch.setattr("stbc_forge.diversity._laurent_coefficients",
+                        no_search)
     monkeypatch.setattr("stbc_forge.diversity.DIFF_CAP", 39)
-    with pytest.raises(DiversityCapError, match="40 difference classes"):
-        rotation_search(A, units, pairs[4], 4)
+    with pytest.raises(DiversityCapError, match="^364 difference classes "
+                       "exceed the cap of 39$"):
+        rotation_search(A, units, [pairs[4]], 4)
 
 
 def _class_keys(D):
@@ -398,7 +406,7 @@ def test_grid_pass_takes_n_plus_1_squared_determinants_per_class(
     fd = family(2, Fraction(5, 4))
     *prior, last = family_pairs(fd)
     units = [_pair_unit(p, 4, 2 * np.pi * 27 / GRID) for p in prior]
-    theta = rotation_search(_family_matrices(fd), units, last, 4)
+    [theta] = rotation_search(_family_matrices(fd), units, [last], 4)
     assert theta == 2 * np.pi * 72 / GRID
     assert asked == [25, 25 * 324, 25 * 36, 25 * 4]
     assert sum(asked) == 9125
@@ -406,7 +414,7 @@ def test_grid_pass_takes_n_plus_1_squared_determinants_per_class(
 
 def test_rotation_search_rank_deficient_pair():
     with pytest.raises(ValueError, match="rank deficient"):
-        rotation_search(np.stack([E11, 1j * E11]), [], (0, 1), 4)
+        rotation_search(np.stack([E11, 1j * E11]), [], [(0, 1)], 4)
 
 
 def test_full_diversity_alamouti():
@@ -581,8 +589,9 @@ def test_growth_matches_the_whole_product(seed):
 
 
 def test_each_verdict_reads_one_hr_orthogonality_table(monkeypatch):
-    # one table per rotation search and per growth run; a certification
-    # of an instance reads the instance's cached table
+    # one table per rotation search over all of a code's pairs and per
+    # growth run; a certification of an instance reads the instance's
+    # cached table
     import stbc_forge.diversity as div
     calls = []
 
@@ -591,12 +600,9 @@ def test_each_verdict_reads_one_hr_orthogonality_table(monkeypatch):
         return hr_orthogonal_table(A, *args)
     monkeypatch.setattr(div, "hr_orthogonal_table", spy)
     fd = family(2, Fraction(5, 4))
-    A, units = _family_matrices(fd), []
-    for pair in family_pairs(fd):
-        calls.clear()
-        theta = rotation_search(A, units, pair, 4)
-        assert len(calls) <= 1
-        units.append(_pair_unit(pair, 4, theta))
+    assert len(rotation_search(_family_matrices(fd), [], family_pairs(fd),
+                               4)) == 5
+    assert len(calls) <= 1
     stbc = _family_auto(Fraction(5, 4))
     calls.clear()
     assert full_diversity_check(stbc) > DET_TOL
@@ -608,6 +614,59 @@ def test_each_verdict_reads_one_hr_orthogonality_table(monkeypatch):
     pam = pam_points(2)
     grow_with_pam_prefix(_ggroup21_interleaved(), 2, (pam, pam), seed=5)
     assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("m, R, prior", [
+    (2, 1, 0), (2, Fraction(5, 4), 0), (2, Fraction(3, 2), 0), (3, 1, 0),
+    (2, Fraction(5, 4), 2)],
+    ids=["m2-r1", "m2-r5_4", "m2-r3_2", "m3-r1", "m2-r5_4-prior2"])
+def test_carried_minima_equal_fresh_ones(m, R, prior):
+    # one search over the pairs carries each group's certified minimum
+    # from pair to pair; one-pair searches certify their whole prior from
+    # scratch, and give the same angles bit for bit.  m=3 R=1 has four
+    # groups of two pairs, so groups merge; the last case gives the
+    # first two pairs as a prior at 3 pi / 40
+    fd = family(m, R)
+    A, pairs = _family_matrices(fd), family_pairs(fd)
+    units = [_pair_unit(p, 4, 2 * np.pi * 27 / GRID) for p in pairs[:prior]]
+    carried = rotation_search(A, units, pairs[prior:], 4)
+    fresh = []
+    for pair in pairs[prior:]:
+        fresh += rotation_search(A, units, [pair], 4)
+        units = units + [_pair_unit(pair, 4, fresh[-1])]
+    assert carried == fresh
+
+
+def test_auto_build_tables_once_and_certifies_each_pair_once(monkeypatch):
+    # one HR-orthogonality table for the search over all five pairs, and
+    # one certification per pair: the accepting one, with no prior
+    # re-certified
+    import stbc_forge.diversity as div
+    tables, certified, inside = [], [], []
+    search, table, certify = (div.rotation_search, div.hr_orthogonal_table,
+                              div._min_abs_det_product)
+
+    def search_spy(*args):
+        inside.append(True)
+        try:
+            return search(*args)
+        finally:
+            inside.pop()
+
+    def table_spy(*args):
+        tables.append(bool(inside))
+        return table(*args)
+
+    def certify_spy(*args):
+        certified.append(bool(inside))
+        return certify(*args)
+    monkeypatch.setattr("stbc_forge.bundles.rotation_search", search_spy)
+    monkeypatch.setattr(div, "hr_orthogonal_table", table_spy)
+    monkeypatch.setattr(div, "_min_abs_det_product", certify_spy)
+    stbc = assemble_stbc(family(2, Fraction(5, 4)), "auto", 4)
+    assert len(stbc.signals.units) == 5
+    assert tables.count(True) <= 1
+    assert certified == [True] * 5
 
 
 def test_floor_refuses_a_group_under_the_lu_error():
@@ -637,12 +696,9 @@ def test_rotation_search_refuses_an_angle_under_the_lu_floor():
     A, pairs = _family_matrices(fd), family_pairs(fd)
     first = [idx for idx, _V in _groups(hr_orthogonal_table(A),
                                        [(p, None) for p in pairs])[0]]
-    units = []
-    for pair in first[:2]:
-        units.append(_pair_unit(pair, 4, rotation_search(A, units, pair, 4)))
     with pytest.raises(DiversityFloorError,
                        match=r"group of 6 reals .* at N=16"):
-        rotation_search(A, units, first[2], 4)
+        rotation_search(A, [], first[:3], 4)
 
 
 @pytest.mark.parametrize("prior, pair", [
@@ -653,12 +709,15 @@ def test_rotation_search_refuses_an_angle_under_the_lu_floor():
     ([], (0, 1, 2)),
 ])
 def test_rotation_search_refuses_a_malformed_pair(prior, pair):
+    # the prior's pairs given as prior units, or as pairs searched before
+    # the malformed one in the same call
     A = _family_matrices(family(2, Fraction(5, 4)))  # K = 10
     units = [_pair_unit(p, 4, 0.5) for p in prior]
-    with pytest.raises(ValueError, match="^pair %s needs two distinct "
-                       r"reals of 0\.\.9 that no prior unit owns$"
-                       % re.escape(repr(pair))):
-        rotation_search(A, units, pair, 4)
+    for given, earlier in ((units, []), ([], list(prior))):
+        with pytest.raises(ValueError, match="^pair %s needs two distinct "
+                           r"reals of 0\.\.9 that no prior unit owns$"
+                           % re.escape(repr(pair))):
+            rotation_search(A, given, earlier + [pair], 4)
 
 
 @pytest.mark.parametrize("prior, owned", [
@@ -671,7 +730,7 @@ def test_rotation_search_refuses_a_malformed_prior(prior, owned):
     units = [_pair_unit(p, 4, 0.5) for p in prior]
     with pytest.raises(ValueError, match=r"^prior units own reals %s, need "
                        r"distinct reals of 0\.\.9$" % re.escape(owned)):
-        rotation_search(A, units, (4, 5), 4)
+        rotation_search(A, units, [(4, 5)], 4)
 
 
 def test_full_diversity_repeated_codeword_is_zero():
