@@ -17,10 +17,12 @@ fixed order is what makes lowest-index tie-breaking well defined.
 SignalSet.weights, SignalSet.table and product_sums are its one
 enumerator, behind the symbol table, the decoder's tables and the
 difference classes of certification.  Simulation reads no table of the
-whole codebook: SignalSet.symbols gathers a codeword's reals from its
-mixed-radix digits, and SignalSet.mean_quadratic takes codebook means
-from per-unit moments, the units being independent.  symbol_table() is
-a reference for both.
+whole codebook past _LEVEL_ROWS codewords: SignalSet.symbols splits a
+codeword index into the digits of levels (runs of consecutive units
+with at most _LEVEL_ROWS joint values, one table each) and sums the
+levels' rows, and SignalSet.mean_quadratic takes codebook means from
+per-unit moments, the units being independent.  symbol_table() is a
+reference for both.
 
 A unit has indices, size, values() and axes(): (direction on its
 indices, points, digit factor) per independent real, outer first, so
@@ -36,6 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from .design import qam_side
+
+_LEVEL_ROWS = 1024  # most value rows of one level of SignalSet.symbols
 
 
 def pam_points(Q):
@@ -176,31 +180,36 @@ class SignalSet:
         return next(product_sums(self._parts(self.units)[0], math.inf))
 
     @cached_property
-    def _digits(self):
-        """(weights (U,), sizes (U,), unit (K,), offset (K,), flat): real
-        i of codeword n is flat[offset[i] + digit of unit[i] in n], flat
-        holding each real's column of its unit's values."""
-        unit, offset, columns, start = [0] * self.K, [0] * self.K, [], 0
-        for p, u in enumerate(self.units):
-            for i, column in zip(u.indices, u.values().T):
-                unit[i], offset[i] = p, start
-                columns.append(column)
-                start += len(column)
-        flat = np.concatenate(columns)
-        if len(self.units) > 1:  # the table's sums add +0.0: -0.0 -> +0.0
-            flat += 0.0
-        return (np.array(list(self.weights.values()), dtype=np.int64),
-                np.array([u.size for u in self.units], dtype=np.int64),
-                np.array(unit, dtype=np.intp), np.array(offset, dtype=np.intp),
-                flat)
+    def _levels(self):
+        """(size, rows) per level of the codeword index, fastest first: a
+        level is a run of consecutive units, grouped from the last while
+        its value count stays within _LEVEL_ROWS (a larger unit is a
+        level alone), and rows is the run's table (size, K)."""
+        runs, run = [], []
+        for u in reversed(self.units):
+            if run and math.prod(v.size for v in run) * u.size > _LEVEL_ROWS:
+                runs.append(run)
+                run = []
+            run.insert(0, u)
+        runs.append(run)
+        return [(math.prod(u.size for u in run), self.table(run)[0])
+                for run in runs]
 
     def symbols(self, index):
-        """(n, K) real-symbol vectors of the codeword indexes (n,), each
-        real gathered from its own unit's values at the unit's digit of
-        the index: symbol_table()[index] bit for bit, without the table."""
-        weights, sizes, unit, offset, flat = self._digits
-        digits = np.asarray(index, dtype=np.int64)[:, None] // weights % sizes
-        return flat[digits[:, unit] + offset]
+        """(n, K) real-symbol vectors of the codeword indexes (n,): the sum
+        of each level's rows at the level's digit of the index,
+        symbol_table()[index] bit for bit without the table.  A real is
+        nonzero in one level's rows at most, so the sum adds +0.0 to it,
+        which turns -0.0 into +0.0 exactly where the table's sums do:
+        whenever there are two units or more."""
+        rest, picks = np.asarray(index, dtype=np.int64), []
+        for size, rows in self._levels[:-1]:
+            rest, digit = np.divmod(rest, size)
+            picks.append(rows[digit])
+        out = self._levels[-1][1][rest]
+        for pick in picks:
+            out += pick
+        return out
 
     def mean_quadratic(self, gram):
         """E[x.gram.x] over the uniform codebook, sum_ij gram_ij E[x_i x_j]

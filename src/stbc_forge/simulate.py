@@ -113,19 +113,26 @@ drawn in one call over per-key SNR indexes, noise deviations and trial
 indexes, errors are counted per SNR, and a decoder disagreement names
 the trial's own SNR and index.  Results are therefore independent of the
 chunk size.  Key (k, t) draws from its own PCG64 generator, bit-identical
-to seeding it with SeedSequence([seed, k, t]) and making four
-standard_normal calls.  numpy's SeedSequence mixes each key's uint32
-words into its pool; the pool's output hash, which numpy would run
-word by word on scalars, runs for the whole chunk as a few uint32 array
-operations, and each PCG64 is seeded from its precomputed words.  One
-loop over the keys then draws the sent index and all of the trial's
-standard normals in one call; the codewords and the channel outputs
-Y = XH + W of the whole chunk take a fixed number of numpy calls.  A
-codeword's reals come from the mixed-radix digits of its index
-(SignalSet.symbols), and the noise deviation from the average codeword
-energy, which the signal set's per-unit moments give exactly
-(SignalSet.mean_quadratic).  So no run builds the codebook's symbol
-table, which STBCInstance.symbol_table keeps as a reference only.
+to default_rng(SeedSequence([seed, k, t])) drawing integers(count) and
+then four blocks of standard normals.  Two published rules make the
+keying array work.  numpy's SeedSequence is O'Neill's seed_seq_fe hash
+(PCG, 2014), pure uint32 arithmetic whose constants do not depend on
+the data, so once per chunk the entropy mixing of every key's words
+into its pool (_pools) and the pools' output hash (_pcg64_words) run as
+a few dozen uint32 array operations.  Generator.integers is Lemire's
+bounded-integer method (ACM TOMACS, 2019) on the generator's raw words,
+so _bounded takes the sent index from them.  Per key there remain
+three calls into numpy: PCG64 from its precomputed words, its raw word
+(more only on a rare redraw) and one standard_normal call for all of
+the trial's normals.  The codewords and the channel outputs Y = XH + W
+of the whole chunk then take a fixed number of numpy calls.  A
+codeword's reals are the sum of per-level rows at the digits of its
+index (SignalSet.symbols), and the noise deviation comes from the
+average codeword energy, which the signal set's per-unit moments give
+exactly (SignalSet.mean_quadratic).  A level holds at most
+signalset._LEVEL_ROWS rows or one unit's values, so no run builds the
+symbol table of a larger codebook, which STBCInstance.symbol_table
+keeps as a reference only.
 SimConfig.workers is accepted and validated for compatibility only: it
 does not change how a run executes.  An SNR must give a finite positive
 noise deviation, at unit energy in SimConfig and at the instance's
@@ -135,7 +142,7 @@ energy before simulate draws any trial.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -148,6 +155,7 @@ _BIG = np.iinfo(np.int64).max
 ORACLE_CAP = 10 ** 5    # largest codebook the exhaustive decoder scans
 _CHUNK_BYTES = 1 << 20  # working-set budget of one decode batch (1 MiB)
 MAX_TRIALS = 2 ** 32    # trial indexes fill one uint32 word of the RNG key
+_SQRT2 = math.sqrt(2)   # the CSCG scale, the same double as np.sqrt(2)
 
 
 def _nearest(mids, v):
@@ -718,18 +726,76 @@ def _words(n):
     return words
 
 
-def _hash_constants(n_words):
-    """SeedSequence.generate_state's per-word constants: word i is xored
-    with INIT_B * MULT_B^i and multiplied by INIT_B * MULT_B^(i + 1)."""
-    init_b, mult_b = 0x8b51f9dd, 0x58f38ded
-    consts = [init_b]
+def _hash_constants(init, mult, n_words):
+    """The per-word constants of SeedSequence's hashmix from (init, mult):
+    word i is xored with init * mult^i and multiplied by
+    init * mult^(i + 1), as (n_words,) uint32 arrays."""
+    consts = [init]
     for _ in range(n_words):
-        consts.append(consts[-1] * mult_b & 0xFFFFFFFF)
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
     return (np.array(consts[:-1], dtype=np.uint32),
             np.array(consts[1:], dtype=np.uint32))
 
 
-_HASH_XOR, _HASH_MULT = _hash_constants(8)  # PCG64 reads 4 uint64 words
+# generate_state's output hash (INIT_B, MULT_B): PCG64 reads 4 uint64 words
+_HASH_XOR, _HASH_MULT = _hash_constants(0x8b51f9dd, 0x58f38ded, 8)
+_MIX_L = np.array(0xca01f9dd, dtype=np.uint32)  # MIX_MULT_L
+_MIX_R = np.array(0x4973f715, dtype=np.uint32)  # MIX_MULT_R
+# the pool words each pool word is mixed into, in numpy's order
+_OTHERS = [[dst for dst in range(4) if dst != src] for src in range(4)]
+
+
+@lru_cache(maxsize=None)
+def _mix_constants(n_words):
+    """The entropy mixing's hash constants (INIT_A, MULT_A) for keys of
+    n_words words, as (n, 1) columns: 4 to fill the pool, 12 for the
+    cross-mixes and 4 for each word past the fourth."""
+    n = 16 + 4 * max(n_words - 4, 0)
+    return tuple(c[:, None] for c in _hash_constants(0x43b0d7e5, 0x931e8875,
+                                                      n))
+
+
+def _hashmix(words, xor, mult):
+    """SeedSequence's hashmix of words under each (xor, mult) constant,
+    broadcast: wrapping uint32 array arithmetic."""
+    h = words ^ xor
+    h *= mult
+    h ^= h >> 16
+    return h
+
+
+def _mix(x, y):
+    """SeedSequence's mix(x, y) = xorshift16(MIX_MULT_L x - MIX_MULT_R y)."""
+    x = x * _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> 16
+    return x
+
+
+def _pools(keys):
+    """SeedSequence(key).pool for every row of keys (T, n) uint32, n >= 1,
+    as (T, 4) uint32, all rows at once.
+
+    numpy's entropy mixing, step by step as numpy runs it per key, with
+    every step on a (steps, T) lane-major array: the first 4 words (zeros
+    past a short key) hashed into the pool, then each pool word hashed 3
+    times and mixed into the other three, then each word past the fourth
+    hashed 4 times and mixed into all four.  The hash constants do not
+    depend on the data, so a source word's hashes are one array step."""
+    n_words = keys.shape[1]
+    xor, mult = _mix_constants(n_words)
+    words = np.zeros((max(n_words, 4), len(keys)), dtype=np.uint32)
+    words[:n_words] = keys.T
+    pool = _hashmix(words[:4], xor[:4], mult[:4])
+    k = 4
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k:k + 3],
+                                             mult[k:k + 3]))
+        k += 3
+    for word in words[4:]:
+        pool = _mix(pool, _hashmix(word, xor[k:k + 4], mult[k:k + 4]))
+        k += 4
+    return pool.T
 
 
 def _pcg64_words(pools):
@@ -737,10 +803,7 @@ def _pcg64_words(pools):
     for each row of pools (T, 4), for all rows at once: the pool cycled
     to 8 words, each hashed with its constants, then read as
     little-endian uint64 pairs in native order, as numpy does."""
-    state = np.tile(pools, 2)
-    state ^= _HASH_XOR
-    state *= _HASH_MULT
-    state ^= state >> 16
+    state = _hashmix(np.tile(pools, 2), _HASH_XOR, _HASH_MULT)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
@@ -757,40 +820,75 @@ class _Seeded(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _halves(raw, high):
+    """PCG64's uint32 stream after a draw that left `high` buffered: high,
+    then each next raw word's low half and high half."""
+    yield high
+    for word in iter(raw, None):
+        yield word & 0xFFFFFFFF
+        yield word >> 32
+
+
+def _bounded(count, raw):
+    """Generator.integers(count) of a fresh PCG64, raw() giving its next
+    raw 64-bit word, drawing the same words: Lemire's method on a uint32
+    (a raw word's low half, the high half buffered for a redraw) when
+    count <= 2^32, which takes the low half as it is at count = 2^32, on
+    a uint64 above, and no draw for count 1.  A draw whose low product
+    word falls below 2^bits mod count is redrawn, with odds below
+    count / 2^bits; numpy tests the low word against count first."""
+    if count == 1:
+        return 0
+    bits = 32 if count <= 1 << 32 else 64
+    low = (1 << bits) - 1
+    word = raw()
+    product = (word & low) * count
+    if product & low < count:
+        floor = (1 << bits) % count
+        draws = _halves(raw, word >> 32) if bits == 32 else iter(raw, None)
+        while product & low < floor:
+            product = next(draws) * count
+    return product >> bits
+
+
 def _draw(stbc, cfg, sigma, snr_idx, trials):
     """Sent indexes and stacked Y, H of the given trials.
 
     sigma and snr_idx are scalars or per-key arrays broadcast against
-    trials.  Key k draws from its own generator, seeded exactly as by
-    SeedSequence([seed, snr_idx[k], trials[k]]): numpy mixes each key's
-    words into its pool, the pools' output hash runs for all keys in one
-    array operation, and PCG64 is seeded from the hashed words.  Each
-    generator draws the sent index, then one block of standard normals
-    for H and the noise.  Codewords and channel outputs are then formed
-    for the whole block at once.
+    trials.  Key k draws from its own PCG64, seeded exactly as by
+    SeedSequence([seed, snr_idx[k], trials[k]]), and draws what
+    default_rng of that seed sequence would: the sent index as
+    integers(count), then one block of standard normals for H and the
+    noise.  Once per chunk, for all keys in a few dozen array
+    operations: the entropy mixing of the keys' words into their pools
+    (_pools), the pools' output hash (_pcg64_words), and after the loop
+    the codewords and the channel outputs.  Per key: PCG64 from its
+    words, the sent index from its raw words (_bounded, one word but on
+    a rare redraw) and one standard_normal call.
     """
-    snr_idx, trials = np.broadcast_arrays(snr_idx, trials)
     seed = _words(cfg.seed)
     keys = np.empty((len(trials), len(seed) + 2), dtype=np.uint32)
     keys[:, :-2] = seed
     keys[:, -2] = snr_idx
     keys[:, -1] = trials
-    seed_seq = np.random.SeedSequence
-    words = _pcg64_words(np.array([seed_seq(key).pool for key in keys]))
+    words = _pcg64_words(_pools(keys))
     sent = np.empty(len(trials), dtype=np.int64)
     Z = np.empty((len(trials), 4, stbc.N, cfg.n_rx))
     count = stbc.count
     generator, pcg64 = np.random.Generator, np.random.PCG64
     for k, row in enumerate(words):
-        rng = generator(pcg64(_Seeded(row)))
-        sent[k] = rng.integers(count)
-        rng.standard_normal(out=Z[k])
-    X = np.tensordot(stbc.signals.symbols(sent), stbc.matrices, axes=(1, 0))
+        bits = pcg64(_Seeded(row))
+        sent[k] = _bounded(count, bits.random_raw)
+        generator(bits).standard_normal(out=Z[k])
+    K, N = len(stbc.matrices), stbc.N
+    X = stbc.signals.symbols(sent) @ stbc.matrices.reshape(K, N * N)
     # Y = XH + W: Z holds the real and imaginary parts of the unit-variance
     # CSCG channel H, then those of the noise W before scaling by sigma
-    H = (Z[:, 0] + 1j * Z[:, 1]) / np.sqrt(2)
-    W = np.reshape(sigma, (-1, 1, 1)) * (Z[:, 2] + 1j * Z[:, 3]) / np.sqrt(2)
-    return sent, X @ H + W, H
+    HW = Z[:, 0::2] + 1j * Z[:, 1::2]
+    HW[:, 1] *= np.reshape(sigma, (-1, 1, 1))
+    HW /= _SQRT2
+    H, W = HW[:, 0], HW[:, 1]
+    return sent, X.reshape(-1, N, N) @ H + W, H
 
 
 def simulate(cfg, stbc):

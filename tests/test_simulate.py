@@ -20,7 +20,7 @@ from stbc_forge.design import (Leaf, Cond, JOINT, HARD_LAST, HARD_ALL,
                                plan_indices, qam_side, to_linear_design)
 from stbc_forge.signalset import (pam_points, PairQAM, RealPoints,
                                   BlockValues, SignalSet, qam_signal_set,
-                                  pam_signal_set)
+                                  pam_signal_set, _LEVEL_ROWS)
 from stbc_forge.simulate import STBCInstance, SimConfig, simulate, PlanError
 from stbc_forge.constructions import catalog
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, group_stbc,
@@ -469,6 +469,116 @@ def test_seeded_holds_only_pcg64_words():
     for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
         with pytest.raises(ValueError):
             seeded.generate_state(n_words, dtype)
+
+
+def test_pools_are_the_seed_sequence_pools():
+    # keys of 1 to 6 words (past the pool's 4 and short of it), zero
+    # words, and the 5-word keys [seed, snr_idx, t] of seeds >= 2^64
+    rng = np.random.default_rng(31)
+    keys = [rng.integers(0, 2 ** 32, size=(40, n), dtype=np.uint32)
+            for n in range(1, 7)]
+    keys += [np.zeros((3, n), dtype=np.uint32) for n in (1, 4, 6)]
+    for block in keys[:6]:
+        block[::3, rng.integers(block.shape[1])] = 0
+    for block in keys:
+        want = np.array([np.random.SeedSequence(key).pool for key in block])
+        assert np.array_equal(sim._pools(block), want)
+    for seed in (2 ** 64, 2 ** 64 + 5, 2 ** 96 - 1):
+        lists = [[seed, i, t] for i in (0, 3) for t in (0, 1, 2 ** 32 - 1)]
+        block = np.array([sim._words(seed) + key[1:] for key in lists],
+                         dtype=np.uint32)
+        assert block.shape == (6, 5)
+        want = np.array([np.random.SeedSequence(key).pool for key in lists])
+        assert np.array_equal(sim._pools(block), want)
+
+
+# (count, seeds): 3 * 2^30 and 3 * 2^61 redraw a quarter of their draws
+BOUNDED_COUNTS = [(1, 20), (2, 50), (3 * 2 ** 30, 1000), (2 ** 32 - 1, 50),
+                  (2 ** 32, 50), (2 ** 32 + 1, 50), (2 ** 36, 50),
+                  (3 * 2 ** 61, 1000), (2 ** 63 - 1, 50)]
+
+
+@pytest.mark.parametrize("count, seeds", BOUNDED_COUNTS)
+def test_bounded_is_generator_integers(count, seeds):
+    # the same index from the same raw words, so the standard normals
+    # that follow are the same block
+    words = []
+    for seed in range(seeds):
+        bits = np.random.PCG64(seed)
+        drawn = []
+
+        def raw():
+            drawn.append(bits.random_raw())
+            return drawn[-1]
+
+        got = sim._bounded(count, raw)
+        rng = np.random.default_rng(seed)
+        assert got == rng.integers(count)
+        assert bits.state["state"] == rng.bit_generator.state["state"]
+        assert _same_bits(np.random.Generator(bits).standard_normal(5),
+                          rng.standard_normal(5))
+        words.append(len(drawn))
+    if count == 1:
+        assert set(words) == {0}
+    elif seeds < 1000:
+        assert set(words) == {1}
+    else:  # redraws, at 3 * 2^30 also past the buffered high half
+        assert max(words) >= 2 and words.count(1) > seeds // 2
+
+
+def test_draw_matches_per_trial_generators_past_2_32_codewords():
+    # family m=2 R=9/4 at 16-QAM: 2^36 codewords, so every sent index
+    # takes 64-bit Lemire on the raw PCG64 words
+    stbc = assemble_stbc(family(2, Fraction(9, 4)), [0.3] * 9, 16)
+    assert stbc.count == 2 ** 36
+    K, N = stbc.linear.K, stbc.N
+    snr_idx, trials = np.array([0, 0, 1, 1, 0]), [0, 5, 1, 4, 2 ** 32 - 1]
+    sigmas = np.array([0.9, 0.1])
+    for seed in (0, 7, 2 ** 64 + 5):
+        cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=6, seed=seed)
+        sent, Y, H = sim._draw(stbc, cfg, sigmas[snr_idx], snr_idx, trials)
+        rngs = [np.random.default_rng(np.random.SeedSequence([seed, i, t]))
+                for i, t in zip(snr_idx, trials)]
+        want = [rng.integers(stbc.count) for rng in rngs]
+        assert sent.tolist() == want
+        # codewords from SignalSet.symbols, not the 2^36-row table, as one
+        # product over the batch, as _draw forms them: at K = 18 the
+        # product of one codeword's reals rounds differently, so it is
+        # only checked to be close
+        x = stbc.signals.symbols(np.array(want))
+        X = (x @ stbc.matrices.reshape(K, N * N)).reshape(-1, N, N)
+        for k, (i, rng) in enumerate(zip(snr_idx, rngs)):
+            assert np.allclose(X[k], np.tensordot(x[k], stbc.matrices,
+                                                  axes=(0, 0)),
+                               rtol=0, atol=1e-12)
+            want_Y, want_H = _four_call_channel(X[k], rng, 2, sigmas[i])
+            assert _same_bits(Y[k], want_Y) and _same_bits(H[k], want_H)
+
+
+@pytest.mark.parametrize("name", ["alamouti", "family R=5/4", "family R=2"])
+def test_draw_builds_no_seed_sequence_and_calls_no_integers(name,
+                                                            monkeypatch):
+    calls = []
+
+    class SpySeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            calls.append("SeedSequence")
+            super().__init__(*args, **kwargs)
+
+    class SpyGenerator(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            calls.append("integers")
+            return super().integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
+    monkeypatch.setattr(np.random, "Generator", SpyGenerator)
+    np.random.Generator(np.random.PCG64(np.random.SeedSequence(1))).integers(3)
+    assert calls == ["SeedSequence", "integers"]  # the spies see numpy's own
+    calls.clear()
+    stbc = _bundle(name)
+    cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=5, seed=3)
+    sim._draw(stbc, cfg, 0.5, np.arange(10) % 2, np.arange(10))
+    assert not calls
 
 
 def test_first_trials_do_not_depend_on_the_trial_count(monkeypatch):
@@ -1560,6 +1670,27 @@ def test_symbols_keep_the_tables_signed_zeros():
         got = sig.symbols(idx)
         assert _same_bits(got, sig.symbol_table()[idx])
         assert np.signbit(got[got == 0]).all() == signed
+
+
+def test_symbols_sum_levels_of_at_most_the_row_cap():
+    # runs of units from the last, each within _LEVEL_ROWS values, and a
+    # larger unit alone; a one-unit level's -0.0 meets the other levels'
+    # +0.0 and becomes the table's +0.0
+    cap = _LEVEL_ROWS
+    zero = (-1.0, -0.0) + tuple(float(k) for k in range(1, 39))
+    big = tuple(float(k) for k in range(cap + 1))
+    cases = [(_family_r2().signals, [cap, 64]),
+             (alamouti_stbc(64).signals, [512, 8]),
+             (SignalSet(units=(RealPoints(0, zero), RealPoints(1, zero))),
+              [40, 40]),
+             (SignalSet(units=(RealPoints(0, (-0.0, 1.0)), RealPoints(1, big),
+                               RealPoints(2, zero))), [40, cap + 1, 2])]
+    for sig, sizes in cases:
+        assert [size for size, _rows in sig._levels] == sizes
+        idx = np.random.default_rng(5).permutation(sig.count)[:3000]
+        got = sig.symbols(idx)
+        assert _same_bits(got, sig.symbol_table()[idx])
+        assert not np.signbit(got[got == 0]).any()
 
 
 def _ulps(a, b):
