@@ -21,7 +21,7 @@ from .constructions import (construct_A, construct_B, construct_C,
                             catalog_names, XI_ORDERS)
 from .fdfgd import (build_base, puncture, extend, family, pair_split,
                     check_prop16, predicted_complexity)
-from .signalset import SignalSet, PairQAM, RealPoints, BlockValues
+from .signalset import SignalSet, PairQAM, RealPoints
 from .diversity import (generator_matrix, cubic_shaping_check,
                         rotation_search, full_diversity_check,
                         difference_classes, DiversityCapError,

@@ -9,13 +9,14 @@ advertised decoding complexity concrete: orthogonal designs hard-limit
 every real, multigroup designs scan each group (optionally hard-limiting
 the last real), the fast-group-decodable code conditions on the
 non-orthogonal part of its big group, the Silver code conditions on its
-precoded block, and the rate-R family pairs its symbols into rotated QAM
-and follows fdfgd.family_plan.
+two precoded QAM symbols, whose precoder its weight matrices carry, and
+the rate-R family pairs its symbols into rotated QAM and follows
+fdfgd.family_plan.
 """
 
 from collections import namedtuple
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -26,8 +27,7 @@ from .design import (Design, LinearDesign, Leaf, Cond, JOINT, HARD_LAST,
 from .diversity import rotation_search
 from .f4 import I, W2
 from .fdfgd import family, family_pairs, family_plan, predicted_complexity
-from .signalset import (SignalSet, PairQAM, BlockValues, pam_points,
-                        pam_signal_set, qam_signal_set)
+from .signalset import SignalSet, PairQAM, pam_signal_set, qam_signal_set
 from .simulate import STBCInstance
 
 
@@ -86,32 +86,38 @@ def fgd_ren_stbc(M=4, rate=Fraction(17, 8)):
 def silver_stbc(M, R=Fraction(2)):
     """Silver-code STBC, optionally punctured pairwise to R in {1, 3/2, 2}.
 
-    Symbols s1, s2 are QAM pairs; (s3, s4) are jointly precoded QAM.
-    Decoding conditions on the precoded block and hard-limits the four
-    remaining reals, costing exactly M^{2(R-1)} metric evaluations.
+    Symbols s1, s2 and z3, z4 are QAM pairs, and (s3, s4) = U (z3, z4)
+    with U = SILVER_U.  U is linear, so it folds into the weights of z3
+    and z4: with P the real 4x4 form of U, entry 4 + j carries
+    A'_j = sum_k P_kj A_{4+k} and keeps the GF(4) vector of A_{4+j}, and
+    those vectors name the design a file stores.  Decoding conditions on
+    z3, z4 and hard-limits the four remaining reals, costing exactly
+    M^{2(R-1)} metric evaluations.
     """
     R = Fraction(R)
     if R not in (Fraction(1), Fraction(3, 2), Fraction(2)):
         raise ValueError("pairwise puncturing allows R in {1, 3/2, 2}")
     entry = catalog("silver")
     keep = int(4 * R)  # real symbol count after puncturing s4 (and s3)
-    linear = LinearDesign(m=1, entries=entry.linear.entries[:keep])
+    entries = entry.linear.entries[:keep]
     units = [PairQAM((0, 1), M), PairQAM((2, 3), M)]
     hard = Leaf((0, 1, 2, 3), HARD_ALL)
     if R == 2:
-        rows = []
-        for z3r, z3i, z4r, z4i in product(pam_points(qam_side(M)), repeat=4):
-            s3, s4 = SILVER_U @ np.array([z3r + 1j * z3i, z4r + 1j * z4i])
-            rows.append((s3.real, s3.imag, s4.real, s4.imag))
-        units.append(BlockValues((4, 5, 6, 7), tuple(rows)))
+        P = np.block([[np.array([[u.real, -u.imag], [u.imag, u.real]])
+                       for u in row] for row in SILVER_U])
+        folded = np.tensordot(P, entry.linear.matrices()[4:], axes=(0, 0))
+        entries = entries[:4] + tuple(
+            replace(e, label=label, matrix=A) for e, label, A in
+            zip(entries[4:], ("z3I", "z3Q", "z4I", "z4Q"), folded))
+        units += [PairQAM((4, 5), M), PairQAM((6, 7), M)]
         plan = Cond(conditioning=(4, 5, 6, 7), children=(hard,))
     elif R == Fraction(3, 2):
         units.append(PairQAM((4, 5), M, 0.0))
         plan = Cond(conditioning=(4, 5), children=(hard,))
     else:
         plan = hard
-    return STBCInstance(linear=linear, signals=SignalSet(units=tuple(units)),
-                        plan=plan)
+    return STBCInstance(linear=LinearDesign(m=1, entries=entries),
+                        signals=SignalSet(units=tuple(units)), plan=plan)
 
 
 def assemble_stbc(fd, angles, M):

@@ -6,8 +6,9 @@ real-symbol indices:
   PairQAM     two reals (I, Q) drawn jointly from a rotated square QAM,
               x_I + i x_Q = e^{i theta} (a + i b) with a, b PAM
   RealPoints  one real drawn from an explicit ascending point list
-  BlockValues several reals drawn jointly from an explicit value table
-              (used e.g. for unitarily precoded symbol pairs)
+
+A linear precoder of the symbols belongs in the design's weight
+matrices, not in the signal set (bundles.silver_stbc).
 
 QAM constellations are zero mean with unit minimum distance; PAM is the
 projection of such a QAM onto one axis.  This module owns the codebook
@@ -27,7 +28,8 @@ reference for both.
 A unit has indices, size, values() and axes(): (direction on its
 indices, points, digit factor) per independent real, outer first, so
 value row sum_k f_k i_k is sum_k points_k[i_k] direction_k.  A PairQAM
-has e = (c, s) with factor sqrt(M), then d = (-s, c); a BlockValues none.
+has e = (c, s) with factor sqrt(M), then d = (-s, c); a RealPoints its
+one axis, (1,) with factor 1.
 """
 
 import itertools
@@ -112,30 +114,6 @@ class RealPoints:
 
     def values(self):
         return np.asarray(self.points).reshape(-1, 1)
-
-
-@dataclass(frozen=True)
-class BlockValues:
-    indices: tuple
-    table: tuple  # tuple of value tuples, each len(indices) long
-
-    def __post_init__(self):
-        if not self.table:
-            raise ValueError("empty value table")
-        if any(len(row) != len(self.indices) for row in self.table):
-            raise ValueError("table rows must match index count")
-        _check_finite([v for row in self.table for v in row],
-                      "value block %r: value" % (tuple(self.indices),))
-
-    @property
-    def size(self):
-        return len(self.table)
-
-    def axes(self):  # the table is not a sum of independent reals
-        return ()
-
-    def values(self):
-        return np.asarray(self.table, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,12 @@ three calls into numpy: PCG64 from its precomputed words, its raw word
 the trial's normals.  The codewords and the channel outputs Y = XH + W
 of the whole chunk then take a fixed number of numpy calls.  A
 codeword's reals are the sum of per-level rows at the digits of its
-index (SignalSet.symbols), and the noise deviation comes from the
-average codeword energy, which the signal set's per-unit moments give
-exactly (SignalSet.mean_quadratic).  A level holds at most
+index (SignalSet.symbols), and its matrix is one (1, K) @ (K, N^2)
+product per key, whose shape does not depend on the chunk, so a key
+draws the same bits alone or in a chunk of any size, dense weight
+matrices included.  The noise deviation comes from the average codeword
+energy, which the signal set's per-unit moments give exactly
+(SignalSet.mean_quadratic).  A level holds at most
 signalset._LEVEL_ROWS rows or one unit's values, so no run builds the
 symbol table of a larger codebook, which STBCInstance.symbol_table
 keeps as a reference only.
@@ -294,8 +297,6 @@ def _spec(node, signals, A, orth):
         units = _units_for(signals.units, child.indices)
         if child.kind == JOINT:
             children.append(_Spec(units, signals.table(units), ()))
-        elif not all(u.axes() for u in units):
-            raise PlanError("cannot hard-limit a value block")
         elif child.kind == HARD_LAST:
             *prefix, u = units
             *outer, inner = u.axes()
@@ -881,7 +882,9 @@ def _draw(stbc, cfg, sigma, snr_idx, trials):
         sent[k] = _bounded(count, bits.random_raw)
         generator(bits).standard_normal(out=Z[k])
     K, N = len(stbc.matrices), stbc.N
-    X = stbc.signals.symbols(sent) @ stbc.matrices.reshape(K, N * N)
+    # one (1, K) @ (K, N^2) product per key: its bits do not depend on
+    # the chunk, where a (T, K) product's may
+    X = stbc.signals.symbols(sent)[:, None] @ stbc.matrices.reshape(K, N * N)
     # Y = XH + W: Z holds the real and imaginary parts of the unit-variance
     # CSCG channel H, then those of the noise W before scaling by sigma
     HW = Z[:, 0::2] + 1j * Z[:, 1::2]

@@ -19,8 +19,8 @@ from stbc_forge.design import (Leaf, Cond, JOINT, HARD_LAST, HARD_ALL,
                                LDEntry, LinearDesign, plan_complexity,
                                plan_indices, qam_side, to_linear_design)
 from stbc_forge.signalset import (pam_points, PairQAM, RealPoints,
-                                  BlockValues, SignalSet, qam_signal_set,
-                                  pam_signal_set, _LEVEL_ROWS)
+                                  SignalSet, qam_signal_set, pam_signal_set,
+                                  _LEVEL_ROWS)
 from stbc_forge.simulate import STBCInstance, SimConfig, simulate, PlanError
 from stbc_forge.constructions import catalog
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, group_stbc,
@@ -85,9 +85,8 @@ def test_pair_qam_values_are_built_from_its_axes(theta, M):
             row.view(np.uint64).tolist()
 
 
-def test_axes_of_reals_and_value_blocks():
+def test_axes_of_real_points():
     assert RealPoints(3, (-1.0, 2.0)).axes() == (((1.0,), (-1.0, 2.0), 1),)
-    assert BlockValues((0, 1), ((1.0, 2.0),)).axes() == ()
 
 
 def test_pair_qam_owns_two_reals():
@@ -102,13 +101,6 @@ def test_real_points_validation():
         RealPoints(0, (1.0, 1.0))
 
 
-def test_block_values_validation():
-    with pytest.raises(ValueError):
-        BlockValues((0, 1), ())
-    with pytest.raises(ValueError):
-        BlockValues((0, 1), ((1.0,),))
-
-
 @pytest.mark.parametrize("points", [(0.0, np.inf), (np.nan,), (-np.inf, 0.0)])
 def test_real_points_refuse_non_finite_points(points):
     # NaN passes the increasing-order check and an infinite point gives
@@ -116,13 +108,6 @@ def test_real_points_refuse_non_finite_points(points):
     with pytest.raises(ValueError, match=r"^real 3: point -?(inf|nan) is "
                                          r"not finite$"):
         RealPoints(3, points)
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_block_values_refuse_non_finite_values(value):
-    with pytest.raises(ValueError, match=r"^value block \(0, 1\): value "
-                                         r"(inf|nan) is not finite$"):
-        BlockValues((0, 1), ((1.0, 2.0), (0.5, value)))
 
 
 def test_signal_set_cover():
@@ -227,11 +212,18 @@ def test_cond_children_need_orthogonality():
         STBCInstance(linear=entry.linear, signals=sig, plan=plan)
 
 
-def test_hard_last_rejects_block_unit():
+def test_silver_hard_limits_its_folded_precoded_symbols():
+    # U folds into the weights A'_4..7 of z3, z4, which are pairwise
+    # HR-orthogonal: the transposed plan, conditioning on s1, s2 and
+    # hard-limiting z3, z4, compiles, costs M^2 and is exact
     stbc = silver_stbc(4, 2)
-    bad = Cond((0, 1, 2, 3), (Leaf((4, 5, 6, 7), HARD_LAST),))
-    with pytest.raises(PlanError):
-        STBCInstance(linear=stbc.linear, signals=stbc.signals, plan=bad)
+    orth = hr_orthogonal_table(stbc.matrices[4:])
+    assert orth[~np.eye(4, dtype=bool)].all()
+    plan = Cond((0, 1, 2, 3), (Leaf((4, 5, 6, 7), HARD_ALL),))
+    flipped = STBCInstance(linear=stbc.linear, signals=stbc.signals,
+                           plan=plan)
+    assert _agree(flipped, 60, seed=19) == plan_complexity(plan).evaluate(4) \
+        == 16
 
 
 def _family_r2():
@@ -346,11 +338,12 @@ def test_fgd_ren_rate2():
         fgd_ren_stbc(rate=Fraction(3, 2))
 
 
-@pytest.mark.parametrize("R", (1, Fraction(3, 2), 2))
-def test_silver_decoder_agreement(R):
-    stbc = silver_stbc(4, R)
+@pytest.mark.parametrize("M, R", [(4, 1), (4, Fraction(3, 2)), (4, 2),
+                                  (16, 2)], ids=["1", "R1", "2", "2 at M=16"])
+def test_silver_decoder_agreement(M, R):
+    stbc = silver_stbc(M, R)
     count = _agree(stbc, 60, seed=17)
-    assert count == plan_complexity(stbc.plan).evaluate(4)
+    assert count == plan_complexity(stbc.plan).evaluate(M)
 
 
 def test_counts_at_m16():
@@ -531,7 +524,6 @@ def test_draw_matches_per_trial_generators_past_2_32_codewords():
     # takes 64-bit Lemire on the raw PCG64 words
     stbc = assemble_stbc(family(2, Fraction(9, 4)), [0.3] * 9, 16)
     assert stbc.count == 2 ** 36
-    K, N = stbc.linear.K, stbc.N
     snr_idx, trials = np.array([0, 0, 1, 1, 0]), [0, 5, 1, 4, 2 ** 32 - 1]
     sigmas = np.array([0.9, 0.1])
     for seed in (0, 7, 2 ** 64 + 5):
@@ -541,17 +533,12 @@ def test_draw_matches_per_trial_generators_past_2_32_codewords():
                 for i, t in zip(snr_idx, trials)]
         want = [rng.integers(stbc.count) for rng in rngs]
         assert sent.tolist() == want
-        # codewords from SignalSet.symbols, not the 2^36-row table, as one
-        # product over the batch, as _draw forms them: at K = 18 the
-        # product of one codeword's reals rounds differently, so it is
-        # only checked to be close
+        # codewords from SignalSet.symbols, not the 2^36-row table, each
+        # the product of its own reals, bit for bit
         x = stbc.signals.symbols(np.array(want))
-        X = (x @ stbc.matrices.reshape(K, N * N)).reshape(-1, N, N)
         for k, (i, rng) in enumerate(zip(snr_idx, rngs)):
-            assert np.allclose(X[k], np.tensordot(x[k], stbc.matrices,
-                                                  axes=(0, 0)),
-                               rtol=0, atol=1e-12)
-            want_Y, want_H = _four_call_channel(X[k], rng, 2, sigmas[i])
+            X = np.tensordot(x[k], stbc.matrices, axes=(0, 0))
+            want_Y, want_H = _four_call_channel(X, rng, 2, sigmas[i])
             assert _same_bits(Y[k], want_Y) and _same_bits(H[k], want_H)
 
 
@@ -1065,6 +1052,39 @@ def _compile_shape_bundles():
         "silver R=3/2": lambda: silver_stbc(4, Fraction(3, 2))})
 
 
+def _chunk_bundle(name):
+    """A compile-shape bundle, or family m=2 R=2 or R=9/4 at 16-QAM (2^32
+    and 2^36 codewords) at fixed angles."""
+    R = {"family R=2 M=16": 2, "family R=9/4 M=16": Fraction(9, 4)}.get(name)
+    if R is None:
+        return _bundle(name)
+    fd = family(2, R)
+    return assemble_stbc(fd, [0.3] * (fd.K // 2), 16)
+
+
+@pytest.mark.parametrize("name", sorted(_compile_shape_bundles()) + [
+    "family R=2 M=16", "family R=9/4 M=16"])
+def test_draw_bits_do_not_depend_on_the_chunk(name):
+    # a key drawn alone, in a 6-key chunk and in a 300-key chunk gives
+    # the same sent index, Y and H, bit for bit
+    stbc = _chunk_bundle(name)
+    cfg = SimConfig(n_rx=2, snr_db=(0.0, 10.0), trials=300, seed=9)
+    sigmas = np.array([0.9, 0.1])
+    snr_idx, trials = np.arange(300) % 2, np.arange(300) * 7919
+    whole = sim._draw(stbc, cfg, sigmas[snr_idx], snr_idx, trials)
+    for k0 in (0, 147, 294):
+        keys = slice(k0, k0 + 6)
+        six = sim._draw(stbc, cfg, sigmas[snr_idx[keys]], snr_idx[keys],
+                        trials[keys])
+        for got, want in zip(six, whole):
+            assert _same_bits(got, want[keys])
+        for k in range(k0, k0 + 6):
+            one = sim._draw(stbc, cfg, sigmas[snr_idx[k]], snr_idx[k:k + 1],
+                            trials[k:k + 1])
+            for got, want in zip(one, whole):
+                assert _same_bits(got, want[k:k + 1]), (name, k)
+
+
 def _nodes(node):
     yield node
     for child in getattr(node, "children", ()):
@@ -1359,13 +1379,12 @@ def test_oracle_metric_bits_do_not_depend_on_the_batch(name):
             assert _same_bits(one_m, m[t:t + 1]), (seed, t)
 
 
-def _one_unit():
-    """Alamouti's four reals drawn jointly from 16 fixed random rows: a
-    signal set of a single unit, so the oracle's grid has no head."""
-    rows = np.random.default_rng(41).standard_normal((16, 4))
-    unit = BlockValues((0, 1, 2, 3), tuple(map(tuple, rows)))
-    return STBCInstance(linear=catalog("alamouti").linear,
-                        signals=SignalSet(units=(unit,)))
+def _one_unit(M=16):
+    """Alamouti's first two reals on one rotated M-QAM pair: a signal set
+    of a single unit, so the oracle's grid has no head."""
+    lin = catalog("alamouti").linear
+    return STBCInstance(linear=LinearDesign(m=1, entries=lin.entries[:2]),
+                        signals=SignalSet(units=(PairQAM((0, 1), M, 0.3),)))
 
 
 @pytest.mark.parametrize("build, shape", [
@@ -1517,14 +1536,13 @@ def test_oracle_working_set_stays_within_twice_the_chunk_budget(name):
 
 
 def test_oracle_bounds_the_tail_tables_of_one_large_unit():
-    # one 60,000-row unit makes a 1 x 60,000 grid: only blocks of tail
-    # columns keep its tail tables within the budget
-    rows = np.random.default_rng(43).standard_normal((60000, 4))
-    unit = BlockValues((0, 1, 2, 3), tuple(map(tuple, rows)))
-    stbc = STBCInstance(linear=catalog("alamouti").linear,
-                        signals=SignalSet(units=(unit,)))
+    # one 22,500-QAM pair makes a 1 x 22,500 grid, past one block of
+    # tail columns: only those blocks keep its tail tables within the
+    # budget
+    stbc = _one_unit(150 ** 2)
     (_cA, XA), (_cB, XB) = stbc.grid
-    assert (len(XA), len(XB)) == (1, 60000)
+    assert (len(XA), len(XB)) == (1, 22500)
+    assert len(XB) > sim._CHUNK_BYTES // (8 * (2 * XB.shape[1] + 2))
     cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=3,
                     decoder="oracle")
     chunk = sim._chunk(stbc, cfg)
@@ -1725,10 +1743,11 @@ def _coupled():
     nonzero mean, so every cross term E[x_i] E[x_j] counts."""
     rng = np.random.default_rng(43)
     A = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
-    rows = rng.standard_normal((6, 2)) + 1.0
+    points = np.sort(rng.standard_normal((2, 6)) + 1.0).tolist()
     signals = SignalSet(units=(RealPoints(0, (0.5, 1.0, 3.0)),
                                PairQAM((1, 3), 16, 0.2),
-                               BlockValues((2, 4), tuple(map(tuple, rows)))))
+                               RealPoints(2, tuple(points[0])),
+                               RealPoints(4, tuple(points[1]))))
     entries = tuple(LDEntry("x%d" % (k + 1), A[k]) for k in range(5))
     return STBCInstance(linear=LinearDesign(m=1, entries=entries),
                         signals=signals)
