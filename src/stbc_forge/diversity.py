@@ -10,9 +10,10 @@ Full diversity of a finite code means every nonzero codeword difference
 has nonzero determinant.  Every codebook here is the Cartesian product
 of its signal-set units, so its difference set is the product of the
 per-unit difference sets, and |det| is the same for D and -D.  One
-enumerator over (weight matrices, units) yields a representative of
-each +- class of distinct differences, (prod_u |D_u| - 1) / 2 of them,
-in blocks summed in the codebook order by signalset.product_sums.
+enumerator over (weight matrices, signal-set units) yields a
+representative of each +- class of distinct differences,
+(prod_u |D_u| - 1) / 2 of them, summed from the units' own cached
+difference tables in the codebook order by signalset.product_sums.
 
 Certification works one HR-orthogonal group at a time.  The units split
 into groups whose weight matrices are pairwise HR-orthogonal across
@@ -44,7 +45,7 @@ minima near 1e-6) does not.
 
 Rotating each QAM pair by a suitable angle achieves full diversity when
 the pair matrices combine to a full-rank matrix.  One rotation search
-takes a prior code, given as units, and all of a code's pairs, each
+takes a prior code of signal-set units and all of a code's pairs, each
 searched against the prior and the pairs before it.  It reads one
 HR-orthogonality table, checks each group of the finished code against
 DIFF_CAP before any search and certifies each prior group once; a group
@@ -77,7 +78,7 @@ import numpy as np
 
 from .design import components
 from .pauli import TOL, hr_orthogonal_table
-from .signalset import PairQAM, product_sums
+from .signalset import PairQAM, RealPoints, product_sums
 
 DET_TOL = 1e-8
 # most +- classes of distinct codeword differences one check evaluates
@@ -188,29 +189,11 @@ def _minor(col, r, j, k):
 # ---------------------------------------------------------------------------
 # +- classes of distinct differences
 
-def _unit_differences(V):
-    """Distinct differences of one unit's value rows (keyed on the 1e-9
-    grid, -0.0 as 0), and a mask picking one of each +- pair.  Zero is
-    picked as well when two rows coincide, so repeated codewords certify
-    as det 0."""
-    V = np.asarray(V, dtype=float)
-    d = (V[:, None] - V[None, :]).reshape(-1, V.shape[1])
-    keys = np.rint(d * 1e9).astype(np.int64)
-    repeated = np.count_nonzero(~keys.any(axis=1)) > len(V)
-    order = np.lexsort(keys.T[::-1])
-    keys, d = keys[order], d[order]
-    new = np.ones(len(keys), bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    keys, d = keys[new], d[new]
-    first = keys[np.arange(len(keys)), (keys != 0).argmax(axis=1)]
-    return d, (first > 0) | (repeated & ~keys.any(axis=1))
-
-
-def _class_count(diffs):
-    """+- classes of the product: the first nonzero unit takes a picked
-    difference, later units any difference, earlier units zero."""
+def _class_count(units):
+    """+- classes of the units' product: the first nonzero unit takes a
+    picked difference, later units any difference, earlier units zero."""
     total, tail = 0, 1
-    for d, pick in reversed(diffs):
+    for d, pick in (u.differences for u in reversed(units)):
         total += int(np.count_nonzero(pick)) * tail
         tail *= len(d)
     return total
@@ -225,34 +208,30 @@ def _check_class_cap(n):
 
 def _class_blocks(A, units, rows=None):
     """One representative of each +- class of nonzero differences of the
-    code sum_k x_k A_k, x drawn from the product of (indices, values)
-    units, as (n, N, N) stacks of at most max(rows, last unit's difference
-    count) matrices, 16 MiB by default.  The class count is checked
-    against DIFF_CAP on the call, before any class is allocated."""
-    diffs = [_unit_differences(V) for _idx, V in units]
-    _check_class_cap(_class_count(diffs))
-    return _blocks(A, units, diffs, rows)
-
-
-def _blocks(A, units, diffs, rows):
+    code sum_k x_k A_k over the signal-set units, summed from their
+    difference tables, as (n, N, N) stacks of at most max(rows, last
+    unit's difference count) matrices, 16 MiB by default.  The class
+    count is checked against DIFF_CAP on the call, before any allocation."""
+    _check_class_cap(_class_count(units))
     N = A.shape[-1]
-    mats = [(d @ A[list(idx)].reshape(len(idx), -1)).reshape(-1, N, N)
-            for (idx, _V), (d, _pick) in zip(units, diffs)]
+    flat = A.reshape(len(A), -1)
+    mats = [(u.differences[0] @ flat[list(u.indices)]).reshape(-1, N, N)
+            for u in units]
     rows = rows or max(1, _BLOCK // (N * N))
-    for p, (_d, pick) in enumerate(diffs):
-        if pick.any():
-            yield from product_sums([mats[p][pick]] + mats[p + 1:], rows)
+    return itertools.chain.from_iterable(
+        product_sums([mats[p][u.differences[1]]] + mats[p + 1:], rows)
+        for p, u in enumerate(units) if u.differences[1].any())
 
 
 def _groups(orth, units):
-    """The (indices, values) units split into mutually HR-orthogonal
-    groups, read from the (K, K) table orth of the weight matrices: the
-    connected components of units joined by a pair of weight matrices
-    that is not HR-orthogonal.  Each group keeps the units' order; groups
+    """The signal-set units split into mutually HR-orthogonal groups,
+    read from the (K, K) table orth of the weight matrices: the connected
+    components of units joined by a pair of weight matrices that is not
+    HR-orthogonal.  Each group keeps the units' order; groups
     are ordered by their first unit."""
     U = np.zeros((len(units), len(orth)), np.int64)
-    for u, (idx, _V) in enumerate(units):
-        U[u, list(idx)] = 1
+    for u, unit in enumerate(units):
+        U[u, list(unit.indices)] = 1
     return [[units[u] for u in g] for g in components(U @ ~orth @ U.T > 0)]
 
 
@@ -265,8 +244,8 @@ def _check_floor(A, units, mn):
     N = A.shape[-1]
     if N < 8:
         return
-    idx = [i for ix, _V in units for i in ix]
-    spread = np.concatenate([np.ptp(V, axis=0) for _ix, V in units])
+    idx = [i for u in units for i in u.indices]
+    spread = np.concatenate([np.ptp(u.values(), axis=0) for u in units])
     beta = float(spread @ np.linalg.norm(A[idx], ord=2, axis=(1, 2)))
     floor = N * np.finfo(float).eps * beta ** N
     if mn <= floor:
@@ -292,8 +271,7 @@ def _min_abs_det_product(A, groups):
 
 def difference_classes(signals):
     """Number of +- classes of distinct nonzero codeword differences."""
-    return _class_count([_unit_differences(u.values())
-                         for u in signals.units])
+    return _class_count(signals.units)
 
 
 def group_classes(orth, signals):
@@ -301,9 +279,7 @@ def group_classes(orth, signals):
     signal set, grouped by the (K, K) HR-orthogonality table orth of its
     weight matrices; their sum is the number of determinants
     full_diversity_check takes."""
-    units = [(u.indices, u.values()) for u in signals.units]
-    return [_class_count([_unit_differences(V) for _idx, V in part])
-            for part in _groups(orth, units)]
+    return [_class_count(part) for part in _groups(orth, signals.units)]
 
 
 def full_diversity_check(stbc):
@@ -315,9 +291,8 @@ def full_diversity_check(stbc):
     has more than DIFF_CAP, and DiversityFloorError when at N >= 8 a
     group's minimum does not clear its LU error floor.
     """
-    units = [(u.indices, u.values()) for u in stbc.signals.units]
-    return _min_abs_det_product(stbc.matrices,
-                                _groups(stbc.hr_orthogonal, units))
+    return _min_abs_det_product(
+        stbc.matrices, _groups(stbc.hr_orthogonal, stbc.signals.units))
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +346,9 @@ def rotation_search(A, units, pairs, M):
     """Angles making the prior code extended by e^{i theta} M-QAM pairs
     full diversity, one per pair, searched in the given order.
 
-    The prior is the code over the (indices, values) units, the zero
-    codeword when there are none; pair = (i_I, i_Q) names the weight
-    matrices of a rotated symbol, searched against the prior plus the
+    The prior is the code over the signal-set units, the zero codeword
+    when there are none; pair = (i_I, i_Q), the reals of the symbol
+    PairQAM(pair, M, theta), is searched against the prior plus the
     pairs before it.  Raises DiversityCapError before any search when a
     group of the finished code (the prior plus every pair, unrotated)
     exceeds DIFF_CAP.  Each pair takes the smallest grid angle
@@ -391,7 +366,7 @@ def rotation_search(A, units, pairs, M):
     before any search.
     """
     A = np.asarray(A, complex)
-    owned = [i for idx, _V in units for i in idx]
+    owned = [i for u in units for i in u.indices]
     if not _distinct_reals(owned, len(A)):
         raise ValueError("prior units own reals %r, need distinct reals of "
                          "0..%d" % (owned, len(A) - 1))
@@ -404,16 +379,15 @@ def rotation_search(A, units, pairs, M):
         if sv[-1] <= DET_TOL:
             raise ValueError("A1 + i*A2 is rank deficient; no angle can work")
     orth = hr_orthogonal_table(A)
-    unrotated = [(pair, PairQAM(pair, M).values()) for pair in pairs]
+    unrotated = [PairQAM(pair, M) for pair in pairs]
     units, found = list(units), []
     for g in _groups(orth, units + unrotated):
-        _check_class_cap(_class_count([_unit_differences(V) for _i, V in g]))
-    least = {}  # each unit's group minimum, keyed by the unit's first real
+        _check_class_cap(_class_count(g))
+    least = {}  # each unit's group minimum, keyed by the unit
     for group in _groups(orth, units):
-        least.update(dict.fromkeys([idx[0] for idx, _V in group],
-                                   _min_abs_det_product(A, [group])))
+        least.update(dict.fromkeys(group, _min_abs_det_product(A, [group])))
     # the nonzero differences x_I + i x_Q of the unrotated M-QAM
-    d, _pick = _unit_differences(PairQAM((0, 1), M).values())
+    d, _pick = PairQAM((0, 1), M).differences
     w = d[d.any(axis=1)].view(complex)[:, 0]
     N = A.shape[-1]
     # prior classes per block: their (N+1)^2 samples and their Laurent
@@ -422,10 +396,10 @@ def rotation_search(A, units, pairs, M):
     thetas = 2 * np.pi * np.arange(1, GRID // 4 + 1) / GRID
     for unit in unrotated:
         # the units in the pair's group, ahead of the unrotated pair
-        *own, (pair, _V) = next(g for g in _groups(orth, units + [unit])
-                                if g[-1] is unit)
+        *own, _ = next(g for g in _groups(orth, units + [unit])
+                       if g[-1] is unit)
         # half of A1 -+ i A2: x_I A1 + x_Q A2 = z*Bp + conj(z)*Bm
-        A1, A2 = A[list(pair)]
+        A1, A2 = A[list(unit.indices)]
         Bp, Bm = (A1 - 1j * A2) / 2.0, (A1 + 1j * A2) / 2.0
         best_min = min(least.values(), default=np.inf)
         # a prior that is not full diversity cannot be rescued by any angle
@@ -440,13 +414,13 @@ def rotation_search(A, units, pairs, M):
             raise ValueError("no grid angle certifies full diversity "
                              "(best min |det| = %.3g)" % best_min)
         theta = float(thetas[np.argmax(mins >= best_min * (1 - TIE_RTOL))])
-        group = own + [(pair, PairQAM(pair, M, theta).values())]
+        group = own + [PairQAM(unit.indices, M, theta)]
         direct = _min_abs_det_product(A, [group])
         if direct <= DET_TOL:
             raise ValueError("no grid angle certifies full diversity "
                              "(direct min |det| = %.3g at theta = %.6g)"
                              % (direct, theta))
-        least.update(dict.fromkeys([idx[0] for idx, _V in group], direct))
+        least.update(dict.fromkeys(group, direct))
         units.append(group[-1])
         found.append(theta)
     return found
@@ -475,8 +449,7 @@ def _real_groups(orth, sizes):
         if not (isinstance(q, numbers.Integral) and q >= 1):
             raise ValueError("real %d: target size %r is not an integer "
                              ">= 1" % (k, q))
-    groups = [[k for (k,), _V in g]
-              for g in _groups(orth, [((k,), None) for k in range(len(orth))])]
+    groups = [g.tolist() for g in components(~orth)]
     for g in groups:
         _check_class_cap(
             (math.prod(sizes[k] * (sizes[k] - 1) + 1 for k in g) - 1) // 2)
@@ -485,7 +458,7 @@ def _real_groups(orth, sizes):
 
 def _certifies(A, points, groups):
     """min |det| of the code over the point lists' groups > DET_TOL."""
-    return _min_abs_det_product(A, [[((k,), np.reshape(points[k], (-1, 1)))
+    return _min_abs_det_product(A, [[RealPoints(k, sorted(points[k]))
                                      for k in g] for g in groups]) > DET_TOL
 
 

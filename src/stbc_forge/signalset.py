@@ -29,7 +29,8 @@ A unit has indices, size, values() and axes(): (direction on its
 indices, points, digit factor) per independent real, outer first, so
 value row sum_k f_k i_k is sum_k points_k[i_k] direction_k.  A PairQAM
 has e = (c, s) with factor sqrt(M), then d = (-s, c); a RealPoints its
-one axis, (1,) with factor 1.
+one axis, (1,) with factor 1.  Units hold tuples, so equal units hash
+equal, and own their cached +- difference table, `differences`.
 """
 
 import itertools
@@ -58,18 +59,44 @@ def _check_finite(values, what):
             raise ValueError("%s %r is not finite" % (what, v))
 
 
+class _Unit:
+    @cached_property
+    def differences(self):
+        """Distinct differences of the value rows (keyed on the 1e-9 grid,
+        -0.0 as 0; a unit past the int64 keys is refused) and a mask
+        picking one of each +- pair.  Zero is picked as well when two rows
+        coincide, so repeated codewords certify as det 0."""
+        V = np.asarray(self.values(), dtype=float)
+        # in Python floats an overflow gives inf, not a warning
+        span = max(float(c.max()) - float(c.min()) for c in V.T)
+        if not span * 1e9 < 2.0 ** 63:  # the keys are int64
+            raise ValueError("%r: difference %.3g is too large for the "
+                             "1e-9 difference keys" % (self, span))
+        d = (V[:, None] - V[None, :]).reshape(-1, V.shape[1])
+        keys = np.rint(d * 1e9).astype(np.int64)
+        repeated = np.count_nonzero(~keys.any(axis=1)) > len(V)
+        order = np.lexsort(keys.T[::-1])
+        keys, d = keys[order], d[order]
+        new = np.ones(len(keys), bool)
+        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        keys, d = keys[new], d[new]
+        first = keys[np.arange(len(keys)), (keys != 0).argmax(axis=1)]
+        return d, (first > 0) | (repeated & ~keys.any(axis=1))
+
+
 @dataclass(frozen=True)
-class PairQAM:
+class PairQAM(_Unit):
     indices: tuple  # (i_I, i_Q)
     M: int
     theta: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", tuple(self.indices))
         if len(self.indices) != 2:
             raise ValueError("PairQAM owns exactly two real indices")
         qam_side(self.M)
         _check_finite((self.theta,), "QAM pair %r: rotation angle"
-                      % (tuple(self.indices),))
+                      % (self.indices,))
 
     @property
     def size(self):
@@ -90,11 +117,12 @@ class PairQAM:
 
 
 @dataclass(frozen=True)
-class RealPoints:
+class RealPoints(_Unit):
     index: int
     points: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise ValueError("empty point list")
         _check_finite(self.points, "real %d: point" % self.index)
@@ -240,11 +268,9 @@ def product_sums(tables, step):
 
 def qam_signal_set(pairs, M, thetas=None):
     """PairQAM unit per index pair, common M, optional per-pair angles."""
-    units = []
-    for k, p in enumerate(pairs):
-        th = 0.0 if thetas is None else float(thetas[k])
-        units.append(PairQAM(indices=tuple(p), M=M, theta=th))
-    return SignalSet(units=tuple(units))
+    thetas = [0.0] * len(pairs) if thetas is None else thetas
+    return SignalSet(units=tuple(PairQAM(p, M, float(th))
+                                 for p, th in zip(pairs, thetas, strict=True)))
 
 
 def pam_signal_set(K, Q):

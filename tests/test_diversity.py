@@ -19,7 +19,7 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   _class_blocks, _grid_min,
                                   _laurent_coefficients,
                                   _min_abs_det_product, _det_batch,
-                                  _unit_differences, _groups)
+                                  _groups)
 from stbc_forge.fdfgd import (build_base, puncture, extend, family,
                               family_pairs)
 from stbc_forge.pauli import I2, X, Z, phi_inv, hr_orthogonal_table
@@ -28,6 +28,7 @@ from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
 from stbc_forge.simulate import STBCInstance
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
                                 silver_stbc, group_stbc)
+from stbc_forge.cli import main
 
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -112,10 +113,6 @@ def test_unrotated_diagonal_design_not_full_diversity():
     assert full_diversity_check(stbc) < DET_TOL  # zero diagonal difference
 
 
-def _pair_unit(pair, M, theta):
-    return (pair, PairQAM(pair, M, theta).values())
-
-
 def _certify(A, units):
     """The group certifier on the units' HR-orthogonal groups."""
     return _min_abs_det_product(A, _groups(hr_orthogonal_table(A), units))
@@ -134,7 +131,7 @@ def _qam_diffs(M):
 def test_qam_differences_come_from_the_pair_unit(M):
     # the rotation search's QAM differences, the nonzero rows of the
     # unrotated pair's unit differences as x_I + i x_Q, in their order
-    d, _pick = _unit_differences(PairQAM((0, 1), M).values())
+    d, _pick = PairQAM((0, 1), M).differences
     w = d[d.any(axis=1)].view(complex)[:, 0]
     assert w.tobytes() == _qam_diffs(M).tobytes()
 
@@ -226,7 +223,7 @@ def test_rotation_search_rejects_failing_prior():
     # every angle
     A = np.concatenate([_ciod_matrices()[:2], [E11]])
     with pytest.raises(ValueError, match="no grid angle"):
-        rotation_search(A, [((2,), np.array([[0.0], [1.0]]))], [(0, 1)], 4)
+        rotation_search(A, [RealPoints(2, (0.0, 1.0))], [(0, 1)], 4)
 
 
 def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
@@ -237,8 +234,8 @@ def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
     # prior's classes can reject it, and the search is then refused
     A = np.stack([np.eye(2), -1j * np.eye(2)] * 2)
     a = 2 * np.pi / 720
-    units = [_pair_unit((2, 3), 4, a)]
-    assert _certify(A, units + [_pair_unit((0, 1), 4, a)]) < DET_TOL
+    units = [PairQAM((2, 3), 4, a)]
+    assert _certify(A, units + [PairQAM((0, 1), 4, a)]) < DET_TOL
     n_zero = len(_qam_diffs(4))  # coefficient rows of the zero block
     monkeypatch.setattr(
         "stbc_forge.diversity._grid_min",
@@ -261,7 +258,7 @@ def test_rotation_search_prior_under_the_cap(monkeypatch):
     # are a sub-product of them
     fd = build_base(2)
     A, pairs = _family_matrices(fd), family_pairs(fd)
-    units = [_pair_unit(p, 4, 0.5) for p in pairs[1:3]]
+    units = [PairQAM(p, 4, 0.5) for p in pairs[1:3]]
 
     def no_search(*_args):
         raise AssertionError("a pair was searched above the cap")
@@ -293,7 +290,7 @@ def test_class_blocks_are_codeword_difference_classes(rows):
     C = np.asarray(C)
     i, j = np.triu_indices(len(C), 1)
     want = _class_keys(C[i] - C[j])
-    units = [_pair_unit(p, 4, th) for p, th in zip(pairs, thetas)]
+    units = [PairQAM(p, 4, th) for p, th in zip(pairs, thetas)]
     blocks = list(_class_blocks(A, units, rows))
     if rows:
         assert max(len(b) for b in blocks) <= max(rows, 9)
@@ -309,11 +306,11 @@ def _interpolation_case(which):
     if which < 3:
         fd = build_base(2)
         A, pairs = _family_matrices(fd), family_pairs(fd)
-        units = [_pair_unit(p, 4, 0.5) for p in pairs[:which]]
+        units = [PairQAM(p, 4, 0.5) for p in pairs[:which]]
         pair = pairs[which]
     else:
         A = _ciod_matrices()
-        units, pair = [_pair_unit((0, 1), 4, 0.5)], (2, 3)
+        units, pair = [PairQAM((0, 1), 4, 0.5)], (2, 3)
     N = A.shape[-1]
     D = np.concatenate([np.zeros((1, N, N), complex),
                         *_class_blocks(A, units)])
@@ -360,7 +357,7 @@ def _coefficient_case(N, M):
         fd = build_base({4: 2, 8: 3}[N])
         A, pairs = _family_matrices(fd), family_pairs(fd)
     D = np.concatenate([np.zeros((1, N, N), complex),
-                        *_class_blocks(A, [_pair_unit(pairs[0], M, 0.5)])])
+                        *_class_blocks(A, [PairQAM(pairs[0], M, 0.5)])])
     A1, A2 = A[pairs[1][0]], A[pairs[1][1]]
     return D, (A1 - 1j * A2) / 2, (A1 + 1j * A2) / 2
 
@@ -405,7 +402,7 @@ def test_grid_pass_takes_n_plus_1_squared_determinants_per_class(
     monkeypatch.setattr(div, "_laurent_coefficients", laurent_spy)
     fd = family(2, Fraction(5, 4))
     *prior, last = family_pairs(fd)
-    units = [_pair_unit(p, 4, 2 * np.pi * 27 / GRID) for p in prior]
+    units = [PairQAM(p, 4, 2 * np.pi * 27 / GRID) for p in prior]
     [theta] = rotation_search(_family_matrices(fd), units, [last], 4)
     assert theta == 2 * np.pi * 72 / GRID
     assert asked == [25, 25 * 324, 25 * 36, 25 * 4]
@@ -495,10 +492,6 @@ def _whole_min(A, units):
                 for b in _class_blocks(A, units)), default=np.inf)
 
 
-def _units(stbc):
-    return [(u.indices, u.values()) for u in stbc.signals.units]
-
-
 def _family_auto(R):
     """Family m=2 bundle at its auto angles: 2 pi k / 720 per pair."""
     k = {Fraction(1): (27,) * 4, Fraction(5, 4): (27,) * 4 + (72,),
@@ -518,7 +511,7 @@ def test_grouped_min_equals_whole_product(make):
     # sum the same unit differences as the whole product's, bit for bit
     stbc = make()
     assert full_diversity_check(stbc) == \
-        _whole_min(stbc.matrices, _units(stbc))
+        _whole_min(stbc.matrices, stbc.signals.units)
 
 
 def test_group_classes_of_the_family():
@@ -540,8 +533,8 @@ def test_unit_groups_are_the_finest_partition(m):
             continue
         pairs = family_pairs(fd)
         groups = _groups(hr_orthogonal_table(_family_matrices(fd)),
-                         [(p, None) for p in pairs])
-        got = {tuple(i for idx, _V in g for i in idx) for g in groups}
+                         [PairQAM(p, 4) for p in pairs])
+        got = {tuple(i for u in g for i in u.indices) for g in groups}
         assert got == set(finest_partition(fd.design()).groups), R
 
 
@@ -563,7 +556,7 @@ def _whole_growth(ld, points, sizes, start, rng):
             cand = float(rng.uniform(-10, 10))
             if any(abs(cand - p) < 1e-9 for p in points[k]):
                 continue
-            units = [((j,), np.reshape(p + [cand] * (j == k), (-1, 1)))
+            units = [RealPoints(j, sorted(p + [cand] * (j == k)))
                      for j, p in enumerate(points)]
             if _whole_min(A, units) > DET_TOL:
                 points[k].append(cand)
@@ -628,12 +621,12 @@ def test_carried_minima_equal_fresh_ones(m, R, prior):
     # first two pairs as a prior at 3 pi / 40
     fd = family(m, R)
     A, pairs = _family_matrices(fd), family_pairs(fd)
-    units = [_pair_unit(p, 4, 2 * np.pi * 27 / GRID) for p in pairs[:prior]]
+    units = [PairQAM(p, 4, 2 * np.pi * 27 / GRID) for p in pairs[:prior]]
     carried = rotation_search(A, units, pairs[prior:], 4)
     fresh = []
     for pair in pairs[prior:]:
         fresh += rotation_search(A, units, [pair], 4)
-        units = units + [_pair_unit(pair, 4, fresh[-1])]
+        units = units + [PairQAM(pair, 4, fresh[-1])]
     assert carried == fresh
 
 
@@ -669,6 +662,35 @@ def test_auto_build_tables_once_and_certifies_each_pair_once(monkeypatch):
     assert certified == [True] * 5
 
 
+@pytest.mark.parametrize("rate, pairs, suite, line", [
+    ("5/4", 5, "all", "diversity: PASS min_det=0.0840693 classes=29524 "
+     "checked=3284"),
+    ("7/4", 7, "diversity", "diversity: PASS min_det=0.0227589 "
+     "classes=2391484 checked=2391484")], ids=["r5_4", "r7_4"])
+def test_each_unit_builds_its_difference_table_once(
+        rate, pairs, suite, line, tmp_path, monkeypatch, capsys):
+    # an auto build tables each unrotated pair (the cap check), the QAM
+    # differences' unit and each accepted rotated pair; a verify tables
+    # each unit of the file once for the check and both class counts
+    built = []
+    prop = PairQAM.differences
+    table = prop.func
+
+    def table_spy(unit):
+        built.append(unit)
+        return table(unit)
+    monkeypatch.setattr(prop, "func", table_spy)
+    path = str(tmp_path / "fd.txt")
+    assert main(["build-fd", "--m", "2", "--rate", rate, "--angles", "auto",
+                 "--M", "4", "--out", path]) == 0
+    assert len(built) == 2 * pairs + 1
+    built.clear()
+    capsys.readouterr()
+    assert main(["verify", "--in", path, "--suite", suite]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    assert len(built) == len(set(map(id, built))) == pairs
+
+
 def test_floor_refuses_a_group_under_the_lu_error():
     # one unrotated 4-QAM pair has a singular difference, |det| 0: at
     # N = 4 that is a failing minimum, at N = 8 it does not clear the
@@ -677,9 +699,9 @@ def test_floor_refuses_a_group_under_the_lu_error():
     for m, want in ((2, 0.7938926261466158), (3, 0.6302655018499703)):
         fd = family(m, 1)
         A, pair = _family_matrices(fd), family_pairs(fd)[0]
-        rotated = [_pair_unit(pair, 4, 2 * np.pi * 27 / 720)]
+        rotated = [PairQAM(pair, 4, 2 * np.pi * 27 / 720)]
         assert _certify(A, rotated) == pytest.approx(want)
-        unrotated = [_pair_unit(pair, 4, 0.0)]
+        unrotated = [PairQAM(pair, 4, 0.0)]
         if m == 2:
             assert _certify(A, unrotated) == 0.0
         else:
@@ -694,8 +716,8 @@ def test_rotation_search_refuses_an_angle_under_the_lu_floor():
     # the LU error floor, so the search refuses the angle itself
     fd = family(4, 1)
     A, pairs = _family_matrices(fd), family_pairs(fd)
-    first = [idx for idx, _V in _groups(hr_orthogonal_table(A),
-                                       [(p, None) for p in pairs])[0]]
+    first = [u.indices for u in _groups(hr_orthogonal_table(A),
+                                        [PairQAM(p, 4) for p in pairs])[0]]
     with pytest.raises(DiversityFloorError,
                        match=r"group of 6 reals .* at N=16"):
         rotation_search(A, [], first[:3], 4)
@@ -712,7 +734,7 @@ def test_rotation_search_refuses_a_malformed_pair(prior, pair):
     # the prior's pairs given as prior units, or as pairs searched before
     # the malformed one in the same call
     A = _family_matrices(family(2, Fraction(5, 4)))  # K = 10
-    units = [_pair_unit(p, 4, 0.5) for p in prior]
+    units = [PairQAM(p, 4, 0.5) for p in prior]
     for given, earlier in ((units, []), ([], list(prior))):
         with pytest.raises(ValueError, match="^pair %s needs two distinct "
                            r"reals of 0\.\.9 that no prior unit owns$"
@@ -727,10 +749,49 @@ def test_rotation_search_refuses_a_malformed_pair(prior, pair):
 ])
 def test_rotation_search_refuses_a_malformed_prior(prior, owned):
     A = _family_matrices(family(2, Fraction(5, 4)))
-    units = [_pair_unit(p, 4, 0.5) for p in prior]
+    units = [PairQAM(p, 4, 0.5) for p in prior]
     with pytest.raises(ValueError, match=r"^prior units own reals %s, need "
                        r"distinct reals of 0\.\.9$" % re.escape(owned)):
         rotation_search(A, units, [(4, 5)], 4)
+
+
+@pytest.mark.parametrize("far", [1e10, 1e300])
+def test_a_unit_past_the_difference_keys_is_refused(far):
+    # differences are keyed as int64 multiples of 1e-9, so one of 1e10 or
+    # more would take a garbage key and drop out of every class: on the
+    # singular design the code would certify inf, a false PASS
+    singular = LinearDesign(m=1, entries=(LDEntry(label="x1", matrix=E11),))
+    for ld in (singular, catalog("alamouti").linear):
+        stbc = STBCInstance(linear=ld, signals=SignalSet(units=tuple(
+            RealPoints(k, (0.0, far)) for k in range(ld.K))))
+        msg = ("RealPoints(index=0, points=(0.0, %r)): difference %.3g is "
+               "too large for the 1e-9 difference keys" % (far, far))
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+            full_diversity_check(stbc)
+    # 1e9 is keyed exactly and still certifies
+    for ld, want in ((singular, 0.0), (catalog("alamouti").linear, 1e18)):
+        assert full_diversity_check(STBCInstance(linear=ld, signals=SignalSet(
+            units=tuple(RealPoints(k, (0.0, 1e9))
+                        for k in range(ld.K))))) == want
+
+
+def test_units_store_their_sequences_as_tuples():
+    # a list or an array gives the same unit as the tuple, with the same
+    # hash, so it can key the codebook weights and prior a search
+    for unit, want in (
+            (RealPoints(0, [-0.5, 0.5]), RealPoints(0, (-0.5, 0.5))),
+            (RealPoints(0, np.array([-0.5, 0.5])),
+             RealPoints(0, (-0.5, 0.5))),
+            (PairQAM([0, 1], 4), PairQAM((0, 1), 4))):
+        assert unit == want and hash(unit) == hash(want)
+        assert isinstance(unit.indices, tuple)
+        assert SignalSet(units=(unit,)).weights == {want: 1}
+        assert unit.differences[0].tobytes() == \
+            want.differences[0].tobytes()
+    A = np.concatenate([_ciod_matrices()[:2], [I2]])
+    assert rotation_search(A, [RealPoints(2, np.array([0.0, 1.0]))],
+                           [[0, 1]], 4) == \
+        rotation_search(A, [RealPoints(2, (0.0, 1.0))], [(0, 1)], 4)
 
 
 def test_full_diversity_repeated_codeword_is_zero():
@@ -762,6 +823,31 @@ def _grown_min(ld, points):
     """full_diversity_check of the code over grown per-real points."""
     return full_diversity_check(STBCInstance(linear=ld, signals=SignalSet(
         units=tuple(RealPoints(k, p) for k, p in enumerate(points)))))
+
+
+def test_growth_outputs_are_pinned():
+    # recorded before growth certified its points as sorted RealPoints
+    # units: the representative of each difference key may not move
+    ala = to_linear_design(catalog("alamouti").design)
+    assert grow_constellation(ala, (3, 3, 3, 3), seed=0) == (
+        (2.739233746429086, 6.265404784005447, 8.255111545554435),
+        (-4.604265724722594, 2.132715515343598, 4.589931219679968),
+        (-9.180529521276107, 0.8724998293084578, 8.701448475755363),
+        (-9.945229996597039, -9.669447289429417, 6.317071082430644))
+    assert grow_constellation(ala, (3, 3, 3, 3), seed=1) == (
+        (-3.763370959790291, -1.533471020548486, 0.23643249400513433),
+        (-1.816017272616774, 6.554051876408835, 9.009273926518706),
+        (-9.448817735138633, -7.116807745607325, 0.9918737534611903),
+        (0.7628662643855648, 5.070262173496133, 8.972988942744877))
+    gg, pam = _ggroup21_interleaved(), pam_points(2)
+    assert grow_with_pam_prefix(gg, 2, (pam, pam), (3, 3), seed=0) == (
+        pam, pam,
+        (-8.38351921653625, -7.097995295690449, 2.0257841247553188),
+        (-7.693625919352551, -3.4612259825278073, -1.9512441601282564))
+    assert grow_with_pam_prefix(gg, 2, (pam, pam), (3, 3), seed=1) == (
+        pam, pam,
+        (-4.459532466137364, -1.6000174121561557, -1.0316971333545606),
+        (-9.005002328163522, -1.3823602491132476, 6.438252165966773))
 
 
 def test_grow_constellation_alamouti():
