@@ -9,7 +9,8 @@ advertised decoding complexity concrete: orthogonal designs hard-limit
 every real, multigroup designs scan each group (optionally hard-limiting
 the last real), the fast-group-decodable code conditions on the
 non-orthogonal part of its big group, the Silver code conditions on its
-two precoded QAM symbols, whose precoder its weight matrices carry, and
+kept information symbols z3, z4, whose precoder its weight matrices
+carry (puncturing drops z4, then z3, never a precoded symbol), and
 the rate-R family pairs its symbols into rotated QAM and follows
 fdfgd.family_plan.
 """
@@ -90,34 +91,30 @@ def silver_stbc(M, R=Fraction(2)):
     with U = SILVER_U.  U is linear, so it folds into the weights of z3
     and z4: with P the real 4x4 form of U, entry 4 + j carries
     A'_j = sum_k P_kj A_{4+k} and keeps the GF(4) vector of A_{4+j}, and
-    those vectors name the design a file stores.  Decoding conditions on
-    z3, z4 and hard-limits the four remaining reals, costing exactly
-    M^{2(R-1)} metric evaluations.
+    those vectors name the design a file stores.  Puncturing drops the
+    information symbols z4 (R = 3/2), then z3 (R = 1), keeping the first
+    4R entries.  Decoding conditions on the kept z symbols and hard-limits
+    the four remaining reals, costing exactly M^{2(R-1)} metric
+    evaluations.
     """
     R = Fraction(R)
     if R not in (Fraction(1), Fraction(3, 2), Fraction(2)):
         raise ValueError("pairwise puncturing allows R in {1, 3/2, 2}")
     entry = catalog("silver")
-    keep = int(4 * R)  # real symbol count after puncturing s4 (and s3)
-    entries = entry.linear.entries[:keep]
-    units = [PairQAM((0, 1), M), PairQAM((2, 3), M)]
+    keep = int(4 * R)  # real symbol count after puncturing z4 (and z3)
+    P = np.block([[np.array([[u.real, -u.imag], [u.imag, u.real]])
+                   for u in row] for row in SILVER_U])
+    folded = np.tensordot(P, entry.linear.matrices()[4:], axes=(0, 0))
+    entries = entry.linear.entries[:4] + tuple(
+        replace(e, label=label, matrix=A) for e, label, A in
+        zip(entry.linear.entries[4:keep], ("z3I", "z3Q", "z4I", "z4Q"),
+            folded))
+    units = tuple(PairQAM((i, i + 1), M) for i in range(0, keep, 2))
     hard = Leaf((0, 1, 2, 3), HARD_ALL)
-    if R == 2:
-        P = np.block([[np.array([[u.real, -u.imag], [u.imag, u.real]])
-                       for u in row] for row in SILVER_U])
-        folded = np.tensordot(P, entry.linear.matrices()[4:], axes=(0, 0))
-        entries = entries[:4] + tuple(
-            replace(e, label=label, matrix=A) for e, label, A in
-            zip(entries[4:], ("z3I", "z3Q", "z4I", "z4Q"), folded))
-        units += [PairQAM((4, 5), M), PairQAM((6, 7), M)]
-        plan = Cond(conditioning=(4, 5, 6, 7), children=(hard,))
-    elif R == Fraction(3, 2):
-        units.append(PairQAM((4, 5), M, 0.0))
-        plan = Cond(conditioning=(4, 5), children=(hard,))
-    else:
-        plan = hard
+    plan = (Cond(conditioning=tuple(range(4, keep)), children=(hard,))
+            if keep > 4 else hard)
     return STBCInstance(linear=LinearDesign(m=1, entries=entries),
-                        signals=SignalSet(units=tuple(units)), plan=plan)
+                        signals=SignalSet(units=units), plan=plan)
 
 
 def assemble_stbc(fd, angles, M):

@@ -48,9 +48,11 @@ the pair matrices combine to a full-rank matrix.  One rotation search
 takes a prior code of signal-set units and all of a code's pairs, each
 searched against the prior and the pairs before it.  It reads one
 HR-orthogonality table, checks each group of the finished code against
-DIFF_CAP before any search and certifies each prior group once; a group
-keeps its minimum until a pair joins it.  Only the units in the pair's
-own group combine with it; every other group enters through its minimum.
+DIFF_CAP before any search and certifies each prior group once.  It
+carries the code's minimum as one number: a pair's merged group holds
+every class of the groups it joins, so its certified minimum is at most
+theirs.  Only the units in the pair's own group combine with it; every
+other group enters through that minimum.
 For each class D of the own group (and zero) and each QAM difference w,
 det(D + e^{it} w B+ + e^{-it} w* B-) is a Laurent polynomial of degree
 <= N in e^{it}, whose coefficients for every w take (N+1)^2 determinants
@@ -65,8 +67,10 @@ values, whose minimum the merged group then carries: DET_TOL, DIFF_CAP
 and, at N >= 8, the LU error floor, as in every other verdict.
 Every auto-angle family code that builds finds its angles on this grid.
 Arbitrary per-real point sets achieving full diversity are grown
-greedily: a sampled point changes only its real's group, every other
-group has certified, so the point is kept when its group still does.
+greedily on one RealPoints unit per real, from the first drawn point to
+the result: a sampled point changes only its real's unit and group,
+every other group has certified, so the point is kept when its group
+still does, and each unchanged unit keeps its difference table.
 """
 
 import itertools
@@ -383,9 +387,10 @@ def rotation_search(A, units, pairs, M):
     units, found = list(units), []
     for g in _groups(orth, units + unrotated):
         _check_class_cap(_class_count(g))
-    least = {}  # each unit's group minimum, keyed by the unit
-    for group in _groups(orth, units):
-        least.update(dict.fromkeys(group, _min_abs_det_product(A, [group])))
+    # the code's minimum: a merged group holds the classes of the groups
+    # it joins, so its minimum is at most theirs
+    least = min((_min_abs_det_product(A, [g]) for g in _groups(orth, units)),
+                default=np.inf)
     # the nonzero differences x_I + i x_Q of the unrotated M-QAM
     d, _pick = PairQAM((0, 1), M).differences
     w = d[d.any(axis=1)].view(complex)[:, 0]
@@ -401,7 +406,7 @@ def rotation_search(A, units, pairs, M):
         # half of A1 -+ i A2: x_I A1 + x_Q A2 = z*Bp + conj(z)*Bm
         A1, A2 = A[list(unit.indices)]
         Bp, Bm = (A1 - 1j * A2) / 2.0, (A1 + 1j * A2) / 2.0
-        best_min = min(least.values(), default=np.inf)
+        best_min = least
         # a prior that is not full diversity cannot be rescued by any angle
         if best_min > DET_TOL:
             mins = np.full(len(thetas), best_min)
@@ -420,7 +425,7 @@ def rotation_search(A, units, pairs, M):
             raise ValueError("no grid angle certifies full diversity "
                              "(direct min |det| = %.3g at theta = %.6g)"
                              % (direct, theta))
-        least.update(dict.fromkeys(group, direct))
+        least = min(least, direct)
         units.append(group[-1])
         found.append(theta)
     return found
@@ -432,78 +437,71 @@ def _distinct_reals(idx, K):
         isinstance(i, numbers.Integral) and 0 <= i < K for i in idx)
 
 
-def _check_full_rank(A, start=0):
-    for k, a in enumerate(A[start:], start=start):
-        sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] <= DET_TOL:
+def _grow(A, orth, prefix, sizes, rng):
+    """Point sets of every real: the prefix's RealPoints units on reals
+    0..L-1 as given, and one grown to sizes[k - L] points on each later
+    real k, read in groups from the HR-orthogonality table orth.
+
+    Refuses a size count other than one per grown real, a singular grown
+    weight matrix, a target that is not an integer >= 1 and targets under
+    which a group could exceed DIFF_CAP classes (q points have at most
+    q(q-1)+1 distinct differences).  Each grown real starts at one point;
+    a prefix is then certified with them as one code.  Candidates are
+    drawn uniformly from [-10, 10); each is kept only if real k's group,
+    the one group it changes, still certifies (so does the code), and each
+    symbol may reject RETRIES candidates.  Returns sorted point tuples.
+    """
+    L = len(prefix)
+    if len(sizes) != len(A) - L:
+        raise ValueError("need one target size per grown symbol")
+    for k in range(L, len(A)):
+        if np.linalg.svd(A[k], compute_uv=False)[-1] <= DET_TOL:
             raise ValueError("weight matrix %d is singular" % k)
-
-
-def _real_groups(orth, sizes):
-    """The HR-orthogonal groups of the reals, as lists of indices read
-    from the table orth, for point-set targets sizes, one per real.
-    Refuses a target that is not an integer >= 1, and targets under
-    which a group could exceed DIFF_CAP classes; q points have at most
-    q(q-1)+1 distinct differences."""
-    for k, q in enumerate(sizes):
+    for k, q in enumerate(sizes, start=L):
         if not (isinstance(q, numbers.Integral) and q >= 1):
             raise ValueError("real %d: target size %r is not an integer "
                              ">= 1" % (k, q))
+    target = [u.size for u in prefix] + list(sizes)
     groups = [g.tolist() for g in components(~orth)]
     for g in groups:
         _check_class_cap(
-            (math.prod(sizes[k] * (sizes[k] - 1) + 1 for k in g) - 1) // 2)
-    return groups
-
-
-def _certifies(A, points, groups):
-    """min |det| of the code over the point lists' groups > DET_TOL."""
-    return _min_abs_det_product(A, [[RealPoints(k, sorted(points[k]))
-                                     for k in g] for g in groups]) > DET_TOL
-
-
-def _grow(A, groups, points, sizes, start, rng):
-    """Grow points[k] to sizes[k - start] points for every k >= start.
-
-    Candidates are drawn uniformly from [-10, 10); each is kept only if
-    real k's group, the one group it changes, still certifies (so does
-    the code), and each symbol may reject RETRIES candidates.  Returns
-    sorted point tuples.
-    """
+            (math.prod(target[k] * (target[k] - 1) + 1 for k in g) - 1) // 2)
+    units = list(prefix) + [RealPoints(k, (float(rng.uniform(-10, 10)),))
+                            for k in range(L, len(A))]
+    if prefix and not _min_abs_det_product(
+            A, [[units[k] for k in g] for g in groups]) > DET_TOL:
+        raise RuntimeError("initial configuration failed certification")
     group = {k: g for g in groups for k in g}
-    for k in range(start, len(points)):
+    for k in range(L, len(A)):
         budget = RETRIES
-        while len(points[k]) < sizes[k - start]:
+        while units[k].size < target[k]:
             cand = float(rng.uniform(-10, 10))
-            if any(abs(cand - p) < 1e-9 for p in points[k]):
+            if any(abs(cand - p) < 1e-9 for p in units[k].points):
                 continue
-            points[k].append(cand)
-            if not _certifies(A, points, [group[k]]):
-                points[k].pop()
+            trial = RealPoints(k, tuple(sorted(units[k].points + (cand,))))
+            if _min_abs_det_product(A, [[trial if j == k else units[j]
+                                         for j in group[k]]]) > DET_TOL:
+                units[k] = trial
+            else:
                 budget -= 1
                 if budget == 0:
                     raise RuntimeError(
                         "growth retry budget exhausted at symbol %d" % k)
-    return tuple(tuple(sorted(p)) for p in points)
+    return tuple(u.points for u in units)
 
 
 def grow_constellation(ld, sizes, seed=0):
     """Greedy per-real point growth keeping the code full diversity.
 
-    Requires every weight matrix to be full rank and every target size
-    to be an integer >= 1; each accepted point is certified by an
-    exhaustive difference-determinant check of its group, so the
-    returned point lists always produce a full-diversity code.
+    Requires one target size per real, every weight matrix to be full
+    rank and every target size to be an integer >= 1; each accepted point
+    is certified by an exhaustive difference-determinant check of its
+    group, so the returned point lists always produce a full-diversity
+    code.
     """
     A = ld.matrices()
-    _check_full_rank(A)
-    K = ld.K
-    if len(sizes) != K:
-        raise ValueError("need one size per real symbol")
-    groups = _real_groups(hr_orthogonal_table(A), sizes)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    points = [[float(rng.uniform(-10, 10))] for _ in range(K)]
-    return _grow(A, groups, points, sizes, 0, rng)
+    return _grow(A, hr_orthogonal_table(A), [], sizes,
+                 np.random.default_rng(np.random.SeedSequence([seed])))
 
 
 def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0):
@@ -537,15 +535,8 @@ def grow_with_pam_prefix(ld, L, pam_sets, sizes=None, seed=0):
                          % divmod(int(bad.argmax()), L))
     if len(pam_sets) != L:
         raise ValueError("need %d PAM sets" % L)
-    K = ld.K
     if sizes is None:
-        sizes = (2,) * (K - L)
-    if len(sizes) != K - L:
-        raise ValueError("need one target size per grown symbol")
-    _check_full_rank(A, L)
-    groups = _real_groups(orth, [len(p) for p in points] + list(sizes))
+        sizes = (2,) * (ld.K - L)
     rng = np.random.default_rng(np.random.SeedSequence([seed, L]))
-    points += [[float(rng.uniform(-10, 10))] for _ in range(L, K)]
-    if not _certifies(A, points, groups):
-        raise RuntimeError("initial configuration failed certification")
-    return _grow(A, groups, points, sizes, L, rng)
+    return _grow(A, orth, [RealPoints(k, p) for k, p in enumerate(points)],
+                 sizes, rng)

@@ -23,7 +23,8 @@ t-closed choice works.  Pairs are found on packed codes (f4.code), where
 pairs become F4Vecs.
 
 For 2 antennas (m = 1) the family is the Silver code punctured pairwise,
-with decoding complexity M^{2(R-1)}.
+with decoding complexity M^{2(R-1)}: R = 3/2 punctures the information
+symbol z4, R = 1 also z3, never a precoded symbol s3 or s4.
 
 This module is pure algebra; bundles.family_bundle turns its members,
 and the m = 1 Silver code, into bundles with signal sets and plans.

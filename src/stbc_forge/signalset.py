@@ -124,10 +124,11 @@ class RealPoints(_Unit):
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
-            raise ValueError("empty point list")
+            raise ValueError("real %d: empty point list" % self.index)
         _check_finite(self.points, "real %d: point" % self.index)
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
-            raise ValueError("points must be strictly increasing")
+            raise ValueError("real %d: points %r are not strictly increasing"
+                             % (self.index, self.points))
 
     @property
     def indices(self):

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from stbc_forge import cli
+from stbc_forge.bundles import family_bundle
 from stbc_forge.cli import (main, format_design, parse_design, DESIGN_HEADER,
                             INFEASIBLE)
+from stbc_forge.diversity import cubic_shaping_check, generator_matrix
 from stbc_forge.signalset import SignalSet
 from stbc_forge.simulate import SimConfig
 
@@ -493,6 +495,29 @@ def test_build_fd_silver_path(capsys):
     code, out, _err = run(capsys, "build-fd", "--m", "1", "--rate", "3/2")
     assert code == 0
     assert "predicted=M^1" in out
+
+
+@pytest.mark.parametrize("rate, M, line", [
+    ("1", 4, "min_det=1 classes=40 checked=8"),
+    ("1", 16, "min_det=1 classes=1200 checked=48"),
+    ("3/2", 4, "min_det=0.755929 classes=364 checked=364"),
+    ("3/2", 16, "min_det=0.755929 classes=58824 checked=58824"),
+    ("2", 4, "min_det=0.755929 classes=3280 checked=3280"),
+    ("2", 16, "min_det=0.755929 classes=2882400 checked=2882400")],
+    ids=["r1-M4", "r1-M16", "r3_2-M4", "r3_2-M16", "r2-M4", "r2-M16"])
+def test_every_silver_rate_is_full_diversity(rate, M, line, tmp_path, capsys):
+    # puncturing drops the information symbol z4 (then z3), never the
+    # precoded s4: each member keeps the folded weights of its z symbols,
+    # so it is full diversity and its linear design has cubic shaping
+    p = tmp_path / "silver.txt"
+    assert run(capsys, "build-fd", "--m", "1", "--rate", rate, "--M", str(M),
+               "--out", str(p))[0] == 0
+    code, out, _err = run(capsys, "verify", "--in", str(p), "--suite", "all")
+    assert code == 0
+    assert out.splitlines() == ["partition: PASS", "shaping: PASS",
+                                "prop5: PASS", "diversity: PASS " + line]
+    stbc = family_bundle(1, rate, M, "", None).stbc
+    assert cubic_shaping_check(generator_matrix(stbc.linear))
 
 
 @pytest.mark.parametrize("angles", ["auto", "0.5,0.5"])

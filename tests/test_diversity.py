@@ -24,7 +24,7 @@ from stbc_forge.fdfgd import (build_base, puncture, extend, family,
                               family_pairs)
 from stbc_forge.pauli import I2, X, Z, phi_inv, hr_orthogonal_table
 from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
-                                  PairQAM, RealPoints)
+                                  PairQAM, RealPoints, _Unit)
 from stbc_forge.simulate import STBCInstance
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
                                 silver_stbc, group_stbc)
@@ -850,6 +850,34 @@ def test_growth_outputs_are_pinned():
         (-9.005002328163522, -1.3823602491132476, 6.438252165966773))
 
 
+@pytest.mark.parametrize("prefix, sizes, seed, tables", [
+    (True, (3, 3), 0, 8), (True, (2, 2), 5, 6), (False, (3, 3, 3, 3), 0, 8)],
+    ids=["ggroup21-3_3-seed0", "ggroup21-seed5", "alamouti-3333-seed0"])
+def test_growth_tables_each_changed_unit_once(prefix, sizes, seed, tables,
+                                              monkeypatch):
+    # growth holds one unit per real: the prefix certification tables its
+    # four units, and each candidate tables only its own new unit, every
+    # other unit of its group keeping its table.  No candidate is rejected
+    # here, so ggroup21 tables 4 + 4 and 4 + 2 units, and alamouti, whose
+    # groups are single reals, one per grown point
+    built = []
+    prop = _Unit.differences
+    table = prop.func
+
+    def table_spy(unit):
+        built.append(unit)
+        return table(unit)
+    monkeypatch.setattr(prop, "func", table_spy)
+    if prefix:
+        pam = pam_points(2)
+        grow_with_pam_prefix(_ggroup21_interleaved(), 2, (pam, pam), sizes,
+                             seed)
+    else:
+        grow_constellation(to_linear_design(catalog("alamouti").design),
+                           sizes, seed)
+    assert len(built) == len(set(map(id, built))) == tables
+
+
 def test_grow_constellation_alamouti():
     ld = to_linear_design(catalog("alamouti").design)
     points = grow_constellation(ld, (2, 2, 2, 2), seed=0)
@@ -869,7 +897,8 @@ def test_grow_constellation_rejects_singular_matrix():
 
 def test_grow_constellation_size_checks():
     ld = to_linear_design(catalog("alamouti").design)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need one target size per grown "
+                       "symbol$"):
         grow_constellation(ld, (2, 2))
     # the cap bounds each HR-orthogonal group: alamouti's four reals are
     # four groups, and 4,473 points on one real give 10,001,628 classes

@@ -101,6 +101,16 @@ def test_real_points_validation():
         RealPoints(0, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("points, msg", [
+    ((), "real 3: empty point list"),
+    ((1.0, 0.0), "real 3: points (1.0, 0.0) are not strictly increasing"),
+    ([-0.5, 0.5, 0.5], "real 3: points (-0.5, 0.5, 0.5) are not strictly "
+     "increasing")])
+def test_real_points_refusals_name_the_real_and_its_points(points, msg):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+        RealPoints(3, points)
+
+
 @pytest.mark.parametrize("points", [(0.0, np.inf), (np.nan,), (-np.inf, 0.0)])
 def test_real_points_refuse_non_finite_points(points):
     # NaN passes the increasing-order check and an infinite point gives
