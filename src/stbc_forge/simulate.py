@@ -62,9 +62,11 @@ plan level, each on one large array:
     fused Cond folds a leaf's values into that leaf's child rows only,
     and every node returns per-leaf metrics, which the parent sums.
   - No quotient in a metric.  A hard-limit leaf divides only to pick
-    its point; the metric is then formed from products and sums of the
-    picked point, the projections and the Gram, so integer channels
-    give exact metrics and exact ties, as in the oracle.
+    its point, and on a two-point axis not at all: it forms both
+    points' metrics and keeps the smaller, ties to the lower point.  A
+    metric is formed from products and sums of the point, the
+    projections and the Gram, so integer channels give exact metrics
+    and exact ties, as in the oracle.
   - Batch-invariant bits.  b and G are one real product each per trial,
     C-contiguous as products are; projections are (rows, K) @ (K, n)
     products per trial on them, folds such products per trial and leaf,
@@ -94,10 +96,15 @@ codebook order.  With x = (x_A, x_B) split the same way,
 f_A and f_B each half's own linear and quadratic terms.  Per trial the
 whole grid is one product of the head rows [2 x_A G_AB, 1, f_A]
 against the tail columns [x_B, f_B, 1].  The tail is taken in blocks of
-rows whose columns and f_B's product fit _CHUNK_BYTES, each against all
-n_A head rows, and trials in blocks whose grid blocks and half tables
-fit it too.  The head is never split: a grid block holds at most
-n_A n_B <= ORACLE_CAP metrics, and 8 ORACLE_CAP bytes fit _CHUNK_BYTES.
+rows whose columns and f_B's product fit _CHUNK_BYTES per trial, each
+against all n_A head rows.  Trials go in blocks whose half tables, with
+the products that form them, fit it too, so the head rows and each
+block of tail columns are built once per trial block; the grid is then
+formed in sub-blocks of the block's trials whose metrics fit the budget
+next to their own tables, one sub-block at a time (family R=2: trial
+blocks of 14, the grid one trial at a time).  The head is never split:
+a grid block holds at most n_A n_B <= ORACLE_CAP metrics per trial, and
+8 ORACLE_CAP bytes fit _CHUNK_BYTES.
 Each block's argmin takes the first of its minima, which is its lowest
 index, and a block wins over the best so far with a strictly smaller
 metric, or with an equal metric at a lower index, so ties go to the
@@ -409,7 +416,11 @@ class _HardLimit:
         -2 p u + p^2 g_dd = p (p g_dd - 2u).
 
     The quotient 2u / (2 g_dd) only picks p; no quotient enters a metric,
-    so integer channels give exact metrics and exact ties.  A leaf's one
+    so integer channels give exact metrics and exact ties.  On a
+    two-point axis both metrics are formed and the smaller kept, ties
+    going to the lower point: the quotient's side of the midpoint would
+    take the higher point where the two metrics round to one double,
+    which the oracle's lowest index does not.  A leaf's one
     row is 2d, its index digit p's index times the axis digit factor
     times the unit weight, and its charge one evaluation, or none for a
     hard_all leaf's axes after the first, whose metrics the parent sums.
@@ -427,12 +438,23 @@ class _HardLimit:
                               dtype=np.int64)[:, None]
         self.leaves = L = len(leaves)
         self.count = sum(charges)
-        # the quotient (then p), the indexes, the metrics and a broadcast
-        # buffer, and the Gram product with its broadcast buffer
+        # the quotient (then p) or the upper point's metrics, the
+        # indexes, the metrics and a broadcast buffer, and the Gram
+        # product with its broadcast buffer
         self.width = 4 * hyps * L + 2 * self.d.size
 
     def decode(self, P, G):
         g_dd = _quad(self.d, G)[..., None]                         # (T, L, 1)
+        if len(self.points) == 2:  # both metrics, ties to the lower point
+            lo, hi = self.points
+            m = lo * g_dd - P
+            m *= lo
+            m_hi = hi * g_dd - P
+            m_hi *= hi
+            pi = m_hi < m
+            np.copyto(m, m_hi, where=pi)
+            del m_hi
+            return m, pi * self.digit
         p = P / (2.0 * g_dd)
         pi = _nearest(self.mids, p)
         np.take(self.points, pi, out=p, mode="clip")
@@ -579,15 +601,21 @@ def _oracle(stbc, b, G):
     plus the cross term, as one product per trial of the head rows
     [2 x_A G_AB, 1, f_A] against the tail columns [x_B, f_B, 1].  The
     tail is taken in blocks of rows whose columns, and f_B's product,
-    fit _CHUNK_BYTES per trial, each against all head rows, since a
-    codebook within ORACLE_CAP keeps any grid block within the budget,
-    and trials in blocks within the same budget.
+    fit _CHUNK_BYTES per trial, each against all head rows.  Trials go
+    in blocks whose head rows and tail columns, with the products that
+    form them, fit the same budget, so each table is built once per
+    trial block; the grid is formed in sub-blocks of those trials whose
+    metrics fit it next to their tables, one sub-block at a time, since
+    a codebook within ORACLE_CAP keeps one trial's grid block within the
+    budget.
     """
     (cA, XA), (cB, XB) = stbc.grid
     T, K = b.shape
     n_A, (n_B, k_B) = len(XA), XB.shape
     cols = min(n_B, max(1, _CHUNK_BYTES // (8 * (2 * k_B + 2))))
-    per = max(1, _CHUNK_BYTES // (8 * (n_A * cols + (n_A + cols) * (K + 2))))
+    tables = (n_A + cols) * (K + 2)
+    per = max(1, _CHUNK_BYTES // (8 * tables))
+    sub = max(1, _CHUNK_BYTES // (8 * (n_A * cols + tables)))
     best_i, best_m = np.empty(T, dtype=np.int64), np.empty(T)
     for t0 in range(0, T, per):
         bt, Gt = b[t0:t0 + per], G[t0:t0 + per]
@@ -595,24 +623,27 @@ def _oracle(stbc, b, G):
         L[..., :k_B] = 2.0 * (XA @ Gt[_block(cA, cB)])
         L[..., k_B] = 1.0
         L[..., k_B + 1] = _half_metric(XA, cA, bt, Gt)
-        t, bi = np.arange(len(bt)), None
         for b0 in range(0, n_B, cols):
             XBb = XB[b0:b0 + cols]
             R = np.empty((len(bt), k_B + 2, len(XBb)))
             R[:, :k_B] = XBb.T
             R[:, k_B] = _half_metric(XBb, cB, bt, Gt)
             R[:, k_B + 1] = 1.0
-            m = (L @ R).reshape(len(bt), -1)
-            arg = np.argmin(m, axis=1)
-            m, i = m[t, arg], arg + b0
-            if len(XBb) < n_B:  # grid row arg // len(XBb) of the block
-                i += arg // len(XBb) * (n_B - len(XBb))
-            if bi is None:
-                bi, bm = i, m
-            else:  # a strictly smaller metric, or a tie at a lower index
-                upd = (m < bm) | ((m == bm) & (i < bi))
-                bi, bm = np.where(upd, i, bi), np.where(upd, m, bm)
-        best_i[t0:t0 + per], best_m[t0:t0 + per] = bi, bm
+            for s0 in range(0, len(bt), sub):
+                m = L[s0:s0 + sub] @ R[s0:s0 + sub]
+                m = m.reshape(len(m), -1)
+                arg = np.argmin(m, axis=1)
+                m, i = m[np.arange(len(m)), arg], arg + b0
+                if len(XBb) < n_B:  # grid row arg // len(XBb) of the block
+                    i += arg // len(XBb) * (n_B - len(XBb))
+                s = slice(t0 + s0, t0 + s0 + len(m))
+                if b0 == 0:
+                    best_i[s], best_m[s] = i, m
+                else:  # a strictly smaller metric, or a tie at a lower index
+                    bi, bm = best_i[s], best_m[s]
+                    upd = (m < bm) | ((m == bm) & (i < bi))
+                    np.copyto(bi, i, where=upd)
+                    np.copyto(bm, m, where=upd)
     return best_i, best_m
 
 

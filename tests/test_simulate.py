@@ -1371,11 +1371,28 @@ def test_metric_terms_stay_within_the_chunk_budget(name):
         assert peak <= sim._CHUNK_BYTES + (64 << 10), n_rx
 
 
-@pytest.mark.parametrize("name", sorted(ALL_BUNDLES))
-def test_oracle_metric_bits_do_not_depend_on_the_batch(name):
-    stbc = _bundle(name)
+R2_SPLIT = "family R=2, split blocks"
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BUNDLES) + ["one unit", R2_SPLIT])
+def test_oracle_metric_bits_do_not_depend_on_the_batch(name, monkeypatch):
+    # at the budget, family R=2's 40 trials make trial blocks of 14 and
+    # grid sub-blocks of one trial, and the tail of one 22,500-QAM pair
+    # spans two blocks of columns; R2_SPLIT runs family R=2 under a budget
+    # whose column blocks split its tail in three, then under one whose
+    # trial blocks of 16 hold grid sub-blocks of 2 trials
+    budgets = [sim._CHUNK_BYTES]
+    if name == "one unit":
+        stbc = _one_unit(150 ** 2)
+    elif name == R2_SPLIT:
+        stbc = _bundle("family R=2")
+        budgets = [8 * 18 * 100, 8 * 2 * (256 * 256 + 512 * 18)]
+    else:
+        stbc = _bundle(name)
     T = 40
-    for seed, snr_db in ((1, 0.0), (2, 12.0)):
+    for budget, (seed, snr_db) in itertools.product(
+            budgets, ((1, 0.0), (2, 12.0))):
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", budget)
         cfg = SimConfig(n_rx=2, snr_db=(snr_db,), trials=T, seed=seed)
         sigma = np.sqrt(stbc.average_energy
                         / (stbc.N * 10 ** (snr_db / 10.0)))
@@ -1485,6 +1502,18 @@ def test_decoders_keep_exact_ties_on_integer_channels(name):
     assert got_o.tolist() == want.tolist()
     assert got_s.tolist() == want.tolist()
     assert _table_argmin(stbc, b, G).tolist() == want.tolist()
+
+
+def test_two_point_hard_limit_keeps_a_rounded_tie_at_the_lower_point():
+    # b_0 = 1e-17 against G = I moves the metric of either point of real 0
+    # by less than half an ulp of 1, so both round to 1.0: the hard limit
+    # must keep the lower point, the lowest index, as the oracle does
+    stbc = alamouti_stbc(4)
+    b, G = np.array([[1e-17, 0.0, 0.0, 0.0]]), np.eye(4)[None]
+    got_s, m_s = sim._structured(stbc, b, G)
+    got_o, m_o = sim._oracle(stbc, b, G)
+    assert (got_s.tolist(), m_s.tolist()) == ([0], [1.0])
+    assert (got_o.tolist(), m_o.tolist()) == ([0], [1.0])
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_BUNDLES) + ["family R=2"])
@@ -1612,6 +1641,25 @@ def test_oracle_decodes_several_trials_per_call(monkeypatch):
                         decoder=decoder)
         simulate(cfg, stbc)
     assert sizes == [4, 4]
+
+
+def test_oracle_builds_its_half_tables_once_per_trial_block(monkeypatch):
+    # 8 family R=2 trials on the 256 x 256 grid are one trial block: its
+    # head rows and its one block of tail columns are each formed once,
+    # for all 8 trials, and only the grid is formed trial by trial
+    stbc = _bundle("family R=2")
+    real, calls = sim._half_metric, []
+
+    def half_metric(X, cols, b, G):
+        calls.append((len(X), len(b)))
+        return real(X, cols, b, G)
+
+    cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=8, seed=1)
+    _sent, Y, H = sim._draw(stbc, cfg, 0.3, 0, range(8))
+    b, G = sim._metric_terms(stbc, Y, H)
+    monkeypatch.setattr(sim, "_half_metric", half_metric)
+    sim._oracle(stbc, b, G)
+    assert calls == [(256, 8), (256, 8)]
 
 
 def test_hard_all_limits_units_of_every_kind():
