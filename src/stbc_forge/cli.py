@@ -2,10 +2,10 @@
 
 Design files are plain text ("stbc-design v1"): one m= line, sorted
 meta.* lines, then one line per group listing vectors in the canonical
-"lam|x1,...,xm" form; parse_design refuses a second m= line and a file
-with no vectors.  Writing, reading and re-writing a file is
-byte-identical.  Simulation results use the "stbc-simresult v1" record
-of key=value lines plus a per-SNR table.
+"lam|x1,...,xm" form; parse_design refuses a second m= line, an empty
+or repeated meta key and a file with no vectors.  Writing, reading and
+re-writing a file is byte-identical.  Simulation results use the
+"stbc-simresult v1" record of key=value lines plus a per-SNR table.
 
 Bundle meta.* lines are written by bundles.family_bundle (build-fd, any
 m >= 1) and read by bundles.bundle_from_meta (catalog show, verify and
@@ -61,6 +61,10 @@ def parse_design(text, validate=True):
             m = bundles.parse_number(ln[2:], "m", int)
         elif ln.startswith("meta."):
             k, _eq, v = ln[5:].partition("=")
+            if not k:
+                raise ValueError("meta line %r names no key" % ln)
+            if k in meta:
+                raise ValueError("second meta.%s= line %r" % (k, ln))
             meta[k] = v
         elif ln.startswith("group "):
             head, _sep, body = ln[6:].partition(":")
@@ -105,11 +109,15 @@ def _default_seed():
 
 def _catalog_params(name, tokens):
     """{k: int} of k=v tokens; ValueError naming the first token that is
-    not one of the design's parameters set to an integer."""
+    not one of the design's parameters set to an integer, or that sets
+    one a second time."""
     takes = cons.catalog_params(name)
     params = {}
     for tok in tokens:
         k, _eq, v = tok.partition("=")
+        if k in params:
+            raise ValueError("bad parameter %r for %s: %s= is given twice"
+                             % (tok, name, k))
         if k not in takes or not re.fullmatch(r"[+-]?\d+", v.strip()):
             raise ValueError("bad parameter %r for %s, which takes %s"
                              % (tok, name, " ".join("%s=<int>" % p

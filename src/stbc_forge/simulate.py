@@ -61,12 +61,13 @@ plan level, each on one large array:
     whose points agree.  A leaf keeps its own rows and index digits, a
     fused Cond folds a leaf's values into that leaf's child rows only,
     and every node returns per-leaf metrics, which the parent sums.
-  - No quotient in a metric.  A hard-limit leaf divides only to pick
-    its point, and on a two-point axis not at all: it forms both
-    points' metrics and keeps the smaller, ties to the lower point.  A
-    metric is formed from products and sums of the point, the
-    projections and the Gram, so integer channels give exact metrics
-    and exact ties, as in the oracle.
+  - No quotient in a metric.  A hard-limit leaf never divides: it
+    counts the inner points below its vertex by comparison, forms the
+    metrics of the two points around the vertex and keeps the smaller,
+    ties to the lower point, on an axis of any size.  A metric is
+    formed from products and sums of the point, the projections and
+    the Gram, so integer channels give exact metrics and exact ties, as
+    in the oracle.
   - Batch-invariant bits.  b and G are one real product each per trial,
     C-contiguous as products are; projections are (rows, K) @ (K, n)
     products per trial on them, folds such products per trial and leaf,
@@ -166,15 +167,6 @@ ORACLE_CAP = 10 ** 5    # largest codebook the exhaustive decoder scans
 _CHUNK_BYTES = 1 << 20  # working-set budget of one decode batch (1 MiB)
 MAX_TRIALS = 2 ** 32    # trial indexes fill one uint32 word of the RNG key
 _SQRT2 = math.sqrt(2)   # the CSCG scale, the same double as np.sqrt(2)
-
-
-def _nearest(mids, v):
-    """The number of midpoints below v: the nearest point's index, ties
-    going to the lower point."""
-    i = np.zeros(np.shape(v), dtype=np.intp)
-    for mid in mids:
-        i += v > mid
-    return i
 
 
 class PlanError(ValueError):
@@ -415,22 +407,23 @@ class _HardLimit:
 
         -2 p u + p^2 g_dd = p (p g_dd - 2u).
 
-    The quotient 2u / (2 g_dd) only picks p; no quotient enters a metric,
-    so integer channels give exact metrics and exact ties.  On a
-    two-point axis both metrics are formed and the smaller kept, ties
-    going to the lower point: the quotient's side of the midpoint would
-    take the higher point where the two metrics round to one double,
-    which the oracle's lowest index does not.  A leaf's one
-    row is 2d, its index digit p's index times the axis digit factor
-    times the unit weight, and its charge one evaluation, or none for a
-    hard_all leaf's axes after the first, whose metrics the parent sums.
+    It is a convex quadratic in p, smallest at one of the two points
+    around its vertex u / g_dd: points j and j + 1, j the number of inner
+    points p with 2u > 2p g_dd, a comparison and no quotient.  Both
+    metrics are formed and the smaller kept, ties going to the lower
+    point as the oracle's lowest index does; a comparison that rounds the
+    wrong way puts the vertex next to a point both brackets hold.  No
+    quotient enters a metric, so integer channels give exact metrics and
+    exact ties.  A leaf's one row is 2d, its index digit p's index
+    times the axis digit factor times the unit weight, and its charge
+    one evaluation, or none for a hard_all leaf's axes after the first,
+    whose metrics the parent sums.
     """
 
     def __init__(self, leaves, signals, hyps):
         units, axes, charges = zip(*leaves)
         # the leaves share the axis points
         self.points = np.asarray(axes[0][1])
-        self.mids = (self.points[:-1] + self.points[1:]) / 2.0
         self.d = _axis_rows(leaves, signals.K)
         self.rows = 2.0 * self.d
         self.digit = np.array([signals.weights[u] * axis[2]
@@ -438,31 +431,29 @@ class _HardLimit:
                               dtype=np.int64)[:, None]
         self.leaves = L = len(leaves)
         self.count = sum(charges)
-        # the quotient (then p) or the upper point's metrics, the
-        # indexes, the metrics and a broadcast buffer, and the Gram
-        # product with its broadcast buffer
-        self.width = 4 * hyps * L + 2 * self.d.size
+        # the metrics of both points, the indexes and a broadcast buffer,
+        # past two points the bracket count and a gathered point, and the
+        # Gram product with its broadcast buffer
+        wide = len(self.points) > 2
+        self.width = (4 + 2 * wide) * hyps * L + 2 * self.d.size
 
     def decode(self, P, G):
         g_dd = _quad(self.d, G)[..., None]                         # (T, L, 1)
-        if len(self.points) == 2:  # both metrics, ties to the lower point
-            lo, hi = self.points
-            m = lo * g_dd - P
-            m *= lo
-            m_hi = hi * g_dd - P
-            m_hi *= hi
-            pi = m_hi < m
-            np.copyto(m, m_hi, where=pi)
-            del m_hi
-            return m, pi * self.digit
-        p = P / (2.0 * g_dd)
-        pi = _nearest(self.mids, p)
-        np.take(self.points, pi, out=p, mode="clip")
-        m = p * g_dd
-        m -= P
+        j = np.intp(0)  # the inner points below the vertex
+        for p in self.points[1:-1]:
+            j += P > 2.0 * p * g_dd
+        p = self.points[j]
+        m = p * g_dd - P
         m *= p
-        pi *= self.digit
-        return m, pi
+        p = self.points[j + 1]
+        m_hi = p * g_dd - P
+        m_hi *= p
+        up = m_hi < m  # ties to the lower point
+        np.copyto(m, m_hi, where=up)
+        del m_hi, p
+        i = j + up
+        i *= self.digit
+        return m, i
 
 
 class _Cond:

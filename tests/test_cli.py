@@ -72,8 +72,10 @@ def test_catalog_show_with_params(capsys, tmp_path):
                         "m=<int>"),
     (("ggroup", "g=2", "a=--1"), "bad parameter 'a=--1' for ggroup, which "
                                  "takes g=<int> a=<int>"),
+    (("scod", "m=2", "m=3"), "bad parameter 'm=3' for scod: m= is given "
+                             "twice"),
 ], ids=["no-parameters", "unknown-key", "not-an-integer", "no-value",
-        "two-signs", "doubled-sign"])
+        "two-signs", "doubled-sign", "repeated"])
 def test_catalog_show_names_a_bad_parameter(argv, message, capsys):
     code, out, err = run(capsys, "catalog", "show", *argv)
     assert code == 1 and not out
@@ -227,6 +229,23 @@ def test_design_file_needs_one_m_line_and_a_vector(body, message, tmp_path,
     for argv in (("verify", "--in", str(p), "--suite", "shaping"),
                  ("verify", "--in", str(p), "--suite", "prop5"),
                  ("construct", "--op", "A", "--in", str(p))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (("meta.M=16", "meta.M=4"), "second meta.M= line 'meta.M=4'"),
+    (("meta.=4",), "meta line 'meta.=4' names no key")],
+    ids=["repeated", "empty"])
+def test_design_file_refuses_an_empty_or_repeated_meta_key(lines, message,
+                                                           tmp_path, capsys):
+    # a repeated key would keep its last value: refused on load, as a
+    # second m= line is, before a suite or a simulation reads the file
+    p = tmp_path / "ala.txt"
+    run(capsys, "catalog", "show", "alamouti", "--out", str(p))
+    p.write_text(p.read_text() + "".join(ln + "\n" for ln in lines))
+    for argv in (("verify", "--in", str(p), "--suite", "diversity"),
+                 ("simulate", "--in", str(p), "--snr", "0", "--trials", "1")):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", "error: %s\n" % message)
 

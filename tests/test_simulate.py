@@ -1462,7 +1462,9 @@ def _integer_terms(stbc, Y, H):
 
 TIE_BUNDLES = {
     "alamouti": lambda: alamouti_stbc(4),
+    "alamouti M=16": lambda: alamouti_stbc(16),
     "qod4": lambda: qod4_stbc(Q=2),
+    "qod4 Q=4": lambda: qod4_stbc(Q=4),
     "qod4 hard_last": lambda: group_stbc(catalog("qod4"), 2, HARD_LAST),
     "family R=1": lambda: assemble_stbc(puncture(build_base(2), 1),
                                         [0.0] * 4, 4),
@@ -1473,9 +1475,10 @@ TIE_BUNDLES = {
 
 @pytest.mark.parametrize("name", sorted(TIE_BUNDLES))
 def test_decoders_keep_exact_ties_on_integer_channels(name):
-    # weight matrices in {0, +-1, +-i}, points +-1/2 and Gaussian-integer
-    # Y and H make b, G and every metric exact, so many channels tie at
-    # the minimum; both decoders must return the lowest tied index
+    # weight matrices in {0, +-1, +-i}, points +-1/2 (and +-3/2) and
+    # Gaussian-integer Y and H make b, G and every metric exact, so many
+    # channels tie at the minimum; both decoders must return the lowest
+    # tied index
     stbc = TIE_BUNDLES[name]()
     n, N = 300, stbc.N
     rng = np.random.default_rng(31)
@@ -1504,16 +1507,48 @@ def test_decoders_keep_exact_ties_on_integer_channels(name):
     assert _table_argmin(stbc, b, G).tolist() == want.tolist()
 
 
-def test_two_point_hard_limit_keeps_a_rounded_tie_at_the_lower_point():
-    # b_0 = 1e-17 against G = I moves the metric of either point of real 0
-    # by less than half an ulp of 1, so both round to 1.0: the hard limit
-    # must keep the lower point, the lowest index, as the oracle does
-    stbc = alamouti_stbc(4)
+@pytest.mark.parametrize("M, want", [(4, 0), (16, 85), (64, 1755)])
+def test_hard_limit_keeps_a_rounded_tie_at_the_lower_point(M, want):
+    # b_0 = 1e-17 against G = I moves the metric of either point around
+    # real 0's vertex by less than half an ulp, so both round to one
+    # double: the hard limit must keep the lower point, the lowest
+    # index, as the oracle does, on axes of two points and more
+    stbc = alamouti_stbc(M)
     b, G = np.array([[1e-17, 0.0, 0.0, 0.0]]), np.eye(4)[None]
     got_s, m_s = sim._structured(stbc, b, G)
     got_o, m_o = sim._oracle(stbc, b, G)
-    assert (got_s.tolist(), m_s.tolist()) == ([0], [1.0])
-    assert (got_o.tolist(), m_o.tolist()) == ([0], [1.0])
+    assert (got_s.tolist(), m_s.tolist()) == ([want], [1.0])
+    assert (got_o.tolist(), m_o.tolist()) == ([want], [1.0])
+
+
+@pytest.mark.parametrize("M", [16, 64])
+def test_hard_limit_picks_the_smallest_metric_near_a_midpoint(M):
+    # P within 3 ulp of 2 g mid puts the vertex P / (2g) on a midpoint,
+    # where a rounded quotient may land on either side; each leaf must
+    # keep a point whose metric (p g - P) p is the smallest on its axis,
+    # ties going to the lower point
+    stbc = alamouti_stbc(M)
+    (node,) = stbc.compiled.children
+    pts, L = node.points, node.leaves
+    rng = np.random.default_rng(M)
+    T = 2000
+    g = rng.uniform(0.05, 20.0, (T, L))
+    mid = (pts[:-1] + pts[1:])[rng.integers(len(pts) - 1, size=(T, L))] / 2
+    P, steps = 2.0 * g * mid, rng.integers(-3, 4, (T, L))
+    for k in range(3):
+        P = np.where(abs(steps) > k,
+                     np.nextafter(P, np.where(steps > 0, np.inf, -np.inf)), P)
+    G = np.zeros((T, L, L))
+    G[:, np.arange(L), np.arange(L)] = g
+    m, i = node.decode(P[..., None], G)
+    g_dd = sim._quad(node.d, G)
+    assert np.array_equal(g_dd, g)
+    every = (pts * g_dd[..., None] - P[..., None]) * pts  # (T, L, points)
+    assert np.array_equal(m[..., 0], every.min(axis=-1))
+    assert np.array_equal(i[..., 0] // node.digit.T, every.argmin(axis=-1))
+    # a zero Gram leaves every metric 0: the lowest codeword, no warning
+    got, m0 = sim._structured(stbc, np.zeros((1, 4)), np.zeros((1, 4, 4)))
+    assert (got.tolist(), m0.tolist()) == ([0], [0.0])
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_BUNDLES) + ["family R=2"])
@@ -1533,12 +1568,19 @@ def test_decode_working_set_stays_within_the_chunk_budget(name):
     assert peak <= 1.5 * sim._CHUNK_BYTES
 
 
-@pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
+HARD_LIMIT_M16 = {
+    "silver R=2 M=16": lambda: silver_stbc(16),
+    "silver R=3/2 M=16": lambda: silver_stbc(16, Fraction(3, 2))}
+
+
+@pytest.mark.parametrize("name", sorted(_compile_shape_bundles())
+                         + sorted(HARD_LIMIT_M16))
 def test_node_widths_bound_the_structured_working_set(name):
     # each node's width bounds the float64 words one trial of its subtree
     # holds, so one _structured call on a full chunk of T trials holds at
-    # most T times the root's projections and width
-    stbc = _compile_shape_bundles()[name]()
+    # most T times the root's projections and width; silver at 16-QAM
+    # spends most of it hard-limiting four-point axes
+    stbc = dict(_compile_shape_bundles(), **HARD_LIMIT_M16)[name]()
     cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=3,
                     decoder="structured")
     T = sim._chunk(stbc, cfg)
