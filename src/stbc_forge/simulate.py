@@ -41,19 +41,26 @@ Both decoders take a batch of T trials per call: linear terms b of shape
 The structured decoder works in projected coordinates.  Every compiled
 node keeps `rows`, the linear-term rows its kernel reads, leaf by leaf:
 a hard-limit leaf its one row 2d, and a Cond leaf its conditioning
-values followed by its rows of each child.  The decoder
-forms rows @ b once, at the root, and no node ever sees the K columns
-of b again.  A Cond folds hypothesis v into a child's projections as
-P_child - rows_child.G.v, one (rows, hypotheses) product per leaf and
-trial broadcast over the parent's hypotheses, so each node's arrays are
-as wide as its own rows.  The node kernels cost a few numpy calls per
-plan level, each on one large array:
+values scaled by -2 (an exact scaling) followed by its rows of each
+child.  The decoder forms rows @ b once, at the root, and no node ever
+sees the K columns of b again.  The Gram side is shared the same way:
+the root stacks every node's Gram-facing rows (each fold's values v,
+each hard-limit leaf's direction d) into one table Q, and per batch the
+decoder forms Q.G and each row's form x.G.x once, which every node
+reads as views.  A Cond folds hypothesis v into a child's projections
+as P_child - rows_child.G.v, one (rows, hypotheses) product per leaf
+and trial of the child rows against its rows of Q.G, broadcast over the
+parent's hypotheses, so each node's arrays are as wide as its own rows,
+and its own metrics -2 v.b + v.G.v are one add of its projections and
+its forms.  The node kernels cost a few numpy calls per plan level,
+each on one large array:
 
   - Candidates ahead of hypotheses.  A Cond lays out its values (joint
     values, outer PAM values, conditioning hypotheses) on an axis before
     the hypotheses and picks with min over that axis, then the lowest
     codeword index among the exact ties, so its pick does not depend on
-    the candidates' order.
+    the candidates' order.  The pick takes no mask: a tied candidate's
+    index less _BIG sorts below every untied one.
   - Sibling groups.  At compile time sibling nodes of one signature
     fuse into one node with a leaf axis: Conds whose conditioning
     tables have one value count and whose children's signatures agree
@@ -63,21 +70,26 @@ plan level, each on one large array:
     and every node returns per-leaf metrics, which the parent sums.
   - No quotient in a metric.  A hard-limit leaf never divides: it
     counts the inner points below its vertex by comparison, forms the
-    metrics of the two points around the vertex and keeps the smaller,
-    ties to the lower point, on an axis of any size.  A metric is
-    formed from products and sums of the point, the projections and
-    the Gram, so integer channels give exact metrics and exact ties, as
-    in the oracle.
+    metrics of the two points around the vertex and keeps the smaller
+    (np.minimum), ties to the lower point, on an axis of any size.  An
+    axis of two points -s < s, s a power of two (every axis at M = 4),
+    takes five passes that keep those bits and ties, but for the sign
+    of an exact zero metric at the upper point.  A metric is formed
+    from products and sums of the point, the projections and the Gram,
+    so integer channels give exact metrics and exact ties, as in the
+    oracle.
   - Batch-invariant bits.  b and G are one real product each per trial,
-    C-contiguous as products are; projections are (rows, K) @ (K, n)
-    products per trial on them, folds such products per trial and leaf,
-    and Gram terms _quad forms, whose BLAS shapes do not depend on T;
+    C-contiguous as products are; projections, Q.G and the forms' sums
+    are (rows, K) @ (K, n) products per trial on them, and folds such
+    products per trial and leaf, whose BLAS shapes do not depend on T;
     everything else is elementwise.  A metric's bits are the same
     whether its trial is decoded alone or in a batch.
   - Few live temporaries.  Nodes form metrics and indexes in place, a
     Cond adds its own metrics into its first child's, and each node's
     `width` bounds the float64 elements one trial of its subtree holds
-    at once, numpy's broadcast buffers included.
+    at once next to the Gram terms, numpy's broadcast and cast buffers
+    included; _decode_words adds the Gram terms, n_q (K + 1) words per
+    trial for n_q rows of Q.
 
 Metric-evaluation counts match the plan's complexity terms exactly: a
 joint leaf costs its candidate count (a Cond without children), a
@@ -114,13 +126,13 @@ per-trial shape that does not depend on T, so the oracle's metric bits
 do not depend on the batch either.
 
 simulate walks one stream of (snr index, trial) keys, SNR by SNR, and
-decodes it in chunks whose metric terms, root projections and
-structured-decoder widths stay within _CHUNK_BYTES; the oracle scans its
-grid in blocks of that budget on its own.  A chunk may span SNRs: it is
-drawn in one call over per-key SNR indexes, noise deviations and trial
-indexes, errors are counted per SNR, and a decoder disagreement names
-the trial's own SNR and index.  Results are therefore independent of the
-chunk size.  Key (k, t) draws from its own PCG64 generator, bit-identical
+decodes it in chunks whose metric terms and structured-decoder words
+(Gram terms, root projections and widths) stay within _CHUNK_BYTES; the
+oracle scans its grid in blocks of that budget on its own.  A chunk may
+span SNRs: it is drawn in one call over per-key SNR indexes, noise
+deviations and trial indexes, errors are counted per SNR, and a decoder
+disagreement names the trial's own SNR and index.  Results are therefore
+independent of the chunk size.  Key (k, t) draws from its own PCG64 generator, bit-identical
 to default_rng(SeedSequence([seed, k, t])) drawing integers(count) and
 then four blocks of standard normals.  Two published rules make the
 keying array work.  numpy's SeedSequence is O'Neill's seed_seq_fe hash
@@ -215,6 +227,12 @@ class STBCInstance:
         return hr_orthogonal_table(self.matrices)
 
     @cached_property
+    def gram_keep(self):
+        """(K, K) float table, 0 on the HR-orthogonal pairs and 1 elsewhere:
+        _metric_terms multiplies G by it."""
+        return np.where(self.hr_orthogonal, 0.0, 1.0)
+
+    @cached_property
     def symbol_table(self):
         """The whole codebook's real-symbol vectors, a reference that
         nothing in simulate reads; built on first use."""
@@ -238,11 +256,29 @@ def _compile(stbc):
     The helpers are module functions, not closures over the instance, so
     compiling leaves no reference cycle that would keep a dropped
     instance and its cached tables alive until the cyclic collector runs.
+    The root keeps Q, the Gram-facing rows of every node stacked (each
+    fold's values, each hard-limit leaf's direction), and each node the
+    slice `q` of its own rows.
     """
     A = stbc.matrices
     plan = stbc.plan if isinstance(stbc.plan, Cond) else Cond((), (stbc.plan,))
     spec = _spec(plan, stbc.signals, A, stbc.hr_orthogonal)
-    return _fuse([spec], 1, stbc.signals)
+    root = _fuse([spec], 1, stbc.signals)
+    Q, stop = [np.zeros((0, stbc.signals.K))], 0
+    for node in _walk(root):
+        if node.grams is not None:
+            node.q = slice(stop, stop + len(node.grams))
+            stop = node.q.stop
+            Q.append(node.grams)
+    root.Q = np.concatenate(Q)
+    return root
+
+
+def _walk(node):
+    """A compiled node and its subtree, parents first."""
+    yield node
+    for child in getattr(node, "children", ()):
+        yield from _walk(child)
 
 
 class _Spec(NamedTuple):
@@ -355,19 +391,23 @@ def _block(rows, cols):
     return (slice(None), rows[:, None], cols[None, :])
 
 
-def _quad(X, G):
-    """x.G.x for every row x of X (n, k) or (T, n, k), G (T, k, k)."""
-    XG = X @ G
-    XG *= X
-    return XG @ np.ones(X.shape[-1])
+def _gram_terms(Q, G):
+    """Q.G (T, n, K) and x.G.x (T, n) for every row x of Q (n, K), G
+    (T, K, K): one product per trial, and the forms summed by one more."""
+    QG = Q @ G
+    return QG, (QG * Q) @ np.ones(Q.shape[-1])
 
 
 def _pick(m, idx):
     """Minimum of m over the candidate axis 2 and the lowest index among
-    its exact ties, whatever order the candidates come in."""
+    its exact ties, whatever order the candidates come in: a tie's index
+    less _BIG stays below every other index, and is the least of them."""
     best = m.min(axis=2, keepdims=True)
-    tied = m == best
-    return best.squeeze(2), np.where(tied, idx, _BIG).min(axis=2)
+    key = (m == best) * _BIG
+    np.subtract(idx, key, out=key)
+    i = key.min(axis=2)
+    i += _BIG
+    return best.squeeze(2), i
 
 
 def _leaf_sum(m, idx):
@@ -381,40 +421,48 @@ def _leaf_sum(m, idx):
     return total, idx.sum(axis=-2)
 
 
-def _own(P, vGv):
-    """-2 P + v.G.v of a Cond's values, P's leading rows for each leaf."""
-    own = -2.0 * P[:, :, :vGv.shape[2]]
-    own += vGv
-    return own
-
-
 # Each node is built from its specs and the SignalSet, and holds L
 # sibling leaves of one signature.  It keeps `rows`, the linear-term rows
-# (r, K) its kernel reads, leaf by leaf, and decodes P: (T, r, n_hyp),
-# those rows applied to the folded linear terms of every hypothesis,
-# against G: (T, K, K), returning per-leaf (metrics (T, L, n_hyp),
-# codeword indexes (T, L, n_hyp)), which the caller owns and may change
-# in place; the parent Cond sums them.  `count` is the node's metric
-# evaluations per hypothesis and `width` bounds the float64 elements one
-# trial of the node and its subtree holds at once, its results included.
+# (r, K) its kernel reads, leaf by leaf, and `grams`, its Gram-facing
+# rows (or None), whose slice `q` of the root's stacked table Q _compile
+# sets.  It decodes P: (T, r, n_hyp), those rows applied to the folded
+# linear terms of every hypothesis, against the batch's Gram terms
+# (_gram_terms of Q: QG (T, n_q, K) and forms (T, n_q)), returning
+# per-leaf (metrics (T, L, n_hyp), codeword indexes (T, L, n_hyp)), which
+# the caller owns and may change in place; the parent Cond sums them.
+# `count` is the node's metric evaluations per hypothesis and `width`
+# bounds the float64 elements one trial of the node and its subtree
+# holds at once, its results included, next to the Gram terms.
 
 class _HardLimit:
     """For each leaf, hard-limit one axis of a unit exactly.
 
     A leaf is (unit, axis, charge): the axis's point p lies along its
     direction d, every other real held by the Conds above, which fold
-    their values into b.  With u = b.d and g_dd = d.G.d the metric is
+    their values into b.  With u = b.d and g = d.G.d (its Gram form) the
+    metric is
 
-        -2 p u + p^2 g_dd = p (p g_dd - 2u).
+        -2 p u + p^2 g = p (p g - 2u).
 
     It is a convex quadratic in p, smallest at one of the two points
-    around its vertex u / g_dd: points j and j + 1, j the number of inner
-    points p with 2u > 2p g_dd, a comparison and no quotient.  Both
+    around its vertex u / g: points j and j + 1, j the number of inner
+    points p with 2u > 2p g, a comparison and no quotient.  Both
     metrics are formed and the smaller kept, ties going to the lower
     point as the oracle's lowest index does; a comparison that rounds the
     wrong way puts the vertex next to a point both brackets hold.  No
     quotient enters a metric, so integer channels give exact metrics and
-    exact ties.  A leaf's one row is 2d, its index digit p's index
+    exact ties.
+
+    An axis of two points -s < s, s a power of two (every axis at
+    M = 4), takes five passes instead.  With p0 = -s, a = p0 g,
+    lo = a - 2u and hi = a + 2u, the two metrics are p0 lo and p0 hi,
+    products by a power of two that keep the order of lo and hi: the
+    upper point wins where hi > lo, and the metric is p0 max(lo, hi):
+    the two-metric form's bits and ties, but for an exact zero metric at
+    the upper point, p0 times +0 = -0 where that form gives +0, and for
+    subnormal lo and hi, whose products may round to a tie.
+
+    A leaf's one row is 2d and its Gram row d, its index digit p's index
     times the axis digit factor times the unit weight, and its charge
     one evaluation, or none for a hard_all leaf's axes after the first,
     whose metrics the parent sums.
@@ -424,32 +472,45 @@ class _HardLimit:
         units, axes, charges = zip(*leaves)
         # the leaves share the axis points
         self.points = np.asarray(axes[0][1])
-        self.d = _axis_rows(leaves, signals.K)
-        self.rows = 2.0 * self.d
+        self.grams = _axis_rows(leaves, signals.K)  # d
+        self.rows = 2.0 * self.grams
         self.digit = np.array([signals.weights[u] * axis[2]
                                for u, axis in zip(units, axes)],
                               dtype=np.int64)[:, None]
         self.leaves = L = len(leaves)
         self.count = sum(charges)
-        # the metrics of both points, the indexes and a broadcast buffer,
-        # past two points the bracket count and a gathered point, and the
-        # Gram product with its broadcast buffer
-        wide = len(self.points) > 2
-        self.width = (4 + 2 * wide) * hyps * L + 2 * self.d.size
+        lo, hi = self.points[0], self.points[-1]
+        self.pam2 = (len(self.points) == 2 and lo == -hi
+                     and math.frexp(hi)[0] == 0.5)
+        # the metrics of both points, their flags, the indexes and their
+        # cast buffer, and p g, a word per leaf; on wider axes the bracket
+        # count, a gathered point and a product too
+        res = hyps * L
+        self.width = (4 + 2 * (len(self.points) > 2)) * res + res // 8 + L
 
-    def decode(self, P, G):
-        g_dd = _quad(self.d, G)[..., None]                         # (T, L, 1)
+    def decode(self, P, QG, forms):
+        g = forms[:, self.q, None]                                 # (T, L, 1)
+        if self.pam2:
+            p0 = self.points[0]
+            a = p0 * g
+            lo = a - P
+            hi = a + P
+            up = hi > lo  # ties to the lower point
+            m = np.maximum(lo, hi, out=lo)
+            del hi
+            m *= p0
+            return m, up * self.digit
         j = np.intp(0)  # the inner points below the vertex
         for p in self.points[1:-1]:
-            j += P > 2.0 * p * g_dd
+            j += P > 2.0 * p * g
         p = self.points[j]
-        m = p * g_dd - P
+        m = p * g - P
         m *= p
         p = self.points[j + 1]
-        m_hi = p * g_dd - P
+        m_hi = p * g - P
         m_hi *= p
         up = m_hi < m  # ties to the lower point
-        np.copyto(m, m_hi, where=up)
+        np.minimum(m, m_hi, out=m)
         del m_hi, p
         i = j + up
         i *= self.digit
@@ -460,66 +521,70 @@ class _Cond:
     """For each leaf, enumerate its conditioning values and decode its
     children for each hypothesis: a plan Cond, a bare leaf (no
     conditioning), a hard_last leaf's prefix and outer axes, or with no
-    children a joint leaf.  A leaf's rows are its conditioning values Vc,
-    then its rows of each child.  Hypothesis v of leaf l folds into the
-    linear terms b of leaf l's children as b - G v, that is into their
-    projections as P_child - rows_child.G.v, broadcast over the parent's
-    hypotheses, one product per leaf of its child rows and its V.G.
-    Hypothesis c of parent row h becomes row c * H + h, so a leaf's
-    values are the leading candidate axis of its totals: its first
-    child's metrics plus -2 P + v.G.v, plus its other children's."""
+    children a joint leaf.  A leaf's rows are its conditioning values Vc
+    scaled by -2, then its rows of each child; its Gram rows are Vc.
+    Hypothesis v of leaf l folds into the linear terms b of leaf l's
+    children as b - G v, that is into their projections as
+    P_child - rows_child.G.v, broadcast over the parent's hypotheses, one
+    product per leaf of its child rows and its rows of QG.  Hypothesis c
+    of parent row h becomes row c * H + h, so a leaf's values are the
+    leading candidate axis of its totals: its first child's metrics plus
+    -2 v.b + v.G.v, one add of its projections and its forms, plus its
+    other children's."""
 
     def __init__(self, specs, children, hyps):
         Vc, cidx = zip(*(s.table for s in specs))
         L, n_c, K = np.shape(Vc)
         self.leaves = L
-        self.Vc = np.concatenate(Vc) if specs[0].parts else None  # no fold
+        self.grams = self.Vc = (np.concatenate(Vc) if specs[0].parts
+                                else None)  # no fold
         self.cidx = np.stack(cidx)[..., None]              # (L, n_c, 1)
         self.children = children
         parts = [c.rows.reshape(L, -1, K) for c in children]
         ends = np.cumsum([p.shape[1] for p in parts])
         self.slices = [slice(e - p.shape[1], e) for e, p in zip(ends, parts)]
         rows = self.leaf_rows = np.concatenate([np.zeros((L, 0, K)), *parts], 1)
-        values = [] if self.Vc is None else [np.stack(Vc)]
+        values = [] if self.Vc is None else [-2.0 * np.stack(Vc)]
         self.rows = np.concatenate(values + [rows], 1).reshape(-1, K)
         self.count = n_c * (sum(c.count for c in children) or L)
         # float64 words one trial holds at once, a buffer per broadcast
-        # operand counted at its result's size: the fold (V.G and the
-        # folded projections, next to F, a block per leaf, and their
-        # buffer, or to V.G's own buffer) and the pick; then, while each
-        # child decodes, the folded projections, a copy of the child's
-        # block, and its subtree or its results with their leaf sums and
-        # this node's own metrics or running totals
+        # or cast operand counted at its result's size: the fold (the
+        # folded projections next to F, a block per leaf, and their
+        # buffer) and the pick (the metrics, the indexes, the ties, their
+        # keys and their cast buffer); then, while each child decodes,
+        # the folded projections, a copy of the child's block, and its
+        # subtree or its results with their leaf sums, next to this
+        # node's running totals or, after its first child, its own
+        # metrics with their two buffers
         res = hyps * n_c * L  # the metrics, or the indexes, of all leaves
         r_c = rows[..., 0].size
         fold = hyps * n_c * r_c if self.Vc is not None else 0
         live = [] if self.Vc is None else [
-            fold + L * n_c * K + max(n_c * r_c + fold, L * n_c * K),
-            25 * res // 8 + 2 * hyps * L]
+            2 * fold + n_c * r_c * (fold > 0), 33 * res // 8 + 2 * hyps * L]
         for j, c in enumerate(children):
             k, copy = c.leaves // L, L > 1 and len(children) > 1
+            own = 3 * res * (j == 0 and self.Vc is not None)
             live.append(fold + copy * hyps * n_c * len(c.rows) + max(
                 c.width + 2 * res * (j > 0),
-                2 * res * (k + (k > 1) + (j > 0 or self.Vc is not None))))
+                2 * res * (k + (k > 1) + (j > 0)) + own))
         self.width = max(live)
 
-    def decode(self, P, G):
+    def decode(self, P, QG, forms):
         T, _r, H = P.shape
         L, n_c = self.cidx.shape[:2]
         Pc = P = P.reshape(T, L, -1, H)
         if self.Vc is not None:
-            VG = self.Vc @ G   # (T, L n_c, K): the fold, v.G.v's product
             if self.children:  # each leaf's rows against its own values
-                F = self.leaf_rows @ VG.reshape(T, L, n_c, -1).swapaxes(2, 3)
+                VG = QG[:, self.q].reshape(T, L, n_c, -1)
+                F = self.leaf_rows @ VG.swapaxes(2, 3)
                 Pc = (P[:, :, n_c:, None] - F[..., None]).reshape(
                     T, L, -1, n_c * H)
                 del F
-            VG *= self.Vc
-            vGv = (VG @ np.ones(VG.shape[-1])).reshape(T, L, n_c, 1)
-            del VG
+            vGv = forms[:, self.q].reshape(T, L, n_c, 1)
         m = i = None
         for child, rows in zip(self.children, self.slices):
-            cm, ci = child.decode(Pc[:, :, rows].reshape(T, -1, n_c * H), G)
+            cm, ci = child.decode(Pc[:, :, rows].reshape(T, -1, n_c * H),
+                                  QG, forms)
             # the child's leaves under each of this node's leaves
             cm, ci = _leaf_sum(cm.reshape(T, L, -1, n_c * H),
                                ci.reshape(T, L, -1, n_c * H))
@@ -527,7 +592,7 @@ class _Cond:
             if m is None:
                 m, i = cm, ci
                 if self.Vc is not None:  # its own, after its first child
-                    m += _own(P, vGv)
+                    m += P[:, :, :n_c] + vGv
                     i += self.cidx
             else:
                 m += cm
@@ -536,7 +601,7 @@ class _Cond:
         if self.Vc is None:
             return m[:, :, 0], i[:, :, 0]
         if m is None:  # a joint leaf: its values are the candidates
-            m, i = _own(P, vGv), self.cidx
+            m, i = P[:, :, :n_c] + vGv, self.cidx
         return _pick(m, i)
 
 
@@ -545,12 +610,14 @@ class _Cond:
 
 def _metric_terms(stbc, Y, H):
     """b = R.y (T, K) and G = R.R^T (T, K, K), R and y the real views of
-    A_i H and Y: (T, N, n_rx); G is exactly 0 on HR-orthogonal pairs."""
+    A_i H and Y: (T, N, n_rx); G is exactly 0 on HR-orthogonal pairs,
+    multiplied by the instance's 0/1 table (a negative entry becomes -0,
+    which every sum and comparison reads as 0)."""
     K, N = len(stbc.matrices), stbc.N
     AH = stbc.matrices.reshape(K * N, N) @ H  # (T, K N, n_rx)
     R = AH.view(np.float64).reshape(len(H), K, -1)
     G = R @ R.swapaxes(1, 2)
-    G[:, stbc.hr_orthogonal] = 0
+    np.multiply(G, stbc.gram_keep, out=G)
     return (R @ Y.view(np.float64).reshape(len(Y), -1, 1))[..., 0], G
 
 
@@ -576,7 +643,7 @@ def _grid(signals):
 
 def _half_metric(X, cols, b, G):
     """x.G.x - 2 x.b over one half's reals for every row x of X (n, k):
-    (T, n) for b (T, K), G (T, K, K), summed as _quad sums."""
+    (T, n) for b (T, K), G (T, K, K), summed as _gram_terms sums."""
     XG = X @ G[_block(cols, cols)]
     XG -= 2.0 * b[:, None, cols]
     XG *= X
@@ -639,9 +706,11 @@ def _oracle(stbc, b, G):
 
 
 def _structured(stbc, b, G):
-    """Plan decode of b: (T, K), G: (T, K, K); (indexes, metrics)."""
+    """Plan decode of b: (T, K), G: (T, K, K); (indexes, metrics).  The
+    Gram terms of every node are formed once, for the whole batch."""
     root = stbc.compiled
-    m, idx = root.decode(root.rows @ b[..., None], G)
+    QG, forms = _gram_terms(root.Q, G)
+    m, idx = root.decode(root.rows @ b[..., None], QG, forms)
     return idx[:, 0, 0], m[:, 0, 0]
 
 
@@ -724,14 +793,23 @@ class SimResult:
 
 def _trial_words(stbc, cfg):
     """Float64 words one trial of a decode batch holds at most: b, G,
-    the real view of A_i H and, for the structured decoder, the root's
-    projections and the compiled nodes' widths; the oracle scans its grid
-    in blocks within _CHUNK_BYTES on its own."""
+    the real view of A_i H and, for the structured decoder, its own
+    (_decode_words); the oracle scans its grid in blocks within
+    _CHUNK_BYTES on its own."""
     K = stbc.linear.K
     words = K * (K + 1) + 2 * K * stbc.N * cfg.n_rx
     if cfg.decoder != "oracle":
-        words += len(stbc.compiled.rows) + stbc.compiled.width
+        words += _decode_words(stbc.compiled)
     return words
+
+
+def _decode_words(root):
+    """Float64 words one trial of _structured holds at most: the Gram
+    terms QG and forms, next to the forms' product and its broadcast
+    buffer, then next to the root's projections and the compiled nodes'
+    widths."""
+    n_q, K = root.Q.shape
+    return n_q * (K + 1) + max(2 * n_q * K, len(root.rows) + root.width)
 
 
 def _chunk(stbc, cfg):

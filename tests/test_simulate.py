@@ -987,8 +987,8 @@ def _under(stbc, plan):
 def test_node_rows_stay_within_their_subtree(name):
     # every compiled node reads the linear terms only through its rows,
     # leaf by leaf, and a leaf's rows must vanish outside the reals of
-    # its own plan node; a Cond leaf's rows are its conditioning values,
-    # then its rows of each child.  Under each Cond leaf, the child
+    # its own plan node; a Cond leaf's rows are its conditioning values
+    # scaled by -2, then its rows of each child.  Under each Cond leaf, the child
     # nodes' leaves are the kernel leaves of its plan node's children,
     # each exactly once.  A bare leaf compiles as a Cond without
     # conditioning, a joint leaf as a Cond without children, and a
@@ -1008,9 +1008,10 @@ def test_node_rows_stay_within_their_subtree(name):
             return
         own = (np.zeros((L, 0, K)) if node.Vc is None
                else node.Vc.reshape(L, -1, K))
+        assert node.grams is node.Vc  # the values face the Gram unscaled
         parts = [c.rows.reshape(L, -1, K) for c in node.children]
-        assert _same_bits(node.rows,
-                          np.concatenate([own] + parts, 1).reshape(-1, K))
+        assert _same_bits(node.rows, np.concatenate(
+            [-2.0 * own] + parts, 1).reshape(-1, K))
         for plan, V in zip(plans, own):
             assert _support(V.any(axis=0)) == _conditioning(stbc, plan)
         pending = [_under(stbc, plan) for plan in plans]
@@ -1095,10 +1096,7 @@ def test_draw_bits_do_not_depend_on_the_chunk(name):
                 assert _same_bits(got, want[k:k + 1]), (name, k)
 
 
-def _nodes(node):
-    yield node
-    for child in getattr(node, "children", ()):
-        yield from _nodes(child)
+_nodes = sim._walk
 
 
 @pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
@@ -1202,9 +1200,9 @@ def test_cond_folds_each_leaf_into_its_own_child_rows(name, monkeypatch):
     b, G = sim._metric_terms(stbc, Y, H)
     seen = {}
     for node in _nodes(stbc.compiled):
-        def spy(P, G, node=node, decode=node.decode):
+        def spy(P, QG, forms, node=node, decode=node.decode):
             seen[id(node)] = P.copy()
-            return decode(P, G)
+            return decode(P, QG, forms)
         monkeypatch.setattr(node, "decode", spy)
     sim._structured(stbc, b, G)
     folds = [n for n in _nodes(stbc.compiled) if type(n).__name__ == "_Cond"
@@ -1294,8 +1292,8 @@ def test_structured_metric_bits_do_not_depend_on_the_batch(name):
 
 
 def test_metric_terms_are_contiguous():
-    # b and G are C-contiguous, so a product of one row against G, as a
-    # hard-limit node of one leaf forms, has the same bits in a batch as
+    # b and G are C-contiguous, so the Gram terms of one row against G,
+    # as of a Gram table of one row, have the same bits in a batch as
     # for one trial alone
     stbc = _bundle("family R=5/4")
     T, K = 24, stbc.linear.K
@@ -1304,9 +1302,11 @@ def test_metric_terms_are_contiguous():
     b, G = sim._metric_terms(stbc, Y, H)
     assert b.flags.c_contiguous and G.flags.c_contiguous
     for x in np.random.default_rng(6).standard_normal((100, 1, K)):
-        batch = sim._quad(x, G)
+        batch = sim._gram_terms(x, G)
         for t in range(T):
-            assert _same_bits(batch[t:t + 1], sim._quad(x, G[t:t + 1].copy()))
+            one = sim._gram_terms(x, G[t:t + 1].copy())
+            for got, want in zip(one, batch):
+                assert _same_bits(got, want[t:t + 1])
 
 
 @pytest.mark.parametrize("name", sorted(_compile_shape_bundles()))
@@ -1521,14 +1521,16 @@ def test_hard_limit_keeps_a_rounded_tie_at_the_lower_point(M, want):
     assert (got_o.tolist(), m_o.tolist()) == ([want], [1.0])
 
 
-@pytest.mark.parametrize("M", [16, 64])
+@pytest.mark.parametrize("M", [4, 16, 64])
 def test_hard_limit_picks_the_smallest_metric_near_a_midpoint(M):
     # P within 3 ulp of 2 g mid puts the vertex P / (2g) on a midpoint,
     # where a rounded quotient may land on either side; each leaf must
     # keep a point whose metric (p g - P) p is the smallest on its axis,
-    # ties going to the lower point
+    # ties going to the lower point (at M = 4 the midpoint is 0, and
+    # every such P rounds away next to p g)
     stbc = alamouti_stbc(M)
     (node,) = stbc.compiled.children
+    assert node.pam2 == (M == 4)
     pts, L = node.points, node.leaves
     rng = np.random.default_rng(M)
     T = 2000
@@ -1540,8 +1542,9 @@ def test_hard_limit_picks_the_smallest_metric_near_a_midpoint(M):
                      np.nextafter(P, np.where(steps > 0, np.inf, -np.inf)), P)
     G = np.zeros((T, L, L))
     G[:, np.arange(L), np.arange(L)] = g
-    m, i = node.decode(P[..., None], G)
-    g_dd = sim._quad(node.d, G)
+    QG, forms = sim._gram_terms(stbc.compiled.Q, G)
+    m, i = node.decode(P[..., None], QG, forms)
+    g_dd = forms[:, node.q]
     assert np.array_equal(g_dd, g)
     every = (pts * g_dd[..., None] - P[..., None]) * pts  # (T, L, points)
     assert np.array_equal(m[..., 0], every.min(axis=-1))
@@ -1549,6 +1552,107 @@ def test_hard_limit_picks_the_smallest_metric_near_a_midpoint(M):
     # a zero Gram leaves every metric 0: the lowest codeword, no warning
     got, m0 = sim._structured(stbc, np.zeros((1, 4)), np.zeros((1, 4, 4)))
     assert (got.tolist(), m0.tolist()) == ([0], [0.0])
+
+
+def _both_forms(node, P, g, monkeypatch):
+    """A two-point hard-limit node's (metrics, indexes) for projections P
+    (T, L, H) and Gram forms g (T, L), in its five-pass form and in the
+    two-metric form of wider axes."""
+    QG, forms = np.zeros((len(g), 0, 0)), np.zeros((len(g), node.q.stop))
+    forms[:, node.q] = g
+    got = node.decode(P, QG, forms)
+    monkeypatch.setattr(node, "pam2", False)
+    want = node.decode(P, QG, forms)
+    monkeypatch.undo()
+    return got, want
+
+
+def test_two_point_hard_limit_equals_the_two_metric_form(monkeypatch):
+    # the five-pass form keeps the two-metric form's bits and indexes:
+    # with p0 = -1/2, p0 (a - P) and p0 (a + P) are its two metrics, so
+    # the upper point wins where a + P > a - P, and on a rounded tie,
+    # |P| below half an ulp of a = p0 g, the lower point wins
+    (node,) = alamouti_stbc(4).compiled.children
+    assert node.pam2 and node.points.tolist() == [-0.5, 0.5]
+    rng = np.random.default_rng(44)
+    T, L, H = 400, node.leaves, 3
+    g = rng.uniform(0.01, 30.0, (T, L))
+    a = (-0.5 * g)[..., None]
+    P = rng.standard_normal((T, L, H)) * rng.choice([1e-300, 1e-8, 1.0, 1e3],
+                                                    (T, L, H))
+    P[:40] = 0.0
+    P[40:80] = rng.integers(-3, 4, (40, L, H)) * 5e-324  # a few ulp of 0
+    half = np.spacing(a[80:200]) * rng.uniform(-0.49, 0.49, (120, L, H))
+    P[80:200] = half
+    assert np.array_equal(a[80:200] + half, a[80:200] - half)
+    (m, i), (m2, i2) = _both_forms(node, P, g, monkeypatch)
+    assert _same_bits(m, m2) and _same_bits(i, i2)
+    assert not i[:200].any()  # every tie at the lower point
+    assert i[200:].any() and not i[200:].all()
+
+
+def test_two_point_hard_limit_on_integer_channels(monkeypatch):
+    # Gaussian-integer channels give exact metrics, and vertices on a
+    # point: the forms agree on every index and metric value; an exact
+    # zero metric at the upper point is -0 in the five-pass form
+    # (p0 times +0) and +0 in the two-metric form, which no comparison
+    # or sum of nonzero terms tells apart
+    stbc = alamouti_stbc(4)
+    (node,) = stbc.compiled.children
+    n, N = 300, stbc.N
+    rng = np.random.default_rng(45)
+    H = rng.integers(-1, 2, (n, N, 2)) + 1j * rng.integers(-1, 2, (n, N, 2))
+    H[~H.any(axis=(1, 2))] = 1
+    Y = rng.integers(-2, 3, (n, N, 2)) + 1j * rng.integers(-2, 3, (n, N, 2))
+    b, G = sim._metric_terms(stbc, Y, H)
+    _QG, forms = sim._gram_terms(stbc.compiled.Q, G)
+    P = (node.rows @ b[..., None])
+    (m, i), (m2, i2) = _both_forms(node, P, forms[:, node.q], monkeypatch)
+    assert _same_bits(i, i2) and np.array_equal(m, m2)
+    upper_zero = (m == 0) & (i > 0)
+    assert upper_zero.any() and ((m == 0) & (i == 0)).any()
+    assert np.array_equal(np.signbit(m) != np.signbit(m2), upper_zero)
+    assert _same_bits(m[~upper_zero], m2[~upper_zero])
+
+
+def test_gram_table_stacks_every_nodes_gram_rows():
+    # the root's Q holds each node's Gram-facing rows once, in walk
+    # order: each fold's values and each hard-limit leaf's direction
+    for name, build in sorted(_compile_shape_bundles().items()):
+        root = build().compiled
+        owners = [n for n in sim._walk(root) if n.grams is not None]
+        assert [n.q.start for n in owners] == [0] + [n.q.stop
+                                                    for n in owners[:-1]]
+        assert owners[-1].q.stop == len(root.Q), name
+        for node in owners:
+            assert _same_bits(root.Q[node.q], node.grams)
+            if type(node).__name__ == "_HardLimit":  # rows 2d, Gram rows d
+                assert _same_bits(node.rows, 2.0 * node.grams)
+            else:
+                assert node.grams is node.Vc
+
+
+@pytest.mark.parametrize("name", ["family R=5/4", "family R=2"])
+def test_gram_pass_bits_do_not_depend_on_the_chunk(name):
+    # one full structured chunk against each of its trials alone: the
+    # shared Gram terms and every decoded index and metric, bit for bit
+    stbc = _bundle(name)
+    root = stbc.compiled
+    cfg = SimConfig(n_rx=2, snr_db=(10.0,), trials=10 ** 6, seed=8,
+                    decoder="structured")
+    T = sim._chunk(stbc, cfg)
+    assert T > 1
+    _sent, Y, H = sim._draw(stbc, cfg, 0.4, 0, range(T))
+    b, G = sim._metric_terms(stbc, Y, H)
+    QG, forms = sim._gram_terms(root.Q, G)
+    idx, m = sim._structured(stbc, b, G)
+    for t in range(T):
+        one_QG, one_forms = sim._gram_terms(root.Q, G[t:t + 1].copy())
+        assert _same_bits(one_QG, QG[t:t + 1])
+        assert _same_bits(one_forms, forms[t:t + 1])
+        one_i, one_m = sim._structured(stbc, b[t:t + 1].copy(),
+                                       G[t:t + 1].copy())
+        assert one_i[0] == idx[t] and _same_bits(one_m, m[t:t + 1]), t
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_BUNDLES) + ["family R=2"])
@@ -1592,8 +1696,7 @@ def test_node_widths_bound_the_structured_working_set(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    root = stbc.compiled
-    assert peak <= 8 * T * (len(root.rows) + root.width)
+    assert peak <= 8 * T * sim._decode_words(stbc.compiled)
 
 
 @pytest.mark.parametrize("name", ["alamouti", "silver", "family R=2"])
