@@ -60,11 +60,22 @@ and one 2-D FFT (_laurent_coefficients); one more matrix product
 evaluates them on the angle grid.  The square-QAM difference set is
 invariant under multiplication by i, so the minimum |det| has period
 pi/2 and only the GRID / 4 grid angles in (0, pi/2] are evaluated, in
-one pass.  The search takes the smallest grid angle whose minimum |det|
-is within a relative TIE_RTOL of the best and accepts it only through
-the group certifier on the pair's own group with the rotated pair's
-values, whose minimum the merged group then carries: DET_TOL, DIFF_CAP
-and, at N >= 8, the LU error floor, as in every other verdict.
+one pass.  A search builds its tables once (the sample points, the
+monomial matrix from FFT to coefficients and the angle table), each
+pair its sample offsets once, and a pair walks zero and its group's
+classes as one stream of blocks.  The grid pass takes a block's
+coefficient rows in order of a lower bound on their values,
+|c_0| - sum_{k != 0} |c_k| less a rounding margin, in cache-sized
+chunks folded into the pair's running minimum at each angle, and stops
+at the first chunk whose least bound reaches the largest running
+minimum: no later row can lower any minimum, so the minima are bit for
+bit those of evaluating every row (a branch and bound made exact by
+the triangle inequality).  The search takes the smallest grid angle
+whose minimum |det| is within a relative TIE_RTOL of the best and
+accepts it only through the group certifier on the pair's own group
+with the rotated pair's values, whose minimum the merged group then
+carries: DET_TOL, DIFF_CAP and, at N >= 8, the LU error floor, as in
+every other verdict.
 Every auto-angle family code that builds finds its angles on this grid.
 Arbitrary per-real point sets achieving full diversity are grown
 greedily on one RealPoints unit per real, from the first drawn point to
@@ -95,6 +106,12 @@ RETRIES = 200
 TIE_RTOL = 1e-9
 # complex entries per working block (16 MiB)
 _BLOCK = 2 ** 20
+# Laurent rows per chunk of the grid pass, its unit of skipping: 256 x
+# GRID / 4 = 46,080 complex grid values (0.7 MiB) and their magnitudes
+# stay in cache where 5,825-row steps took 16 MiB; on the m=2 R=5/4 and
+# R=3/2 searches at M = 4, 128 to 1,024 rows time within 3% of each
+# other, 64 rows up to 15% and 4,096 rows 8-12% slower
+_GRID_ROWS = 256
 
 
 class DiversityCapError(ValueError):
@@ -302,24 +319,36 @@ def full_diversity_check(stbc):
 # ---------------------------------------------------------------------------
 # rotation search
 
-def _laurent_coefficients(D, w, Bp, Bm):
+def _laurent_tables(w, N):
+    """The search's tables for the QAM differences w at N: the sample
+    points u_a = rho omega^a, a = 0..N, omega = e^{2 pi i / (N + 1)},
+    rho = max |w_j|, and _monomials(w / rho, N)."""
+    rho = float(np.abs(w).max())
+    u = rho * np.exp(2j * np.pi * np.arange(N + 1) / (N + 1))
+    return u, _monomials(w / rho, N)
+
+
+def _sample_offsets(u, Bp, Bm):
+    """(N + 1, N + 1, N, N) stack of u_a Bp + u_b Bm, one pair's offsets
+    of the (N + 1)^2 samples of every class."""
+    return u[:, None, None, None] * Bp + u[None, :, None, None] * Bm
+
+
+def _laurent_coefficients(D, offsets, mono):
     """One row per (D_i, w_j): the coefficients c_k, k = 0..N, -N..-1
-    (FFT order), of det(D_i + z w_j Bp + conj(w_j) Bm / z) = sum c_k z^k.
+    (FFT order), of det(D_i + z w_j Bp + conj(w_j) Bm / z) = sum c_k z^k,
+    from the pair's _sample_offsets and the search's monomial matrix
+    (_laurent_tables).
 
     f(s, t) = det(D_i + s Bp + t Bm) has total degree <= N, so its values
-    at s = rho omega^a, t = rho omega^b, a, b = 0..N,
-    omega = e^{2 pi i / (N + 1)}, rho = max |w_j|, and one 2-D FFT give
-    its coefficients C_ab; then c_k = sum_{a - b = k} C_ab
-    w_j^a conj(w_j)^b is one product with a fixed monomial matrix.  That
-    is (N + 1)^2 determinants per D_i, whatever the number of w_j."""
-    N = Bp.shape[-1]
-    n = N + 1
-    rho = float(np.abs(w).max())
-    u = rho * np.exp(2j * np.pi * np.arange(n) / n)
-    F = _det_batch(D[:, None, None] + (u[:, None, None, None] * Bp
-                                       + u[None, :, None, None] * Bm))
+    at s = u_a, t = u_b, a, b = 0..N, and one 2-D FFT give its
+    coefficients C_ab; then c_k = sum_{a - b = k} C_ab
+    w_j^a conj(w_j)^b is one product with the fixed monomial matrix.
+    That is (N + 1)^2 determinants per D_i, whatever the number of w_j."""
+    n = len(offsets)
+    F = _det_batch(D[:, None, None] + offsets)
     C = np.fft.fft2(F).reshape(len(D), n * n)
-    return (C @ _monomials(w / rho, N)).reshape(-1, 2 * N + 1)
+    return (C @ mono).reshape(-1, 2 * n - 1)
 
 
 def _monomials(v, N):
@@ -335,15 +364,55 @@ def _monomials(v, N):
     return out.reshape(n * n, -1) / (n * n)
 
 
-def _grid_min(coeffs, thetas):
-    """min over rows of |sum_k c_k e^{ik theta}| at each theta."""
+def _angle_table(L, thetas):
+    """(L, len(thetas)) values e^{ik theta}, k in FFT order: a row of L
+    Laurent coefficients times it is the row's values on the grid."""
+    return np.exp(1j * np.outer(np.fft.fftfreq(L, 1.0 / L), thetas))
+
+
+def _grid_min(coeffs, E, out, skip=True):
+    """Fold min over rows of |sum_k c_k e^{ik theta}| at each grid angle
+    (the columns of E, _angle_table) into out, in place; returns the
+    number of rows evaluated.
+
+    Rows go in ascending order of a lower bound beta on their values and
+    are evaluated _GRID_ROWS at a time; the fold stops at the first chunk
+    whose least beta is >= max(out) (skip=False evaluates every chunk, in
+    the same order).  On |z| = 1 the triangle inequality gives
+    |sum c_k z^k| >= |c_0| - sum_{k != 0} |c_k|, so with S = sum_k |c_k|
+    beta = 2 |c_0| - (1 + 4 L eps) S.  The margin 4 L eps S = 8 L u S,
+    u = eps / 2, covers the rounding, each term a multiple of u S: the
+    grid product's complex dot product of L terms, sqrt(2) (L + 2); the
+    computed e^{ik theta}, of modulus up to 1 + 2u, 2; |.|, 1; and beta's
+    own magnitudes, sum and scaling, L + 2: (2.5 L + 8) u S in all, below
+    the margin for L >= 2.  A skipped row's computed value is then >= its
+    beta >= max(out) at every angle, so out is bit for bit what
+    evaluating every chunk gives."""
     L = coeffs.shape[1]
-    E = np.exp(1j * np.outer(np.fft.fftfreq(L, 1.0 / L), thetas))
-    out = np.full(len(thetas), np.inf)
-    step = max(1, _BLOCK // len(thetas))
-    for i in range(0, len(coeffs), step):
-        np.minimum(out, np.abs(coeffs[i:i + step] @ E).min(axis=0), out=out)
-    return out
+    mag = np.abs(coeffs)
+    beta = 2 * mag[:, 0] - (1 + 4 * L * np.finfo(float).eps) * mag.sum(axis=1)
+    order = np.argsort(beta, kind="stable")
+    for i in range(0, len(order), _GRID_ROWS):
+        rows = order[i:i + _GRID_ROWS]
+        if skip and beta[rows[0]] >= out.max():
+            return i
+        np.minimum(out, np.abs(coeffs[rows] @ E).min(axis=0), out=out)
+    return len(order)
+
+
+def _class_stream(A, units, rows):
+    """Zero, then one representative of each +- class of nonzero
+    differences of the units (_class_blocks), as (n, N, N) stacks:
+    consecutive blocks coalesce up to rows matrices, and a larger block
+    stays whole."""
+    part, size = [np.zeros((1,) + A.shape[1:], complex)], 1
+    for block in _class_blocks(A, units, rows):
+        if size + len(block) > rows:
+            yield np.concatenate(part)
+            part, size = [], 0
+        part.append(block)
+        size += len(block)
+    yield np.concatenate(part)
 
 
 def rotation_search(A, units, pairs, M):
@@ -399,6 +468,8 @@ def rotation_search(A, units, pairs, M):
     # rows each fit _BLOCK
     rows = max(1, _BLOCK // max((N + 1) ** 2 * N * N, len(w) * (2 * N + 1)))
     thetas = 2 * np.pi * np.arange(1, GRID // 4 + 1) / GRID
+    u, mono = _laurent_tables(w, N)
+    E = _angle_table(2 * N + 1, thetas)
     for unit in unrotated:
         # the units in the pair's group, ahead of the unrotated pair
         *own, _ = next(g for g in _groups(orth, units + [unit])
@@ -410,10 +481,9 @@ def rotation_search(A, units, pairs, M):
         # a prior that is not full diversity cannot be rescued by any angle
         if best_min > DET_TOL:
             mins = np.full(len(thetas), best_min)
-            for D in itertools.chain([np.zeros((1, N, N), complex)],
-                                     _class_blocks(A, own, rows)):
-                np.minimum(mins, _grid_min(_laurent_coefficients(
-                    D, w, Bp, Bm), thetas), out=mins)
+            offsets = _sample_offsets(u, Bp, Bm)
+            for D in _class_stream(A, own, rows):
+                _grid_min(_laurent_coefficients(D, offsets, mono), E, mins)
             best_min = float(mins.max())
         if best_min <= DET_TOL:
             raise ValueError("no grid angle certifies full diversity "

@@ -14,10 +14,12 @@ HR-orthogonal pairs, where it vanishes in exact arithmetic, so neither
 decoder reads rounding noise between groups.
 
 The oracle enumerates the whole codebook.  The structured decoder
-follows the instance's DecodePlan, compiled once when the STBCInstance
-is built.  Compiling checks the plan against the design and the signal
-set (raising PlanError) and turns every node into static tables from
-the SignalSet, which owns the codebook order: its conditioning values
+follows the instance's DecodePlan.  Building the STBCInstance checks the
+plan against the design and the signal set (raising PlanError); its
+first structured decode compiles it once (STBCInstance.compiled), so a
+build, a verify or an oracle-only run pays only for the check.
+Compiling turns every node into static tables from the SignalSet,
+which owns the codebook order: its conditioning values
 (SignalSet.table), digit weights (SignalSet.weights) and unit axes
 (unit.axes(), the only view of a unit's geometry).
 
@@ -198,10 +200,23 @@ class STBCInstance:
         if self.count > _BIG:
             raise ValueError("codebook of %d codewords exceeds the int64 "
                              "range of codeword indexes" % self.count)
-        self.compiled = None
+        # the plan is checked here, so every PlanError is raised on
+        # construction; its decode tables wait for the first decode
+        self._plan_spec = None
         if self.plan is not None:
             check_plan(self.plan, self.linear.K)
-            self.compiled = _compile(self)
+            plan = (self.plan if isinstance(self.plan, Cond)
+                    else Cond((), (self.plan,)))
+            self._plan_spec = _spec(plan, self.signals, self.matrices,
+                                    self.hr_orthogonal)
+
+    @cached_property
+    def compiled(self):
+        """The decode plan's root node (_compile), None without a plan;
+        built on first use, so a run that decodes nothing structured
+        never builds it."""
+        return (None if self._plan_spec is None
+                else _compile(self._plan_spec, self.signals))
 
     @property
     def N(self):
@@ -250,8 +265,8 @@ class STBCInstance:
 # ---------------------------------------------------------------------------
 # compiled decode plan
 
-def _compile(stbc):
-    """Check the plan against the instance and build its decode tables.
+def _compile(spec, signals):
+    """The decode tables of a checked plan, given as the _Spec of its root.
 
     The helpers are module functions, not closures over the instance, so
     compiling leaves no reference cycle that would keep a dropped
@@ -260,11 +275,8 @@ def _compile(stbc):
     fold's values, each hard-limit leaf's direction), and each node the
     slice `q` of its own rows.
     """
-    A = stbc.matrices
-    plan = stbc.plan if isinstance(stbc.plan, Cond) else Cond((), (stbc.plan,))
-    spec = _spec(plan, stbc.signals, A, stbc.hr_orthogonal)
-    root = _fuse([spec], 1, stbc.signals)
-    Q, stop = [np.zeros((0, stbc.signals.K))], 0
+    root = _fuse([spec], 1, signals)
+    Q, stop = [np.zeros((0, signals.K))], 0
     for node in _walk(root):
         if node.grams is not None:
             node.q = slice(stop, stop + len(node.grams))

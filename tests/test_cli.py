@@ -557,19 +557,22 @@ def test_build_fd_rate1_no_prediction(capsys):
 
 def test_build_fd_auto_angles_pinned(tmp_path, capsys):
     # smallest of the tied grid angles: 3pi/40 on every pair, at R = 5/4
-    # pi/5 on the last, at R = 3/2 pi/5 and 23pi/90 on the last two;
-    # checked= counts the determinants of the HR-orthogonal groups
-    cases = (("5/4", ["0.235619449019"] * 4 + ["0.628318530718"],
+    # pi/5 on the last, at R = 3/2 pi/5 and 23pi/90 on the last two, at
+    # 16-QAM R = 1 3pi/40 again; checked= counts the determinants of the
+    # HR-orthogonal groups
+    cases = (("5/4", "4", ["0.235619449019"] * 4 + ["0.628318530718"],
               "min_det=0.0840693 classes=29524 checked=3284"),
-             ("1", ["0.235619449019"] * 4,
+             ("1", "4", ["0.235619449019"] * 4,
               "min_det=0.793893 classes=3280 checked=16"),
-             ("3/2", ["0.235619449019"] * 4 + ["0.628318530718",
-                                               "0.401425727959"],
-              "min_det=0.0385526 classes=265720 checked=265720"))
-    for rate, angles, certified in cases:
+             ("3/2", "4", ["0.235619449019"] * 4 + ["0.628318530718",
+                                                    "0.401425727959"],
+              "min_det=0.0385526 classes=265720 checked=265720"),
+             ("1", "16", ["0.235619449019"] * 4,
+              "min_det=0.734548 classes=2882400 checked=96"))
+    for rate, M, angles, certified in cases:
         p = tmp_path / "fd.txt"
         code, _out, _err = run(capsys, "build-fd", "--m", "2", "--rate",
-                               rate, "--angles", "auto", "--M", "4",
+                               rate, "--angles", "auto", "--M", M,
                                "--out", str(p))
         assert code == 0
         _d, meta, _names = parse_design(p.read_text())
@@ -745,6 +748,29 @@ def test_verify_all_builds_two_hr_orthogonality_tables(tmp_path, capsys,
     code, out, _err = run(capsys, "verify", "--in", str(p))
     assert code == 0 and "checked=" in out
     assert sorted(calls) == ["stbc_forge.cli", "stbc_forge.simulate"]
+
+
+def test_plan_compiles_on_the_first_structured_decode(tmp_path, capsys,
+                                                      monkeypatch):
+    # build-fd, verify and an oracle-only simulate check the plan but
+    # never build its decode tables; a structured run builds them once
+    sim = importlib.import_module("stbc_forge.simulate")
+    calls, compile_ = [], sim._compile
+
+    def spy(*args):
+        calls.append(args)
+        return compile_(*args)
+    monkeypatch.setattr(sim, "_compile", spy)
+    p = tmp_path / "fd.txt"
+    sim_args = ("simulate", "--in", str(p), "--snr", "10", "--trials", "4")
+    for argv in (("build-fd", "--m", "2", "--rate", "5/4", "--angles",
+                  "0.5,0.6,0.7,0.8,0.9", "--out", str(p)),
+                 ("verify", "--in", str(p)),
+                 sim_args + ("--decoder", "oracle")):
+        assert run(capsys, *argv)[0] == 0
+    assert calls == []
+    assert run(capsys, *sim_args, "--decoder", "structured")[0] == 0
+    assert len(calls) == 1
 
 
 def test_verify_prop5_fails_on_a_mismatch(tmp_path, capsys, monkeypatch):

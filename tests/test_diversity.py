@@ -17,7 +17,8 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   DiversityCapError, DiversityFloorError,
                                   DET_TOL, DIFF_CAP, GRID, TIE_RTOL,
                                   _class_blocks, _grid_min,
-                                  _laurent_coefficients,
+                                  _laurent_coefficients, _laurent_tables,
+                                  _sample_offsets,
                                   _min_abs_det_product, _det_batch,
                                   _groups)
 from stbc_forge.fdfgd import (build_base, puncture, extend, family,
@@ -208,9 +209,9 @@ def test_rotation_search_makes_one_pass_over_the_grid(monkeypatch):
     # pass of GRID / 4 angles: there is no finer grid to try
     passes = []
 
-    def zeros(coeffs, thetas):
-        passes.append(len(thetas))
-        return np.zeros(len(thetas))
+    def zeros(coeffs, E, out):
+        passes.append(E.shape[1])
+        out[:] = 0
     monkeypatch.setattr("stbc_forge.diversity._grid_min", zeros)
     A = catalog("ciod", m=1).linear.matrices()
     with pytest.raises(ValueError, match="no grid angle certifies"):
@@ -236,11 +237,12 @@ def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
     a = 2 * np.pi / 720
     units = [PairQAM((2, 3), 4, a)]
     assert _certify(A, units + [PairQAM((0, 1), 4, a)]) < DET_TOL
-    n_zero = len(_qam_diffs(4))  # coefficient rows of the zero block
+    # the zero class leads the pair's one block: its coefficient rows
+    # come first
+    n_zero = len(_qam_diffs(4))
     monkeypatch.setattr(
         "stbc_forge.diversity._grid_min",
-        lambda c, th: _grid_min(c, th) if len(c) == n_zero else np.full_like(
-            th, np.inf))
+        lambda c, E, out: _grid_min(c[:n_zero], E, out))
     with pytest.raises(ValueError, match="no grid angle") as exc:
         rotation_search(A, units, [(0, 1)], 4)
     # the refusal reports the direct check's minimum at the grid angle
@@ -323,7 +325,7 @@ def _interpolation_case(which):
        theta=st.floats(0.0, 2 * np.pi, allow_nan=False))
 def test_interpolated_det_equals_direct(which, theta):
     D, w, Bp, Bm = _interpolation_case(which)
-    coeffs = _laurent_coefficients(D, w, Bp, Bm)
+    coeffs = _coefficients(D, w, Bp, Bm)
     L = coeffs.shape[1]
     k = np.fft.fftfreq(L, 1.0 / L)
     interp = coeffs @ np.exp(1j * k * theta)
@@ -336,6 +338,13 @@ def test_interpolated_det_equals_direct(which, theta):
     assert np.all(np.abs(interp - direct) <= 1e-9 * scale)
     assert abs(np.abs(interp).min() - np.abs(direct).min()) \
         <= 1e-9 * max(np.abs(direct).min(), 1e-3 * scale.max())
+
+
+def _coefficients(D, w, Bp, Bm):
+    """_laurent_coefficients with the search's tables of w and the
+    offsets of the pair (Bp, Bm)."""
+    u, mono = _laurent_tables(w, Bp.shape[-1])
+    return _laurent_coefficients(D, _sample_offsets(u, Bp, Bm), mono)
 
 
 def _laurent_reference(D, w, Bp, Bm):
@@ -370,7 +379,7 @@ def test_bivariate_coefficients_equal_direct_sampling(N, M):
     # reference's 2N+1 direct samples per (D_i, w_j)
     D, Bp, Bm = _coefficient_case(N, M)
     w = _qam_diffs(M)
-    got = _laurent_coefficients(D, w, Bp, Bm)
+    got = _coefficients(D, w, Bp, Bm)
     want = _laurent_reference(D, w, Bp, Bm)
     assert got.shape == want.shape == (len(D) * len(w), 2 * N + 1)
     scale = np.abs(want).sum(axis=1)
@@ -380,7 +389,7 @@ def test_bivariate_coefficients_equal_direct_sampling(N, M):
 def test_grid_pass_takes_n_plus_1_squared_determinants_per_class(
         monkeypatch):
     # the last pair of m=2 R=5/4 searches over zero and its group's
-    # (9^3 - 1) / 2 = 364 prior classes, in blocks of 324, 36 and 4:
+    # (9^3 - 1) / 2 = 364 prior classes, as one block of 365 classes:
     # (N+1)^2 = 25 determinants each, where sampling each of the 8 QAM
     # differences at 2N+1 points took 72 (26,280 in all)
     import stbc_forge.diversity as div
@@ -405,8 +414,70 @@ def test_grid_pass_takes_n_plus_1_squared_determinants_per_class(
     units = [PairQAM(p, 4, 2 * np.pi * 27 / GRID) for p in prior]
     [theta] = rotation_search(_family_matrices(fd), units, [last], 4)
     assert theta == 2 * np.pi * 72 / GRID
-    assert asked == [25, 25 * 324, 25 * 36, 25 * 4]
-    assert sum(asked) == 9125
+    assert asked == [25 * 365] == [9125]
+
+
+def _pair_minima(monkeypatch, skip, A, units, pairs):
+    """The angles of a 4-QAM search with _grid_min's skipping on or off,
+    each searched pair's per-angle minima after its last grid chunk, and
+    the grid rows evaluated against those in the blocks."""
+    outs, rows = [], [0, 0]
+
+    def spy(coeffs, E, out):
+        rows[0] += _grid_min(coeffs, E, out, skip=skip)
+        rows[1] += len(coeffs)
+        if not any(o is out for o in outs):
+            outs.append(out)
+    monkeypatch.setattr("stbc_forge.diversity._grid_min", spy)
+    angles = rotation_search(A, units, pairs, 4)
+    return angles, [o.tobytes() for o in outs], rows
+
+
+@pytest.mark.parametrize("R, prior", [
+    (Fraction(5, 4), 0), (Fraction(3, 2), 0), (Fraction(5, 4), 2)],
+    ids=["m2-r5_4", "m2-r3_2", "m2-r5_4-prior2"])
+def test_skipped_grid_rows_leave_the_minima_bit_for_bit(R, prior,
+                                                        monkeypatch):
+    # rows whose lower bound clears every running minimum are skipped;
+    # the same sort and chunks with every chunk evaluated give the same
+    # per-angle minima bit for bit, whatever the BLAS, and so the angles
+    fd = family(2, R)
+    A, pairs = _family_matrices(fd), family_pairs(fd)
+    units = [PairQAM(p, 4, 2 * np.pi * 27 / GRID) for p in pairs[:prior]]
+    pruned = _pair_minima(monkeypatch, True, A, units, pairs[prior:])
+    full = _pair_minima(monkeypatch, False, A, units, pairs[prior:])
+    assert pruned[:2] == full[:2]
+    assert len(pruned[1]) == len(pairs) - prior
+    evaluated, total = pruned[2]
+    assert full[2] == [total, total]
+    assert evaluated < total
+
+
+def test_search_tables_once_and_sample_offsets_once_per_pair(monkeypatch):
+    # the monomial matrix and the angle table once per search, each
+    # pair's sample offsets once, and one Laurent call per pair: its
+    # classes, at most 365, and zero stream as one block
+    import stbc_forge.diversity as div
+    calls = []
+
+    def spy_on(name):
+        built = getattr(div, name)
+
+        def spy(*args):
+            calls.append(name)
+            return built(*args)
+        monkeypatch.setattr(div, name, spy)
+    for name in ("_monomials", "_angle_table", "_sample_offsets",
+                 "_laurent_coefficients"):
+        spy_on(name)
+    fd = family(2, Fraction(5, 4))
+    A, pairs = _family_matrices(fd), family_pairs(fd)
+    for searches in (1, 2):
+        rotation_search(A, [], pairs, 4)
+        assert calls.count("_monomials") == searches
+        assert calls.count("_angle_table") == searches
+        assert calls.count("_sample_offsets") == 5 * searches
+        assert calls.count("_laurent_coefficients") == 5 * searches
 
 
 def test_rotation_search_rank_deficient_pair():

@@ -260,6 +260,7 @@ def test_dropped_instance_needs_no_cycle_collector(build):
     try:
         stbc = build()
         assert stbc.symbol_table.shape[0] == stbc.count
+        assert stbc.compiled.count > 0
         ref = weakref.ref(stbc)
         del stbc
         assert ref() is None
