@@ -10,9 +10,15 @@ re-writing a file is byte-identical.  Simulation results use the
 Bundle meta.* lines are written by bundles.family_bundle (build-fd, any
 m >= 1) and read by bundles.bundle_from_meta (catalog show, verify and
 simulate).
+
+A process builds the argument parser once (build_parser is cached), and
+main finds a command's cmd_* function by name on this module at call
+time, so a cmd_* replaced on the module (a tracer's wrapper, a test's
+stand-in) is the one that runs.
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -24,7 +30,7 @@ from .diversity import (generator_matrix, cubic_shaping_check,
                         full_diversity_check, difference_classes,
                         group_classes, DiversityCapError,
                         DiversityFloorError, DET_TOL)
-from .pauli import hr_orthogonal_table, phi_inv
+from .pauli import hr_orthogonal_table
 from .simulate import SimConfig, simulate
 from . import bundles
 from . import constructions as cons
@@ -194,19 +200,22 @@ def cmd_verify(args):
     suites = ([args.suite] if args.suite != "all"
               else ["partition", "shaping", "prop5", "diversity"])
     failed = infeasible = False
+    lin = None  # the file's realizations, shared by shaping and prop5
     for suite in suites:
+        if suite in ("shaping", "prop5") and lin is None:
+            lin = to_linear_design(d)
         if suite == "partition":
             rep = validate_partition(d, d.partition)
             ok = rep.valid
             note = "" if ok else " witness=%r" % (rep.witness,)
         elif suite == "shaping":
-            gm = generator_matrix(to_linear_design(d))
+            gm = generator_matrix(lin)
             ok = cubic_shaping_check(gm)
             note = ""
         elif suite == "prop5":
             # the numeric HR-orthogonality of the realizations against the
             # GF(4) parity of each pair's sum: odd weight, orthogonal
-            hr = hr_orthogonal_table([phi_inv(v) for v in d.vectors])
+            hr = hr_orthogonal_table(lin.matrices())
             ok = bool((hr == ~even_table(d)).all())
             note = ""
         else:  # diversity
@@ -244,7 +253,10 @@ def cmd_simulate(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process; each subcommand's fn default names
+    its cmd_* function, which main looks up on the module per call."""
     p = argparse.ArgumentParser(prog="stbc-forge")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -253,7 +265,7 @@ def build_parser():
     c.add_argument("name", nargs="?")
     c.add_argument("params", nargs="*", help="k=v catalog parameters")
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_catalog)
+    c.set_defaults(fn="cmd_catalog")
 
     c = sub.add_parser("construct", help="apply a recursive construction")
     c.add_argument("--op", choices=["A", "B", "C"], required=True)
@@ -263,7 +275,7 @@ def build_parser():
     c.add_argument("--sigma")
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_construct)
+    c.set_defaults(fn="cmd_construct")
 
     c = sub.add_parser("build-fd", help="build a family design / bundle")
     c.add_argument("--m", type=int, required=True)
@@ -273,7 +285,7 @@ def build_parser():
     c.add_argument("--angles", default="")
     c.add_argument("--M", type=int, default=4)
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_build_fd)
+    c.set_defaults(fn="cmd_build_fd")
 
     c = sub.add_parser("verify", help="run invariant suites on a file")
     c.add_argument("--in", dest="infile", required=True)
@@ -282,7 +294,7 @@ def build_parser():
                             "all"])
     c.add_argument("--M", type=int, default=4,
                    help="QAM size for catalog files without meta.M")
-    c.set_defaults(fn=cmd_verify)
+    c.set_defaults(fn="cmd_verify")
 
     c = sub.add_parser("simulate", help="Monte Carlo CER run on a bundle")
     c.add_argument("--in", dest="infile", required=True)
@@ -294,7 +306,7 @@ def build_parser():
     c.add_argument("--n-rx", type=int, default=2)
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_simulate)
+    c.set_defaults(fn="cmd_simulate")
     return p
 
 
@@ -306,7 +318,7 @@ def main(argv=None):
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        return args.fn(args)
+        return globals()[args.fn](args)
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message
         msg = exc.args[0] if isinstance(exc, KeyError) else exc

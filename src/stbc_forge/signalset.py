@@ -30,19 +30,25 @@ indices, points, digit factor) per independent real, outer first, so
 value row sum_k f_k i_k is sum_k points_k[i_k] direction_k.  A PairQAM
 has e = (c, s) with factor sqrt(M), then d = (-s, c); a RealPoints its
 one axis, (1,) with factor 1.  Units hold tuples, so equal units hash
-equal, and own their cached +- difference table, `differences`.
+equal.  A unit's +- difference table, `differences`, depends only on its
+geometry (a PairQAM's M and the exact bits of theta, a RealPoints' exact
+point bits), so the process keeps one read-only table per geometry, the
+last _DIFFERENCE_TABLES of them, shared by every unit on any reals; a
+unit of more than _SHARED_VALUES values builds its own.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .design import qam_side
 
 _LEVEL_ROWS = 1024  # most value rows of one level of SignalSet.symbols
+_DIFFERENCE_TABLES = 64  # most shared +- difference tables, one per geometry
+_SHARED_VALUES = 64  # most values of a unit whose table is shared
 
 
 def pam_points(Q):
@@ -62,26 +68,59 @@ def _check_finite(values, what):
 class _Unit:
     @cached_property
     def differences(self):
-        """Distinct differences of the value rows (keyed on the 1e-9 grid,
-        -0.0 as 0; a unit past the int64 keys is refused) and a mask
-        picking one of each +- pair.  Zero is picked as well when two rows
-        coincide, so repeated codewords certify as det 0."""
-        V = np.asarray(self.values(), dtype=float)
-        # in Python floats an overflow gives inf, not a warning
-        span = max(float(c.max()) - float(c.min()) for c in V.T)
-        if not span * 1e9 < 2.0 ** 63:  # the keys are int64
-            raise ValueError("%r: difference %.3g is too large for the "
-                             "1e-9 difference keys" % (self, span))
-        d = (V[:, None] - V[None, :]).reshape(-1, V.shape[1])
-        keys = np.rint(d * 1e9).astype(np.int64)
-        repeated = np.count_nonzero(~keys.any(axis=1)) > len(V)
-        order = np.lexsort(keys.T[::-1])
-        keys, d = keys[order], d[order]
-        new = np.ones(len(keys), bool)
-        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-        keys, d = keys[new], d[new]
-        first = keys[np.arange(len(keys)), (keys != 0).argmax(axis=1)]
-        return d, (first > 0) | (repeated & ~keys.any(axis=1))
+        """This unit's read-only table (_difference_table): the one of its
+        geometry, shared with every unit of that geometry, for a unit of
+        at most _SHARED_VALUES values.  A larger unit, a grown real most
+        often, is seldom met twice and its table grows as its size
+        squared, so it builds its own."""
+        geometry = _Geometry(self)
+        if self.size > _SHARED_VALUES:
+            return _difference_table.__wrapped__(geometry)
+        return _difference_table(geometry)
+
+
+class _Geometry:
+    """Cache key of a unit's difference table: the unit's type and the
+    exact bits its values are made of (_geometry).  It carries the unit
+    it was made for, which builds the table when the key is new."""
+
+    __slots__ = ("unit", "key")
+
+    def __init__(self, unit):
+        self.unit, self.key = unit, (type(unit), unit._geometry())
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@lru_cache(maxsize=_DIFFERENCE_TABLES)
+def _difference_table(geometry):
+    """Distinct differences of the unit's value rows (keyed on the 1e-9
+    grid, -0.0 as 0; a unit past the int64 keys is refused) and a mask
+    picking one of each +- pair, both read-only.  Zero is picked as well
+    when two rows coincide, so repeated codewords certify as det 0."""
+    unit = geometry.unit
+    V = np.asarray(unit.values(), dtype=float)
+    # in Python floats an overflow gives inf, not a warning
+    span = max(float(c.max()) - float(c.min()) for c in V.T)
+    if not span * 1e9 < 2.0 ** 63:  # the keys are int64
+        raise ValueError("%r: difference %.3g is too large for the "
+                         "1e-9 difference keys" % (unit, span))
+    d = (V[:, None] - V[None, :]).reshape(-1, V.shape[1])
+    keys = np.rint(d * 1e9).astype(np.int64)
+    repeated = np.count_nonzero(~keys.any(axis=1)) > len(V)
+    order = np.lexsort(keys.T[::-1])
+    keys, d = keys[order], d[order]
+    new = np.ones(len(keys), bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    keys, d = keys[new], d[new]
+    first = keys[np.arange(len(keys)), (keys != 0).argmax(axis=1)]
+    pick = (first > 0) | (repeated & ~keys.any(axis=1))
+    d.flags.writeable = pick.flags.writeable = False
+    return d, pick
 
 
 @dataclass(frozen=True)
@@ -101,6 +140,9 @@ class PairQAM(_Unit):
     @property
     def size(self):
         return self.M
+
+    def _geometry(self):
+        return self.M, float(self.theta).hex()
 
     def axes(self):
         """The outer axis e = (c, s) carrying a, then the inner axis
@@ -137,6 +179,9 @@ class RealPoints(_Unit):
     @property
     def size(self):
         return len(self.points)
+
+    def _geometry(self):
+        return np.asarray(self.points, dtype=float).tobytes()
 
     def axes(self):
         return (((1.0,), self.points, 1),)

@@ -32,15 +32,64 @@ def test_catalog_list(capsys):
     assert "alamouti" in names and "silver" in names
 
 
-def test_python_m_runs_the_cli():
+def fresh(*argv):
+    """The CLI in a new `python -m stbc_forge` process: (code, stdout,
+    stderr)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-m", "stbc_forge", "catalog",
-                           "list"], capture_output=True, text=True, env=env,
+    done = subprocess.run([sys.executable, "-m", "stbc_forge", *argv],
+                          capture_output=True, text=True, env=env,
                           timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert "qod4" in done.stdout.split()
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_python_m_runs_the_cli():
+    code, out, err = fresh("catalog", "list")
+    assert code == 0, err
+    assert "qod4" in out.split()
+
+
+def test_main_runs_the_command_on_the_module_at_call_time(capsys,
+                                                          monkeypatch):
+    # the parser is built once per process, but main finds cmd_* on the
+    # module per call: a stand-in set after the first call is the one run
+    assert run(capsys, "catalog", "list")[0] == 0
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+
+    def stand_in(args):
+        seen.append(args.infile)
+        return 7
+    monkeypatch.setattr(cli, "cmd_verify", stand_in)
+    assert run(capsys, "verify", "--in", "x.txt")[0] == 7
+    assert seen == ["x.txt"]
+
+
+@pytest.mark.parametrize("failing, code", [
+    (("build-fd", "--m"), None), (("verify", "--in", "missing.txt"), 1)],
+    ids=["argparse-exit", "returns-1"])
+def test_a_failed_call_leaves_the_next_ones_as_a_fresh_process(
+        failing, code, tmp_path, capsys):
+    # the process-wide parser and difference tables carry nothing from a
+    # failed call: build-fd and verify then print and write what a new
+    # process does, byte for byte
+    if code is None:
+        with pytest.raises(SystemExit) as exc:
+            main(list(failing))
+        assert exc.value.code == 2
+    else:
+        assert main(list(failing)) == code
+    capsys.readouterr()
+    paths = [str(tmp_path / name) for name in ("in.txt", "fresh.txt")]
+    build = ("build-fd", "--m", "2", "--rate", "5/4", "--angles", "auto",
+             "--M", "4", "--out")
+    got = [run(capsys, *build, paths[0]),
+           run(capsys, "verify", "--in", paths[0], "--suite", "all")]
+    want = [fresh(*build, paths[1]), fresh("verify", "--in", paths[1],
+                                           "--suite", "all")]
+    assert got == want
+    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
 
 def test_catalog_show(capsys):
