@@ -9,11 +9,29 @@ For weight matrices realizing F2 + F4^m vectors this Gram is always
 Full diversity of a finite code means every nonzero codeword difference
 has nonzero determinant.  Every codebook here is the Cartesian product
 of its signal-set units, so its difference set is the product of the
-per-unit difference sets, and |det| is the same for D and -D.  One
-enumerator over (weight matrices, signal-set units) yields a
-representative of each +- class of distinct differences,
-(prod_u |D_u| - 1) / 2 of them, summed from the units' own cached
-difference tables in the codebook order by signalset.product_sums.
+per-unit difference sets, (prod_u |D_u| - 1) / 2 +- classes of distinct
+nonzero differences.  Most of them repeat a |det| already taken.
+Conjugation by a Pauli P, alone or after transposition or complex
+conjugation, keeps |det|, and for the Pauli realizations of the family
+it sends each weight matrix A_k to +-A_k (Calderbank, Rains, Shor and
+Sloane, IEEE Trans. IT 1998); pauli.sign_patterns lists the signs of
+every such symmetry of a weight-matrix stack, found by exact equality
+on the matrices (Silver's folded z3, z4 have one, J conj(X) J^H with
+J = ZX).  A pattern s constant on every unit of a group sends the
+group's difference sum_u d_u to sum_u s_u d_u, a difference of the same
+code, since each unit's difference set is symmetric, with the same
+|det|.  Those patterns and their negations form the group's sign group,
+and the minimum over one representative of each orbit is exact.
+The one enumerator, _class_blocks, picks the representatives by a normal
+form: it walks the units in codebook order, keeping the rows of the sign
+group that fix every earlier nonzero unit, and a unit takes zero or a
+picked difference (one of each +- pair) when a kept row flips it, after
+which only the rows that do not flip it are kept, or else any
+difference.  Each orbit has exactly one normal form.  With +-1 alone
+this is the +- class rule, the first nonzero unit picked; the family's
+groups have 16 or 32 patterns (m=2 R=5/4: 3,284 determinants become
+628).  The representatives are summed from the units' own cached
+difference tables in codebook order by signalset.product_sums.
 
 Certification works one HR-orthogonal group at a time.  The units split
 into groups whose weight matrices are pairwise HR-orthogonal across
@@ -24,8 +42,10 @@ D = sum_g D_g with parts in such groups has D^H D = sum_g D_g^H D_g, and
 Minkowski's determinant inequality gives |det D|^{2/N} >= sum_g
 |det D_g|^{2/N}.  So the minimum |det| over the code is the smallest of
 the groups' minima, attained by a difference inside one group, and
-certification takes sum_g classes(g) determinants instead of their
-product.  The single cap DIFF_CAP applies to each group's class count,
+certification takes one determinant per orbit of each group instead of
+one per class of their product; full_diversity_check returns the count
+with the minimum (MinDet.checked, verify's checked=).  The single cap
+DIFF_CAP applies to each group's +- class count, not its orbit count,
 checked from the per-unit counts before any class is allocated; it
 governs certification, `verify`, the rotation search and the finished
 code of an auto-angle build.  Constellation growth bounds each group of
@@ -53,8 +73,12 @@ carries the code's minimum as one number: a pair's merged group holds
 every class of the groups it joins, so its certified minimum is at most
 theirs.  Only the units in the pair's own group combine with it; every
 other group enters through that minimum.
-For each class D of the own group (and zero) and each QAM difference w,
-det(D + e^{it} w B+ + e^{-it} w* B-) is a Laurent polynomial of degree
+The search's rows are the same walk with the new pair last: zero and a
+representative D of each orbit of the own group's differences, under
+the sign group of the own group plus the pair, each with every nonzero
+QAM difference w, or with the picked w alone when a row kept at D flips
+the pair.  For each row, det(D + e^{it} w B+ + e^{-it} w* B-) is a
+Laurent polynomial of degree
 <= N in e^{it}, whose coefficients for every w take (N+1)^2 determinants
 and one 2-D FFT (_laurent_coefficients); one more matrix product
 evaluates them on the angle grid.  The square-QAM difference set is
@@ -92,7 +116,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import components
-from .pauli import TOL, hr_orthogonal_table
+from .pauli import TOL, hr_orthogonal_table, sign_patterns
 from .signalset import PairQAM, RealPoints, product_sums
 
 DET_TOL = 1e-8
@@ -208,7 +232,7 @@ def _minor(col, r, j, k):
 
 
 # ---------------------------------------------------------------------------
-# +- classes of distinct differences
+# orbits of distinct differences
 
 def _class_count(units):
     """+- classes of the units' product: the first nonzero unit takes a
@@ -227,21 +251,99 @@ def _check_class_cap(n):
                                 % (n, DIFF_CAP))
 
 
-def _class_blocks(A, units, rows=None):
-    """One representative of each +- class of nonzero differences of the
-    code sum_k x_k A_k over the signal-set units, summed from their
-    difference tables, as (n, N, N) stacks of at most max(rows, last
-    unit's difference count) matrices, 16 MiB by default.  The class
-    count is checked against DIFF_CAP on the call, before any allocation."""
+def _unit_flips(patterns, units):
+    """The units' sign group, as one int per unit whose bit r is set when
+    row r flips the unit: rows 0..P-1 are the (P, K) sign_patterns rows,
+    rows P..2P-1 their negations, and a row not constant on some unit's
+    reals flips no unit (the identity's effect)."""
+    reals = [i for u in units for i in u.indices]
+    packed = np.packbits(patterns[:, reals], axis=0, bitorder="little")
+    cols = iter([int.from_bytes(c.tobytes(), "little") for c in packed.T])
+    heads, varies = [], 0
+    for u in units:
+        head = next(cols)
+        for _i in u.indices[1:]:
+            varies |= head ^ next(cols)
+        heads.append(head)
+    const = ((1 << len(patterns)) - 1) & ~varies
+    return [head & const | (const & ~head) << len(patterns) for head in heads]
+
+
+# a unit's kind at a leaf of the normal form: a picked difference of each
+# +- pair, zero, or any difference
+_PICK, _ZERO, _ALL = range(3)
+
+
+def _leaves(flips, U):
+    """The leaves of the normal form's walk over units 0..U-1, in
+    codebook order, with the sign group flips (_unit_flips, one row set
+    per unit, U or more): per leaf, each unit's kind (_PICK, _ZERO or
+    _ALL) and the set of rows kept at its end, -1 (every bit) being all.
+
+    A unit that a kept row flips takes a picked difference, after which
+    only the rows not flipping it are kept, or zero; a unit no kept row
+    flips takes any difference.  -1 is a row, so the units before the
+    first picked one are zero; with +-1 alone the leaves are the +-
+    classes' first nonzero units, in order, and then the zero leaf."""
+    leaves = [((), -1)]
+    for rows in flips[:U]:
+        walked = []
+        for kinds, keep in leaves:
+            if keep & rows:
+                walked.append((kinds + (_PICK,), keep & ~rows))
+                walked.append((kinds + (_ZERO,), keep))
+            else:
+                walked.append((kinds + (_ALL,), keep))
+        leaves = walked
+    return leaves
+
+
+def _class_blocks(A, units, flips, rows=None):
+    """One representative of each orbit of nonzero differences of the
+    code sum_k x_k A_k over the signal-set units under their sign group
+    flips (_unit_flips; row sets past the units', a search's pair, are
+    only carried), summed from the units' difference tables, as
+    ((n, N, N) block, kept rows) per block of a leaf of _leaves: each
+    block at most max(rows, last unit's difference count) matrices,
+    16 MiB by default.  With flips of +-1 alone these are the +- classes,
+    the first nonzero unit picked.  The full +- class count is checked
+    against DIFF_CAP on the call, before any allocation."""
     _check_class_cap(_class_count(units))
     N = A.shape[-1]
     flat = A.reshape(len(A), -1)
     mats = [(u.differences[0] @ flat[list(u.indices)]).reshape(-1, N, N)
             for u in units]
     rows = rows or max(1, _BLOCK // (N * N))
-    return itertools.chain.from_iterable(
-        product_sums([mats[p][u.differences[1]]] + mats[p + 1:], rows)
-        for p, u in enumerate(units) if u.differences[1].any())
+
+    def blocks():
+        for kinds, keep in _leaves(flips, len(units)):
+            tables = [mats[u][units[u].differences[1]] if k == _PICK
+                      else mats[u] for u, k in enumerate(kinds) if k != _ZERO]
+            if tables and all(map(len, tables)):
+                for block in product_sums(tables, rows):
+                    yield block, keep
+    return blocks()
+
+
+def _coalesce(pairs, rows):
+    """(block, key) pairs with the blocks of each key joined, in order, up
+    to rows matrices, a larger block staying whole, as (block, key); each
+    key's last block comes out when the pairs end."""
+    parts = {}
+    for block, key in pairs:
+        part, size = parts.pop(key, ([], 0))
+        if part and size + len(block) > rows:
+            yield _joined(part), key
+            part, size = [], 0
+        part.append(block)
+        parts[key] = (part, size + len(block))
+    for key, (part, _size) in parts.items():
+        yield _joined(part), key
+
+
+def _joined(blocks):
+    """The blocks as one stack; a single block as it is."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _groups(orth, units):
@@ -275,19 +377,26 @@ def _check_floor(A, units, mn):
             "error floor %.3g at N=%d" % (mn, len(idx), floor, N))
 
 
-def _min_abs_det_product(A, groups):
-    """Exact min |det| over the nonzero differences of the code over units
-    split into their HR-orthogonal groups: by Minkowski's inequality the
-    smallest group minimum, inf for a single codeword.  Every group's
-    class count is checked against DIFF_CAP before any class is built."""
-    blocks = [_class_blocks(A, part) for part in groups]
-    best = np.inf
-    for part, group in zip(groups, blocks):
-        mn = min((float(np.abs(_det_batch(b)).min()) for b in group),
-                 default=np.inf)
+def _min_abs_det_product(A, groups, flips):
+    """(min |det|, determinants taken) over the nonzero differences of the
+    code over units split into their HR-orthogonal groups: by Minkowski's
+    inequality the smallest group minimum, inf for a single codeword,
+    taken on one representative per orbit of each group's differences
+    under its sign group, flips[g] = _unit_flips(patterns, groups[g]).
+    Every group's +- class count is checked against DIFF_CAP before any
+    class is built."""
+    rows = max(1, _BLOCK // A.shape[-1] ** 2)
+    streams = [_coalesce(((block, None) for block, _keep in _class_blocks(
+        A, part, f, rows)), rows) for part, f in zip(groups, flips)]
+    best, taken = np.inf, 0
+    for part, stream in zip(groups, streams):
+        mn = np.inf
+        for block, _key in stream:
+            mn = min(mn, float(np.abs(_det_batch(block)).min()))
+            taken += len(block)
         _check_floor(A, part, mn)
         best = min(best, mn)
-    return best
+    return best, taken
 
 
 def difference_classes(signals):
@@ -295,25 +404,32 @@ def difference_classes(signals):
     return _class_count(signals.units)
 
 
-def group_classes(orth, signals):
-    """+- class count of each HR-orthogonal group of the code over the
-    signal set, grouped by the (K, K) HR-orthogonality table orth of its
-    weight matrices; their sum is the number of determinants
-    full_diversity_check takes."""
-    return [_class_count(part) for part in _groups(orth, signals.units)]
+class MinDet(float):
+    """A certified minimum |det|, carrying `checked`, the number of
+    determinants the certification took."""
+
+    def __new__(cls, value, checked):
+        self = super().__new__(cls, value)
+        self.checked = checked
+        return self
 
 
 def full_diversity_check(stbc):
-    """Minimum |det| over all nonzero codeword differences.
+    """Minimum |det| over all nonzero codeword differences, a MinDet.
 
-    Takes one determinant per +- class of distinct differences inside
-    each HR-orthogonal group, built from the units' value differences;
-    raises DiversityCapError, before allocating any class, when a group
-    has more than DIFF_CAP, and DiversityFloorError when at N >= 8 a
-    group's minimum does not clear its LU error floor.
+    Takes one determinant per orbit of distinct differences under the
+    instance's sign patterns inside each HR-orthogonal group, built from
+    the units' value differences; raises DiversityCapError, before
+    allocating any class, when a group has more than DIFF_CAP +- classes,
+    and DiversityFloorError when at N >= 8 a group's minimum does not
+    clear its LU error floor.
     """
-    return _min_abs_det_product(
-        stbc.matrices, _groups(stbc.hr_orthogonal, stbc.signals.units))
+    groups = _groups(stbc.hr_orthogonal, stbc.signals.units)
+    for g in groups:  # a code over the cap needs no sign patterns
+        _check_class_cap(_class_count(g))
+    return MinDet(*_min_abs_det_product(
+        stbc.matrices, groups,
+        [_unit_flips(stbc.sign_patterns, g) for g in groups]))
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +516,17 @@ def _grid_min(coeffs, E, out, skip=True):
     return len(order)
 
 
-def _class_stream(A, units, rows):
-    """Zero, then one representative of each +- class of nonzero
-    differences of the units (_class_blocks), as (n, N, N) stacks:
-    consecutive blocks coalesce up to rows matrices, and a larger block
-    stays whole."""
-    part, size = [np.zeros((1,) + A.shape[1:], complex)], 1
-    for block in _class_blocks(A, units, rows):
-        if size + len(block) > rows:
-            yield np.concatenate(part)
-            part, size = [], 0
-        part.append(block)
-        size += len(block)
-    yield np.concatenate(part)
+def _class_stream(A, units, flips, rows):
+    """(D, flipped) stacks: zero, then one representative of each orbit of
+    nonzero differences of the units (_class_blocks) under the sign group
+    flips, whose last row set is the searched pair's; flipped when a row
+    kept at D's leaf flips the pair, so D + w and D - w are one orbit.
+    The blocks of each flag coalesce up to rows matrices (_coalesce)."""
+    zero = np.zeros((1,) + A.shape[1:], complex)
+    pair = flips[len(units)]
+    blocks = itertools.chain([(zero, -1)],
+                             _class_blocks(A, units, flips, rows))
+    return _coalesce(((D, bool(keep & pair)) for D, keep in blocks), rows)
 
 
 def rotation_search(A, units, pairs, M):
@@ -456,24 +570,31 @@ def rotation_search(A, units, pairs, M):
     units, found = list(units), []
     for g in _groups(orth, units + unrotated):
         _check_class_cap(_class_count(g))
+    patterns = sign_patterns(A)
     # the code's minimum: a merged group holds the classes of the groups
     # it joins, so its minimum is at most theirs
-    least = min((_min_abs_det_product(A, [g]) for g in _groups(orth, units)),
-                default=np.inf)
-    # the nonzero differences x_I + i x_Q of the unrotated M-QAM
-    d, _pick = PairQAM((0, 1), M).differences
-    w = d[d.any(axis=1)].view(complex)[:, 0]
+    least = min((_min_abs_det_product(A, [g], [_unit_flips(patterns, g)])[0]
+                 for g in _groups(orth, units)), default=np.inf)
+    # the nonzero differences x_I + i x_Q of the unrotated M-QAM, and
+    # which of them the +- pick keeps
+    d, pick = PairQAM((0, 1), M).differences
+    nonzero = d.any(axis=1)
+    w = d[nonzero].view(complex)[:, 0]
     N = A.shape[-1]
     # prior classes per block: their (N+1)^2 samples and their Laurent
     # rows each fit _BLOCK
     rows = max(1, _BLOCK // max((N + 1) ** 2 * N * N, len(w) * (2 * N + 1)))
     thetas = 2 * np.pi * np.arange(1, GRID // 4 + 1) / GRID
     u, mono = _laurent_tables(w, N)
+    # a flipped class's rows: the picked differences' columns of mono
+    monos = {False: mono, True: mono.reshape((N + 1) ** 2, len(w), -1)[
+        :, pick[nonzero]].reshape((N + 1) ** 2, -1)}
     E = _angle_table(2 * N + 1, thetas)
     for unit in unrotated:
         # the units in the pair's group, ahead of the unrotated pair
         *own, _ = next(g for g in _groups(orth, units + [unit])
                        if g[-1] is unit)
+        flips = _unit_flips(patterns, own + [unit])
         # half of A1 -+ i A2: x_I A1 + x_Q A2 = z*Bp + conj(z)*Bm
         A1, A2 = A[list(unit.indices)]
         Bp, Bm = (A1 - 1j * A2) / 2.0, (A1 + 1j * A2) / 2.0
@@ -482,15 +603,16 @@ def rotation_search(A, units, pairs, M):
         if best_min > DET_TOL:
             mins = np.full(len(thetas), best_min)
             offsets = _sample_offsets(u, Bp, Bm)
-            for D in _class_stream(A, own, rows):
-                _grid_min(_laurent_coefficients(D, offsets, mono), E, mins)
+            for D, flipped in _class_stream(A, own, flips, rows):
+                _grid_min(_laurent_coefficients(D, offsets, monos[flipped]),
+                          E, mins)
             best_min = float(mins.max())
         if best_min <= DET_TOL:
             raise ValueError("no grid angle certifies full diversity "
                              "(best min |det| = %.3g)" % best_min)
         theta = float(thetas[np.argmax(mins >= best_min * (1 - TIE_RTOL))])
         group = own + [PairQAM(unit.indices, M, theta)]
-        direct = _min_abs_det_product(A, [group])
+        direct, _taken = _min_abs_det_product(A, [group], [flips])
         if direct <= DET_TOL:
             raise ValueError("no grid angle certifies full diversity "
                              "(direct min |det| = %.3g at theta = %.6g)"
@@ -538,10 +660,13 @@ def _grow(A, orth, prefix, sizes, rng):
             (math.prod(target[k] * (target[k] - 1) + 1 for k in g) - 1) // 2)
     units = list(prefix) + [RealPoints(k, (float(rng.uniform(-10, 10)),))
                             for k in range(L, len(A))]
+    # each group's sign group, once: its units keep their reals
+    patterns = sign_patterns(A)
+    flips = [_unit_flips(patterns, [units[k] for k in g]) for g in groups]
     if prefix and not _min_abs_det_product(
-            A, [[units[k] for k in g] for g in groups]) > DET_TOL:
+            A, [[units[k] for k in g] for g in groups], flips)[0] > DET_TOL:
         raise RuntimeError("initial configuration failed certification")
-    group = {k: g for g in groups for k in g}
+    group = {k: (g, f) for g, f in zip(groups, flips) for k in g}
     for k in range(L, len(A)):
         budget = RETRIES
         while units[k].size < target[k]:
@@ -549,8 +674,9 @@ def _grow(A, orth, prefix, sizes, rng):
             if any(abs(cand - p) < 1e-9 for p in units[k].points):
                 continue
             trial = RealPoints(k, tuple(sorted(units[k].points + (cand,))))
+            g, f = group[k]
             if _min_abs_det_product(A, [[trial if j == k else units[j]
-                                         for j in group[k]]]) > DET_TOL:
+                                         for j in g]], [f])[0] > DET_TOL:
                 units[k] = trial
             else:
                 budget -= 1

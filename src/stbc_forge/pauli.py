@@ -30,6 +30,12 @@ facts used throughout:
     (hi, lo) of each coordinate is the symplectic (trace) form of GF(4)
     codes; it makes the HR-orthogonality parity of all pairs of a design
     one matrix product (design.even_table).
+
+Conjugation by a Pauli, alone or after transposition or complex
+conjugation, keeps |det| and sends each image to plus or minus itself;
+sign_patterns finds, on any stack of 2^m x 2^m matrices, the sign
+patterns of the symmetries that send every matrix of the stack to
+exactly +- itself (diversity's orbits).
 """
 
 from functools import cache
@@ -49,6 +55,8 @@ TOL = 1e-9
 # i^k for k = 0..3, and the (lam, sign) with sign * i^lam == i^k
 _POWERS = np.array([1, 1j, -1, -1j])
 _LAM_SIGN = ((0, 1), (1, 1), (0, -1), (1, -1))
+# most complex entries sign_patterns compares per step (4 MiB)
+_PATTERN_WORDS = 2 ** 18
 
 
 class NotInLambdaError(ValueError):
@@ -140,6 +148,58 @@ def hr_orthogonal_table(A, tol=TOL):
     A = np.asarray(A, dtype=complex)
     P = np.einsum("iab,jac->ijbc", A.conj(), A)
     return np.linalg.norm(P + P.transpose(1, 0, 2, 3), axis=(2, 3)) < tol
+
+
+@cache
+def _conjugation_tables(N):
+    """The (N, N) table r ^ lo, index (lo, r), and the (N^2, N) table
+    (-1)^popcount((r ^ c) & hi), index ((r, c), hi): conjugation by
+    P = Z^hi X^lo takes entry (r, c) of A to that sign times
+    A[r ^ lo, c ^ lo], as P[r, r ^ lo] = (-1)^popcount(r & hi)."""
+    r = np.arange(N)
+    flip = r[:, None] ^ r[None, :]
+    parity = np.array([[(x & h).bit_count() & 1 for h in r] for x in r])
+    return flip, 1.0 - 2.0 * parity[flip.ravel()]
+
+
+def sign_patterns(A):
+    """(n, K) bool table of a (K, N, N) stack: one row per symmetry
+    X -> P V(X) P^H, P = Z^hi X^lo and V the identity, transposition,
+    complex conjugation or the conjugate transpose, that sends every A_k
+    to exactly A_k or -A_k; True where it gives -A_k.
+
+    Each such symmetry keeps |det| of every real combination sum_k x_k A_k
+    and sends it to sum_k (+-x_k) A_k, so a code's differences and their
+    pattern-signed copies have the same |det|.  The test is exact
+    equality on the given matrices, so a pattern holds for them as they
+    are, whatever vectors they were made from.  The rows form a group
+    under xor, the identity among them, and may repeat.  The Paulis act
+    on N = 2^m; a stack of any other N (rotation_search takes any square
+    stack) has the identity row only, a safe answer: fewer patterns fold
+    fewer orbits.  Pauli shifts lo are compared a batch at a time, at
+    most _PATTERN_WORDS entries (or one shift) per batch."""
+    A = np.asarray(A, dtype=complex)
+    K, N = A.shape[:2]
+    out = [np.zeros((1, K), bool)]  # the identity
+    if N & (N - 1) == 0:
+        flip, chi = _conjugation_tables(N)
+        V = np.concatenate([A, A.transpose(0, 2, 1)])
+        V = np.concatenate([V, V.conj()]).reshape(4, K, N, N)
+        # a symmetry moves A_k's entries to other places, so it sends A_k
+        # to +-A_k when it matches each of A_k's `support` nonzero entries
+        # up to one common sign
+        support = np.count_nonzero(A, axis=(1, 2))[:, None, None]
+        step = max(1, _PATTERN_WORDS // (4 * K * N * N))
+        for lo in range(0, N, step):
+            ix = flip[lo:lo + step]
+            B = V[:, :, ix[:, :, None], ix[:, None, :]]  # (4, K, lo, N, N)
+            sign = (B == A[:, None]).astype(float) - (B == -A[:, None])
+            # sum over (r, c) of each entry's sign against each hi's sign
+            agree = sign.reshape(4, K, len(ix), -1) @ chi  # (4, K, lo, hi)
+            minus = agree == -support
+            ok = ((agree == support) | minus).all(axis=1)
+            out.append(minus.transpose(0, 2, 3, 1)[ok])
+    return np.concatenate(out)
 
 
 def trace_inner(A, B):

@@ -47,6 +47,12 @@ import numpy as np
 from .design import qam_side
 
 _LEVEL_ROWS = 1024  # most value rows of one level of SignalSet.symbols
+# most 8-byte words of one SignalSet.table, its rows and indexes (8 GiB):
+# the largest table any family member that builds asks for is m=2
+# R=11/4's plan root at 16-QAM, 16^6 rows of 23 words (385,875,968 words,
+# 2.9 GiB; at 4-QAM, R=4's 4^11 rows of 33 words); R=3 at 16-QAM
+# would ask for 16^7 rows of 25 words, 6.7e9 words (50 GiB)
+TABLE_WORDS = 2 ** 30
 _DIFFERENCE_TABLES = 64  # most shared +- difference tables, one per geometry
 _SHARED_VALUES = 64  # most values of a unit whose table is shared
 
@@ -221,8 +227,18 @@ class SignalSet:
         the sum of the codeword-index digits that row sets.  A part is a
         unit, or (unit, axis) for one of its axes: the axis points along
         its direction, point i setting digit i x the axis digit factor x
-        the unit weight.  No parts give the one zero row at index 0."""
+        the unit weight.  No parts give the one zero row at index 0.
+        A table of more than TABLE_WORDS words is refused with a
+        ValueError before it is built."""
         rows, digits = self._parts(parts)
+        n = math.prod(map(len, rows))
+        if n * (self.K + 1) > TABLE_WORDS:
+            raise ValueError(
+                "a table over reals %s has %d rows of %d words, past the "
+                "budget of %d words" % (", ".join(
+                    "%s axis" % (p[0].indices,) if isinstance(p, tuple)
+                    else str(p.indices) for p in parts),
+                    n, self.K + 1, TABLE_WORDS))
         return (next(product_sums(rows, math.inf)),
                 next(product_sums(digits, math.inf)))
 

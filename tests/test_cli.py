@@ -2,20 +2,23 @@
 
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from stbc_forge import cli
-from stbc_forge.bundles import family_bundle
+from stbc_forge.bundles import assemble_stbc, family_bundle
 from stbc_forge.cli import (main, format_design, parse_design, DESIGN_HEADER,
                             INFEASIBLE)
 from stbc_forge.diversity import cubic_shaping_check, generator_matrix
-from stbc_forge.signalset import SignalSet
+from stbc_forge.fdfgd import family, family_pairs
+from stbc_forge.signalset import SignalSet, PairQAM, RealPoints, TABLE_WORDS
 from stbc_forge.simulate import SimConfig
 
 
@@ -432,6 +435,58 @@ def test_build_fd_codebook_beyond_int64_is_an_error(capsys):
                    "of codeword indexes\n" % 4 ** 64)
 
 
+def test_build_fd_decode_table_past_the_budget_is_an_error(capsys,
+                                                         monkeypatch):
+    # m=2 R=3 at 16-QAM: the plan's root conditions on seven 16-QAM
+    # pairs, 16^7 rows of K + 1 = 25 words (50 GiB); the budget refuses
+    # the table before it is built, and a table of the budget itself
+    # is built
+    code, out, err = run(capsys, "build-fd", "--m", "2", "--rate", "3",
+                         "--M", "16", "--angles", ",".join(["0.5"] * 12))
+    assert (code, out) == (1, "")
+    assert err == ("error: a table over reals (10, 11), (12, 13), (14, 15), "
+                   "(16, 17), (18, 19), (20, 21), (22, 23) has 268435456 "
+                   "rows of 25 words, past the budget of %d words\n"
+                   % TABLE_WORDS)
+    signals = SignalSet(units=(RealPoints(0, (0.0, 1.0, 2.0, 3.0)),
+                               PairQAM((1, 2), 4)))
+    monkeypatch.setattr("stbc_forge.signalset.TABLE_WORDS", 16 * 4)
+    rows, _index = signals.table(signals.units)
+    assert rows.shape == (16, 3)
+    monkeypatch.setattr("stbc_forge.signalset.TABLE_WORDS", 16 * 4 - 1)
+    with pytest.raises(ValueError, match=r"^a table over reals \(0,\), "
+                       r"\(1, 2\) has 16 rows of 4 words, past the budget "
+                       r"of 63 words$"):
+        signals.table(signals.units)
+    monkeypatch.setattr("stbc_forge.signalset.TABLE_WORDS", 8 * 4 - 1)
+    with pytest.raises(ValueError, match=r"^a table over reals \(0,\), "
+                       r"\(1, 2\) axis has 8 rows of 4 words"):
+        signals.table((signals.units[0], (signals.units[1],
+                                          signals.units[1].axes()[0])))
+
+
+@pytest.mark.parametrize("rate, M, words", [
+    ("4", 4, 4 ** 11 * 33), ("5/2", 16, 16 ** 5 * 21),
+    ("11/4", 16, 16 ** 6 * 23), ("3", 16, 16 ** 7 * 25)],
+    ids=["m2-r4-M4", "m2-r5_2-M16", "m2-r11_4-M16", "m2-r3-M16"])
+def test_decode_table_budget_keeps_every_member_that_builds(rate, M, words,
+                                                            monkeypatch):
+    # the largest table each m=2 family member's plan asks for, sized from
+    # its parts without building any: the lossless R=4 at 4-QAM and R=5/2
+    # and R=11/4 at 16-QAM fit the budget, R=3 at 16-QAM (50 GiB) does not
+    asked = []
+
+    def sized(self, parts):
+        rows, _digits = self._parts(parts)
+        asked.append(math.prod(map(len, rows)) * (self.K + 1))
+        return None, None
+    monkeypatch.setattr(SignalSet, "table", sized)
+    fd = family(2, Fraction(rate))
+    assemble_stbc(fd, [0.5] * len(family_pairs(fd)), M)
+    assert max(asked) == words
+    assert (words <= TABLE_WORDS) == (rate != "3")
+
+
 def test_build_fd_granularity_error(capsys):
     code, out, err = run(capsys, "build-fd", "--m", "2", "--rate", "13/10")
     assert code == 1
@@ -568,15 +623,18 @@ def test_build_fd_silver_path(capsys):
 @pytest.mark.parametrize("rate, M, line", [
     ("1", 4, "min_det=1 classes=40 checked=8"),
     ("1", 16, "min_det=1 classes=1200 checked=48"),
-    ("3/2", 4, "min_det=0.755929 classes=364 checked=364"),
-    ("3/2", 16, "min_det=0.755929 classes=58824 checked=58824"),
-    ("2", 4, "min_det=0.755929 classes=3280 checked=3280"),
-    ("2", 16, "min_det=0.755929 classes=2882400 checked=2882400")],
+    ("3/2", 4, "min_det=0.755929 classes=364 checked=204"),
+    ("3/2", 16, "min_det=0.755929 classes=58824 checked=30024"),
+    ("2", 4, "min_det=0.755929 classes=3280 checked=1680"),
+    ("2", 16, "min_det=0.755929 classes=2882400 checked=1442400")],
     ids=["r1-M4", "r1-M16", "r3_2-M4", "r3_2-M16", "r2-M4", "r2-M16"])
 def test_every_silver_rate_is_full_diversity(rate, M, line, tmp_path, capsys):
     # puncturing drops the information symbol z4 (then z3), never the
     # precoded s4: each member keeps the folded weights of its z symbols,
-    # so it is full diversity and its linear design has cubic shaping
+    # so it is full diversity and its linear design has cubic shaping.
+    # J conj(X) J^H, J = ZX, fixes the Alamouti weights of s1, s2 and
+    # negates the folded ones of z3, z4, so past R = 1 checked= counts
+    # one class of each orbit of that sign pattern and -1
     p = tmp_path / "silver.txt"
     assert run(capsys, "build-fd", "--m", "1", "--rate", rate, "--M", str(M),
                "--out", str(p))[0] == 0
@@ -607,15 +665,16 @@ def test_build_fd_rate1_no_prediction(capsys):
 def test_build_fd_auto_angles_pinned(tmp_path, capsys):
     # smallest of the tied grid angles: 3pi/40 on every pair, at R = 5/4
     # pi/5 on the last, at R = 3/2 pi/5 and 23pi/90 on the last two, at
-    # 16-QAM R = 1 3pi/40 again; checked= counts the determinants of the
-    # HR-orthogonal groups
+    # 16-QAM R = 1 3pi/40 again; checked= counts the determinants the
+    # certifier takes, one per orbit of each HR-orthogonal group's
+    # differences under its sign patterns
     cases = (("5/4", "4", ["0.235619449019"] * 4 + ["0.628318530718"],
-              "min_det=0.0840693 classes=29524 checked=3284"),
+              "min_det=0.0840693 classes=29524 checked=628"),
              ("1", "4", ["0.235619449019"] * 4,
               "min_det=0.793893 classes=3280 checked=16"),
              ("3/2", "4", ["0.235619449019"] * 4 + ["0.628318530718",
                                                     "0.401425727959"],
-              "min_det=0.0385526 classes=265720 checked=265720"),
+              "min_det=0.0385526 classes=265720 checked=22024"),
              ("1", "16", ["0.235619449019"] * 4,
               "min_det=0.734548 classes=2882400 checked=96"))
     for rate, M, angles, certified in cases:
@@ -675,7 +734,7 @@ def test_build_fd_auto_m3_rate1_certifies(tmp_path, capsys):
                               "0.113446401380,0.366519142919")
     code, out, _err = run(capsys, "verify", "--in", str(p))
     assert code == 0
-    assert ("diversity: PASS min_det=0.036929 classes=21523360 checked=160"
+    assert ("diversity: PASS min_det=0.036929 classes=21523360 checked=96"
             in out)
 
 
@@ -766,7 +825,7 @@ def test_verify_catalog_qod4_is_not_full_diversity(tmp_path, capsys):
     code, out, _err = run(capsys, "verify", "--in", str(q),
                           "--suite", "diversity")
     assert code == 1
-    assert "diversity: FAIL min_det=0 classes=3280 checked=16" in (
+    assert "diversity: FAIL min_det=0 classes=3280 checked=12" in (
         out.splitlines())
 
 

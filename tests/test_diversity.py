@@ -1,5 +1,6 @@
 """Cubic shaping, rotation search, certification and constellation growth."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -13,23 +14,24 @@ from stbc_forge.constructions import catalog, construct_A
 from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   rotation_search, full_diversity_check,
                                   grow_constellation, grow_with_pam_prefix,
-                                  difference_classes, group_classes,
+                                  difference_classes,
                                   DiversityCapError, DiversityFloorError,
                                   DET_TOL, DIFF_CAP, GRID, TIE_RTOL,
-                                  _class_blocks, _grid_min,
+                                  _class_blocks, _class_count, _grid_min,
                                   _laurent_coefficients, _laurent_tables,
                                   _sample_offsets,
                                   _min_abs_det_product, _det_batch,
-                                  _groups)
+                                  _groups, _unit_flips)
 from stbc_forge.fdfgd import (build_base, puncture, extend, family,
                               family_pairs)
-from stbc_forge.pauli import I2, X, Z, phi_inv, hr_orthogonal_table
+from stbc_forge.pauli import (I2, X, Z, phi_inv, hr_orthogonal_table,
+                              sign_patterns)
 from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
                                   PairQAM, RealPoints, _difference_table,
-                                  _Geometry)
+                                  _Geometry, product_sums)
 from stbc_forge.simulate import STBCInstance
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
-                                silver_stbc, group_stbc)
+                                silver_stbc, group_stbc, family_bundle)
 from stbc_forge.cli import main
 
 
@@ -116,8 +118,29 @@ def test_unrotated_diagonal_design_not_full_diversity():
 
 
 def _certify(A, units):
-    """The group certifier on the units' HR-orthogonal groups."""
-    return _min_abs_det_product(A, _groups(hr_orthogonal_table(A), units))
+    """The group certifier's minimum on the units' HR-orthogonal groups."""
+    groups = _groups(hr_orthogonal_table(A), units)
+    return _min_abs_det_product(A, groups, [_unit_flips(sign_patterns(A), g)
+                                            for g in groups])[0]
+
+
+def _pm(units):
+    """The sign group of +-1 alone on the units, the +- classes: row 0
+    flips no unit, row 1 every unit."""
+    return [0b10] * len(units)
+
+
+def _flip_rows(flips):
+    """The rows of a sign group given as one row set per unit
+    (_unit_flips): each row's flips of the units, 0 or 1, in row order
+    up to the last row that flips one."""
+    n = max(f.bit_length() for f in flips)
+    return [tuple(f >> r & 1 for f in flips) for r in range(n)]
+
+
+def _pm_blocks(A, units, rows=None):
+    """The +- classes of the units' nonzero differences, as blocks."""
+    return [b for b, _keep in _class_blocks(A, units, _pm(units), rows)]
 
 
 def _qam_diffs(M):
@@ -238,12 +261,14 @@ def test_rotation_search_direct_check_rejects_grid_angle(monkeypatch):
     a = 2 * np.pi / 720
     units = [PairQAM((2, 3), 4, a)]
     assert _certify(A, units + [PairQAM((0, 1), 4, a)]) < DET_TOL
-    # the zero class leads the pair's one block: its coefficient rows
-    # come first
-    n_zero = len(_qam_diffs(4))
-    monkeypatch.setattr(
-        "stbc_forge.diversity._grid_min",
-        lambda c, E, out: _grid_min(c[:n_zero], E, out))
+    # the zero class leads the pair's first block: its coefficient rows,
+    # one per +- pair of QAM differences, come first
+    n_zero, blocks = len(_qam_diffs(4)) // 2, []
+
+    def zero_only(c, E, out):
+        blocks.append(len(c))
+        return _grid_min(c[:n_zero if len(blocks) == 1 else 0], E, out)
+    monkeypatch.setattr("stbc_forge.diversity._grid_min", zero_only)
     with pytest.raises(ValueError, match="no grid angle") as exc:
         rotation_search(A, units, [(0, 1)], 4)
     # the refusal reports the direct check's minimum at the grid angle
@@ -294,7 +319,7 @@ def test_class_blocks_are_codeword_difference_classes(rows):
     i, j = np.triu_indices(len(C), 1)
     want = _class_keys(C[i] - C[j])
     units = [PairQAM(p, 4, th) for p, th in zip(pairs, thetas)]
-    blocks = list(_class_blocks(A, units, rows))
+    blocks = _pm_blocks(A, units, rows)
     if rows:
         assert max(len(b) for b in blocks) <= max(rows, 9)
     D = np.concatenate(blocks)
@@ -316,7 +341,7 @@ def _interpolation_case(which):
         units, pair = [PairQAM((0, 1), 4, 0.5)], (2, 3)
     N = A.shape[-1]
     D = np.concatenate([np.zeros((1, N, N), complex),
-                        *_class_blocks(A, units)])
+                        *_pm_blocks(A, units)])
     A1, A2 = A[pair[0]], A[pair[1]]
     return D, _qam_diffs(4), (A1 - 1j * A2) / 2, (A1 + 1j * A2) / 2
 
@@ -367,7 +392,7 @@ def _coefficient_case(N, M):
         fd = build_base({4: 2, 8: 3}[N])
         A, pairs = _family_matrices(fd), family_pairs(fd)
     D = np.concatenate([np.zeros((1, N, N), complex),
-                        *_class_blocks(A, [PairQAM(pairs[0], M, 0.5)])])
+                        *_pm_blocks(A, [PairQAM(pairs[0], M, 0.5)])])
     A1, A2 = A[pairs[1][0]], A[pairs[1][1]]
     return D, (A1 - 1j * A2) / 2, (A1 + 1j * A2) / 2
 
@@ -389,10 +414,12 @@ def test_bivariate_coefficients_equal_direct_sampling(N, M):
 
 def test_grid_pass_takes_n_plus_1_squared_determinants_per_class(
         monkeypatch):
-    # the last pair of m=2 R=5/4 searches over zero and its group's
-    # (9^3 - 1) / 2 = 364 prior classes, as one block of 365 classes:
-    # (N+1)^2 = 25 determinants each, where sampling each of the 8 QAM
-    # differences at 2N+1 points took 72 (26,280 in all)
+    # the last pair of m=2 R=5/4 searches over zero and one
+    # representative of each of the 124 orbits of its group's
+    # (9^3 - 1) / 2 = 364 prior classes under the group's 16 sign
+    # patterns, as one block of 125 classes: (N+1)^2 = 25 determinants
+    # each, where sampling each of the 8 QAM differences at 2N+1 points
+    # took 72 (26,280 in all for the 365 +- classes)
     import stbc_forge.diversity as div
     asked, grid = [], []
     det, laurent = div._det_batch, div._laurent_coefficients
@@ -415,7 +442,7 @@ def test_grid_pass_takes_n_plus_1_squared_determinants_per_class(
     units = [PairQAM(p, 4, 2 * np.pi * 27 / GRID) for p in prior]
     [theta] = rotation_search(_family_matrices(fd), units, [last], 4)
     assert theta == 2 * np.pi * 72 / GRID
-    assert asked == [25 * 365] == [9125]
+    assert asked == [25 * 125] == [3125]
 
 
 def _pair_minima(monkeypatch, skip, A, units, pairs):
@@ -434,14 +461,19 @@ def _pair_minima(monkeypatch, skip, A, units, pairs):
     return angles, [o.tobytes() for o in outs], rows
 
 
-@pytest.mark.parametrize("R, prior", [
-    (Fraction(5, 4), 0), (Fraction(3, 2), 0), (Fraction(5, 4), 2)],
+@pytest.mark.parametrize("R, prior, chunk", [
+    (Fraction(5, 4), 0, 128), (Fraction(3, 2), 0, None),
+    (Fraction(5, 4), 2, 128)],
     ids=["m2-r5_4", "m2-r3_2", "m2-r5_4-prior2"])
-def test_skipped_grid_rows_leave_the_minima_bit_for_bit(R, prior,
+def test_skipped_grid_rows_leave_the_minima_bit_for_bit(R, prior, chunk,
                                                         monkeypatch):
     # rows whose lower bound clears every running minimum are skipped;
     # the same sort and chunks with every chunk evaluated give the same
-    # per-angle minima bit for bit, whatever the BLAS, and so the angles
+    # per-angle minima bit for bit, whatever the BLAS, and so the angles.
+    # R=5/4's last pair has 500 rows, in two chunks of _GRID_ROWS, of
+    # which none is skipped; in chunks of 128, 116 of its rows are
+    if chunk:
+        monkeypatch.setattr("stbc_forge.diversity._GRID_ROWS", chunk)
     fd = family(2, R)
     A, pairs = _family_matrices(fd), family_pairs(fd)
     units = [PairQAM(p, 4, 2 * np.pi * 27 / GRID) for p in pairs[:prior]]
@@ -561,7 +593,7 @@ def test_det_batch_4x4_is_exact_on_gaussian_integers():
 def _whole_min(A, units):
     """min |det| over the classes of the whole product, the reference."""
     return min((float(np.abs(_det_batch(b)).min())
-                for b in _class_blocks(A, units)), default=np.inf)
+                for b in _pm_blocks(A, units)), default=np.inf)
 
 
 def _family_auto(R):
@@ -592,7 +624,8 @@ def test_group_classes_of_the_family():
               Fraction(3, 2): [265720]}
     for R, want in counts.items():
         stbc = _family_auto(R)
-        assert group_classes(stbc.hr_orthogonal, stbc.signals) == want
+        assert [_class_count(g) for g in _groups(
+            stbc.hr_orthogonal, stbc.signals.units)] == want
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -736,9 +769,9 @@ def test_auto_build_tables_once_and_certifies_each_pair_once(monkeypatch):
 
 @pytest.mark.parametrize("rate, suite, line, build, verify", [
     ("5/4", "all", "diversity: PASS min_det=0.0840693 classes=29524 "
-     "checked=3284", 3, 2),
+     "checked=628", 3, 2),
     ("7/4", "diversity", "diversity: PASS min_det=0.0227589 "
-     "classes=2391484 checked=2391484", 5, 4)], ids=["r5_4", "r7_4"])
+     "classes=2391484 checked=174124", 5, 4)], ids=["r5_4", "r7_4"])
 def test_each_unit_builds_its_difference_table_once(
         rate, suite, line, build, verify, tmp_path, capsys):
     # a table per geometry, not per unit: an auto build tables the
@@ -918,6 +951,246 @@ def test_single_cap_counts_difference_classes():
 
 
 # ---------------------------------------------------------------------------
+# orbits of the sign patterns
+
+def _pinned(m, R, M, angles):
+    """The family bundle a design file with these meta lines gives."""
+    return family_bundle(m, R, M, ",".join(angles), None).stbc
+
+
+_Q = "0.235619449019"  # 3 pi / 40, the first pinned auto angle
+# the pinned auto angles of every family build that certifies today
+_PINNED = {
+    "m2-r1": (2, "1", 4, [_Q] * 4),
+    "m2-r5_4": (2, "5/4", 4, [_Q] * 4 + ["0.628318530718"]),
+    "m2-r3_2": (2, "3/2", 4, [_Q] * 4 + ["0.628318530718",
+                                         "0.401425727959"]),
+    "m2-r7_4": (2, "7/4", 4, [_Q] * 4 + ["0.628318530718", "0.401425727959",
+                                         "1.195550537616"]),
+    "m2-r1-M16": (2, "1", 16, [_Q] * 4),
+    "m2-r5_4-M16": (2, "5/4", 16, [_Q] * 4 + ["0.479965544298"]),
+    "m3-r1": (3, "1", 4, [_Q, "0.558505360638"] + ["0.113446401380",
+                                                   "0.366519142919"] * 3),
+    "m3-r9_8": (3, "9/8", 4, [_Q, "0.558505360638"] + [
+        "0.113446401380", "0.366519142919"] * 3 + ["0.244346095279"]),
+}
+
+
+def _verdict(mn):
+    """verify's verdict and printed minimum."""
+    return "%s min_det=%.6g" % ("PASS" if mn > DET_TOL else "FAIL", mn)
+
+
+def _reduced_and_full(stbc):
+    """((min, determinants) on the orbits of the instance's sign
+    patterns, the same on the +- classes)."""
+    A, groups = stbc.matrices, _groups(stbc.hr_orthogonal,
+                                       stbc.signals.units)
+    return (_min_abs_det_product(A, groups, [
+        _unit_flips(stbc.sign_patterns, g) for g in groups]),
+            _min_abs_det_product(A, groups, [_pm(g) for g in groups]))
+
+
+@pytest.mark.parametrize("make, verdict, taken, classes", [
+    *[(lambda key=key: _pinned(*_PINNED[key]), v, t, c)
+      for key, v, t, c in (
+          ("m2-r1", "PASS min_det=0.793893", 16, 16),
+          ("m2-r5_4", "PASS min_det=0.0840693", 628, 3284),
+          ("m2-r3_2", "PASS min_det=0.0385526", 22024, 265720),
+          ("m2-r7_4", "PASS min_det=0.0227589", 174124, 2391484),
+          ("m2-r1-M16", "PASS min_det=0.734548", 96, 96),
+          ("m2-r5_4-M16", "PASS min_det=0.00661441", 390648, 2882424),
+          ("m3-r1", "PASS min_det=0.036929", 96, 160),
+          ("m3-r9_8", "PASS min_det=0.00111772", 174148, 2391524))],
+    *[(lambda R=R: silver_stbc(4, R), "PASS min_det=%s" % v, t, c)
+      for R, v, t, c in ((1, "1", 8, 8),
+                         (Fraction(3, 2), "0.755929", 204, 364),
+                         (2, "0.755929", 1680, 3280))],
+    (lambda: qod4_stbc(2), "FAIL min_det=0", 12, 16),
+    (lambda: qod4_stbc(4), "FAIL min_det=0", 60, 96),
+    (lambda: _pinned(2, "1", 4, []), "FAIL min_det=0", 16, 16),
+    (lambda: _pinned(2, "5/4", 4, []), "FAIL min_det=0", 628, 3284),
+], ids=[*_PINNED, "silver-r1", "silver-r3_2", "silver-r2", "qod4-M4",
+        "qod4-M16", "m2-r1-angle0", "m2-r5_4-angle0"])
+def test_orbit_minimum_prints_as_the_full_one(make, verdict, taken, classes):
+    # one determinant per orbit of each group's differences under its
+    # sign patterns gives the +- classes' minimum, printed and judged as
+    # verify prints and judges it, on every code that certifies today and
+    # on codes whose minimum is 0
+    stbc = make()
+    (reduced, n_reduced), (full, n_full) = _reduced_and_full(stbc)
+    assert _verdict(reduced) == _verdict(full) == verdict
+    assert reduced == pytest.approx(full, rel=1e-9, abs=0)
+    assert (n_reduced, n_full) == (taken, classes)
+    assert n_full == sum(_class_count(g) for g in _groups(
+        stbc.hr_orthogonal, stbc.signals.units))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_growth_keeps_the_points_of_the_full_check(seed, monkeypatch):
+    # both growth entry points keep the same candidates whether each is
+    # certified on orbits or on every +- class
+    import stbc_forge.diversity as div
+    ala = to_linear_design(catalog("alamouti").design)
+    pam = pam_points(2)
+
+    def grow():
+        return (grow_constellation(ala, (3, 3, 2, 2), seed=seed),
+                grow_with_pam_prefix(_ggroup21_interleaved(), 2, (pam, pam),
+                                     sizes=(3, 3), seed=seed))
+    reduced = grow()
+    monkeypatch.setattr(div, "sign_patterns",
+                        lambda A: np.zeros((1, len(A)), bool))
+    assert grow() == reduced
+
+
+def _old_class_blocks(A, units, rows=None):
+    """The +- enumerator the orbits replaced, as it was: for each unit
+    with a picked difference, the units before it zero, it picked, the
+    later ones any difference."""
+    N = A.shape[-1]
+    flat = A.reshape(len(A), -1)
+    mats = [(u.differences[0] @ flat[list(u.indices)]).reshape(-1, N, N)
+            for u in units]
+    rows = rows or max(1, 2 ** 20 // (N * N))
+    for p, u in enumerate(units):
+        if u.differences[1].any():
+            yield from product_sums([mats[p][u.differences[1]]]
+                                    + mats[p + 1:], rows)
+
+
+@pytest.mark.parametrize("make, rows", [
+    (lambda: _pinned(*_PINNED["m2-r3_2"]), None),
+    (lambda: _pinned(*_PINNED["m2-r5_4"]), 7),
+    (lambda: silver_stbc(16, 2), None),
+    (lambda: qod4_stbc(4), 5),
+    (lambda: STBCInstance(linear=to_linear_design(catalog("alamouti").design),
+                          signals=SignalSet(units=(
+                              RealPoints(0, (0.0,)), RealPoints(1, (0.0, 1.0)),
+                              RealPoints(2, (0.0,)),
+                              RealPoints(3, (-1.0, 0.5, 2.0))))), 2),
+], ids=["m2-r3_2", "m2-r5_4-rows7", "silver-r2-M16", "qod4-M16-rows5",
+        "one-point-units"])
+def test_plus_minus_one_alone_is_the_old_stream(make, rows):
+    # with the sign group of +-1 alone the orbit walk yields the old +-
+    # stream, block for block and bit for bit, one-point units skipped
+    stbc = make()
+    A = stbc.matrices
+    for g in _groups(stbc.hr_orthogonal, stbc.signals.units):
+        new = (b for b, _keep in _class_blocks(A, g, _pm(g), rows))
+        for got, want in itertools.zip_longest(new, _old_class_blocks(
+                A, g, rows)):
+            assert got is not None and want is not None
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_sign_groups_of_the_family_and_silver():
+    # distinct sign patterns, -1 included, on each group's units: 16 on
+    # m=2 R=5/4's group of four pairs, 32 on the groups of six to eight
+    # pairs and on m=3 R=9/8's group of seven; Silver's J conj(X) J^H,
+    # J = ZX, fixes s1, s2 and negates z3, z4
+    def sizes(stbc):
+        return [len(set(_flip_rows(_unit_flips(stbc.sign_patterns, g))))
+                for g in _groups(stbc.hr_orthogonal, stbc.signals.units)]
+    assert sizes(_pinned(*_PINNED["m2-r5_4"])) == [2, 16]
+    for key in ("m2-r3_2", "m2-r7_4"):
+        assert sizes(_pinned(*_PINNED[key])) == [32]
+    assert sizes(_pinned(2, "2", 4, [])) == [32]
+    assert sizes(_pinned(*_PINNED["m3-r9_8"])) == [4, 32]
+    silver = silver_stbc(4)
+    assert set(map(tuple, silver.sign_patterns.tolist())) == {
+        (False,) * 8, (False,) * 4 + (True,) * 4}
+    assert sizes(silver) == [4]
+
+
+def _orbit_case(draw):
+    """The weight matrices of family m=2 R=2 or Silver R=2, and up to four
+    units on distinct reals: a 4-QAM pair at one of three angles, or one
+    or two RealPoints units of one to three points on a pair's reals."""
+    if draw(st.booleans()):
+        fd = family(2, 2)
+        A, pairs = _family_matrices(fd), family_pairs(fd)
+    else:
+        A, pairs = silver_stbc(4).matrices, [(0, 1), (2, 3), (4, 5), (6, 7)]
+    picked = draw(st.lists(st.sampled_from(range(len(pairs))), min_size=1,
+                           max_size=3, unique=True))
+    units = []
+    for p in picked:
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            units.append(PairQAM(pairs[p], 4, draw(st.sampled_from(
+                (0.0, 0.5, 2 * np.pi * 27 / GRID)))))
+            continue
+        for i in pairs[p][:kind]:
+            n = draw(st.integers(1, 3))
+            units.append(RealPoints(i, tuple(sorted(draw(st.sets(
+                st.integers(-3, 3), min_size=n, max_size=n))))))
+    return A, units[:4]
+
+
+def _x_keys(X):
+    """Integer keys of real-symbol rows on the 1e-9 grid."""
+    return {tuple(k) for k in np.rint(X * 1e9).astype(np.int64).tolist()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_class_lies_in_the_orbit_of_one_representative(data):
+    # summed on 4 x 4 matrix units, one per real (each representative
+    # reads as its x), the representatives' orbits under
+    # the units' sign group are disjoint, cover every nonzero difference
+    # of the product, and keep |det| on the real weight matrices
+    A, units = _orbit_case(data.draw)
+    K = len(A)
+    flips = _unit_flips(sign_patterns(A), units)
+    basis = np.eye(K, 16, dtype=complex).reshape(K, 4, 4)
+    reps = [b.reshape(len(b), 16)[:, :K].real
+            for b, _keep in _class_blocks(basis, units, flips)]
+    reps = np.concatenate(reps) if reps else np.zeros((0, K))
+    rows = np.array(_flip_rows(flips))
+    sign = np.ones((len(rows), K))
+    for f, u in zip(rows.T, units):
+        sign[:, list(u.indices)] = np.where(f, -1.0, 1.0)[:, None]
+    orbits = [_x_keys(x * sign) for x in reps]
+    covered = set().union(*orbits)
+    assert sum(map(len, orbits)) == len(covered)
+    every = np.zeros((1, K))
+    for u in units:
+        d = np.zeros((len(u.differences[0]), K))
+        d[:, list(u.indices)] = u.differences[0]
+        every = (every[:, None] + d[None]).reshape(-1, K)
+    assert covered == _x_keys(every[np.abs(every).max(axis=1) > 0])
+    for x in reps:
+        dets = np.abs(_det_batch(np.tensordot(x * sign, A, axes=1)))
+        assert np.all(np.abs(dets - dets[0]) <= 1e-9 * max(dets[0], 1.0))
+
+
+def test_checked_is_the_determinants_taken(tmp_path, capsys, monkeypatch):
+    # verify's checked= is what the certifier counts, every matrix handed
+    # to _det_batch, on a symmetric family file and on Silver R=2
+    import stbc_forge.diversity as div
+    det = div._det_batch
+    taken = []
+
+    def spy(A):
+        taken.append(int(np.prod(A.shape[:-2])))
+        return det(A)
+    for argv, checked in ((["--m", "2", "--rate", "5/4", "--angles", "auto"],
+                           628), (["--m", "1", "--rate", "2"], 1680)):
+        p = str(tmp_path / "code.txt")
+        assert main(["build-fd", *argv, "--out", p]) == 0
+        monkeypatch.setattr(div, "_det_batch", spy)
+        taken.clear()
+        capsys.readouterr()
+        assert main(["verify", "--in", p, "--suite", "diversity"]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.endswith(" checked=%d" % checked), line
+        assert sum(taken) == checked
+        monkeypatch.setattr(div, "_det_batch", det)
+
+
+# ---------------------------------------------------------------------------
 # constellation growth
 
 def _grown_min(ld, points):
@@ -1039,11 +1312,11 @@ def test_growth_gives_up_after_its_retry_budget(monkeypatch):
     import stbc_forge.diversity as div
     calls = []
 
-    def certify_first_only(A, groups):
+    def certify_first_only(A, groups, patterns):
         calls.append(1)
-        return 1.0 if len(calls) == 1 else 0.0
+        return (1.0 if len(calls) == 1 else 0.0), 1
 
-    monkeypatch.setattr(div, "_min_abs_det_product", lambda *a: 0.0)
+    monkeypatch.setattr(div, "_min_abs_det_product", lambda *a: (0.0, 1))
     ld = to_linear_design(catalog("alamouti").design)
     with pytest.raises(RuntimeError, match="^growth retry budget exhausted "
                        "at symbol 0$"):

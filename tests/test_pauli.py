@@ -9,7 +9,8 @@ from stbc_forge.f4 import O, I, W, W2, F4Vec, zero, delta, enumerate_all
 from stbc_forge.pauli import (I2, X, Z, ZX, TOL, psi_inv, phi_inv, phi,
                               phi_signed, is_hermitian_parity,
                               anticommute_parity, hr_orthogonal_numeric,
-                              trace_inner, NotInLambdaError)
+                              sign_patterns, trace_inner,
+                              NotInLambdaError)
 
 
 def kron_reference(v):
@@ -192,3 +193,42 @@ def test_phi_signed_rejects_bad_shapes_and_m_above_8():
             phi_signed(np.ones(shape, dtype=complex))
     with pytest.raises(NotInLambdaError, match="m=9.*m <= 8"):
         phi_signed(np.eye(512))
+
+
+def _symmetries(A):
+    """Reference: the sign pattern of every X -> P V(X) P^H, P a Pauli
+    Z^hi X^lo and V the identity, transposition, conjugation or both,
+    that sends each A_k to exactly +-A_k, by matrix products."""
+    N = A.shape[-1]
+    out = set()
+    for hi in range(N):
+        for lo in range(N):
+            P = np.zeros((N, N))
+            for r in range(N):
+                P[r, r ^ lo] = (-1) ** (r & hi).bit_count()
+            for V in (lambda B: B, lambda B: B.T, np.conj,
+                      lambda B: B.conj().T):
+                T = [P @ V(B) @ P.T for B in A]
+                if all(np.array_equal(t, B) or np.array_equal(t, -B)
+                       for t, B in zip(T, A)):
+                    out.add(tuple(not np.array_equal(t, B)
+                                  for t, B in zip(T, A)))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_sign_patterns_are_the_symmetries_of_the_stack(m):
+    # every realization at m = 1, a sample at m = 2, against matrix
+    # products; a one-ulp change of one entry loses the symmetries that
+    # negate or move it; a stack of N = 3, which no Pauli acts on, keeps
+    # the identity alone
+    A = np.stack([phi_inv(v) for v in all_vectors(m)[::3]])
+    got = sign_patterns(A)
+    assert set(map(tuple, got.tolist())) == _symmetries(A)
+    assert (False,) * len(A) in _symmetries(A)
+    B = A.copy()
+    B[0, 0, 0] = np.nextafter(B[0, 0, 0].real, 2) + 1j * B[0, 0, 0].imag
+    fewer = set(map(tuple, sign_patterns(B).tolist()))
+    assert fewer == _symmetries(B) and len(fewer) < len(_symmetries(A))
+    C = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
+    assert sign_patterns(C).tolist() == [[False, False]]
