@@ -302,7 +302,8 @@ def build_parser():
     c.add_argument("--decoder", default="both",
                    choices=["oracle", "structured", "both"])
     c.add_argument("--n-rx", type=int, default=2)
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     c.add_argument("--out")
     c.set_defaults(fn="cmd_simulate")
     return p

@@ -21,6 +21,8 @@ from stbc_forge.fdfgd import family, family_pairs
 from stbc_forge.signalset import SignalSet, PairQAM, RealPoints, TABLE_WORDS
 from stbc_forge.simulate import SimConfig
 
+from pinned_builds import BUILDS, case_id
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -35,15 +37,24 @@ def test_catalog_list(capsys):
     assert "alamouti" in names and "silver" in names
 
 
-def fresh(*argv):
+def fresh(*argv, address_space=None):
     """The CLI in a new `python -m stbc_forge` process: (code, stdout,
-    stderr)."""
+    stderr). With address_space, the process runs under that cap in
+    bytes (RLIMIT_AS, as `ulimit -v` sets it) and one BLAS thread."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cap = None
+    if address_space is not None:
+        import resource
+        env["OPENBLAS_NUM_THREADS"] = "1"
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (address_space, address_space))
     done = subprocess.run([sys.executable, "-m", "stbc_forge", *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=60)
+                          timeout=60, preexec_fn=cap)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -70,29 +81,33 @@ def test_main_runs_the_command_on_the_module_at_call_time(capsys,
 
 
 @pytest.mark.parametrize("failing, code", [
-    (("build-fd", "--m"), None), (("verify", "--in", "missing.txt"), 1)],
-    ids=["argparse-exit", "returns-1"])
+    ((), None), (("build-fd", "--m"), 2),
+    (("verify", "--in", "missing.txt"), 1)],
+    ids=["no-failure", "argparse-exit", "returns-1"])
 def test_a_failed_call_leaves_the_next_ones_as_a_fresh_process(
         failing, code, tmp_path, capsys):
     # the process-wide parser and difference tables carry nothing from a
-    # failed call: build-fd and verify then print and write what a new
-    # process does, byte for byte
-    if code is None:
+    # failed call, nor from one round to the next: build-fd and verify,
+    # run twice in one process, print and write what a new process does,
+    # byte for byte
+    if code == 2:
         with pytest.raises(SystemExit) as exc:
             main(list(failing))
-        assert exc.value.code == 2
-    else:
+        assert exc.value.code == code
+    elif failing:
         assert main(list(failing)) == code
     capsys.readouterr()
-    paths = [str(tmp_path / name) for name in ("in.txt", "fresh.txt")]
     build = ("build-fd", "--m", "2", "--rate", "5/4", "--angles", "auto",
              "--M", "4", "--out")
-    got = [run(capsys, *build, paths[0]),
-           run(capsys, "verify", "--in", paths[0], "--suite", "all")]
-    want = [fresh(*build, paths[1]), fresh("verify", "--in", paths[1],
-                                           "--suite", "all")]
-    assert got == want
-    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
+    path = str(tmp_path / "fresh.txt")
+    want = [fresh(*build, path), fresh("verify", "--in", path,
+                                       "--suite", "all")]
+    for k in (1, 2):
+        mine = str(tmp_path / ("in%d.txt" % k))
+        got = [run(capsys, *build, mine),
+               run(capsys, "verify", "--in", mine, "--suite", "all")]
+        assert got == want, k
+        assert Path(mine).read_bytes() == Path(path).read_bytes(), k
 
 
 def test_catalog_show(capsys):
@@ -620,15 +635,10 @@ def test_build_fd_silver_path(capsys):
     assert "predicted=M^1" in out
 
 
-@pytest.mark.parametrize("rate, M, line", [
-    ("1", 4, "min_det=1 classes=40 checked=8"),
-    ("1", 16, "min_det=1 classes=1200 checked=48"),
-    ("3/2", 4, "min_det=0.755929 classes=364 checked=204"),
-    ("3/2", 16, "min_det=0.755929 classes=58824 checked=30024"),
-    ("2", 4, "min_det=0.755929 classes=3280 checked=1680"),
-    ("2", 16, "min_det=0.755929 classes=2882400 checked=1442400")],
+@pytest.mark.parametrize("rate, M", [
+    ("1", 4), ("1", 16), ("3/2", 4), ("3/2", 16), ("2", 4), ("2", 16)],
     ids=["r1-M4", "r1-M16", "r3_2-M4", "r3_2-M16", "r2-M4", "r2-M16"])
-def test_every_silver_rate_is_full_diversity(rate, M, line, tmp_path, capsys):
+def test_every_silver_rate_is_full_diversity(rate, M, tmp_path, capsys):
     # puncturing drops the information symbol z4 (then z3), never the
     # precoded s4: each member keeps the folded weights of its z symbols,
     # so it is full diversity and its linear design has cubic shaping.
@@ -641,7 +651,7 @@ def test_every_silver_rate_is_full_diversity(rate, M, line, tmp_path, capsys):
     code, out, _err = run(capsys, "verify", "--in", str(p), "--suite", "all")
     assert code == 0
     assert out.splitlines() == ["partition: PASS", "shaping: PASS",
-                                "prop5: PASS", "diversity: PASS " + line]
+                                "prop5: PASS", BUILDS[1, rate, M].line]
     stbc = family_bundle(1, rate, M, "", None).stbc
     assert cubic_shaping_check(generator_matrix(stbc.linear))
 
@@ -662,33 +672,22 @@ def test_build_fd_rate1_no_prediction(capsys):
     assert "plan=4·M^0.5" in out
 
 
-def test_build_fd_auto_angles_pinned(tmp_path, capsys):
-    # smallest of the tied grid angles: 3pi/40 on every pair, at R = 5/4
-    # pi/5 on the last, at R = 3/2 pi/5 and 23pi/90 on the last two, at
-    # 16-QAM R = 1 3pi/40 again; checked= counts the determinants the
-    # certifier takes, one per orbit of each HR-orthogonal group's
-    # differences under its sign patterns
-    cases = (("5/4", "4", ["0.235619449019"] * 4 + ["0.628318530718"],
-              "min_det=0.0840693 classes=29524 checked=628"),
-             ("1", "4", ["0.235619449019"] * 4,
-              "min_det=0.793893 classes=3280 checked=16"),
-             ("3/2", "4", ["0.235619449019"] * 4 + ["0.628318530718",
-                                                    "0.401425727959"],
-              "min_det=0.0385526 classes=265720 checked=22024"),
-             ("1", "16", ["0.235619449019"] * 4,
-              "min_det=0.734548 classes=2882400 checked=96"))
-    for rate, M, angles, certified in cases:
-        p = tmp_path / "fd.txt"
-        code, _out, _err = run(capsys, "build-fd", "--m", "2", "--rate",
-                               rate, "--angles", "auto", "--M", M,
-                               "--out", str(p))
-        assert code == 0
-        _d, meta, _names = parse_design(p.read_text())
-        assert meta["angles"] == ",".join(angles)
-        code, out, _err = run(capsys, "verify", "--in", str(p),
-                              "--suite", "diversity")
-        assert code == 0
-        assert "diversity: PASS %s" % certified in out
+@pytest.mark.parametrize("key", [k for k in BUILDS if k[0] > 1],
+                         ids=case_id)
+def test_build_fd_auto_angles_pinned(key, tmp_path, capsys):
+    # every pinned auto build writes its angles, and every suite passes
+    # on the file, with the pinned diversity line
+    m, rate, M = key
+    p = tmp_path / "fd.txt"
+    code, _out, err = run(capsys, "build-fd", "--m", str(m), "--rate", rate,
+                          "--angles", "auto", "--M", str(M), "--out", str(p))
+    assert code == 0, err
+    _d, meta, _names = parse_design(p.read_text())
+    assert meta["angles"] == BUILDS[key].angles
+    code, out, _err = run(capsys, "verify", "--in", str(p), "--suite", "all")
+    assert code == 0
+    assert out.splitlines() == ["partition: PASS", "shaping: PASS",
+                                "prop5: PASS", BUILDS[key].line]
 
 
 @pytest.mark.parametrize("m,rate,classes", [
@@ -719,23 +718,6 @@ def test_build_fd_refuses_m_past_max_m_before_building(m, capsys,
     code, out, err = run(capsys, "build-fd", "--m", m, "--rate", "2")
     assert (code, out, err) == (1, "", "error: family m=%s: weight matrices "
                                 "are realized up to m=8\n" % m)
-
-
-def test_build_fd_auto_m3_rate1_certifies(tmp_path, capsys):
-    # 21523360 classes in all, but four groups of 40: under the cap; each
-    # group's second pair merges it with its first
-    p = tmp_path / "m3.txt"
-    code, _out, _err = run(capsys, "build-fd", "--m", "3", "--rate", "1",
-                           "--angles", "auto", "--out", str(p))
-    assert code == 0
-    _d, meta, _names = parse_design(p.read_text())
-    assert meta["angles"] == ("0.235619449019,0.558505360638,0.113446401380,"
-                              "0.366519142919,0.113446401380,0.366519142919,"
-                              "0.113446401380,0.366519142919")
-    code, out, _err = run(capsys, "verify", "--in", str(p))
-    assert code == 0
-    assert ("diversity: PASS min_det=0.036929 classes=21523360 checked=96"
-            in out)
 
 
 def test_verify_n16_under_the_error_floor_infeasible(tmp_path, capsys):
@@ -1080,24 +1062,61 @@ def test_simulate_build_fd_bundle(tmp_path, capsys):
     assert "stbc-simresult v1" in out
 
 
-def test_simulate_family_r2_at_16qam(tmp_path, capsys, monkeypatch):
-    # 2^32 codewords: the draw and the energy read the signal set's
-    # units, never the 32 GiB codebook table, which is refused here
-    def refuse(self):
-        raise AssertionError("the codebook's symbol table was built")
-    monkeypatch.setattr(SignalSet, "symbol_table", refuse)
-    p = tmp_path / "fd16.txt"
-    code, _out, err = run(capsys, "build-fd", "--m", "2", "--rate", "2",
-                          "--M", "16", "--angles", ",".join(["0.5"] * 8),
-                          "--out", str(p))
+@pytest.mark.parametrize("build, meta, snr, trials, rows", [
+    (("build-fd", "--m", "1", "--rate", "2", "--M", "16"), "", "0,10,20",
+     "400", ("0\t397\t0.9925\t400", "10\t307\t0.7675\t400",
+             "20\t18\t0.045\t400")),
+    (("catalog", "show", "alamouti"), "meta.M=64\n", "10,20", "2000",
+     ("10\t1504\t0.752\t2000", "20\t95\t0.0475\t2000")),
+    (("build-fd", "--m", "2", "--rate", "2", "--M", "4", "--angles",
+      ",".join(["0.5"] * 8)), "", "0,10", "200",
+     ("0\t190\t0.95\t200", "10\t24\t0.12\t200")),
+    (("build-fd", "--m", "1", "--rate", "3/2", "--M", "4"), "", "0,10,20",
+     "400", ("0\t245\t0.6125\t400", "10\t9\t0.0225\t400",
+             "20\t0\t0\t400"))],
+    ids=["silver-r2-M16", "alamouti-M64", "family-r2-M4", "silver-r3_2-M4"])
+def test_simulate_error_rows_pinned(build, meta, snr, trials, rows, tmp_path,
+                                    capsys):
+    # both decoders at seed 3, with the error rows pinned: Silver R=2 at
+    # 16-QAM on all 65,536 codewords, its weight matrices carrying the
+    # precoder; Alamouti at 64-QAM, which hard-limits four 8-point axes,
+    # each at the two points around its vertex; family R=2 at 4-QAM (the
+    # sim-large code), the oracle's largest grid (256 x 256); and Silver
+    # R=3/2, which punctures z4, not the precoded s4
+    p = tmp_path / "code.txt"
+    code, _out, err = run(capsys, *build, "--out", str(p))
     assert code == 0, err
+    p.write_text(p.read_text() + meta)
     code, out, err = run(capsys, "simulate", "--in", str(p), "--decoder",
-                         "structured", "--trials", "4", "--snr", "10")
+                         "both", "--snr", snr, "--trials", trials,
+                         "--seed", "3")
+    assert code == 0, err
+    assert out.splitlines()[-len(rows):] == list(rows)
+
+
+def test_simulate_family_r2_at_16qam(tmp_path):
+    # 2^32 codewords: the draw and the energy read the signal set's units,
+    # never the 32 GiB codebook table, which under a 2 GB address-space
+    # cap would fail at once. The sent indexes take the count = 2^32
+    # branch of simulate._bounded (the raw word's low half), so the error
+    # rows check that keying end to end; the 14 dB row is the one whose
+    # count a different sent index or channel would move
+    pytest.importorskip("resource")
+    p = str(tmp_path / "fd16.txt")
+    cap = 2_048_000_000  # ulimit -v 2000000, in bytes
+    code, _out, err = fresh("build-fd", "--m", "2", "--rate", "2", "--M",
+                            "16", "--angles", ",".join(["0.5"] * 8),
+                            "--out", p, address_space=cap)
+    assert code == 0, err
+    code, out, err = fresh("simulate", "--in", p, "--decoder", "structured",
+                           "--trials", "4", "--snr", "10,14",
+                           address_space=cap)
     assert code == 0, err
     lines = out.splitlines()
     for line in ("codebook=4294967296", "energy=80",
                  "structured_evals=802816"):
         assert line in lines
+    assert lines[-2:] == ["10\t4\t1\t4", "14\t1\t0.25\t4"]
 
 
 def test_seed_env_default(tmp_path, capsys, monkeypatch):

@@ -34,6 +34,8 @@ from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
                                 silver_stbc, group_stbc, family_bundle)
 from stbc_forge.cli import main
 
+from pinned_builds import BUILDS, case_id
+
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -767,13 +769,10 @@ def test_auto_build_tables_once_and_certifies_each_pair_once(monkeypatch):
     assert certified == [True] * 5
 
 
-@pytest.mark.parametrize("rate, suite, line, build, verify", [
-    ("5/4", "all", "diversity: PASS min_det=0.0840693 classes=29524 "
-     "checked=628", 3, 2),
-    ("7/4", "diversity", "diversity: PASS min_det=0.0227589 "
-     "classes=2391484 checked=174124", 5, 4)], ids=["r5_4", "r7_4"])
+@pytest.mark.parametrize("rate, suite, build, verify", [
+    ("5/4", "all", 3, 2), ("7/4", "diversity", 5, 4)], ids=["r5_4", "r7_4"])
 def test_each_unit_builds_its_difference_table_once(
-        rate, suite, line, build, verify, tmp_path, capsys):
+        rate, suite, build, verify, tmp_path, capsys):
     # a table per geometry, not per unit: an auto build tables the
     # unrotated 4-QAM once, for every pair's cap check and the QAM
     # differences, then each distinct accepted angle (R=5/4: 3 pi / 40
@@ -788,7 +787,7 @@ def test_each_unit_builds_its_difference_table_once(
     _difference_table.cache_clear()
     capsys.readouterr()
     assert main(["verify", "--in", path, "--suite", suite]) == 0
-    assert line in capsys.readouterr().out.splitlines()
+    assert BUILDS[2, rate, 4].line in capsys.readouterr().out.splitlines()
     assert _difference_table.cache_info().misses == verify
 
 
@@ -953,27 +952,12 @@ def test_single_cap_counts_difference_classes():
 # ---------------------------------------------------------------------------
 # orbits of the sign patterns
 
-def _pinned(m, R, M, angles):
-    """The family bundle a design file with these meta lines gives."""
-    return family_bundle(m, R, M, ",".join(angles), None).stbc
-
-
-_Q = "0.235619449019"  # 3 pi / 40, the first pinned auto angle
-# the pinned auto angles of every family build that certifies today
-_PINNED = {
-    "m2-r1": (2, "1", 4, [_Q] * 4),
-    "m2-r5_4": (2, "5/4", 4, [_Q] * 4 + ["0.628318530718"]),
-    "m2-r3_2": (2, "3/2", 4, [_Q] * 4 + ["0.628318530718",
-                                         "0.401425727959"]),
-    "m2-r7_4": (2, "7/4", 4, [_Q] * 4 + ["0.628318530718", "0.401425727959",
-                                         "1.195550537616"]),
-    "m2-r1-M16": (2, "1", 16, [_Q] * 4),
-    "m2-r5_4-M16": (2, "5/4", 16, [_Q] * 4 + ["0.479965544298"]),
-    "m3-r1": (3, "1", 4, [_Q, "0.558505360638"] + ["0.113446401380",
-                                                   "0.366519142919"] * 3),
-    "m3-r9_8": (3, "9/8", 4, [_Q, "0.558505360638"] + [
-        "0.113446401380", "0.366519142919"] * 3 + ["0.244346095279"]),
-}
+def _pinned(m, R, M, angles=None):
+    """The family bundle a design file with these meta lines gives; by
+    default the angles of the pinned auto build, "" for every angle 0."""
+    if angles is None:
+        angles = BUILDS[m, R, M].angles
+    return family_bundle(m, R, M, angles, None).stbc
 
 
 def _verdict(mn):
@@ -992,26 +976,26 @@ def _reduced_and_full(stbc):
 
 
 @pytest.mark.parametrize("make, verdict, taken, classes", [
-    *[(lambda key=key: _pinned(*_PINNED[key]), v, t, c)
-      for key, v, t, c in (
-          ("m2-r1", "PASS min_det=0.793893", 16, 16),
-          ("m2-r5_4", "PASS min_det=0.0840693", 628, 3284),
-          ("m2-r3_2", "PASS min_det=0.0385526", 22024, 265720),
-          ("m2-r7_4", "PASS min_det=0.0227589", 174124, 2391484),
-          ("m2-r1-M16", "PASS min_det=0.734548", 96, 96),
-          ("m2-r5_4-M16", "PASS min_det=0.00661441", 390648, 2882424),
-          ("m3-r1", "PASS min_det=0.036929", 96, 160),
-          ("m3-r9_8", "PASS min_det=0.00111772", 174148, 2391524))],
-    *[(lambda R=R: silver_stbc(4, R), "PASS min_det=%s" % v, t, c)
-      for R, v, t, c in ((1, "1", 8, 8),
-                         (Fraction(3, 2), "0.755929", 204, 364),
-                         (2, "0.755929", 1680, 3280))],
-    (lambda: qod4_stbc(2), "FAIL min_det=0", 12, 16),
-    (lambda: qod4_stbc(4), "FAIL min_det=0", 60, 96),
-    (lambda: _pinned(2, "1", 4, []), "FAIL min_det=0", 16, 16),
-    (lambda: _pinned(2, "5/4", 4, []), "FAIL min_det=0", 628, 3284),
-], ids=[*_PINNED, "silver-r1", "silver-r3_2", "silver-r2", "qod4-M4",
-        "qod4-M16", "m2-r1-angle0", "m2-r5_4-angle0"])
+    # the pinned builds, with their determinant counts over the +- classes
+    *[pytest.param(lambda key=key: _pinned(*key), BUILDS[key].verdict,
+                   BUILDS[key].checked, c, id=case_id(key))
+      for key, c in (((2, "1", 4), 16), ((2, "5/4", 4), 3284),
+                     ((2, "3/2", 4), 265720), ((2, "7/4", 4), 2391484),
+                     ((2, "1", 16), 96), ((2, "5/4", 16), 2882424),
+                     ((3, "1", 4), 160), ((3, "1", 16), 4800),
+                     ((3, "9/8", 4), 2391524))],
+    *[pytest.param(lambda R=R: silver_stbc(4, Fraction(R)),
+                   BUILDS[1, R, 4].verdict, BUILDS[1, R, 4].checked, c,
+                   id="silver-r" + R.replace("/", "_"))
+      for R, c in (("1", 8), ("3/2", 364), ("2", 3280))],
+    pytest.param(lambda: qod4_stbc(2), "FAIL min_det=0", 12, 16, id="qod4-M4"),
+    pytest.param(lambda: qod4_stbc(4), "FAIL min_det=0", 60, 96,
+                 id="qod4-M16"),
+    pytest.param(lambda: _pinned(2, "1", 4, ""), "FAIL min_det=0", 16, 16,
+                 id="m2-r1-angle0"),
+    pytest.param(lambda: _pinned(2, "5/4", 4, ""), "FAIL min_det=0", 628,
+                 3284, id="m2-r5_4-angle0"),
+])
 def test_orbit_minimum_prints_as_the_full_one(make, verdict, taken, classes):
     # one determinant per orbit of each group's differences under its
     # sign patterns gives the +- classes' minimum, printed and judged as
@@ -1060,8 +1044,8 @@ def _old_class_blocks(A, units, rows=None):
 
 
 @pytest.mark.parametrize("make, rows", [
-    (lambda: _pinned(*_PINNED["m2-r3_2"]), None),
-    (lambda: _pinned(*_PINNED["m2-r5_4"]), 7),
+    (lambda: _pinned(2, "3/2", 4), None),
+    (lambda: _pinned(2, "5/4", 4), 7),
     (lambda: silver_stbc(16, 2), None),
     (lambda: qod4_stbc(4), 5),
     (lambda: STBCInstance(linear=to_linear_design(catalog("alamouti").design),
@@ -1093,11 +1077,11 @@ def test_sign_groups_of_the_family_and_silver():
     def sizes(stbc):
         return [len(set(_flip_rows(_unit_flips(stbc.sign_patterns, g))))
                 for g in _groups(stbc.hr_orthogonal, stbc.signals.units)]
-    assert sizes(_pinned(*_PINNED["m2-r5_4"])) == [2, 16]
-    for key in ("m2-r3_2", "m2-r7_4"):
-        assert sizes(_pinned(*_PINNED[key])) == [32]
-    assert sizes(_pinned(2, "2", 4, [])) == [32]
-    assert sizes(_pinned(*_PINNED["m3-r9_8"])) == [4, 32]
+    assert sizes(_pinned(2, "5/4", 4)) == [2, 16]
+    for rate in ("3/2", "7/4"):
+        assert sizes(_pinned(2, rate, 4)) == [32]
+    assert sizes(_pinned(2, "2", 4, "")) == [32]
+    assert sizes(_pinned(3, "9/8", 4)) == [4, 32]
     silver = silver_stbc(4)
     assert set(map(tuple, silver.sign_patterns.tolist())) == {
         (False,) * 8, (False,) * 4 + (True,) * 4}
@@ -1176,17 +1160,17 @@ def test_checked_is_the_determinants_taken(tmp_path, capsys, monkeypatch):
     def spy(A):
         taken.append(int(np.prod(A.shape[:-2])))
         return det(A)
-    for argv, checked in ((["--m", "2", "--rate", "5/4", "--angles", "auto"],
-                           628), (["--m", "1", "--rate", "2"], 1680)):
+    for key, angles in (((2, "5/4", 4), ("--angles", "auto")),
+                        ((1, "2", 4), ())):
         p = str(tmp_path / "code.txt")
-        assert main(["build-fd", *argv, "--out", p]) == 0
+        assert main(["build-fd", "--m", str(key[0]), "--rate", key[1],
+                     *angles, "--out", p]) == 0
         monkeypatch.setattr(div, "_det_batch", spy)
         taken.clear()
         capsys.readouterr()
         assert main(["verify", "--in", p, "--suite", "diversity"]) == 0
-        line = capsys.readouterr().out.strip()
-        assert line.endswith(" checked=%d" % checked), line
-        assert sum(taken) == checked
+        assert capsys.readouterr().out.strip() == BUILDS[key].line
+        assert sum(taken) == BUILDS[key].checked
         monkeypatch.setattr(div, "_det_batch", det)
 
 
