@@ -106,9 +106,8 @@ def silver_stbc(M, R=Fraction(2)):
                    for u in row] for row in SILVER_U])
     folded = np.tensordot(P, entry.linear.matrices()[4:], axes=(0, 0))
     entries = entry.linear.entries[:4] + tuple(
-        replace(e, label=label, matrix=A) for e, label, A in
-        zip(entry.linear.entries[4:keep], ("z3I", "z3Q", "z4I", "z4Q"),
-            folded))
+        replace(e, matrix=A) for e, A in zip(entry.linear.entries[4:keep],
+                                             folded))
     units = tuple(PairQAM((i, i + 1), M) for i in range(0, keep, 2))
     hard = Leaf((0, 1, 2, 3), HARD_ALL)
     plan = (Cond(conditioning=tuple(range(4, keep)), children=(hard,))
@@ -153,6 +152,8 @@ def family_bundle(m, R, M, angles, xi2):
     comma-separated radian per QAM pair, and xi2 is "1", "w2" or None.
     R is a Fraction or its text, such as a design file's meta.rate.
     """
+    if m < 1:
+        raise ValueError("family m=%d: needs m >= 1" % m)
     try:
         R = parse_number(R, "rate", Fraction)
     except ZeroDivisionError:

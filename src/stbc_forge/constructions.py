@@ -144,7 +144,7 @@ class CatalogEntry:
 def _entry(name, design, labels=None, printed=None, notes=None):
     labels = labels or tuple("x%d" % (i + 1) for i in range(design.K))
     if printed is None:
-        linear = to_linear_design(design, labels=labels)
+        linear = to_linear_design(design)
     else:
         entries = []
         for i, (v, A) in enumerate(zip(design.vectors, printed)):
@@ -152,8 +152,8 @@ def _entry(name, design, labels=None, printed=None, notes=None):
             if got != v:
                 raise AssertionError("printed matrix %d realizes %s, expected %s"
                                      % (i, got, v))
-            entries.append(LDEntry(label=labels[i], matrix=np.asarray(A, complex),
-                                   vector=v, sign=sign))
+            entries.append(LDEntry(matrix=np.asarray(A, complex), vector=v,
+                                   sign=sign))
         linear = LinearDesign(m=design.m, entries=tuple(entries))
     return CatalogEntry(name=name, design=design, linear=linear,
                         labels=labels, notes=notes or {})

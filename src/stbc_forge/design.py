@@ -293,7 +293,6 @@ def plan_complexity(plan):
 
 @dataclass(frozen=True)
 class LDEntry:
-    label: str
     matrix: object  # ndarray
     vector: F4Vec = None
     sign: int = 1
@@ -318,13 +317,10 @@ class LinearDesign:
         return np.stack([e.matrix for e in self.entries])
 
 
-def to_linear_design(d, labels=None):
-    """Realize a Design: A_k = phi_inv(y_k), labels x1..xK by default."""
-    entries = []
-    for i, v in enumerate(d.vectors):
-        label = labels[i] if labels else "x%d" % (i + 1)
-        entries.append(LDEntry(label=label, matrix=phi_inv(v), vector=v, sign=1))
-    return LinearDesign(m=d.m, entries=tuple(entries))
+def to_linear_design(d):
+    """Realize a Design: A_k = phi_inv(y_k)."""
+    return LinearDesign(m=d.m, entries=tuple(
+        LDEntry(matrix=phi_inv(v), vector=v, sign=1) for v in d.vectors))
 
 
 def matrix_form(ld, symbols):

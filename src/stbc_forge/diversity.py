@@ -36,20 +36,23 @@ difference tables in codebook order by signalset.product_sums.
 Certification works one HR-orthogonal group at a time.  The units split
 into groups whose weight matrices are pairwise HR-orthogonal across
 groups (A_i^H A_j + A_j^H A_i = 0; for family codes these are
-design.finest_partition's groups), read from one numeric table per
-weight-matrix stack, an instance's cached `hr_orthogonal`.  A difference
+design.finest_partition's groups), read by _groups from one numeric
+table per weight-matrix stack, an instance's cached `hr_orthogonal`.
+Verify, the rotation search and growth all group their units this way
+and certify each group with one call of _group_min.  A difference
 D = sum_g D_g with parts in such groups has D^H D = sum_g D_g^H D_g, and
 Minkowski's determinant inequality gives |det D|^{2/N} >= sum_g
 |det D_g|^{2/N}.  So the minimum |det| over the code is the smallest of
 the groups' minima, attained by a difference inside one group, and
 certification takes one determinant per orbit of each group instead of
-one per class of their product; full_diversity_check returns the count
-with the minimum (MinDet.checked, verify's checked=).  The single cap
-DIFF_CAP applies to each group's +- class count, not its orbit count,
-checked from the per-unit counts before any class is allocated; it
-governs certification, `verify`, the rotation search and the finished
-code of an auto-angle build.  Constellation growth bounds each group of
-the grown code by q(q-1)+1 differences per q-point real before it starts.
+one per class of their product; full_diversity_check returns the
+smallest group minimum with the groups' summed count (MinDet.checked,
+verify's checked=).  The single cap DIFF_CAP applies to each group's
++- class count, not its orbit count, checked from the per-unit counts
+before any class is allocated; it governs certification, `verify`, the
+rotation search and the finished code of an auto-angle build.
+Constellation growth bounds each group of the grown code by q(q-1)+1
+differences per q-point real before it starts.
 
 At N = 2 and 4 a determinant is a closed-form sum of products of 2x2
 minors, exact on Gaussian-integer entries; other N take an LU
@@ -353,9 +356,10 @@ def _groups(orth, units):
     HR-orthogonal.  Each group keeps the units' order; groups
     are ordered by their first unit."""
     U = np.zeros((len(units), len(orth)), np.int64)
-    for u, unit in enumerate(units):
-        U[u, list(unit.indices)] = 1
-    return [[units[u] for u in g] for g in components(U @ ~orth @ U.T > 0)]
+    U[[u for u, unit in enumerate(units) for _i in unit.indices],
+      [i for unit in units for i in unit.indices]] = 1
+    return [[units[u] for u in g.tolist()]
+            for g in components(U @ ~orth @ U.T > 0)]
 
 
 def _check_floor(A, units, mn):
@@ -377,26 +381,21 @@ def _check_floor(A, units, mn):
             "error floor %.3g at N=%d" % (mn, len(idx), floor, N))
 
 
-def _min_abs_det_product(A, groups, flips):
-    """(min |det|, determinants taken) over the nonzero differences of the
-    code over units split into their HR-orthogonal groups: by Minkowski's
-    inequality the smallest group minimum, inf for a single codeword,
-    taken on one representative per orbit of each group's differences
-    under its sign group, flips[g] = _unit_flips(patterns, groups[g]).
-    Every group's +- class count is checked against DIFF_CAP before any
-    class is built."""
+def _group_min(A, units, flips):
+    """The MinDet of one HR-orthogonal group: min |det| over the nonzero
+    differences of the code over the units, inf for a single codeword,
+    taken on one representative per orbit under the group's sign group
+    flips (_unit_flips).  The group's +- class count is checked against
+    DIFF_CAP before any class is built, and at N >= 8 the minimum has to
+    clear the group's LU error floor."""
     rows = max(1, _BLOCK // A.shape[-1] ** 2)
-    streams = [_coalesce(((block, None) for block, _keep in _class_blocks(
-        A, part, f, rows)), rows) for part, f in zip(groups, flips)]
-    best, taken = np.inf, 0
-    for part, stream in zip(groups, streams):
-        mn = np.inf
-        for block, _key in stream:
-            mn = min(mn, float(np.abs(_det_batch(block)).min()))
-            taken += len(block)
-        _check_floor(A, part, mn)
-        best = min(best, mn)
-    return best, taken
+    mn, taken = np.inf, 0
+    for block, _key in _coalesce(((block, None) for block, _keep in
+                                  _class_blocks(A, units, flips, rows)), rows):
+        mn = min(mn, float(np.abs(_det_batch(block)).min()))
+        taken += len(block)
+    _check_floor(A, units, mn)
+    return MinDet(mn, taken)
 
 
 def difference_classes(signals):
@@ -418,18 +417,19 @@ def full_diversity_check(stbc):
     """Minimum |det| over all nonzero codeword differences, a MinDet.
 
     Takes one determinant per orbit of distinct differences under the
-    instance's sign patterns inside each HR-orthogonal group, built from
+    weight matrices' sign patterns inside each HR-orthogonal group, one
+    group certifier call per group, built from
     the units' value differences; raises DiversityCapError, before
     allocating any class, when a group has more than DIFF_CAP +- classes,
     and DiversityFloorError when at N >= 8 a group's minimum does not
     clear its LU error floor.
     """
-    groups = _groups(stbc.hr_orthogonal, stbc.signals.units)
+    A, groups = stbc.matrices, _groups(stbc.hr_orthogonal, stbc.signals.units)
     for g in groups:  # a code over the cap needs no sign patterns
         _check_class_cap(_class_count(g))
-    return MinDet(*_min_abs_det_product(
-        stbc.matrices, groups,
-        [_unit_flips(stbc.sign_patterns, g) for g in groups]))
+    patterns = sign_patterns(A)
+    mins = [_group_min(A, g, _unit_flips(patterns, g)) for g in groups]
+    return MinDet(min(mins, default=np.inf), sum(m.checked for m in mins))
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +573,7 @@ def rotation_search(A, units, pairs, M):
     patterns = sign_patterns(A)
     # the code's minimum: a merged group holds the classes of the groups
     # it joins, so its minimum is at most theirs
-    least = min((_min_abs_det_product(A, [g], [_unit_flips(patterns, g)])[0]
+    least = min((_group_min(A, g, _unit_flips(patterns, g))
                  for g in _groups(orth, units)), default=np.inf)
     # the nonzero differences x_I + i x_Q of the unrotated M-QAM, and
     # which of them the +- pick keeps
@@ -612,7 +612,7 @@ def rotation_search(A, units, pairs, M):
                              "(best min |det| = %.3g)" % best_min)
         theta = float(thetas[np.argmax(mins >= best_min * (1 - TIE_RTOL))])
         group = own + [PairQAM(unit.indices, M, theta)]
-        direct, _taken = _min_abs_det_product(A, [group], [flips])
+        direct = _group_min(A, group, flips)
         if direct <= DET_TOL:
             raise ValueError("no grid angle certifies full diversity "
                              "(direct min |det| = %.3g at theta = %.6g)"
@@ -638,7 +638,7 @@ def _grow(A, orth, prefix, sizes, rng):
     weight matrix, a target that is not an integer >= 1 and targets under
     which a group could exceed DIFF_CAP classes (q points have at most
     q(q-1)+1 distinct differences).  Each grown real starts at one point;
-    a prefix is then certified with them as one code.  Candidates are
+    a prefix is then certified with them, group by group.  Candidates are
     drawn uniformly from [-10, 10); each is kept only if real k's group,
     the one group it changes, still certifies (so does the code), and each
     symbol may reject RETRIES candidates.  Returns sorted point tuples.
@@ -654,19 +654,20 @@ def _grow(A, orth, prefix, sizes, rng):
             raise ValueError("real %d: target size %r is not an integer "
                              ">= 1" % (k, q))
     target = [u.size for u in prefix] + list(sizes)
-    groups = [g.tolist() for g in components(~orth)]
-    for g in groups:
-        _check_class_cap(
-            (math.prod(target[k] * (target[k] - 1) + 1 for k in g) - 1) // 2)
     units = list(prefix) + [RealPoints(k, (float(rng.uniform(-10, 10)),))
                             for k in range(L, len(A))]
-    # each group's sign group, once: its units keep their reals
+    groups = _groups(orth, units)
+    for g in groups:
+        _check_class_cap((math.prod(target[k] * (target[k] - 1) + 1
+                                    for u in g for k in u.indices) - 1) // 2)
     patterns = sign_patterns(A)
-    flips = [_unit_flips(patterns, [units[k] for k in g]) for g in groups]
-    if prefix and not _min_abs_det_product(
-            A, [[units[k] for k in g] for g in groups], flips)[0] > DET_TOL:
+    flips = [_unit_flips(patterns, g) for g in groups]
+    if prefix and not min(_group_min(A, g, f)
+                          for g, f in zip(groups, flips)) > DET_TOL:
         raise RuntimeError("initial configuration failed certification")
-    group = {k: (g, f) for g, f in zip(groups, flips) for k in g}
+    # each real's group, as its reals, and sign group: units keep their reals
+    group = {u.indices[0]: ([v.indices[0] for v in g], f)
+             for g, f in zip(groups, flips) for u in g}
     for k in range(L, len(A)):
         budget = RETRIES
         while units[k].size < target[k]:
@@ -675,8 +676,8 @@ def _grow(A, orth, prefix, sizes, rng):
                 continue
             trial = RealPoints(k, tuple(sorted(units[k].points + (cand,))))
             g, f = group[k]
-            if _min_abs_det_product(A, [[trial if j == k else units[j]
-                                         for j in g]], [f])[0] > DET_TOL:
+            if _group_min(A, [trial if j == k else units[j] for j in g],
+                          f) > DET_TOL:
                 units[k] = trial
             else:
                 budget -= 1

@@ -172,7 +172,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import hr_orthogonal_table, sign_patterns
+from .pauli import hr_orthogonal_table
 from .design import Cond, JOINT, HARD_LAST, check_plan, plan_indices
 
 _BIG = np.iinfo(np.int64).max
@@ -240,12 +240,6 @@ class STBCInstance:
     def hr_orthogonal(self):
         """(K, K) table of the HR-orthogonal pairs, where G_ij is 0."""
         return hr_orthogonal_table(self.matrices)
-
-    @cached_property
-    def sign_patterns(self):
-        """(n, K) table of the weight matrices' sign patterns
-        (pauli.sign_patterns): certification's orbits."""
-        return sign_patterns(self.matrices)
 
     @cached_property
     def gram_keep(self):

@@ -341,8 +341,8 @@ def test_criterion_9_full_diversity():
     # negative control: the diagonal 2x2 design with unrotated 4-QAM
     E11 = np.diag([1.0, 0.0]).astype(complex)
     E22 = np.diag([0.0, 1.0]).astype(complex)
-    entries = tuple(LDEntry(label="x%d" % (k + 1), matrix=A)
-                    for k, A in enumerate((E11, E22, 1j * E11, 1j * E22)))
+    entries = tuple(LDEntry(matrix=A)
+                    for A in (E11, E22, 1j * E11, 1j * E22))
     ciod = STBCInstance(linear=LinearDesign(m=1, entries=entries),
                         signals=qam_signal_set(((0, 1), (2, 3)), 4))
     assert full_diversity_check(ciod) < DET_TOL

@@ -720,6 +720,14 @@ def test_build_fd_refuses_m_past_max_m_before_building(m, capsys,
                                 "are realized up to m=8\n" % m)
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_build_fd_refuses_m_below_1(m, capsys):
+    # the family starts at m = 1, the punctured Silver code
+    code, out, err = run(capsys, "build-fd", "--m", m, "--rate", "2")
+    assert (code, out, err) == (1, "", "error: family m=%s: needs m >= 1\n"
+                                % m)
+
+
 def test_verify_n16_under_the_error_floor_infeasible(tmp_path, capsys):
     # N = 16: a group's computed |det|s are not trusted below
     # 16 eps beta^16, far above any minimum of m=4 R=1

@@ -20,7 +20,7 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   _class_blocks, _class_count, _grid_min,
                                   _laurent_coefficients, _laurent_tables,
                                   _sample_offsets,
-                                  _min_abs_det_product, _det_batch,
+                                  _group_min, _det_batch,
                                   _groups, _unit_flips)
 from stbc_forge.fdfgd import (build_base, puncture, extend, family,
                               family_pairs)
@@ -91,7 +91,7 @@ def test_cubic_shaping_negative():
     # scaling one column breaks the scalar Gram
     ld = to_linear_design(catalog("alamouti").design)
     entries = list(ld.entries)
-    entries[0] = LDEntry(label="x1", matrix=2.0 * entries[0].matrix)
+    entries[0] = LDEntry(matrix=2.0 * entries[0].matrix)
     bad = LinearDesign(m=1, entries=tuple(entries))
     assert not cubic_shaping_check(generator_matrix(bad))
 
@@ -111,8 +111,7 @@ def _ciod_matrices():
 
 def test_unrotated_diagonal_design_not_full_diversity():
     (A1, A2), (A3, A4) = _ciod_pairs()
-    entries = tuple(LDEntry(label="x%d" % (k + 1), matrix=A)
-                    for k, A in enumerate((A1, A2, A3, A4)))
+    entries = tuple(LDEntry(matrix=A) for A in (A1, A2, A3, A4))
     lin = LinearDesign(m=1, entries=entries)
     stbc = STBCInstance(linear=lin,
                         signals=qam_signal_set(((0, 1), (2, 3)), 4))
@@ -120,10 +119,12 @@ def test_unrotated_diagonal_design_not_full_diversity():
 
 
 def _certify(A, units):
-    """The group certifier's minimum on the units' HR-orthogonal groups."""
-    groups = _groups(hr_orthogonal_table(A), units)
-    return _min_abs_det_product(A, groups, [_unit_flips(sign_patterns(A), g)
-                                            for g in groups])[0]
+    """The group certifier's smallest minimum on the units'
+    HR-orthogonal groups."""
+    patterns = sign_patterns(A)
+    return min((_group_min(A, g, _unit_flips(patterns, g))
+                for g in _groups(hr_orthogonal_table(A), units)),
+               default=np.inf)
 
 
 def _pm(units):
@@ -166,8 +167,7 @@ def test_qam_differences_come_from_the_pair_unit(M):
 def test_rotation_search_fixes_diagonal_design():
     A = _ciod_matrices()
     th1, th2 = rotation_search(A, [], [(0, 1), (2, 3)], 4)
-    entries = tuple(LDEntry(label="x%d" % (k + 1), matrix=a)
-                    for k, a in enumerate(A))
+    entries = tuple(LDEntry(matrix=a) for a in A)
     lin = LinearDesign(m=1, entries=entries)
     stbc = STBCInstance(linear=lin,
                         signals=qam_signal_set(((0, 1), (2, 3)), 4,
@@ -744,7 +744,7 @@ def test_auto_build_tables_once_and_certifies_each_pair_once(monkeypatch):
     import stbc_forge.diversity as div
     tables, certified, inside = [], [], []
     search, table, certify = (div.rotation_search, div.hr_orthogonal_table,
-                              div._min_abs_det_product)
+                              div._group_min)
 
     def search_spy(*args):
         inside.append(True)
@@ -762,7 +762,7 @@ def test_auto_build_tables_once_and_certifies_each_pair_once(monkeypatch):
         return certify(*args)
     monkeypatch.setattr("stbc_forge.bundles.rotation_search", search_spy)
     monkeypatch.setattr(div, "hr_orthogonal_table", table_spy)
-    monkeypatch.setattr(div, "_min_abs_det_product", certify_spy)
+    monkeypatch.setattr(div, "_group_min", certify_spy)
     stbc = assemble_stbc(family(2, Fraction(5, 4)), "auto", 4)
     assert len(stbc.signals.units) == 5
     assert tables.count(True) <= 1
@@ -860,7 +860,7 @@ def test_a_unit_past_the_difference_keys_is_refused(far):
     # differences are keyed as int64 multiples of 1e-9, so one of 1e10 or
     # more would take a garbage key and drop out of every class: on the
     # singular design the code would certify inf, a false PASS
-    singular = LinearDesign(m=1, entries=(LDEntry(label="x1", matrix=E11),))
+    singular = LinearDesign(m=1, entries=(LDEntry(matrix=E11),))
     for ld in (singular, catalog("alamouti").linear):
         stbc = STBCInstance(linear=ld, signals=SignalSet(units=tuple(
             RealPoints(k, (0.0, far)) for k in range(ld.K))))
@@ -930,7 +930,7 @@ def test_units_of_one_geometry_share_a_read_only_table():
 def test_full_diversity_repeated_codeword_is_zero():
     # 0 and 1e-12 coincide on the 1e-9 difference grid: two codewords
     # repeat, and their zero difference certifies as det exactly 0
-    lin = LinearDesign(m=1, entries=(LDEntry(label="x1", matrix=I2),))
+    lin = LinearDesign(m=1, entries=(LDEntry(matrix=I2),))
     stbc = STBCInstance(linear=lin, signals=SignalSet(
         units=(RealPoints(0, (0.0, 1e-12, 1.0)),)))
     assert full_diversity_check(stbc) == 0.0
@@ -947,6 +947,24 @@ def test_single_cap_counts_difference_classes():
     fd = build_base(2)
     stbc = assemble_stbc(fd, [0.5] * (fd.K // 2), 4)
     assert difference_classes(stbc.signals) == (9 ** 5 - 1) // 2
+
+
+def test_certification_checks_every_group_cap_before_any_class(monkeypatch):
+    # full_diversity_check refuses an over-cap group before it builds any
+    # class of another group: m=2 R=5/4 at M = 4 has groups of 4 and 3,280
+    # +- classes, and under a cap of 100 the first is never enumerated
+    import stbc_forge.diversity as div
+    stbc = _pinned(2, "5/4", 4)
+    assert [_class_count(g) for g in _groups(
+        stbc.hr_orthogonal, stbc.signals.units)] == [4, 3280]
+
+    def no_classes(*_args):
+        raise AssertionError("a class was built before every cap check")
+    monkeypatch.setattr(div, "DIFF_CAP", 100)
+    monkeypatch.setattr(div, "product_sums", no_classes)
+    with pytest.raises(DiversityCapError, match="^3280 difference classes "
+                       "exceed the cap of 100$"):
+        full_diversity_check(stbc)
 
 
 # ---------------------------------------------------------------------------
@@ -970,9 +988,12 @@ def _reduced_and_full(stbc):
     patterns, the same on the +- classes)."""
     A, groups = stbc.matrices, _groups(stbc.hr_orthogonal,
                                        stbc.signals.units)
-    return (_min_abs_det_product(A, groups, [
-        _unit_flips(stbc.sign_patterns, g) for g in groups]),
-            _min_abs_det_product(A, groups, [_pm(g) for g in groups]))
+
+    def certify(sign_group):
+        mins = [_group_min(A, g, sign_group(g)) for g in groups]
+        return min(mins, default=np.inf), sum(m.checked for m in mins)
+    patterns = sign_patterns(A)
+    return (certify(lambda g: _unit_flips(patterns, g)), certify(_pm))
 
 
 @pytest.mark.parametrize("make, verdict, taken, classes", [
@@ -1075,7 +1096,8 @@ def test_sign_groups_of_the_family_and_silver():
     # pairs and on m=3 R=9/8's group of seven; Silver's J conj(X) J^H,
     # J = ZX, fixes s1, s2 and negates z3, z4
     def sizes(stbc):
-        return [len(set(_flip_rows(_unit_flips(stbc.sign_patterns, g))))
+        patterns = sign_patterns(stbc.matrices)
+        return [len(set(_flip_rows(_unit_flips(patterns, g))))
                 for g in _groups(stbc.hr_orthogonal, stbc.signals.units)]
     assert sizes(_pinned(2, "5/4", 4)) == [2, 16]
     for rate in ("3/2", "7/4"):
@@ -1083,7 +1105,7 @@ def test_sign_groups_of_the_family_and_silver():
     assert sizes(_pinned(2, "2", 4, "")) == [32]
     assert sizes(_pinned(3, "9/8", 4)) == [4, 32]
     silver = silver_stbc(4)
-    assert set(map(tuple, silver.sign_patterns.tolist())) == {
+    assert set(map(tuple, sign_patterns(silver.matrices).tolist())) == {
         (False,) * 8, (False,) * 4 + (True,) * 4}
     assert sizes(silver) == [4]
 
@@ -1239,8 +1261,7 @@ def test_grow_constellation_alamouti():
 
 
 def test_grow_constellation_rejects_singular_matrix():
-    entries = (LDEntry(label="x1", matrix=E11),
-               LDEntry(label="x2", matrix=E22))
+    entries = (LDEntry(matrix=E11), LDEntry(matrix=E22))
     ld = LinearDesign(m=1, entries=entries)
     with pytest.raises(ValueError, match="singular"):
         grow_constellation(ld, (2, 2))
@@ -1295,24 +1316,28 @@ def test_growth_gives_up_after_its_retry_budget(monkeypatch):
     # RETRIES candidates for its first grown symbol, then names it
     import stbc_forge.diversity as div
     calls = []
+    ld = _ggroup21_interleaved()
+    A = ld.matrices()
+    groups = len(_groups(hr_orthogonal_table(A),
+                         [RealPoints(k, (0.0,)) for k in range(len(A))]))
 
-    def certify_first_only(A, groups, patterns):
+    def certify_prefix_only(A, units, flips):
         calls.append(1)
-        return (1.0 if len(calls) == 1 else 0.0), 1
+        return 1.0 if len(calls) <= groups else 0.0
 
-    monkeypatch.setattr(div, "_min_abs_det_product", lambda *a: (0.0, 1))
-    ld = to_linear_design(catalog("alamouti").design)
+    monkeypatch.setattr(div, "_group_min", lambda *a: 0.0)
     with pytest.raises(RuntimeError, match="^growth retry budget exhausted "
                        "at symbol 0$"):
-        grow_constellation(ld, (2, 2, 2, 2))
-    # grow_with_pam_prefix certifies its PAM prefix first, then grows
-    monkeypatch.setattr(div, "_min_abs_det_product", certify_first_only)
-    ld = _ggroup21_interleaved()
+        grow_constellation(to_linear_design(catalog("alamouti").design),
+                           (2, 2, 2, 2))
+    # grow_with_pam_prefix certifies its PAM prefix first, one call per
+    # group, then grows
+    monkeypatch.setattr(div, "_group_min", certify_prefix_only)
     pam = pam_points(2)
     with pytest.raises(RuntimeError, match="^growth retry budget exhausted "
                        "at symbol 2$"):
         grow_with_pam_prefix(ld, 2, (pam, pam))
-    assert len(calls) == 1 + div.RETRIES
+    assert len(calls) == groups + div.RETRIES
 
 
 def test_grow_with_pam_prefix_ggroup21():
@@ -1339,8 +1364,7 @@ def test_grow_with_pam_prefix_rejects_bad_prefix():
 ])
 def test_grow_with_pam_prefix_names_the_first_failing_pair(mats, pair):
     # pairs (i, j >= i) are checked in row-major order
-    ld = LinearDesign(m=1, entries=tuple(LDEntry("x%d" % k, A)
-                                         for k, A in enumerate(mats)))
+    ld = LinearDesign(m=1, entries=tuple(LDEntry(A) for A in mats))
     with pytest.raises(ValueError, match="^matrices %s violate the "
                        "Hurwitz-Radon equations$" % pair):
         grow_with_pam_prefix(ld, 3, (pam_points(2),) * 3)

@@ -1039,9 +1039,8 @@ def _sibling_conds(kinds=(HARD_LAST, JOINT), other=None):
     on its third pair over leaves of the given kinds on its first two
     pairs (the second copy's kinds `other`, default the same)."""
     A = silver_stbc(4, Fraction(3, 2)).matrices
-    entries = tuple(LDEntry(label="x%d" % k, matrix=np.kron(np.diag(e), a))
-                    for k, (e, a) in enumerate(itertools.product(
-                        ((1, 0), (0, 1)), A)))
+    entries = tuple(LDEntry(matrix=np.kron(np.diag(e), a))
+                    for e, a in itertools.product(((1, 0), (0, 1)), A))
     units = tuple(PairQAM((i, i + 1), 4, 0.0 if i % 6 == 4 else 0.5)
                   for i in range(0, 12, 2))
     plan = Cond((), tuple(
@@ -1952,7 +1951,7 @@ def _coupled():
                                PairQAM((1, 3), 16, 0.2),
                                RealPoints(2, tuple(points[0])),
                                RealPoints(4, tuple(points[1]))))
-    entries = tuple(LDEntry("x%d" % (k + 1), A[k]) for k in range(5))
+    entries = tuple(LDEntry(A[k]) for k in range(5))
     return STBCInstance(linear=LinearDesign(m=1, entries=entries),
                         signals=signals)
 
