@@ -154,6 +154,10 @@ def family_bundle(m, R, M, angles, xi2):
     """
     if m < 1:
         raise ValueError("family m=%d: needs m >= 1" % m)
+    # Fraction would raise 10 to the exponent first: 1e100000000 hangs
+    if isinstance(R, str) and "e" in R.lower():
+        raise ValueError("rate %r is in exponent notation; write it as p/q"
+                         % R)
     try:
         R = parse_number(R, "rate", Fraction)
     except ZeroDivisionError:

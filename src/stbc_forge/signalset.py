@@ -30,11 +30,12 @@ indices, points, digit factor) per independent real, outer first, so
 value row sum_k f_k i_k is sum_k points_k[i_k] direction_k.  A PairQAM
 has e = (c, s) with factor sqrt(M), then d = (-s, c); a RealPoints its
 one axis, (1,) with factor 1.  Units hold tuples, so equal units hash
-equal.  A unit's +- difference table, `differences`, depends only on its
-geometry (a PairQAM's M and the exact bits of theta, a RealPoints' exact
-point bits), so the process keeps one read-only table per geometry, the
-last _DIFFERENCE_TABLES of them, shared by every unit on any reals; a
-unit of more than _SHARED_VALUES values builds its own.
+equal.  A unit's +- difference table, `differences`, is read-only and
+cached on the unit.  A RealPoints builds its own.  A PairQAM's depends
+only on M and the exact bits of theta, and pairs of one (M, theta)
+recur (a search's unrotated pairs, its accepted angles, a build then a
+verify), so the process keeps one QAM table per (M, theta), the last
+_DIFFERENCE_TABLES of them, shared by every pair on any reals.
 """
 
 import itertools
@@ -53,8 +54,7 @@ _LEVEL_ROWS = 1024  # most value rows of one level of SignalSet.symbols
 # 2.9 GiB; at 4-QAM, R=4's 4^11 rows of 33 words); R=3 at 16-QAM
 # would ask for 16^7 rows of 25 words, 6.7e9 words (50 GiB)
 TABLE_WORDS = 2 ** 30
-_DIFFERENCE_TABLES = 64  # most shared +- difference tables, one per geometry
-_SHARED_VALUES = 64  # most values of a unit whose table is shared
+_DIFFERENCE_TABLES = 64  # most shared QAM +- tables, one per (M, theta)
 
 
 def pam_points(Q):
@@ -71,44 +71,11 @@ def _check_finite(values, what):
             raise ValueError("%s %r is not finite" % (what, v))
 
 
-class _Unit:
-    @cached_property
-    def differences(self):
-        """This unit's read-only table (_difference_table): the one of its
-        geometry, shared with every unit of that geometry, for a unit of
-        at most _SHARED_VALUES values.  A larger unit, a grown real most
-        often, is seldom met twice and its table grows as its size
-        squared, so it builds its own."""
-        geometry = _Geometry(self)
-        if self.size > _SHARED_VALUES:
-            return _difference_table.__wrapped__(geometry)
-        return _difference_table(geometry)
-
-
-class _Geometry:
-    """Cache key of a unit's difference table: the unit's type and the
-    exact bits its values are made of (_geometry).  It carries the unit
-    it was made for, which builds the table when the key is new."""
-
-    __slots__ = ("unit", "key")
-
-    def __init__(self, unit):
-        self.unit, self.key = unit, (type(unit), unit._geometry())
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
-@lru_cache(maxsize=_DIFFERENCE_TABLES)
-def _difference_table(geometry):
+def _difference_table(unit):
     """Distinct differences of the unit's value rows (keyed on the 1e-9
     grid, -0.0 as 0; a unit past the int64 keys is refused) and a mask
     picking one of each +- pair, both read-only.  Zero is picked as well
     when two rows coincide, so repeated codewords certify as det 0."""
-    unit = geometry.unit
     V = np.asarray(unit.values(), dtype=float)
     # in Python floats an overflow gives inf, not a warning
     span = max(float(c.max()) - float(c.min()) for c in V.T)
@@ -129,8 +96,15 @@ def _difference_table(geometry):
     return d, pick
 
 
+@lru_cache(maxsize=_DIFFERENCE_TABLES)
+def _qam_differences(M, theta):
+    """The table of the M-QAM pair rotated by float.fromhex(theta), keyed
+    by the angle's exact bits: 0.0 and -0.0 are two keys."""
+    return _difference_table(PairQAM((0, 1), M, float.fromhex(theta)))
+
+
 @dataclass(frozen=True)
-class PairQAM(_Unit):
+class PairQAM:
     indices: tuple  # (i_I, i_Q)
     M: int
     theta: float = 0.0
@@ -147,8 +121,10 @@ class PairQAM(_Unit):
     def size(self):
         return self.M
 
-    def _geometry(self):
-        return self.M, float(self.theta).hex()
+    @cached_property
+    def differences(self):
+        """The shared table of this pair's M and theta (_qam_differences)."""
+        return _qam_differences(self.M, float(self.theta).hex())
 
     def axes(self):
         """The outer axis e = (c, s) carrying a, then the inner axis
@@ -165,7 +141,7 @@ class PairQAM(_Unit):
 
 
 @dataclass(frozen=True)
-class RealPoints(_Unit):
+class RealPoints:
     index: int
     points: tuple
 
@@ -186,8 +162,10 @@ class RealPoints(_Unit):
     def size(self):
         return len(self.points)
 
-    def _geometry(self):
-        return np.asarray(self.points, dtype=float).tobytes()
+    @cached_property
+    def differences(self):
+        """This unit's own table (_difference_table)."""
+        return _difference_table(self)
 
     def axes(self):
         return (((1.0,), self.points, 1),)

@@ -15,13 +15,14 @@ decoder reads rounding noise between groups.
 
 The oracle enumerates the whole codebook.  The structured decoder
 follows the instance's DecodePlan.  Building the STBCInstance checks the
-plan against the design and the signal set (raising PlanError); its
-first structured decode compiles it once (STBCInstance.compiled), so a
-build, a verify or an oracle-only run pays only for the check.
-Compiling turns every node into static tables from the SignalSet,
-which owns the codebook order: its conditioning values
-(SignalSet.table), digit weights (SignalSet.weights) and unit axes
-(unit.axes(), the only view of a unit's geometry).
+plan against the design and the signal set (raising PlanError) and
+builds every plan node's static tables from the SignalSet, which owns
+the codebook order: its conditioning values (SignalSet.table, refused
+past TABLE_WORDS, so build-fd --m 2 --rate 3 --M 16 exits 1), digit
+weights (SignalSet.weights) and unit axes (unit.axes(), the only view
+of a unit's geometry).  The first structured decode compiles the plan
+once (STBCInstance.compiled): it fuses sibling nodes and stacks their
+Gram-facing rows into Q.
 
 Plans compile onto two kernels.  A Cond enumerates its conditioning
 symbols and, since G vanishes between HR-orthogonal groups, decodes
@@ -200,8 +201,9 @@ class STBCInstance:
         if self.count > _BIG:
             raise ValueError("codebook of %d codewords exceeds the int64 "
                              "range of codeword indexes" % self.count)
-        # the plan is checked here, so every PlanError is raised on
-        # construction; its decode tables wait for the first decode
+        # the plan is checked and its tables built here, so every
+        # PlanError is raised on construction; fusing and Q wait for the
+        # first structured decode
         self._plan_spec = None
         if self.plan is not None:
             check_plan(self.plan, self.linear.K)

@@ -4,10 +4,14 @@ seed 1, with every op attempted, none failed and no output wrong.
 
 perfbench/workloads.py, perfbench/tracing.py and run.py's workload
 dispatch are imported as they are; a package name or option they call
-that goes away fails here, not only when the benchmark runs.
+that goes away fails here, not only when the benchmark runs.  The
+committed perfbench/reference.json must regenerate byte for byte.
 """
 
 import json
+import os
+import shutil
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -51,3 +55,21 @@ def test_workload_runs_clean(perfbench, name, tmp_path):
     assert (ledger.failed, ledger.wrong) == (0, 0), ledger.notes
     # the traced round recorded spans of the package's calls
     assert any(s[4] != "bench" for s in tracer.spans)
+
+
+def test_reference_regenerates_byte_identically(tmp_path):
+    # a change that reorders a floating-point sum must keep every
+    # committed reference output: make_reference.py, run on a copy of
+    # src/ and perfbench/ with RuntimeWarnings as errors, rewrites the
+    # copy's reference.json byte for byte
+    for name in ("src", "perfbench"):
+        shutil.copytree(PERFBENCH.parent / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    (tmp_path / "perfbench" / "reference.json").unlink()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                    "perfbench/make_reference.py"], cwd=tmp_path, env=env,
+                   check=True, capture_output=True)
+    assert (tmp_path / "perfbench" / "reference.json").read_bytes() == \
+        (PERFBENCH / "reference.json").read_bytes()

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -563,6 +564,26 @@ def _family_file(tmp_path, capsys, name="fd.txt"):
 def _file_commands(p):
     return (("verify", "--in", str(p), "--suite", "diversity"),
             ("simulate", "--in", str(p), "--snr", "10", "--trials", "2"))
+
+
+@pytest.mark.parametrize("rate", ["1e100000000", "1E5000", "1e-5000"])
+def test_rate_in_exponent_notation_is_refused_at_once(rate, tmp_path,
+                                                      capsys):
+    # Fraction raises 10 to the exponent before anything can check it,
+    # which for 1e100000000 takes minutes, and past 4300 digits fails
+    # outside the parse; the text is refused unparsed, on the command
+    # line and in a file's meta.rate
+    message = "error: rate %r is in exponent notation; write it as p/q\n" \
+        % rate
+    p = _family_file(tmp_path, capsys)
+    p.write_text(p.read_text().replace("meta.rate=2\n",
+                                       "meta.rate=%s\n" % rate))
+    for argv in (("build-fd", "--m", "2", "--rate", rate),) \
+            + _file_commands(p):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", message)
 
 
 def test_bundle_file_must_describe_the_code_it_builds(tmp_path, capsys):

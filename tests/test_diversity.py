@@ -28,7 +28,7 @@ from stbc_forge.pauli import (I2, X, Z, phi_inv, hr_orthogonal_table,
                               sign_patterns)
 from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
                                   PairQAM, RealPoints, _difference_table,
-                                  _Geometry, product_sums)
+                                  _qam_differences, product_sums)
 from stbc_forge.simulate import STBCInstance
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
                                 silver_stbc, group_stbc, family_bundle)
@@ -773,22 +773,22 @@ def test_auto_build_tables_once_and_certifies_each_pair_once(monkeypatch):
     ("5/4", "all", 3, 2), ("7/4", "diversity", 5, 4)], ids=["r5_4", "r7_4"])
 def test_each_unit_builds_its_difference_table_once(
         rate, suite, build, verify, tmp_path, capsys):
-    # a table per geometry, not per unit: an auto build tables the
+    # a QAM table per (M, theta), not per pair: an auto build tables the
     # unrotated 4-QAM once, for every pair's cap check and the QAM
     # differences, then each distinct accepted angle (R=5/4: 3 pi / 40
     # for four pairs and pi / 5; R=7/4: two more); a verify, from a
     # cleared cache, tables each distinct angle of the file once for the
     # check and both class counts
     path = str(tmp_path / "fd.txt")
-    _difference_table.cache_clear()
+    _qam_differences.cache_clear()
     assert main(["build-fd", "--m", "2", "--rate", rate, "--angles", "auto",
                  "--M", "4", "--out", path]) == 0
-    assert _difference_table.cache_info().misses == build
-    _difference_table.cache_clear()
+    assert _qam_differences.cache_info().misses == build
+    _qam_differences.cache_clear()
     capsys.readouterr()
     assert main(["verify", "--in", path, "--suite", suite]) == 0
     assert BUILDS[2, rate, 4].line in capsys.readouterr().out.splitlines()
-    assert _difference_table.cache_info().misses == verify
+    assert _qam_differences.cache_info().misses == verify
 
 
 def test_floor_refuses_a_group_under_the_lu_error():
@@ -895,36 +895,44 @@ def test_units_store_their_sequences_as_tuples():
 
 
 def test_units_of_one_geometry_share_a_read_only_table():
-    # the table depends on the geometry, not the reals: equal M and theta,
-    # or equal points, on other reals give the same arrays, which no
-    # caller can write into
-    theta, pts = 3 * np.pi / 40, (-1.5, 0.25, 2.0)
-    for a, b in ((PairQAM((0, 1), 16, theta), PairQAM((4, 7), 16, theta)),
-                 (RealPoints(0, pts), RealPoints(5, list(pts)))):
-        assert a != b
-        assert all(x is y for x, y in zip(a.differences, b.differences))
-        for table in a.differences:
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = table[-1]
-    # one bit apart, 0.0 against -0.0 included, is another geometry
+    # a QAM table depends on M and theta, not the reals: equal M and
+    # theta on other reals give the same arrays, which no caller can
+    # write into; one bit apart, 0.0 against -0.0 included, is another
+    # geometry
+    theta = 3 * np.pi / 40
+    a, b = PairQAM((0, 1), 16, theta), PairQAM((4, 7), 16, theta)
+    assert a != b
+    assert all(x is y for x, y in zip(a.differences, b.differences))
+    for table in a.differences:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[-1]
     up = float(np.nextafter(theta, 4.0))
     for a, b in ((PairQAM((0, 1), 4, theta), PairQAM((0, 1), 4, up)),
-                 (PairQAM((0, 1), 4, 0.0), PairQAM((2, 3), 4, -0.0)),
-                 (RealPoints(0, (0.0, 1.0)), RealPoints(1, (-0.0, 1.0))),
-                 (RealPoints(0, pts), RealPoints(1, (-1.5, 0.25,
-                                                     np.nextafter(2.0, 3.0))))):
+                 (PairQAM((0, 1), 4, 0.0), PairQAM((2, 3), 4, -0.0))):
         assert not any(x is y for x, y in zip(a.differences, b.differences))
-    # a unit of more than 64 values (a grown real) keeps its own table,
-    # equal to the shared one bit for bit and as read-only, out of the
-    # cache, whose tables grow as the square of the unit size
-    big = tuple(float(k) for k in range(65))
-    _difference_table.cache_clear()
-    a, b = RealPoints(0, big), RealPoints(1, big)
-    want = _difference_table(_Geometry(a))
-    assert not any(x is y for x, y in zip(a.differences, b.differences))
-    for x, y in zip(a.differences, want):
+    # a point set, of 3 values or of 65 (a grown real), owns its table:
+    # equal points on other reals give equal bytes in other arrays, as
+    # read-only
+    for pts in ((-1.5, 0.25, 2.0), tuple(float(k) for k in range(65))):
+        a, b = RealPoints(0, pts), RealPoints(5, list(pts))
+        assert not any(x is y for x, y in zip(a.differences, b.differences))
+        for x, y in zip(a.differences, b.differences):
+            assert x.tobytes() == y.tobytes() and not x.flags.writeable
+
+
+def test_point_sets_stay_out_of_the_shared_cache():
+    # growth draws, certifies and keeps point sets only, so it leaves
+    # the QAM cache as it found it; a 65-point set's own table is the
+    # builder's, bit for bit and read-only
+    ala = to_linear_design(catalog("alamouti").design)
+    pam = pam_points(2)
+    info = _qam_differences.cache_info()
+    grow_constellation(ala, (3, 3, 3, 3), seed=0)
+    grow_with_pam_prefix(_ggroup21_interleaved(), 2, (pam, pam), (3, 3), 0)
+    assert _qam_differences.cache_info() == info
+    unit = RealPoints(0, tuple(float(k) for k in range(65)))
+    for x, y in zip(unit.differences, _difference_table(unit)):
         assert x.tobytes() == y.tobytes() and not x.flags.writeable
-    assert _difference_table.cache_info().currsize == 1
 
 
 def test_full_diversity_repeated_codeword_is_zero():
@@ -1231,16 +1239,22 @@ def test_growth_outputs_are_pinned():
 
 
 @pytest.mark.parametrize("prefix, sizes, seed, tables", [
-    (True, (3, 3), 0, 7), (True, (2, 2), 5, 5), (False, (3, 3, 3, 3), 0, 8)],
+    (True, (3, 3), 0, 8), (True, (2, 2), 5, 6), (False, (3, 3, 3, 3), 0, 8)],
     ids=["ggroup21-3_3-seed0", "ggroup21-seed5", "alamouti-3333-seed0"])
-def test_growth_tables_each_changed_unit_once(prefix, sizes, seed, tables):
+def test_growth_tables_each_changed_unit_once(prefix, sizes, seed, tables,
+                                             monkeypatch):
     # growth holds one unit per real: the prefix certification tables its
-    # units' geometries, the two equal 2-PAM prefix units sharing one,
-    # and each candidate tables only its own new unit, every other unit
-    # of its group keeping its table.  No candidate is rejected here, so
-    # ggroup21 tables 3 + 4 and 3 + 2 geometries, and alamouti, whose
-    # groups are single reals, one per grown point
-    _difference_table.cache_clear()
+    # units, the two 2-PAM prefix units one each, and each candidate
+    # tables only its own new unit, every other unit of its group keeping
+    # its table.  No candidate is rejected here, so ggroup21 builds
+    # 4 + 4 and 4 + 2 tables, and alamouti, whose groups are single
+    # reals, one per grown point
+    built = []
+
+    def spy(unit):
+        built.append(unit)
+        return _difference_table(unit)
+    monkeypatch.setattr("stbc_forge.signalset._difference_table", spy)
     if prefix:
         pam = pam_points(2)
         grow_with_pam_prefix(_ggroup21_interleaved(), 2, (pam, pam), sizes,
@@ -1248,7 +1262,7 @@ def test_growth_tables_each_changed_unit_once(prefix, sizes, seed, tables):
     else:
         grow_constellation(to_linear_design(catalog("alamouti").design),
                            sizes, seed)
-    assert _difference_table.cache_info().misses == tables
+    assert len(built) == tables
 
 
 def test_grow_constellation_alamouti():
