@@ -33,6 +33,7 @@ what the complexity tables quote.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import isqrt
 
@@ -59,6 +60,14 @@ class Design:
     @property
     def K(self):
         return len(self.vectors)
+
+    @cached_property
+    def _even(self):
+        """even_table's table, built on first use and read-only: partition
+        search, validation and verify's prop5 suite all read it."""
+        table = _even_table(self)
+        table.flags.writeable = False
+        return table
 
 
 def from_groups(m, vector_groups):
@@ -91,9 +100,14 @@ class PartitionReport:
 
 
 def even_table(d):
-    """(K, K) bool table: vectors i and j sum to even weight, by the
-    bilinear form above on the coordinates' two bits, for any m (one
-    float32 product, exact: entries are <= 2m)."""
+    """(K, K) bool table, read-only and kept on the Design: vectors i and
+    j sum to even weight."""
+    return d._even
+
+
+def _even_table(d):
+    """even_table by the bilinear form above on the coordinates' two bits,
+    for any m (one float32 product, exact: entries are <= 2m)."""
     xs = np.array([v.xs for v in d.vectors], np.int64).reshape(d.K, d.m)
     hi, lo = (xs >> 1).astype(np.float32), (xs & 1).astype(np.float32)
     odd = np.array([v.lam for v in d.vectors], np.int64).reshape(d.K)

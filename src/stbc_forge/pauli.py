@@ -144,10 +144,15 @@ def hr_orthogonal_numeric(A, B, tol=TOL):
 
 def hr_orthogonal_table(A, tol=TOL):
     """(K, K) bool table of a (K, N, N) stack: entry (i, j) is True when
-    A_i^H A_j + A_j^H A_i vanishes (an HR-orthogonal pair)."""
+    A_i^H A_j + A_j^H A_i vanishes (an HR-orthogonal pair), its Frobenius
+    norm under tol.  With B = [A_1 ... A_K] side by side (N, KN), block
+    (i, j) of B^H B is A_i^H A_j: one product, and the sum is B^H B plus
+    its block transpose."""
     A = np.asarray(A, dtype=complex)
-    P = np.einsum("iab,jac->ijbc", A.conj(), A)
-    return np.linalg.norm(P + P.transpose(1, 0, 2, 3), axis=(2, 3)) < tol
+    K, N = A.shape[:2]
+    B = A.transpose(1, 0, 2).reshape(N, K * N)
+    P = (B.conj().T @ B).reshape(K, N, K, N)
+    return np.linalg.norm(P + P.transpose(2, 1, 0, 3), axis=(1, 3)) < tol
 
 
 @cache

@@ -16,12 +16,14 @@ decoder reads rounding noise between groups.
 The oracle enumerates the whole codebook.  The structured decoder
 follows the instance's DecodePlan.  Building the STBCInstance checks the
 plan against the design and the signal set (raising PlanError) and
-builds every plan node's static tables from the SignalSet, which owns
-the codebook order: its conditioning values (SignalSet.table, refused
-past TABLE_WORDS, so build-fd --m 2 --rate 3 --M 16 exits 1), digit
-weights (SignalSet.weights) and unit axes (unit.axes(), the only view
-of a unit's geometry).  The first structured decode compiles the plan
-once (STBCInstance.compiled): it fuses sibling nodes and stacks their
+records each plan node's conditioning parts and their value count; it
+builds no table, so build-fd and verify build none.  The first
+structured decode compiles the plan once (STBCInstance.compiled): it
+builds every node's static tables from the SignalSet, which owns the
+codebook order: its conditioning values (SignalSet.table, refused past
+TABLE_WORDS, so simulate on build-fd --m 2 --rate 3 --M 16 exits 1),
+digit weights (SignalSet.weights) and unit axes (unit.axes(), the only
+view of a unit's geometry); it fuses sibling nodes and stacks their
 Gram-facing rows into Q.
 
 Plans compile onto two kernels.  A Cond enumerates its conditioning
@@ -201,9 +203,9 @@ class STBCInstance:
         if self.count > _BIG:
             raise ValueError("codebook of %d codewords exceeds the int64 "
                              "range of codeword indexes" % self.count)
-        # the plan is checked and its tables built here, so every
-        # PlanError is raised on construction; fusing and Q wait for the
-        # first structured decode
+        # the plan is checked here, so every PlanError is raised on
+        # construction; its tables, fusing and Q wait for the first
+        # structured decode
         self._plan_spec = None
         if self.plan is not None:
             check_plan(self.plan, self.linear.K)
@@ -268,7 +270,8 @@ class STBCInstance:
 # compiled decode plan
 
 def _compile(spec, signals):
-    """The decode tables of a checked plan, given as the _Spec of its root.
+    """The decode tables of a checked plan, given as the _Spec of its root:
+    each node's SignalSet.table is built here, on first use.
 
     The helpers are module functions, not closures over the instance, so
     compiling leaves no reference cycle that would keep a dropped
@@ -297,11 +300,18 @@ def _walk(node):
 
 class _Spec(NamedTuple):
     """A Cond to compile: its conditioning parts (units, or (unit, axis)
-    for one axis of a unit), their SignalSet.table, and its children,
-    each a _Spec or a hard-limit leaf (unit, axis, charge)."""
+    for one axis of a unit), their joint value count (the rows of their
+    SignalSet.table, which _compile builds), and its children, each a
+    _Spec or a hard-limit leaf (unit, axis, charge)."""
     parts: tuple
-    table: tuple
+    count: int
     children: tuple
+
+
+def _cond_spec(parts, children):
+    """The _Spec of conditioning parts over children, its table unbuilt."""
+    return _Spec(parts, math.prod(len(p[1][1]) if isinstance(p, tuple)
+                                  else p.size for p in parts), children)
 
 
 def _units_for(units, indices):
@@ -345,14 +355,13 @@ def _spec(node, signals, A, orth):
             continue
         units = _units_for(signals.units, child.indices)
         if child.kind == JOINT:
-            children.append(_Spec(units, signals.table(units), ()))
+            children.append(_cond_spec(units, ()))
         elif child.kind == HARD_LAST:
             *prefix, u = units
             *outer, inner = u.axes()
             parts = tuple(prefix) + tuple((u, axis) for axis in outer)
             leaf = (u, inner, 1)
-            children.append(_Spec(parts, signals.table(parts), (leaf,))
-                            if parts else leaf)
+            children.append(_cond_spec(parts, (leaf,)) if parts else leaf)
         else:
             leaves = [(u, axis, 0) for u in units for axis in u.axes()]
             leaves[0] = leaves[0][:2] + (1,)   # the leaf's one evaluation
@@ -364,7 +373,7 @@ def _spec(node, signals, A, orth):
                               [[k] for k in range(len(B))], "hard_all needs "
                               "HR-orthogonal axes (in leaf order)")
             children += leaves
-    return _Spec(cond, signals.table(cond), tuple(children))
+    return _cond_spec(cond, tuple(children))
 
 
 def _signature(spec):
@@ -372,8 +381,7 @@ def _signature(spec):
     conditioning value count and its children's signatures in order, a
     hard-limit leaf's points."""
     if isinstance(spec, _Spec):
-        return (_Cond, len(spec.table[1])) + tuple(
-            map(_signature, spec.children))
+        return (_Cond, spec.count) + tuple(map(_signature, spec.children))
     return (_HardLimit, spec[1][1])
 
 
@@ -386,10 +394,10 @@ def _fuse(specs, hyps, signals):
     groups = {}
     for j, child in enumerate(specs[0].children):
         groups.setdefault(_signature(child), []).append(j)
-    n_c = len(specs[0].table[1])
+    n_c = specs[0].count
     children = tuple(_fuse([s.children[j] for s in specs for j in js],
                            hyps * n_c, signals) for js in groups.values())
-    return _Cond(specs, children, hyps)
+    return _Cond(specs, children, hyps, signals)
 
 
 def _axis_rows(leaves, K):
@@ -546,8 +554,8 @@ class _Cond:
     -2 v.b + v.G.v, one add of its projections and its forms, plus its
     other children's."""
 
-    def __init__(self, specs, children, hyps):
-        Vc, cidx = zip(*(s.table for s in specs))
+    def __init__(self, specs, children, hyps, signals):
+        Vc, cidx = zip(*(signals.table(s.parts) for s in specs))
         L, n_c, K = np.shape(Vc)
         self.leaves = L
         self.grams = self.Vc = (np.concatenate(Vc) if specs[0].parts

@@ -20,7 +20,7 @@ from stbc_forge.cli import (main, format_design, parse_design, DESIGN_HEADER,
 from stbc_forge.diversity import cubic_shaping_check, generator_matrix
 from stbc_forge.fdfgd import family, family_pairs
 from stbc_forge.signalset import SignalSet, PairQAM, RealPoints, TABLE_WORDS
-from stbc_forge.simulate import SimConfig
+from stbc_forge.simulate import SimConfig, _Spec
 
 from pinned_builds import BUILDS, case_id
 
@@ -451,14 +451,31 @@ def test_build_fd_codebook_beyond_int64_is_an_error(capsys):
                    "of codeword indexes\n" % 4 ** 64)
 
 
-def test_build_fd_decode_table_past_the_budget_is_an_error(capsys,
-                                                         monkeypatch):
-    # m=2 R=3 at 16-QAM: the plan's root conditions on seven 16-QAM
-    # pairs, 16^7 rows of K + 1 = 25 words (50 GiB); the budget refuses
-    # the table before it is built, and a table of the budget itself
-    # is built
+def test_decode_table_past_the_budget_is_an_error_at_first_decode(
+        tmp_path, capsys, monkeypatch):
+    # m=2 R=3 at 16-QAM: build-fd builds no decode table, so it writes the
+    # file, and verify's diversity suite is over the cap before any table.
+    # The plan's root conditions on seven 16-QAM pairs, 16^7 rows of
+    # K + 1 = 25 words (50 GiB): the first structured decode's budget
+    # refuses that table before it is built, under the address-space cap
+    # of the 16-QAM R=2 run. A table of the budget itself is built
+    pytest.importorskip("resource")
+    p = str(tmp_path / "fd-r3.txt")
     code, out, err = run(capsys, "build-fd", "--m", "2", "--rate", "3",
-                         "--M", "16", "--angles", ",".join(["0.5"] * 12))
+                         "--M", "16", "--angles", ",".join(["0.5"] * 12),
+                         "--out", p)
+    assert (code, err) == (0, "") and out.startswith("predicted=")
+    tables = []
+    monkeypatch.setattr(SignalSet, "table", lambda *a: tables.append(a))
+    code, out, _err = run(capsys, "verify", "--in", p, "--suite",
+                          "diversity")
+    assert code == INFEASIBLE and tables == []
+    assert out.startswith("diversity: INFEASIBLE (")
+    assert "exceed the cap" in out
+    monkeypatch.undo()
+    code, out, err = fresh("simulate", "--in", p, "--decoder", "structured",
+                           "--trials", "4", "--snr", "10",
+                           address_space=2_048_000_000)
     assert (code, out) == (1, "")
     assert err == ("error: a table over reals (10, 11), (12, 13), (14, 15), "
                    "(16, 17), (18, 19), (20, 21), (22, 23) has 268435456 "
@@ -485,20 +502,21 @@ def test_build_fd_decode_table_past_the_budget_is_an_error(capsys,
     ("4", 4, 4 ** 11 * 33), ("5/2", 16, 16 ** 5 * 21),
     ("11/4", 16, 16 ** 6 * 23), ("3", 16, 16 ** 7 * 25)],
     ids=["m2-r4-M4", "m2-r5_2-M16", "m2-r11_4-M16", "m2-r3-M16"])
-def test_decode_table_budget_keeps_every_member_that_builds(rate, M, words,
-                                                            monkeypatch):
+def test_decode_table_budget_keeps_every_member_that_builds(rate, M, words):
     # the largest table each m=2 family member's plan asks for, sized from
-    # its parts without building any: the lossless R=4 at 4-QAM and R=5/2
-    # and R=11/4 at 16-QAM fit the budget, R=3 at 16-QAM (50 GiB) does not
-    asked = []
-
-    def sized(self, parts):
-        rows, _digits = self._parts(parts)
-        asked.append(math.prod(map(len, rows)) * (self.K + 1))
-        return None, None
-    monkeypatch.setattr(SignalSet, "table", sized)
+    # the parts its plan records without building any: the lossless R=4
+    # at 4-QAM and R=5/2 and R=11/4 at 16-QAM fit the budget, R=3 at
+    # 16-QAM (50 GiB) does not
     fd = family(2, Fraction(rate))
-    assemble_stbc(fd, [0.5] * len(family_pairs(fd)), M)
+    stbc = assemble_stbc(fd, [0.5] * len(family_pairs(fd)), M)
+    asked, specs = [], [stbc._plan_spec]
+    while specs:
+        spec = specs.pop()
+        if isinstance(spec, _Spec):
+            rows, _digits = stbc.signals._parts(spec.parts)
+            assert spec.count == math.prod(map(len, rows))
+            asked.append(spec.count * (stbc.signals.K + 1))
+            specs += spec.children
     assert max(asked) == words
     assert (words <= TABLE_WORDS) == (rate != "3")
 

@@ -20,7 +20,7 @@ from stbc_forge.diversity import (generator_matrix, cubic_shaping_check,
                                   _class_blocks, _class_count, _grid_min,
                                   _laurent_coefficients, _laurent_tables,
                                   _sample_offsets,
-                                  _group_min, _det_batch,
+                                  _group_min, _det_batch, _grow,
                                   _groups, _unit_flips)
 from stbc_forge.fdfgd import (build_base, puncture, extend, family,
                               family_pairs)
@@ -28,7 +28,8 @@ from stbc_forge.pauli import (I2, X, Z, phi_inv, hr_orthogonal_table,
                               sign_patterns)
 from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
                                   PairQAM, RealPoints, _difference_table,
-                                  _qam_differences, product_sums)
+                                  extended_table, _qam_differences,
+                                  product_sums)
 from stbc_forge.simulate import STBCInstance
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
                                 silver_stbc, group_stbc, family_bundle)
@@ -672,20 +673,82 @@ def _whole_growth(ld, points, sizes, start, rng):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_growth_matches_the_whole_product(seed):
-    # growth certifies only the candidate's group; by Minkowski that is
-    # the whole product's verdict, so both keep the same points
+    # growth certifies only the new classes of the candidate's group; by
+    # Minkowski and the group's earlier certificate that is the whole
+    # product's verdict, so both keep the same points, at equal and
+    # unequal sizes
     ala = to_linear_design(catalog("alamouti").design)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    points = [[float(rng.uniform(-10, 10))] for _ in range(4)]
-    assert grow_constellation(ala, (2, 2, 2, 2), seed=seed) == \
-        _whole_growth(ala, points, (2, 2, 2, 2), 0, rng)
+    for sizes in ((2, 2, 2, 2), (4, 3, 5, 2)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        points = [[float(rng.uniform(-10, 10))] for _ in range(4)]
+        assert grow_constellation(ala, sizes, seed=seed) == \
+            _whole_growth(ala, points, sizes, 0, rng)
     gg = _ggroup21_interleaved()
     pam = pam_points(2)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    points = [list(pam), list(pam)] + [[float(rng.uniform(-10, 10))]
-                                       for _ in range(2)]
-    assert grow_with_pam_prefix(gg, 2, (pam, pam), seed=seed) == \
-        _whole_growth(gg, points, (2, 2), 2, rng)
+    for sizes in ((2, 2), (3, 3)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+        points = [list(pam), list(pam)] + [[float(rng.uniform(-10, 10))]
+                                           for _ in range(2)]
+        assert grow_with_pam_prefix(gg, 2, (pam, pam), sizes, seed) == \
+            _whole_growth(gg, points, sizes, 2, rng)
+
+
+class _Draws:
+    """A generator whose uniform draws are the given values, in order."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def uniform(self, _low, _high):
+        return next(self.values)
+
+
+def test_growth_rejects_a_point_singular_only_with_another_real():
+    # I and diag(1, 2) are not HR-orthogonal, so reals 0 and 1 form one
+    # group.  Real 0 holds 2-PAM-like points 0, 1, real 1 starts at 3.
+    # The candidate 4 adds the difference 1, whose code difference
+    # -I + diag(1, 2) is singular, though diag(1, 2) alone is not: it is
+    # rejected, and 3.25 is kept (its sums with -1, 0, 1 are nonzero).
+    # A certifier of the grown real alone would keep 4
+    A = np.stack([np.eye(2), np.diag([1.0, 2.0])]).astype(complex)
+    got = _grow(A, hr_orthogonal_table(A), [RealPoints(0, (0.0, 1.0))],
+                    (2,), _Draws(3.0, 4.0, 3.25))
+    assert got == ((0.0, 1.0), (3.0, 3.25))
+    assert _whole_min(A, [RealPoints(0, (0.0, 1.0)),
+                          RealPoints(1, (3.0, 4.0))]) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_extended_table_has_the_keys_and_picks_of_the_whole_table(seed):
+    # a point set's table extended by what its new points add, one point
+    # or several at a time, against _difference_table of the grown set:
+    # the same keys and picks.  Points on a 0.1 lattice repeat keys with
+    # rows a rounding apart (0.3 - 0.2 and 0.2 - 0.1), where the table
+    # keeps its own; random points keep every row bit for bit
+    rng = np.random.default_rng(seed)
+    for lattice in (True, False):
+        draws = (rng.permutation(12)[:8] * 0.1 if lattice
+                 else rng.uniform(-10, 10, 8))
+        points, table, pending = [float(draws[0])], None, []
+        table = _difference_table(RealPoints(0, points))
+        for k, c in enumerate(draws[1:].tolist()):
+            p = np.array(points)
+            pending.append(np.concatenate([c - p, p - c])[:, None])
+            points.append(c)
+            if k % 3 == 1:  # two points' differences at once
+                continue
+            table = extended_table(table, np.concatenate(pending))
+            pending = []
+            whole = _difference_table(RealPoints(0, sorted(points)))
+            assert np.array_equal(np.rint(table[0] * 1e9),
+                                  np.rint(whole[0] * 1e9))
+            assert np.array_equal(table[1], whole[1])
+            if not lattice:
+                assert np.array_equal(table[0], whole[0])
+            assert not (table[0].flags.writeable or table[1].flags.writeable)
+    # a zero difference, a repeated point, is picked
+    d, pick = extended_table(table, np.zeros((2, 1)))
+    assert pick[~d.any(axis=1)].tolist() == [True]
 
 
 def test_each_verdict_reads_one_hr_orthogonality_table(monkeypatch):
@@ -1238,31 +1301,42 @@ def test_growth_outputs_are_pinned():
         (-9.005002328163522, -1.3823602491132476, 6.438252165966773))
 
 
-@pytest.mark.parametrize("prefix, sizes, seed, tables", [
-    (True, (3, 3), 0, 8), (True, (2, 2), 5, 6), (False, (3, 3, 3, 3), 0, 8)],
-    ids=["ggroup21-3_3-seed0", "ggroup21-seed5", "alamouti-3333-seed0"])
-def test_growth_tables_each_changed_unit_once(prefix, sizes, seed, tables,
-                                             monkeypatch):
-    # growth holds one unit per real: the prefix certification tables its
-    # units, the two 2-PAM prefix units one each, and each candidate
-    # tables only its own new unit, every other unit of its group keeping
-    # its table.  No candidate is rejected here, so ggroup21 builds
-    # 4 + 4 and 4 + 2 tables, and alamouti, whose groups are single
-    # reals, one per grown point
-    built = []
+@pytest.mark.parametrize("ld, prefix, sizes, seed, tables, extended", [
+    ("ggroup21", True, (3, 3), 0, 2, 0), ("ggroup21", True, (2, 2), 5, 2, 0),
+    ("alamouti", False, (3, 3, 3, 3), 0, 0, 0),
+    ("qod4", False, (3,) * 8, 0, 0, 4)],
+    ids=["ggroup21-3_3-seed0", "ggroup21-seed5", "alamouti-3333-seed0",
+         "qod4-3x8-seed0"])
+def test_growth_tables_each_changed_unit_once(ld, prefix, sizes, seed,
+                                             tables, extended, monkeypatch):
+    # growth tables its prefix units, the two 2-PAM units of ggroup21,
+    # and no candidate: a candidate adds its differences to its real's
+    # current points, and an accepted real's table is built, once, by
+    # extending its first point's, when another real of its group grows.
+    # ggroup21's and alamouti's grown reals share no group; qod4's groups
+    # are pairs of reals, so each pair's first real is extended once
+    built, grown = [], []
 
     def spy(unit):
         built.append(unit)
         return _difference_table(unit)
+
+    def extend(table, d):
+        grown.append(len(d))
+        return extended_table(table, d)
     monkeypatch.setattr("stbc_forge.signalset._difference_table", spy)
+    monkeypatch.setattr("stbc_forge.diversity.extended_table", extend)
+    ld = {"ggroup21": _ggroup21_interleaved(),
+          "alamouti": to_linear_design(catalog("alamouti").design),
+          "qod4": catalog("qod4").linear}[ld]
     if prefix:
         pam = pam_points(2)
-        grow_with_pam_prefix(_ggroup21_interleaved(), 2, (pam, pam), sizes,
-                             seed)
+        grow_with_pam_prefix(ld, 2, (pam, pam), sizes, seed)
     else:
-        grow_constellation(to_linear_design(catalog("alamouti").design),
-                           sizes, seed)
+        grow_constellation(ld, sizes, seed)
     assert len(built) == tables
+    # three points add 2 + 4 differences
+    assert grown == [6] * extended
 
 
 def test_grow_constellation_alamouti():
@@ -1335,7 +1409,7 @@ def test_growth_gives_up_after_its_retry_budget(monkeypatch):
     groups = len(_groups(hr_orthogonal_table(A),
                          [RealPoints(k, (0.0,)) for k in range(len(A))]))
 
-    def certify_prefix_only(A, units, flips):
+    def certify_prefix_only(A, units, flips, *incremental):
         calls.append(1)
         return 1.0 if len(calls) <= groups else 0.0
 

@@ -1,15 +1,20 @@
 """Matrix realization of F2 + F4^m vectors and its parity shortcuts."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stbc_forge.bundles import silver_stbc
+from stbc_forge.constructions import catalog, catalog_names
+from stbc_forge.design import to_linear_design
+from stbc_forge.fdfgd import family
 from stbc_forge.f4 import O, I, W, W2, F4Vec, zero, delta, enumerate_all
 from stbc_forge.pauli import (I2, X, Z, ZX, TOL, psi_inv, phi_inv, phi,
                               phi_signed, is_hermitian_parity,
                               anticommute_parity, hr_orthogonal_numeric,
-                              sign_patterns, trace_inner,
+                              hr_orthogonal_table, sign_patterns, trace_inner,
                               NotInLambdaError)
 
 
@@ -232,3 +237,64 @@ def test_sign_patterns_are_the_symmetries_of_the_stack(m):
     assert fewer == _symmetries(B) and len(fewer) < len(_symmetries(A))
     C = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
     assert sign_patterns(C).tolist() == [[False, False]]
+
+
+def _hr_reference(A, tol=TOL):
+    """The HR-orthogonality table as one einsum of every pair's product
+    A_i^H A_j, the form hr_orthogonal_table replaced."""
+    A = np.asarray(A, dtype=complex)
+    P = np.einsum("iab,jac->ijbc", A.conj(), A)
+    return np.linalg.norm(P + P.transpose(1, 0, 2, 3), axis=(2, 3)) < tol
+
+
+# integer parameters of each catalog design, as perfbench builds them
+_CATALOG_PARAMS = {"rate1_2x2": {"l": 1}, "scod": {"m": 3}, "ciod": {"m": 3},
+                   "precoded_ciod": {"n": 2}, "dast": {"n": 2},
+                   "ggroup": {"g": 4, "a": 1}}
+
+
+def _hr_stacks():
+    """Every catalog design, family m=2..4 at R = 1, 5/4 and 2, and
+    Silver's folded R=2 stack, by name."""
+    stacks = {name: catalog(name, **_CATALOG_PARAMS.get(name, {}))
+              .linear.matrices() for name in catalog_names()}
+    for m, R in itertools.product((2, 3, 4), (1, Fraction(5, 4), 2)):
+        stacks["family m=%d R=%s" % (m, R)] = to_linear_design(
+            family(m, R).design()).matrices()
+    stacks["silver folded R=2"] = silver_stbc(4, 2).matrices
+    return stacks
+
+
+def test_hr_table_equals_the_pairwise_reference():
+    # one product and its block transpose give the einsum's table on every
+    # stack the package builds
+    for name, A in _hr_stacks().items():
+        got = hr_orthogonal_table(A)
+        assert got.dtype == bool and np.array_equal(got, _hr_reference(A)), \
+            name
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hr_table_equals_the_reference_near_tol(seed):
+    # A_0 = U unitary and A_j = U (iI + e_j H_j), H_j Hermitian of unit
+    # norm: A_0^H A_j + A_j^H A_0 = 2 e_j H_j, planted at norm 0.5 TOL
+    # (orthogonal) or 2 TOL (not); pairs j, k >= 1 sum to about 2I
+    rng = np.random.default_rng(seed)
+    N, K = (2, 4, 8)[seed % 3], 9
+    U, _ = np.linalg.qr(rng.normal(size=(N, N))
+                        + 1j * rng.normal(size=(N, N)))
+    small = rng.random(K - 1) < 0.5
+    A = [U]
+    for s in small:
+        H = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        H = H + H.conj().T
+        H /= np.linalg.norm(H)
+        A.append(U @ (1j * np.eye(N) + (0.25 if s else 1.0) * TOL * H))
+    order = rng.permutation(K)
+    A = np.stack(A)[order]
+    got = hr_orthogonal_table(A)
+    assert np.array_equal(got, _hr_reference(A))
+    first = int(np.flatnonzero(order == 0)[0])
+    want = np.concatenate([[False], small])[order]
+    assert np.array_equal(got[first], want)
+    assert np.array_equal(got[:, first], want)
