@@ -112,11 +112,13 @@ still does.  That group certified before c, and an orbit whose
 difference on the grown real is zero is one it held then, so its
 certifier takes the new classes only: the grown real's differences
 +-(c - p) to its current points p, walked in its codebook place with its
-zero leaves skipped, with any difference of the group's other units.
-These are exactly the full walk's representatives of the new orbits.
-No table is built per candidate: a grown real's table is its first
-point's extended by the differences its kept candidates added, built
-when another real of its group grows.
+zero leaves skipped, with any difference of the group's earlier units.
+These are exactly the full walk's representatives of the new orbits:
+a real not yet grown holds its one drawn point, whose only difference
+is zero, so it adds no class, determinant or floor term and is left
+out.  No table is built per candidate.  A grown real joins its group's
+certification when the group's next real starts growing, with its own
+table (`differences`), built once.
 """
 
 import itertools
@@ -128,7 +130,7 @@ import numpy as np
 
 from .design import components
 from .pauli import TOL, hr_orthogonal_table, sign_patterns
-from .signalset import PairQAM, RealPoints, extended_table, product_sums
+from .signalset import PairQAM, RealPoints, product_sums
 
 DET_TOL = 1e-8
 # most +- classes of distinct codeword differences one check evaluates
@@ -310,22 +312,25 @@ def _leaves(flips, U):
     return leaves
 
 
-def _class_blocks(A, units, flips, rows=None, tables=None, grown=None):
+def _class_blocks(A, units, flips, rows=None, grown=None):
     """One representative of each orbit of nonzero differences of the
     code sum_k x_k A_k over the signal-set units under their sign group
     flips (_unit_flips; row sets past the units', a search's pair, are
-    only carried), summed from the units' (d, pick) difference tables
-    (tables, by default their own), as ((n, N, N) block, kept rows) per
-    block of a leaf of _leaves: each block at most max(rows, last unit's
-    difference count) matrices, 16 MiB by default.  With flips of +-1
-    alone these are the +- classes, the first nonzero unit picked.
+    only carried), summed from the units' own (d, pick) difference
+    tables, as ((n, N, N) block, kept rows) per block of a leaf of
+    _leaves: each block at most max(rows, last unit's difference count)
+    matrices, 16 MiB by default.  With flips of +-1 alone these are the
+    +- classes, the first nonzero unit picked.
 
-    grown names a unit whose table holds only the nonzero differences it
-    gained since the code last certified: the leaves where it is zero
-    are skipped, so the blocks are the full walk's representatives of
+    grown = (position, table) names a unit and the (d, pick) table of
+    only the nonzero differences it gained since the code last
+    certified, read in place of its own: the leaves where it is zero are
+    skipped, so the blocks are the full walk's representatives of
     exactly the orbits new with it.  The +- class count of the tables is
     checked against DIFF_CAP on the call, before any allocation."""
-    tables = tables or [u.differences for u in units]
+    at, table = grown or (None, None)
+    tables = [table if u == at else unit.differences
+              for u, unit in enumerate(units)]
     _check_class_cap(_class_count(units, tables))
     N = A.shape[-1]
     flat = A.reshape(len(A), -1)
@@ -335,7 +340,7 @@ def _class_blocks(A, units, flips, rows=None, tables=None, grown=None):
 
     def blocks():
         for kinds, keep in _leaves(flips, len(units)):
-            if grown is not None and kinds[grown] == _ZERO:
+            if at is not None and kinds[at] == _ZERO:
                 continue
             parts = [mats[u][tables[u][1]] if k == _PICK else mats[u]
                      for u, k in enumerate(kinds) if k != _ZERO]
@@ -398,12 +403,12 @@ def _check_floor(A, units, mn):
             "error floor %.3g at N=%d" % (mn, len(idx), floor, N))
 
 
-def _group_min(A, units, flips, tables=None, grown=None, least=np.inf):
+def _group_min(A, units, flips, grown=None, least=np.inf):
     """The MinDet of one HR-orthogonal group: min |det| over the nonzero
     differences of the code over the units, inf for a single codeword,
     taken on one representative per orbit under the group's sign group
-    flips (_unit_flips).  With tables and grown (_class_blocks) it takes
-    only the orbits new with the grown unit, and least, the certified
+    flips (_unit_flips).  With grown = (position, table) (_class_blocks)
+    it takes only the orbits new with that unit, and least, the certified
     minimum of the others, joins the minimum.  The +- class count is
     checked against DIFF_CAP before any class is built, and at N >= 8 the
     minimum has to clear the group's LU error floor.  Blocks join up to
@@ -417,7 +422,7 @@ def _group_min(A, units, flips, tables=None, grown=None, least=np.inf):
     mn, taken = least, 0
     for block, _key in _coalesce(
             ((block, None) for block, _keep in
-             _class_blocks(A, units, flips, rows, tables, grown)),
+             _class_blocks(A, units, flips, rows, grown)),
             _DET4_ROWS):
         mn = min(mn, float(np.abs(_det_batch(block)).min()))
         taken += len(block)
@@ -671,10 +676,12 @@ def _grow(A, orth, prefix, sizes, rng):
     symbol may reject RETRIES candidates.  The group certified before the
     candidate, so only the orbits new with it are taken: real k's
     differences c - p and p - c to its current points p, with any
-    difference of the group's other units (_group_min's grown).  A grown
-    real's table is its first point's extended by the differences its
-    kept candidates added, built when another real of its group grows.
-    Returns sorted point tuples.
+    difference of the group's units before k (_group_min's grown).  A
+    real not yet grown holds one point and adds no difference, so the
+    prefix certifies on each group's prefix units and a candidate on its
+    group's units up to k; a grown real's own table is built once, when
+    the next real of its group starts growing.  Returns sorted point
+    tuples.
     """
     L = len(prefix)
     if len(sizes) != len(A) - L:
@@ -703,23 +710,16 @@ def _grow(A, orth, prefix, sizes, rng):
     reals = [[u.indices[0] for u in g] for g in groups]
     place = {j: (gi, pos) for gi, g in enumerate(reals)
              for pos, j in enumerate(g)}
-    # a prefix unit's table is its own; a grown real's is its first
-    # point's, zero alone, and the differences its kept candidates added
-    tables = [u.differences for u in prefix] + [
-        (np.zeros((1, 1)), np.zeros(1, bool))] * (len(A) - L)
-    added = [[] for _k in A]
-    least = ([_group_min(A, g, f, [tables[j] for j in r])
-              for g, f, r in zip(groups, flips, reals)] if prefix
-             else [np.inf] * len(groups))
-    if prefix and not min(least) > DET_TOL:
-        raise RuntimeError("initial configuration failed certification")
+    # a real not yet grown holds one point, adding only zero: it is left out
+    least = [np.inf] * len(groups)
+    if prefix:
+        lead = [[units[j] for j in r if j < L] for r in reals]
+        least = [_group_min(A, g, f) if g else np.inf
+                 for g, f in zip(lead, flips)]
+        if not min(least) > DET_TOL:
+            raise RuntimeError("initial configuration failed certification")
     for k in range(L, len(A)):
         gi, pos = place[k]
-        for j in reals[gi]:
-            if added[j]:
-                tables[j] = extended_table(tables[j], np.concatenate(added[j]))
-                added[j] = []
-        own = [tables[j] for j in reals[gi]]
         budget = RETRIES
         while units[k].size < target[k]:
             cand = float(rng.uniform(-10, 10))
@@ -731,13 +731,11 @@ def _grow(A, orth, prefix, sizes, rng):
             new = np.concatenate([cand - p, p - cand])[:, None]
             # each new difference is 1e-9 or more from zero, so its key
             # has its sign
-            own[pos] = (new, new[:, 0] > 0)
-            mn = _group_min(A, [trial if j == k else units[j]
-                                for j in reals[gi]], flips[gi], own, pos,
+            mn = _group_min(A, [units[j] for j in reals[gi][:pos]] + [trial],
+                            flips[gi], (pos, (new, new[:, 0] > 0)),
                             least[gi])
             if mn > DET_TOL:
                 units[k], least[gi] = trial, mn
-                added[k].append(new)
             else:
                 budget -= 1
                 if budget == 0:

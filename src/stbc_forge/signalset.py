@@ -31,13 +31,11 @@ value row sum_k f_k i_k is sum_k points_k[i_k] direction_k.  A PairQAM
 has e = (c, s) with factor sqrt(M), then d = (-s, c); a RealPoints its
 one axis, (1,) with factor 1.  Units hold tuples, so equal units hash
 equal.  A unit's +- difference table, `differences`, is read-only and
-cached on the unit.  A RealPoints builds its own, and extended_table
-grows a point set's table by the differences new points add, as
-constellation growth does.  A PairQAM's depends only on M and the exact
-bits of theta, and pairs of one (M, theta) recur (a search's unrotated
-pairs, its accepted angles, a build then a verify), so the process
-keeps one QAM table per (M, theta), the last _DIFFERENCE_TABLES of
-them, shared by every pair on any reals.
+cached on the unit.  A RealPoints builds its own.  A PairQAM's depends
+only on M and the exact bits of theta, and pairs of one (M, theta)
+recur (a search's unrotated pairs, its accepted angles, a build then a
+verify), so the process keeps one QAM table per (M, theta), the last
+_DIFFERENCE_TABLES of them, shared by every pair on any reals.
 """
 
 import itertools
@@ -85,35 +83,9 @@ def _difference_table(unit):
         raise ValueError("%r: difference %.3g is too large for the "
                          "1e-9 difference keys" % (unit, span))
     d = (V[:, None] - V[None, :]).reshape(-1, V.shape[1])
-    keys = _keys(d)
-    return _distinct(d, keys, np.count_nonzero(~keys.any(axis=1)) > len(V))
-
-
-def extended_table(table, d):
-    """The table of a point set grown by more points, from the set's own
-    table and d, the differences the new points add (each new point's to
-    every other point, both signs): the keys and picks of
-    _difference_table on the grown set.  A key the table holds keeps the
-    table's row, which may differ from _difference_table's by less than
-    the key's 1e-9 cell; zero is picked when the table picks it or d
-    holds a zero key."""
-    old, pick = table
-    d = np.concatenate([old, d])
-    keys = _keys(d)
-    zero = ~keys.any(axis=1)
-    return _distinct(d, keys, np.count_nonzero(zero) > 1
-                     or bool(pick[zero[:len(old)]].any()))
-
-
-def _keys(d):
-    """The int64 keys of difference rows d on the 1e-9 grid."""
-    return np.rint(d * 1e9).astype(np.int64)
-
-
-def _distinct(d, keys, repeated):
-    """The rows of d with distinct keys, the first of each key in key
-    order, and the +- pick mask, zero picked when repeated; read-only."""
-    order = np.lexsort(keys.T[::-1])  # stable: the first row of a key
+    keys = np.rint(d * 1e9).astype(np.int64)
+    repeated = np.count_nonzero(~keys.any(axis=1)) > len(V)
+    order = np.lexsort(keys.T[::-1])
     keys, d = keys[order], d[order]
     new = np.ones(len(keys), bool)
     new[1:] = (keys[1:] != keys[:-1]).any(axis=1)

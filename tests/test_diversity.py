@@ -28,8 +28,7 @@ from stbc_forge.pauli import (I2, X, Z, phi_inv, hr_orthogonal_table,
                               sign_patterns)
 from stbc_forge.signalset import (pam_points, qam_signal_set, SignalSet,
                                   PairQAM, RealPoints, _difference_table,
-                                  extended_table, _qam_differences,
-                                  product_sums)
+                                  _qam_differences, product_sums)
 from stbc_forge.simulate import STBCInstance
 from stbc_forge.bundles import (alamouti_stbc, qod4_stbc, assemble_stbc,
                                 silver_stbc, group_stbc, family_bundle)
@@ -676,13 +675,16 @@ def test_growth_matches_the_whole_product(seed):
     # growth certifies only the new classes of the candidate's group; by
     # Minkowski and the group's earlier certificate that is the whole
     # product's verdict, so both keep the same points, at equal and
-    # unequal sizes
+    # unequal sizes.  qod4's groups are pairs of grown reals, so its
+    # second real of a pair reads the first's own table
     ala = to_linear_design(catalog("alamouti").design)
-    for sizes in ((2, 2, 2, 2), (4, 3, 5, 2)):
+    qod4 = catalog("qod4").linear
+    for ld, sizes in ((ala, (2, 2, 2, 2)), (ala, (4, 3, 5, 2)),
+                      (qod4, (2,) * 8), (qod4, (3, 3) + (2,) * 6)):
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        points = [[float(rng.uniform(-10, 10))] for _ in range(4)]
-        assert grow_constellation(ala, sizes, seed=seed) == \
-            _whole_growth(ala, points, sizes, 0, rng)
+        points = [[float(rng.uniform(-10, 10))] for _ in sizes]
+        assert grow_constellation(ld, sizes, seed=seed) == \
+            _whole_growth(ld, points, sizes, 0, rng)
     gg = _ggroup21_interleaved()
     pam = pam_points(2)
     for sizes in ((2, 2), (3, 3)):
@@ -718,37 +720,16 @@ def test_growth_rejects_a_point_singular_only_with_another_real():
                           RealPoints(1, (3.0, 4.0))]) == 0.0
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_extended_table_has_the_keys_and_picks_of_the_whole_table(seed):
-    # a point set's table extended by what its new points add, one point
-    # or several at a time, against _difference_table of the grown set:
-    # the same keys and picks.  Points on a 0.1 lattice repeat keys with
-    # rows a rounding apart (0.3 - 0.2 and 0.2 - 0.1), where the table
-    # keeps its own; random points keep every row bit for bit
-    rng = np.random.default_rng(seed)
-    for lattice in (True, False):
-        draws = (rng.permutation(12)[:8] * 0.1 if lattice
-                 else rng.uniform(-10, 10, 8))
-        points, table, pending = [float(draws[0])], None, []
-        table = _difference_table(RealPoints(0, points))
-        for k, c in enumerate(draws[1:].tolist()):
-            p = np.array(points)
-            pending.append(np.concatenate([c - p, p - c])[:, None])
-            points.append(c)
-            if k % 3 == 1:  # two points' differences at once
-                continue
-            table = extended_table(table, np.concatenate(pending))
-            pending = []
-            whole = _difference_table(RealPoints(0, sorted(points)))
-            assert np.array_equal(np.rint(table[0] * 1e9),
-                                  np.rint(whole[0] * 1e9))
-            assert np.array_equal(table[1], whole[1])
-            if not lattice:
-                assert np.array_equal(table[0], whole[0])
-            assert not (table[0].flags.writeable or table[1].flags.writeable)
-    # a zero difference, a repeated point, is picked
-    d, pick = extended_table(table, np.zeros((2, 1)))
-    assert pick[~d.any(axis=1)].tolist() == [True]
+def test_growth_rejects_a_point_singular_only_with_an_earlier_grown_real():
+    # the same group with no prefix: reals 0 and 1 start at 0 and 3, and
+    # real 0 grows to 0, 1.  Real 1's candidate 4 adds the difference 1,
+    # singular with real 0's difference -1, read from real 0's own
+    # table, so it is rejected and 3.25 kept.  A certifier of the grown
+    # real alone would keep 4
+    A = np.stack([np.eye(2), np.diag([1.0, 2.0])]).astype(complex)
+    got = _grow(A, hr_orthogonal_table(A), [], (2, 2),
+                _Draws(0.0, 3.0, 1.0, 4.0, 3.25))
+    assert got == ((0.0, 1.0), (3.0, 3.25))
 
 
 def test_each_verdict_reads_one_hr_orthogonality_table(monkeypatch):
@@ -1301,31 +1282,27 @@ def test_growth_outputs_are_pinned():
         (-9.005002328163522, -1.3823602491132476, 6.438252165966773))
 
 
-@pytest.mark.parametrize("ld, prefix, sizes, seed, tables, extended", [
-    ("ggroup21", True, (3, 3), 0, 2, 0), ("ggroup21", True, (2, 2), 5, 2, 0),
-    ("alamouti", False, (3, 3, 3, 3), 0, 0, 0),
-    ("qod4", False, (3,) * 8, 0, 0, 4)],
+@pytest.mark.parametrize("ld, prefix, sizes, seed, tables", [
+    ("ggroup21", True, (3, 3), 0, [2, 2]),
+    ("ggroup21", True, (2, 2), 5, [2, 2]),
+    ("alamouti", False, (3, 3, 3, 3), 0, []),
+    ("qod4", False, (3,) * 8, 0, [3, 3, 3, 3])],
     ids=["ggroup21-3_3-seed0", "ggroup21-seed5", "alamouti-3333-seed0",
          "qod4-3x8-seed0"])
 def test_growth_tables_each_changed_unit_once(ld, prefix, sizes, seed,
-                                             tables, extended, monkeypatch):
+                                             tables, monkeypatch):
     # growth tables its prefix units, the two 2-PAM units of ggroup21,
     # and no candidate: a candidate adds its differences to its real's
-    # current points, and an accepted real's table is built, once, by
-    # extending its first point's, when another real of its group grows.
-    # ggroup21's and alamouti's grown reals share no group; qod4's groups
-    # are pairs of reals, so each pair's first real is extended once
-    built, grown = [], []
+    # current points, and a grown real's own table is built, once, when
+    # the next real of its group starts growing.  ggroup21's and
+    # alamouti's grown reals share no group; qod4's groups are pairs of
+    # reals, so each pair's first real is tabled once, at its 3 points
+    built = []
 
     def spy(unit):
-        built.append(unit)
+        built.append(unit.size)
         return _difference_table(unit)
-
-    def extend(table, d):
-        grown.append(len(d))
-        return extended_table(table, d)
     monkeypatch.setattr("stbc_forge.signalset._difference_table", spy)
-    monkeypatch.setattr("stbc_forge.diversity.extended_table", extend)
     ld = {"ggroup21": _ggroup21_interleaved(),
           "alamouti": to_linear_design(catalog("alamouti").design),
           "qod4": catalog("qod4").linear}[ld]
@@ -1334,9 +1311,7 @@ def test_growth_tables_each_changed_unit_once(ld, prefix, sizes, seed,
         grow_with_pam_prefix(ld, 2, (pam, pam), sizes, seed)
     else:
         grow_constellation(ld, sizes, seed)
-    assert len(built) == tables
-    # three points add 2 + 4 differences
-    assert grown == [6] * extended
+    assert built == tables
 
 
 def test_grow_constellation_alamouti():
